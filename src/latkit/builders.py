@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .order import QuasiOrder, build_quasi_order, order_from_relation
+from .order import QuasiOrder, bits, build_quasi_order, order_from_relation
 
 __all__ = [
     "chain",
@@ -25,7 +25,6 @@ __all__ = [
     "n5",
     "bowtie",
     "powerset_lattice",
-    "product_order",
     "ChainProduct",
     "chain_product",
     "enumerate_posets",
@@ -85,12 +84,6 @@ def is_powerset_order(q: QuasiOrder) -> bool:
             if bool(q.leq[a, b]) != (a & ~b == 0):
                 return False
     return True
-
-
-def product_order(p: QuasiOrder, q: QuasiOrder) -> QuasiOrder:
-    """Componentwise order on pairs, index = ``i + p.size * j``."""
-    rel = np.kron(q.leq, p.leq)
-    return order_from_relation(rel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +177,13 @@ def _lower_sets(q: QuasiOrder):
     out = []
     for mask in range(1 << n):
         ok = True
-        for p in bits_of(mask):
+        for p in bits(mask):
             if q.down_masks[p] & ~mask:
                 ok = False
                 break
         if ok:
             out.append(mask)
     return out
-
-
-def bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def enumerate_posets(n: int):
@@ -217,7 +203,7 @@ def enumerate_posets(n: int):
                 rel = np.zeros((k + 1, k + 1), dtype=bool)
                 rel[:k, :k] = q.leq
                 rel[k, k] = True
-                for p in bits_of(low):
+                for p in bits(low):
                     rel[p, k] = True
                 cand = order_from_relation(rel)
                 key = canonical_key(cand)

@@ -5,18 +5,15 @@ theorem verifiers, and emits deterministic reports.
 
 Exit codes: 0 all checks passed; 1 a property or theorem violation was
 found (the report carries a witness); 2 malformed input or usage error;
-3 a search budget was exceeded.  ``LATKIT_THREADS`` caps sweep
-parallelism; given the same configuration and seed, JSON reports are
-byte-identical.
+3 a search budget was exceeded.  Given the same configuration and seed,
+JSON reports are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,20 +46,11 @@ class RunConfig:
         if self.samples <= 0:
             raise InputError("--samples must be positive")
 
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LATKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    def option(self, key: str, default: int) -> int:
+        """The integer option ``key``; ``default`` only when it is unset,
+        so an explicit 0 stays 0."""
+        value = self.options.get(key)
+        return default if value is None else int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +103,8 @@ class Verifier:
 
 
 def _verify_powerset_form(cfg: RunConfig) -> dict:
-    x = int(cfg.options.get("x") or 2)
-    y = int(cfg.options.get("y") or 3)
+    x = cfg.option("x", 2)
+    y = cfg.option("y", 3)
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(
@@ -139,10 +127,10 @@ def _verify_powerset_form(cfg: RunConfig) -> dict:
 
 
 def _verify_chainprod_form(cfg: RunConfig) -> dict:
-    k = int(cfg.options.get("k") or 2)
-    m = int(cfg.options.get("m") or 2)
-    i = int(cfg.options.get("i") or 1)
-    j = int(cfg.options.get("j") or 2)
+    k = cfg.option("k", 2)
+    m = cfg.option("m", 2)
+    i = cfg.option("i", 1)
+    j = cfg.option("j", 2)
     dom_cp = builders.chain_product([k] * i)
     cod_cp = builders.chain_product([m] * j)
     census = embedding.enumerate_embeddings(
@@ -166,18 +154,15 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
 
 
 def _verify_preregular_continuity(cfg: RunConfig) -> dict:
-    max_size = int(cfg.options.get("max_size") or 4)
+    max_size = cfg.option("max_size", 4)
     posets = []
     for n in range(1, max_size + 1):
         posets.extend(builders.enumerate_posets(n))
     pairs = [(p, q) for p in posets for q in posets if p.size <= q.size]
-
-    def work(pq):
-        p, q = pq
-        return embedding.verify_preregular_continuity(
-            p, q, budget_nodes=cfg.budget_nodes)
-
-    reports = _parallel_map(work, pairs)
+    reports = [
+        embedding.verify_preregular_continuity(p, q, budget_nodes=cfg.budget_nodes)
+        for p, q in pairs
+    ]
     violations = [v for r in reports for v in r["violations"]]
     return {
         "holds": not violations,
@@ -189,7 +174,7 @@ def _verify_preregular_continuity(cfg: RunConfig) -> dict:
 
 
 def _verify_convex_preregular(cfg: RunConfig) -> dict:
-    max_size = int(cfg.options.get("max_size") or 5)
+    max_size = cfg.option("max_size", 5)
     violations = []
     lattices = 0
     subsets = 0
@@ -213,8 +198,8 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
 
 
 def _verify_extension_convexity(cfg: RunConfig) -> dict:
-    n = int(cfg.options.get("n") or 2)
-    m = int(cfg.options.get("m") or n + 1)
+    n = cfg.option("n", 2)
+    m = cfg.option("m", n + 1)
     L = builders.powerset_lattice(n)
     M = builders.powerset_lattice(m)
     basis = [0] + [1 << i for i in range(n)]
@@ -236,17 +221,14 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
 
 
 def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
-    points = int(cfg.options.get("points") or 3)
+    points = cfg.option("points", 3)
     tops = topology.enumerate_topologies(points)
-
-    def work(t):
+    failures = []
+    for t in tops:
         try:
-            cat = topology.category_algebra(t)
+            topology.category_algebra(t)
         except topology.TopologyError as exc:
-            return {"error": str(exc), "opens": topology.topology_to_json(t)}
-        return None
-
-    failures = [r for r in _parallel_map(work, tops) if r is not None]
+            failures.append({"error": str(exc), "opens": topology.topology_to_json(t)})
     return {
         "holds": not failures,
         "points": points,
@@ -256,8 +238,8 @@ def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
 
 
 def _verify_atom_image(cfg: RunConfig) -> dict:
-    x = int(cfg.options.get("x") or 2)
-    y = int(cfg.options.get("y") or 3)
+    x = cfg.option("x", 2)
+    y = cfg.option("y", 3)
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(dom, cod,
@@ -279,7 +261,7 @@ def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
     if cfg.inputs:
         mon = monoid.monoid_from_json(load_json(cfg.inputs[0]))
     else:
-        mon = monoid.VectorMonoid(int(cfg.options.get("dims") or 2))
+        mon = monoid.VectorMonoid(cfg.option("dims", 2))
     reports = {
         mode: monoid.check_distributivity(
             mon, mode, samples=cfg.samples, seed=cfg.seed)
@@ -295,7 +277,7 @@ def _verify_disjoint_sum(cfg: RunConfig) -> dict:
     if cfg.inputs:
         mon = monoid.monoid_from_json(load_json(cfg.inputs[0]))
     else:
-        mon = monoid.VectorMonoid(int(cfg.options.get("dims") or 2))
+        mon = monoid.VectorMonoid(cfg.option("dims", 2))
     rep = monoid.check_disjoint_sum_laws(mon, samples=cfg.samples, seed=cfg.seed)
     return {"holds": rep["holds"], "report": rep}
 
@@ -313,7 +295,7 @@ def _verify_group_completion(cfg: RunConfig) -> dict:
             "classes": gc.group.size,
             "embedding_injective": len(set(gc.embedding)) == mon.size,
         }
-    max_size = int(cfg.options.get("max_size") or 4)
+    max_size = cfg.option("max_size", 4)
     checked = rejected = 0
     failures = []
     for n in range(1, max_size + 1):
@@ -336,7 +318,7 @@ def _verify_group_completion(cfg: RunConfig) -> dict:
 
 
 def _search_convex_not_preregular(cfg: RunConfig) -> dict:
-    max_size = int(cfg.options.get("max_size") or 5)
+    max_size = cfg.option("max_size", 5)
     for n in range(1, max_size + 1):
         for q in builders.enumerate_posets(n):
             if lattice.classify(q)["lattice"]:
@@ -353,7 +335,7 @@ def _search_convex_not_preregular(cfg: RunConfig) -> dict:
 
 
 def _search_open_meager(cfg: RunConfig) -> dict:
-    points = int(cfg.options.get("points") or 3)
+    points = cfg.option("points", 3)
     for t in topology.enumerate_topologies(points):
         u = topology.largest_open_meager(t)
         if u:
@@ -365,7 +347,7 @@ def _search_open_meager(cfg: RunConfig) -> dict:
 
 
 def _sweep_baire(cfg: RunConfig) -> dict:
-    points = int(cfg.options.get("points") or 3)
+    points = cfg.option("points", 3)
     tops = topology.enumerate_topologies(points)
     mismatches = [
         topology.topology_to_json(t) for t in tops

@@ -21,12 +21,13 @@ from .order import (
     QuasiOrder,
     SetLike,
     Subset,
+    _require_poset,
     atoms,
     bits,
     induced_suborder,
     inf,
-    is_bounded_above,
-    is_directed,
+    intersection_closure,
+    least_element,
     linear_extension,
     lower_closure,
     mask_of,
@@ -292,38 +293,54 @@ def census_to_json_lines(census: EmbeddingCensus) -> list:
 # continuity and range structure
 
 
+def _pair_keys(dom: QuasiOrder, cod: QuasiOrder, image, elems) -> dict:
+    """``{a: key}`` where ANDing the keys of a set ``B`` gives the upper
+    bounds of ``B`` in ``dom`` (low ``dom.size`` bits) next to the upper
+    bounds of its image in ``cod`` (the bits above)."""
+    n = dom.size
+    return {a: dom.up_masks[a] | (cod.up_masks[image[a]] << n) for a in elems}
+
+
+def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
+    """The keys of ``elems``, and the classes of the nonempty ``B`` among
+    them whose supremum ``s`` is one of ``elems`` with ``image[s]`` not the
+    supremum of the image of ``B``."""
+    keys = _pair_keys(dom, cod, image, elems)
+    bad = set()
+    for ub in intersection_closure(keys.values()):
+        s = least_element(dom, ub & dom.full_mask)
+        if s in keys and least_element(cod, ub >> dom.size) != image[s]:
+            bad.add(ub)
+    return keys, bad
+
+
+def _largest_failing(keys: dict, bad: set) -> list:
+    """The numerically largest ``B`` whose class is in ``bad``."""
+    return list(bits(max(
+        sum(1 << a for a, k in keys.items() if k & ub == ub) for ub in bad)))
+
+
 def continuity_checks(sigma: MonotoneMap) -> dict:
     """Preservation of nonempty suprema/infima and of directed bounds.
 
-    A finite directed set contains its supremum, so monotone maps between
-    finite posets are always Scott continuous; the scan still evaluates the
-    definition literally.
+    Both suprema depend on ``B`` only through the upper bounds of ``B`` and
+    of its image, so the scan runs over one class per member of
+    :func:`intersection_closure`.  A finite nonempty set is directed iff it
+    has a greatest element ``g``, and its class is then the key of ``g``.
+    Monotone maps between finite posets are therefore always Scott
+    continuous; the flag is still computed, not assumed.
     """
     dom, cod = sigma.dom, sigma.cod
-    full = dom.full_mask
-    sups = infs = scott = co_scott = True
-    amask = full
-    while amask:
-        s = sup(dom, amask)
-        if s is not None:
-            target = sup(cod, sigma.image_mask(amask))
-            if target != sigma.image[s]:
-                sups = False
-                if is_directed(dom, amask):
-                    scott = False
-        t = inf(dom, amask)
-        if t is not None:
-            target = inf(cod, sigma.image_mask(amask))
-            if target != sigma.image[t]:
-                infs = False
-                if is_directed(dom.dual, amask):
-                    co_scott = False
-        amask = (amask - 1) & full
+    if dom.size:
+        _require_poset(dom)
+        _require_poset(cod)
+    keys, bad = _sup_failures(dom, cod, sigma.image, range(dom.size))
+    co_keys, co_bad = _sup_failures(dom.dual, cod.dual, sigma.image, range(dom.size))
     return {
-        "preserves_nonempty_sups": sups,
-        "preserves_nonempty_infs": infs,
-        "scott_continuous": scott,
-        "co_continuous": co_scott,
+        "preserves_nonempty_sups": not bad,
+        "preserves_nonempty_infs": not co_bad,
+        "scott_continuous": not any(k in bad for k in keys.values()),
+        "co_continuous": not any(k in co_bad for k in co_keys.values()),
     }
 
 
@@ -352,21 +369,18 @@ def range_property_checks(sigma: MonotoneMap) -> dict:
 
 def boundedness_preservation(sigma: MonotoneMap) -> dict:
     """Whether bounded sets stay bounded and unbounded sets stay unbounded,
-    over every subset of the domain."""
+    over every subset of the domain (one class of upper bounds at a time)."""
     dom, cod = sigma.dom, sigma.cod
-    b2b = u2u = True
-    amask = dom.full_mask
-    while True:
-        bounded = is_bounded_above(dom, amask)
-        image_bounded = is_bounded_above(cod, sigma.image_mask(amask))
-        if bounded and not image_bounded:
-            b2b = False
-        if not bounded and image_bounded:
-            u2u = False
-        if amask == 0:
-            break
-        amask = (amask - 1) & dom.full_mask
-    return {"bounded_to_bounded": b2b, "unbounded_to_unbounded": u2u}
+    n = dom.size
+    keys = _pair_keys(dom, cod, sigma.image, range(n))
+    # everything bounds the empty subset, in both orders
+    classes = intersection_closure(keys.values()) | {dom.full_mask | (cod.full_mask << n)}
+    return {
+        "bounded_to_bounded": not any(
+            ub & dom.full_mask and not ub >> n for ub in classes),
+        "unbounded_to_unbounded": not any(
+            not ub & dom.full_mask and ub >> n for ub in classes),
+    }
 
 
 def relative_atoms(q: QuasiOrder, A: SetLike) -> Subset:
@@ -631,27 +645,15 @@ def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
         for e in bits(dmask):
             if L.leq[d, e] and not M.leq[sigma[d], sigma[e]]:
                 raise HypothesisFailed("sigma-order-preserving", f"({d},{e})")
-    sub = dmask
-    while sub:
-        s = sup(L, sub)
-        if s is not None and (dmask >> s) & 1:
-            img = 0
-            for d in bits(sub):
-                img |= 1 << sigma[d]
-            if sup(M, img) != sigma[s]:
-                raise HypothesisFailed("sigma-preserves-sups-in-L",
-                                       f"B={list(bits(sub))}")
-        sub = (sub - 1) & dmask
-    sub = dmask
-    while sub:
-        if is_bounded_above(L, sub):
-            img = 0
-            for d in bits(sub):
-                img |= 1 << sigma[d]
-            if not is_bounded_above(M, img):
-                raise HypothesisFailed("sigma-preserves-boundedness-in-L",
-                                       f"A={list(bits(sub))}")
-        sub = (sub - 1) & dmask
+    keys, bad = _sup_failures(L, M, sigma, bits(dmask))
+    if bad:
+        raise HypothesisFailed("sigma-preserves-sups-in-L",
+                               f"B={_largest_failing(keys, bad)}")
+    bad = {ub for ub in intersection_closure(keys.values())
+           if ub & L.full_mask and not ub >> L.size}
+    if bad:
+        raise HypothesisFailed("sigma-preserves-boundedness-in-L",
+                               f"A={_largest_failing(keys, bad)}")
 
 
 def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
@@ -659,9 +661,11 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
     """Extend a map off a join-dense meet subsemilattice to all of ``L``.
 
     Each hypothesis is checked, not assumed, and a failure raises
-    :class:`HypothesisFailed` naming the violated clause.  The extension
-    sends ``p`` to the supremum of the images of the members of ``D``
-    below ``p``, which pins it down uniquely wherever that set is nonempty.
+    :class:`HypothesisFailed` naming the violated clause; for a clause about
+    every subset of ``D``, the detail is the numerically largest violating
+    subset.  The extension sends ``p`` to the supremum of the images of the
+    members of ``D`` below ``p``, which pins it down uniquely wherever that
+    set is nonempty.
     """
     dmask = mask_of(L, D)
     sigma = {int(k): int(v) for k, v in sigma.items()}
@@ -672,13 +676,14 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
         for d in bits(dmask & L.down_masks[p]):
             img |= 1 << sigma[d]
         s = sup(M, img)
-        assert s is not None, "bounded image lost its supremum"
+        if s is None:
+            raise RuntimeError("bounded image lost its supremum")
         image.append(s)
     out = MonotoneMap(L, M, tuple(image))
-    for d in bits(dmask):
-        assert out.image[d] == sigma[d], "extension failed to extend"
-    cont = continuity_checks(out)
-    assert cont["preserves_nonempty_sups"], "extension lost continuity"
+    if any(out.image[d] != sigma[d] for d in bits(dmask)):
+        raise RuntimeError("extension failed to extend")
+    if not continuity_checks(out)["preserves_nonempty_sups"]:
+        raise RuntimeError("extension lost continuity")
     return out
 
 

@@ -20,8 +20,11 @@ from .order import (
     QuasiOrder,
     SetLike,
     Subset,
+    _require_poset,
     bits,
     inf,
+    intersection_closure,
+    least_element,
     mask_of,
     positive_part,
     sup,
@@ -287,12 +290,7 @@ def sup_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
     ub = amask
     for b in bits(bmask):
         ub &= q.up_masks[b]
-        if not ub:
-            return None
-    for u in bits(ub):
-        if ub & ~q.up_masks[u] == 0:
-            return u
-    return None
+    return least_element(q, ub)
 
 
 def inf_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
@@ -301,23 +299,27 @@ def inf_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
 
 def preregularity_witness(q: QuasiOrder, A: SetLike, upwards: bool) -> Optional[dict]:
     """A nonempty ``B`` whose bound inside ``A`` disagrees with the ambient
-    one (including the case where the ambient bound does not exist)."""
+    one (including the case where the ambient bound does not exist).
+
+    Both bounds depend on ``B`` only through its ambient upper (lower)
+    bounds, so the scan runs over :func:`intersection_closure` of the
+    members' up-sets (down-sets).  The witness is the numerically largest
+    violating ``B``.
+    """
     m = mask_of(q, A)
-    if upwards:
-        inner, outer = sup_in_subset, sup
-    else:
-        inner, outer = inf_in_subset, inf
-    sub = m
-    while True:
-        if sub:
-            a = inner(q, m, sub)
-            if a is not None:
-                p = outer(q, sub)
-                if p != a:
-                    return {"B": list(bits(sub)), "in_subset": a, "in_ambient": p}
-        if sub == 0:
-            return None
-        sub = (sub - 1) & m
+    if m:
+        _require_poset(q)
+    o = q if upwards else q.dual
+    up = o.up_masks
+    witnesses = []
+    for ub in intersection_closure(up[a] for a in bits(m)):
+        a, p = least_element(o, ub & m), least_element(o, ub)
+        if a is not None and p != a:
+            witnesses.append((sum(1 << x for x in bits(m) if up[x] & ub == ub), a, p))
+    if not witnesses:
+        return None
+    b, a, p = max(witnesses)
+    return {"B": list(bits(b)), "in_subset": a, "in_ambient": p}
 
 
 def is_upwards_preregular(q: QuasiOrder, A: SetLike) -> bool:
@@ -361,30 +363,23 @@ def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
 
     ``up_boc``: ambient sups of nonempty subsets that are bounded inside
     ``A`` land in ``A``; ``up_oc`` drops the bound premise.  ``down_*`` are
-    the duals.
+    the duals.  Each subset is seen only through its set of upper (lower)
+    bounds, one per member of :func:`intersection_closure`.
     """
     m = mask_of(q, A)
-    up_boc = up_oc = down_boc = down_oc = True
-    sub = m
-    while sub:
-        s = sup(q, sub)
-        if s is not None and not (m >> s) & 1:
-            up_oc = False
-            bounded_in_a = m
-            for b in bits(sub):
-                bounded_in_a &= q.up_masks[b]
-            if bounded_in_a:
-                up_boc = False
-        t = inf(q, sub)
-        if t is not None and not (m >> t) & 1:
-            down_oc = False
-            bounded_in_a = m
-            for b in bits(sub):
-                bounded_in_a &= q.down_masks[b]
-            if bounded_in_a:
-                down_boc = False
-        sub = (sub - 1) & m
-    return {"up_boc": up_boc, "down_boc": down_boc, "up_oc": up_oc, "down_oc": down_oc}
+    if m:
+        _require_poset(q)
+    boc, oc = {}, {}
+    for side, o in (("up", q), ("down", q.dual)):
+        boc[side] = oc[side] = True
+        for ub in intersection_closure(o.up_masks[a] for a in bits(m)):
+            s = least_element(o, ub)
+            if s is not None and not (m >> s) & 1:
+                oc[side] = False
+                if ub & m:
+                    boc[side] = False
+    return {"up_boc": boc["up"], "down_boc": boc["down"],
+            "up_oc": oc["up"], "down_oc": oc["down"]}
 
 
 def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
@@ -393,15 +388,13 @@ def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
     m = mask_of(q, A)
     if not m:
         return Subset(q, 0)
+    _require_poset(q)
     out = 0
-    sub = m
-    while True:
-        s = sup(q, sub)
+    # every element bounds the empty subset, whose supremum is the minimum
+    for ub in intersection_closure(q.up_masks[a] for a in bits(m)) | {q.full_mask}:
+        s = least_element(q, ub)
         if s is not None:
             out |= 1 << s
-        if sub == 0:
-            break
-        sub = (sub - 1) & m
     return Subset(q, out)
 
 

@@ -212,9 +212,11 @@ def group_completion(m: FiniteMonoid) -> GroupCompletion:
     identity = pair_class[(e, e)]
     group = FiniteMonoid(table, identity)
     # the construction guarantees an abelian group and a monomorphism
-    assert group.is_commutative and len(group.invertibles) == k
+    if not (group.is_commutative and len(group.invertibles) == k):
+        raise RuntimeError("pair classes failed to form an abelian group")
     embedding = tuple(pair_class[(a, e)] for a in range(n))
-    assert len(set(embedding)) == n, "embedding failed to be injective"
+    if len(set(embedding)) != n:
+        raise RuntimeError("embedding failed to be injective")
     return GroupCompletion(m, group, tuple(reps), embedding, pair_class)
 
 

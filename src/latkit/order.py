@@ -25,6 +25,7 @@ __all__ = [
     "asym_quotient",
     "sup",
     "inf",
+    "least_element",
     "minimal_elements",
     "positive_part",
     "are_incompatible",
@@ -44,6 +45,7 @@ __all__ = [
     "induced_suborder",
     "linear_extension",
     "bits",
+    "intersection_closure",
     "mask_of",
     "order_to_json",
     "order_from_json",
@@ -62,6 +64,23 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def intersection_closure(masks: Iterable[int]) -> set:
+    """Every intersection of a nonempty subfamily of ``masks``.
+
+    A check over every nonempty ``B`` of a set ``A`` that sees ``B`` only
+    through the AND of one key per member (for ``up_masks``: the upper
+    bounds of ``B``) needs one visit per member of this closure, not one per
+    subset.  The largest ``B`` in the class ``T``, also numerically, is the
+    extent ``{a in A : key(a) contains T}``.
+    """
+    closure = set()
+    for m in masks:
+        if m not in closure:  # the closure is already closed under "& m"
+            closure |= {m & c for c in closure}
+            closure.add(m)
+    return closure
 
 
 def _as_bool_matrix(rel) -> np.ndarray:
@@ -339,8 +358,16 @@ def sup(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
         ub &= q.up_masks[a]
         if not ub:
             return None
-    for u in bits(ub):
-        if ub & ~q.up_masks[u] == 0:
+    return least_element(q, ub)
+
+
+def least_element(q: QuasiOrder, mask: int) -> Optional[int]:
+    """The least member of ``mask``, or ``None`` when it has none.
+
+    Among equivalent least members of a quasi order the lowest index wins.
+    """
+    for u in bits(mask):
+        if mask & ~q.up_masks[u] == 0:
             return u
     return None
 

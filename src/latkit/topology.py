@@ -218,7 +218,8 @@ def largest_open_meager(t: FiniteTopology) -> int:
     for o in t.opens_sorted:
         if is_meager(t, o):
             out |= o
-    assert t.is_open(out) and is_meager(t, out)
+    if not (t.is_open(out) and is_meager(t, out)):
+        raise RuntimeError("union of open meager sets is not open and meager")
     return out
 
 

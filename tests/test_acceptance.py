@@ -57,16 +57,6 @@ def verdict(n, ok, detail):
     assert ok
 
 
-def powerset_census_cached():
-    out = {}
-    for x in (1, 2, 3):
-        for y in range(x, 5):
-            dom, cod = powerset_lattice(x), powerset_lattice(y)
-            out[(x, y)] = (dom, cod,
-                           enumerate_embeddings(dom, cod, convex_range=True))
-    return out
-
-
 def test_criterion_1_powerset_characterization():
     """Convex-range power-set embeddings are exactly the maps a -> h[a] | b."""
     start = time.monotonic()

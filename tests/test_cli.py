@@ -179,14 +179,14 @@ def test_json_reports_are_byte_identical(capsys):
     assert out3 != out1
 
 
-def test_thread_cap_keeps_reports_deterministic(capsys, monkeypatch):
-    args = ("--format", "json", "sweep", "cat-ro-iso", "--points", "3")
-    monkeypatch.delenv("LATKIT_THREADS", raising=False)
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("LATKIT_THREADS", "4")
-    code, threaded, _ = run(capsys, *args)
+@pytest.mark.parametrize("argv, key", [
+    (("sweep", "cat-ro-iso", "--points", "0"), "points"),
+    (("verify", "lem-group-completion", "--max-size", "0"), "max_size"),
+])
+def test_explicit_zero_option_is_not_replaced_by_default(capsys, argv, key):
+    code, out, _ = run(capsys, "--format", "json", *argv)
     assert code == EXIT_OK
-    assert threaded == serial
+    assert json.loads(out)["report"][key] == 0
 
 
 def test_parse_order_spec_forms():

@@ -1,0 +1,326 @@
+"""The upper-bound-class scans against the literal "for every subset B" scans.
+
+Each ``ref_*`` function below walks every subset in descending submask
+order and evaluates the definition directly.  The library versions visit
+one subset per class of upper bounds instead, and must agree with these
+references exactly, witnesses and error behaviour included.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from latkit.builders import enumerate_lattices, enumerate_posets
+from latkit.embedding import (
+    HypothesisFailed,
+    _check_sigma_hypotheses,
+    boundedness_preservation,
+    continuity_checks,
+)
+from latkit.lattice import (
+    classify,
+    inf_in_subset,
+    is_join_dense,
+    is_meet_closed,
+    order_closed_checks,
+    order_closure_down,
+    order_closure_up,
+    preregularity_witness,
+    sup_in_subset,
+)
+from latkit.order import (
+    MonotoneMap,
+    OrderError,
+    QuasiOrder,
+    Subset,
+    bits,
+    inf,
+    intersection_closure,
+    is_bounded_above,
+    is_directed,
+    mask_of,
+    sup,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference scans
+
+
+def ref_preregularity_witness(q, A, upwards):
+    m = mask_of(q, A)
+    if upwards:
+        inner, outer = sup_in_subset, sup
+    else:
+        inner, outer = inf_in_subset, inf
+    sub = m
+    while True:
+        if sub:
+            a = inner(q, m, sub)
+            if a is not None:
+                p = outer(q, sub)
+                if p != a:
+                    return {"B": list(bits(sub)), "in_subset": a, "in_ambient": p}
+        if sub == 0:
+            return None
+        sub = (sub - 1) & m
+
+
+def ref_order_closed_checks(q, A):
+    m = mask_of(q, A)
+    up_boc = up_oc = down_boc = down_oc = True
+    sub = m
+    while sub:
+        s = sup(q, sub)
+        if s is not None and not (m >> s) & 1:
+            up_oc = False
+            bounded_in_a = m
+            for b in bits(sub):
+                bounded_in_a &= q.up_masks[b]
+            if bounded_in_a:
+                up_boc = False
+        t = inf(q, sub)
+        if t is not None and not (m >> t) & 1:
+            down_oc = False
+            bounded_in_a = m
+            for b in bits(sub):
+                bounded_in_a &= q.down_masks[b]
+            if bounded_in_a:
+                down_boc = False
+        sub = (sub - 1) & m
+    return {"up_boc": up_boc, "down_boc": down_boc, "up_oc": up_oc, "down_oc": down_oc}
+
+
+def ref_order_closure_up(q, A):
+    m = mask_of(q, A)
+    if not m:
+        return Subset(q, 0)
+    out = 0
+    sub = m
+    while True:
+        s = sup(q, sub)
+        if s is not None:
+            out |= 1 << s
+        if sub == 0:
+            break
+        sub = (sub - 1) & m
+    return Subset(q, out)
+
+
+def ref_continuity_checks(sigma):
+    dom, cod = sigma.dom, sigma.cod
+    full = dom.full_mask
+    sups = infs = scott = co_scott = True
+    amask = full
+    while amask:
+        s = sup(dom, amask)
+        if s is not None:
+            target = sup(cod, sigma.image_mask(amask))
+            if target != sigma.image[s]:
+                sups = False
+                if is_directed(dom, amask):
+                    scott = False
+        t = inf(dom, amask)
+        if t is not None:
+            target = inf(cod, sigma.image_mask(amask))
+            if target != sigma.image[t]:
+                infs = False
+                if is_directed(dom.dual, amask):
+                    co_scott = False
+        amask = (amask - 1) & full
+    return {
+        "preserves_nonempty_sups": sups,
+        "preserves_nonempty_infs": infs,
+        "scott_continuous": scott,
+        "co_continuous": co_scott,
+    }
+
+
+def ref_boundedness_preservation(sigma):
+    dom, cod = sigma.dom, sigma.cod
+    b2b = u2u = True
+    amask = dom.full_mask
+    while True:
+        bounded = is_bounded_above(dom, amask)
+        image_bounded = is_bounded_above(cod, sigma.image_mask(amask))
+        if bounded and not image_bounded:
+            b2b = False
+        if not bounded and image_bounded:
+            u2u = False
+        if amask == 0:
+            break
+        amask = (amask - 1) & dom.full_mask
+    return {"bounded_to_bounded": b2b, "unbounded_to_unbounded": u2u}
+
+
+def ref_check_sigma_hypotheses(L, dmask, sigma, M):
+    if set(sigma) != set(bits(dmask)):
+        raise ValueError("sigma must be defined exactly on D")
+    if not classify(M)["complete_semilattice"]:
+        raise HypothesisFailed("M-complete-semilattice")
+    if not is_join_dense(L, dmask):
+        raise HypothesisFailed("D-join-dense")
+    if not is_meet_closed(L, dmask):
+        raise HypothesisFailed("D-meet-subsemilattice")
+    for d in bits(dmask):
+        for e in bits(dmask):
+            if L.leq[d, e] and not M.leq[sigma[d], sigma[e]]:
+                raise HypothesisFailed("sigma-order-preserving", f"({d},{e})")
+    sub = dmask
+    while sub:
+        s = sup(L, sub)
+        if s is not None and (dmask >> s) & 1:
+            img = 0
+            for d in bits(sub):
+                img |= 1 << sigma[d]
+            if sup(M, img) != sigma[s]:
+                raise HypothesisFailed("sigma-preserves-sups-in-L",
+                                       f"B={list(bits(sub))}")
+        sub = (sub - 1) & dmask
+    sub = dmask
+    while sub:
+        if is_bounded_above(L, sub):
+            img = 0
+            for d in bits(sub):
+                img |= 1 << sigma[d]
+            if not is_bounded_above(M, img):
+                raise HypothesisFailed("sigma-preserves-boundedness-in-L",
+                                       f"A={list(bits(sub))}")
+        sub = (sub - 1) & dmask
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (OrderError, HypothesisFailed) as exc:
+        return type(exc), str(exc)
+
+
+def monotone_maps(dom, cod):
+    for img in itertools.product(range(cod.size), repeat=dom.size):
+        if all(cod.leq[img[a], img[b]] for a in range(dom.size)
+               for b in bits(dom.up_masks[a])):
+            yield MonotoneMap(dom, cod, img)
+
+
+def labeled_quasi_orders(n):
+    for flags in itertools.product((False, True), repeat=n * n - n):
+        mat = np.eye(n, dtype=bool)
+        mat[~np.eye(n, dtype=bool)] = flags
+        if not (np.matmul(mat, mat) & ~mat).any():
+            yield QuasiOrder(mat)
+
+
+# ---------------------------------------------------------------------------
+# the engine itself
+
+
+def test_intersection_closure_is_every_subfamily_intersection():
+    rng = random.Random(7)
+    for _ in range(300):
+        masks = [rng.getrandbits(6) for _ in range(rng.randrange(6))]
+        expected = set()
+        for r in range(1, len(masks) + 1):
+            for family in itertools.combinations(masks, r):
+                acc = -1
+                for f in family:
+                    acc &= f
+                expected.add(acc)
+        assert intersection_closure(masks) == expected, masks
+
+
+# ---------------------------------------------------------------------------
+# agreement with the references
+
+
+def subset_scans(q, m):
+    return (
+        preregularity_witness(q, m, upwards=True),
+        preregularity_witness(q, m, upwards=False),
+        order_closed_checks(q, m),
+        order_closure_up(q, m).mask,
+        order_closure_down(q, m).mask,
+    )
+
+
+def ref_subset_scans(q, m):
+    return (
+        ref_preregularity_witness(q, m, upwards=True),
+        ref_preregularity_witness(q, m, upwards=False),
+        ref_order_closed_checks(q, m),
+        ref_order_closure_up(q, m).mask,
+        ref_order_closure_up(q.dual, m).mask,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subset_scans_match_reference_on_every_poset(n):
+    witnesses = 0
+    for q in enumerate_posets(n):
+        for m in range(1 << n):
+            got = subset_scans(q, m)
+            assert got == ref_subset_scans(q, m), (q.leq.tolist(), m)
+            witnesses += got[0] is not None
+    assert n < 4 or witnesses > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subset_scans_match_reference_on_quasi_orders(n):
+    # off posets both raise OrderError, except on the empty subset
+    for q in labeled_quasi_orders(n):
+        for m in range(1 << n):
+            assert outcome(subset_scans, q, m) == outcome(ref_subset_scans, q, m)
+
+
+def test_map_scans_match_reference():
+    doms = [q for n in (1, 2, 3, 4) for q in enumerate_posets(n)]
+    cods = [q for n in (1, 2, 3) for q in enumerate_posets(n)]
+    maps = failing = 0
+    for dom in doms:
+        for cod in cods:
+            for mm in monotone_maps(dom, cod):
+                maps += 1
+                cont = continuity_checks(mm)
+                bp = boundedness_preservation(mm)
+                assert cont == ref_continuity_checks(mm), mm
+                assert bp == ref_boundedness_preservation(mm), mm
+                failing += not all(cont.values()) or not all(bp.values())
+    assert maps == 2436 and failing == 1965
+
+
+def test_map_scans_match_reference_on_quasi_orders():
+    for dom in labeled_quasi_orders(2):
+        for cod in labeled_quasi_orders(2):
+            for mm in monotone_maps(dom, cod):
+                assert (outcome(continuity_checks, mm)
+                        == outcome(ref_continuity_checks, mm))
+                assert (outcome(boundedness_preservation, mm)
+                        == outcome(ref_boundedness_preservation, mm))
+
+
+def test_hypothesis_failures_match_reference():
+    # the inputs of test_extension_uniqueness_sweep, plus targets that are
+    # complete semilattices but not lattices, where boundedness can fail
+    lats = [q for n in (2, 3, 4) for q in enumerate_lattices(n)]
+    targets = [m for n in (2, 3, 4) for m in enumerate_posets(n)
+               if classify(m)["complete_semilattice"]]
+    seen = set()
+    for L in lats:
+        dense_sets = [d for d in range(1 << L.size)
+                      if is_join_dense(L, d) and is_meet_closed(L, d)]
+        for dmask in dense_sets:
+            delems = list(bits(dmask))
+            for M in targets:
+                for values in itertools.product(range(M.size), repeat=len(delems)):
+                    sig = dict(zip(delems, values))
+                    if not all(M.leq[sig[a], sig[b]]
+                               for a in delems for b in delems if L.leq[a, b]):
+                        continue
+                    got = outcome(_check_sigma_hypotheses, L, dmask, sig, M)
+                    assert got == outcome(ref_check_sigma_hypotheses, L, dmask, sig, M)
+                    if got is not None:
+                        seen.add(str(got[1]).split("'")[1])
+    assert seen == {"sigma-preserves-sups-in-L", "sigma-preserves-boundedness-in-L"}
