@@ -5,7 +5,8 @@ theorem verifiers, and emits deterministic reports.
 
 Exit codes: 0 all checks passed; 1 a property or theorem violation was
 found (the report carries a witness); 2 malformed input or usage error;
-3 a search budget was exceeded.  Given the same configuration and seed,
+3 a search budget was exceeded; 4 an internal error (a bug, reported with
+its traceback).  Given the same configuration and seed,
 JSON reports are byte-identical.
 """
 
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +26,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
 
 
 class InputError(ValueError):
@@ -65,17 +71,37 @@ def load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _spec_int(value, what: str, least: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _check_spec_size(size: int):
+    if size > MAX_SPEC_SIZE:
+        raise InputError(f"order spec has more than {MAX_SPEC_SIZE} elements")
+
+
 def parse_order_spec(obj):
     """An order given as ``{"powerset": n}``, ``{"chains": [...]}`` or the
-    generator-pair format ``{"size": n, "pairs": [...]}``."""
+    generator-pair format ``{"size": n, "pairs": [...]}``.  Specs of more
+    than ``MAX_SPEC_SIZE`` elements are refused before anything is built."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise InputError("order spec must be an object")
     if "powerset" in obj:
-        return builders.powerset_lattice(int(obj["powerset"]))
+        n = _spec_int(obj["powerset"], "powerset")
+        _check_spec_size(1 << min(n, MAX_SPEC_SIZE))
+        return builders.powerset_lattice(n)
     if "chains" in obj:
-        return builders.chain_product([int(d) for d in obj["chains"]]).order
+        if not isinstance(obj["chains"], list):
+            raise InputError("chains must be a list of chain heights")
+        dims = [_spec_int(d, "chain height", 1) for d in obj["chains"]]
+        _check_spec_size(math.prod(min(d, MAX_SPEC_SIZE + 1) for d in dims))
+        return builders.chain_product(dims).order
+    if isinstance(obj.get("size"), int):
+        _check_spec_size(obj["size"])
     try:
         return order.order_from_json(obj)
     except order.OrderError as exc:
@@ -686,16 +712,17 @@ def main(argv=None) -> int:
             report = SWEEPS[cfg.name].run(cfg)
         else:
             raise InputError(f"unknown command {args.command!r}")
+        emit_report(cfg, report)
     except embedding.BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (InputError, order.OrderError, lattice.OrderError,
-            monoid.MonoidError, topology.TopologyError,
-            embedding.HypothesisFailed, ValueError) as exc:
+    except ValueError as exc:  # the base of every input and order error
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception:
+        sys.stderr.write("internal error\n" + traceback.format_exc())
+        return EXIT_INTERNAL
 
-    emit_report(cfg, report)
     return EXIT_OK if report.get("holds", False) else EXIT_VIOLATION
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .order import QuasiOrder, bits, inf, sup
-from .lattice import lattice_view
+from .lattice import lattice_view, set_distributivity_failure
 
 __all__ = [
     "MonoidError",
@@ -316,13 +316,6 @@ def vector_group_completion(m: VectorMonoid) -> VectorGroupCompletion:
 # distributive laws
 
 
-def _finite_monoid_sets(m: FiniteMonoid):
-    n = m.size
-    for a in range(n):
-        for bmask in range(1 << n):
-            yield a, tuple(bits(bmask))
-
-
 def _check_identity_finite(m: FiniteMonoid, q: QuasiOrder, a: int, B: tuple,
                            dual: bool) -> Optional[dict]:
     bound = inf(q, B) if dual else sup(q, B)
@@ -346,8 +339,10 @@ def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
     ``plus_join``/``plus_meet`` are the binary laws (over triples);
     ``plus_join_inf``/``plus_meet_inf`` quantify over finite sets ``B``,
     asserting ``a + vB = v(a + B)`` whenever the bound exists.  Finite
-    monoids are scanned exhaustively over every subset, the empty one
-    included; sampled runs on vector monoids draw nonempty ``B``.
+    monoids are checked exactly over every subset, the empty one included,
+    by :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
+    ``checked`` and the witness; sampled runs on vector monoids draw
+    nonempty ``B``.
     """
     if mode not in DISTRIBUTIVITY_MODES:
         raise MonoidError(f"unknown mode {mode!r}")
@@ -360,15 +355,18 @@ def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
         q = associated_order(m)
         if not q.is_poset:
             raise MonoidError("distributivity checks need a poset monoid")
+        if instances is None and not binary:
+            o = q.dual if dual else q
+            report["checked"], hit = set_distributivity_failure(o, m.op)
+            if hit is not None:
+                a, b = hit
+                report["holds"] = False
+                report["witness"] = _check_identity_finite(m, q, a, tuple(bits(b)), dual)
+            return report
         if instances is None:
-            if binary:
-                n = m.size
-                instances = (
-                    (a, (b, c)) for a in range(n)
-                    for b in range(n) for c in range(n)
-                )
-            else:
-                instances = _finite_monoid_sets(m)
+            n = m.size
+            instances = ((a, (b, c)) for a in range(n)
+                         for b in range(n) for c in range(n))
         for a, B in instances:
             report["checked"] += 1
             w = _check_identity_finite(m, q, a, tuple(B), dual)

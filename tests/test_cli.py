@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from latkit import embedding
 from latkit.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -15,6 +18,7 @@ from latkit.cli import (
     SEARCHES,
     SWEEPS,
     VERIFIERS,
+    InputError,
     main,
     parse_order_spec,
 )
@@ -196,6 +200,48 @@ def test_parse_order_spec_forms():
     assert q.size == 6
     q = parse_order_spec({"size": 3, "pairs": [[0, 1]]})
     assert q.size == 3
+    assert parse_order_spec({"powerset": 6}).size == 64
+
+
+@pytest.mark.parametrize("spec", [
+    {"powerset": 2.5},
+    {"chains": [2.5]},
+    {"powerset": True},
+    {"powerset": -1},
+    {"powerset": 30},
+    {"powerset": 7},
+    {"chains": [8, 9]},
+    {"chains": 3},
+    {"chains": [0]},
+    {"size": 10 ** 6},
+])
+def test_malformed_or_oversized_order_spec_is_input_error(capsys, spec):
+    with pytest.raises(InputError):
+        parse_order_spec(spec)
+    code, out, err = run(capsys, "enumerate", "--dom", json.dumps(spec),
+                         "--cod", '{"powerset": 1}')
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (embedding.DecompositionMismatchError("decomposition disagrees"), EXIT_INTERNAL),
+    (RuntimeError("broken invariant"), EXIT_INTERNAL),
+    (KeyError("missing"), EXIT_INTERNAL),
+    (embedding.BudgetExceededError("too many nodes"), EXIT_BUDGET),
+])
+def test_crash_is_not_reported_as_violation(capsys, monkeypatch, exc, code):
+    def broken(cfg):
+        raise exc
+
+    slug = "thm-powerset-form"
+    monkeypatch.setitem(VERIFIERS, slug,
+                        dataclasses.replace(VERIFIERS[slug], run=broken))
+    got, out, err = run(capsys, "verify", slug)
+    assert got == code and out == ""
+    if code == EXIT_INTERNAL:
+        assert err.startswith("internal error\n")
+        assert "Traceback" in err and type(exc).__name__ in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,12 +92,6 @@ def test_jid_mid():
     assert check_mid(lattice_view(chain(5)))["holds"]
 
 
-def test_jid_sampled_mode_reports_seed():
-    big = powerset_lattice(4)  # 16 elements > exhaustive limit of 14
-    rep = check_jid(lattice_view(big), samples=500, seed=11)
-    assert rep["holds"] and rep["mode"] == "sampled" and rep["seed"] == 11
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_jid_implies_distributive(n):
     for q in enumerate_lattices(n):

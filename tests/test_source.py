@@ -1,5 +1,5 @@
-"""Whole-package checks: runtime checks survive ``python -O``, and every
-demo script runs to completion."""
+"""Whole-package checks: runtime checks in the library and the demos
+survive ``python -O``, and every demo script runs to completion."""
 
 import ast
 import os
@@ -14,7 +14,7 @@ SOURCES = sorted((ROOT / "src" / "latkit").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + DEMOS, ids=lambda p: p.name)
 def test_no_assert_statements_in_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -1,9 +1,10 @@
 """The upper-bound-class scans against the literal "for every subset B" scans.
 
-Each ``ref_*`` function below walks every subset in descending submask
-order and evaluates the definition directly.  The library versions visit
-one subset per class of upper bounds instead, and must agree with these
-references exactly, witnesses and error behaviour included.
+Each ``ref_*`` function below walks every subset (in descending submask
+order, or in ascending mask order for the distributive laws) and evaluates
+the definition directly.  The library versions visit one subset per class
+of upper bounds instead, and must agree with these references exactly,
+witnesses, counts and error behaviour included.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from latkit.builders import enumerate_lattices, enumerate_posets
+from latkit.builders import enumerate_lattices, enumerate_posets, powerset_lattice
 from latkit.embedding import (
     HypothesisFailed,
     _check_sigma_hypotheses,
@@ -20,15 +21,25 @@ from latkit.embedding import (
     continuity_checks,
 )
 from latkit.lattice import (
+    check_jid,
+    check_mid,
     classify,
     inf_in_subset,
     is_join_dense,
     is_meet_closed,
+    lattice_view,
     order_closed_checks,
     order_closure_down,
     order_closure_up,
     preregularity_witness,
     sup_in_subset,
+)
+from latkit.monoid import (
+    MonoidError,
+    check_distributivity,
+    cyclic_group,
+    enumerate_commutative_monoids,
+    truncated_addition_monoid,
 )
 from latkit.order import (
     MonotoneMap,
@@ -36,6 +47,7 @@ from latkit.order import (
     QuasiOrder,
     Subset,
     bits,
+    build_quasi_order,
     inf,
     intersection_closure,
     is_bounded_above,
@@ -191,11 +203,40 @@ def ref_check_sigma_hypotheses(L, dmask, sigma, M):
         sub = (sub - 1) & dmask
 
 
+def ref_infinite_distributive(lv, dual):
+    q = lv.base
+    op = lv.join if dual else lv.meet
+    bound = inf if dual else sup
+    n = lv.size
+    checked = 0
+    for a in range(n):
+        for bmask in range(1 << n):
+            checked += 1
+            s = bound(q, bmask)
+            if s is None:
+                continue
+            imgs = 0
+            for b in bits(bmask):
+                imgs |= 1 << int(op[a, b])
+            if bound(q, imgs) != int(op[a, s]):
+                return {"holds": False, "mode": "exhaustive", "checked": checked,
+                        "witness": {"a": a, "B": list(bits(bmask))}}
+    return {"holds": True, "mode": "exhaustive", "checked": checked, "witness": None}
+
+
+def ref_finite_monoid_sets(m):
+    """Every ``(a, B)`` in scan order, as explicit distributivity instances."""
+    n = m.size
+    for a in range(n):
+        for bmask in range(1 << n):
+            yield a, tuple(bits(bmask))
+
+
 def outcome(fn, *args):
     """``fn``'s result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (OrderError, HypothesisFailed) as exc:
+    except (OrderError, HypothesisFailed, MonoidError) as exc:
         return type(exc), str(exc)
 
 
@@ -324,3 +365,47 @@ def test_hypothesis_failures_match_reference():
                     if got is not None:
                         seen.add(str(got[1]).split("'")[1])
     assert seen == {"sigma-preserves-sups-in-L", "sigma-preserves-boundedness-in-L"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_infinite_distributivity_matches_reference_on_every_lattice(n):
+    failing = 0
+    for q in enumerate_lattices(n):
+        lv = lattice_view(q)
+        for check, dual in ((check_jid, False), (check_mid, True)):
+            rep = check(lv)
+            assert rep == ref_infinite_distributive(lv, dual), (q.leq, dual)
+            failing += not rep["holds"]
+    # finite lattices satisfy either law iff they are distributive
+    assert (failing > 0) == (n >= 5)
+
+
+def test_infinite_distributivity_beyond_fourteen_elements():
+    # M3 with the atom 0 below the top 4, then a chain 5 < ... < 16 above it:
+    # 17 elements, and both laws first fail at a = 0, B = {2, 3}
+    pairs = [(1, 0), (1, 2), (1, 3), (0, 4), (2, 4), (3, 4)]
+    pairs += [(k, k + 1) for k in range(4, 16)]
+    lv = lattice_view(build_quasi_order(17, pairs))
+    for check, dual in ((check_jid, False), (check_mid, True)):
+        rep = check(lv)
+        assert rep == ref_infinite_distributive(lv, dual)
+        assert rep["witness"] == {"a": 0, "B": [2, 3]} and rep["checked"] == 13
+    rep = check_jid(lattice_view(powerset_lattice(4)))
+    assert rep == {"holds": True, "mode": "exhaustive", "checked": 16 << 16,
+                   "witness": None}
+
+
+def test_finite_monoid_set_laws_match_reference():
+    monoids = [m for n in (1, 2, 3, 4) for m in enumerate_commutative_monoids(n)]
+    monoids += [truncated_addition_monoid(n) for n in (1, 2, 3, 4, 5)]
+    monoids += [cyclic_group(n) for n in (1, 2, 3, 4)]
+    checks = failing = 0
+    for m in monoids:
+        for mode in ("plus_join_inf", "plus_meet_inf"):
+            got = outcome(check_distributivity, m, mode)
+            assert got == outcome(check_distributivity, m, mode,
+                                  ref_finite_monoid_sets(m)), (m.table, mode)
+            if isinstance(got, dict):
+                checks += 1
+                failing += not got["holds"]
+    assert checks > failing > 0
