@@ -1,10 +1,13 @@
 """Order-embedding censuses, continuity checks, and structure theorems.
 
-The census enumerator backtracks over a linear extension of the domain,
-pruning on order preservation, order reflection, and (when the filter is
-requested) a necessary convexity condition on the partial range; every
-emitted map is re-checked against the plain definitions.  Naive full
-enumeration over all maps stays available as an independent oracle.
+The census enumerator backtracks over a linear extension of the domain.
+Each variable's candidates are the set bits of an AND of codomain masks
+(strictly above or incomparable), one per assigned variable, so only
+injective, preserving and reflecting choices are visited; the convex and
+lower-set filters prune partial ranges whose hull or down-closure already
+exceeds the domain size.  Every emitted map is re-checked against the
+plain definitions.  Naive full enumeration over all maps stays available
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -162,8 +165,11 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     """Backtracking census of order embeddings ``dom -> cod``.
 
     Keyword filters restrict the census to maps whose range is convex,
-    preregular, or a lower set.  Raises :class:`BudgetExceededError` when
-    the node cap is hit.
+    preregular, or a lower set.  The candidates of each variable are the
+    set bits of an AND of one codomain mask per assigned variable, so every
+    visited candidate is already injective, preserving and reflecting on
+    the assigned part; ``nodes`` counts these visited candidates, and
+    :class:`BudgetExceededError` is raised once it passes ``budget_nodes``.
     """
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
@@ -173,54 +179,45 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     found = []
     nodes = 0
     up_c, down_c = cod.up_masks, cod.down_masks
-    dom_leq = dom.leq
+    above = [up_c[c] & ~(1 << c) for c in range(k)]
+    apart = [cod.full_mask & ~(up_c[c] | down_c[c]) for c in range(k)]
+    # per depth: (q, table) for each earlier variable q, where table[image[q]]
+    # is the set of images allowed by how q relates to this depth's variable;
+    # in a linear extension an earlier variable is never above a later one
+    constraints = [
+        [(q, above if (dom.up_masks[q] >> p) & 1 else apart) for q in order[:d]]
+        for d, p in enumerate(order)
+    ]
 
-    def convex_hull_size(assigned_imgs) -> int:
-        hull = 0
-        for a in assigned_imgs:
-            for b in assigned_imgs:
-                hull |= up_c[a] & down_c[b]
-        return hull.bit_count()
-
-    def rec(depth: int, assigned_imgs: tuple):
+    def rec(depth: int, rng: int, ups: int, downs: int, hull: int):
+        # rng, ups, downs, hull: the partial range, its upper and lower
+        # closures, and its convex hull (the union of up(a) & down(b))
         nonlocal nodes
         if depth == n:
-            found.append(tuple(image))
+            if not preregular_range or _preregular_range_cached(cod, rng):
+                found.append(tuple(image))
             return
+        cands = cod.full_mask
+        for q, table in constraints[depth]:
+            cands &= table[image[q]]
+            if not cands:
+                return
         p = order[depth]
-        for cand in range(k):
+        for c in bits(cands):
             nodes += 1
             if budget_nodes is not None and nodes > budget_nodes:
                 raise BudgetExceededError(
                     f"node budget {budget_nodes} exceeded")
-            ok = True
-            for d in range(depth):
-                q = order[d]
-                cq = image[q]
-                if bool(cod.leq[cq, cand]) != bool(dom_leq[q, p]):
-                    ok = False
-                    break
-                if bool(cod.leq[cand, cq]) != bool(dom_leq[p, q]):
-                    ok = False
-                    break
-            if not ok:
+            u, dn = ups | up_c[c], downs | down_c[c]
+            h = hull | (up_c[c] & dn) | (u & down_c[c])
+            if convex_range and h.bit_count() > n:
                 continue
-            image[p] = cand
-            nxt = assigned_imgs + (cand,)
-            if convex_range and convex_hull_size(nxt) > n:
-                image[p] = -1
+            if downward_closed_range and dn.bit_count() > n:
                 continue
-            if downward_closed_range:
-                low = 0
-                for a in nxt:
-                    low |= down_c[a]
-                if low.bit_count() > n:
-                    image[p] = -1
-                    continue
-            rec(depth + 1, nxt)
-            image[p] = -1
+            image[p] = c
+            rec(depth + 1, rng | 1 << c, u, dn, h)
 
-    rec(0, ())
+    rec(0, 0, 0, 0, 0)
 
     maps = []
     flags = []
@@ -696,6 +693,11 @@ def enumerate_continuous_extensions(L: QuasiOrder, D: SetLike, sigma: dict,
     order = linear_extension(L)
     image = [-1] * L.size
     out = []
+    # per depth: the earlier elements below and above this depth's element
+    lower = [[q for q in order[:d] if (L.down_masks[p] >> q) & 1]
+             for d, p in enumerate(order)]
+    upper = [[q for q in order[:d] if (L.up_masks[p] >> q) & 1]
+             for d, p in enumerate(order)]
 
     def rec(depth: int):
         if depth == L.size:
@@ -704,21 +706,14 @@ def enumerate_continuous_extensions(L: QuasiOrder, D: SetLike, sigma: dict,
                 out.append(mm)
             return
         p = order[depth]
-        cands = ([sigma[p]] if (dmask >> p) & 1 else range(M.size))
-        for cand in cands:
-            ok = True
-            for d in range(depth):
-                q = order[d]
-                if L.leq[q, p] and not M.leq[image[q], cand]:
-                    ok = False
-                    break
-                if L.leq[p, q] and not M.leq[cand, image[q]]:
-                    ok = False
-                    break
-            if ok:
-                image[p] = cand
-                rec(depth + 1)
-                image[p] = -1
+        cands = 1 << sigma[p] if (dmask >> p) & 1 else M.full_mask
+        for q in lower[depth]:
+            cands &= M.up_masks[image[q]]
+        for q in upper[depth]:
+            cands &= M.down_masks[image[q]]
+        for cand in bits(cands):
+            image[p] = cand
+            rec(depth + 1)
 
     rec(0)
     return tuple(out)
