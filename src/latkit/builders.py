@@ -8,6 +8,7 @@ coordinate first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -31,7 +32,11 @@ __all__ = [
     "enumerate_lattices",
     "random_lattice",
     "canonical_key",
+    "MAX_ENUMERATION_SIZE",
 ]
+
+# 16,999 posets on 8 elements take seconds; the 183,231 on 9 would take hours
+MAX_ENUMERATION_SIZE = 8
 
 
 def chain(n: int) -> QuasiOrder:
@@ -144,9 +149,19 @@ def canonical_key(q: QuasiOrder) -> bytes:
     """Isomorphism-invariant canonical encoding of a poset.
 
     Minimizes the relation bytes over relabelings, restricted to permutations
-    compatible with the (indegree, outdegree) profile to stay cheap.
+    compatible with the (indegree, outdegree) profile to stay cheap; that is
+    still 8! for the 8-element antichain, so enumeration stops at
+    ``MAX_ENUMERATION_SIZE``.  Row ``r`` under ``perm`` is the little-endian
+    bytes of ``{b : perm[r] <= perm[b]}``, built from ``up_masks`` as an int
+    with its bytes reversed, so ints compare as the bytes do; a permutation
+    is dropped at its first row above the best so far.  ``enumerate_posets``
+    keys and sorts classes by this, keeping the first candidate generated.
     """
     n = q.size
+    width = (n + 7) // 8
+    # encoding bit b = 8 * k + t: byte k is read first, so it is most significant
+    weight = [1 << (8 * (width - 1 - b // 8) + b % 8) for b in range(n)]
+    ups = [tuple(bits(m)) for m in q.up_masks]
     profile = [
         (q.down_masks[p].bit_count(), q.up_masks[p].bit_count()) for p in range(n)
     ]
@@ -159,17 +174,20 @@ def canonical_key(q: QuasiOrder) -> bytes:
         *(itertools.permutations(groups[k]) for k in keys)
     ):
         perm = [p for part in parts for p in part]
-        enc = bytearray()
-        for i in perm:
-            row = 0
-            for bit, j in enumerate(perm):
-                if q.leq[i, j]:
-                    row |= 1 << bit
-            enc += row.to_bytes((n + 7) // 8, "little")
-        enc = bytes(enc)
-        if best is None or enc < best:
-            best = enc
-    return bytes([n]) + best
+        at = dict(zip(perm, weight))
+        rows = []
+        less = best is None
+        for r, i in enumerate(perm):
+            row = sum(map(at.__getitem__, ups[i]))
+            if not less:
+                if row > best[r]:
+                    break
+                less = row < best[r]
+            rows.append(row)
+        else:
+            if less:
+                best = rows
+    return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best)
 
 
 def _lower_sets(q: QuasiOrder):
@@ -186,44 +204,59 @@ def _lower_sets(q: QuasiOrder):
     return out
 
 
+@functools.cache
+def _level(n: int) -> dict:
+    """``{canonical_key: poset}`` for the ``n``-element posets, in the order
+    the classes are first generated; built once per process."""
+    if n == 1:
+        return {canonical_key(chain(1)): chain(1)}
+    level = {}
+    for q in _level(n - 1).values():
+        k = q.size
+        for low in _lower_sets(q):
+            rel = np.zeros((k + 1, k + 1), dtype=bool)
+            rel[:k, :k] = q.leq
+            rel[k, k] = True
+            for p in bits(low):
+                rel[p, k] = True
+            cand = order_from_relation(rel)
+            key = canonical_key(cand)
+            if key not in level:
+                level[key] = cand
+    return level
+
+
 def enumerate_posets(n: int):
-    """All posets with exactly ``n`` elements, one per isomorphism class.
+    """All posets with exactly ``n`` elements, one per isomorphism class,
+    sorted by ``canonical_key``; ``n > MAX_ENUMERATION_SIZE`` raises.
 
     Built by repeatedly adjoining a new maximal element above a lower set,
-    which reaches every finite poset.
+    which reaches every finite poset.  A class is represented by its first
+    candidate, taking parents in first-generated order and lower sets in
+    ascending mask order.  Levels are cached per process, so the immutable
+    posets are shared between calls; the list is new on every call.
     """
+    if n > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"enumeration is limited to {MAX_ENUMERATION_SIZE} elements, got {n}")
     if n < 1:
         return []
-    current = {canonical_key(chain(1)): chain(1)}
-    for _ in range(n - 1):
-        nxt = {}
-        for q in current.values():
-            k = q.size
-            for low in _lower_sets(q):
-                rel = np.zeros((k + 1, k + 1), dtype=bool)
-                rel[:k, :k] = q.leq
-                rel[k, k] = True
-                for p in bits(low):
-                    rel[p, k] = True
-                cand = order_from_relation(rel)
-                key = canonical_key(cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        current = nxt
-    return sorted(current.values(), key=canonical_key)
+    level = _level(n)
+    return [level[key] for key in sorted(level)]
 
 
 def enumerate_lattices(n: int):
-    """All lattices with exactly ``n`` elements, up to isomorphism."""
-    from .lattice import classify
+    """All lattices with exactly ``n`` elements, up to isomorphism, in the
+    order of ``enumerate_posets(n)``."""
+    from .lattice import is_lattice
 
-    return [q for q in enumerate_posets(n) if classify(q)["lattice"]]
+    return [q for q in enumerate_posets(n) if is_lattice(q)]
 
 
 def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiOrder:
     """A random ``n``-element lattice: random mid-layer order glued between a
     fresh bottom and top, resampled until the result is a lattice."""
-    from .lattice import classify
+    from .lattice import is_lattice
 
     if n < 2:
         raise ValueError("need at least bottom and top")
@@ -239,5 +272,5 @@ def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiO
             pairs.append((a, mid + 1))  # all below top
         pairs.append((mid, mid + 1))
         q = build_quasi_order(n, pairs)
-        if classify(q)["lattice"]:
+        if is_lattice(q):
             return q

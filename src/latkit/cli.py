@@ -58,6 +58,14 @@ class RunConfig:
         value = self.options.get(key)
         return default if value is None else int(value)
 
+    def enumeration_size(self, default: int) -> int:
+        """``--max-size``, refused above ``builders.MAX_ENUMERATION_SIZE``."""
+        max_size = self.option("max_size", default)
+        if max_size > builders.MAX_ENUMERATION_SIZE:
+            raise InputError(
+                f"--max-size must be at most {builders.MAX_ENUMERATION_SIZE}")
+        return max_size
+
 
 # ---------------------------------------------------------------------------
 # structure loading
@@ -180,7 +188,7 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
 
 
 def _verify_preregular_continuity(cfg: RunConfig) -> dict:
-    max_size = cfg.option("max_size", 4)
+    max_size = cfg.enumeration_size(4)
     posets = []
     for n in range(1, max_size + 1):
         posets.extend(builders.enumerate_posets(n))
@@ -200,7 +208,7 @@ def _verify_preregular_continuity(cfg: RunConfig) -> dict:
 
 
 def _verify_convex_preregular(cfg: RunConfig) -> dict:
-    max_size = cfg.option("max_size", 5)
+    max_size = cfg.enumeration_size(5)
     violations = []
     lattices = 0
     subsets = 0
@@ -344,10 +352,10 @@ def _verify_group_completion(cfg: RunConfig) -> dict:
 
 
 def _search_convex_not_preregular(cfg: RunConfig) -> dict:
-    max_size = cfg.option("max_size", 5)
+    max_size = cfg.enumeration_size(5)
     for n in range(1, max_size + 1):
         for q in builders.enumerate_posets(n):
-            if lattice.classify(q)["lattice"]:
+            if lattice.is_lattice(q):
                 continue
             for amask in range(1 << n):
                 if lattice.is_convex(q, amask) and not lattice.is_preregular(q, amask):

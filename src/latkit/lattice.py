@@ -35,6 +35,7 @@ __all__ = [
     "SubposetAnalysis",
     "lattice_view",
     "classify",
+    "is_lattice",
     "is_distributive",
     "check_jid",
     "check_mid",
@@ -117,6 +118,17 @@ def lattice_view(q: QuasiOrder) -> LatticeView:
     lv = LatticeView(q, join, meet)
     q._subset_cache["lattice_view"] = lv
     return lv
+
+
+def is_lattice(q: QuasiOrder) -> bool:
+    """Whether a finite poset is a lattice, without a ``LatticeView``: the
+    up-set ``up[a] & up[b]`` has a least element ``c`` iff it is ``up[c]``."""
+    if not q.is_poset:
+        raise OrderError("lattice test requires a partial order")
+    ups, downs = q.up_masks, q.down_masks
+    up_sets, down_sets = set(ups), set(downs)
+    return all(ups[a] & ups[b] in up_sets and downs[a] & downs[b] in down_sets
+               for a in range(q.size) for b in range(a))
 
 
 def classify(q: QuasiOrder) -> dict:

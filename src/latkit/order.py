@@ -83,6 +83,12 @@ def intersection_closure(masks: Iterable[int]) -> set:
     return closure
 
 
+def _row_masks(mat: np.ndarray) -> tuple:
+    """Row ``p`` of a boolean matrix as the int with bit ``q`` = ``mat[p, q]``."""
+    return tuple(int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(mat, axis=1, bitorder="little"))
+
+
 def _as_bool_matrix(rel) -> np.ndarray:
     mat = np.array(rel, dtype=bool)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -127,18 +133,12 @@ class QuasiOrder:
     @cached_property
     def up_masks(self) -> tuple:
         """``up_masks[p]`` is the bitmask of ``{q : p <= q}``."""
-        return tuple(
-            sum(1 << q for q in range(self.size) if self.leq[p, q])
-            for p in range(self.size)
-        )
+        return _row_masks(self.leq)
 
     @cached_property
     def down_masks(self) -> tuple:
         """``down_masks[p]`` is the bitmask of ``{q : q <= p}``."""
-        return tuple(
-            sum(1 << q for q in range(self.size) if self.leq[q, p])
-            for p in range(self.size)
-        )
+        return _row_masks(self.leq.T)
 
     @cached_property
     def dual(self) -> "QuasiOrder":

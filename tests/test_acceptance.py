@@ -125,10 +125,10 @@ def test_criterion_3_preregular_implies_continuity():
 
 
 def test_criterion_4_convex_implies_preregular():
-    """Exhaustive over all lattices with at most 6 elements and all subsets,
+    """Exhaustive over all lattices with at most 7 elements and all subsets,
     plus a recorded non-lattice witness showing the hypothesis matters."""
     checked = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for q in enumerate_lattices(n):
             for amask in range(1 << n):
                 if is_convex(q, amask):

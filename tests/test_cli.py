@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
@@ -281,3 +282,38 @@ def test_enumerate_from_input_file(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--input", str(spec_path))
     assert code == EXIT_OK
     assert len(out.strip().splitlines()) == 4
+
+
+ENUMERATING = [
+    ("verify", "thm-preregular-continuity"),
+    ("verify", "lem-convex-preregular"),
+    ("sweep", "convex-preregular"),
+    ("search", "convex-not-preregular"),
+]
+
+
+@pytest.mark.parametrize("size", ["9", "50"])
+@pytest.mark.parametrize("command", ENUMERATING)
+def test_oversized_max_size_exits_2_at_once(capsys, command, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--max-size", size)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: --max-size must be at most 8")
+
+
+@pytest.mark.parametrize("command", ENUMERATING)
+def test_enumerating_commands_accept_explicit_zero(capsys, command):
+    code, out, _ = run(capsys, "--format", "json", *command, "--max-size", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["report"]["max_size"] == 0
+
+
+def test_search_convex_not_preregular_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "json", "search",
+                       "convex-not-preregular", "--max-size", "5")
+    assert code == EXIT_OK
+    assert out == (
+        '{"command": "search", "name": "convex-not-preregular", "report": '
+        '{"found": true, "holds": true, "poset": {"pairs": [[0, 2], [0, 3], '
+        '[1, 2], [1, 3]], "size": 4}, "subset": [0, 1, 2]}, "seed": 0}\n')

@@ -1,0 +1,204 @@
+"""Poset and lattice enumeration against the definition-level reference.
+
+``ref_canonical_key`` and ``ref_enumerate_posets`` are the scalar
+implementations that the mask-based ones replaced; the fast versions must
+return the same bytes and the same list, element by element.
+"""
+
+import hashlib
+import itertools
+import random
+from functools import cache
+
+import numpy as np
+import pytest
+
+from latkit.builders import (
+    MAX_ENUMERATION_SIZE,
+    _lower_sets,
+    canonical_key,
+    chain,
+    chain_product,
+    enumerate_lattices,
+    enumerate_posets,
+    powerset_lattice,
+    random_lattice,
+)
+from latkit.lattice import classify, is_lattice
+from latkit.order import OrderError, QuasiOrder, bits, order_from_relation
+
+
+def ref_canonical_key(q: QuasiOrder) -> bytes:
+    n = q.size
+    profile = [
+        (q.down_masks[p].bit_count(), q.up_masks[p].bit_count()) for p in range(n)
+    ]
+    groups = {}
+    for p in range(n):
+        groups.setdefault(profile[p], []).append(p)
+    keys = sorted(groups)
+    best = None
+    for parts in itertools.product(
+        *(itertools.permutations(groups[k]) for k in keys)
+    ):
+        perm = [p for part in parts for p in part]
+        enc = bytearray()
+        for i in perm:
+            row = 0
+            for bit, j in enumerate(perm):
+                if q.leq[i, j]:
+                    row |= 1 << bit
+            enc += row.to_bytes((n + 7) // 8, "little")
+        enc = bytes(enc)
+        if best is None or enc < best:
+            best = enc
+    return bytes([n]) + best
+
+
+def _children(q: QuasiOrder):
+    """``q`` with a new maximal element adjoined above each lower set, in
+    ascending mask order."""
+    k = q.size
+    for low in _lower_sets(q):
+        rel = np.zeros((k + 1, k + 1), dtype=bool)
+        rel[:k, :k] = q.leq
+        rel[k, k] = True
+        for p in bits(low):
+            rel[p, k] = True
+        yield order_from_relation(rel)
+
+
+def ref_enumerate_posets(n: int):
+    if n < 1:
+        return []
+    current = {ref_canonical_key(chain(1)): chain(1)}
+    for _ in range(n - 1):
+        nxt = {}
+        for q in current.values():
+            for cand in _children(q):
+                key = ref_canonical_key(cand)
+                if key not in nxt:
+                    nxt[key] = cand
+        current = nxt
+    return sorted(current.values(), key=ref_canonical_key)
+
+
+@cache
+def ref_posets(n: int) -> tuple:
+    return tuple(ref_enumerate_posets(n))
+
+
+def relabel(q: QuasiOrder, perm) -> QuasiOrder:
+    """The isomorphic copy of ``q`` in which element ``p`` is ``perm[p]``."""
+    inv = np.argsort(perm)
+    return QuasiOrder(q.leq[np.ix_(inv, inv)])
+
+
+def mask_definition(q: QuasiOrder):
+    n = q.size
+    up = tuple(sum(1 << r for r in range(n) if q.leq[p, r]) for p in range(n))
+    down = tuple(sum(1 << r for r in range(n) if q.leq[r, p]) for p in range(n))
+    return up, down
+
+
+# two quasi orders that are not antisymmetric: everything equivalent, and a
+# two-element class below a third element
+NON_POSETS = [
+    QuasiOrder(np.ones((3, 3), dtype=bool)),
+    QuasiOrder(np.array([[1, 1, 1], [1, 1, 1], [0, 0, 1]], dtype=bool)),
+]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_key_matches_reference_under_relabeling(n):
+    rng = random.Random(n)
+    for q in ref_posets(n):
+        assert canonical_key(q) == ref_canonical_key(q)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            r = relabel(q, perm)
+            assert canonical_key(r) == ref_canonical_key(r) == ref_canonical_key(q)
+
+
+def test_canonical_key_matches_reference_on_every_level_6_candidate():
+    candidates = 0
+    for q in ref_posets(5):
+        for cand in _children(q):
+            candidates += 1
+            assert canonical_key(cand) == ref_canonical_key(cand)
+    assert candidates > len(ref_posets(6))
+
+
+def test_canonical_key_matches_reference_past_one_byte_rows():
+    # nine or ten elements: each row of the encoding takes two bytes
+    for q in (relabel(chain(10), [3, 9, 0, 7, 1, 8, 2, 6, 4, 5]),
+              chain_product([3, 3]).order, chain_product([2, 5]).order):
+        assert canonical_key(q) == ref_canonical_key(q)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_posets_matches_reference(n):
+    got, want = enumerate_posets(n), ref_posets(n)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.leq, w.leq)
+
+
+def test_masks_match_definition():
+    orders = [q for n in range(6) for q in enumerate_posets(n)]
+    orders += [powerset_lattice(6), chain_product([3, 3, 3, 3]).order,
+               QuasiOrder(np.zeros((0, 0), dtype=bool)), *NON_POSETS]
+    for q in orders:
+        assert (q.up_masks, q.down_masks) == mask_definition(q)
+
+
+def test_is_lattice_agrees_with_classify():
+    for n in range(8):
+        for q in enumerate_posets(n):
+            assert is_lattice(q) == classify(q)["lattice"]
+    for q in NON_POSETS:
+        with pytest.raises(OrderError):
+            is_lattice(q)
+        with pytest.raises(OrderError):
+            classify(q)
+
+
+def test_counts_match_oeis():
+    # OEIS A000112 (posets) and A006966 (lattices), n = 1..7
+    assert [len(enumerate_posets(n)) for n in range(1, 8)] == [
+        1, 2, 5, 16, 63, 318, 2045]
+    assert [len(enumerate_lattices(n)) for n in range(1, 8)] == [
+        1, 1, 1, 2, 5, 15, 53]
+
+
+def test_level_cache_is_not_shared_with_callers():
+    first = enumerate_posets(5)
+    second = enumerate_posets(5)
+    assert first is not second and first == second
+    first.clear()
+    assert len(enumerate_posets(5)) == 63
+
+
+def test_enumeration_size_limit():
+    assert MAX_ENUMERATION_SIZE == 8
+    for n in (MAX_ENUMERATION_SIZE + 1, 50):
+        with pytest.raises(ValueError):
+            enumerate_posets(n)
+        with pytest.raises(ValueError):
+            enumerate_lattices(n)
+
+
+def test_random_lattice_output_is_pinned():
+    # SHA-256 of the relation matrices drawn with classify(q)["lattice"] as
+    # the filter: is_lattice must accept and reject the same draws
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = random.Random(seed)
+        for n in (2, 3, 5, 6, 7, 8):
+            for p in (0.2, 0.4, 0.7):
+                q = random_lattice(n, rng, p)
+                assert classify(q)["lattice"]
+                h.update(q.leq.tobytes())
+    assert h.hexdigest() == (
+        "8df45850e6dbecae706e5c8a2baf3522b15d8da210248c15a22d18a72af29510")
