@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .order import QuasiOrder, bits, build_quasi_order, order_from_relation
+from .order import QuasiOrder, bits, build_quasi_order
 
 __all__ = [
     "chain",
@@ -41,12 +39,12 @@ MAX_ENUMERATION_SIZE = 8
 
 def chain(n: int) -> QuasiOrder:
     """The linear order 0 < 1 < ... < n-1."""
-    rel = np.fromfunction(lambda p, q: p <= q, (n, n))
-    return order_from_relation(rel)
+    full = (1 << n) - 1
+    return QuasiOrder(tuple(full ^ ((1 << p) - 1) for p in range(n)))
 
 
 def antichain(n: int) -> QuasiOrder:
-    return order_from_relation(np.eye(n, dtype=bool))
+    return QuasiOrder(tuple(1 << p for p in range(n)))
 
 
 def diamond() -> QuasiOrder:
@@ -69,26 +67,24 @@ def bowtie() -> QuasiOrder:
     return build_quasi_order(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
 
+@functools.cache
+def _powerset_up_masks(n: int) -> tuple:
+    """``up_masks`` of the subset lattice of ``range(n)``: the supersets of
+    each mask; built once per ``n``."""
+    size = 1 << n
+    return tuple(sum(1 << b for b in range(size) if a & ~b == 0)
+                 for a in range(size))
+
+
 def powerset_lattice(n: int) -> QuasiOrder:
     """Subset lattice of an ``n``-element ground set; element = bitmask."""
-    size = 1 << n
-    rel = np.zeros((size, size), dtype=bool)
-    for a in range(size):
-        for b in range(size):
-            rel[a, b] = a & ~b == 0
-    return order_from_relation(rel)
+    return QuasiOrder(_powerset_up_masks(n))
 
 
 def is_powerset_order(q: QuasiOrder) -> bool:
     """Check that ``q`` is a power-set lattice in the mask convention."""
     n = q.size.bit_length() - 1
-    if 1 << n != q.size:
-        return False
-    for a in range(q.size):
-        for b in range(q.size):
-            if bool(q.leq[a, b]) != (a & ~b == 0):
-                return False
-    return True
+    return q.size > 0 and q.size == 1 << n and q.up_masks == _powerset_up_masks(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +124,11 @@ class ChainProduct:
 
     @cached_property
     def order(self) -> QuasiOrder:
-        size = self.size
-        vecs = [self.vector(i) for i in range(size)]
-        rel = np.zeros((size, size), dtype=bool)
-        for a in range(size):
-            for b in range(size):
-                rel[a, b] = all(x <= y for x, y in zip(vecs[a], vecs[b]))
-        return order_from_relation(rel)
+        vecs = [self.vector(i) for i in range(self.size)]
+        return QuasiOrder(tuple(
+            sum(1 << b for b, w in enumerate(vecs)
+                if all(x <= y for x, y in zip(v, w)))
+            for v in vecs))
 
 
 def chain_product(dims) -> ChainProduct:
@@ -214,12 +208,9 @@ def _level(n: int) -> dict:
     for q in _level(n - 1).values():
         k = q.size
         for low in _lower_sets(q):
-            rel = np.zeros((k + 1, k + 1), dtype=bool)
-            rel[:k, :k] = q.leq
-            rel[k, k] = True
-            for p in bits(low):
-                rel[p, k] = True
-            cand = order_from_relation(rel)
+            # a new maximal element k above the lower set ``low``
+            cand = QuasiOrder(tuple(up | (low >> p & 1) << k
+                                    for p, up in enumerate(q.up_masks)) + (1 << k,))
             key = canonical_key(cand)
             if key not in level:
                 level[key] = cand

@@ -29,6 +29,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
+# one census per pair of posets: 134,702 pairs take about 12 s at size 6;
+# size 7 has 5,144,952 pairs, so it would run for many minutes
+MAX_CONTINUITY_SIZE = 6
 
 
 class InputError(ValueError):
@@ -58,12 +61,16 @@ class RunConfig:
         value = self.options.get(key)
         return default if value is None else int(value)
 
-    def enumeration_size(self, default: int) -> int:
-        """``--max-size``, refused above ``builders.MAX_ENUMERATION_SIZE``."""
+    def enumeration_size(self, default: int,
+                         limit: int = builders.MAX_ENUMERATION_SIZE) -> int:
+        """``--max-size``, refused above ``builders.MAX_ENUMERATION_SIZE``
+        and above the command's own ``limit``."""
         max_size = self.option("max_size", default)
         if max_size > builders.MAX_ENUMERATION_SIZE:
             raise InputError(
                 f"--max-size must be at most {builders.MAX_ENUMERATION_SIZE}")
+        if max_size > limit:
+            raise InputError(f"--max-size must be at most {limit} for {self.name}")
         return max_size
 
 
@@ -72,11 +79,15 @@ class RunConfig:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in ``path``; every input file holds one object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return obj
 
 
 def _spec_int(value, what: str, least: int = 0) -> int:
@@ -95,7 +106,10 @@ def parse_order_spec(obj):
     generator-pair format ``{"size": n, "pairs": [...]}``.  Specs of more
     than ``MAX_SPEC_SIZE`` elements are refused before anything is built."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"order spec is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("order spec must be an object")
     if "powerset" in obj:
@@ -119,9 +133,12 @@ def parse_order_spec(obj):
 def parse_map_fixture(obj) -> order.MonotoneMap:
     dom = parse_order_spec(obj.get("dom"))
     cod = parse_order_spec(obj.get("cod"))
+    image = obj.get("image")
+    if not isinstance(image, list):
+        raise InputError("malformed map fixture: image must be a list")
     try:
-        return order.MonotoneMap(dom, cod, tuple(int(v) for v in obj["image"]))
-    except (KeyError, TypeError, order.OrderError) as exc:
+        return order.MonotoneMap(dom, cod, image)
+    except order.OrderError as exc:
         raise InputError(f"malformed map fixture: {exc}") from exc
 
 
@@ -188,7 +205,7 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
 
 
 def _verify_preregular_continuity(cfg: RunConfig) -> dict:
-    max_size = cfg.enumeration_size(4)
+    max_size = cfg.enumeration_size(4, MAX_CONTINUITY_SIZE)
     posets = []
     for n in range(1, max_size + 1):
         posets.extend(builders.enumerate_posets(n))
@@ -642,6 +659,8 @@ def _run_enumerate(cfg: RunConfig) -> int:
         dom = parse_order_spec(obj.get("dom"))
         cod = parse_order_spec(obj.get("cod"))
         filters = obj.get("filters", {})
+        if not isinstance(filters, dict):
+            raise InputError("census filters must be an object")
     else:
         if not cfg.options.get("dom") or not cfg.options.get("cod"):
             raise InputError("enumerate needs --dom and --cod or --input")

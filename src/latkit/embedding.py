@@ -47,7 +47,6 @@ from .lattice import (
     is_meet_closed,
     is_preregular,
     is_strongly_interval_predense,
-    lattice_view,
 )
 
 __all__ = [
@@ -136,12 +135,10 @@ class EmbeddingCensus:
 
 
 def _preregular_range_cached(cod: QuasiOrder, mask: int) -> bool:
-    cache = cod._subset_cache
-    key = ("preregular", mask)
-    v = cache.get(key)
+    memo = cod.preregular_memo
+    v = memo.get(mask)
     if v is None:
-        v = is_preregular(cod, mask)
-        cache[key] = v
+        v = memo[mask] = is_preregular(cod, mask)
     return v
 
 
@@ -245,11 +242,9 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
 def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]:
     """Yield every order preserving image tuple, by raw product scan."""
     n, k = dom.size, cod.size
-    strict = [
-        (p, q) for p in range(n) for q in range(n) if p != q and dom.leq[p, q]
-    ]
+    strict = [(p, q) for p in range(n) for q in bits(dom.up_masks[p]) if p != q]
     for img in itertools.product(range(k), repeat=n):
-        if all(cod.leq[img[p], img[q]] for p, q in strict):
+        if all(cod.le(img[p], img[q]) for p, q in strict):
             yield img
 
 
@@ -438,12 +433,7 @@ class PowersetDecomposition:
 
 
 def _require_powerset(q: QuasiOrder, who: str) -> int:
-    cache = q._subset_cache
-    flag = cache.get("is_powerset")
-    if flag is None:
-        flag = is_powerset_order(q)
-        cache["is_powerset"] = flag
-    if not flag:
+    if not is_powerset_order(q):
         raise OrderError(f"{who} is not a power-set lattice in mask form")
     return q.size.bit_length() - 1
 
@@ -640,7 +630,7 @@ def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
         raise HypothesisFailed("D-meet-subsemilattice")
     for d in bits(dmask):
         for e in bits(dmask):
-            if L.leq[d, e] and not M.leq[sigma[d], sigma[e]]:
+            if L.le(d, e) and not M.le(sigma[d], sigma[e]):
                 raise HypothesisFailed("sigma-order-preserving", f"({d},{e})")
     keys, bad = _sup_failures(L, M, sigma, bits(dmask))
     if bad:
@@ -739,10 +729,10 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
     emask = mask_of(M, E)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
-    _hypothesis("L-jid", check_jid(lattice_view(L))["holds"])
+    _hypothesis("L-jid", check_jid(L.lattice_view)["holds"])
     _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
-    _hypothesis("M-jid", check_jid(lattice_view(M))["holds"])
-    _hypothesis("M-flat-complete", is_flat_complete(lattice_view(M)))
+    _hypothesis("M-jid", check_jid(M.lattice_view)["holds"])
+    _hypothesis("M-flat-complete", is_flat_complete(M.lattice_view))
     bottom = sup(L, 0)
     _hypothesis("B-contains-0", bottom is not None and (bmask >> bottom) & 1)
     _hypothesis("B-meet-subsemilattice", is_meet_closed(L, bmask))
@@ -759,7 +749,7 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
         rng_mask |= 1 << v
     _hypothesis("sigma-range-in-E", rng_mask & ~emask == 0)
     refl = all(
-        bool(M.leq[sigma[a], sigma[b]]) == bool(L.leq[a, b])
+        M.le(sigma[a], sigma[b]) == L.le(a, b)
         for a in bits(bmask) for b in bits(bmask)
     )
     _hypothesis("sigma-embedding", refl)

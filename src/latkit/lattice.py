@@ -13,8 +13,6 @@ from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Optional
 
-import numpy as np
-
 from .order import (
     OrderError,
     QuasiOrder,
@@ -73,11 +71,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LatticeView:
-    """Partial join/meet tables over a poset; ``-1`` marks a missing bound."""
+    """Partial join/meet tables over a poset, as tuples of rows; ``-1``
+    marks a missing bound."""
 
     base: QuasiOrder
-    join: np.ndarray
-    meet: np.ndarray
+    join: tuple
+    meet: tuple
 
     @property
     def size(self) -> int:
@@ -85,39 +84,27 @@ class LatticeView:
 
     @cached_property
     def is_lattice(self) -> bool:
-        return self.size == 0 or bool((self.join >= 0).all() and (self.meet >= 0).all())
-
-    def join_of(self, a: int, b: int) -> Optional[int]:
-        v = int(self.join[a, b])
-        return None if v < 0 else v
-
-    def meet_of(self, a: int, b: int) -> Optional[int]:
-        v = int(self.meet[a, b])
-        return None if v < 0 else v
+        return all(v >= 0 for table in (self.join, self.meet)
+                   for row in table for v in row)
 
 
 def lattice_view(q: QuasiOrder) -> LatticeView:
-    cached = q._subset_cache.get("lattice_view")
-    if cached is not None:
-        return cached
+    """Build the join and meet tables; ``q.lattice_view`` keeps one per
+    order."""
     if not q.is_poset:
         raise OrderError("lattice view requires a partial order")
     n = q.size
-    join = np.full((n, n), -1, dtype=int)
-    meet = np.full((n, n), -1, dtype=int)
+    join = [[-1] * n for _ in range(n)]
+    meet = [[-1] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             s = sup(q, (1 << a) | (1 << b))
             if s is not None:
-                join[a, b] = join[b, a] = s
+                join[a][b] = join[b][a] = s
             m = inf(q, (1 << a) | (1 << b))
             if m is not None:
-                meet[a, b] = meet[b, a] = m
-    join.flags.writeable = False
-    meet.flags.writeable = False
-    lv = LatticeView(q, join, meet)
-    q._subset_cache["lattice_view"] = lv
-    return lv
+                meet[a][b] = meet[b][a] = m
+    return LatticeView(q, tuple(map(tuple, join)), tuple(map(tuple, meet)))
 
 
 def is_lattice(q: QuasiOrder) -> bool:
@@ -141,7 +128,7 @@ def classify(q: QuasiOrder) -> dict:
     if not q.is_poset:
         raise OrderError("classification requires a partial order")
     n = q.size
-    lv = lattice_view(q)
+    lv = q.lattice_view
     bottom = sup(q, 0)
     top = inf(q, 0)
     pointed = bottom is not None
@@ -151,7 +138,7 @@ def classify(q: QuasiOrder) -> dict:
     if csl:
         for a in range(n):
             for b in range(a + 1, n):
-                if q.up_masks[a] & q.up_masks[b] and lv.join[a, b] < 0:
+                if q.up_masks[a] & q.up_masks[b] and lv.join[a][b] < 0:
                     csl = False
                     break
             if not csl:
@@ -160,7 +147,7 @@ def classify(q: QuasiOrder) -> dict:
     if boolean:
         for p in range(n):
             if not any(
-                lv.meet[p, c] == bottom and lv.join[p, c] == top for c in range(n)
+                lv.meet[p][c] == bottom and lv.join[p][c] == top for c in range(n)
             ):
                 boolean = False
                 break
@@ -187,9 +174,9 @@ def is_distributive(lv: LatticeView) -> bool:
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                if M[a, J[b, c]] != J[M[a, b], M[a, c]]:
+                if M[a][J[b][c]] != J[M[a][b]][M[a][c]]:
                     return False
-                if J[a, M[b, c]] != M[J[a, b], J[a, c]]:
+                if J[a][M[b][c]] != M[J[a][b]][J[a][c]]:
                     return False
     return True
 
@@ -225,7 +212,7 @@ def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
 
 def _infinite_distributive(lv: LatticeView, dual: bool) -> dict:
     _require_lattice(lv)
-    table = (lv.join if dual else lv.meet).tolist()
+    table = lv.join if dual else lv.meet
     checked, hit = set_distributivity_failure(lv.base.dual if dual else lv.base,
                                               lambda a, b: table[a][b])
     witness = None if hit is None else {"a": hit[0], "B": list(bits(hit[1]))}
@@ -445,7 +432,7 @@ def is_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
 def is_strongly_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
     """Interval predensity with the separating element's meet against ``p``
     required to fall back into ``D``."""
-    lv = lattice_view(q)
+    lv = q.lattice_view
     _require_lattice(lv)
     dmask = mask_of(q, D)
     for p in range(q.size):
@@ -454,7 +441,7 @@ def is_strongly_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
                 continue
             ok = False
             for d in bits(dmask & q.down_masks[r]):
-                dp = int(lv.meet[d, p])
+                dp = lv.meet[d][p]
                 if dp != d and (dmask >> dp) & 1:
                     ok = True
                     break
@@ -515,10 +502,10 @@ def _antichain_decomposition(lv: LatticeView, dmask: int, target: int,
             return True
         for k in range(start, len(cands)):
             d = cands[k]
-            if any(lv.meet[d, c] != bottom for c in chosen):
+            if any(lv.meet[d][c] != bottom for c in chosen):
                 continue
-            nxt = d if current is None else int(lv.join[current, d])
-            if nxt < 0 or not q.leq[nxt, target]:
+            nxt = d if current is None else lv.join[current][d]
+            if nxt < 0 or not q.le(nxt, target):
                 continue
             if extend(k + 1, chosen + (d,), nxt):
                 return True
@@ -530,7 +517,7 @@ def _antichain_decomposition(lv: LatticeView, dmask: int, target: int,
 def is_basis(q: QuasiOrder, D: SetLike) -> bool:
     """``D`` is a meet subsemilattice and every element is the supremum of a
     pairwise-incompatible family from ``D``.  Requires a pointed lattice."""
-    lv = lattice_view(q)
+    lv = q.lattice_view
     _require_lattice(lv)
     bottom = sup(q, 0)
     if bottom is None:

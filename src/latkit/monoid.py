@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-import numpy as np
-
-from .order import QuasiOrder, bits, inf, sup
+from .order import QuasiOrder, _is_index, bits, inf, sup
 from .lattice import lattice_view, set_distributivity_failure
 
 __all__ = [
@@ -52,59 +50,62 @@ class NotCancellativeError(MonoidError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteMonoid:
-    """A monoid on ``range(size)`` given by its Cayley table."""
+    """A monoid on ``range(size)`` given by its Cayley table: ``table[a][b]``
+    is ``a + b``, stored as a tuple of rows."""
 
-    table: np.ndarray
+    table: tuple
     identity: int
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=int)
-        n = t.shape[0]
-        if t.ndim != 2 or t.shape != (n, n) or n == 0:
-            raise MonoidError(f"table must be square and nonempty, got {t.shape}")
-        if (t < 0).any() or (t >= n).any():
-            raise MonoidError("table entries out of range")
-        if not (np.array_equal(t[self.identity], np.arange(n))
-                and np.array_equal(t[:, self.identity], np.arange(n))):
+        t = self.table
+        if not (isinstance(t, (list, tuple)) and t and all(
+                isinstance(row, (list, tuple)) and len(row) == len(t) for row in t)):
+            raise MonoidError("table must be a nonempty square list of rows")
+        n = len(t)
+        if not all(_is_index(v, n) for row in t for v in row):
+            raise MonoidError(f"table entries must be integers in range({n})")
+        e = self.identity
+        if not _is_index(e, n):
+            raise MonoidError(f"identity must be an integer in range({n}), got {e!r}")
+        t = tuple(map(tuple, t))
+        elements = tuple(range(n))
+        if t[e] != elements or tuple(row[e] for row in t) != elements:
             raise MonoidError("identity law fails")
-        # associativity: (a.b).c == a.(b.c) for all triples
-        if not np.array_equal(t[t, :], t[:, t]):
+        # associativity: row (a.b) equals a. applied to row b, for all a, b
+        if any(t[ta[b]] != tuple(map(ta.__getitem__, t[b]))
+               for ta in t for b in elements):
             raise MonoidError("operation is not associative")
-        t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
     @property
     def size(self) -> int:
-        return self.table.shape[0]
+        return len(self.table)
 
     def op(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     @cached_property
     def is_commutative(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return tuple(zip(*self.table)) == self.table
 
     @cached_property
     def is_cancellative(self) -> bool:
         n = self.size
-        for a in range(n):
-            if len(set(self.table[a])) != n or len(set(self.table[:, a])) != n:
-                return False
-        return True
+        return all(len(set(row)) == n for row in self.table) and all(
+            len(set(col)) == n for col in zip(*self.table))
 
     @cached_property
     def invertibles(self) -> tuple:
-        e = self.identity
+        e, t = self.identity, self.table
         return tuple(
             a for a in range(self.size)
-            if any(self.table[a, b] == e and self.table[b, a] == e
-                   for b in range(self.size))
+            if any(t[a][b] == e and t[b][a] == e for b in range(self.size))
         )
 
     def right_quotient(self, a: int, b: int):
         """The ``c`` with ``c + b = a``: ``(solution, multiplicity)`` where the
         solution is ``None`` unless exactly one exists."""
-        sols = [c for c in range(self.size) if self.table[c, b] == a]
+        sols = [c for c in range(self.size) if self.table[c][b] == a]
         return (sols[0] if len(sols) == 1 else None), len(sols)
 
     def __repr__(self):
@@ -113,11 +114,13 @@ class FiniteMonoid:
 
 def associated_order(m: FiniteMonoid) -> QuasiOrder:
     """``x <= y`` iff ``x + a = y`` for some ``a``; always a quasi order."""
-    n = m.size
-    rel = np.zeros((n, n), dtype=bool)
-    for x in range(n):
-        rel[x, m.table[x]] = True
-    return QuasiOrder(rel)
+    up = []
+    for row in m.table:
+        mask = 0
+        for y in row:
+            mask |= 1 << y
+        up.append(mask)
+    return QuasiOrder(tuple(up))
 
 
 def monoid_class(m) -> dict:
@@ -140,8 +143,8 @@ def monoid_class(m) -> dict:
     semilattice = lattice = False
     if poset:
         lv = lattice_view(q)
-        semilattice = bool((lv.join >= 0).all())
-        lattice = semilattice and bool((lv.meet >= 0).all())
+        semilattice = all(v >= 0 for row in lv.join for v in row)
+        lattice = semilattice and lv.is_lattice
     return {
         "poset_monoid": poset,
         "semilattice_monoid": semilattice,
@@ -190,7 +193,7 @@ def group_completion(m: FiniteMonoid) -> GroupCompletion:
         a, b = p
         c, d = q
         return any(
-            m.table[a, r] == m.table[c, s] and m.table[b, r] == m.table[d, s]
+            m.table[a][r] == m.table[c][s] and m.table[b][r] == m.table[d][s]
             for r in carrier_n for s in carrier_n
         )
 
@@ -205,10 +208,8 @@ def group_completion(m: FiniteMonoid) -> GroupCompletion:
             if q not in pair_class and related(p, q):
                 pair_class[q] = idx
     k = len(reps)
-    table = np.zeros((k, k), dtype=int)
-    for i, (a, b) in enumerate(reps):
-        for j, (c, d) in enumerate(reps):
-            table[i, j] = pair_class[(m.table[a, c], m.table[b, d])]
+    table = [[pair_class[(m.table[a][c], m.table[b][d])] for c, d in reps]
+             for a, b in reps]
     identity = pair_class[(e, e)]
     group = FiniteMonoid(table, identity)
     # the construction guarantees an abelian group and a monomorphism
@@ -237,9 +238,6 @@ class VectorMonoid:
 
     def zero(self) -> tuple:
         return (0,) * self.dim
-
-    def chi(self, i: int, value: int = 1) -> tuple:
-        return tuple(value if j == i else 0 for j in range(self.dim))
 
     def add(self, x, y) -> tuple:
         return tuple(a + b for a, b in zip(x, y))
@@ -499,12 +497,12 @@ def closed_under_subtraction(m, S, *, samples: int = 1000, bound: int = 8,
 def truncated_addition_monoid(n: int) -> FiniteMonoid:
     """``{0..n-1}`` with ``a + b`` capped at ``n - 1``."""
     table = [[min(a + b, n - 1) for b in range(n)] for a in range(n)]
-    return FiniteMonoid(np.array(table), 0)
+    return FiniteMonoid(table, 0)
 
 
 def cyclic_group(n: int) -> FiniteMonoid:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteMonoid(np.array(table), 0)
+    return FiniteMonoid(table, 0)
 
 
 def enumerate_commutative_monoids(n: int):
@@ -512,11 +510,9 @@ def enumerate_commutative_monoids(n: int):
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     out = []
     for values in itertools.product(range(n), repeat=len(cells)):
-        table = np.zeros((n, n), dtype=int)
-        table[0] = np.arange(n)
-        table[:, 0] = np.arange(n)
+        table = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
         for (a, b), v in zip(cells, values):
-            table[a, b] = table[b, a] = v
+            table[a][b] = table[b][a] = v
         try:
             out.append(FiniteMonoid(table, 0))
         except MonoidError:
@@ -525,11 +521,13 @@ def enumerate_commutative_monoids(n: int):
 
 
 def monoid_to_json(m: FiniteMonoid) -> dict:
-    return {"size": m.size, "table": m.table.tolist(), "identity": m.identity}
+    return {"size": m.size, "table": [list(row) for row in m.table],
+            "identity": m.identity}
 
 
 def monoid_from_json(obj: dict) -> FiniteMonoid:
-    try:
-        return FiniteMonoid(np.array(obj["table"], dtype=int), int(obj["identity"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MonoidError(f"malformed monoid object: {exc}") from exc
+    """Read ``{"table": [[...], ...], "identity": e}``; the table must be
+    a square list of rows of integers in ``range(size)``."""
+    if not isinstance(obj, dict) or "table" not in obj or "identity" not in obj:
+        raise MonoidError("malformed monoid object: need a table and an identity")
+    return FiniteMonoid(obj["table"], obj["identity"])

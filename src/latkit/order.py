@@ -1,9 +1,10 @@
 """Finite quasi orders and posets on integer carriers.
 
-The carrier of an order is always ``range(size)``; the relation is a
-read-only boolean matrix.  Subsets of the carrier travel as int bitmasks,
-wrapped in :class:`Subset` at the public surface.  Everything is immutable
-after construction, so values can be shared freely across threads.
+The carrier of an order is always ``range(size)``, and the relation is
+stored once, as the tuple of up-set bitmasks.  Subsets of the carrier
+travel as int bitmasks, wrapped in :class:`Subset` at the public surface.
+The relation cannot be changed after construction; derived values such as
+``down_masks`` and ``dual`` are computed from it on first use.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
-
-import numpy as np
 
 __all__ = [
     "OrderError",
@@ -83,75 +82,80 @@ def intersection_closure(masks: Iterable[int]) -> set:
     return closure
 
 
-def _row_masks(mat: np.ndarray) -> tuple:
-    """Row ``p`` of a boolean matrix as the int with bit ``q`` = ``mat[p, q]``."""
-    return tuple(int.from_bytes(row.tobytes(), "little")
-                 for row in np.packbits(mat, axis=1, bitorder="little"))
-
-
-def _as_bool_matrix(rel) -> np.ndarray:
-    mat = np.array(rel, dtype=bool)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise OrderError(f"relation must be square, got shape {mat.shape}")
-    return mat
+def _is_index(value, size: int) -> bool:
+    """``value`` is an int (not a bool) in ``range(size)``."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiOrder:
     """A reflexive and transitive relation on ``range(size)``.
 
-    ``leq[p, q]`` holds iff ``p <= q``.  The strict relation ``p < q`` means
-    ``p <= q`` and not ``q <= p`` (in a poset this is ``<=`` plus ``!=``).
+    ``up_masks[p]`` is the bitmask of ``{q : p <= q}``.  The strict relation
+    ``p < q`` means ``p <= q`` and not ``q <= p`` (in a poset this is
+    ``<=`` plus ``!=``).
     """
 
-    leq: np.ndarray
+    up_masks: tuple
 
     def __post_init__(self):
-        mat = _as_bool_matrix(self.leq)
-        n = mat.shape[0]
-        if not mat[np.diag_indices(n)].all():
+        up = tuple(self.up_masks)
+        full = (1 << len(up)) - 1
+        for p, row in enumerate(up):
+            if not isinstance(row, int) or row & ~full:
+                raise OrderError(f"row {p} is not a mask over range({len(up)})")
+        if not all(row >> p & 1 for p, row in enumerate(up)):
             raise OrderError("relation is not reflexive")
-        if (np.matmul(mat, mat) & ~mat).any():
-            raise OrderError("relation is not transitive")
-        mat.flags.writeable = False
-        object.__setattr__(self, "leq", mat)
+        for row in up:
+            for q in bits(row):
+                if up[q] & ~row:
+                    raise OrderError("relation is not transitive")
+        object.__setattr__(self, "up_masks", up)
 
     @property
     def size(self) -> int:
-        return self.leq.shape[0]
+        return len(self.up_masks)
 
     def le(self, p: int, q: int) -> bool:
-        return bool(self.leq[p, q])
+        return bool(self.up_masks[p] >> q & 1)
 
     def lt(self, p: int, q: int) -> bool:
-        return bool(self.leq[p, q] and not self.leq[q, p])
+        return self.le(p, q) and not self.le(q, p)
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
     @cached_property
-    def up_masks(self) -> tuple:
-        """``up_masks[p]`` is the bitmask of ``{q : p <= q}``."""
-        return _row_masks(self.leq)
-
-    @cached_property
     def down_masks(self) -> tuple:
         """``down_masks[p]`` is the bitmask of ``{q : q <= p}``."""
-        return _row_masks(self.leq.T)
+        down = [0] * self.size
+        for p, row in enumerate(self.up_masks):
+            for q in bits(row):
+                down[q] |= 1 << p
+        return tuple(down)
 
     @cached_property
     def dual(self) -> "QuasiOrder":
         """The opposite order (relation transposed)."""
-        return QuasiOrder(self.leq.T.copy())
+        return QuasiOrder(self.down_masks)
 
     @cached_property
     def is_poset(self) -> bool:
         return is_partial_order(self)
 
     @cached_property
-    def _subset_cache(self) -> dict:
-        # scratch cache for expensive per-subset verdicts; write-once per key
+    def lattice_view(self):
+        """The join and meet tables of :func:`latkit.lattice.lattice_view`,
+        built on first use."""
+        from .lattice import lattice_view
+
+        return lattice_view(self)
+
+    @cached_property
+    def preregular_memo(self) -> dict:
+        """``{mask: is_preregular(self, mask)}`` for the ranges the embedding
+        census has tested; a codomain shared by many censuses keeps it."""
         return {}
 
     def __repr__(self):
@@ -231,16 +235,16 @@ class MonotoneMap:
     image: tuple
 
     def __post_init__(self):
-        img = tuple(int(v) for v in self.image)
+        img = tuple(self.image)
         object.__setattr__(self, "image", img)
         if len(img) != self.dom.size:
             raise OrderError("image length does not match domain size")
-        if img and not all(0 <= v < self.cod.size for v in img):
-            raise OrderError("image value out of codomain range")
+        if not all(_is_index(v, self.cod.size) for v in img):
+            raise OrderError(f"image values must be integers in range({self.cod.size})")
         for p in range(self.dom.size):
-            up = self.dom.up_masks[p]
-            for q in bits(up):
-                if not self.cod.leq[img[p], img[q]]:
+            up = self.cod.up_masks[img[p]]
+            for q in bits(self.dom.up_masks[p]):
+                if not up >> img[q] & 1:
                     raise OrderError(
                         f"map is not order preserving at ({p}, {q})"
                     )
@@ -252,8 +256,9 @@ class MonotoneMap:
     def is_order_reflecting(self) -> bool:
         img = self.image
         for p in range(self.dom.size):
+            up = self.cod.up_masks[img[p]]
             for q in range(self.dom.size):
-                if self.cod.leq[img[p], img[q]] and not self.dom.leq[p, q]:
+                if up >> img[q] & 1 and not self.dom.le(p, q):
                     return False
         return True
 
@@ -267,9 +272,6 @@ class MonotoneMap:
         for v in self.image:
             m |= 1 << v
         return m
-
-    def range_subset(self) -> Subset:
-        return Subset(self.cod, self.range_mask)
 
     def image_mask(self, A: SetLike) -> int:
         m = 0
@@ -287,23 +289,32 @@ class MonotoneMap:
 
 def build_quasi_order(size: int, pairs: Iterable[tuple]) -> QuasiOrder:
     """Smallest reflexive-transitive relation on ``range(size)`` containing
-    the generator ``pairs``."""
-    rel = np.eye(size, dtype=bool)
+    the generator ``pairs`` (Warshall's closure on the up-set masks)."""
+    up = [1 << p for p in range(size)]
     for a, b in pairs:
         if not (0 <= a < size and 0 <= b < size):
             raise IndexError(f"pair ({a}, {b}) out of range for size {size}")
-        rel[a, b] = True
-    while True:
-        closed = rel | np.matmul(rel, rel)
-        if np.array_equal(closed, rel):
-            break
-        rel = closed
-    return QuasiOrder(rel)
+        up[a] |= 1 << b
+    for k in range(size):
+        for p in range(size):
+            if up[p] >> k & 1:
+                up[p] |= up[k]
+    return QuasiOrder(tuple(up))
 
 
 def order_from_relation(rel) -> QuasiOrder:
-    """Wrap an explicit boolean relation matrix, validating the axioms."""
-    return QuasiOrder(_as_bool_matrix(rel).copy())
+    """Read a square boolean relation matrix (nested sequences, or any
+    2-D array) row by row, validating the axioms."""
+    try:
+        rows = [tuple(row) for row in rel]
+        ok = all(len(row) == len(rows) and all(v in (False, True) for v in row)
+                 for row in rows)
+    except (TypeError, ValueError):  # a scalar, or an array where a bool belongs
+        ok = False
+    if not ok:
+        raise OrderError("relation must be a square matrix of booleans")
+    return QuasiOrder(tuple(sum(1 << q for q, v in enumerate(row) if v)
+                            for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +323,8 @@ def order_from_relation(rel) -> QuasiOrder:
 
 def is_partial_order(q: QuasiOrder) -> bool:
     """True iff the relation is also antisymmetric."""
-    both = q.leq & q.leq.T
-    return int(both.sum()) == q.size
+    return all(up & down == 1 << p
+               for p, (up, down) in enumerate(zip(q.up_masks, q.down_masks)))
 
 
 def asym_quotient(q: QuasiOrder):
@@ -333,12 +344,8 @@ def asym_quotient(q: QuasiOrder):
         cls = q.up_masks[p] & q.down_masks[p]
         for r in bits(cls):
             class_map[r] = c
-    k = len(reps)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            rel[i, j] = q.leq[a, b]
-    return QuasiOrder(rel), tuple(class_map)
+    # the representatives ascend, so class i is element i of their suborder
+    return induced_suborder(q, sum(1 << r for r in reps))[0], tuple(class_map)
 
 
 def _require_poset(q: QuasiOrder):
@@ -506,12 +513,9 @@ def induced_suborder(q: QuasiOrder, A: SetLike):
     index represented by ``i`` in the suborder.
     """
     elems = tuple(bits(mask_of(q, A)))
-    k = len(elems)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            rel[i, j] = q.leq[a, b]
-    return QuasiOrder(rel), elems
+    up = tuple(sum(1 << j for j, b in enumerate(elems) if q.up_masks[a] >> b & 1)
+               for a in elems)
+    return QuasiOrder(up), elems
 
 
 def linear_extension(q: QuasiOrder) -> tuple:
@@ -528,19 +532,25 @@ def order_to_json(q: QuasiOrder) -> dict:
     pairs = [
         [p, r]
         for p in range(q.size)
-        for r in range(q.size)
-        if p != r and q.leq[p, r]
+        for r in bits(q.up_masks[p])
+        if p != r
     ]
     return {"size": q.size, "pairs": pairs}
 
 
 def order_from_json(obj: dict) -> QuasiOrder:
-    """Read the generator format; the reflexive-transitive closure is taken."""
-    try:
-        size = int(obj["size"])
-        pairs = [(int(a), int(b)) for a, b in obj.get("pairs", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OrderError(f"malformed order object: {exc}") from exc
+    """Read the generator format; the reflexive-transitive closure is taken.
+    The size must be an integer >= 0 and each pair two integers below it."""
+    if not isinstance(obj, dict) or "size" not in obj:
+        raise OrderError("malformed order object: need an object with a size")
+    size, pairs = obj["size"], obj.get("pairs", [])
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+        raise OrderError(f"order size must be an integer >= 0, got {size!r}")
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(_is_index(v, size) for v in pair) for pair in pairs):
+        raise OrderError(f"order pairs must be [a, b] lists of integers "
+                         f"in range({size})")
     return build_quasi_order(size, pairs)
 
 
@@ -549,4 +559,7 @@ def subset_to_json(s: Subset) -> list:
 
 
 def subset_from_json(order: QuasiOrder, arr) -> Subset:
-    return Subset.from_indices(order, (int(i) for i in arr))
+    """Read a list of element indices, each an integer in the carrier."""
+    if not isinstance(arr, list) or not all(_is_index(i, order.size) for i in arr):
+        raise OrderError(f"subset must be a list of integers in range({order.size})")
+    return Subset.from_indices(order, arr)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
-from .order import QuasiOrder, bits, order_from_relation
+from .order import QuasiOrder, _is_index, bits
 from .lattice import classify
 
 __all__ = [
@@ -49,6 +47,7 @@ __all__ = [
 ]
 
 _SCAN_LIMIT = 12  # 2**points subset scans refuse beyond this
+MAX_JSON_POINTS = 64  # points of a topology read from JSON
 
 
 class TopologyError(ValueError):
@@ -92,9 +91,6 @@ class FiniteTopology:
 
     def is_closed(self, s: int) -> bool:
         return self.full_mask & ~s in self.opens
-
-    def is_clopen(self, s: int) -> bool:
-        return self.is_open(s) and self.is_closed(s)
 
     def __repr__(self):
         return f"FiniteTopology(points={self.points}, opens={len(self.opens)})"
@@ -172,12 +168,9 @@ class ROAlgebra:
 
 def ro_algebra(t: FiniteTopology) -> ROAlgebra:
     members = regular_opens(t)
-    k = len(members)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            rel[i, j] = a & ~b == 0
-    alg = ROAlgebra(t, members, order_from_relation(rel))
+    up = tuple(sum(1 << j for j, b in enumerate(members) if a & ~b == 0)
+               for a in members)
+    alg = ROAlgebra(t, members, QuasiOrder(up))
     flags = classify(alg.order)
     if not flags["boolean"]:
         raise TopologyError("regular opens failed to form a Boolean algebra")
@@ -313,11 +306,9 @@ def category_algebra(t: FiniteTopology) -> CategoryAlgebra:
             if r not in class_map and is_meager(t, r ^ s):
                 class_map[r] = idx
     k = len(reps)
-    rel = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            rel[i, j] = is_meager(t, a & ~b)
-    order = order_from_relation(rel)
+    order = QuasiOrder(tuple(
+        sum(1 << j for j, b in enumerate(reps) if is_meager(t, a & ~b))
+        for a in reps))
     flags = classify(order)
     if not flags["boolean"]:
         raise TopologyError("category algebra failed to be Boolean")
@@ -346,7 +337,7 @@ def category_algebra(t: FiniteTopology) -> CategoryAlgebra:
     for g in ro_members:
         for h in ro_members:
             sub_leq = g & ~h == 0
-            cat_leq = bool(order.leq[iso[g], iso[h]])
+            cat_leq = order.le(iso[g], iso[h])
             if sub_leq != cat_leq:
                 raise TopologyError("residual map is not an order isomorphism")
     return CategoryAlgebra(
@@ -420,10 +411,16 @@ def topology_to_json(t: FiniteTopology) -> dict:
 
 def topology_from_json(obj: dict) -> FiniteTopology:
     """Read ``{"points": n, "opens": [[i, ...], ...]}``; the listed opens
-    are generators and the closure is applied."""
-    try:
-        points = int(obj["points"])
-        gens = [sum(1 << int(i) for i in o) for o in obj.get("opens", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TopologyError(f"malformed topology object: {exc}") from exc
-    return topology(points, gens)
+    are generators and the closure is applied.  ``n`` is an integer in
+    ``0..MAX_JSON_POINTS`` and each ``i`` an integer in ``range(n)``."""
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise TopologyError("malformed topology object: need an object with points")
+    points, opens = obj["points"], obj.get("opens", [])
+    if not _is_index(points, MAX_JSON_POINTS + 1):
+        raise TopologyError(
+            f"points must be an integer in 0..{MAX_JSON_POINTS}, got {points!r}")
+    if not isinstance(opens, list) or not all(
+            isinstance(o, list) and all(_is_index(i, points) for i in o)
+            for o in opens):
+        raise TopologyError(f"opens must be lists of integers in range({points})")
+    return topology(points, (sum(1 << i for i in set(o)) for o in opens))

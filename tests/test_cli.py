@@ -215,12 +215,71 @@ def test_parse_order_spec_forms():
     {"chains": 3},
     {"chains": [0]},
     {"size": 10 ** 6},
+    {"size": 3, "pairs": [[0, -1]]},
+    {"size": 3, "pairs": [[0, 5]]},
+    {"size": 3, "pairs": [[0, 1.7]]},
+    {"size": 3, "pairs": [[0, True]]},
+    {"size": 2.9},
+    {"size": "2"},
+    {"size": -1},
+    {"size": True},
 ])
 def test_malformed_or_oversized_order_spec_is_input_error(capsys, spec):
     with pytest.raises(InputError):
         parse_order_spec(spec)
     code, out, err = run(capsys, "enumerate", "--dom", json.dumps(spec),
                          "--cod", '{"powerset": 1}')
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+MAP = {"dom": {"powerset": 1}, "cod": {"powerset": 2}}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("check", "preregular"), {"order": {"powerset": 2}, "subset": [9]}),
+    (("check", "preregular"), {"order": {"powerset": 2}, "subset": [-1]}),
+    (("check", "preregular"), {"order": {"powerset": 2}, "subset": [1.0]}),
+    (("check", "preregular"), {"order": {"powerset": 2}, "subset": 3}),
+    (("check", "preregular"), [{"order": {"powerset": 2}}]),
+    (("check", "classify"), [{"powerset": 2}]),
+    (("check", "convexity"), [MAP]),
+    (("check", "convexity"), {**MAP, "image": [0, 1.7]}),
+    (("check", "convexity"), {**MAP, "image": [0, True]}),
+    (("check", "embedding"), {**MAP, "image": [0, 9]}),
+    (("check", "embedding"), {**MAP, "image": 3}),
+    (("enumerate",), [MAP]),
+    (("enumerate",), {**MAP, "filters": [True]}),
+    (("verify", "lem-group-completion"), [[0]]),
+])
+def test_malformed_fixture_is_input_error(capsys, tmp_path, argv, doc):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"table": [[0, 1], [1, 1]], "identity": 5},
+    {"table": [[1, 0], [0, 1]], "identity": -1},
+    {"table": [[0]], "identity": True},
+    {"table": [[0, 1], [1, 1]], "identity": 0.0},
+    {"table": 3, "identity": 0},
+    {"table": [], "identity": 0},
+    {"table": [[0, 1]], "identity": 0},
+    {"table": [[0, 1], [1]], "identity": 0},
+    {"table": [[0, 1], [1, 1.9]], "identity": 0},
+    {"table": [[0, True], [True, True]], "identity": 0},
+    {"table": [[0, 1], [1, -1]], "identity": 0},
+    {"table": [[0, 1], [1, 1]]},
+])
+@pytest.mark.parametrize("verifier", ["lem-group-completion",
+                                      "law-monoid-distributivity"])
+def test_malformed_monoid_is_input_error(capsys, tmp_path, doc, verifier):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", verifier, "--input", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -300,6 +359,18 @@ def test_oversized_max_size_exits_2_at_once(capsys, command, size):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: --max-size must be at most 8")
+
+
+@pytest.mark.parametrize("size", ["7", "8"])
+def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
+    # one census per pair of posets: millions of pairs at size 7
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "thm-preregular-continuity",
+                         "--max-size", size)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: --max-size must be at most 6 "
+                   "for thm-preregular-continuity\n")
 
 
 @pytest.mark.parametrize("command", ENUMERATING)

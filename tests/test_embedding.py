@@ -123,9 +123,9 @@ def test_scott_continuity_always_holds_on_finite_posets():
         for r in enumerate_posets(3):
             for img in itertools.product(range(r.size), repeat=q.size):
                 ok = all(
-                    r.leq[img[a], img[b]]
+                    r.le(img[a], img[b])
                     for a in range(q.size) for b in range(q.size)
-                    if q.leq[a, b]
+                    if q.le(a, b)
                 )
                 if not ok:
                     continue
@@ -244,8 +244,8 @@ def test_embedding_iff_strictly_order_preserving_lattice_hom():
             lv_cod = lattice_view(cod)
             for img in itertools.product(range(cod.size), repeat=dom.size):
                 hom = all(
-                    img[lv_dom.join[a, b]] == lv_cod.join[img[a], img[b]]
-                    and img[lv_dom.meet[a, b]] == lv_cod.meet[img[a], img[b]]
+                    img[lv_dom.join[a][b]] == lv_cod.join[img[a]][img[b]]
+                    and img[lv_dom.meet[a][b]] == lv_cod.meet[img[a]][img[b]]
                     for a in range(dom.size) for b in range(dom.size)
                 )
                 if not hom:
@@ -383,8 +383,8 @@ def test_extension_lattice_hom_when_meet_preserving_and_jid():
     lv2, lv3 = lattice_view(p2), lattice_view(p3)
     for a in range(4):
         for b in range(4):
-            assert ext.image[lv2.meet[a, b]] == lv3.meet[ext.image[a], ext.image[b]]
-            assert ext.image[lv2.join[a, b]] == lv3.join[ext.image[a], ext.image[b]]
+            assert ext.image[lv2.meet[a][b]] == lv3.meet[ext.image[a]][ext.image[b]]
+            assert ext.image[lv2.join[a][b]] == lv3.join[ext.image[a]][ext.image[b]]
 
 
 def test_extension_hypothesis_failures_are_named():
@@ -473,9 +473,9 @@ def test_extension_uniqueness_sweep():
                 for values in itertools.product(range(M.size),
                                                 repeat=len(delems)):
                     sig = dict(zip(delems, values))
-                    if not all(M.leq[sig[a], sig[b]]
+                    if not all(M.le(sig[a], sig[b])
                                for a in delems for b in delems
-                               if L.leq[a, b]):
+                               if L.le(a, b)):
                         continue
                     try:
                         ext = extend_from_join_dense(L, dmask, sig, M)

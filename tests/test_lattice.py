@@ -53,8 +53,8 @@ def brute_sup_in(q, amask, bmask):
     """Oracle: upper bounds of B inside A, then the least among them."""
     a_items = [p for p in range(q.size) if (amask >> p) & 1]
     b_items = [p for p in range(q.size) if (bmask >> p) & 1]
-    ubs = [u for u in a_items if all(q.leq[b, u] for b in b_items)]
-    least = [u for u in ubs if all(q.leq[u, v] for v in ubs)]
+    ubs = [u for u in a_items if all(q.le(b, u) for b in b_items)]
+    least = [u for u in ubs if all(q.le(u, v) for v in ubs)]
     return least[0] if least else None
 
 
@@ -272,7 +272,7 @@ def test_join_dense_implies_interval_predense_implies_dense(n):
 def test_join_dense_equals_interval_predense_on_meet_semilattices(n):
     for q in enumerate_posets(n):
         lv = lattice_view(q)
-        if not bool((lv.meet >= 0).all()):
+        if not all(v >= 0 for row in lv.meet for v in row):
             continue
         for dmask in all_subsets(q):
             assert is_join_dense(q, dmask) == is_interval_predense(q, dmask)

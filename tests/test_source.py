@@ -1,5 +1,6 @@
 """Whole-package checks: runtime checks in the library and the demos
-survive ``python -O``, and every demo script runs to completion."""
+survive ``python -O``, the library runs without numpy, and every demo
+script runs to completion."""
 
 import ast
 import os
@@ -19,6 +20,26 @@ def test_no_assert_statements_in_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import latkit.cli, sys; print('numpy' in sys.modules)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
