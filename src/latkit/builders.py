@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .order import QuasiOrder, bits, build_quasi_order
+from .order import QuasiOrder, bits, build_quasi_order, upper_sets
 
 __all__ = [
     "chain",
@@ -184,20 +184,6 @@ def canonical_key(q: QuasiOrder) -> bytes:
     return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best)
 
 
-def _lower_sets(q: QuasiOrder):
-    n = q.size
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        for p in bits(mask):
-            if q.down_masks[p] & ~mask:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
-
-
 @functools.cache
 def _level(n: int) -> dict:
     """``{canonical_key: poset}`` for the ``n``-element posets, in the order
@@ -207,7 +193,7 @@ def _level(n: int) -> dict:
     level = {}
     for q in _level(n - 1).values():
         k = q.size
-        for low in _lower_sets(q):
+        for low in upper_sets(q.dual):
             # a new maximal element k above the lower set ``low``
             cand = QuasiOrder(tuple(up | (low >> p & 1) << k
                                     for p, up in enumerate(q.up_masks)) + (1 << k,))

@@ -32,6 +32,8 @@ MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
 # one census per pair of posets: 134,702 pairs take about 12 s at size 6;
 # size 7 has 5,144,952 pairs, so it would run for many minutes
 MAX_CONTINUITY_SIZE = 6
+# commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
+MAX_MONOID_SIZE = 4
 
 
 class InputError(ValueError):
@@ -57,9 +59,14 @@ class RunConfig:
 
     def option(self, key: str, default: int) -> int:
         """The integer option ``key``; ``default`` only when it is unset,
-        so an explicit 0 stays 0."""
+        so an explicit 0 stays 0.  Every integer option is a size or a
+        count, so a negative value is refused."""
         value = self.options.get(key)
-        return default if value is None else int(value)
+        if value is None:
+            return default
+        if value < 0:
+            raise InputError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
+        return value
 
     def enumeration_size(self, default: int,
                          limit: int = builders.MAX_ENUMERATION_SIZE) -> int:
@@ -346,7 +353,7 @@ def _verify_group_completion(cfg: RunConfig) -> dict:
             "classes": gc.group.size,
             "embedding_injective": len(set(gc.embedding)) == mon.size,
         }
-    max_size = cfg.option("max_size", 4)
+    max_size = cfg.enumeration_size(4, MAX_MONOID_SIZE)
     checked = rejected = 0
     failures = []
     for n in range(1, max_size + 1):

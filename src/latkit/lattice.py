@@ -574,12 +574,8 @@ def subset_report(q: QuasiOrder, A: SetLike) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class SubposetAnalysis:
-    """A subset of an ambient order with verdicts cached on first access.
-
-    Each verdict is recomputed from the definitions on demand and then
-    memoized; analyses of distinct subsets are independent, so they can run
-    in parallel.
-    """
+    """A subset of an ambient order; each verdict is computed from the
+    definitions on first access and then kept."""
 
     parent: QuasiOrder
     subset: Subset
@@ -587,34 +583,26 @@ class SubposetAnalysis:
     def __post_init__(self):
         if self.subset.order is not self.parent:
             raise OrderError("subset does not live in the given order")
-        object.__setattr__(self, "_verdicts", {})
 
-    def _get(self, key, compute):
-        if key not in self._verdicts:
-            self._verdicts[key] = compute()
-        return self._verdicts[key]
-
-    @property
+    @cached_property
     def convex(self) -> bool:
-        return self._get("convex", lambda: is_convex(self.parent, self.subset.mask))
+        return is_convex(self.parent, self.subset.mask)
 
-    @property
+    @cached_property
     def preregular(self) -> bool:
-        return self._get("preregular",
-                         lambda: is_preregular(self.parent, self.subset.mask))
+        return is_preregular(self.parent, self.subset.mask)
 
-    @property
+    @cached_property
     def regular(self) -> bool:
-        return self._get("regular", lambda: is_regular(self.parent, self.subset.mask))
+        return is_regular(self.parent, self.subset.mask)
 
-    @property
+    @cached_property
     def order_closed(self) -> dict:
-        return self._get("order_closed",
-                         lambda: order_closed_checks(self.parent, self.subset.mask))
+        return order_closed_checks(self.parent, self.subset.mask)
 
-    @property
+    @cached_property
     def flat(self) -> bool:
-        return self._get("flat", lambda: is_flat(self.parent, self.subset.mask))
+        return is_flat(self.parent, self.subset.mask)
 
     def report(self) -> dict:
-        return self._get("report", lambda: subset_report(self.parent, self.subset.mask))
+        return subset_report(self.parent, self.subset.mask)

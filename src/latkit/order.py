@@ -38,6 +38,7 @@ __all__ = [
     "lower_closure",
     "is_upper_set",
     "is_lower_set",
+    "upper_sets",
     "is_directed",
     "is_bounded_above",
     "is_bounded_below",
@@ -480,6 +481,21 @@ def is_upper_set(q: QuasiOrder, A: SetLike) -> bool:
 def is_lower_set(q: QuasiOrder, A: SetLike) -> bool:
     m = mask_of(q, A)
     return lower_closure(q, m).mask == m
+
+
+def upper_sets(q: QuasiOrder) -> tuple:
+    """Every up-set of ``q`` in ascending mask order; ``upper_sets(q.dual)``
+    lists the lower sets.
+
+    A down-set is the intersection of the complements of ``up(p)`` over the
+    points ``p`` outside it, so the up-sets are the complements of the
+    members of the intersection closure of those complements, plus the
+    empty set (the empty subfamily).
+    """
+    full = q.full_mask
+    downs = intersection_closure(full & ~up for up in q.up_masks)
+    downs.add(full)
+    return tuple(sorted(full & ~d for d in downs))
 
 
 def is_directed(q: QuasiOrder, A: SetLike) -> bool:

@@ -373,6 +373,50 @@ def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
                    "for thm-preregular-continuity\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "lem-group-completion", "--max-size", "5"),
+     "--max-size must be at most 4 for lem-group-completion"),
+    (("verify", "lem-group-completion", "--max-size", "6"),
+     "--max-size must be at most 4 for lem-group-completion"),
+    (("verify", "lem-convex-preregular", "--max-size", "-3"),
+     "--max-size must be >= 0, got -3"),
+    (("search", "convex-not-preregular", "--max-size", "-2"),
+     "--max-size must be >= 0, got -2"),
+    (("verify", "law-monoid-distributivity", "--dims", "-1"),
+     "--dims must be >= 0, got -1"),
+    (("verify", "thm-powerset-form", "--x", "-1"), "--x must be >= 0, got -1"),
+    (("verify", "thm-extension-convexity", "--n", "-1"), "--n must be >= 0, got -1"),
+    (("sweep", "cat-ro-iso", "--points", "-1"), "--points must be >= 0, got -1"),
+    (("sweep", "baire", "--points", "-1"), "--points must be >= 0, got -1"),
+    (("search", "open-meager", "--points", "-1"), "--points must be >= 0, got -1"),
+    (("sweep", "cat-ro-iso", "--points", "6"),
+     "topologies are enumerated on 0..5 points, got 6"),
+    (("sweep", "baire", "--points", "6"),
+     "topologies are enumerated on 0..5 points, got 6"),
+    (("search", "open-meager", "--points", "7"),
+     "topologies are enumerated on 0..5 points, got 7"),
+])
+def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "cat-ro-iso"), ("sweep", "baire"), ("search", "open-meager")])
+def test_topology_commands_reach_five_points(capsys, argv):
+    code, out, _ = run(capsys, "--format", "json", *argv, "--points", "5")
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["holds"] is True and report["points"] == 5
+    if argv[0] == "sweep":
+        assert report["topologies"] == 6942
+    else:  # the search report carries no count: every space is Baire
+        assert report["found"] is False
+
+
 @pytest.mark.parametrize("command", ENUMERATING)
 def test_enumerating_commands_accept_explicit_zero(capsys, command):
     code, out, _ = run(capsys, "--format", "json", *command, "--max-size", "0")

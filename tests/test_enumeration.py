@@ -1,8 +1,8 @@
 """Poset and lattice enumeration against the definition-level reference.
 
-``ref_canonical_key`` and ``ref_enumerate_posets`` are the scalar
-implementations that the mask-based ones replaced; the fast versions must
-return the same bytes and the same list, element by element.
+``ref_canonical_key``, ``ref_enumerate_posets`` and ``ref_lower_sets`` are
+the scalar implementations that the mask-based ones replaced; the fast
+versions must return the same bytes and the same list, element by element.
 """
 
 import hashlib
@@ -15,7 +15,6 @@ import pytest
 
 from latkit.builders import (
     MAX_ENUMERATION_SIZE,
-    _lower_sets,
     canonical_key,
     chain,
     chain_product,
@@ -25,7 +24,8 @@ from latkit.builders import (
     random_lattice,
 )
 from latkit.lattice import classify, is_lattice
-from latkit.order import OrderError, QuasiOrder, bits, order_from_relation
+from latkit.order import OrderError, QuasiOrder, bits, order_from_relation, upper_sets
+from latkit.topology import enumerate_topologies
 
 
 def ref_canonical_key(q: QuasiOrder) -> bytes:
@@ -61,11 +61,17 @@ def matrix(q: QuasiOrder) -> np.ndarray:
                     dtype=bool).reshape(q.size, q.size)
 
 
+def ref_lower_sets(q: QuasiOrder):
+    """Every lower set of ``q`` by a scan of all ``2**n`` masks."""
+    return [mask for mask in range(1 << q.size)
+            if all(q.down_masks[p] & ~mask == 0 for p in bits(mask))]
+
+
 def _children(q: QuasiOrder):
     """``q`` with a new maximal element adjoined above each lower set, in
     ascending mask order."""
     k = q.size
-    for low in _lower_sets(q):
+    for low in ref_lower_sets(q):
         rel = np.zeros((k + 1, k + 1), dtype=bool)
         rel[:k, :k] = matrix(q)
         rel[k, k] = True
@@ -149,6 +155,17 @@ def test_enumerate_posets_matches_reference(n):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.up_masks == w.up_masks
+
+
+def test_upper_sets_match_scan():
+    # every poset of at most 6 elements (so every parent of level 7) and
+    # every labeled quasi order on at most 4 points, both directions
+    orders = [q for n in range(7) for q in enumerate_posets(n)]
+    orders += [t.order for n in range(5) for t in enumerate_topologies(n)]
+    orders += NON_POSETS
+    for q in orders:
+        assert list(upper_sets(q.dual)) == ref_lower_sets(q)
+        assert list(upper_sets(q)) == ref_lower_sets(q.dual)
 
 
 def test_masks_match_definition():

@@ -333,6 +333,6 @@ def test_subposet_analysis_caches_verdicts():
     assert analysis.order_closed["down_oc"]
     assert analysis.report()["convex"]["holds"] is False
     # verdicts are write-once
-    assert analysis._verdicts["convex"] is analysis.convex
+    assert analysis.__dict__["convex"] is analysis.convex
     with pytest.raises(OrderError):
         SubposetAnalysis(p3, Subset.from_indices(chain(2), [0]))

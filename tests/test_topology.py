@@ -1,10 +1,21 @@
-"""Finite spaces: interior/closure, regular opens, category algebras."""
+"""Finite spaces: interior/closure, regular opens, category algebras.
+
+The ``ref_*`` functions are the family-of-opens implementation that the
+preorder model replaced: a space is its frozenset of open masks, every
+operation scans it, and topologies are found by testing every family of
+proper subsets.  They are the oracle for the mask code.
+"""
+
+import itertools
+import random
+import time
 
 import pytest
 
 from latkit.lattice import check_jid, check_mid, classify, is_basis, lattice_view
+from latkit.order import bits
 from latkit.topology import (
-    FiniteTopology,
+    MAX_TOPOLOGY_POINTS,
     NotZeroDimensionalError,
     TopologyError,
     baire_property_sets,
@@ -22,12 +33,166 @@ from latkit.topology import (
     is_zero_dimensional,
     largest_open_meager,
     meager_ideal,
+    regular_opens,
     ro_algebra,
     subspace,
     topology,
     topology_from_json,
     topology_to_json,
 )
+
+
+# ---------------------------------------------------------------------------
+# the family-of-opens reference
+
+
+def ref_is_topology(points, opens):
+    full = (1 << points) - 1
+    return (0 in opens and full in opens
+            and all(a & ~full == 0 for a in opens)
+            and all(a | b in opens and a & b in opens for a in opens for b in opens))
+
+
+def ref_topology(points, generators):
+    """Closure of the generators under union and intersection."""
+    full = (1 << points) - 1
+    fam = {0, full, *generators}
+    while True:
+        new = set(fam)
+        for a in fam:
+            for b in fam:
+                new.add(a | b)
+                new.add(a & b)
+        if new == fam:
+            return frozenset(fam)
+        fam = new
+
+
+def ref_enumerate_topologies(points):
+    full = (1 << points) - 1
+    proper = [s for s in range(1 << points) if s not in (0, full)]
+    out = []
+    for r in range(len(proper) + 1):
+        for included in itertools.combinations(proper, r):
+            fam = frozenset(included) | {0, full}
+            if all(a | b in fam and a & b in fam for a in fam for b in fam):
+                out.append(fam)
+    return out
+
+
+class Ref:
+    """A space as its family of opens."""
+
+    def __init__(self, points, opens):
+        self.points, self.opens = points, frozenset(opens)
+        self.full = (1 << points) - 1
+        self.opens_sorted = tuple(sorted(self.opens))
+
+
+def ref_interior(t, s):
+    out = 0
+    for o in t.opens_sorted:
+        if o & ~s == 0:
+            out |= o
+    return out
+
+
+def ref_closure(t, s):
+    return t.full & ~ref_interior(t, t.full & ~s)
+
+
+def ref_is_regular_open(t, s):
+    return s == ref_interior(t, ref_closure(t, s))
+
+
+def ref_regular_opens(t):
+    return tuple(o for o in t.opens_sorted if ref_is_regular_open(t, o))
+
+
+def ref_is_meager(t, s):
+    return ref_interior(t, ref_closure(t, s)) == 0
+
+
+def ref_meager_ideal(t):
+    return tuple(s for s in range(1 << t.points) if ref_is_meager(t, s))
+
+
+def ref_largest_open_meager(t):
+    out = 0
+    for o in t.opens_sorted:
+        if ref_is_meager(t, o):
+            out |= o
+    return out
+
+
+def ref_is_baire(t):
+    return all(not ref_is_meager(t, o) for o in t.opens_sorted if o)
+
+
+def ref_has_baire_property(t, s):
+    return any(ref_is_meager(t, s ^ o) for o in t.opens_sorted)
+
+
+def ref_baire_property_sets(t):
+    return tuple(s for s in range(1 << t.points) if ref_has_baire_property(t, s))
+
+
+def ref_clopen_sets(t):
+    return tuple(o for o in t.opens_sorted if t.full & ~o in t.opens)
+
+
+def ref_is_zero_dimensional(t):
+    clopens = ref_clopen_sets(t)
+    for o in t.opens_sorted:
+        cover = 0
+        for c in clopens:
+            if c & ~o == 0:
+                cover |= c
+        if cover != o:
+            return False
+    return True
+
+
+def ref_subspace(t, carrier):
+    points = tuple(bits(carrier))
+    pos = {p: i for i, p in enumerate(points)}
+
+    def compress(mask):
+        return sum(1 << pos[p] for p in bits(mask & carrier))
+
+    return Ref(len(points), {compress(o) for o in t.opens}), points
+
+
+def ref_category_algebra(t):
+    """``(order up_masks, reps, class_map, largest open meager, baire,
+    ro_members, ro_iso)`` with the pairwise class loop."""
+    bp = ref_baire_property_sets(t)
+    class_map, reps = {}, []
+    for s in bp:
+        if s in class_map:
+            continue
+        idx = len(reps)
+        reps.append(s)
+        for r in bp:
+            if r not in class_map and ref_is_meager(t, r ^ s):
+                class_map[r] = idx
+    up = tuple(sum(1 << j for j, b in enumerate(reps) if ref_is_meager(t, a & ~b))
+               for a in reps)
+    u = ref_largest_open_meager(t)
+    sub, points = ref_subspace(t, t.full & ~ref_closure(t, u))
+    ro_members = tuple(sum(1 << points[i] for i in bits(g))
+                       for g in ref_regular_opens(sub))
+    return (up, tuple(reps), class_map, u, ref_is_baire(t), ro_members,
+            {g: class_map[g] for g in ro_members})
+
+
+def small_spaces():
+    """Every topology on at most 4 points, as ``(Ref, FiniteTopology)``."""
+    return [(Ref(n, fam), topology(n, fam))
+            for n in range(5) for fam in ref_enumerate_topologies(n)]
+
+
+# ---------------------------------------------------------------------------
 
 
 def sierpinski():
@@ -44,10 +209,106 @@ def indiscrete(n):
 
 
 def test_topology_axioms_enforced():
+    # the preorder model has no invalid state: a family of sets is a
+    # topology exactly when generating from it adds nothing
+    for n in (2, 3):
+        for flags in range(1 << (1 << n)):
+            fam = frozenset(s for s in range(1 << n) if flags >> s & 1)
+            assert ref_is_topology(n, fam) == (topology(n, fam).opens == fam)
     with pytest.raises(TopologyError):
-        FiniteTopology(2, frozenset({0b01}))
-    with pytest.raises(TopologyError):
-        FiniteTopology(2, frozenset({0, 0b01, 0b10, 0b11, 0b100}))
+        topology(2, [0b01, 0b100])
+
+
+def test_space_operations_match_reference():
+    spaces = small_spaces()
+    assert len(spaces) == 390
+    for ref, t in spaces:
+        n = ref.points
+        assert t.points == n and t.full_mask == ref.full
+        assert t.opens == ref.opens and t.opens_sorted == ref.opens_sorted
+        for s in range(1 << n):
+            assert interior(t, s) == ref_interior(ref, s)
+            assert closure_of(t, s) == ref_closure(ref, s)
+            assert t.is_open(s) == (s in ref.opens)
+            assert t.is_closed(s) == (ref.full & ~s in ref.opens)
+            assert has_baire_property(t, s) == ref_has_baire_property(ref, s)
+            sub, points = subspace(t, s)
+            ref_sub, ref_points = ref_subspace(ref, s)
+            assert sub.opens == ref_sub.opens and points == ref_points
+        assert regular_opens(t) == ref_regular_opens(ref)
+        assert meager_ideal(t) == ref_meager_ideal(ref)
+        assert largest_open_meager(t) == ref_largest_open_meager(ref)
+        assert is_baire(t) == ref_is_baire(ref)
+        assert baire_property_sets(t) == ref_baire_property_sets(ref)
+        assert clopen_sets(t) == ref_clopen_sets(ref)
+        assert is_zero_dimensional(t) == ref_is_zero_dimensional(ref)
+        cat = category_algebra(t)
+        assert (cat.order.up_masks, cat.reps, cat.class_map, cat.largest_open_meager,
+                cat.baire, cat.ro_members, cat.ro_iso) == ref_category_algebra(ref)
+
+
+def test_generated_topology_matches_reference():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        gens = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+        assert topology(n, gens).opens == ref_topology(n, gens)
+
+
+def test_enumerate_topologies_matches_reference():
+    for n in range(5):
+        got = [t.opens for t in enumerate_topologies(n)]
+        assert len(got) == len(set(got))
+        assert set(got) == set(ref_enumerate_topologies(n))
+
+
+def maximal_points(t):
+    """Points with nothing strictly above them, read off ``le``."""
+    q = t.order
+    return [p for p in range(t.points)
+            if all(q.le(r, p) for r in range(t.points) if q.le(p, r))]
+
+
+def test_closed_forms_of_meager_sets_and_algebra_sizes():
+    # meager means missing every maximal point; RO(X) and the category
+    # algebra both have one atom per class of maximal points
+    for _, t in small_spaces():
+        top = maximal_points(t)
+        top_mask = sum(1 << p for p in top)
+        for s in range(1 << t.points):
+            assert is_meager(t, s) == (s & top_mask == 0)
+        classes = len({t.order.up_masks[p] for p in top})
+        assert len(ro_algebra(t).members) == category_algebra(t).size == 2 ** classes
+
+
+def test_five_point_spaces_are_distinct_topologies():
+    spaces = enumerate_topologies(5)
+    assert len({t.opens for t in spaces}) == len(spaces) == 6942
+    for t in spaces:
+        for a in t.opens_sorted:
+            for b in t.opens_sorted:
+                assert a | b in t.opens and a & b in t.opens
+
+
+def test_enumeration_limit():
+    assert MAX_TOPOLOGY_POINTS == 5
+    for points in (-1, MAX_TOPOLOGY_POINTS + 1, True):
+        with pytest.raises(TopologyError):
+            enumerate_topologies(points)
+
+
+@pytest.mark.parametrize("opens", [
+    [[i] for i in range(64)],                 # discrete
+    [list(range(i, 64)) for i in range(64)],  # the chain 0 < 1 < ... < 63
+])
+def test_sixty_four_point_space_loads_at_once(opens):
+    start = time.perf_counter()
+    t = topology_from_json({"points": 64, "opens": opens})
+    assert time.perf_counter() - start < 1.0
+    assert t.points == 64 and repr(t) == "FiniteTopology(points=64)"
+    for p, g in enumerate(opens):
+        assert t.order.up_masks[p] == sum(1 << i for i in g)
+    assert interior(t, 1 << 63) == 1 << 63
 
 
 def test_generated_closure():
@@ -231,7 +492,8 @@ def test_clopen_classes_dense_in_zero_dimensional():
 
 
 def test_enumerate_topologies_counts():
-    assert [len(enumerate_topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]
+    # OEIS A000798
+    assert [len(enumerate_topologies(n)) for n in range(6)] == [1, 1, 4, 29, 355, 6942]
 
 
 def test_scan_guard():
