@@ -29,9 +29,15 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
-# one census per pair of posets: 134,702 pairs take about 12 s at size 6;
-# size 7 has 5,144,952 pairs, so it would run for many minutes
+MAX_POWERSET_POINTS = MAX_SPEC_SIZE.bit_length() - 1  # 2^6 = 64 elements
+_SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
+# one continuity check per preregular range of each poset: about 3 s at
+# size 6 (134,702 pairs) and 22 s at size 7 (5,144,952 pairs); raising the
+# limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
+# is_flat_complete scans all 2^(2^m) subsets of the codomain once per
+# embedding: --n 2 --m 4 takes about a minute, and --m 5 would never end
+MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
 
@@ -57,15 +63,20 @@ class RunConfig:
         if self.samples <= 0:
             raise InputError("--samples must be positive")
 
-    def option(self, key: str, default: int) -> int:
+    def option(self, key: str, default: int, limit: Optional[int] = None,
+               why: str = "") -> int:
         """The integer option ``key``; ``default`` only when it is unset,
         so an explicit 0 stays 0.  Every integer option is a size or a
-        count, so a negative value is refused."""
+        count, so a negative value is refused, and so is a value or default
+        above ``limit``; ``why`` ends that message."""
+        flag = f"--{key.replace('_', '-')}"
         value = self.options.get(key)
         if value is None:
-            return default
-        if value < 0:
-            raise InputError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
+            value = default
+        elif value < 0:
+            raise InputError(f"{flag} must be >= 0, got {value}")
+        if limit is not None and value > limit:
+            raise InputError(f"{flag} must be at most {limit}{why}")
         return value
 
     def enumeration_size(self, default: int,
@@ -101,6 +112,18 @@ def _spec_int(value, what: str, least: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def _max_factors(height: int) -> int:
+    """The most chains of ``height`` elements (at most ``MAX_SPEC_SIZE``)
+    whose product has at most ``MAX_SPEC_SIZE`` elements; chains of fewer
+    than 2 elements add none, so they are held to ``MAX_POWERSET_POINTS``,
+    the count for 2."""
+    height = max(height, 2)
+    count = 0
+    while height ** (count + 1) <= MAX_SPEC_SIZE:
+        count += 1
+    return count
 
 
 def _check_spec_size(size: int):
@@ -161,8 +184,8 @@ class Verifier:
 
 
 def _verify_powerset_form(cfg: RunConfig) -> dict:
-    x = cfg.option("x", 2)
-    y = cfg.option("y", 3)
+    x = cfg.option("x", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
+    y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(
@@ -185,10 +208,10 @@ def _verify_powerset_form(cfg: RunConfig) -> dict:
 
 
 def _verify_chainprod_form(cfg: RunConfig) -> dict:
-    k = cfg.option("k", 2)
-    m = cfg.option("m", 2)
-    i = cfg.option("i", 1)
-    j = cfg.option("j", 2)
+    k = cfg.option("k", 2, MAX_SPEC_SIZE, _SPEC_LIMIT)
+    m = cfg.option("m", 2, MAX_SPEC_SIZE, _SPEC_LIMIT)
+    i = cfg.option("i", 1, _max_factors(k), f" for --k {k}{_SPEC_LIMIT}")
+    j = cfg.option("j", 2, _max_factors(m), f" for --m {m}{_SPEC_LIMIT}")
     dom_cp = builders.chain_product([k] * i)
     cod_cp = builders.chain_product([m] * j)
     census = embedding.enumerate_embeddings(
@@ -213,22 +236,9 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
 
 def _verify_preregular_continuity(cfg: RunConfig) -> dict:
     max_size = cfg.enumeration_size(4, MAX_CONTINUITY_SIZE)
-    posets = []
-    for n in range(1, max_size + 1):
-        posets.extend(builders.enumerate_posets(n))
-    pairs = [(p, q) for p in posets for q in posets if p.size <= q.size]
-    reports = [
-        embedding.verify_preregular_continuity(p, q, budget_nodes=cfg.budget_nodes)
-        for p, q in pairs
-    ]
-    violations = [v for r in reports for v in r["violations"]]
-    return {
-        "holds": not violations,
-        "max_size": max_size,
-        "pairs": len(pairs),
-        "embeddings": sum(r["embeddings"] for r in reports),
-        "violations": violations,
-    }
+    report = embedding.preregular_continuity_sweep(
+        max_size, budget_nodes=cfg.budget_nodes)
+    return {"max_size": max_size, **report}
 
 
 def _verify_convex_preregular(cfg: RunConfig) -> dict:
@@ -256,8 +266,9 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
 
 
 def _verify_extension_convexity(cfg: RunConfig) -> dict:
-    n = cfg.option("n", 2)
-    m = cfg.option("m", n + 1)
+    n = cfg.option("n", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
+    m = cfg.option("m", n + 1, MAX_EXTENSION_CODOMAIN,
+                   " for thm-extension-convexity")
     L = builders.powerset_lattice(n)
     M = builders.powerset_lattice(m)
     basis = [0] + [1 << i for i in range(n)]
@@ -296,8 +307,8 @@ def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
 
 
 def _verify_atom_image(cfg: RunConfig) -> dict:
-    x = cfg.option("x", 2)
-    y = cfg.option("y", 3)
+    x = cfg.option("x", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
+    y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(dom, cod,

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .builders import ChainProduct, is_powerset_order
+from .builders import (
+    ChainProduct,
+    canonical_key,
+    enumerate_posets,
+    is_powerset_order,
+)
 from .order import (
     MonotoneMap,
     OrderError,
@@ -66,6 +72,7 @@ __all__ = [
     "atom_image_check",
     "relative_atoms",
     "verify_preregular_continuity",
+    "preregular_continuity_sweep",
     "PowersetDecomposition",
     "powerset_embedding",
     "powerset_decompose",
@@ -398,7 +405,12 @@ def atom_image_check(sigma: MonotoneMap) -> bool:
 def verify_preregular_continuity(P: QuasiOrder, Q: QuasiOrder, *,
                                  budget_nodes: Optional[int] = None) -> dict:
     """Every embedding ``P -> Q`` with preregular range must preserve all
-    nonempty suprema and infima; reports any violations (expected none)."""
+    nonempty suprema and infima; reports any violations (expected none).
+
+    The per-pair oracle: one census of ``P -> Q`` and one continuity check
+    per map.  :func:`preregular_continuity_sweep` decides every pair at once
+    and reruns this only for the pairs a violating range touches.
+    """
     census = enumerate_embeddings(P, Q, preregular_range=True,
                                   budget_nodes=budget_nodes)
     violations = []
@@ -408,6 +420,60 @@ def verify_preregular_continuity(P: QuasiOrder, Q: QuasiOrder, *,
             violations.append({"image": list(mm.image), "continuity": cont})
     return {
         "embeddings": len(census),
+        "violations": violations,
+        "holds": not violations,
+    }
+
+
+def preregular_continuity_sweep(max_size: int, *,
+                                budget_nodes: Optional[int] = None) -> dict:
+    """:func:`verify_preregular_continuity` over every pair of posets with
+    ``1 <= |P| <= |Q| <= max_size``, decided once per codomain ``Q`` and
+    preregular range ``R``, not once per pair.
+
+    An embedding ``P -> Q`` is an isomorphism of ``P`` onto its range ``R``
+    that sends the supremum of ``B`` in ``P`` to that of its image in ``R``,
+    so it preserves nonempty suprema and infima iff the inclusion ``R -> Q``
+    does.  The embeddings with range ``R`` number ``|Aut(P)|`` for the one
+    class ``P`` of the induced suborder on ``R`` and none for any other.
+    So each preregular range gets one continuity check of its inclusion and
+    adds ``|Aut|``, from a self-census memoized on the suborder; ``pairs``
+    comes from the level sizes.  Each pair a violating range touches is
+    rerun per pair, in pair order, so ``violations`` lists the same images
+    as the per-pair loop.  ``budget_nodes`` caps every census run here: the
+    self-censuses and the reruns.
+    """
+    levels = [enumerate_posets(n) for n in range(1, max_size + 1)]
+    posets = [q for level in levels for q in level]
+    counts = [len(level) for level in levels]
+    # a codomain of size n pairs with every domain of size at most n
+    pairs = sum(map(operator.mul, counts, itertools.accumulate(counts)))
+    automorphisms = {}
+    embeddings = 0
+    bad = []  # (induced suborder, codomain index) per violating range
+    for qi, cod in enumerate(posets):
+        for rmask in range(1, 1 << cod.size):
+            if not _preregular_range_cached(cod, rmask):
+                continue
+            sub, elems = induced_suborder(cod, rmask)
+            aut = automorphisms.get(sub.up_masks)
+            if aut is None:
+                aut = automorphisms[sub.up_masks] = len(
+                    enumerate_embeddings(sub, sub, budget_nodes=budget_nodes))
+            embeddings += aut
+            cont = continuity_checks(MonotoneMap(sub, cod, elems))
+            if not (cont["preserves_nonempty_sups"]
+                    and cont["preserves_nonempty_infs"]):
+                bad.append((sub, qi))
+    violations = []
+    if bad:
+        index = {canonical_key(p): pi for pi, p in enumerate(posets)}
+        for pi, qi in sorted({(index[canonical_key(sub)], qi) for sub, qi in bad}):
+            violations.extend(verify_preregular_continuity(
+                posets[pi], posets[qi], budget_nodes=budget_nodes)["violations"])
+    return {
+        "pairs": pairs,
+        "embeddings": embeddings,
         "violations": violations,
         "holds": not violations,
     }

@@ -41,6 +41,9 @@ CENSUS_JOBS = {
     "enumerate-C23-C333": ("enumerate", "--dom", '{"chains":[2,3]}',
                            "--cod", '{"chains":[3,3,3]}'),
     "cor-atom-image-3-4": ("verify", "cor-atom-image", "--x", "3", "--y", "4"),
+    "thm-preregular-continuity-5": ("verify", "thm-preregular-continuity",
+                                    "--max-size", "5"),
+    "lem-convex-preregular-7": ("verify", "lem-convex-preregular", "--max-size", "7"),
     "sweep-cat-ro-iso-4": ("sweep", "cat-ro-iso", "--points", "4"),
     "sweep-baire-4": ("sweep", "baire", "--points", "4"),
 }

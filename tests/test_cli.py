@@ -170,6 +170,11 @@ def test_exit_codes_for_errors(capsys):
     code, _, err = run(capsys, "verify", "thm-powerset-form",
                        "--x", "3", "--y", "4", "--budget-nodes", "10")
     assert code == EXIT_BUDGET
+    # the continuity sweep's self-censuses run under the budget too
+    code, out, err = run(capsys, "verify", "thm-preregular-continuity",
+                         "--max-size", "3", "--budget-nodes", "1")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: node budget 1 exceeded\n"
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -316,6 +321,10 @@ def test_crash_is_not_reported_as_violation(capsys, monkeypatch, exc, code):
     ("verify", "law-disjoint-sum", "--dims", "2", "--samples", "50"),
     ("verify", "lem-group-completion", "--max-size", "3"),
     ("sweep", "convex-preregular", "--max-size", "4"),
+    # order options at their limits
+    ("verify", "thm-powerset-form", "--x", "1", "--y", "6"),
+    ("verify", "thm-chainprod-form", "--k", "2", "--m", "4", "--i", "1", "--j", "3"),
+    ("verify", "thm-extension-convexity", "--n", "1", "--m", "3"),
 ])
 def test_every_registered_verifier_passes_on_small_inputs(capsys, argv):
     code, out, err = run(capsys, "--format", "json", *argv)
@@ -373,6 +382,9 @@ def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
                    "for thm-preregular-continuity\n")
 
 
+ORDER_LIMIT = " (orders have at most 64 elements)"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "lem-group-completion", "--max-size", "5"),
      "--max-size must be at most 4 for lem-group-completion"),
@@ -395,6 +407,34 @@ def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
      "topologies are enumerated on 0..5 points, got 6"),
     (("search", "open-meager", "--points", "7"),
      "topologies are enumerated on 0..5 points, got 7"),
+    (("verify", "thm-powerset-form", "--y", "7"),
+     "--y must be at most 6" + ORDER_LIMIT),
+    (("verify", "thm-powerset-form", "--x", str(10 ** 20)),
+     "--x must be at most 6" + ORDER_LIMIT),
+    (("verify", "cor-atom-image", "--y", "20"),
+     "--y must be at most 6" + ORDER_LIMIT),
+    (("verify", "cor-atom-image", "--x", "7", "--y", "6"),
+     "--x must be at most 6" + ORDER_LIMIT),
+    (("verify", "thm-chainprod-form", "--j", str(10 ** 12)),
+     "--j must be at most 6 for --m 2" + ORDER_LIMIT),
+    (("verify", "thm-chainprod-form", "--m", "3", "--j", "4"),
+     "--j must be at most 3 for --m 3" + ORDER_LIMIT),
+    (("verify", "thm-chainprod-form", "--k", "5", "--i", "3"),
+     "--i must be at most 2 for --k 5" + ORDER_LIMIT),
+    (("verify", "thm-chainprod-form", "--k", "65", "--i", "1"),
+     "--k must be at most 64" + ORDER_LIMIT),
+    (("verify", "thm-chainprod-form", "--k", "1", "--i", "7"),
+     "--i must be at most 6 for --k 1" + ORDER_LIMIT),
+    # the default --j 2 would build 4,096 elements
+    (("verify", "thm-chainprod-form", "--m", "64"),
+     "--j must be at most 1 for --m 64" + ORDER_LIMIT),
+    (("verify", "thm-extension-convexity", "--n", "2", "--m", "5"),
+     "--m must be at most 4 for thm-extension-convexity"),
+    # the default --m is --n + 1
+    (("verify", "thm-extension-convexity", "--n", "4"),
+     "--m must be at most 4 for thm-extension-convexity"),
+    (("verify", "thm-extension-convexity", "--n", "7"),
+     "--n must be at most 6" + ORDER_LIMIT),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
