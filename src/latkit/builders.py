@@ -203,6 +203,12 @@ def _level(n: int) -> dict:
     return level
 
 
+def _check_enumeration_size(n: int):
+    if n > MAX_ENUMERATION_SIZE:
+        raise ValueError(
+            f"enumeration is limited to {MAX_ENUMERATION_SIZE} elements, got {n}")
+
+
 def enumerate_posets(n: int):
     """All posets with exactly ``n`` elements, one per isomorphism class,
     sorted by ``canonical_key``; ``n > MAX_ENUMERATION_SIZE`` raises.
@@ -213,9 +219,7 @@ def enumerate_posets(n: int):
     ascending mask order.  Levels are cached per process, so the immutable
     posets are shared between calls; the list is new on every call.
     """
-    if n > MAX_ENUMERATION_SIZE:
-        raise ValueError(
-            f"enumeration is limited to {MAX_ENUMERATION_SIZE} elements, got {n}")
+    _check_enumeration_size(n)
     if n < 1:
         return []
     level = _level(n)
@@ -223,11 +227,28 @@ def enumerate_posets(n: int):
 
 
 def enumerate_lattices(n: int):
-    """All lattices with exactly ``n`` elements, up to isomorphism, in the
-    order of ``enumerate_posets(n)``."""
+    """All lattices with exactly ``n`` elements, up to isomorphism: the
+    lattices of ``enumerate_posets(n)``, with the same ``up_masks`` in the
+    same order, built from level ``n - 1`` only.
+
+    A finite lattice has exactly one maximal element, its top.  ``_level(n)``
+    makes each candidate by adding a new maximal element ``k`` above a lower
+    set ``low`` of one level-``(n - 1)`` representative.  If ``low`` is not
+    the whole parent, some maximal element of the parent is not below ``k``;
+    it stays maximal in the candidate, which is then no lattice.  So each
+    lattice class has exactly one candidate in ``_level(n)``: the
+    representative of its class minus its top, with ``k`` above everything.
+    That is the candidate built here, sorted by the same ``canonical_key``.
+    """
     from .lattice import is_lattice
 
-    return [q for q in enumerate_posets(n) if is_lattice(q)]
+    _check_enumeration_size(n)
+    if n < 2:
+        return [q for q in enumerate_posets(n) if is_lattice(q)]
+    top = 1 << n - 1
+    cands = (QuasiOrder(tuple(up | top for up in q.up_masks) + (top,))
+             for q in enumerate_posets(n - 1))
+    return sorted(filter(is_lattice, cands), key=canonical_key)
 
 
 def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiOrder:

@@ -35,8 +35,9 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # size 6 (134,702 pairs) and 22 s at size 7 (5,144,952 pairs); raising the
 # limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
-# is_flat_complete scans all 2^(2^m) subsets of the codomain once per
-# embedding: --n 2 --m 4 takes about a minute, and --m 5 would never end
+# is_flat_complete scans all 2^(2^m) subsets of the codomain, once per
+# codomain: --n 2 --m 4 takes about 1.3 s, and --m 5 (2^32 subsets) would
+# never end
 MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import time
 
 import pytest
 
-from latkit import embedding
+from latkit import embedding, lattice
 from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -472,3 +473,38 @@ def test_search_convex_not_preregular_report_is_pinned(capsys):
         '{"command": "search", "name": "convex-not-preregular", "report": '
         '{"found": true, "holds": true, "poset": {"pairs": [[0, 2], [0, 3], '
         '[1, 2], [1, 3]], "size": 4}, "subset": [0, 1, 2]}, "seed": 0}\n')
+
+
+def test_convex_preregular_report_at_max_size_8_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "lem-convex-preregular", "--max-size", "8")
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert (report["lattices"], report["subsets"]) == (300, 64782)
+    assert report["holds"] and report["violations"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c49df5b429ff5a00ffe79cc9b98e5c25c9aa424ee58c00768c785b7e5ff46099")
+
+
+def test_flat_completeness_is_scanned_once_per_codomain(capsys, monkeypatch):
+    # --n 2 checks 12 embeddings into the 8-element codomain 2^3; its
+    # 2^8 subsets are scanned once, not once per embedding
+    calls = []
+    is_flat = lattice.is_flat
+    monkeypatch.setattr(lattice, "is_flat",
+                        lambda *args: calls.append(args) or is_flat(*args))
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "thm-extension-convexity", "--n", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["report"]["embeddings"] == 12
+    assert len(calls) == 1 << 8
+
+
+def test_extension_convexity_report_at_m_4_is_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "thm-extension-convexity", "--n", "2", "--m", "4")
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["embeddings"] == 48 and report["holds"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "99a6cde8d0f2a5954b9c5d89747069315484ac369e0f214e72d3bd6ffcc27932")

@@ -7,7 +7,11 @@ versions must return the same bytes and the same list, element by element.
 
 import hashlib
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from functools import cache
 
 import numpy as np
@@ -193,6 +197,34 @@ def test_counts_match_oeis():
         1, 2, 5, 16, 63, 318, 2045]
     assert [len(enumerate_lattices(n)) for n in range(1, 8)] == [
         1, 1, 1, 2, 5, 15, 53]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumerate_lattices_matches_poset_filter(n):
+    # the lattices are built from level n - 1; the filter over level n is
+    # the oracle, compared element by element
+    got = enumerate_lattices(n)
+    want = [q for q in enumerate_posets(n) if is_lattice(q)]
+    assert [q.up_masks for q in got] == [q.up_masks for q in want]
+
+
+def test_enumerate_lattices_at_the_size_limit():
+    # OEIS A006966: 222 lattices on 8 elements
+    lattices = enumerate_lattices(MAX_ENUMERATION_SIZE)
+    assert len(lattices) == 222
+    assert all(is_lattice(q) for q in lattices)
+
+
+def test_enumerate_lattices_does_not_build_its_own_level():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from latkit import builders; builders.enumerate_lattices(8); "
+         "print(builders._level.cache_info().currsize)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7\n"
 
 
 def test_level_cache_is_not_shared_with_callers():
