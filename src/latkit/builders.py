@@ -24,6 +24,7 @@ __all__ = [
     "n5",
     "bowtie",
     "powerset_lattice",
+    "is_powerset_order",
     "ChainProduct",
     "chain_product",
     "enumerate_posets",

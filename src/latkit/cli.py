@@ -41,6 +41,8 @@ MAX_CONTINUITY_SIZE = 6
 MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
+# the keyword filters of embedding.enumerate_embeddings
+CENSUS_FILTERS = ("convex_range", "preregular_range", "downward_closed_range")
 
 
 class InputError(ValueError):
@@ -640,9 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--dom", help="order spec (inline JSON)")
     pe.add_argument("--cod", help="order spec (inline JSON)")
     common(pe)
-    pe.add_argument("--convex-range", action="store_true")
-    pe.add_argument("--preregular-range", action="store_true")
-    pe.add_argument("--downward-closed-range", action="store_true")
+    for name in CENSUS_FILTERS:
+        pe.add_argument("--" + name.replace("_", "-"), action="store_true")
 
     ps = sub.add_parser("search", parents=[shared],
                         help="hunt for a witness structure")
@@ -678,21 +679,19 @@ def _run_enumerate(cfg: RunConfig) -> int:
         dom = parse_order_spec(obj.get("dom"))
         cod = parse_order_spec(obj.get("cod"))
         filters = obj.get("filters", {})
-        if not isinstance(filters, dict):
-            raise InputError("census filters must be an object")
+        if not isinstance(filters, dict) or not all(
+                name in CENSUS_FILTERS and isinstance(on, bool)
+                for name, on in filters.items()):
+            raise InputError("census filters must be an object mapping "
+                             f"{', '.join(CENSUS_FILTERS)} to true or false")
     else:
         if not cfg.options.get("dom") or not cfg.options.get("cod"):
             raise InputError("enumerate needs --dom and --cod or --input")
         dom = parse_order_spec(cfg.options["dom"])
         cod = parse_order_spec(cfg.options["cod"])
-        filters = cfg.options.get("filters", {})
+        filters = cfg.options["filters"]
     census = embedding.enumerate_embeddings(
-        dom, cod,
-        convex_range=bool(filters.get("convex_range")),
-        preregular_range=bool(filters.get("preregular_range")),
-        downward_closed_range=bool(filters.get("downward_closed_range")),
-        budget_nodes=cfg.budget_nodes,
-    )
+        dom, cod, **filters, budget_nodes=cfg.budget_nodes)
     for line in embedding.census_to_json_lines(census):
         sys.stdout.write(line + "\n")
     return EXIT_OK
@@ -735,10 +734,7 @@ def main(argv=None) -> int:
             cfg.options["dom"] = getattr(args, "dom", None)
             cfg.options["cod"] = getattr(args, "cod", None)
             cfg.options["filters"] = {
-                "convex_range": getattr(args, "convex_range", False),
-                "preregular_range": getattr(args, "preregular_range", False),
-                "downward_closed_range": getattr(args, "downward_closed_range", False),
-            }
+                name: getattr(args, name) for name in CENSUS_FILTERS}
             return _run_enumerate(cfg)
 
         if args.command == "verify":

@@ -5,9 +5,9 @@ Each variable's candidates are the set bits of an AND of codomain masks
 (strictly above or incomparable), one per assigned variable, so only
 injective, preserving and reflecting choices are visited; the convex and
 lower-set filters prune partial ranges whose hull or down-closure already
-exceeds the domain size.  Every emitted map is re-checked against the
-plain definitions.  Naive full enumeration over all maps stays available
-as an independent oracle.
+exceeds the domain size.  Each map's range flags are read off the masks at
+its leaf.  The naive census over all maps and :func:`_range_flags`, which
+derive maps and flags from the plain definitions, are the test oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .order import (
     lower_closure,
     mask_of,
     sup,
+    upper_closure,
 )
 from .lattice import (
     check_jid,
@@ -48,11 +49,11 @@ from .lattice import (
     is_basis,
     is_convex,
     is_flat_complete,
-    is_join_closed,
     is_join_dense,
     is_meet_closed,
     is_preregular,
     is_strongly_interval_predense,
+    is_sublattice,
 )
 
 __all__ = [
@@ -174,6 +175,15 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     visited candidate is already injective, preserving and reflecting on
     the assigned part; ``nodes`` counts these visited candidates, and
     :class:`BudgetExceededError` is raised once it passes ``budget_nodes``.
+
+    Every leaf is an embedding, and its flags are exact without a second
+    pass.  At a leaf the range ``rng`` has ``n`` members.  ``hull``, the
+    union of the intervals ``[a, b]`` over ``a, b`` in ``rng``, is the convex
+    hull of ``rng`` and contains it, so the convex prune
+    ``h.bit_count() > n`` on the last variable is exactly ``hull != rng``;
+    likewise ``downs`` is the down-closure of ``rng`` and the lower-set
+    prune is exactly ``downs != rng``.  Preregularity is looked up once per
+    leaf and serves as both filter and flag.
     """
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
@@ -198,8 +208,14 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
         # closures, and its convex hull (the union of up(a) & down(b))
         nonlocal nodes
         if depth == n:
-            if not preregular_range or _preregular_range_cached(cod, rng):
-                found.append(tuple(image))
+            prereg = _preregular_range_cached(cod, rng)
+            if prereg or not preregular_range:
+                found.append((tuple(image), {
+                    "embedding": True,
+                    "convex_range": hull == rng,
+                    "preregular_range": prereg,
+                    "downward_closed_range": downs == rng,
+                }))
             return
         cands = cod.full_mask
         for q, table in constraints[depth]:
@@ -223,23 +239,10 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
 
     rec(0, 0, 0, 0, 0)
 
-    maps = []
-    flags = []
-    for img in sorted(found):
-        mm = MonotoneMap(dom, cod, img)
-        if not mm.is_embedding:  # definition-level re-check
-            continue
-        f = _range_flags(dom, cod, img)
-        if convex_range and not f["convex_range"]:
-            continue
-        if preregular_range and not f["preregular_range"]:
-            continue
-        if downward_closed_range and not f["downward_closed_range"]:
-            continue
-        maps.append(mm)
-        flags.append(f)
+    found.sort(key=operator.itemgetter(0))
     return EmbeddingCensus(
-        dom, cod, tuple(maps), tuple(flags),
+        dom, cod, tuple(MonotoneMap(dom, cod, img) for img, _ in found),
+        tuple(f for _, f in found),
         {"convex_range": convex_range, "preregular_range": preregular_range,
          "downward_closed_range": downward_closed_range},
         nodes,
@@ -807,8 +810,7 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
     _hypothesis("B-basis", is_basis(L, bmask))
     _hypothesis("E-join-dense", is_join_dense(M, emask))
     _hypothesis("E-preregular", is_preregular(M, emask))
-    _hypothesis("E-sublattice",
-                is_meet_closed(M, emask) and is_join_closed(M, emask))
+    _hypothesis("E-sublattice", is_sublattice(M, emask))
     _hypothesis("sigma-defined-on-B", set(sigma) == set(bits(bmask)))
     rng_mask = 0
     for v in sigma.values():
@@ -819,12 +821,8 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
         for a in bits(bmask) for b in bits(bmask)
     )
     _hypothesis("sigma-embedding", refl)
-    convex_in_e = True
-    for p in bits(rng_mask):
-        for q in bits(rng_mask):
-            if (M.up_masks[p] & M.down_masks[q] & emask) & ~rng_mask:
-                convex_in_e = False
-    _hypothesis("sigma-convex-in-E", convex_in_e)
+    hull = upper_closure(M, rng_mask).mask & lower_closure(M, rng_mask).mask
+    _hypothesis("sigma-convex-in-E", hull & emask & ~rng_mask == 0)
 
     ext = extend_from_join_dense(L, bmask, sigma, M)
     exts = enumerate_continuous_extensions(L, bmask, sigma, M)

@@ -19,6 +19,7 @@ from .order import (
     SetLike,
     Subset,
     _require_poset,
+    _upper_bounds,
     bits,
     inf,
     intersection_closure,
@@ -268,10 +269,7 @@ def sup_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
     bmask = mask_of(q, B)
     if bmask & ~amask:
         raise OrderError("B must be a subset of A")
-    ub = amask
-    for b in bits(bmask):
-        ub &= q.up_masks[b]
-    return least_element(q, ub)
+    return least_element(q, amask & _upper_bounds(q, bmask))
 
 
 def inf_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:

@@ -27,6 +27,7 @@ __all__ = [
     "associated_order",
     "monoid_class",
     "group_completion",
+    "vector_group_completion",
     "check_distributivity",
     "check_disjoint_sum_laws",
     "closed_under_subtraction",

@@ -354,19 +354,23 @@ def _require_poset(q: QuasiOrder):
         raise OrderError("operation requires a partial order")
 
 
+def _upper_bounds(q: QuasiOrder, mask: int) -> int:
+    """The common upper bounds of the members of ``mask``, as a mask."""
+    ub = q.full_mask
+    for a in bits(mask):
+        ub &= q.up_masks[a]
+        if not ub:
+            break
+    return ub
+
+
 def sup(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
     """Least upper bound of ``A``, or ``None`` when it does not exist.
 
     ``sup(q, ())`` is the minimum element of the whole order, if any.
     """
     _require_poset(q)
-    m = mask_of(q, A)
-    ub = q.full_mask
-    for a in bits(m):
-        ub &= q.up_masks[a]
-        if not ub:
-            return None
-    return least_element(q, ub)
+    return least_element(q, _upper_bounds(q, mask_of(q, A)))
 
 
 def least_element(q: QuasiOrder, mask: int) -> Optional[int]:
@@ -512,10 +516,7 @@ def is_directed(q: QuasiOrder, A: SetLike) -> bool:
 
 
 def is_bounded_above(q: QuasiOrder, A: SetLike) -> bool:
-    ub = q.full_mask
-    for a in bits(mask_of(q, A)):
-        ub &= q.up_masks[a]
-    return ub != 0
+    return _upper_bounds(q, mask_of(q, A)) != 0
 
 
 def is_bounded_below(q: QuasiOrder, A: SetLike) -> bool:

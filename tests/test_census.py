@@ -1,5 +1,6 @@
-"""The mask-filtered census search against its oracles, its node count, and
-the byte-identity of the census CLI reports."""
+"""The mask-filtered census search against its oracles (images, range flags
+and the definition-level embedding check), its node count, and the
+byte-identity of the census CLI reports."""
 
 import hashlib
 import itertools
@@ -14,6 +15,7 @@ from latkit.builders import chain, enumerate_posets, powerset_lattice
 from latkit.cli import main
 from latkit.embedding import (
     BudgetExceededError,
+    _range_flags,
     continuity_checks,
     enumerate_continuous_extensions,
     enumerate_embeddings,
@@ -49,14 +51,23 @@ CENSUS_JOBS = {
 }
 
 
+def assert_census_matches_oracle(dom, cod, filters):
+    """Images, flags and soundness of the census against the definitions."""
+    census = enumerate_embeddings(dom, cod, **filters)
+    assert census.images() == naive_embedding_census(dom, cod, **filters)
+    assert census.flags == tuple(
+        _range_flags(dom, cod, img) for img in census.images())
+    assert all(m.is_embedding for m in census.maps)
+    assert all(f[name] for f in census.flags for name in filters)
+
+
 @pytest.mark.parametrize("filters", FILTERS, ids=lambda f: next(iter(f), "none"))
 def test_census_matches_naive_on_every_small_poset_pair(filters):
     posets = [q for n in (1, 2, 3, 4) for q in enumerate_posets(n)]
     pairs = [(d, c) for d in posets for c in posets if d.size <= c.size]
     assert len(pairs) == 431
     for dom, cod in pairs:
-        census = enumerate_embeddings(dom, cod, **filters)
-        assert census.images() == naive_embedding_census(dom, cod, **filters)
+        assert_census_matches_oracle(dom, cod, filters)
 
 
 def _random_poset(size, edges):
@@ -77,8 +88,7 @@ def posets(draw, max_size):
 @settings(max_examples=200, deadline=None)
 @given(posets(4), posets(5), st.sampled_from(FILTERS))
 def test_census_matches_naive_on_random_posets(dom, cod, filters):
-    census = enumerate_embeddings(dom, cod, **filters)
-    assert census.images() == naive_embedding_census(dom, cod, **filters)
+    assert_census_matches_oracle(dom, cod, filters)
 
 
 @pytest.mark.parametrize("dom,cod,filters", [

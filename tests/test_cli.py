@@ -256,6 +256,8 @@ MAP = {"dom": {"powerset": 1}, "cod": {"powerset": 2}}
     (("check", "embedding"), {**MAP, "image": 3}),
     (("enumerate",), [MAP]),
     (("enumerate",), {**MAP, "filters": [True]}),
+    (("enumerate",), {**MAP, "filters": {"convex_range": "false"}}),
+    (("enumerate",), {**MAP, "filters": {"convex": True}}),
     (("verify", "lem-group-completion"), [[0]]),
 ])
 def test_malformed_fixture_is_input_error(capsys, tmp_path, argv, doc):
@@ -351,6 +353,19 @@ def test_enumerate_from_input_file(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--input", str(spec_path))
     assert code == EXIT_OK
     assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("filters, count", [
+    ({}, 5),
+    ({"convex_range": False}, 5),
+    ({"convex_range": True, "preregular_range": False}, 4),
+])
+def test_enumerate_input_filters_are_booleans(capsys, tmp_path, filters, count):
+    spec_path = tmp_path / "census.json"
+    spec_path.write_text(json.dumps({**MAP, "filters": filters}))
+    code, out, _ = run(capsys, "enumerate", "--input", str(spec_path))
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == count
 
 
 ENUMERATING = [

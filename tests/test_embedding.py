@@ -452,6 +452,26 @@ def test_convexity_transfer_rejects_bad_hypotheses():
     assert err.value.hypothesis == "B-contains-0"
 
 
+def test_convexity_transfer_rejects_e_outside_sublattices():
+    # bottom and singletons of P(3): join-dense and preregular (no two
+    # singletons have an upper bound inside E), but {0} | {1} is missing
+    p2, p3 = powerset_lattice(2), powerset_lattice(3)
+    with pytest.raises(HypothesisFailed) as err:
+        verify_convexity_transfer(p2, powerset_basis(2), [0, 1, 2, 4], p3,
+                                  {0: 0, 1: 1, 2: 2})
+    assert err.value.hypothesis == "E-sublattice"
+
+
+def test_convexity_transfer_rejects_range_not_convex_in_e():
+    # 0 -> {}, {0} -> {0}, {1} -> {1, 2}: an embedding of the basis whose
+    # range misses {1} and {2} inside the interval [{}, {1, 2}]
+    p2, p3 = powerset_lattice(2), powerset_lattice(3)
+    with pytest.raises(HypothesisFailed) as err:
+        verify_convexity_transfer(p2, powerset_basis(2), p3.full_mask, p3,
+                                  {0: 0, 1: 1, 2: 6})
+    assert err.value.hypothesis == "sigma-convex-in-E"
+
+
 def test_extension_uniqueness_sweep():
     # every valid partial map off a join-dense meet-closed subset of a small
     # lattice has all its continuous extensions agree off the minimals

@@ -112,6 +112,15 @@ def test_convexity():
     assert is_convex(p3, [5])
 
 
+def test_sup_in_subset_requires_b_inside_a():
+    c3 = chain(3)
+    with pytest.raises(OrderError):
+        sup_in_subset(c3, 0b011, 0b100)
+    with pytest.raises(OrderError):
+        inf_in_subset(c3, 0b011, 0b100)
+    assert inf_in_subset(c3, 0b101, 0b000) == 2
+
+
 def test_sup_in_subset_matches_oracle():
     for q in enumerate_posets(4):
         for amask in all_subsets(q):

@@ -232,6 +232,22 @@ def test_bowtie_bounds_by_scan():
         assert is_bounded_above(b, mask) == expect
 
 
+def test_upper_bounds_on_posets_and_quasi_orders():
+    quasi = build_quasi_order(3, [(0, 1), (1, 0), (1, 2)])
+    orders = [q for n in (1, 2, 3, 4) for q in enumerate_posets(n)] + [quasi]
+    for q in orders:
+        for mask in range(1 << q.size):
+            members = list(bits(mask))
+            above = any(all(q.le(a, u) for a in members) for u in range(q.size))
+            below = any(all(q.le(u, a) for a in members) for u in range(q.size))
+            assert is_bounded_above(q, mask) == above
+            assert is_bounded_below(q, mask) == below
+    with pytest.raises(OrderError):
+        sup(quasi, [2])
+    with pytest.raises(OrderError):
+        inf(quasi, [2])
+
+
 def test_monotone_map_validation():
     c2, c3 = chain(2), chain(3)
     mm = MonotoneMap(c2, c3, (0, 2))

@@ -3,6 +3,7 @@ survive ``python -O``, the library runs without numpy, and every demo
 script runs to completion."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "latkit").glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the library modules; the package root and the command-line entry point
+# declare no public namespace of their own
+LIBRARY = [p for p in SOURCES if p.stem not in ("__init__", "cli")]
 
 
 @pytest.mark.parametrize("path", SOURCES + DEMOS, ids=lambda p: p.name)
@@ -48,3 +52,14 @@ def test_demo_runs(path):
     proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_all_lists_exactly_the_public_definitions(path):
+    module = importlib.import_module(f"latkit.{path.stem}")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    assert [name for name in defined if name not in module.__all__] == []
