@@ -35,9 +35,10 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # size 6 (134,702 pairs) and 22 s at size 7 (5,144,952 pairs); raising the
 # limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
-# is_flat_complete scans all 2^(2^m) subsets of the codomain, once per
-# codomain: --n 2 --m 4 takes about 1.3 s, and --m 5 (2^32 subsets) would
-# never end
+# each census map's extension off the basis {0} + atoms is found by trying
+# every monotone candidate for continuity: at --m 4, --n 2/3/4 take about
+# 0.3/0.6/60 s (157,488 candidates at --n 4), and a 32-element codomain
+# multiplies the candidates again
 MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
@@ -186,6 +187,26 @@ class Verifier:
     run: Callable  # (RunConfig) -> report dict with a "holds" bool
 
 
+def _decomposition_failures(census, decompose) -> list:
+    """The census maps that ``decompose`` finds not to be of the theorem's
+    form; ``decompose`` checks its own reconstruction."""
+    failed = []
+    for mm in census.maps:
+        try:
+            decompose(mm)
+        except embedding.DecompositionMismatchError as exc:
+            failed.append({"image": list(mm.image), "error": str(exc)})
+    return failed
+
+
+def _with_witness(report: dict, failures: list) -> dict:
+    """Add the first failure as ``witness``, only when there is one, so a
+    passing report keeps its bytes."""
+    if failures:
+        report["witness"] = failures[0]
+    return report
+
+
 def _verify_powerset_form(cfg: RunConfig) -> dict:
     x = cfg.option("x", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
@@ -194,20 +215,16 @@ def _verify_powerset_form(cfg: RunConfig) -> dict:
     census = embedding.enumerate_embeddings(
         dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes)
     formula = embedding.powerset_formula_census(x, y, dom, cod)
-    decompositions_ok = True
-    for mm in census.maps:
-        dec = embedding.powerset_decompose(mm)
-        if embedding.powerset_embedding(dec.h, dec.b, dom, cod).image != mm.image:
-            decompositions_ok = False
-    holds = census.images() == formula and decompositions_ok
-    return {
-        "holds": holds,
+    failed = _decomposition_failures(census, embedding.powerset_decompose)
+    report = {
+        "holds": census.images() == formula and not failed,
         "x": x,
         "y": y,
         "census": len(census),
         "formula_census": len(formula),
-        "decompositions_ok": decompositions_ok,
+        "decompositions_ok": not failed,
     }
+    return _with_witness(report, failed)
 
 
 def _verify_chainprod_form(cfg: RunConfig) -> dict:
@@ -221,20 +238,16 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
         dom_cp.order, cod_cp.order, convex_range=True,
         budget_nodes=cfg.budget_nodes)
     formula = embedding.chainprod_formula_census(dom_cp, cod_cp)
-    mismatches = 0
-    for mm in census.maps:
-        dec = embedding.chainprod_decompose(mm, dom_cp, cod_cp)
-        if embedding.chainprod_embedding(
-                dec.g, dec.y, dom_cp, cod_cp).image != mm.image:
-            mismatches += 1
-    holds = census.images() == formula and mismatches == 0
-    return {
-        "holds": holds,
+    failed = _decomposition_failures(
+        census, lambda mm: embedding.chainprod_decompose(mm, dom_cp, cod_cp))
+    report = {
+        "holds": census.images() == formula and not failed,
         "shape": {"k": k, "m": m, "i": i, "j": j},
         "census": len(census),
         "formula_census": len(formula),
-        "mismatches": mismatches,
+        "mismatches": len(failed),
     }
+    return _with_witness(report, failed)
 
 
 def _verify_preregular_continuity(cfg: RunConfig) -> dict:
@@ -280,16 +293,23 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
     failures = []
     for mm in census.maps:
         sig = {b: mm.image[b] for b in basis}
-        rep = embedding.verify_convexity_transfer(L, basis, M.full_mask, M, sig)
+        try:
+            rep = embedding.verify_convexity_transfer(
+                L, basis, M.full_mask, M, sig)
+        except embedding.HypothesisFailed as exc:
+            # a census map that fails a hypothesis is a counterexample
+            rep = {"holds": False, "hypothesis": exc.hypothesis,
+                   "error": str(exc)}
         if not rep["holds"] or tuple(rep["extension"]) != mm.image:
             failures.append({"image": list(mm.image), "report": rep})
-    return {
+    report = {
         "holds": not failures,
         "n": n,
         "m": m,
         "embeddings": len(census),
         "failures": failures,
     }
+    return _with_witness(report, failures)
 
 
 def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
@@ -421,15 +441,16 @@ def _search_open_meager(cfg: RunConfig) -> dict:
 def _sweep_baire(cfg: RunConfig) -> dict:
     points = cfg.option("points", 3)
     tops = topology.enumerate_topologies(points)
+    baire = [topology.is_baire(t) for t in tops]
     mismatches = [
-        topology.topology_to_json(t) for t in tops
-        if topology.is_baire(t) != (topology.largest_open_meager(t) == 0)
+        topology.topology_to_json(t) for t, b in zip(tops, baire)
+        if b != (topology.largest_open_meager(t) == 0)
     ]
     return {
         "holds": not mismatches,
         "points": points,
         "topologies": len(tops),
-        "all_baire": all(topology.is_baire(t) for t in tops),
+        "all_baire": all(baire),
         "mismatches": mismatches,
     }
 
@@ -675,6 +696,13 @@ def _options_from(args) -> dict:
 
 def _run_enumerate(cfg: RunConfig) -> int:
     if cfg.inputs:
+        given = [name for name in ("dom", "cod")
+                 if cfg.options.get(name) is not None]
+        given += [name for name, on in cfg.options["filters"].items() if on]
+        if given:
+            raise InputError(
+                "--input gives the orders and filters; it cannot be combined "
+                "with " + ", ".join("--" + n.replace("_", "-") for n in given))
         obj = load_json(cfg.inputs[0])
         dom = parse_order_spec(obj.get("dom"))
         cod = parse_order_spec(obj.get("cod"))

@@ -88,14 +88,6 @@ class LatticeView:
         return all(v >= 0 for table in (self.join, self.meet)
                    for row in table for v in row)
 
-    @cached_property
-    def flat_complete(self) -> bool:
-        """Every flat subset has a supremum: a literal scan of all
-        ``2^size`` subsets, made once per view."""
-        q = self.base
-        return all(sup(q, m) is not None
-                   for m in range(1 << q.size) if is_flat(q, m))
-
 
 def lattice_view(q: QuasiOrder) -> LatticeView:
     """Build the join and meet tables; ``q.lattice_view`` keeps one per
@@ -398,10 +390,10 @@ def is_flat(q: QuasiOrder, A: SetLike) -> bool:
 
 
 def is_flat_complete(lv: LatticeView) -> bool:
-    """Every flat subset has a supremum.  Finite lattices always qualify,
-    but the scan is performed literally, once per ``LatticeView``."""
+    """Every flat subset has a supremum.  A finite lattice is complete, so
+    every subset has a supremum, flat or not."""
     _require_lattice(lv)
-    return lv.flat_complete
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,13 @@ __all__ = [
     "least_element",
     "minimal_elements",
     "positive_part",
-    "are_incompatible",
     "atoms",
     "is_atomic",
     "is_atomless",
     "down_set",
-    "up_set",
     "interval",
     "upper_closure",
     "lower_closure",
-    "is_upper_set",
-    "is_lower_set",
     "upper_sets",
     "is_directed",
     "is_bounded_above",
@@ -403,13 +399,6 @@ def positive_part(q: QuasiOrder) -> Subset:
     return Subset(q, q.full_mask & ~minimal_elements(q).mask)
 
 
-def are_incompatible(q: QuasiOrder, p: int, r: int) -> bool:
-    """True when ``p`` and ``r`` have no common extension in the positive
-    part, i.e. nothing nonminimal lies below both."""
-    pos = positive_part(q).mask
-    return q.down_masks[p] & q.down_masks[r] & pos == 0
-
-
 def atoms(q: QuasiOrder) -> Subset:
     """Nonminimal elements that cannot be split into an incompatible pair.
 
@@ -453,10 +442,6 @@ def down_set(q: QuasiOrder, p: int) -> Subset:
     return Subset(q, q.down_masks[p])
 
 
-def up_set(q: QuasiOrder, p: int) -> Subset:
-    return Subset(q, q.up_masks[p])
-
-
 def interval(q: QuasiOrder, p: int, r: int) -> Subset:
     """The interval ``[p, r] = {s : p <= s <= r}``."""
     return Subset(q, q.up_masks[p] & q.down_masks[r])
@@ -475,16 +460,6 @@ def lower_closure(q: QuasiOrder, A: SetLike) -> Subset:
     for a in bits(mask_of(q, A)):
         m |= q.down_masks[a]
     return Subset(q, m)
-
-
-def is_upper_set(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    return upper_closure(q, m).mask == m
-
-
-def is_lower_set(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    return lower_closure(q, m).mask == m
 
 
 def upper_sets(q: QuasiOrder) -> tuple:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from latkit import embedding, lattice
+from latkit import embedding
 from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -355,6 +355,21 @@ def test_enumerate_from_input_file(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize("flag", [
+    ("--dom", '{"powerset": 3}'),
+    ("--cod", '{"powerset": 3}'),
+    ("--convex-range",),
+    ("--preregular-range",),
+    ("--downward-closed-range",),
+])
+def test_enumerate_input_refuses_command_line_census(capsys, tmp_path, flag):
+    spec_path = tmp_path / "census.json"
+    spec_path.write_text(json.dumps(MAP))
+    code, out, err = run(capsys, "enumerate", "--input", str(spec_path), *flag)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and flag[0] in err
+
+
 @pytest.mark.parametrize("filters, count", [
     ({}, 5),
     ({"convex_range": False}, 5),
@@ -501,18 +516,51 @@ def test_convex_preregular_report_at_max_size_8_is_pinned(capsys):
         "c49df5b429ff5a00ffe79cc9b98e5c25c9aa424ee58c00768c785b7e5ff46099")
 
 
-def test_flat_completeness_is_scanned_once_per_codomain(capsys, monkeypatch):
-    # --n 2 checks 12 embeddings into the 8-element codomain 2^3; its
-    # 2^8 subsets are scanned once, not once per embedding
-    calls = []
-    is_flat = lattice.is_flat
-    monkeypatch.setattr(lattice, "is_flat",
-                        lambda *args: calls.append(args) or is_flat(*args))
-    code, out, _ = run(capsys, "--format", "json", "verify",
-                       "thm-extension-convexity", "--n", "2")
-    assert code == EXIT_OK
-    assert json.loads(out)["report"]["embeddings"] == 12
-    assert len(calls) == 1 << 8
+@pytest.mark.parametrize("slug, argv, name", [
+    ("thm-powerset-form", ("--x", "1", "--y", "2"), "powerset_decompose"),
+    ("thm-chainprod-form", ("--k", "2", "--m", "2", "--i", "1", "--j", "2"),
+     "chainprod_decompose"),
+])
+def test_decomposition_failure_is_a_violation(capsys, monkeypatch, slug, argv,
+                                              name):
+    code, out, _ = run(capsys, "--format", "json", "verify", slug, *argv)
+    assert code == EXIT_OK and "witness" not in json.loads(out)["report"]
+    # mutation: the second census map is not of the theorem's form
+    real = getattr(embedding, name)
+    seen = []
+
+    def mutant(mm, *rest):
+        seen.append(list(mm.image))
+        if len(seen) == 2:
+            raise embedding.DecompositionMismatchError("mutant")
+        return real(mm, *rest)
+
+    monkeypatch.setattr(embedding, name, mutant)
+    code, out, err = run(capsys, "--format", "json", "verify", slug, *argv)
+    assert code == EXIT_VIOLATION and err == ""
+    report = json.loads(out)["report"]
+    assert not report["holds"] and len(seen) == report["census"] > 2
+    assert report["witness"] == {"image": seen[1], "error": "mutant"}
+
+
+def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
+    argv = ("--format", "json", "verify", "thm-extension-convexity", "--n", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and "witness" not in json.loads(out)["report"]
+    # mutation: the transfer theorem rejects a hypothesis on every census map
+    def mutant(*args):
+        raise embedding.HypothesisFailed("M-flat-complete", "mutant")
+
+    monkeypatch.setattr(embedding, "verify_convexity_transfer", mutant)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VIOLATION and err == ""
+    report = json.loads(out)["report"]
+    assert not report["holds"]
+    assert len(report["failures"]) == report["embeddings"] > 0
+    assert report["witness"] == report["failures"][0]
+    assert report["witness"]["report"] == {
+        "holds": False, "hypothesis": "M-flat-complete",
+        "error": "hypothesis 'M-flat-complete' failed: mutant"}
 
 
 def test_extension_convexity_report_at_m_4_is_pinned(capsys):

@@ -229,9 +229,20 @@ def test_flat():
     assert not is_flat(p3, [3, 5, 6])   # meets hit different singletons
     assert is_flat(p3, [5])
     assert is_flat_complete(lattice_view(chain(4)))
-    for n in (3, 4, 5):
+
+
+def test_flat_completeness_matches_literal_scan():
+    # oracle: every flat subset has a supremum, checked subset by subset
+    lattices = 0
+    for n in range(1, 7):
         for q in enumerate_lattices(n):
-            assert is_flat_complete(lattice_view(q))
+            lattices += 1
+            scan = all(sup(q, m) is not None
+                       for m in all_subsets(q) if is_flat(q, m))
+            assert is_flat_complete(lattice_view(q)) == scan
+    assert lattices == 1 + 1 + 1 + 2 + 5 + 15
+    with pytest.raises(OrderError):
+        is_flat_complete(lattice_view(antichain(2)))
 
 
 def test_density_checks_powerset_singletons():

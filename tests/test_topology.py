@@ -281,6 +281,23 @@ def test_closed_forms_of_meager_sets_and_algebra_sizes():
         assert len(ro_algebra(t).members) == category_algebra(t).size == 2 ** classes
 
 
+def test_meager_mask_and_baire_sets_match_nowhere_dense_scans():
+    # oracle on every 5-point space: the largest meager set is the union of
+    # the nowhere dense subsets, and the Baire-property sets are the ones
+    # that differ from some open set by a nowhere dense set
+    for t in enumerate_topologies(5):
+        union = 0
+        for s in range(1 << t.points):
+            nowhere_dense = is_nowhere_dense(t, s)
+            assert is_meager(t, s) == nowhere_dense
+            if nowhere_dense:
+                union |= s
+        assert t.meager_mask == union
+        assert baire_property_sets(t) == tuple(
+            s for s in range(1 << t.points)
+            if any(is_nowhere_dense(t, s ^ o) for o in t.opens_sorted))
+
+
 def test_five_point_spaces_are_distinct_topologies():
     spaces = enumerate_topologies(5)
     assert len({t.opens for t in spaces}) == len(spaces) == 6942
