@@ -124,12 +124,16 @@ class ChainProduct:
         return tuple(out)
 
     @cached_property
+    def vectors(self) -> tuple:
+        """``vector(i)`` for every index ``i``."""
+        return tuple(self.vector(i) for i in range(self.size))
+
+    @cached_property
     def order(self) -> QuasiOrder:
-        vecs = [self.vector(i) for i in range(self.size)]
         return QuasiOrder(tuple(
-            sum(1 << b for b, w in enumerate(vecs)
+            sum(1 << b for b, w in enumerate(self.vectors)
                 if all(x <= y for x, y in zip(v, w)))
-            for v in vecs))
+            for v in self.vectors))
 
 
 def chain_product(dims) -> ChainProduct:

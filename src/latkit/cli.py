@@ -42,12 +42,18 @@ MAX_CONTINUITY_SIZE = 6
 MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
+# the integer options of verify; search and sweep take points and max_size
+INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")
 # the keyword filters of embedding.enumerate_embeddings
 CENSUS_FILTERS = ("convex_range", "preregular_range", "downward_closed_range")
 
 
 class InputError(ValueError):
     pass
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
@@ -66,6 +72,21 @@ class RunConfig:
             raise InputError("--budget-nodes must be positive")
         if self.samples <= 0:
             raise InputError("--samples must be positive")
+        if len(self.inputs) > 1:
+            raise InputError("--input may be given only once")
+
+    def refuse_unread(self, reads: tuple):
+        """Refuse every given option that is not in ``reads``; ``input``
+        stands for ``--input``.  A file replaces the command's other
+        options, so next to ``--input`` none of them is read."""
+        why = ""
+        if self.inputs and "input" in reads:
+            reads, why = ("input",), " next to --input"
+        given = [*self.options, *(["input"] if self.inputs else [])]
+        unread = [_flag(key) for key in given if key not in reads]
+        if unread:
+            raise InputError(f"{self.command} {self.name} does not read "
+                             + ", ".join(unread) + why)
 
     def option(self, key: str, default: int, limit: Optional[int] = None,
                why: str = "") -> int:
@@ -73,7 +94,7 @@ class RunConfig:
         so an explicit 0 stays 0.  Every integer option is a size or a
         count, so a negative value is refused, and so is a value or default
         above ``limit``; ``why`` ends that message."""
-        flag = f"--{key.replace('_', '-')}"
+        flag = _flag(key)
         value = self.options.get(key)
         if value is None:
             value = default
@@ -185,18 +206,7 @@ class Verifier:
     slug: str
     description: str
     run: Callable  # (RunConfig) -> report dict with a "holds" bool
-
-
-def _decomposition_failures(census, decompose) -> list:
-    """The census maps that ``decompose`` finds not to be of the theorem's
-    form; ``decompose`` checks its own reconstruction."""
-    failed = []
-    for mm in census.maps:
-        try:
-            decompose(mm)
-        except embedding.DecompositionMismatchError as exc:
-            failed.append({"image": list(mm.image), "error": str(exc)})
-    return failed
+    reads: tuple = ()  # the options run reads; "input" stands for --input
 
 
 def _with_witness(report: dict, failures: list) -> dict:
@@ -207,23 +217,34 @@ def _with_witness(report: dict, failures: list) -> dict:
     return report
 
 
+def _product_form(cfg: RunConfig, params: dict, dom, cod, formula: Callable,
+                  decompose: Callable) -> tuple:
+    """The convex-range census ``dom -> cod`` against ``formula()``, and the
+    census maps that ``decompose`` finds not of the theorem's form
+    (``decompose`` checks its own reconstruction): a report that starts
+    with ``params``, and the failures."""
+    census = embedding.enumerate_embeddings(
+        dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes)
+    images = formula()
+    failed = []
+    for mm in census.maps:
+        try:
+            decompose(mm)
+        except embedding.DecompositionMismatchError as exc:
+            failed.append({"image": list(mm.image), "error": str(exc)})
+    return {"holds": census.images() == images and not failed, **params,
+            "census": len(census), "formula_census": len(images)}, failed
+
+
 def _verify_powerset_form(cfg: RunConfig) -> dict:
     x = cfg.option("x", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
-    dom = builders.powerset_lattice(x)
-    cod = builders.powerset_lattice(y)
-    census = embedding.enumerate_embeddings(
-        dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes)
-    formula = embedding.powerset_formula_census(x, y, dom, cod)
-    failed = _decomposition_failures(census, embedding.powerset_decompose)
-    report = {
-        "holds": census.images() == formula and not failed,
-        "x": x,
-        "y": y,
-        "census": len(census),
-        "formula_census": len(formula),
-        "decompositions_ok": not failed,
-    }
+    report, failed = _product_form(
+        cfg, {"x": x, "y": y},
+        builders.powerset_lattice(x), builders.powerset_lattice(y),
+        lambda: embedding.powerset_formula_census(x, y),
+        embedding.powerset_decompose)
+    report["decompositions_ok"] = not failed
     return _with_witness(report, failed)
 
 
@@ -232,21 +253,17 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
     m = cfg.option("m", 2, MAX_SPEC_SIZE, _SPEC_LIMIT)
     i = cfg.option("i", 1, _max_factors(k), f" for --k {k}{_SPEC_LIMIT}")
     j = cfg.option("j", 2, _max_factors(m), f" for --m {m}{_SPEC_LIMIT}")
+    if k < 2 and i >= 1:
+        raise InputError("--k must be at least 2 when --i is at least 1 "
+                         "(the theorem takes chains of height 2 or more)")
     dom_cp = builders.chain_product([k] * i)
     cod_cp = builders.chain_product([m] * j)
-    census = embedding.enumerate_embeddings(
-        dom_cp.order, cod_cp.order, convex_range=True,
-        budget_nodes=cfg.budget_nodes)
-    formula = embedding.chainprod_formula_census(dom_cp, cod_cp)
-    failed = _decomposition_failures(
-        census, lambda mm: embedding.chainprod_decompose(mm, dom_cp, cod_cp))
-    report = {
-        "holds": census.images() == formula and not failed,
-        "shape": {"k": k, "m": m, "i": i, "j": j},
-        "census": len(census),
-        "formula_census": len(formula),
-        "mismatches": len(failed),
-    }
+    report, failed = _product_form(
+        cfg, {"shape": {"k": k, "m": m, "i": i, "j": j}},
+        dom_cp.order, cod_cp.order,
+        lambda: embedding.chainprod_formula_census(dom_cp, cod_cp),
+        lambda mm: embedding.chainprod_decompose(mm, dom_cp, cod_cp))
+    report["mismatches"] = len(failed)
     return _with_witness(report, failed)
 
 
@@ -455,79 +472,68 @@ def _sweep_baire(cfg: RunConfig) -> dict:
     }
 
 
-VERIFIERS = {
-    "thm-powerset-form": Verifier(
-        "thm-powerset-form",
-        "convex-range power-set embeddings are exactly the maps a -> h[a] | b",
-        _verify_powerset_form),
-    "thm-chainprod-form": Verifier(
-        "thm-chainprod-form",
-        "convex-range chain-product embeddings are shifted partial projections",
-        _verify_chainprod_form),
-    "thm-preregular-continuity": Verifier(
-        "thm-preregular-continuity",
-        "embeddings with preregular range preserve nonempty sups and infs",
-        _verify_preregular_continuity),
-    "lem-convex-preregular": Verifier(
-        "lem-convex-preregular",
-        "convex subsets of lattices are preregular",
-        _verify_convex_preregular),
-    "thm-extension-convexity": Verifier(
-        "thm-extension-convexity",
-        "basis extensions are unique and keep a convex range",
-        _verify_extension_convexity),
-    "prop-cat-ro-iso": Verifier(
-        "prop-cat-ro-iso",
-        "category algebra is isomorphic to the residual regular open algebra",
-        _verify_cat_ro_iso),
-    "cor-atom-image": Verifier(
-        "cor-atom-image",
-        "embeddings map atoms onto the relative atoms of their range",
-        _verify_atom_image),
-    "law-monoid-distributivity": Verifier(
-        "law-monoid-distributivity",
-        "addition distributes over joins and meets of the associated order",
-        _verify_monoid_distributivity),
-    "law-disjoint-sum": Verifier(
-        "law-disjoint-sum",
-        "disjoint elements add to their join and sums stay disjoint",
-        _verify_disjoint_sum),
-    "lem-group-completion": Verifier(
-        "lem-group-completion",
-        "cancellative commutative monoids embed into their pair-class group",
-        _verify_group_completion),
-}
+def _registry(*verifiers) -> dict:
+    return {v.slug: v for v in verifiers}
+
+
+VERIFIERS = _registry(
+    Verifier("thm-powerset-form",
+             "convex-range power-set embeddings are exactly the maps a -> h[a] | b",
+             _verify_powerset_form, ("x", "y")),
+    Verifier("thm-chainprod-form",
+             "convex-range chain-product embeddings are shifted partial projections",
+             _verify_chainprod_form, ("k", "m", "i", "j")),
+    Verifier("thm-preregular-continuity",
+             "embeddings with preregular range preserve nonempty sups and infs",
+             _verify_preregular_continuity, ("max_size",)),
+    Verifier("lem-convex-preregular",
+             "convex subsets of lattices are preregular",
+             _verify_convex_preregular, ("max_size",)),
+    Verifier("thm-extension-convexity",
+             "basis extensions are unique and keep a convex range",
+             _verify_extension_convexity, ("n", "m")),
+    Verifier("prop-cat-ro-iso",
+             "category algebra is isomorphic to the residual regular open algebra",
+             _verify_cat_ro_iso, ("points",)),
+    Verifier("cor-atom-image",
+             "embeddings map atoms onto the relative atoms of their range",
+             _verify_atom_image, ("x", "y")),
+    Verifier("law-monoid-distributivity",
+             "addition distributes over joins and meets of the associated order",
+             _verify_monoid_distributivity, ("input", "dims")),
+    Verifier("law-disjoint-sum",
+             "disjoint elements add to their join and sums stay disjoint",
+             _verify_disjoint_sum, ("input", "dims")),
+    Verifier("lem-group-completion",
+             "cancellative commutative monoids embed into their pair-class group",
+             _verify_group_completion, ("input", "max_size")),
+)
 
 ALIASES = {
     "powerset-characterization": "thm-powerset-form",
     "chainprod-characterization": "thm-chainprod-form",
 }
 
-SEARCHES = {
-    "convex-not-preregular": Verifier(
-        "convex-not-preregular",
-        "hunt a non-lattice poset with a convex non-preregular subset",
-        _search_convex_not_preregular),
-    "open-meager": Verifier(
-        "open-meager",
-        "hunt a topology with a nonempty largest open meager set",
-        _search_open_meager),
-}
+SEARCHES = _registry(
+    Verifier("convex-not-preregular",
+             "hunt a non-lattice poset with a convex non-preregular subset",
+             _search_convex_not_preregular, ("max_size",)),
+    Verifier("open-meager",
+             "hunt a topology with a nonempty largest open meager set",
+             _search_open_meager, ("points",)),
+)
 
-SWEEPS = {
-    "cat-ro-iso": Verifier(
-        "cat-ro-iso",
-        "category algebra vs regular open algebra over every topology",
-        _verify_cat_ro_iso),
-    "baire": Verifier(
-        "baire",
-        "Baire verdict agrees with emptiness of the largest open meager set",
-        _sweep_baire),
-    "convex-preregular": Verifier(
-        "convex-preregular",
-        "convex implies preregular over every lattice up to a size bound",
-        _verify_convex_preregular),
-}
+SWEEPS = _registry(
+    Verifier("cat-ro-iso",
+             "category algebra vs regular open algebra over every topology",
+             _verify_cat_ro_iso, ("points",)),
+    Verifier("baire",
+             "Baire verdict agrees with emptiness of the largest open meager set",
+             _sweep_baire, ("points",)),
+    Verifier("convex-preregular",
+             "convex implies preregular over every lattice up to a size bound",
+             _verify_convex_preregular, ("max_size",)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("name", nargs="?")
     pv.add_argument("--list", dest="list_local", action="store_true")
     common(pv)
-    for opt in ("x", "y", "k", "m", "i", "j", "n", "points", "max-size", "dims"):
-        pv.add_argument(f"--{opt}", type=int, default=None)
+    for key in INT_OPTIONS:
+        pv.add_argument(_flag(key), type=int, default=None)
 
     pc = sub.add_parser("check", parents=[shared],
                         help="check one structure for one property")
@@ -664,34 +670,21 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--cod", help="order spec (inline JSON)")
     common(pe)
     for name in CENSUS_FILTERS:
-        pe.add_argument("--" + name.replace("_", "-"), action="store_true")
+        pe.add_argument(_flag(name), action="store_true")
 
-    ps = sub.add_parser("search", parents=[shared],
-                        help="hunt for a witness structure")
-    ps.add_argument("name", choices=sorted(SEARCHES))
-    common(ps)
-    ps.add_argument("--points", type=int, default=None)
-    ps.add_argument("--max-size", type=int, default=None)
-
-    pw = sub.add_parser("sweep", parents=[shared],
-                        help="exhaustive family sweep")
-    pw.add_argument("name", choices=sorted(SWEEPS))
-    common(pw)
-    pw.add_argument("--points", type=int, default=None)
-    pw.add_argument("--max-size", type=int, default=None)
+    for command, table, text in (
+            ("search", SEARCHES, "hunt for a witness structure"),
+            ("sweep", SWEEPS, "exhaustive family sweep")):
+        p = sub.add_parser(command, parents=[shared], help=text)
+        p.add_argument("name", choices=sorted(table))
+        for key in ("points", "max_size"):
+            p.add_argument(_flag(key), type=int, default=None)
     return parser
 
 
 def _options_from(args) -> dict:
-    out = {}
-    for opt in ("x", "y", "k", "m", "i", "j", "n", "points", "dims"):
-        v = getattr(args, opt, None)
-        if v is not None:
-            out[opt] = v
-    v = getattr(args, "max_size", None)
-    if v is not None:
-        out["max_size"] = v
-    return out
+    return {key: v for key in INT_OPTIONS
+            if (v := getattr(args, key, None)) is not None}
 
 
 def _run_enumerate(cfg: RunConfig) -> int:
@@ -702,7 +695,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
         if given:
             raise InputError(
                 "--input gives the orders and filters; it cannot be combined "
-                "with " + ", ".join("--" + n.replace("_", "-") for n in given))
+                "with " + ", ".join(map(_flag, given)))
         obj = load_json(cfg.inputs[0])
         dom = parse_order_spec(obj.get("dom"))
         cod = parse_order_spec(obj.get("cod"))
@@ -733,7 +726,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     if args.list or (getattr(args, "list_local", False)):
-        cfg = RunConfig(command="list", output_format=args.format)
         if args.format == "json":
             sys.stdout.write(json.dumps({"verifiers": _registry_listing()},
                                         sort_keys=True) + "\n")
@@ -765,23 +757,20 @@ def main(argv=None) -> int:
                 name: getattr(args, name) for name in CENSUS_FILTERS}
             return _run_enumerate(cfg)
 
-        if args.command == "verify":
-            if cfg.name is None:
-                raise InputError("verify needs a verifier name (see --list)")
-            slug = ALIASES.get(cfg.name, cfg.name)
-            if slug not in VERIFIERS:
-                raise InputError(f"unknown verifier {cfg.name!r}")
-            report = VERIFIERS[slug].run(cfg)
-        elif args.command == "check":
+        if args.command == "check":
             if not cfg.inputs:
                 raise InputError("check needs --input")
             report = CHECKS[cfg.name](cfg)
-        elif args.command == "search":
-            report = SEARCHES[cfg.name].run(cfg)
-        elif args.command == "sweep":
-            report = SWEEPS[cfg.name].run(cfg)
         else:
-            raise InputError(f"unknown command {args.command!r}")
+            if cfg.name is None:
+                raise InputError("verify needs a verifier name (see --list)")
+            table = {"verify": VERIFIERS, "search": SEARCHES,
+                     "sweep": SWEEPS}[args.command]
+            runner = table.get(ALIASES.get(cfg.name, cfg.name))
+            if runner is None:
+                raise InputError(f"unknown verifier {cfg.name!r}")
+            cfg.refuse_unread(runner.reads)
+            report = runner.run(cfg)
         emit_report(cfg, report)
     except embedding.BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

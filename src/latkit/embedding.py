@@ -8,10 +8,16 @@ lower-set filters prune partial ranges whose hull or down-closure already
 exceeds the domain size.  Each map's range flags are read off the masks at
 its leaf.  The naive census over all maps and :func:`_range_flags`, which
 derive maps and flags from the plain definitions, are the test oracle.
+
+One engine serves both product-form theorems: the chain-product functions
+decompose, build and list the shifted partial projections ``x -> (x o g) + y``,
+and the power-set functions are their views on the cubes ``C_2^n`` (ordered as
+``powerset_lattice(n)``), reading ``(g, y)`` as ``a -> h[a] | b``, ``h = g^-1``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -22,7 +28,6 @@ from .builders import (
     ChainProduct,
     canonical_key,
     enumerate_posets,
-    is_powerset_order,
 )
 from .order import (
     MonotoneMap,
@@ -483,104 +488,6 @@ def preregular_continuity_sweep(max_size: int, *,
 
 
 # ---------------------------------------------------------------------------
-# power-set characterization
-
-
-@dataclass(frozen=True)
-class PowersetDecomposition:
-    """``a -> h[a] | b`` with ``h`` injective on ground points and ``b``
-    disjoint from the image of ``h``."""
-
-    h: tuple   # ground point -> ground point
-    b: int     # bitmask over the codomain ground set
-
-    def apply(self, a_mask: int) -> int:
-        out = self.b
-        for x in bits(a_mask):
-            out |= 1 << self.h[x]
-        return out
-
-
-def _require_powerset(q: QuasiOrder, who: str) -> int:
-    if not is_powerset_order(q):
-        raise OrderError(f"{who} is not a power-set lattice in mask form")
-    return q.size.bit_length() - 1
-
-
-def powerset_embedding(h: Iterable[int], b: int,
-                       dom: QuasiOrder, cod: QuasiOrder) -> MonotoneMap:
-    """Build ``a -> h[a] | b``; validates injectivity and disjointness."""
-    x = _require_powerset(dom, "domain")
-    _require_powerset(cod, "codomain")
-    h = tuple(h)
-    if len(set(h)) != len(h) or len(h) != x:
-        raise ValueError("h must be an injection on the ground set")
-    hmask = 0
-    for v in h:
-        hmask |= 1 << v
-    if hmask & b:
-        raise ValueError("b must be disjoint from the image of h")
-    dec = PowersetDecomposition(h, b)
-    return MonotoneMap(dom, cod, tuple(dec.apply(a) for a in range(dom.size)))
-
-
-def powerset_decompose(sigma: MonotoneMap) -> PowersetDecomposition:
-    """Recover ``(h, b)`` from a convex-range embedding of power sets.
-
-    ``b`` is the image of the empty set and ``h(x)`` the unique new point in
-    the image of ``{x}``; any failure after the convexity check is a
-    :class:`DecompositionMismatchError` (it would contradict the census law).
-    """
-    x = _require_powerset(sigma.dom, "domain")
-    _require_powerset(sigma.cod, "codomain")
-    if not sigma.is_embedding:
-        raise NotEmbeddingError("map is not an order embedding")
-    if not is_convex(sigma.cod, sigma.range_mask):
-        raise NotConvexRangeError("range is not convex")
-    b = sigma.image[0]
-    h = []
-    for i in range(x):
-        delta = sigma.image[1 << i] & ~b
-        if delta.bit_count() != 1:
-            raise DecompositionMismatchError(
-                f"image of singleton {i} does not add exactly one point")
-        h.append(delta.bit_length() - 1)
-    if len(set(h)) != x:
-        raise DecompositionMismatchError("ground map is not injective")
-    dec = PowersetDecomposition(tuple(h), b)
-    for a in range(sigma.dom.size):
-        if dec.apply(a) != sigma.image[a]:
-            raise DecompositionMismatchError(f"reconstruction differs at {a}")
-    return dec
-
-
-def powerset_formula_census(x: int, y: int,
-                            dom: Optional[QuasiOrder] = None,
-                            cod: Optional[QuasiOrder] = None) -> tuple:
-    """Image tuples of every map ``a -> h[a] | b`` with ``h`` injective and
-    ``b`` in the complement of ``h``'s image; sorted."""
-    from .builders import powerset_lattice
-
-    dom = dom if dom is not None else powerset_lattice(x)
-    cod = cod if cod is not None else powerset_lattice(y)
-    full = cod.size - 1  # ground mask of the codomain
-    out = []
-    for h in itertools.permutations(range(y), x):
-        hmask = 0
-        for v in h:
-            hmask |= 1 << v
-        free = full & ~hmask
-        b = free
-        while True:
-            dec = PowersetDecomposition(h, b)
-            out.append(tuple(dec.apply(a) for a in range(1 << x)))
-            if b == 0:
-                break
-            b = (b - 1) & free
-    return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
 # chain-product characterization
 
 
@@ -592,62 +499,87 @@ class ChainProdDecomposition:
     g: tuple   # pairs (j, i): codomain coordinate j reads domain coordinate i
     y: tuple
 
-    def apply(self, vec: tuple) -> tuple:
-        out = list(self.y)
-        for j, i in self.g:
-            out[j] += vec[i]
-        return tuple(out)
+
+def _shift_room(g: tuple, dom_cp: ChainProduct, cod_cp: ChainProduct) -> list:
+    """The largest shift that fits each codomain coordinate: ``m_j - k_i``
+    where coordinate ``j`` reads domain coordinate ``i``, else ``m_j - 1``."""
+    room = [m - 1 for m in cod_cp.dims]
+    for j, i in g:
+        room[j] -= dom_cp.dims[i] - 1
+    return room
+
+
+def _projection_image(g: tuple, y: tuple, dom_cp: ChainProduct,
+                      cod_cp: ChainProduct) -> tuple:
+    """The image tuple of ``(g, y)``, checked as :func:`chainprod_embedding`
+    states.  An index is linear in its vector, so each image is
+    ``cod_cp.index(y)`` plus the index of the unshifted projection."""
+    seen_j = {j for j, _ in g}
+    if (len(seen_j) != len(g) or not seen_j <= set(range(len(cod_cp.dims)))
+            or sorted(i for _, i in g) != list(range(len(dom_cp.dims)))):
+        raise PreconditionFailedError(
+            "g must be a bijection from codomain coordinates onto all "
+            "domain coordinates")
+    room = _shift_room(g, dom_cp, cod_cp)
+    if len(y) != len(room) or not all(0 <= s <= r for s, r in zip(y, room)):
+        raise PreconditionFailedError(
+            f"shift {y} does not fit the codomain chains {cod_cp.dims}")
+    strides = tuple(itertools.accumulate(cod_cp.dims[:-1], operator.mul,
+                                         initial=1))
+    base = cod_cp.index(y)
+    return tuple(base + sum(vec[i] * strides[j] for j, i in g)
+                 for vec in dom_cp.vectors)
 
 
 def chainprod_embedding(g, y, dom_cp: ChainProduct,
                         cod_cp: ChainProduct) -> MonotoneMap:
-    g = tuple(sorted(tuple(p) for p in g))
-    y = tuple(y)
-    seen_j = [j for j, _ in g]
-    seen_i = sorted(i for _, i in g)
-    if len(set(seen_j)) != len(g) or seen_i != list(range(len(dom_cp.dims))):
-        raise ValueError("g must be a bijection from codomain coordinates "
-                         "onto all domain coordinates")
-    for j, i in g:
-        if dom_cp.dims[i] - 1 + y[j] > cod_cp.dims[j] - 1:
-            raise ValueError(f"shift {y[j]} does not fit on coordinate {j}")
-    dec = ChainProdDecomposition(g, y)
-    image = tuple(
-        cod_cp.index(dec.apply(dom_cp.vector(v))) for v in range(dom_cp.size)
-    )
+    """The shifted partial projection ``(g, y)`` as a map of chain products.
+    ``g`` must be a bijection from codomain coordinates onto all domain
+    coordinates, and ``y`` a shift per codomain coordinate that keeps every
+    image inside its chain; otherwise :class:`PreconditionFailedError`."""
+    image = _projection_image(tuple(map(tuple, g)), tuple(y), dom_cp, cod_cp)
     return MonotoneMap(dom_cp.order, cod_cp.order, image)
 
 
 def chainprod_decompose(sigma: MonotoneMap, dom_cp: ChainProduct,
                         cod_cp: ChainProduct) -> ChainProdDecomposition:
     """Recover the shifted-projection form of a convex-range embedding
-    between products of finite chains."""
-    if sigma.dom is not dom_cp.order or sigma.cod is not cod_cp.order:
-        raise ValueError("map does not connect the given chain products")
+    between products of finite chains.
+
+    ``y`` is the image of the bottom, and ``g`` pairs each domain coordinate
+    ``i`` with the codomain coordinate that the image of the ``i``-th unit
+    vector moves up by one.  Any failure after the convexity check is a
+    :class:`DecompositionMismatchError` (it would contradict the theorem).
+    """
+    if (sigma.dom.up_masks != dom_cp.order.up_masks
+            or sigma.cod.up_masks != cod_cp.order.up_masks):
+        raise PreconditionFailedError(
+            "map does not connect the given chain products")
     if any(d < 2 for d in dom_cp.dims):
-        raise ValueError("domain chains must have height at least 2")
+        raise PreconditionFailedError(
+            "domain chains must have height at least 2")
     if not sigma.is_embedding:
         raise NotEmbeddingError("map is not an order embedding")
     if not is_convex(sigma.cod, sigma.range_mask):
         raise NotConvexRangeError("range is not convex")
     dims = len(dom_cp.dims)
-    y = cod_cp.vector(sigma.image[dom_cp.index((0,) * dims)])
+    y = cod_cp.vector(sigma.image[0])
     pairs = []
     for i in range(dims):
-        unit = tuple(1 if t == i else 0 for t in range(dims))
-        img = cod_cp.vector(sigma.image[dom_cp.index(unit)])
-        delta = [a - b for a, b in zip(img, y)]
-        hot = [j for j, d in enumerate(delta) if d != 0]
-        if len(hot) != 1 or delta[hot[0]] != 1:
+        unit = dom_cp.index([int(t == i) for t in range(dims)])
+        img = cod_cp.vector(sigma.image[unit])
+        moved = [j for j in range(len(y)) if img[j] != y[j]]
+        if len(moved) != 1:  # a step other than +1 fails the reconstruction
             raise DecompositionMismatchError(
                 f"image of unit vector {i} is not a unit shift")
-        pairs.append((hot[0], i))
-    if len({j for j, _ in pairs}) != len(pairs):
-        raise DecompositionMismatchError("coordinate map is not injective")
+        pairs.append((moved[0], i))
     dec = ChainProdDecomposition(tuple(sorted(pairs)), y)
-    for v in range(dom_cp.size):
-        if cod_cp.index(dec.apply(dom_cp.vector(v))) != sigma.image[v]:
-            raise DecompositionMismatchError(f"reconstruction differs at {v}")
+    try:
+        image = _projection_image(dec.g, y, dom_cp, cod_cp)
+    except PreconditionFailedError as exc:
+        raise DecompositionMismatchError(str(exc)) from exc
+    if image != sigma.image:
+        raise DecompositionMismatchError("reconstruction differs from the map")
     return dec
 
 
@@ -655,32 +587,67 @@ def chainprod_formula_census(dom_cp: ChainProduct,
                              cod_cp: ChainProduct) -> tuple:
     """Image tuples of every feasible shifted partial projection; sorted."""
     I = len(dom_cp.dims)
-    J = len(cod_cp.dims)
-    out = []
-    for K in itertools.combinations(range(J), I):
+    out = set()
+    for K in itertools.combinations(range(len(cod_cp.dims)), I):
         for perm in itertools.permutations(range(I)):
             g = tuple(zip(K, perm))
-            ranges = []
-            feasible = True
-            for j in range(J):
-                match = [i for jj, i in g if jj == j]
-                if match:
-                    top = cod_cp.dims[j] - dom_cp.dims[match[0]]
-                    if top < 0:
-                        feasible = False
-                        break
-                    ranges.append(range(top + 1))
-                else:
-                    ranges.append(range(cod_cp.dims[j]))
-            if not feasible:
-                continue
-            for y in itertools.product(*ranges):
-                dec = ChainProdDecomposition(g, y)
-                out.append(tuple(
-                    cod_cp.index(dec.apply(dom_cp.vector(v)))
-                    for v in range(dom_cp.size)
-                ))
-    return tuple(sorted(set(out)))
+            # a shift range is empty where a domain chain does not fit
+            for y in itertools.product(
+                    *(range(r + 1) for r in _shift_room(g, dom_cp, cod_cp))):
+                out.add(_projection_image(g, y, dom_cp, cod_cp))
+    return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# power-set characterization: the chain-product form on 2-element chains
+
+
+@functools.cache
+def _cube(size: int) -> ChainProduct:
+    """``C_2^n`` for ``size = 2^n``, built once per size.  Its order is
+    ``powerset_lattice(n)`` label for label: in base 2 the index of a 0/1
+    vector is the bitmask of its support."""
+    return ChainProduct((2,) * (size.bit_length() - 1))
+
+
+@dataclass(frozen=True)
+class PowersetDecomposition:
+    """``a -> h[a] | b`` with ``h`` injective on ground points and ``b``
+    disjoint from the image of ``h``: the chain-product form with
+    ``g = h^-1`` and ``y = b``, whose fit forces ``y = 0`` on ``h[X]``."""
+
+    h: tuple   # ground point -> ground point
+    b: int     # bitmask over the codomain ground set
+
+
+def powerset_embedding(h: Iterable[int], b: int,
+                       dom: QuasiOrder, cod: QuasiOrder) -> MonotoneMap:
+    """Build ``a -> h[a] | b`` between the 2-chain cubes of ``dom``'s and
+    ``cod``'s sizes.  :func:`chainprod_embedding` refuses an ``h`` that is
+    not an injection into the codomain ground set and a ``b`` that meets
+    its image."""
+    cod_cp = _cube(cod.size)
+    if not 0 <= b < cod_cp.size:
+        raise PreconditionFailedError("b must be a mask over the codomain "
+                                      "ground set")
+    return chainprod_embedding(((j, i) for i, j in enumerate(h)),
+                               cod_cp.vector(b), _cube(dom.size), cod_cp)
+
+
+def powerset_decompose(sigma: MonotoneMap) -> PowersetDecomposition:
+    """Recover ``(h, b)`` from a convex-range embedding of power sets by
+    :func:`chainprod_decompose` on the 2-chain cubes: ``h(i)`` is the
+    codomain point that reads ground point ``i`` and ``b`` the shift."""
+    cod_cp = _cube(sigma.cod.size)
+    dec = chainprod_decompose(sigma, _cube(sigma.dom.size), cod_cp)
+    h = tuple(j for j, _ in sorted(dec.g, key=operator.itemgetter(1)))
+    return PowersetDecomposition(h, cod_cp.index(dec.y))
+
+
+def powerset_formula_census(x: int, y: int) -> tuple:
+    """Image tuples of every map ``a -> h[a] | b`` with ``h`` injective and
+    ``b`` in the complement of ``h``'s image; sorted."""
+    return chainprod_formula_census(_cube(1 << x), _cube(1 << y))
 
 
 # ---------------------------------------------------------------------------

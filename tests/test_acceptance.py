@@ -65,7 +65,7 @@ def test_criterion_1_powerset_characterization():
         for y in range(x, 5):
             dom, cod = powerset_lattice(x), powerset_lattice(y)
             census = enumerate_embeddings(dom, cod, convex_range=True)
-            formula = powerset_formula_census(x, y, dom, cod)
+            formula = powerset_formula_census(x, y)
             assert census.images() == formula, (x, y)
             for mm in census.maps:
                 dec = powerset_decompose(mm)

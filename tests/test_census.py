@@ -1,6 +1,6 @@
 """The mask-filtered census search against its oracles (images, range flags
 and the definition-level embedding check), its node count, and the
-byte-identity of the census CLI reports."""
+byte-identity of every CLI report pinned by the benchmark."""
 
 import hashlib
 import itertools
@@ -48,6 +48,13 @@ CENSUS_JOBS = {
     "lem-convex-preregular-7": ("verify", "lem-convex-preregular", "--max-size", "7"),
     "sweep-cat-ro-iso-4": ("sweep", "cat-ro-iso", "--points", "4"),
     "sweep-baire-4": ("sweep", "baire", "--points", "4"),
+    "list": ("--list",),
+    "law-monoid-distributivity": ("verify", "law-monoid-distributivity",
+                                  "--samples", "10000", "--seed", "0"),
+    "law-disjoint-sum": ("verify", "law-disjoint-sum",
+                         "--samples", "10000", "--seed", "0"),
+    "lem-group-completion-4": ("verify", "lem-group-completion", "--max-size", "4"),
+    "thm-extension-convexity-2": ("verify", "thm-extension-convexity", "--n", "2"),
 }
 
 
@@ -113,6 +120,10 @@ def test_powerset_census_node_count_is_pinned():
                                   convex_range=True)
     assert len(census) == 240
     assert census.nodes == 117_723
+
+
+def test_every_pinned_benchmark_output_is_replayed():
+    assert sorted(CENSUS_JOBS) == sorted(EXPECTED)
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS_JOBS))

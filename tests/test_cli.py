@@ -466,6 +466,11 @@ ORDER_LIMIT = " (orders have at most 64 elements)"
      "--m must be at most 4 for thm-extension-convexity"),
     (("verify", "thm-extension-convexity", "--n", "7"),
      "--n must be at most 6" + ORDER_LIMIT),
+    # refused before the census, not by the decomposition of its first map
+    (("verify", "thm-chainprod-form", "--k", "1", "--m", "2", "--i", "1",
+      "--j", "2"),
+     "--k must be at least 2 when --i is at least 1 "
+     "(the theorem takes chains of height 2 or more)"),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -473,6 +478,39 @@ def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "baire", "--points", "2", "--input", "/nonexistent/junk.json"),
+     "error: unrecognized arguments: --input /nonexistent/junk.json\n"),
+    (("verify", "thm-powerset-form", "--x", "1", "--y", "2",
+      "--input", "junk.json"),
+     "error: verify thm-powerset-form does not read --input\n"),
+    (("verify", "thm-powerset-form", "--x", "1", "--y", "2",
+      "--points", "9", "--max-size", "99"),
+     "error: verify thm-powerset-form does not read --points, --max-size\n"),
+    (("verify", "law-disjoint-sum", "--input", fixture("truncated_add_3.json"),
+      "--input", "/nonexistent.json"),
+     "error: --input may be given only once\n"),
+    (("verify", "law-disjoint-sum", "--dims", "2",
+      "--input", fixture("truncated_add_3.json")),
+     "error: verify law-disjoint-sum does not read --dims next to --input\n"),
+    (("verify", "lem-group-completion", "--max-size", "2",
+      "--input", fixture("truncated_add_3.json")),
+     "error: verify lem-group-completion does not read --max-size "
+     "next to --input\n"),
+    (("search", "open-meager", "--max-size", "3"),
+     "error: search open-meager does not read --max-size\n"),
+    (("check", "classify", "--input", fixture("m3.json"),
+      "--input", fixture("n5.json")),
+     "error: --input may be given only once\n"),
+])
+def test_unread_option_exits_2_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(message)
 
 
 @pytest.mark.parametrize("argv", [

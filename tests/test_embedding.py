@@ -297,6 +297,57 @@ def test_powerset_embedding_validation():
         powerset_decompose(MonotoneMap(p2, p2, (0, 3, 3, 3)))
 
 
+def test_powerset_lattice_is_the_two_chain_cube():
+    # the power-set views run the chain-product engine on these cubes
+    for n in range(7):
+        assert powerset_lattice(n).up_masks == chain_product([2] * n).order.up_masks
+
+
+def test_powerset_census_matches_formula_from_the_empty_ground_set():
+    for x in range(5):
+        for y in range(x, 5):
+            dom, cod = powerset_lattice(x), powerset_lattice(y)
+            census = enumerate_embeddings(dom, cod, convex_range=True)
+            assert census.images() == powerset_formula_census(x, y), (x, y)
+            for mm in census.maps:
+                dec = powerset_decompose(mm)
+                again = powerset_embedding(dec.h, dec.b, dom, cod)
+                assert again.image == mm.image, (x, y, mm.image)
+
+
+@pytest.mark.parametrize("h, b", [
+    ((0, 3), 0),      # h value outside the 3-point ground set
+    ((0, -1), 0),
+    ((0, 1), 0b1000),  # b bit outside the ground set
+    ((0, 1), -1),
+])
+def test_powerset_embedding_refuses_points_outside_the_codomain(h, b):
+    with pytest.raises(PreconditionFailedError):
+        powerset_embedding(h, b, powerset_lattice(2), powerset_lattice(3))
+
+
+def test_chainprod_preconditions_are_precondition_errors():
+    c2, c3 = chain_product([2]), chain_product([3])
+    with pytest.raises(PreconditionFailedError):
+        chainprod_embedding(((0, 0),), (0,), c3, c2)  # 3-chain cannot fit
+    with pytest.raises(PreconditionFailedError):
+        chainprod_embedding(((1, 0),), (0,), c2, c3)  # no coordinate 1
+    with pytest.raises(PreconditionFailedError):
+        chainprod_embedding(((0, 0),), (0, 0), c2, c3)  # one shift too many
+    c1 = chain_product([1])
+    with pytest.raises(PreconditionFailedError):
+        chainprod_decompose(MonotoneMap(c1.order, c3.order, (0,)), c1, c3)
+    with pytest.raises(PreconditionFailedError):
+        chainprod_decompose(MonotoneMap(c2.order, c3.order, (0, 1)), c2, c2)
+
+
+def test_chainprod_decompose_compares_orders_not_objects():
+    # a map built on one copy of C2 x C2 decomposes against another copy
+    mm = MonotoneMap(chain_product([2, 2]).order, powerset_lattice(2), (0, 1, 2, 3))
+    dec = chainprod_decompose(mm, chain_product([2, 2]), chain_product([2, 2]))
+    assert dec.g == ((0, 0), (1, 1)) and dec.y == (0, 0)
+
+
 def test_chainprod_decompose_identity():
     cp = chain_product([2, 2])
     ident = MonotoneMap(cp.order, cp.order, tuple(range(4)))
