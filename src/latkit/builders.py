@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .order import QuasiOrder, bits, build_quasi_order, upper_sets
+from .order import OrderError, QuasiOrder, bits, build_quasi_order, upper_sets
+from .lattice import is_lattice
 
 __all__ = [
     "chain",
@@ -68,24 +69,19 @@ def bowtie() -> QuasiOrder:
     return build_quasi_order(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
 
-@functools.cache
-def _powerset_up_masks(n: int) -> tuple:
-    """``up_masks`` of the subset lattice of ``range(n)``: the supersets of
-    each mask; built once per ``n``."""
-    size = 1 << n
-    return tuple(sum(1 << b for b in range(size) if a & ~b == 0)
-                 for a in range(size))
-
-
 def powerset_lattice(n: int) -> QuasiOrder:
-    """Subset lattice of an ``n``-element ground set; element = bitmask."""
-    return QuasiOrder(_powerset_up_masks(n))
+    """Subset lattice of an ``n``-element ground set; element = bitmask.
+    It is the order of the cube ``C_2^n``, and every call for one ``n``
+    returns the same object."""
+    if n < 0:
+        raise OrderError(f"a ground set has n >= 0 points, got {n}")
+    return _cube(n).order
 
 
 def is_powerset_order(q: QuasiOrder) -> bool:
     """Check that ``q`` is a power-set lattice in the mask convention."""
     n = q.size.bit_length() - 1
-    return q.size > 0 and q.size == 1 << n and q.up_masks == _powerset_up_masks(n)
+    return q.size > 0 and q.up_masks == powerset_lattice(n).up_masks
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +93,7 @@ class ChainProduct:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
-            raise ValueError("chain heights must be positive")
+            raise OrderError("chain heights must be positive")
 
     @property
     def size(self) -> int:
@@ -111,7 +107,7 @@ class ChainProduct:
         stride = 1
         for v, d in zip(vec, self.dims):
             if not 0 <= v < d:
-                raise ValueError(f"coordinate {v} out of range for height {d}")
+                raise OrderError(f"coordinate {v} out of range for height {d}")
             idx += v * stride
             stride *= d
         return idx
@@ -138,6 +134,15 @@ class ChainProduct:
 
 def chain_product(dims) -> ChainProduct:
     return ChainProduct(tuple(dims))
+
+
+@functools.cache
+def _cube(n: int) -> ChainProduct:
+    """``C_2^n``, built once per ``n``: every call for one ``n`` returns the
+    same object.  Its order is the subset lattice of ``range(n)`` label for
+    label, since in base 2 the index of a 0/1 vector is the bitmask of its
+    support."""
+    return ChainProduct((2,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ def _level(n: int) -> dict:
 
 def _check_enumeration_size(n: int):
     if n > MAX_ENUMERATION_SIZE:
-        raise ValueError(
+        raise OrderError(
             f"enumeration is limited to {MAX_ENUMERATION_SIZE} elements, got {n}")
 
 
@@ -245,8 +250,6 @@ def enumerate_lattices(n: int):
     representative of its class minus its top, with ``k`` above everything.
     That is the candidate built here, sorted by the same ``canonical_key``.
     """
-    from .lattice import is_lattice
-
     _check_enumeration_size(n)
     if n < 2:
         return [q for q in enumerate_posets(n) if is_lattice(q)]
@@ -259,10 +262,8 @@ def enumerate_lattices(n: int):
 def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiOrder:
     """A random ``n``-element lattice: random mid-layer order glued between a
     fresh bottom and top, resampled until the result is a lattice."""
-    from .lattice import is_lattice
-
     if n < 2:
-        raise ValueError("need at least bottom and top")
+        raise OrderError("need at least bottom and top")
     mid = n - 2
     while True:
         pairs = []

@@ -17,7 +17,6 @@ and the power-set functions are their views on the cubes ``C_2^n`` (ordered as
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -26,6 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 from .builders import (
     ChainProduct,
+    _cube,
     canonical_key,
     enumerate_posets,
 )
@@ -59,6 +59,8 @@ from .lattice import (
     is_preregular,
     is_strongly_interval_predense,
     is_sublattice,
+    lattice_view,
+    order_closed_checks,
 )
 
 __all__ = [
@@ -147,14 +149,6 @@ class EmbeddingCensus:
         return tuple(m.image for m in self.maps)
 
 
-def _preregular_range_cached(cod: QuasiOrder, mask: int) -> bool:
-    memo = cod.preregular_memo
-    v = memo.get(mask)
-    if v is None:
-        v = memo[mask] = is_preregular(cod, mask)
-    return v
-
-
 def _range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
     rmask = 0
     for v in image:
@@ -162,7 +156,7 @@ def _range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
     return {
         "embedding": True,
         "convex_range": is_convex(cod, rmask),
-        "preregular_range": _preregular_range_cached(cod, rmask),
+        "preregular_range": is_preregular(cod, rmask),
         "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
     }
 
@@ -187,8 +181,8 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     hull of ``rng`` and contains it, so the convex prune
     ``h.bit_count() > n`` on the last variable is exactly ``hull != rng``;
     likewise ``downs`` is the down-closure of ``rng`` and the lower-set
-    prune is exactly ``downs != rng``.  Preregularity is looked up once per
-    leaf and serves as both filter and flag.
+    prune is exactly ``downs != rng``.  Preregularity serves as both filter
+    and flag; it is computed once per distinct range of the census.
     """
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
@@ -197,6 +191,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     image = [-1] * n
     found = []
     nodes = 0
+    preregular = {}  # range mask -> is_preregular(cod, range mask)
     up_c, down_c = cod.up_masks, cod.down_masks
     above = [up_c[c] & ~(1 << c) for c in range(k)]
     apart = [cod.full_mask & ~(up_c[c] | down_c[c]) for c in range(k)]
@@ -213,7 +208,9 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
         # closures, and its convex hull (the union of up(a) & down(b))
         nonlocal nodes
         if depth == n:
-            prereg = _preregular_range_cached(cod, rng)
+            prereg = preregular.get(rng)
+            if prereg is None:
+                prereg = preregular[rng] = is_preregular(cod, rng)
             if prereg or not preregular_range:
                 found.append((tuple(image), {
                     "embedding": True,
@@ -354,8 +351,6 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
 def range_property_checks(sigma: MonotoneMap) -> dict:
     """Order-closedness flags of the range, and whether the range is the
     interval between the images of the extrema (when the domain has them)."""
-    from .lattice import order_closed_checks
-
     cod = sigma.cod
     rmask = sigma.range_mask
     oc = order_closed_checks(cod, rmask)
@@ -461,7 +456,7 @@ def preregular_continuity_sweep(max_size: int, *,
     bad = []  # (induced suborder, codomain index) per violating range
     for qi, cod in enumerate(posets):
         for rmask in range(1, 1 << cod.size):
-            if not _preregular_range_cached(cod, rmask):
+            if not is_preregular(cod, rmask):
                 continue
             sub, elems = induced_suborder(cod, rmask)
             aut = automorphisms.get(sub.up_masks)
@@ -602,12 +597,9 @@ def chainprod_formula_census(dom_cp: ChainProduct,
 # power-set characterization: the chain-product form on 2-element chains
 
 
-@functools.cache
-def _cube(size: int) -> ChainProduct:
-    """``C_2^n`` for ``size = 2^n``, built once per size.  Its order is
-    ``powerset_lattice(n)`` label for label: in base 2 the index of a 0/1
-    vector is the bitmask of its support."""
-    return ChainProduct((2,) * (size.bit_length() - 1))
+def _cube_of(q: QuasiOrder) -> ChainProduct:
+    """The 2-chain cube ``C_2^n`` of a ``2^n``-element order."""
+    return _cube(q.size.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -626,20 +618,20 @@ def powerset_embedding(h: Iterable[int], b: int,
     ``cod``'s sizes.  :func:`chainprod_embedding` refuses an ``h`` that is
     not an injection into the codomain ground set and a ``b`` that meets
     its image."""
-    cod_cp = _cube(cod.size)
+    cod_cp = _cube_of(cod)
     if not 0 <= b < cod_cp.size:
         raise PreconditionFailedError("b must be a mask over the codomain "
                                       "ground set")
     return chainprod_embedding(((j, i) for i, j in enumerate(h)),
-                               cod_cp.vector(b), _cube(dom.size), cod_cp)
+                               cod_cp.vector(b), _cube_of(dom), cod_cp)
 
 
 def powerset_decompose(sigma: MonotoneMap) -> PowersetDecomposition:
     """Recover ``(h, b)`` from a convex-range embedding of power sets by
     :func:`chainprod_decompose` on the 2-chain cubes: ``h(i)`` is the
     codomain point that reads ground point ``i`` and ``b`` the shift."""
-    cod_cp = _cube(sigma.cod.size)
-    dec = chainprod_decompose(sigma, _cube(sigma.dom.size), cod_cp)
+    cod_cp = _cube_of(sigma.cod)
+    dec = chainprod_decompose(sigma, _cube_of(sigma.dom), cod_cp)
     h = tuple(j for j, _ in sorted(dec.g, key=operator.itemgetter(1)))
     return PowersetDecomposition(h, cod_cp.index(dec.y))
 
@@ -647,7 +639,7 @@ def powerset_decompose(sigma: MonotoneMap) -> PowersetDecomposition:
 def powerset_formula_census(x: int, y: int) -> tuple:
     """Image tuples of every map ``a -> h[a] | b`` with ``h`` injective and
     ``b`` in the complement of ``h``'s image; sorted."""
-    return chainprod_formula_census(_cube(1 << x), _cube(1 << y))
+    return chainprod_formula_census(_cube(x), _cube(y))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +649,7 @@ def powerset_formula_census(x: int, y: int) -> tuple:
 def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
                             M: QuasiOrder):
     if set(sigma) != set(bits(dmask)):
-        raise ValueError("sigma must be defined exactly on D")
+        raise PreconditionFailedError("sigma must be defined exactly on D")
     if not classify(M)["complete_semilattice"]:
         raise HypothesisFailed("M-complete-semilattice")
     if not is_join_dense(L, dmask):
@@ -765,10 +757,11 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
     emask = mask_of(M, E)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
-    _hypothesis("L-jid", check_jid(L.lattice_view)["holds"])
+    _hypothesis("L-jid", check_jid(lattice_view(L))["holds"])
     _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
-    _hypothesis("M-jid", check_jid(M.lattice_view)["holds"])
-    _hypothesis("M-flat-complete", is_flat_complete(M.lattice_view))
+    lv_m = lattice_view(M)
+    _hypothesis("M-jid", check_jid(lv_m)["holds"])
+    _hypothesis("M-flat-complete", is_flat_complete(lv_m))
     bottom = sup(L, 0)
     _hypothesis("B-contains-0", bottom is not None and (bmask >> bottom) & 1)
     _hypothesis("B-meet-subsemilattice", is_meet_closed(L, bmask))

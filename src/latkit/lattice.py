@@ -90,22 +90,17 @@ class LatticeView:
 
 
 def lattice_view(q: QuasiOrder) -> LatticeView:
-    """Build the join and meet tables; ``q.lattice_view`` keeps one per
-    order."""
+    """Build the join and meet tables, which the order does not keep: ``c``
+    is the join of ``a`` and ``b`` iff ``up[a] & up[b] == up[c]`` (as in
+    :func:`is_lattice`), so each entry is one lookup; meets use ``down_masks``."""
     if not q.is_poset:
         raise OrderError("lattice view requires a partial order")
-    n = q.size
-    join = [[-1] * n for _ in range(n)]
-    meet = [[-1] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            s = sup(q, (1 << a) | (1 << b))
-            if s is not None:
-                join[a][b] = join[b][a] = s
-            m = inf(q, (1 << a) | (1 << b))
-            if m is not None:
-                meet[a][b] = meet[b][a] = m
-    return LatticeView(q, tuple(map(tuple, join)), tuple(map(tuple, meet)))
+    tables = []
+    for masks in (q.up_masks, q.down_masks):
+        at = {m: c for c, m in enumerate(masks)}
+        tables.append(tuple([tuple([at.get(a & b, -1) for b in masks])
+                             for a in masks]))
+    return LatticeView(q, *tables)
 
 
 def is_lattice(q: QuasiOrder) -> bool:
@@ -129,29 +124,17 @@ def classify(q: QuasiOrder) -> dict:
     if not q.is_poset:
         raise OrderError("classification requires a partial order")
     n = q.size
-    lv = q.lattice_view
+    lv = lattice_view(q)
     bottom = sup(q, 0)
     top = inf(q, 0)
     pointed = bottom is not None
     bounded = pointed and top is not None
     lattice = lv.is_lattice
-    csl = pointed
-    if csl:
-        for a in range(n):
-            for b in range(a + 1, n):
-                if q.up_masks[a] & q.up_masks[b] and lv.join[a][b] < 0:
-                    csl = False
-                    break
-            if not csl:
-                break
-    boolean = bounded and lattice
-    if boolean:
-        for p in range(n):
-            if not any(
-                lv.meet[p][c] == bottom and lv.join[p][c] == top for c in range(n)
-            ):
-                boolean = False
-                break
+    csl = pointed and all(lv.join[a][b] >= 0 for a in range(n) for b in range(a)
+                          if q.up_masks[a] & q.up_masks[b])
+    boolean = bounded and lattice and all(
+        any(lv.meet[p][c] == bottom and lv.join[p][c] == top for c in range(n))
+        for p in range(n))
     return {
         "lattice": lattice,
         "complete_semilattice": csl,
@@ -426,7 +409,7 @@ def is_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
 def is_strongly_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
     """Interval predensity with the separating element's meet against ``p``
     required to fall back into ``D``."""
-    lv = q.lattice_view
+    lv = lattice_view(q)
     _require_lattice(lv)
     dmask = mask_of(q, D)
     for p in range(q.size):
@@ -511,7 +494,7 @@ def _antichain_decomposition(lv: LatticeView, dmask: int, target: int,
 def is_basis(q: QuasiOrder, D: SetLike) -> bool:
     """``D`` is a meet subsemilattice and every element is the supremum of a
     pairwise-incompatible family from ``D``.  Requires a pointed lattice."""
-    lv = q.lattice_view
+    lv = lattice_view(q)
     _require_lattice(lv)
     bottom = sup(q, 0)
     if bottom is None:

@@ -3,8 +3,9 @@
 The carrier of an order is always ``range(size)``, and the relation is
 stored once, as the tuple of up-set bitmasks.  Subsets of the carrier
 travel as int bitmasks, wrapped in :class:`Subset` at the public surface.
-The relation cannot be changed after construction; derived values such as
-``down_masks`` and ``dual`` are computed from it on first use.
+The relation cannot be changed after construction, and an order keeps only
+values derived from it alone (``down_masks``, ``dual``, ``is_poset``,
+``full_mask``); this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -140,20 +141,6 @@ class QuasiOrder:
     @cached_property
     def is_poset(self) -> bool:
         return is_partial_order(self)
-
-    @cached_property
-    def lattice_view(self):
-        """The join and meet tables of :func:`latkit.lattice.lattice_view`,
-        built on first use."""
-        from .lattice import lattice_view
-
-        return lattice_view(self)
-
-    @cached_property
-    def preregular_memo(self) -> dict:
-        """``{mask: is_preregular(self, mask)}`` for the ranges the embedding
-        census has tested; a codomain shared by many censuses keeps it."""
-        return {}
 
     def __repr__(self):
         return f"QuasiOrder(size={self.size})"

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .order import QuasiOrder, _is_index, bits, induced_suborder, upper_sets
-from .lattice import classify
+from .lattice import classify, is_basis
 
 __all__ = [
     "TopologyError",
@@ -349,8 +349,6 @@ def is_zero_dimensional(t: FiniteTopology) -> bool:
 def clopen_basis_check(t: FiniteTopology) -> dict:
     """Clopen classes form a basis of the category algebra when the space
     is zero dimensional; raises otherwise."""
-    from .lattice import is_basis
-
     if not is_zero_dimensional(t):
         raise NotZeroDimensionalError("clopen sets do not form a base")
     cat = category_algebra(t)

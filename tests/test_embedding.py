@@ -1,6 +1,7 @@
 """Censuses, decompositions, continuity, and the extension machinery."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from latkit.builders import (
     enumerate_lattices,
     enumerate_posets,
     powerset_lattice,
+    random_lattice,
 )
 from latkit.embedding import (
     BudgetExceededError,
@@ -38,8 +40,16 @@ from latkit.embedding import (
     verify_convexity_transfer,
     verify_preregular_continuity,
 )
-from latkit.lattice import classify, is_convex, is_preregular, lattice_view
-from latkit.order import MonotoneMap, atoms, bits, minimal_elements, positive_part
+from latkit.lattice import check_jid, classify, is_convex, is_preregular, lattice_view
+from latkit.order import (
+    MonotoneMap,
+    OrderError,
+    QuasiOrder,
+    atoms,
+    bits,
+    minimal_elements,
+    positive_part,
+)
 
 
 def test_census_chain_into_chain():
@@ -301,6 +311,39 @@ def test_powerset_lattice_is_the_two_chain_cube():
     # the power-set views run the chain-product engine on these cubes
     for n in range(7):
         assert powerset_lattice(n).up_masks == chain_product([2] * n).order.up_masks
+
+
+def test_powerset_lattice_is_one_order_per_size():
+    assert powerset_lattice(3) is powerset_lattice(3)
+    assert powerset_lattice(3) is not powerset_lattice(2)
+    with pytest.raises(OrderError):
+        powerset_lattice(-1)
+
+
+def test_an_order_keeps_only_what_its_relation_determines():
+    # census memos and lattice tables live with the computation, not the order
+    dom, cod = chain(3), QuasiOrder(powerset_lattice(3).up_masks)
+    assert len(enumerate_embeddings(dom, cod, preregular_range=True)) > 0
+    assert classify(cod)["boolean"]
+    assert check_jid(lattice_view(cod))["holds"]
+    assert set(vars(cod)) <= {"up_masks", "down_masks", "dual", "is_poset",
+                              "full_mask"}
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: chain_product([2, 0]), OrderError),
+    (lambda: chain_product([2, 3]).index((1, 3)), OrderError),
+    (lambda: enumerate_posets(9), OrderError),
+    (lambda: random_lattice(1, random.Random(0)), OrderError),
+    (lambda: extend_from_join_dense(chain(2), [0, 1], {0: 0, 1: 1, 2: 1},
+                                    chain(2)), PreconditionFailedError),
+], ids=["chain-height", "chain-coordinate", "enumeration-size",
+        "random-lattice-size", "sigma-domain"])
+def test_input_errors_raise_their_module_class(call, error):
+    # both classes are ValueErrors, so the command line still exits 2
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and issubclass(error, ValueError)
 
 
 def test_powerset_census_matches_formula_from_the_empty_ground_set():

@@ -42,7 +42,7 @@ from latkit.lattice import (
     subset_report,
     sup_in_subset,
 )
-from latkit.order import atoms, build_quasi_order, sup
+from latkit.order import atoms, build_quasi_order, inf, sup
 
 
 def all_subsets(q):
@@ -70,6 +70,20 @@ def test_classify_stock_posets():
     assert not b["lattice"] and not b["pointed"]
     a = classify(antichain(2))
     assert not a["complete_semilattice"] and not a["lattice"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lattice_view_tables_are_pairwise_sup_and_inf(n):
+    # the pairwise sup/inf loop that the lookup tables replaced is the oracle
+    for p in enumerate_posets(n):
+        for q in (p, p.dual):
+            lv = lattice_view(q)
+            for a in range(n):
+                for b in range(n):
+                    pair = (1 << a) | (1 << b)
+                    for table, bound in ((lv.join, sup), (lv.meet, inf)):
+                        v = bound(q, pair)
+                        assert table[a][b] == (-1 if v is None else v)
 
 
 def test_distributivity():

@@ -1,6 +1,7 @@
 """Whole-package checks: runtime checks in the library and the demos
-survive ``python -O``, the library runs without numpy, and every demo
-script runs to completion."""
+survive ``python -O``, the library runs without numpy, imports sit at
+module level with ``order`` at the bottom of the module graph, and every
+demo script runs to completion."""
 
 import ast
 import importlib
@@ -44,6 +45,28 @@ def test_cli_import_does_not_load_numpy():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not lines, f"{path.name}: import inside a function at lines {lines}"
+
+
+def test_order_is_the_bottom_of_the_module_graph():
+    path = ROOT / "src" / "latkit" / "order.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "latkit")]
+    imported += [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "latkit" for a in node.names)]
+    assert not imported, f"order.py imports latkit at lines {imported}"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
