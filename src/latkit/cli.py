@@ -42,6 +42,14 @@ MAX_CONTINUITY_SIZE = 6
 MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
+# every monoid law acts per coordinate, so more dimensions test nothing new;
+# with 10,000 samples law-monoid-distributivity takes about 0.5 s at
+# --dims 2 and 1.1 s at 8, and unlimited --dims 1000 took 14 s at 1,000
+MAX_DIMS = 8
+# the sampled laws take time linear in --samples: law-monoid-distributivity
+# takes about 0.5 s at 10,000 (the benchmark's value), 6-7 s at 100,000 and
+# 13 s at both limits (--dims 8 --samples 100000)
+MAX_SAMPLES = 100_000
 # the integer options of verify; search and sweep take points and max_size
 INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")
 # the keyword filters of embedding.enumerate_embeddings
@@ -72,6 +80,8 @@ class RunConfig:
             raise InputError("--budget-nodes must be positive")
         if self.samples <= 0:
             raise InputError("--samples must be positive")
+        if self.samples > MAX_SAMPLES:
+            raise InputError(f"--samples must be at most {MAX_SAMPLES}")
         if len(self.inputs) > 1:
             raise InputError("--input may be given only once")
 
@@ -366,11 +376,16 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
     }
 
 
-def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
+def _monoid(cfg: RunConfig):
+    """The monoid table in ``--input``, else ``N^d`` for ``d = --dims``."""
     if cfg.inputs:
-        mon = monoid.monoid_from_json(load_json(cfg.inputs[0]))
-    else:
-        mon = monoid.VectorMonoid(cfg.option("dims", 2))
+        return monoid.monoid_from_json(load_json(cfg.inputs[0]))
+    return monoid.VectorMonoid(cfg.option(
+        "dims", 2, MAX_DIMS, " (every monoid law acts per coordinate)"))
+
+
+def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
+    mon = _monoid(cfg)
     reports = {
         mode: monoid.check_distributivity(
             mon, mode, samples=cfg.samples, seed=cfg.seed)
@@ -383,17 +398,14 @@ def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
 
 
 def _verify_disjoint_sum(cfg: RunConfig) -> dict:
-    if cfg.inputs:
-        mon = monoid.monoid_from_json(load_json(cfg.inputs[0]))
-    else:
-        mon = monoid.VectorMonoid(cfg.option("dims", 2))
-    rep = monoid.check_disjoint_sum_laws(mon, samples=cfg.samples, seed=cfg.seed)
+    rep = monoid.check_disjoint_sum_laws(_monoid(cfg), samples=cfg.samples,
+                                         seed=cfg.seed)
     return {"holds": rep["holds"], "report": rep}
 
 
 def _verify_group_completion(cfg: RunConfig) -> dict:
     if cfg.inputs:
-        mon = monoid.monoid_from_json(load_json(cfg.inputs[0]))
+        mon = _monoid(cfg)
         try:
             gc = monoid.group_completion(mon)
         except monoid.NotCancellativeError:

@@ -31,7 +31,6 @@ from .order import (
 
 __all__ = [
     "LatticeView",
-    "SubposetAnalysis",
     "lattice_view",
     "classify",
     "is_lattice",
@@ -547,39 +546,3 @@ def subset_report(q: QuasiOrder, A: SetLike) -> dict:
         report[name] = {"holds": holds, "witness": None}
     report["flat"] = {"holds": is_flat(q, m), "witness": None}
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class SubposetAnalysis:
-    """A subset of an ambient order; each verdict is computed from the
-    definitions on first access and then kept."""
-
-    parent: QuasiOrder
-    subset: Subset
-
-    def __post_init__(self):
-        if self.subset.order is not self.parent:
-            raise OrderError("subset does not live in the given order")
-
-    @cached_property
-    def convex(self) -> bool:
-        return is_convex(self.parent, self.subset.mask)
-
-    @cached_property
-    def preregular(self) -> bool:
-        return is_preregular(self.parent, self.subset.mask)
-
-    @cached_property
-    def regular(self) -> bool:
-        return is_regular(self.parent, self.subset.mask)
-
-    @cached_property
-    def order_closed(self) -> dict:
-        return order_closed_checks(self.parent, self.subset.mask)
-
-    @cached_property
-    def flat(self) -> bool:
-        return is_flat(self.parent, self.subset.mask)
-
-    def report(self) -> dict:
-        return subset_report(self.parent, self.subset.mask)

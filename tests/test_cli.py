@@ -24,6 +24,7 @@ from latkit.cli import (
     main,
     parse_order_spec,
 )
+from latkit.monoid import monoid_from_json, monoid_to_json, truncated_addition_monoid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -292,6 +293,24 @@ def test_malformed_monoid_is_input_error(capsys, tmp_path, doc, verifier):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verifier", ["law-monoid-distributivity",
+                                      "law-disjoint-sum", "lem-group-completion"])
+def test_monoid_table_above_64_rows_exits_2_at_once(capsys, tmp_path, verifier):
+    # the exhaustive laws take about n^3 steps, up to 15 s at 64 rows
+    def write(n):
+        path = tmp_path / f"trunc{n}.json"
+        path.write_text(json.dumps(monoid_to_json(truncated_addition_monoid(n))))
+        return path
+
+    path = str(write(65))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", verifier, "--input", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: a monoid table has at most 64 rows, got 65\n"
+    assert monoid_from_json(json.loads(write(64).read_text())).size == 64
+
+
 @pytest.mark.parametrize("exc, code", [
     (embedding.DecompositionMismatchError("decomposition disagrees"), EXIT_INTERNAL),
     (RuntimeError("broken invariant"), EXIT_INTERNAL),
@@ -471,6 +490,14 @@ ORDER_LIMIT = " (orders have at most 64 elements)"
       "--j", "2"),
      "--k must be at least 2 when --i is at least 1 "
      "(the theorem takes chains of height 2 or more)"),
+    (("verify", "law-monoid-distributivity", "--dims", "9"),
+     "--dims must be at most 8 (every monoid law acts per coordinate)"),
+    (("verify", "law-disjoint-sum", "--dims", str(10 ** 12)),
+     "--dims must be at most 8 (every monoid law acts per coordinate)"),
+    (("verify", "law-monoid-distributivity", "--samples", "100001"),
+     "--samples must be at most 100000"),
+    (("verify", "law-disjoint-sum", "--samples", str(10 ** 9)),
+     "--samples must be at most 100000"),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()

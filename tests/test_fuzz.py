@@ -106,6 +106,7 @@ COMMANDS = [
                             "image": SUBSETS})),
     (("verify", "lem-group-completion"), MONOIDS),
     (("verify", "law-monoid-distributivity"), MONOIDS),
+    (("verify", "law-disjoint-sum"), MONOIDS),
     (("enumerate",),
      st.fixed_dictionaries({"dom": ORDER_SPECS, "cod": st.just({"powerset": 1}),
                             "filters": st.one_of(st.just({}), JSON)})),

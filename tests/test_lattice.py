@@ -353,20 +353,3 @@ def test_subset_report_shape():
     assert rep["preregular_down"]["holds"]
     for key in ("up_boc", "down_boc", "up_oc", "down_oc", "flat"):
         assert "holds" in rep[key]
-
-
-def test_subposet_analysis_caches_verdicts():
-    from latkit.lattice import SubposetAnalysis
-    from latkit.order import Subset
-
-    p3 = powerset_lattice(3)
-    analysis = SubposetAnalysis(p3, Subset.from_indices(p3, [0, 1, 2, 7]))
-    assert not analysis.convex
-    assert not analysis.preregular
-    assert analysis.flat is False
-    assert analysis.order_closed["down_oc"]
-    assert analysis.report()["convex"]["holds"] is False
-    # verdicts are write-once
-    assert analysis.__dict__["convex"] is analysis.convex
-    with pytest.raises(OrderError):
-        SubposetAnalysis(p3, Subset.from_indices(chain(2), [0]))

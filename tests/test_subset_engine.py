@@ -36,6 +36,8 @@ from latkit.lattice import (
 )
 from latkit.monoid import (
     MonoidError,
+    associated_order,
+    check_disjoint_sum_laws,
     check_distributivity,
     cyclic_group,
     enumerate_commutative_monoids,
@@ -232,6 +234,57 @@ def ref_finite_monoid_sets(m):
             yield a, tuple(bits(bmask))
 
 
+def ref_poset_order(m, what):
+    q = associated_order(m)
+    if not q.is_poset:
+        raise MonoidError(f"{what} checks need a poset monoid")
+    return q
+
+
+def ref_finite_monoid_binary(m, mode):
+    """The report of a binary distributive law over every triple, by
+    definition: ``a + (b v c) = (a + b) v (a + c)`` whenever ``b v c``
+    exists (``^`` for ``plus_meet``)."""
+    q = ref_poset_order(m, "distributivity")
+    bound = inf if mode == "plus_meet" else sup
+    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
+              "sampling": None}
+    for a, b, c in itertools.product(range(m.size), repeat=3):
+        report["checked"] += 1
+        s = bound(q, 1 << b | 1 << c)
+        if s is None:
+            continue
+        lhs, rhs = m.op(a, s), bound(q, 1 << m.op(a, b) | 1 << m.op(a, c))
+        if lhs != rhs:
+            report["holds"] = False
+            report["witness"] = {"a": a, "B": [b, c], "lhs": lhs, "rhs": rhs}
+            break
+    return report
+
+
+def ref_finite_disjoint_sum(m):
+    """The report of both disjointness laws over every triple, by
+    definition, with the identity as the least element."""
+    q = ref_poset_order(m, "disjoint-sum")
+
+    def disjoint(x, y):
+        return inf(q, 1 << x | 1 << y) == m.identity
+
+    report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
+    for a, b, c in itertools.product(range(m.size), repeat=3):
+        report["checked"] += 1
+        if disjoint(a, b) and sup(q, 1 << a | 1 << b) != m.op(a, b):
+            report["witness"] = {"law": "sum_is_join", "a": a, "b": b}
+        elif disjoint(a, c) and disjoint(b, c) and not disjoint(m.op(a, b), c):
+            report["witness"] = {"law": "sum_stays_disjoint",
+                                 "a": a, "b": b, "c": c}
+        else:
+            continue
+        report["holds"] = False
+        break
+    return report
+
+
 def outcome(fn, *args):
     """``fn``'s result, or the type and message of the error it raised."""
     try:
@@ -399,13 +452,30 @@ def test_finite_monoid_set_laws_match_reference():
     monoids = [m for n in (1, 2, 3, 4) for m in enumerate_commutative_monoids(n)]
     monoids += [truncated_addition_monoid(n) for n in (1, 2, 3, 4, 5)]
     monoids += [cyclic_group(n) for n in (1, 2, 3, 4)]
-    checks = failing = 0
+    checks = dict.fromkeys(
+        ("plus_join_inf", "plus_meet_inf", "plus_join", "plus_meet",
+         "disjoint_sum"), 0)
+    failing = dict(checks)
     for m in monoids:
-        for mode in ("plus_join_inf", "plus_meet_inf"):
-            got = outcome(check_distributivity, m, mode)
-            assert got == outcome(check_distributivity, m, mode,
-                                  ref_finite_monoid_sets(m)), (m.table, mode)
+        runs = {
+            # the set laws against the same laws over every explicit (a, B)
+            **{mode: (outcome(check_distributivity, m, mode),
+                      outcome(check_distributivity, m, mode,
+                              ref_finite_monoid_sets(m)))
+               for mode in ("plus_join_inf", "plus_meet_inf")},
+            # the binary and disjointness laws against their definitions
+            **{mode: (outcome(check_distributivity, m, mode),
+                      outcome(ref_finite_monoid_binary, m, mode))
+               for mode in ("plus_join", "plus_meet")},
+            "disjoint_sum": (outcome(check_disjoint_sum_laws, m),
+                             outcome(ref_finite_disjoint_sum, m)),
+        }
+        for law, (got, want) in runs.items():
+            assert got == want, (m.table, law)
             if isinstance(got, dict):
-                checks += 1
-                failing += not got["holds"]
-    assert checks > failing > 0
+                checks[law] += 1
+                failing[law] += not got["holds"]
+    # 48 of the monoids are poset monoids; the binary join law holds on all
+    assert checks == dict.fromkeys(checks, 48)
+    assert failing == {"plus_join_inf": 45, "plus_meet_inf": 9, "plus_join": 0,
+                       "plus_meet": 9, "disjoint_sum": 9}
