@@ -50,10 +50,14 @@ MAX_DIMS = 8
 # takes about 0.5 s at 10,000 (the benchmark's value), 6-7 s at 100,000 and
 # 13 s at both limits (--dims 8 --samples 100000)
 MAX_SAMPLES = 100_000
-# the integer options of verify; search and sweep take points and max_size
+# the integer options of verify, search and sweep
 INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")
+# the integer flags every command parses; each is stored only when given
+GLOBAL_OPTIONS = ("seed", "samples", "budget_nodes")
 # the keyword filters of embedding.enumerate_embeddings
 CENSUS_FILTERS = ("convex_range", "preregular_range", "downward_closed_range")
+# every option kept in RunConfig.options, in the order a refusal names them
+OPTIONS = (*INT_OPTIONS, *GLOBAL_OPTIONS, "dom", "cod", *CENSUS_FILTERS)
 
 
 class InputError(ValueError):
@@ -69,11 +73,8 @@ class RunConfig:
     command: str
     name: Optional[str] = None
     inputs: tuple = ()
-    budget_nodes: Optional[int] = None
-    samples: int = 1000
-    seed: int = 0
     output_format: str = "table"
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # only the options given
 
     def __post_init__(self):
         if self.budget_nodes is not None and self.budget_nodes <= 0:
@@ -85,17 +86,41 @@ class RunConfig:
         if len(self.inputs) > 1:
             raise InputError("--input may be given only once")
 
+    @property
+    def budget_nodes(self) -> Optional[int]:
+        return self.options.get("budget_nodes")
+
+    @property
+    def samples(self) -> int:
+        return self.options.get("samples", 1000)
+
+    @property
+    def seed(self) -> int:
+        return self.options.get("seed", 0)
+
+    @property
+    def label(self) -> str:
+        return f"{self.command} {self.name or ''}".rstrip()
+
+    def input_json(self) -> dict:
+        """The JSON object in the one ``--input`` file."""
+        if not self.inputs:
+            raise InputError(f"{self.command} needs --input")
+        return load_json(self.inputs[0])
+
     def refuse_unread(self, reads: tuple):
         """Refuse every given option that is not in ``reads``; ``input``
         stands for ``--input``.  A file replaces the command's other
-        options, so next to ``--input`` none of them is read."""
+        options, so next to ``--input`` only ``--input`` and
+        ``--budget-nodes`` may be read."""
         why = ""
         if self.inputs and "input" in reads:
-            reads, why = ("input",), " next to --input"
+            reads = [key for key in reads if key in ("input", "budget_nodes")]
+            why = " next to --input"
         given = [*self.options, *(["input"] if self.inputs else [])]
         unread = [_flag(key) for key in given if key not in reads]
         if unread:
-            raise InputError(f"{self.command} {self.name} does not read "
+            raise InputError(f"{self.label} does not read "
                              + ", ".join(unread) + why)
 
     def option(self, key: str, default: int, limit: Optional[int] = None,
@@ -379,9 +404,13 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
 def _monoid(cfg: RunConfig):
     """The monoid table in ``--input``, else ``N^d`` for ``d = --dims``."""
     if cfg.inputs:
-        return monoid.monoid_from_json(load_json(cfg.inputs[0]))
-    return monoid.VectorMonoid(cfg.option(
-        "dims", 2, MAX_DIMS, " (every monoid law acts per coordinate)"))
+        return monoid.monoid_from_json(cfg.input_json())
+    dims = cfg.option("dims", 2, MAX_DIMS,
+                      " (every monoid law acts per coordinate)")
+    if dims < 1:
+        raise InputError("--dims must be at least 1 (every law holds "
+                         "vacuously on N^0, the empty vector alone)")
+    return monoid.VectorMonoid(dims)
 
 
 def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
@@ -491,31 +520,32 @@ def _registry(*verifiers) -> dict:
 VERIFIERS = _registry(
     Verifier("thm-powerset-form",
              "convex-range power-set embeddings are exactly the maps a -> h[a] | b",
-             _verify_powerset_form, ("x", "y")),
+             _verify_powerset_form, ("x", "y", "budget_nodes")),
     Verifier("thm-chainprod-form",
              "convex-range chain-product embeddings are shifted partial projections",
-             _verify_chainprod_form, ("k", "m", "i", "j")),
+             _verify_chainprod_form, ("k", "m", "i", "j", "budget_nodes")),
     Verifier("thm-preregular-continuity",
              "embeddings with preregular range preserve nonempty sups and infs",
-             _verify_preregular_continuity, ("max_size",)),
+             _verify_preregular_continuity, ("max_size", "budget_nodes")),
     Verifier("lem-convex-preregular",
              "convex subsets of lattices are preregular",
              _verify_convex_preregular, ("max_size",)),
     Verifier("thm-extension-convexity",
              "basis extensions are unique and keep a convex range",
-             _verify_extension_convexity, ("n", "m")),
+             _verify_extension_convexity, ("n", "m", "budget_nodes")),
     Verifier("prop-cat-ro-iso",
              "category algebra is isomorphic to the residual regular open algebra",
              _verify_cat_ro_iso, ("points",)),
     Verifier("cor-atom-image",
              "embeddings map atoms onto the relative atoms of their range",
-             _verify_atom_image, ("x", "y")),
+             _verify_atom_image, ("x", "y", "budget_nodes")),
     Verifier("law-monoid-distributivity",
              "addition distributes over joins and meets of the associated order",
-             _verify_monoid_distributivity, ("input", "dims")),
+             _verify_monoid_distributivity,
+             ("input", "dims", "samples", "seed")),
     Verifier("law-disjoint-sum",
              "disjoint elements add to their join and sums stay disjoint",
-             _verify_disjoint_sum, ("input", "dims")),
+             _verify_disjoint_sum, ("input", "dims", "samples", "seed")),
     Verifier("lem-group-completion",
              "cancellative commutative monoids embed into their pair-class group",
              _verify_group_completion, ("input", "max_size")),
@@ -553,7 +583,7 @@ SWEEPS = _registry(
 
 
 def _check_convexity(cfg: RunConfig) -> dict:
-    mm = parse_map_fixture(load_json(cfg.inputs[0]))
+    mm = parse_map_fixture(cfg.input_json())
     witness = lattice.convexity_witness(mm.cod, mm.range_mask)
     if witness is None:
         return {"holds": True, "witness": None}
@@ -574,12 +604,12 @@ def _check_convexity(cfg: RunConfig) -> dict:
 
 
 def _check_embedding(cfg: RunConfig) -> dict:
-    mm = parse_map_fixture(load_json(cfg.inputs[0]))
+    mm = parse_map_fixture(cfg.input_json())
     return {"holds": mm.is_embedding, "witness": None}
 
 
 def _check_preregular(cfg: RunConfig) -> dict:
-    obj = load_json(cfg.inputs[0])
+    obj = cfg.input_json()
     q = parse_order_spec(obj.get("order"))
     subset = order.subset_from_json(q, obj.get("subset", []))
     report = lattice.subset_report(q, subset.mask)
@@ -588,23 +618,26 @@ def _check_preregular(cfg: RunConfig) -> dict:
 
 
 def _check_classify(cfg: RunConfig) -> dict:
-    q = parse_order_spec(load_json(cfg.inputs[0]))
+    q = parse_order_spec(cfg.input_json())
     return {"holds": True, "classification": lattice.classify(q)}
 
 
 def _check_distributive(cfg: RunConfig) -> dict:
-    q = parse_order_spec(load_json(cfg.inputs[0]))
+    q = parse_order_spec(cfg.input_json())
     lv = lattice.lattice_view(q)
     return {"holds": lattice.is_distributive(lv), "witness": None}
 
 
-CHECKS = {
-    "convexity": _check_convexity,
-    "embedding": _check_embedding,
-    "preregular": _check_preregular,
-    "classify": _check_classify,
-    "distributive": _check_distributive,
-}
+CHECKS = _registry(*(
+    Verifier(slug, f"check a structure for {slug}", run, ("input",))
+    for slug, run in (("convexity", _check_convexity),
+                      ("embedding", _check_embedding),
+                      ("preregular", _check_preregular),
+                      ("classify", _check_classify),
+                      ("distributive", _check_distributive))))
+
+TABLES = {"verify": VERIFIERS, "search": SEARCHES, "sweep": SWEEPS,
+          "check": CHECKS}
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +651,15 @@ def emit_report(cfg: RunConfig, report: dict, stream=None):
                "report": report}
         stream.write(json.dumps(doc, sort_keys=True) + "\n")
         return
-    stream.write(f"{cfg.command} {cfg.name or ''}".rstrip() + "\n")
+    stream.write(cfg.label + "\n")
     for key, value in report.items():
         stream.write(f"  {key}: {value}\n")
 
 
 def _registry_listing() -> list:
-    rows = []
-    for group, table in (("verify", VERIFIERS), ("search", SEARCHES),
-                         ("sweep", SWEEPS)):
-        for slug in sorted(table):
-            rows.append({"command": group, "slug": slug,
-                         "description": table[slug].description})
-    for slug in sorted(CHECKS):
-        rows.append({"command": "check", "slug": slug,
-                     "description": f"check a structure for {slug}"})
-    return rows
+    return [{"command": command, "slug": slug,
+             "description": table[slug].description}
+            for command, table in TABLES.items() for slug in sorted(table)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -643,72 +669,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "order structures")
     parser.add_argument("--list", action="store_true",
                         help="list registered verifiers and exit")
-    parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--budget-nodes", type=int, default=None)
 
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
+    # the global flags; after the subcommand, SUPPRESS keeps the subparser
+    # from clobbering the values parsed before it
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("table", "json"),
-                        default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS)
-
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--input", action="append", default=[],
+    for p, default in ((parser, None), (shared, argparse.SUPPRESS)):
+        p.add_argument("--format", choices=("table", "json"), default=default)
+        for key in GLOBAL_OPTIONS:
+            p.add_argument(_flag(key), type=int, default=default)
+    sized = argparse.ArgumentParser(add_help=False)
+    for key in INT_OPTIONS:
+        sized.add_argument(_flag(key), type=int)
+    filed = argparse.ArgumentParser(add_help=False)
+    filed.add_argument("--input", action="append", default=[],
                        help="path to a JSON structure or fixture")
 
-    pv = sub.add_parser("verify", parents=[shared],
+    sub = parser.add_subparsers(dest="command")
+    pv = sub.add_parser("verify", parents=[shared, sized, filed],
                         help="run a registered theorem verifier")
     pv.add_argument("name", nargs="?")
     pv.add_argument("--list", dest="list_local", action="store_true")
-    common(pv)
-    for key in INT_OPTIONS:
-        pv.add_argument(_flag(key), type=int, default=None)
 
-    pc = sub.add_parser("check", parents=[shared],
+    pc = sub.add_parser("check", parents=[shared, filed],
                         help="check one structure for one property")
     pc.add_argument("name", choices=sorted(CHECKS))
-    common(pc)
 
-    pe = sub.add_parser("enumerate", parents=[shared],
+    pe = sub.add_parser("enumerate", parents=[shared, filed],
                         help="export an embedding census as JSON lines")
     pe.add_argument("--dom", help="order spec (inline JSON)")
     pe.add_argument("--cod", help="order spec (inline JSON)")
-    common(pe)
     for name in CENSUS_FILTERS:
-        pe.add_argument(_flag(name), action="store_true")
+        pe.add_argument(_flag(name), action="store_true", default=None)
 
-    for command, table, text in (
-            ("search", SEARCHES, "hunt for a witness structure"),
-            ("sweep", SWEEPS, "exhaustive family sweep")):
-        p = sub.add_parser(command, parents=[shared], help=text)
-        p.add_argument("name", choices=sorted(table))
-        for key in ("points", "max_size"):
-            p.add_argument(_flag(key), type=int, default=None)
+    for command, text in (("search", "hunt for a witness structure"),
+                          ("sweep", "exhaustive family sweep")):
+        p = sub.add_parser(command, parents=[shared, sized], help=text)
+        p.add_argument("name", choices=sorted(TABLES[command]))
     return parser
 
 
-def _options_from(args) -> dict:
-    return {key: v for key in INT_OPTIONS
-            if (v := getattr(args, key, None)) is not None}
-
-
 def _run_enumerate(cfg: RunConfig) -> int:
+    cfg.refuse_unread(("input", "dom", "cod", *CENSUS_FILTERS, "budget_nodes"))
     if cfg.inputs:
-        given = [name for name in ("dom", "cod")
-                 if cfg.options.get(name) is not None]
-        given += [name for name, on in cfg.options["filters"].items() if on]
-        if given:
-            raise InputError(
-                "--input gives the orders and filters; it cannot be combined "
-                "with " + ", ".join(map(_flag, given)))
-        obj = load_json(cfg.inputs[0])
+        obj = cfg.input_json()
         dom = parse_order_spec(obj.get("dom"))
         cod = parse_order_spec(obj.get("cod"))
         filters = obj.get("filters", {})
@@ -722,7 +725,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
             raise InputError("enumerate needs --dom and --cod or --input")
         dom = parse_order_spec(cfg.options["dom"])
         cod = parse_order_spec(cfg.options["cod"])
-        filters = cfg.options["filters"]
+        filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
     census = embedding.enumerate_embeddings(
         dom, cod, **filters, budget_nodes=cfg.budget_nodes)
     for line in embedding.census_to_json_lines(census):
@@ -755,34 +758,20 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             command=args.command,
             name=getattr(args, "name", None),
-            inputs=tuple(getattr(args, "input", []) or []),
-            budget_nodes=args.budget_nodes,
-            samples=args.samples,
-            seed=args.seed,
-            output_format=args.format,
-            options=_options_from(args),
+            inputs=tuple(getattr(args, "input", ())),
+            output_format=args.format or "table",
+            options={key: value for key in OPTIONS
+                     if (value := getattr(args, key, None)) is not None},
         )
         if args.command == "enumerate":
-            cfg.options["dom"] = getattr(args, "dom", None)
-            cfg.options["cod"] = getattr(args, "cod", None)
-            cfg.options["filters"] = {
-                name: getattr(args, name) for name in CENSUS_FILTERS}
             return _run_enumerate(cfg)
-
-        if args.command == "check":
-            if not cfg.inputs:
-                raise InputError("check needs --input")
-            report = CHECKS[cfg.name](cfg)
-        else:
-            if cfg.name is None:
-                raise InputError("verify needs a verifier name (see --list)")
-            table = {"verify": VERIFIERS, "search": SEARCHES,
-                     "sweep": SWEEPS}[args.command]
-            runner = table.get(ALIASES.get(cfg.name, cfg.name))
-            if runner is None:
-                raise InputError(f"unknown verifier {cfg.name!r}")
-            cfg.refuse_unread(runner.reads)
-            report = runner.run(cfg)
+        if cfg.name is None:
+            raise InputError("verify needs a verifier name (see --list)")
+        runner = TABLES[args.command].get(ALIASES.get(cfg.name, cfg.name))
+        if runner is None:
+            raise InputError(f"unknown verifier {cfg.name!r}")
+        cfg.refuse_unread(runner.reads)
+        report = runner.run(cfg)
         emit_report(cfg, report)
     except embedding.BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

@@ -169,14 +169,6 @@ class Subset:
             mask |= 1 << i
         return cls(order, mask)
 
-    @classmethod
-    def full(cls, order: QuasiOrder) -> "Subset":
-        return cls(order, order.full_mask)
-
-    @classmethod
-    def empty(cls, order: QuasiOrder) -> "Subset":
-        return cls(order, 0)
-
     def indices(self) -> tuple:
         return tuple(bits(self.mask))
 

@@ -17,10 +17,14 @@ from latkit.cli import (
     EXIT_VIOLATION,
     ALIASES,
     CHECKS,
+    GLOBAL_OPTIONS,
+    INT_OPTIONS,
     SEARCHES,
     SWEEPS,
+    TABLES,
     VERIFIERS,
     InputError,
+    build_parser,
     main,
     parse_order_spec,
 )
@@ -433,6 +437,8 @@ def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
 
 
 ORDER_LIMIT = " (orders have at most 64 elements)"
+DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
+          "the empty vector alone)")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -498,6 +504,8 @@ ORDER_LIMIT = " (orders have at most 64 elements)"
      "--samples must be at most 100000"),
     (("verify", "law-disjoint-sum", "--samples", str(10 ** 9)),
      "--samples must be at most 100000"),
+    (("verify", "law-disjoint-sum", "--dims", "0"), DIMS_0),
+    (("verify", "law-monoid-distributivity", "--dims", "0"), DIMS_0),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -531,6 +539,15 @@ def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     (("check", "classify", "--input", fixture("m3.json"),
       "--input", fixture("n5.json")),
      "error: --input may be given only once\n"),
+    (("sweep", "baire", "--points", "2", "--budget-nodes", "1"),
+     "error: sweep baire does not read --budget-nodes\n"),
+    (("verify", "lem-convex-preregular", "--max-size", "3", "--seed", "9"),
+     "error: verify lem-convex-preregular does not read --seed\n"),
+    (("verify", "law-disjoint-sum", "--input", fixture("truncated_add_3.json"),
+      "--samples", "5"),
+     "error: verify law-disjoint-sum does not read --samples next to --input\n"),
+    (("check", "classify", "--input", fixture("m3.json"), "--budget-nodes", "1"),
+     "error: check classify does not read --budget-nodes next to --input\n"),
 ])
 def test_unread_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -538,6 +555,78 @@ def test_unread_option_exits_2_at_once(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err.endswith(message)
+
+
+GLOBAL_FLAGS = {"--samples": "5", "--seed": "1", "--budget-nodes": "1000"}
+BUDGET = {"--budget-nodes"}
+SAMPLED = {"--samples", "--seed"}
+TRUNCATED = ("--input", fixture("truncated_add_3.json"))
+MAP_FILE = ("--input", fixture("powerset_counterexample.json"))
+# small runs of every command row, plus a run on a file where the row reads
+# --input, each with the global flags it reads
+SMALL_RUNS = {
+    ("verify", "thm-powerset-form"): [(("--x", "1", "--y", "2"), BUDGET)],
+    ("verify", "thm-chainprod-form"): [
+        (("--k", "2", "--m", "2", "--i", "1", "--j", "1"), BUDGET)],
+    ("verify", "thm-preregular-continuity"): [(("--max-size", "3"), BUDGET)],
+    ("verify", "lem-convex-preregular"): [(("--max-size", "3"), set())],
+    ("verify", "thm-extension-convexity"): [(("--n", "1"), BUDGET)],
+    ("verify", "prop-cat-ro-iso"): [(("--points", "2"), set())],
+    ("verify", "cor-atom-image"): [(("--x", "1", "--y", "2"), BUDGET)],
+    ("verify", "law-monoid-distributivity"): [(("--dims", "1"), SAMPLED),
+                                              (TRUNCATED, set())],
+    ("verify", "law-disjoint-sum"): [(("--dims", "1"), SAMPLED),
+                                     (TRUNCATED, set())],
+    ("verify", "lem-group-completion"): [(("--max-size", "2"), set()),
+                                         (TRUNCATED, set())],
+    ("search", "convex-not-preregular"): [(("--max-size", "3"), set())],
+    ("search", "open-meager"): [(("--points", "2"), set())],
+    ("sweep", "cat-ro-iso"): [(("--points", "2"), set())],
+    ("sweep", "baire"): [(("--points", "2"), set())],
+    ("sweep", "convex-preregular"): [(("--max-size", "3"), set())],
+    ("check", "convexity"): [(MAP_FILE, set())],
+    ("check", "embedding"): [(MAP_FILE, set())],
+    ("check", "preregular"): [
+        (("--input", fixture("bowtie_bottom.json")), set())],
+    ("check", "classify"): [(("--input", fixture("m3.json")), set())],
+    ("check", "distributive"): [(("--input", fixture("n5.json")), set())],
+    ("enumerate",): [
+        (("--dom", '{"powerset": 1}', "--cod", '{"powerset": 2}'), BUDGET),
+        (("--input", "census.json"), BUDGET)],
+}
+ROWS = [(command, slug) for command, table in TABLES.items() for slug in table]
+
+
+@pytest.mark.parametrize("row", ROWS + [("enumerate",)], ids="-".join)
+def test_every_row_refuses_the_global_flags_it_does_not_read(
+        capsys, monkeypatch, tmp_path, row):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "census.json").write_text(json.dumps(MAP))
+    for argv, reads in SMALL_RUNS[row]:
+        why = " next to --input" if "--input" in argv else ""
+        for flag, value in GLOBAL_FLAGS.items():
+            start = time.perf_counter()
+            code, out, err = run(capsys, "--format", "json", *row, *argv,
+                                 flag, value)
+            if flag in reads:
+                assert code == EXIT_OK, (row, argv, flag, err)
+                continue
+            assert time.perf_counter() - start < 1.0
+            assert code == EXIT_USAGE and out == "", (row, argv, flag)
+            assert err == f"error: {' '.join(row)} does not read {flag}{why}\n"
+
+
+def test_every_read_option_is_parsed():
+    # a misspelt name in reads would refuse an option the row really reads
+    parser = build_parser()
+    for command, slug in ROWS:
+        reads = TABLES[command][slug].reads
+        assert set(reads) <= {*INT_OPTIONS, *GLOBAL_OPTIONS, "input"}, slug
+        for key in reads:
+            given = (["--input", "file.json"] if key == "input"
+                     else ["--" + key.replace("_", "-"), "1"])
+            args = parser.parse_args([command, slug, *given])
+            assert getattr(args, key) in (["file.json"], 1), (slug, key)
 
 
 @pytest.mark.parametrize("argv", [
