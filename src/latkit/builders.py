@@ -237,25 +237,26 @@ def enumerate_posets(n: int):
 
 
 def enumerate_lattices(n: int):
-    """All lattices with exactly ``n`` elements, up to isomorphism: the
-    lattices of ``enumerate_posets(n)``, with the same ``up_masks`` in the
-    same order, built from level ``n - 1`` only.
+    """All lattices with exactly ``n`` elements, one per isomorphism class,
+    sorted by ``canonical_key`` like the lattices of ``enumerate_posets(n)``,
+    but built from level ``n - 2``: for ``n > 2`` each lattice has its
+    bottom at 0 and its top at ``n - 1``.
 
-    A finite lattice has exactly one maximal element, its top.  ``_level(n)``
-    makes each candidate by adding a new maximal element ``k`` above a lower
-    set ``low`` of one level-``(n - 1)`` representative.  If ``low`` is not
-    the whole parent, some maximal element of the parent is not below ``k``;
-    it stays maximal in the candidate, which is then no lattice.  So each
-    lattice class has exactly one candidate in ``_level(n)``: the
-    representative of its class minus its top, with ``k`` above everything.
-    That is the candidate built here, sorted by the same ``canonical_key``.
+    A finite lattice with ``n >= 2`` elements has a bottom and a top, and
+    what is left without them is an arbitrary ``(n - 2)``-element poset.
+    So adding a new bottom and a new top to one representative of each
+    class of ``enumerate_posets(n - 2)`` and keeping the lattices gives each
+    lattice class exactly once: isomorphic lattices have isomorphic middles.
+    Sizes up to 2 filter ``enumerate_posets(n)``.  Up to
+    ``MAX_ENUMERATION_SIZE`` the list equals that filter for every ``n``,
+    ``up_masks`` for ``up_masks``.
     """
     _check_enumeration_size(n)
-    if n < 2:
+    if n <= 2:
         return [q for q in enumerate_posets(n) if is_lattice(q)]
-    top = 1 << n - 1
-    cands = (QuasiOrder(tuple(up | top for up in q.up_masks) + (top,))
-             for q in enumerate_posets(n - 1))
+    full, top = (1 << n) - 1, 1 << n - 1
+    cands = (QuasiOrder((full, *(up << 1 | top for up in q.up_masks), top))
+             for q in enumerate_posets(n - 2))
     return sorted(filter(is_lattice, cands), key=canonical_key)
 
 

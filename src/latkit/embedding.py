@@ -36,12 +36,12 @@ from .order import (
     SetLike,
     Subset,
     _require_poset,
+    _unchecked,
     atoms,
     bits,
     induced_suborder,
     inf,
     intersection_closure,
-    least_element,
     linear_extension,
     lower_closure,
     mask_of,
@@ -225,7 +225,10 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             if not cands:
                 return
         p = order[depth]
-        for c in bits(cands):
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
             nodes += 1
             if budget_nodes is not None and nodes > budget_nodes:
                 raise BudgetExceededError(
@@ -242,8 +245,14 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     rec(0, 0, 0, 0, 0)
 
     found.sort(key=operator.itemgetter(0))
+    # every leaf is an embedding, so its map needs no preservation check, and
+    # it carries the flags the search proved
     return EmbeddingCensus(
-        dom, cod, tuple(MonotoneMap(dom, cod, img) for img, _ in found),
+        dom, cod,
+        tuple(_unchecked(MonotoneMap, dom=dom, cod=cod, image=img,
+                         is_order_reflecting=True, is_embedding=True,
+                         has_convex_range=f["convex_range"])
+              for img, f in found),
         tuple(f for _, f in found),
         {"convex_range": convex_range, "preregular_range": preregular_range,
          "downward_closed_range": downward_closed_range},
@@ -311,9 +320,12 @@ def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
     supremum of the image of ``B``."""
     keys = _pair_keys(dom, cod, image, elems)
     bad = set()
+    # both halves of a class are up-sets, so both suprema are lookups
+    n, full = dom.size, dom.full_mask
+    dom_least, cod_least = dom.up_index, cod.up_index
     for ub in intersection_closure(keys.values()):
-        s = least_element(dom, ub & dom.full_mask)
-        if s in keys and least_element(cod, ub >> dom.size) != image[s]:
+        s = dom_least.get(ub & full)
+        if s in keys and cod_least.get(ub >> n) != image[s]:
             bad.add(ub)
     return keys, bad
 
@@ -464,7 +476,9 @@ def preregular_continuity_sweep(max_size: int, *,
                 aut = automorphisms[sub.up_masks] = len(
                     enumerate_embeddings(sub, sub, budget_nodes=budget_nodes))
             embeddings += aut
-            cont = continuity_checks(MonotoneMap(sub, cod, elems))
+            # an inclusion preserves the order it was restricted from
+            cont = continuity_checks(_unchecked(MonotoneMap, dom=sub, cod=cod,
+                                                image=elems))
             if not (cont["preserves_nonempty_sups"]
                     and cont["preserves_nonempty_infs"]):
                 bad.append((sub, qi))
@@ -555,7 +569,7 @@ def chainprod_decompose(sigma: MonotoneMap, dom_cp: ChainProduct,
             "domain chains must have height at least 2")
     if not sigma.is_embedding:
         raise NotEmbeddingError("map is not an order embedding")
-    if not is_convex(sigma.cod, sigma.range_mask):
+    if not sigma.has_convex_range:
         raise NotConvexRangeError("range is not convex")
     dims = len(dom_cp.dims)
     y = cod_cp.vector(sigma.image[0])

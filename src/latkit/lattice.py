@@ -27,6 +27,7 @@ from .order import (
     mask_of,
     positive_part,
     sup,
+    upper_sets,
 )
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "check_mid",
     "set_distributivity_failure",
     "is_convex",
+    "convex_subsets",
     "convexity_witness",
     "sup_in_subset",
     "inf_in_subset",
@@ -91,12 +93,13 @@ class LatticeView:
 def lattice_view(q: QuasiOrder) -> LatticeView:
     """Build the join and meet tables, which the order does not keep: ``c``
     is the join of ``a`` and ``b`` iff ``up[a] & up[b] == up[c]`` (as in
-    :func:`is_lattice`), so each entry is one lookup; meets use ``down_masks``."""
+    :func:`is_lattice`), so each entry is one ``up_index`` lookup; meets
+    read the dual."""
     if not q.is_poset:
         raise OrderError("lattice view requires a partial order")
     tables = []
-    for masks in (q.up_masks, q.down_masks):
-        at = {m: c for c, m in enumerate(masks)}
+    for o in (q, q.dual):
+        masks, at = o.up_masks, o.up_index
         tables.append(tuple([tuple([at.get(a & b, -1) for b in masks])
                              for a in masks]))
     return LatticeView(q, *tables)
@@ -108,7 +111,7 @@ def is_lattice(q: QuasiOrder) -> bool:
     if not q.is_poset:
         raise OrderError("lattice test requires a partial order")
     ups, downs = q.up_masks, q.down_masks
-    up_sets, down_sets = set(ups), set(downs)
+    up_sets, down_sets = q.up_index, q.dual.up_index
     return all(ups[a] & ups[b] in up_sets and downs[a] & downs[b] in down_sets
                for a in range(q.size) for b in range(a))
 
@@ -173,16 +176,17 @@ def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
     ``up(b) | up(op(a, b)) << n`` over ``b`` in ``B``, so one visit per
     :func:`intersection_closure` member decides every ``B``.  The least
     ``B`` of a failing class drops extent members from the top down while
-    the AND stays the class."""
+    the AND stays the class.  Both halves of a class are up-sets, so both
+    suprema are ``up_index`` lookups."""
     n = q.size
-    up = q.up_masks
+    up, least = q.up_masks, q.up_index
     full = (1 << 2 * n) - 1  # the class of the empty B
     for a in range(n):
         keys = [up[b] | up[op(a, b)] << n for b in range(n)]
         failing = []
         for t in intersection_closure(keys) | {full}:
-            s = least_element(q, t & q.full_mask)
-            if s is not None and op(a, s) != least_element(q, t >> n):
+            s = least.get(t & q.full_mask)
+            if s is not None and op(a, s) != least.get(t >> n):
                 kept = {b for b in range(n) if keys[b] & t == t}
                 for b in sorted(kept, reverse=True):
                     if reduce(and_, (keys[c] for c in kept - {b}), full) == t:
@@ -237,6 +241,18 @@ def is_convex(q: QuasiOrder, A: SetLike) -> bool:
     return convexity_witness(q, A) is None
 
 
+def convex_subsets(q: QuasiOrder) -> list:
+    """Every convex subset of ``q``, in ascending mask order.
+
+    ``A`` is convex iff ``A`` is the intersection of its up-closure and its
+    down-closure, and every ``U & D`` of an up-set ``U`` and a down-set
+    ``D`` is convex, so the convex subsets are the distinct ``U & D`` over
+    :func:`upper_sets` of ``q`` and of its dual.
+    """
+    downs = upper_sets(q.dual)
+    return sorted({u & d for u in upper_sets(q) for d in downs})
+
+
 def sup_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
     """Supremum of ``B`` computed inside the induced suborder on ``A``."""
     amask = mask_of(q, A)
@@ -256,18 +272,22 @@ def preregularity_witness(q: QuasiOrder, A: SetLike, upwards: bool) -> Optional[
 
     Both bounds depend on ``B`` only through its ambient upper (lower)
     bounds, so the scan runs over :func:`intersection_closure` of the
-    members' up-sets (down-sets).  The witness is the numerically largest
-    violating ``B``.
+    members' up-sets (down-sets).  The ambient bound is an ``up_index``
+    lookup, and when it lies in ``A`` it is also the bound inside ``A``.
+    The witness is the numerically largest violating ``B``.
     """
     m = mask_of(q, A)
     if m:
         _require_poset(q)
     o = q if upwards else q.dual
-    up = o.up_masks
+    up, least = o.up_masks, o.up_index
     witnesses = []
     for ub in intersection_closure(up[a] for a in bits(m)):
-        a, p = least_element(o, ub & m), least_element(o, ub)
-        if a is not None and p != a:
+        p = least.get(ub)
+        if p is not None and m >> p & 1:
+            continue
+        a = least_element(o, ub & m)
+        if a is not None:
             witnesses.append((sum(1 << x for x in bits(m) if up[x] & ub == ub), a, p))
     if not witnesses:
         return None
@@ -317,7 +337,8 @@ def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
     ``up_boc``: ambient sups of nonempty subsets that are bounded inside
     ``A`` land in ``A``; ``up_oc`` drops the bound premise.  ``down_*`` are
     the duals.  Each subset is seen only through its set of upper (lower)
-    bounds, one per member of :func:`intersection_closure`.
+    bounds, one per member of :func:`intersection_closure`, whose ambient
+    bound is an ``up_index`` lookup.
     """
     m = mask_of(q, A)
     if m:
@@ -326,7 +347,7 @@ def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
     for side, o in (("up", q), ("down", q.dual)):
         boc[side] = oc[side] = True
         for ub in intersection_closure(o.up_masks[a] for a in bits(m)):
-            s = least_element(o, ub)
+            s = o.up_index.get(ub)
             if s is not None and not (m >> s) & 1:
                 oc[side] = False
                 if ub & m:
@@ -345,7 +366,7 @@ def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
     out = 0
     # every element bounds the empty subset, whose supremum is the minimum
     for ub in intersection_closure(q.up_masks[a] for a in bits(m)) | {q.full_mask}:
-        s = least_element(q, ub)
+        s = q.up_index.get(ub)
         if s is not None:
             out |= 1 << s
     return Subset(q, out)

@@ -5,7 +5,10 @@ stored once, as the tuple of up-set bitmasks.  Subsets of the carrier
 travel as int bitmasks, wrapped in :class:`Subset` at the public surface.
 The relation cannot be changed after construction, and an order keeps only
 values derived from it alone (``down_masks``, ``dual``, ``is_poset``,
-``full_mask``); this module imports no other module of the package.
+``full_mask``, ``up_index``); this module imports no other module of the
+package.  Orders and maps derived from checked ones (the dual, an induced
+suborder, an embedding a census proved) are built by :func:`_unchecked`;
+the public constructors check every input.
 """
 
 from __future__ import annotations
@@ -80,6 +83,17 @@ def intersection_closure(masks: Iterable[int]) -> set:
     return closure
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``,
+    without running its checks: only for values derived from checked ones,
+    which are correct by construction.  A field may also preset a cached
+    property that the caller has proved."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _is_index(value, size: int) -> bool:
     """``value`` is an int (not a bool) in ``range(size)``."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
@@ -135,8 +149,19 @@ class QuasiOrder:
 
     @cached_property
     def dual(self) -> "QuasiOrder":
-        """The opposite order (relation transposed)."""
-        return QuasiOrder(self.down_masks)
+        """The opposite order (relation transposed), whose dual is this one."""
+        return _unchecked(QuasiOrder, up_masks=self.down_masks,
+                          down_masks=self.up_masks, dual=self)
+
+    @cached_property
+    def up_index(self) -> dict:
+        """``{up_masks[u]: u}``, the lowest ``u`` per mask.  A nonempty up-set
+        ``U`` has a least element ``u`` iff ``U = up(u)``, so the least
+        element of an up-set (an AND of up-masks) is one lookup; among
+        equivalent least elements the lowest index wins, as in
+        :func:`least_element`."""
+        # a later (lower) u overwrites a higher one with the same mask
+        return dict(zip(reversed(self.up_masks), range(self.size - 1, -1, -1)))
 
     @cached_property
     def is_poset(self) -> bool:
@@ -203,7 +228,8 @@ class MonotoneMap:
     """A total order preserving map between two quasi orders.
 
     ``image[p]`` is the codomain index of element ``p``.  Construction fails
-    unless the map is order preserving; order reflection is a cached flag.
+    unless the map is order preserving; order reflection and convexity of
+    the range are cached flags.
     """
 
     dom: QuasiOrder
@@ -248,6 +274,13 @@ class MonotoneMap:
         for v in self.image:
             m |= 1 << v
         return m
+
+    @cached_property
+    def has_convex_range(self) -> bool:
+        """The range is convex: it is the intersection of its up-closure and
+        its down-closure."""
+        r = self.range_mask
+        return upper_closure(self.cod, r).mask & lower_closure(self.cod, r).mask == r
 
     def image_mask(self, A: SetLike) -> int:
         m = 0
@@ -331,31 +364,40 @@ def _require_poset(q: QuasiOrder):
 
 def _upper_bounds(q: QuasiOrder, mask: int) -> int:
     """The common upper bounds of the members of ``mask``, as a mask."""
+    up = q.up_masks
     ub = q.full_mask
-    for a in bits(mask):
-        ub &= q.up_masks[a]
-        if not ub:
-            break
+    while mask and ub:
+        low = mask & -mask
+        ub &= up[low.bit_length() - 1]
+        mask ^= low
     return ub
 
 
 def sup(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
     """Least upper bound of ``A``, or ``None`` when it does not exist.
 
-    ``sup(q, ())`` is the minimum element of the whole order, if any.
+    ``sup(q, ())`` is the minimum element of the whole order, if any.  The
+    upper bounds form an up-set, so the bound is one ``up_index`` lookup.
     """
     _require_poset(q)
-    return least_element(q, _upper_bounds(q, mask_of(q, A)))
+    return q.up_index.get(_upper_bounds(q, mask_of(q, A)))
 
 
 def least_element(q: QuasiOrder, mask: int) -> Optional[int]:
     """The least member of ``mask``, or ``None`` when it has none.
 
     Among equivalent least members of a quasi order the lowest index wins.
+    For an up-set ``mask``, ``q.up_index.get(mask)`` gives the same answer
+    by one lookup.
     """
-    for u in bits(mask):
-        if mask & ~q.up_masks[u] == 0:
+    up = q.up_masks
+    rest = mask
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if mask & ~up[u] == 0:
             return u
+        rest ^= low
     return None
 
 
@@ -486,7 +528,10 @@ def induced_suborder(q: QuasiOrder, A: SetLike):
     elems = tuple(bits(mask_of(q, A)))
     up = tuple(sum(1 << j for j, b in enumerate(elems) if q.up_masks[a] >> b & 1)
                for a in elems)
-    return QuasiOrder(up), elems
+    # the restriction of a reflexive and transitive relation is one, and
+    # antisymmetry survives it too
+    proved = {"is_poset": True} if q.is_poset else {}
+    return _unchecked(QuasiOrder, up_masks=up, **proved), elems
 
 
 def linear_extension(q: QuasiOrder) -> tuple:

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     EXIT_VIOLATION,
     ALIASES,
@@ -506,6 +509,9 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
      "--samples must be at most 100000"),
     (("verify", "law-disjoint-sum", "--dims", "0"), DIMS_0),
     (("verify", "law-monoid-distributivity", "--dims", "0"), DIMS_0),
+    # random.Random seeds from the absolute value: -5 would draw as 5 does
+    (("verify", "law-monoid-distributivity", "--seed", "-5"),
+     "--seed must be >= 0, got -5"),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -725,3 +731,20 @@ def test_extension_convexity_report_at_m_4_is_pinned(capsys):
     assert report["embeddings"] == 48 and report["holds"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "99a6cde8d0f2a5954b9c5d89747069315484ac369e0f214e72d3bd6ffcc27932")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the census writes 3,990 lines, far more than a pipe buffer holds, and
+    # the reader goes away after the first, as "| head -1" does
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latkit.cli", "enumerate",
+         "--dom", '{"chains":[2,3]}', "--cod", '{"chains":[3,3,3]}'],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["flags"]["embedding"] is True
+    assert proc.returncode == EXIT_PIPE == 141
+    assert err == b""

@@ -327,7 +327,7 @@ def test_an_order_keeps_only_what_its_relation_determines():
     assert classify(cod)["boolean"]
     assert check_jid(lattice_view(cod))["holds"]
     assert set(vars(cod)) <= {"up_masks", "down_masks", "dual", "is_poset",
-                              "full_mask"}
+                              "full_mask", "up_index"}
 
 
 @pytest.mark.parametrize("call, error", [

@@ -201,7 +201,7 @@ def test_counts_match_oeis():
 
 @pytest.mark.parametrize("n", range(8))
 def test_enumerate_lattices_matches_poset_filter(n):
-    # the lattices are built from level n - 1; the filter over level n is
+    # the lattices are built from level n - 2; the filter over level n is
     # the oracle, compared element by element
     got = enumerate_lattices(n)
     want = [q for q in enumerate_posets(n) if is_lattice(q)]
@@ -224,7 +224,7 @@ def test_enumerate_lattices_does_not_build_its_own_level():
          "print(builders._level.cache_info().currsize)"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "7\n"
+    assert proc.stdout == "6\n"
 
 
 def test_level_cache_is_not_shared_with_callers():
