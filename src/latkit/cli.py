@@ -45,12 +45,12 @@ MAX_EXTENSION_CODOMAIN = 4
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
 # every monoid law acts per coordinate, so more dimensions test nothing new;
-# with 10,000 samples law-monoid-distributivity takes about 0.5 s at
-# --dims 2 and 1.1 s at 8, and unlimited --dims 1000 took 14 s at 1,000
+# with 10,000 samples law-monoid-distributivity takes about 0.3 s at
+# --dims 2 and 0.6 s at 8 in a fresh process
 MAX_DIMS = 8
 # the sampled laws take time linear in --samples: law-monoid-distributivity
-# takes about 0.5 s at 10,000 (the benchmark's value), 6-7 s at 100,000 and
-# 13 s at both limits (--dims 8 --samples 100000)
+# takes about 0.3 s at 10,000 (the benchmark's value), 2-2.5 s at 100,000
+# and 5 s at both limits (--dims 8 --samples 100000)
 MAX_SAMPLES = 100_000
 # the integer options of verify, search and sweep
 INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")
@@ -418,12 +418,8 @@ def _monoid(cfg: RunConfig):
 
 
 def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
-    mon = _monoid(cfg)
-    reports = {
-        mode: monoid.check_distributivity(
-            mon, mode, samples=cfg.samples, seed=cfg.seed)
-        for mode in monoid.DISTRIBUTIVITY_MODES
-    }
+    reports = monoid.check_distributive_laws(
+        _monoid(cfg), samples=cfg.samples, seed=cfg.seed)
     return {
         "holds": all(r["holds"] for r in reports.values()),
         "modes": reports,

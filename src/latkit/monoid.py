@@ -5,15 +5,17 @@ Two carriers: :class:`FiniteMonoid` (an explicit Cayley table) and
 addition, the stand-in for infinite pointed monoids at desk scale).  The
 associated quasi order is ``x <= y`` iff ``x + a = y`` for some ``a``.
 
-One loop serves each law on both carriers: it sees a carrier only through
-its addition, suprema and infima, and the carriers differ only in where
-the instances come from (every triple of a table, seeded vector draws, or
-the caller's list).
+Each law sees a carrier only through its addition, suprema and infima,
+and the carriers differ only in where the instances come from (every
+triple of a table, seeded vector draws, or the caller's list).  Laws that
+quantify over the same instances share one pass over them: the join and
+meet forms of a distributive law read one stream per arity.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -34,6 +36,7 @@ __all__ = [
     "group_completion",
     "vector_group_completion",
     "check_distributivity",
+    "check_distributive_laws",
     "check_disjoint_sum_laws",
     "closed_under_subtraction",
     "truncated_addition_monoid",
@@ -50,7 +53,8 @@ SAMPLE_BOUND = 8
 MAX_SAMPLED_SET_SIZE = 4
 # rows of a table read from JSON; the exhaustive laws take about n^3 steps:
 # on the truncated chain, law-disjoint-sum takes about 0.3 s at 32 rows,
-# 2.5 s at 64 and 17 s at 128, and law-monoid-distributivity 5 s at 64
+# 2.5 s at 64 and 17 s at 128, and law-monoid-distributivity 5 s at 64,
+# nearly all of it the order.sup/inf calls of the binary laws' one pass
 MAX_JSON_SIZE = 64
 
 
@@ -60,6 +64,13 @@ class MonoidError(ValueError):
 
 class NotCancellativeError(MonoidError):
     """Raised when a construction requires cancellativity and it fails."""
+
+
+def _is_associative(t: tuple) -> bool:
+    """Whether the square tuple of rows ``t`` is associative: row ``a.b``
+    equals ``a.`` applied to row ``b``, for all ``a, b``."""
+    return all(t[ta[b]] == tuple(map(ta.__getitem__, t[b]))
+               for ta in t for b in range(len(t)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +96,7 @@ class FiniteMonoid:
         elements = tuple(range(n))
         if t[e] != elements or tuple(row[e] for row in t) != elements:
             raise MonoidError("identity law fails")
-        # associativity: row (a.b) equals a. applied to row b, for all a, b
-        if any(t[ta[b]] != tuple(map(ta.__getitem__, t[b]))
-               for ta in t for b in elements):
+        if not _is_associative(t):
             raise MonoidError("operation is not associative")
         object.__setattr__(self, "table", t)
 
@@ -238,6 +247,33 @@ def group_completion(m: FiniteMonoid) -> GroupCompletion:
 # ---------------------------------------------------------------------------
 # vector monoids (N^I, intensionally)
 
+_plus = operator.add
+
+
+def _draws(getrandbits, top: int):
+    """The values of successive ``randint(0, top)`` calls on the generator
+    whose ``getrandbits`` this is, as an endless lazy iterator.
+
+    ``randint(0, top)`` is ``randrange(0, top + 1)``, which CPython (3.2 to
+    3.13) answers with ``_randbelow(top + 1)``: draw ``getrandbits(k)`` with
+    ``k = (top + 1).bit_length()`` and draw again while the value exceeds
+    ``top``.  A redraw only consumes the next raw draw, so successive calls
+    return the raw draws that are at most ``top``, in order, which is this
+    filter.  Both stages pull one item at a time, so taking ``n`` values
+    makes exactly the raw draws that ``n`` ``randint`` calls make, and the
+    generator is left in the same state.
+    """
+    k = (top + 1).bit_length()
+    return filter(top.__ge__, map(getrandbits, itertools.repeat(k)))
+
+
+def _vectors(getrandbits, dim: int):
+    """Successive seeded vectors of ``dim`` coordinates in ``0..SAMPLE_BOUND``,
+    lazily: each coordinate is the next value of :func:`_draws`."""
+    if not dim:
+        return itertools.repeat(())
+    return zip(*[_draws(getrandbits, SAMPLE_BOUND)] * dim)
+
 
 @dataclass(frozen=True)
 class VectorMonoid:
@@ -254,33 +290,35 @@ class VectorMonoid:
         return (0,) * self.dim
 
     def add(self, x, y) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(_plus, x, y))
 
     def sub(self, x, y) -> Optional[tuple]:
         out = tuple(a - b for a, b in zip(x, y))
         return out if all(v >= 0 for v in out) else None
 
     def join(self, x, y) -> tuple:
-        return tuple(max(a, b) for a, b in zip(x, y))
+        return tuple(map(max, x, y))
 
     def meet(self, x, y) -> tuple:
-        return tuple(min(a, b) for a, b in zip(x, y))
+        return tuple(map(min, x, y))
 
     def leq(self, x, y) -> bool:
         return all(a <= b for a, b in zip(x, y))
 
     def sup_of(self, vectors) -> tuple:
-        vectors = list(vectors)
+        if not isinstance(vectors, (list, tuple)):
+            vectors = tuple(vectors)
         return tuple(map(max, zip(*vectors))) if vectors else self.zero()
 
     def inf_of(self, vectors) -> Optional[tuple]:
-        vectors = list(vectors)
+        if not isinstance(vectors, (list, tuple)):
+            vectors = tuple(vectors)
         if not vectors:
             return None  # no maximum element
         return tuple(map(min, zip(*vectors)))
 
     def sample(self, rng: random.Random) -> tuple:
-        return tuple(rng.randint(0, SAMPLE_BOUND) for _ in range(self.dim))
+        return next(_vectors(rng.getrandbits, self.dim))
 
 
 @dataclass(frozen=True)
@@ -338,9 +376,28 @@ def _plain(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
-                         seed: int = 0) -> dict:
-    """Verify a distributive law of addition over join or meet.
+def _sampled_triples(m: VectorMonoid, samples: int, seed: int):
+    """``samples`` seeded triples ``(a, b, c)`` of vectors, drawn lazily in
+    that order."""
+    vectors = _vectors(random.Random(seed).getrandbits, m.dim)
+    return itertools.islice(zip(vectors, vectors, vectors), samples)
+
+
+def _sampled_sets(m: VectorMonoid, samples: int, seed: int):
+    """``samples`` seeded pairs ``(a, B)``, drawn lazily: a vector ``a``,
+    the size of ``B`` in ``1..MAX_SAMPLED_SET_SIZE``, then the members of
+    ``B``."""
+    getrandbits = random.Random(seed).getrandbits
+    vectors = _vectors(getrandbits, m.dim)
+    sizes = _draws(getrandbits, MAX_SAMPLED_SET_SIZE - 1)
+    for a in itertools.islice(vectors, samples):
+        yield a, tuple(itertools.islice(vectors, 1 + next(sizes)))
+
+
+def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
+                            samples: int = 1000, seed: int = 0) -> dict:
+    """Verify distributive laws of addition over join or meet:
+    ``{mode: report}`` in the order of ``modes``.
 
     ``plus_join``/``plus_meet`` are the binary laws (over triples);
     ``plus_join_inf``/``plus_meet_inf`` quantify over finite sets ``B``,
@@ -351,56 +408,86 @@ def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
     :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
     ``checked`` and the witness; else ``samples`` seeded draws of
     vectors, with nonempty ``B`` of at most ``MAX_SAMPLED_SET_SIZE``.
-    """
-    if mode not in DISTRIBUTIVITY_MODES:
-        raise MonoidError(f"unknown mode {mode!r}")
-    dual = mode.startswith("plus_meet")
-    binary = not mode.endswith("_inf")
-    add, sup_of, inf_of = _laws(m, "distributivity")
-    bound_of = inf_of if dual else sup_of
-    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
-              "sampling": None}
 
-    def failure(a, B) -> Optional[dict]:
+    The join and meet forms of a law read the same instances, so they share
+    one pass per stream and ``a + B`` is computed once per instance.  A mode
+    stops at its first witness, which fixes its ``checked``, while the
+    other carries on; the pass ends when every mode has failed or the
+    instances run out.
+    """
+    for mode in modes:
+        if mode not in DISTRIBUTIVITY_MODES:
+            raise MonoidError(f"unknown mode {mode!r}")
+    add, sup_of, inf_of = _laws(m, "distributivity")
+    reports = {mode: {"mode": mode, "holds": True, "witness": None,
+                      "checked": 0, "sampling": None} for mode in modes}
+
+    def failure(bound_of, a, B, sums) -> Optional[dict]:
         bound = bound_of(B)
         if bound is None:
             return None
         lhs = add(a, bound)
-        rhs = bound_of([add(a, b) for b in B])
+        rhs = bound_of(sums)
         if rhs == lhs:
             return None
         return {"a": _plain(a), "B": [_plain(b) for b in B],
                 "lhs": _plain(lhs), "rhs": _plain(rhs)}
 
-    if instances is None and isinstance(m, FiniteMonoid):
-        if not binary:
-            q = associated_order(m)
-            report["checked"], hit = set_distributivity_failure(
-                q.dual if dual else q, m.op)
-            if hit is not None:
-                report["holds"] = False
-                report["witness"] = failure(hit[0], tuple(bits(hit[1])))
-            return report
-        elements = range(m.size)
-        instances = ((a, (b, c)) for a in elements
-                     for b in elements for c in elements)
-    elif instances is None:
-        rng = random.Random(seed)
+    def bound_for(mode):
+        return inf_of if mode.startswith("plus_meet") else sup_of
 
-        def draw():
-            a = m.sample(rng)
-            k = 2 if binary else rng.randint(1, MAX_SAMPLED_SET_SIZE)
-            return a, tuple(m.sample(rng) for _ in range(k))
-        instances = (draw() for _ in range(samples))  # drawn lazily
+    def run(stream, group):
+        live = [(reports[mode], bound_for(mode)) for mode in group]
+        for a, B in stream:
+            sums = [add(a, b) for b in B]
+            failed = False
+            for report, bound in live:
+                report["checked"] += 1
+                witness = failure(bound, a, B, sums)
+                if witness is not None:
+                    report["holds"] = False
+                    report["witness"] = witness
+                    failed = True
+            if failed:
+                live = [entry for entry in live if entry[0]["holds"]]
+                if not live:
+                    break
+
+    if instances is not None:
+        run(instances, reports)
+        return reports
+    binary = [mode for mode in reports if not mode.endswith("_inf")]
+    sets = [mode for mode in reports if mode.endswith("_inf")]
+    if isinstance(m, FiniteMonoid):
+        if binary:
+            elements = range(m.size)
+            run(((a, (b, c)) for a in elements for b in elements for c in elements),
+                binary)
+        q = associated_order(m)
+        for mode in sets:
+            report = reports[mode]
+            report["checked"], hit = set_distributivity_failure(
+                q.dual if mode.startswith("plus_meet") else q, m.op)
+            if hit is not None:
+                a, B = hit[0], tuple(bits(hit[1]))
+                report["holds"] = False
+                report["witness"] = failure(
+                    bound_for(mode), a, B, [add(a, b) for b in B])
+        return reports
+    for report in reports.values():
         report["sampling"] = {"seed": seed, "instance_count": samples}
-    for a, B in instances:
-        report["checked"] += 1
-        witness = failure(a, B)
-        if witness is not None:
-            report["holds"] = False
-            report["witness"] = witness
-            break
-    return report
+    if binary:
+        run(((a, (b, c)) for a, b, c in _sampled_triples(m, samples, seed)), binary)
+    if sets:
+        run(_sampled_sets(m, samples, seed), sets)
+    return reports
+
+
+def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
+                         seed: int = 0) -> dict:
+    """The report of one mode of :func:`check_distributive_laws`."""
+    return check_distributive_laws(m, (mode,), instances, samples=samples,
+                                   seed=seed)[mode]
 
 
 def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
@@ -417,9 +504,7 @@ def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
     if instances is None and isinstance(m, FiniteMonoid):
         instances = itertools.product(range(m.size), repeat=3)
     elif instances is None:
-        rng = random.Random(seed)
-        instances = (tuple(m.sample(rng) for _ in range(3))
-                     for _ in range(samples))
+        instances = _sampled_triples(m, samples, seed)
         report["sampling"] = {"seed": seed, "instance_count": samples}
     for a, b, c in instances:
         report["checked"] += 1
@@ -442,8 +527,9 @@ def closed_under_subtraction(m, S, *, samples: int = 1000,
     """Whenever ``a, b`` lie in ``S`` and ``a - b`` exists, it lies in ``S``.
 
     For a finite monoid ``S`` is a set of elements and the scan is exact;
-    for a vector monoid ``S`` is a membership predicate checked on seeded
-    sample pairs.
+    for a vector monoid ``S`` is a membership predicate checked on
+    ``samples`` seeded pairs inside ``S``, found within ``100 * samples``
+    draws or a :class:`MonoidError`.
     """
     if isinstance(m, FiniteMonoid):
         members = set(S)
@@ -455,8 +541,12 @@ def closed_under_subtraction(m, S, *, samples: int = 1000,
         return True
     rng = random.Random(seed)
     pred: Callable = S
-    hits = 0
+    hits = draws = 0
     while hits < samples:
+        if draws == 100 * samples:
+            raise MonoidError(f"only {hits} of {samples} sampled pairs lie "
+                              f"in S after {draws} draws")
+        draws += 1
         a = m.sample(rng)
         b = tuple(rng.randint(0, v) for v in a)  # b <= a so a - b exists
         if not (pred(a) and pred(b)):
@@ -483,17 +573,20 @@ def cyclic_group(n: int) -> FiniteMonoid:
 
 
 def enumerate_commutative_monoids(n: int):
-    """All commutative monoid tables on ``range(n)`` with identity 0."""
+    """All commutative monoid tables on ``range(n)`` with identity 0.
+
+    Each candidate is commutative with identity 0 by construction, so only
+    associativity can fail; it is tested on the candidate before the
+    constructor, which re-validates every survivor."""
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     out = []
     for values in itertools.product(range(n), repeat=len(cells)):
         table = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
         for (a, b), v in zip(cells, values):
             table[a][b] = table[b][a] = v
-        try:
+        table = tuple(map(tuple, table))
+        if _is_associative(table):
             out.append(FiniteMonoid(table, 0))
-        except MonoidError:
-            continue
     return out
 
 

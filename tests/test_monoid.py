@@ -1,17 +1,27 @@
 """Monoid orders, group completion, and the distributive laws."""
 
+import hashlib
+import itertools
+import json
 import random
+import time
 
 import pytest
 
 from latkit.monoid import (
     DISTRIBUTIVITY_MODES,
+    MAX_SAMPLED_SET_SIZE,
+    SAMPLE_BOUND,
     FiniteMonoid,
     MonoidError,
     NotCancellativeError,
     VectorMonoid,
     associated_order,
+    _draws,
+    _sampled_sets,
+    _sampled_triples,
     check_disjoint_sum_laws,
+    check_distributive_laws,
     check_distributivity,
     closed_under_subtraction,
     cyclic_group,
@@ -291,3 +301,189 @@ def test_vector_order_agrees_with_divisibility():
     for _ in range(300):
         x, y = v.sample(rng), v.sample(rng)
         assert v.leq(x, y) == (v.sub(y, x) is not None)
+
+
+# ---------------------------------------------------------------------------
+# the seeded draws and the shared pass against the randint loops they replace
+
+
+def ref_sample(rng, dim):
+    return tuple(rng.randint(0, SAMPLE_BOUND) for _ in range(dim))
+
+
+def ref_triples(dim, samples, seed):
+    rng = random.Random(seed)
+    return [tuple(ref_sample(rng, dim) for _ in range(3)) for _ in range(samples)]
+
+
+def ref_sets(dim, samples, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        a = ref_sample(rng, dim)
+        k = rng.randint(1, MAX_SAMPLED_SET_SIZE)
+        out.append((a, tuple(ref_sample(rng, dim) for _ in range(k))))
+    return out
+
+
+def ref_sampled_distributivity(m, mode, samples, seed):
+    """One mode in its own loop over its own randint draws."""
+    rng = random.Random(seed)
+    bound_of = m.inf_of if mode.startswith("plus_meet") else m.sup_of
+    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
+              "sampling": {"seed": seed, "instance_count": samples}}
+    for _ in range(samples):
+        a = ref_sample(rng, m.dim)
+        k = rng.randint(1, MAX_SAMPLED_SET_SIZE) if mode.endswith("_inf") else 2
+        B = tuple(ref_sample(rng, m.dim) for _ in range(k))
+        report["checked"] += 1
+        lhs = m.add(a, bound_of(B))
+        rhs = bound_of([m.add(a, b) for b in B])
+        if lhs != rhs:
+            report["holds"] = False
+            report["witness"] = {"a": list(a), "B": [list(b) for b in B],
+                                 "lhs": list(lhs), "rhs": list(rhs)}
+            break
+    return report
+
+
+def ref_sampled_disjoint_sum(m, samples, seed):
+    zero = m.zero()
+    report = {"holds": True, "witness": None, "checked": 0,
+              "sampling": {"seed": seed, "instance_count": samples}}
+    for a, b, c in ref_triples(m.dim, samples, seed):
+        report["checked"] += 1
+        if m.meet(a, b) == zero and m.join(a, b) != m.add(a, b):
+            witness = {"law": "sum_is_join", "a": list(a), "b": list(b)}
+        elif (m.meet(a, c) == zero and m.meet(b, c) == zero
+                and m.meet(m.add(a, b), c) != zero):
+            witness = {"law": "sum_stays_disjoint",
+                       "a": list(a), "b": list(b), "c": list(c)}
+        else:
+            continue
+        report["holds"] = False
+        report["witness"] = witness
+        break
+    return report
+
+
+class FiveDropsVectorMonoid(VectorMonoid):
+    """A wrong addition: a first coordinate of 5 in a sum becomes 0."""
+
+    def add(self, x, y):
+        s = super().add(x, y)
+        return (0,) + s[1:] if s[0] == 5 else s
+
+
+@pytest.mark.parametrize("top", [0, 1, 3, 7, 8, 100])
+def test_draws_are_the_randint_values(top):
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = list(itertools.islice(_draws(rng.getrandbits, top), 300))
+        assert got == [ref.randint(0, top) for _ in range(300)]
+        # no raw draw past the last value taken
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sampled_instances_are_the_randint_instances(dim):
+    m = VectorMonoid(dim)
+    for seed in range(5):
+        assert list(_sampled_triples(m, 200, seed)) == ref_triples(dim, 200, seed)
+        assert list(_sampled_sets(m, 200, seed)) == ref_sets(dim, 200, seed)
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert m.sample(rng) == ref_sample(ref, dim)
+            assert rng.randint(0, 3) == ref.randint(0, 3)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_broken_addition_reports_match_the_per_mode_loops():
+    """Both forms of each law share a pass; each report must still be the
+    one its own loop over its own draws gives, including the ``checked``
+    of a mode that fails before or after its partner."""
+    reports = {}
+    for dim, seed in itertools.product((1, 2, 3), (0, 5)):
+        m = FiveDropsVectorMonoid(dim)
+        laws = check_distributive_laws(m, samples=3000, seed=seed)
+        assert list(laws) == list(DISTRIBUTIVITY_MODES)
+        for mode in DISTRIBUTIVITY_MODES:
+            assert laws[mode] == ref_sampled_distributivity(m, mode, 3000, seed)
+            assert check_distributivity(m, mode, samples=3000, seed=seed) == laws[mode]
+            reports[f"{dim}/{seed}/{mode}"] = laws[mode]
+        rep = check_disjoint_sum_laws(m, samples=3000, seed=seed)
+        assert rep == ref_sampled_disjoint_sum(m, 3000, seed)
+        reports[f"{dim}/{seed}/disjoint"] = rep
+    assert not any(r["holds"] for r in reports.values())
+    row = reports["2/0/plus_join"]
+    assert row["checked"] == 41
+    assert row["witness"] == {"B": [[1, 3], [4, 4]], "a": [1, 3],
+                              "lhs": [0, 7], "rhs": [2, 7]}
+    assert reports["2/0/plus_meet_inf"]["checked"] == 46
+    assert reports["2/0/disjoint"]["checked"] == 22
+    assert reports["2/0/disjoint"]["witness"] == {
+        "a": [5, 1], "b": [0, 0], "law": "sum_is_join"}
+    assert reports["3/5/disjoint"]["checked"] == 1111
+    # the set laws part at different instances: meet fails first
+    assert reports["1/0/plus_meet_inf"]["checked"] == 4
+    assert reports["1/0/plus_join_inf"]["checked"] == 34
+    # all 30 reports as the per-mode loops printed them before the pass
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "dbfbcd5ad6f2a28644ae201716d862218ce46a45cbaf2f949869e0666a596cd8")
+
+
+def test_distributive_laws_are_the_one_mode_reports():
+    monoids = [truncated_addition_monoid(3), max_monoid(), cyclic_group(1),
+               VectorMonoid(2)]
+    for m in monoids:
+        laws = check_distributive_laws(m, samples=300, seed=4)
+        assert laws == {mode: check_distributivity(m, mode, samples=300, seed=4)
+                        for mode in DISTRIBUTIVITY_MODES}
+    inst = [((1, 1), ((2, 0), (0, 2), (1, 1))), ((0, 3), ((1, 1),))]
+    laws = check_distributive_laws(VectorMonoid(2), ("plus_meet_inf", "plus_join"),
+                                   iter(inst))
+    assert list(laws) == ["plus_meet_inf", "plus_join"]
+    assert all(r["holds"] and r["checked"] == 2 for r in laws.values())
+    with pytest.raises(MonoidError, match="unknown mode"):
+        check_distributive_laws(VectorMonoid(2), ("plus_join", "times_join"))
+
+
+def test_vector_bounds_take_any_iterable():
+    v = VectorMonoid(3)
+    vectors = [(1, 5, 0), (4, 2, 2), (0, 7, 1), (3, 3, 3)]
+    assert v.sup_of(()) == (0, 0, 0) and v.inf_of(()) is None
+    assert v.sup_of([(1, 5, 0)]) == v.inf_of([(1, 5, 0)]) == (1, 5, 0)
+    assert v.sup_of(iter(vectors)) == v.sup_of(vectors) == (4, 7, 3)
+    assert v.inf_of(x for x in vectors) == v.inf_of(tuple(vectors)) == (0, 2, 0)
+    assert v.sup_of(x for x in ()) == (0, 0, 0)
+    assert v.inf_of(iter([])) is None
+    assert v.join((1, 5, 0), (4, 2, 2)) == (4, 5, 2)
+    assert v.meet((1, 5, 0), (4, 2, 2)) == (1, 2, 0)
+    assert v.add((1, 5, 0), (4, 2, 2)) == (5, 7, 2)
+
+
+def test_closed_under_subtraction_bounds_its_draws():
+    nat2 = VectorMonoid(2)
+    t0 = time.perf_counter()
+    with pytest.raises(MonoidError, match="only 0 of 5 sampled pairs"):
+        closed_under_subtraction(nat2, lambda v: False, samples=5)
+    assert time.perf_counter() - t0 < 1.0
+    assert closed_under_subtraction(nat2, lambda v: False, samples=0)
+
+
+def test_commutative_monoid_enumeration_is_the_constructor_filter():
+    for n in range(1, 5):
+        cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+        want = []
+        for values in itertools.product(range(n), repeat=len(cells)):
+            table = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
+            for (a, b), v in zip(cells, values):
+                table[a][b] = table[b][a] = v
+            try:
+                want.append(FiniteMonoid(table, 0).table)
+            except MonoidError:
+                pass
+        assert [m.table for m in enumerate_commutative_monoids(n)] == want
+    assert [len(enumerate_commutative_monoids(n)) for n in range(1, 5)] == [
+        1, 2, 9, 94]
