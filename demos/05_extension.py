@@ -6,14 +6,16 @@ embedding with convex range inside a well-behaved target, the extension
 is again an embedding with convex range.
 """
 
-from latkit.builders import powerset_lattice
+from latkit.builders import chain, powerset_lattice
 from latkit.embedding import (
     HypothesisFailed,
-    enumerate_continuous_extensions,
+    continuity_checks,
     enumerate_embeddings,
+    enumerate_monotone_maps,
     extend_from_join_dense,
     verify_convexity_transfer,
 )
+from latkit.order import MonotoneMap
 
 p2, p3 = powerset_lattice(2), powerset_lattice(3)
 basis = [0b00, 0b01, 0b10]  # bottom plus singletons of P(2)
@@ -27,14 +29,16 @@ print("basis fragment:", partial)
 ext = extend_from_join_dense(p2, basis, partial, p3)
 print("extension:     ", ext.image, " equal:", ext.image == mm.image)
 
-print("\n== uniqueness, by enumerating every continuous extension ==")
-exts = enumerate_continuous_extensions(p2, basis, partial, p3)
-print(f"continuous extensions agreeing on the basis: "
-      f"{len({e.image for e in exts})}")
+report = verify_convexity_transfer(p2, basis, p3.full_mask, p3, partial)
+
+print("\n== uniqueness, from the one candidate ==")
+print("  every x is the join of the basis elements below it, so a join-preserving",
+      "extension must send x to the join of their images")
+for key in ("extensions_found", "unique"):
+    print(f"  {key}: {report[key]}")
 
 print("\n== the packaged theorem check ==")
-report = verify_convexity_transfer(p2, basis, p3.full_mask, p3, partial)
-for key in ("holds", "unique", "convex_range", "embedding"):
+for key in ("holds", "convex_range", "embedding"):
     print(f"  {key}: {report[key]}")
 
 print("\n== hypothesis violations are named ==")
@@ -45,11 +49,10 @@ except HypothesisFailed as exc:
     print("  rejected:", exc)
 
 print("\n== without the bottom the extension can float ==")
-from latkit.builders import chain
-
 c2, c3 = chain(2), chain(3)
-floats = enumerate_continuous_extensions(c2, [1], {1: 2}, c3)
-images = sorted({e.image for e in floats})
+images = [img for img in enumerate_monotone_maps(c2, c3)
+          if img[1] == 2
+          and continuity_checks(MonotoneMap(c2, c3, img))["preserves_nonempty_sups"]]
 print(f"  the top of a 2-chain sent to 2 in a 3-chain extends {len(images)}",
       f"ways: {images}")
 print("  (all agree off the bottom; adding the bottom to the dense set",

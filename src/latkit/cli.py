@@ -37,11 +37,10 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # size 6 (134,702 pairs) and 17 s at size 7 (5,144,952 pairs); raising the
 # limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
-# each census map's extension off the basis {0} + atoms is found by trying
-# every monotone candidate for continuity: at --m 4, --n 2/3/4 take about
-# 0.3/0.6/60 s (157,488 candidates at --n 4), and a 32-element codomain
-# multiplies the candidates again
-MAX_EXTENSION_CODOMAIN = 4
+# the setting is checked once and each census map's extension is one
+# candidate, so the census search is the cost: on 2 CPUs --m 5 takes about
+# 0.4/1.1/2.7 s at --n 4/5/6, but --n 5 --m 6 takes 144 s
+MAX_EXTENSION_CODOMAIN = 5
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
 # every monoid law acts per coordinate, so more dimensions test nothing new;
@@ -346,12 +345,18 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
     basis = [0] + [1 << i for i in range(n)]
     census = embedding.enumerate_embeddings(
         L, M, convex_range=True, budget_nodes=cfg.budget_nodes)
+    try:
+        embedding.check_transfer_setting(L, basis, M.full_mask, M)
+        setting = None
+    except embedding.HypothesisFailed as exc:
+        setting = exc  # no census map changes the setting, so each fails it
     failures = []
     for mm in census.maps:
-        sig = {b: mm.image[b] for b in basis}
         try:
-            rep = embedding.verify_convexity_transfer(
-                L, basis, M.full_mask, M, sig)
+            if setting is not None:
+                raise setting
+            rep = embedding.verify_transfer_map(
+                L, basis, M.full_mask, M, {b: mm.image[b] for b in basis})
         except embedding.HypothesisFailed as exc:
             # a census map that fails a hypothesis is a counterexample
             rep = {"holds": False, "hypothesis": exc.hypothesis,

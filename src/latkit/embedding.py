@@ -90,7 +90,8 @@ __all__ = [
     "chainprod_decompose",
     "chainprod_formula_census",
     "extend_from_join_dense",
-    "enumerate_continuous_extensions",
+    "check_transfer_setting",
+    "verify_transfer_map",
     "verify_convexity_transfer",
     "census_to_json_lines",
 ]
@@ -660,20 +661,26 @@ def powerset_formula_census(x: int, y: int) -> tuple:
 # extension from a join-dense subset
 
 
+def _hypothesis(name: str, ok: bool, detail: str = ""):
+    if not ok:
+        raise HypothesisFailed(name, detail)
+
+
 def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
                             M: QuasiOrder):
     if set(sigma) != set(bits(dmask)):
         raise PreconditionFailedError("sigma must be defined exactly on D")
-    if not classify(M)["complete_semilattice"]:
-        raise HypothesisFailed("M-complete-semilattice")
-    if not is_join_dense(L, dmask):
-        raise HypothesisFailed("D-join-dense")
-    if not is_meet_closed(L, dmask):
-        raise HypothesisFailed("D-meet-subsemilattice")
+    _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
+    _hypothesis("D-join-dense", is_join_dense(L, dmask))
+    _hypothesis("D-meet-subsemilattice", is_meet_closed(L, dmask))
     for d in bits(dmask):
         for e in bits(dmask):
             if L.le(d, e) and not M.le(sigma[d], sigma[e]):
                 raise HypothesisFailed("sigma-order-preserving", f"({d},{e})")
+    _check_sigma_bounds(L, dmask, sigma, M)
+
+
+def _check_sigma_bounds(L: QuasiOrder, dmask: int, sigma: dict, M: QuasiOrder):
     keys, bad = _sup_failures(L, M, sigma, bits(dmask))
     if bad:
         raise HypothesisFailed("sigma-preserves-sups-in-L",
@@ -683,6 +690,18 @@ def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
     if bad:
         raise HypothesisFailed("sigma-preserves-boundedness-in-L",
                                f"A={_largest_failing(keys, bad)}")
+
+
+def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
+                   M: QuasiOrder) -> MonotoneMap:
+    """``p -> sup sigma(D & down(p))``, monotone as that set grows with ``p``."""
+    image = []
+    for p in range(L.size):
+        s = sup(M, [sigma[d] for d in bits(dmask & L.down_masks[p])])
+        if s is None:
+            raise RuntimeError("bounded image lost its supremum")
+        image.append(s)
+    return MonotoneMap(L, M, tuple(image))
 
 
 def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
@@ -699,16 +718,7 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
     dmask = mask_of(L, D)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     _check_sigma_hypotheses(L, dmask, sigma, M)
-    image = []
-    for p in range(L.size):
-        img = 0
-        for d in bits(dmask & L.down_masks[p]):
-            img |= 1 << sigma[d]
-        s = sup(M, img)
-        if s is None:
-            raise RuntimeError("bounded image lost its supremum")
-        image.append(s)
-    out = MonotoneMap(L, M, tuple(image))
+    out = _sup_extension(L, dmask, sigma, M)
     if any(out.image[d] != sigma[d] for d in bits(dmask)):
         raise RuntimeError("extension failed to extend")
     if not continuity_checks(out)["preserves_nonempty_sups"]:
@@ -716,60 +726,12 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
     return out
 
 
-def enumerate_continuous_extensions(L: QuasiOrder, D: SetLike, sigma: dict,
-                                    M: QuasiOrder) -> tuple:
-    """All maps ``L -> M`` agreeing with ``sigma`` on ``D`` that preserve
-    nonempty suprema, by constrained backtracking."""
-    dmask = mask_of(L, D)
-    sigma = {int(k): int(v) for k, v in sigma.items()}
-    order = linear_extension(L)
-    image = [-1] * L.size
-    out = []
-    # per depth: the earlier elements below and above this depth's element
-    lower = [[q for q in order[:d] if (L.down_masks[p] >> q) & 1]
-             for d, p in enumerate(order)]
-    upper = [[q for q in order[:d] if (L.up_masks[p] >> q) & 1]
-             for d, p in enumerate(order)]
-
-    def rec(depth: int):
-        if depth == L.size:
-            mm = MonotoneMap(L, M, tuple(image))
-            if continuity_checks(mm)["preserves_nonempty_sups"]:
-                out.append(mm)
-            return
-        p = order[depth]
-        cands = 1 << sigma[p] if (dmask >> p) & 1 else M.full_mask
-        for q in lower[depth]:
-            cands &= M.up_masks[image[q]]
-        for q in upper[depth]:
-            cands &= M.down_masks[image[q]]
-        for cand in bits(cands):
-            image[p] = cand
-            rec(depth + 1)
-
-    rec(0)
-    return tuple(out)
-
-
-def _hypothesis(name: str, ok: bool, detail: str = ""):
-    if not ok:
-        raise HypothesisFailed(name, detail)
-
-
-def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
-                              M: QuasiOrder, sigma: dict) -> dict:
-    """Extension of a convex-range embedding off a basis stays convex.
-
-    Hypotheses: ``L`` and ``M`` complete semilattices with the join-infinite
-    distributive law, ``M`` flat-complete, ``B`` a strongly interval
-    predense basis containing the bottom, ``E`` a join-dense preregular
-    sublattice of ``M``, and ``sigma`` an embedding of ``B`` into ``E``
-    whose range is convex inside ``E``.  Verifies existence, uniqueness,
-    and convex range of the extension.
-    """
+def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
+                           M: QuasiOrder):
+    """The hypotheses of :func:`verify_convexity_transfer` that do not
+    involve ``sigma``, in its order, raising :class:`HypothesisFailed`."""
     bmask = mask_of(L, B)
     emask = mask_of(M, E)
-    sigma = {int(k): int(v) for k, v in sigma.items()}
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
     _hypothesis("L-jid", check_jid(lattice_view(L))["holds"])
     _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
@@ -785,30 +747,61 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
     _hypothesis("E-join-dense", is_join_dense(M, emask))
     _hypothesis("E-preregular", is_preregular(M, emask))
     _hypothesis("E-sublattice", is_sublattice(M, emask))
+
+
+def verify_transfer_map(L: QuasiOrder, B: SetLike, E: SetLike,
+                        M: QuasiOrder, sigma: dict) -> dict:
+    """The ``sigma-*`` hypotheses of :func:`verify_convexity_transfer` and
+    its report, in a setting that :func:`check_transfer_setting` passed."""
+    bmask = mask_of(L, B)
+    emask = mask_of(M, E)
+    sigma = {int(k): int(v) for k, v in sigma.items()}
     _hypothesis("sigma-defined-on-B", set(sigma) == set(bits(bmask)))
     rng_mask = 0
     for v in sigma.values():
         rng_mask |= 1 << v
     _hypothesis("sigma-range-in-E", rng_mask & ~emask == 0)
-    refl = all(
+    _hypothesis("sigma-embedding", all(
         M.le(sigma[a], sigma[b]) == L.le(a, b)
-        for a in bits(bmask) for b in bits(bmask)
-    )
-    _hypothesis("sigma-embedding", refl)
+        for a in bits(bmask) for b in bits(bmask)))
     hull = upper_closure(M, rng_mask).mask & lower_closure(M, rng_mask).mask
     _hypothesis("sigma-convex-in-E", hull & emask & ~rng_mask == 0)
+    _check_sigma_bounds(L, bmask, sigma, M)
 
-    ext = extend_from_join_dense(L, bmask, sigma, M)
-    exts = enumerate_continuous_extensions(L, bmask, sigma, M)
-    unique = len({e.image for e in exts}) == 1
+    ext = _sup_extension(L, bmask, sigma, M)
+    found = continuity_checks(ext)["preserves_nonempty_sups"]
     convex = is_convex(M, ext.range_mask)
     embedding = ext.is_embedding
-    holds = unique and convex and embedding and ext.image in {e.image for e in exts}
     return {
-        "holds": holds,
+        "holds": found and convex and embedding,
         "extension": list(ext.image),
-        "unique": unique,
+        "unique": found,
         "convex_range": convex,
         "embedding": embedding,
-        "extensions_found": len(exts),
+        "extensions_found": int(found),
     }
+
+
+def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
+                              M: QuasiOrder, sigma: dict) -> dict:
+    """Extension of a convex-range embedding off a basis stays convex.
+
+    Hypotheses: ``L`` and ``M`` complete semilattices with the join-infinite
+    distributive law, ``M`` flat-complete, ``B`` a strongly interval
+    predense basis containing the bottom, ``E`` a join-dense preregular
+    sublattice of ``M``, and ``sigma`` an embedding of ``B`` into ``E``
+    whose range is convex inside ``E``.  Verifies existence, uniqueness,
+    and convex range of the extension.
+
+    The extension is decided from one candidate.  A basis is join-dense
+    (each element is the supremum of a family from ``B``, hence of all of
+    ``B`` below it), and ``B`` holds the bottom, so every ``x`` is the
+    supremum of the nonempty set ``B & down(x)``.  An extension of ``sigma``
+    that preserves nonempty suprema must send ``x`` to ``sup sigma(B &
+    down(x))``, the map :func:`extend_from_join_dense` builds, which agrees
+    with the monotone ``sigma`` on ``B``.  So there is at most one, and it
+    exists iff that map preserves nonempty suprema: ``extensions_found`` is
+    0 or 1, and ``unique`` means it is 1.
+    """
+    check_transfer_setting(L, B, E, M)
+    return verify_transfer_map(L, B, E, M, sigma)

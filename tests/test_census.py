@@ -3,7 +3,6 @@ and the definition-level embedding check), its node count, and the
 byte-identity of every CLI report pinned by the benchmark."""
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
@@ -16,19 +15,10 @@ from latkit.cli import main
 from latkit.embedding import (
     BudgetExceededError,
     _range_flags,
-    continuity_checks,
-    enumerate_continuous_extensions,
     enumerate_embeddings,
-    enumerate_monotone_maps,
     naive_embedding_census,
 )
-from latkit.order import (
-    MonotoneMap,
-    OrderError,
-    bits,
-    build_quasi_order,
-    linear_extension,
-)
+from latkit.order import build_quasi_order
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
            {"downward_closed_range": True})
@@ -132,41 +122,3 @@ def test_census_reports_match_benchmark_checksums(capsys, name):
     out = capsys.readouterr().out
     assert code == EXPECTED[name]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[name]["sha256"]
-
-
-def ref_continuous_extensions(L, dmask, sigma, M):
-    """Every monotone map agreeing with ``sigma`` on ``dmask`` that preserves
-    nonempty suprema, in the depth-first order of the backtracker."""
-    order = linear_extension(L)
-    out = [img for img in enumerate_monotone_maps(L, M)
-           if all(img[d] == sigma[d] for d in bits(dmask))
-           and continuity_checks(MonotoneMap(L, M, img))["preserves_nonempty_sups"]]
-    return sorted(out, key=lambda img: tuple(img[p] for p in order))
-
-
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except OrderError as exc:
-        return type(exc)
-
-
-def test_continuous_extensions_match_reference():
-    # off posets both raise OrderError once some monotone map agrees on D
-    quasi = [build_quasi_order(2, [(0, 1), (1, 0)]),
-             build_quasi_order(3, [(0, 1), (1, 0), (1, 2)]),
-             build_quasi_order(3, [(2, 0), (0, 1), (1, 0)])]
-    orders = [q for n in (1, 2, 3) for q in enumerate_posets(n)] + quasi
-    checked = 0
-    for L in orders:
-        for M in orders:
-            maps = list(itertools.product(range(M.size), repeat=L.size))
-            for dmask in range(1 << L.size):
-                for img in maps[::3]:
-                    sigma = {d: img[d] for d in bits(dmask)}
-                    got = outcome(enumerate_continuous_extensions, L, dmask, sigma, M)
-                    if isinstance(got, tuple):
-                        got = [m.image for m in got]
-                    assert got == outcome(ref_continuous_extensions, L, dmask, sigma, M)
-                    checked += 1
-    assert checked > 1000

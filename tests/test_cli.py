@@ -11,6 +11,7 @@ import time
 import pytest
 
 from latkit import embedding
+from latkit.builders import powerset_lattice
 from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -487,11 +488,11 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
     # the default --j 2 would build 4,096 elements
     (("verify", "thm-chainprod-form", "--m", "64"),
      "--j must be at most 1 for --m 64" + ORDER_LIMIT),
-    (("verify", "thm-extension-convexity", "--n", "2", "--m", "5"),
-     "--m must be at most 4 for thm-extension-convexity"),
+    (("verify", "thm-extension-convexity", "--n", "2", "--m", "6"),
+     "--m must be at most 5 for thm-extension-convexity"),
     # the default --m is --n + 1
-    (("verify", "thm-extension-convexity", "--n", "4"),
-     "--m must be at most 4 for thm-extension-convexity"),
+    (("verify", "thm-extension-convexity", "--n", "5"),
+     "--m must be at most 5 for thm-extension-convexity"),
     (("verify", "thm-extension-convexity", "--n", "7"),
      "--n must be at most 6" + ORDER_LIMIT),
     # refused before the census, not by the decomposition of its first map
@@ -711,7 +712,7 @@ def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
     def mutant(*args):
         raise embedding.HypothesisFailed("M-flat-complete", "mutant")
 
-    monkeypatch.setattr(embedding, "verify_convexity_transfer", mutant)
+    monkeypatch.setattr(embedding, "check_transfer_setting", mutant)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_VIOLATION and err == ""
     report = json.loads(out)["report"]
@@ -723,6 +724,28 @@ def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
         "error": "hypothesis 'M-flat-complete' failed: mutant"}
 
 
+def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
+    # mutation: the one candidate extension fails its existence check, which
+    # is a counterexample with its census map as the witness, not a crash
+    real = embedding.continuity_checks
+    monkeypatch.setattr(embedding, "continuity_checks", lambda mm: {
+        **real(mm), "preserves_nonempty_sups": False})
+    code, out, err = run(capsys, "--format", "json", "verify",
+                         "thm-extension-convexity", "--n", "2")
+    assert code == EXIT_VIOLATION and err == ""
+    report = json.loads(out)["report"]
+    census = embedding.enumerate_embeddings(
+        powerset_lattice(2), powerset_lattice(3), convex_range=True)
+    assert not report["holds"]
+    assert [f["image"] for f in report["failures"]] == [
+        list(img) for img in census.images()]
+    witness = report["witness"]
+    assert witness == report["failures"][0]
+    assert witness["report"]["extension"] == witness["image"]
+    assert witness["report"]["extensions_found"] == 0
+    assert not witness["report"]["holds"] and not witness["report"]["unique"]
+
+
 def test_extension_convexity_report_at_m_4_is_pinned(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify",
                        "thm-extension-convexity", "--n", "2", "--m", "4")
@@ -731,6 +754,11 @@ def test_extension_convexity_report_at_m_4_is_pinned(capsys):
     assert report["embeddings"] == 48 and report["holds"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "99a6cde8d0f2a5954b9c5d89747069315484ac369e0f214e72d3bd6ffcc27932")
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "thm-extension-convexity", "--n", "4", "--m", "5")
+    assert code == EXIT_OK
+    report = json.loads(out)["report"]
+    assert report["embeddings"] == 240 and report["holds"]
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

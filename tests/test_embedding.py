@@ -27,9 +27,11 @@ from latkit.embedding import (
     chainprod_decompose,
     chainprod_embedding,
     chainprod_formula_census,
+    _check_sigma_hypotheses,
+    check_transfer_setting,
     continuity_checks,
-    enumerate_continuous_extensions,
     enumerate_embeddings,
+    enumerate_monotone_maps,
     extend_from_join_dense,
     naive_embedding_census,
     powerset_decompose,
@@ -39,16 +41,30 @@ from latkit.embedding import (
     relative_atoms,
     verify_convexity_transfer,
     verify_preregular_continuity,
+    verify_transfer_map,
 )
-from latkit.lattice import check_jid, classify, is_convex, is_preregular, lattice_view
+from latkit.lattice import (
+    check_jid,
+    classify,
+    is_basis,
+    is_convex,
+    is_join_dense,
+    is_preregular,
+    lattice_view,
+)
 from latkit.order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
     atoms,
     bits,
+    build_quasi_order,
+    induced_suborder,
+    linear_extension,
+    mask_of,
     minimal_elements,
     positive_part,
+    sup,
 )
 
 
@@ -435,6 +451,145 @@ def test_chainprod_embedding_feasibility():
 
 def powerset_basis(n):
     return [0] + [1 << i for i in range(n)]
+
+
+def enumerate_continuous_extensions(L, D, sigma, M):
+    """All maps ``L -> M`` agreeing with ``sigma`` on ``D`` that preserve
+    nonempty suprema, by constrained backtracking over monotone maps: the
+    oracle for the one candidate that ``verify_convexity_transfer`` decides."""
+    dmask = mask_of(L, D)
+    sigma = {int(k): int(v) for k, v in sigma.items()}
+    order = linear_extension(L)
+    image = [-1] * L.size
+    out = []
+    # per depth: the earlier elements below and above this depth's element
+    lower = [[q for q in order[:d] if (L.down_masks[p] >> q) & 1]
+             for d, p in enumerate(order)]
+    upper = [[q for q in order[:d] if (L.up_masks[p] >> q) & 1]
+             for d, p in enumerate(order)]
+
+    def rec(depth):
+        if depth == L.size:
+            mm = MonotoneMap(L, M, tuple(image))
+            if continuity_checks(mm)["preserves_nonempty_sups"]:
+                out.append(mm)
+            return
+        p = order[depth]
+        cands = 1 << sigma[p] if (dmask >> p) & 1 else M.full_mask
+        for q in lower[depth]:
+            cands &= M.up_masks[image[q]]
+        for q in upper[depth]:
+            cands &= M.down_masks[image[q]]
+        for cand in bits(cands):
+            image[p] = cand
+            rec(depth + 1)
+
+    rec(0)
+    return tuple(out)
+
+
+def ref_continuous_extensions(L, dmask, sigma, M):
+    """Every monotone map agreeing with ``sigma`` on ``dmask`` that preserves
+    nonempty suprema, in the depth-first order of the backtracker."""
+    order = linear_extension(L)
+    out = [img for img in enumerate_monotone_maps(L, M)
+           if all(img[d] == sigma[d] for d in bits(dmask))
+           and continuity_checks(MonotoneMap(L, M, img))["preserves_nonempty_sups"]]
+    return sorted(out, key=lambda img: tuple(img[p] for p in order))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except OrderError as exc:
+        return type(exc)
+
+
+def test_continuous_extensions_match_reference():
+    # off posets both raise OrderError once some monotone map agrees on D
+    quasi = [build_quasi_order(2, [(0, 1), (1, 0)]),
+             build_quasi_order(3, [(0, 1), (1, 0), (1, 2)]),
+             build_quasi_order(3, [(2, 0), (0, 1), (1, 0)])]
+    orders = [q for n in (1, 2, 3) for q in enumerate_posets(n)] + quasi
+    checked = 0
+    for L in orders:
+        for M in orders:
+            maps = list(itertools.product(range(M.size), repeat=L.size))
+            for dmask in range(1 << L.size):
+                for img in maps[::3]:
+                    sigma = {d: img[d] for d in bits(dmask)}
+                    got = outcome(enumerate_continuous_extensions, L, dmask, sigma, M)
+                    if isinstance(got, tuple):
+                        got = [m.image for m in got]
+                    assert got == outcome(ref_continuous_extensions, L, dmask, sigma, M)
+                    checked += 1
+    assert checked > 1000
+
+
+def extension_census_maps():
+    """``(L, B, M, census map)`` for every census map of
+    ``verify thm-extension-convexity`` with ``--n`` <= 3 and ``--m`` <= 4,
+    then for the 2x2 chain product into the 2x2x2 one."""
+    for n in range(4):
+        for m in range(5):
+            L, M = powerset_lattice(n), powerset_lattice(m)
+            for mm in enumerate_embeddings(L, M, convex_range=True).maps:
+                yield L, powerset_basis(n), M, mm
+    cp, cod = chain_product([2, 2]), chain_product([2, 2, 2])
+    B = [cp.index(v) for v in ((0, 0), (1, 0), (0, 1))]
+    for mm in enumerate_embeddings(cp.order, cod.order, convex_range=True).maps:
+        yield cp.order, B, cod.order, mm
+
+
+def test_convexity_transfer_matches_the_extension_oracle():
+    cases = 0
+    for L, B, M, mm in extension_census_maps():
+        sig = {b: mm.image[b] for b in B}
+        rep = verify_convexity_transfer(L, B, M.full_mask, M, sig)
+        exts = enumerate_continuous_extensions(L, B, sig, M)
+        assert rep["extensions_found"] == len(exts) == 1
+        assert [e.image for e in exts] == [tuple(rep["extension"])] == [mm.image]
+        cases += 1
+    assert cases == 208
+    # {0} | {1} = {0, 1} in P(2) goes to {0, 1, 2}, not to {0} | {1}; convex
+    # ranges inside a sublattice E keep such suprema, so only an E outside
+    # the setting (here the range itself) reaches the clause
+    p2, p3 = powerset_lattice(2), powerset_lattice(3)
+    sig = {0: 0, 1: 1, 2: 2, 3: 7}
+    with pytest.raises(HypothesisFailed) as err:
+        verify_transfer_map(p2, p2.full_mask, [0, 1, 2, 7], p3, sig)
+    assert err.value.hypothesis == "sigma-preserves-sups-in-L"
+    assert enumerate_continuous_extensions(p2, p2.full_mask, sig, p3) == ()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_setting_implies_the_clauses_the_map_check_skips(n):
+    # verify_transfer_map skips four clauses of _check_sigma_hypotheses:
+    # D-join-dense follows from B-basis, M-complete-semilattice and
+    # D-meet-subsemilattice repeat setting clauses, and sigma-order-preserving
+    # follows from sigma-embedding
+    p3 = powerset_lattice(3)
+    sigmas = 0
+    for L in enumerate_lattices(n):
+        bottom = sup(L, 0)
+        for bmask in range(1 << n):
+            if not bmask >> bottom & 1:
+                continue
+            if is_basis(L, bmask):
+                assert is_join_dense(L, bmask)
+            sub, elems = induced_suborder(L, bmask)
+            for M in (L, p3):
+                try:
+                    check_transfer_setting(L, bmask, M.full_mask, M)
+                except HypothesisFailed:
+                    continue
+                for mm in enumerate_embeddings(sub, M).maps:
+                    sigmas += 1
+                    try:
+                        _check_sigma_hypotheses(L, bmask, dict(zip(elems, mm.image)), M)
+                    except HypothesisFailed as exc:
+                        assert exc.hypothesis.startswith("sigma-preserves-")
+    assert sigmas > 0
 
 
 def test_extension_identity_when_dense_set_is_everything():
