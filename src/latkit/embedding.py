@@ -316,19 +316,21 @@ def _pair_keys(dom: QuasiOrder, cod: QuasiOrder, image, elems) -> dict:
 
 
 def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
-    """The keys of ``elems``, and the classes of the nonempty ``B`` among
-    them whose supremum ``s`` is one of ``elems`` with ``image[s]`` not the
-    supremum of the image of ``B``."""
+    """The keys of ``elems``, the classes of the nonempty ``B`` among them
+    (their :func:`intersection_closure`), and the classes whose supremum
+    ``s`` is one of ``elems`` with ``image[s]`` not the supremum of the
+    image of ``B``."""
     keys = _pair_keys(dom, cod, image, elems)
+    classes = intersection_closure(keys.values())
     bad = set()
     # both halves of a class are up-sets, so both suprema are lookups
     n, full = dom.size, dom.full_mask
     dom_least, cod_least = dom.up_index, cod.up_index
-    for ub in intersection_closure(keys.values()):
+    for ub in classes:
         s = dom_least.get(ub & full)
         if s in keys and cod_least.get(ub >> n) != image[s]:
             bad.add(ub)
-    return keys, bad
+    return keys, classes, bad
 
 
 def _largest_failing(keys: dict, bad: set) -> list:
@@ -351,8 +353,8 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
     if dom.size:
         _require_poset(dom)
         _require_poset(cod)
-    keys, bad = _sup_failures(dom, cod, sigma.image, range(dom.size))
-    co_keys, co_bad = _sup_failures(dom.dual, cod.dual, sigma.image, range(dom.size))
+    keys, _, bad = _sup_failures(dom, cod, sigma.image, range(dom.size))
+    co_keys, _, co_bad = _sup_failures(dom.dual, cod.dual, sigma.image, range(dom.size))
     return {
         "preserves_nonempty_sups": not bad,
         "preserves_nonempty_infs": not co_bad,
@@ -681,12 +683,11 @@ def _check_sigma_hypotheses(L: QuasiOrder, dmask: int, sigma: dict,
 
 
 def _check_sigma_bounds(L: QuasiOrder, dmask: int, sigma: dict, M: QuasiOrder):
-    keys, bad = _sup_failures(L, M, sigma, bits(dmask))
+    keys, classes, bad = _sup_failures(L, M, sigma, bits(dmask))
     if bad:
         raise HypothesisFailed("sigma-preserves-sups-in-L",
                                f"B={_largest_failing(keys, bad)}")
-    bad = {ub for ub in intersection_closure(keys.values())
-           if ub & L.full_mask and not ub >> L.size}
+    bad = {ub for ub in classes if ub & L.full_mask and not ub >> L.size}
     if bad:
         raise HypothesisFailed("sigma-preserves-boundedness-in-L",
                                f"A={_largest_failing(keys, bad)}")

@@ -46,12 +46,19 @@ __all__ = [
     "linear_extension",
     "bits",
     "intersection_closure",
+    "MAX_CLOSURE_SIZE",
     "mask_of",
     "order_to_json",
     "order_from_json",
     "subset_to_json",
     "subset_from_json",
 ]
+
+
+# members of an intersection closure; the largest that the tests, demos and
+# benchmark jobs build has 65, and a preregularity check over 2**18 takes
+# about 0.3 s in-process (2-vCPU VM)
+MAX_CLOSURE_SIZE = 1 << 18
 
 
 class OrderError(ValueError):
@@ -73,13 +80,18 @@ def intersection_closure(masks: Iterable[int]) -> set:
     through the AND of one key per member (for ``up_masks``: the upper
     bounds of ``B``) needs one visit per member of this closure, not one per
     subset.  The largest ``B`` in the class ``T``, also numerically, is the
-    extent ``{a in A : key(a) contains T}``.
+    extent ``{a in A : key(a) contains T}``.  A closure can have
+    ``2**len(masks) - 1`` members, so one that passes
+    ``MAX_CLOSURE_SIZE`` raises :class:`OrderError`.
     """
     closure = set()
     for m in masks:
         if m not in closure:  # the closure is already closed under "& m"
             closure |= {m & c for c in closure}
             closure.add(m)
+            if len(closure) > MAX_CLOSURE_SIZE:
+                raise OrderError(f"intersection closure passed MAX_CLOSURE_SIZE "
+                                 f"= {MAX_CLOSURE_SIZE} members")
     return closure
 
 
@@ -490,7 +502,8 @@ def upper_sets(q: QuasiOrder) -> tuple:
     A down-set is the intersection of the complements of ``up(p)`` over the
     points ``p`` outside it, so the up-sets are the complements of the
     members of the intersection closure of those complements, plus the
-    empty set (the empty subfamily).
+    empty set (the empty subfamily); past ``MAX_CLOSURE_SIZE`` up-sets it
+    raises :class:`OrderError`.
     """
     full = q.full_mask
     downs = intersection_closure(full & ~up for up in q.up_masks)

@@ -776,3 +776,21 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert json.loads(first)["flags"]["embedding"] is True
     assert proc.returncode == EXIT_PIPE == 141
     assert err == b""
+
+
+def test_crown_closure_past_the_cap_exits_2(capsys, tmp_path):
+    # a crown: minimal elements a_i below every maximal m_j with j != i, so
+    # the sets of upper bounds of the nonempty subsets of the minimal
+    # elements are 2**k - 1 classes, past MAX_CLOSURE_SIZE at k = 19
+    k = 19
+    path = tmp_path / "crown.json"
+    path.write_text(json.dumps({
+        "order": {"size": 2 * k, "pairs": [[i, k + j] for i in range(k)
+                                           for j in range(k) if i != j]},
+        "subset": list(range(k))}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "check", "preregular",
+                         "--input", str(path))
+    assert time.perf_counter() - start < 10.0
+    assert code == EXIT_USAGE and out == ""
+    assert "intersection closure passed MAX_CLOSURE_SIZE = 262144 members" in err

@@ -18,6 +18,7 @@ from latkit.monoid import (
     VectorMonoid,
     associated_order,
     _draws,
+    _laws,
     _sampled_sets,
     _sampled_triples,
     check_disjoint_sum_laws,
@@ -33,7 +34,7 @@ from latkit.monoid import (
     truncated_addition_monoid,
     vector_group_completion,
 )
-from latkit.order import is_partial_order
+from latkit.order import inf, is_partial_order, sup
 
 
 def max_monoid():
@@ -487,3 +488,52 @@ def test_commutative_monoid_enumeration_is_the_constructor_filter():
         assert [m.table for m in enumerate_commutative_monoids(n)] == want
     assert [len(enumerate_commutative_monoids(n)) for n in range(1, 5)] == [
         1, 2, 9, 94]
+
+
+@pytest.mark.parametrize("instances", [
+    [(-1, (0, 1))],          # read as the last row before the check
+    [(0, (1, -1))],
+    [(0, (1, 3))],
+    [(True, (0, 1))],
+    [(0, (0, 1)), (0, ("1",))],
+])
+def test_distributive_laws_refuse_elements_off_the_table(instances):
+    m = truncated_addition_monoid(3)
+    with pytest.raises(MonoidError, match=r"outside range\(3\)"):
+        check_distributive_laws(m, ("plus_join",), instances)
+
+
+@pytest.mark.parametrize("instances", [
+    [(-1, 0, 0)],
+    [(0, 3, 0)],
+    [(0, 0, 1.0)],
+    [(0, 0, 0), (0, 0, -2)],
+])
+def test_disjoint_sum_laws_refuse_elements_off_the_table(instances):
+    with pytest.raises(MonoidError, match=r"outside range\(3\)"):
+        check_disjoint_sum_laws(truncated_addition_monoid(3), instances)
+
+
+def test_caller_instances_on_a_table_are_checked_as_given():
+    m = truncated_addition_monoid(3)
+    report = check_distributivity(m, "plus_join", iter([(2, (0, 1)), (1, (1,))]))
+    assert report["holds"] is True and report["checked"] == 2
+    assert check_disjoint_sum_laws(m, iter([(0, 1, 2)]))["checked"] == 1
+
+
+def test_table_bounds_match_order_sup_and_inf():
+    # the laws read each bound of a table off the AND of up-masks;
+    # order.sup and order.inf are the oracle, on every sequence of up to
+    # three elements of every poset monoid of up to 4 elements
+    posets = 0
+    for n in range(1, 5):
+        for m in enumerate_commutative_monoids(n):
+            q = associated_order(m)
+            if not q.is_poset:
+                continue
+            posets += 1
+            _, sup_of, inf_of = _laws(m, "bound")
+            for r in range(4):
+                for B in itertools.product(range(n), repeat=r):
+                    assert sup_of(B) == sup(q, B) and inf_of(B) == inf(q, B), (m, B)
+    assert posets == 42

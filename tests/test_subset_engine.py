@@ -44,6 +44,7 @@ from latkit.monoid import (
     truncated_addition_monoid,
 )
 from latkit.order import (
+    MAX_CLOSURE_SIZE,
     MonotoneMap,
     OrderError,
     Subset,
@@ -324,6 +325,18 @@ def test_intersection_closure_is_every_subfamily_intersection():
                     acc &= f
                 expected.add(acc)
         assert intersection_closure(masks) == expected, masks
+
+
+def test_intersection_closure_stops_past_its_cap():
+    # the complements of the 18 bits meet in every proper subset of the
+    # 18 bits, so with all of them the closure is the whole power set,
+    # exactly MAX_CLOSURE_SIZE members; a new bit is one member more
+    assert MAX_CLOSURE_SIZE == 1 << 18
+    full = (1 << 18) - 1
+    masks = [full] + [full & ~(1 << i) for i in range(18)]
+    assert intersection_closure(masks) == set(range(1 << 18))
+    with pytest.raises(OrderError, match="MAX_CLOSURE_SIZE"):
+        intersection_closure(masks + [1 << 18])
 
 
 # ---------------------------------------------------------------------------

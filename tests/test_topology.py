@@ -7,11 +7,14 @@ proper subsets.  They are the oracle for the mask code.
 """
 
 import itertools
+import json
+import os
 import random
 import time
 
 import pytest
 
+from latkit import topology as topology_module
 from latkit.lattice import check_jid, check_mid, classify, is_basis, lattice_view
 from latkit.order import bits
 from latkit.topology import (
@@ -40,6 +43,9 @@ from latkit.topology import (
     topology_from_json,
     topology_to_json,
 )
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +249,15 @@ def test_space_operations_match_reference():
         assert clopen_sets(t) == ref_clopen_sets(ref)
         assert is_zero_dimensional(t) == ref_is_zero_dimensional(ref)
         cat = category_algebra(t)
-        assert (cat.order.up_masks, cat.reps, cat.class_map, cat.largest_open_meager,
-                cat.baire, cat.ro_members, cat.ro_iso) == ref_category_algebra(ref)
+        up, reps, class_map, *rest = ref_category_algebra(ref)
+        assert (cat.order.up_masks, cat.reps, cat.largest_open_meager, cat.baire,
+                cat.ro_members, cat.ro_iso) == (up, reps, *rest)
+        for s in range(1 << n):
+            if s in class_map:
+                assert cat.class_of(s) == class_map[s]
+            else:
+                with pytest.raises(KeyError):
+                    cat.class_of(s)
 
 
 def test_generated_topology_matches_reference():
@@ -445,14 +458,19 @@ def test_category_algebra_discrete():
 
 
 def test_category_algebra_sierpinski():
-    cat = category_algebra(sierpinski())
+    with open(os.path.join(FIXTURES, "sierpinski.json")) as fh:
+        sp = topology_from_json(json.load(fh))
+    assert sp.opens == sierpinski().opens
+    cat = category_algebra(sp)
     assert cat.size == 2
-    assert sorted(cat.ro_iso.values()) == sorted(set(cat.class_map.values()))
+    bp = baire_property_sets(sp)
+    assert bp == (0, 1, 2, 3)
+    assert sorted(cat.ro_iso.values()) == sorted({cat.class_of(s) for s in bp})
     # class operations act setwise
-    for a in (0, 1, 2, 3):
-        for b in (0, 1, 2, 3):
-            ca, cb = cat.class_map[a], cat.class_map[b]
-            assert cat.join_class(ca, cb) == cat.class_map[cat.reps[ca] | cat.reps[cb]]
+    for a in bp:
+        for b in bp:
+            ca, cb = cat.class_of(a), cat.class_of(b)
+            assert cat.join_class(ca, cb) == cat.class_of(cat.reps[ca] | cat.reps[cb])
 
 
 def test_category_algebra_class_operations():
@@ -460,15 +478,29 @@ def test_category_algebra_class_operations():
         cat = category_algebra(t)
         bp = baire_property_sets(t)
         for a in bp:
-            ca = cat.class_map[a]
+            ca = cat.class_of(a)
             comp = cat.complement_class(ca)
-            assert comp == cat.class_map[t.full_mask & ~cat.reps[ca]]
+            assert comp == cat.class_of(t.full_mask & ~cat.reps[ca])
         for a in bp[:6]:
             for b in bp[:6]:
-                assert cat.class_map[a | b] == cat.join_class(
-                    cat.class_map[a], cat.class_map[b])
-                assert cat.class_map[a & b] == cat.meet_class(
-                    cat.class_map[a], cat.class_map[b])
+                assert cat.class_of(a | b) == cat.join_class(
+                    cat.class_of(a), cat.class_of(b))
+                assert cat.class_of(a & b) == cat.meet_class(
+                    cat.class_of(a), cat.class_of(b))
+
+
+def test_category_algebra_reads_no_subset_scan(monkeypatch):
+    # the classes are the traces of the opens: the definition-level scans
+    # of the Baire-property sets and of the meager ideal are never run
+    def refuse(t):
+        raise AssertionError("subset scan")
+
+    monkeypatch.setattr(topology_module, "baire_property_sets", refuse)
+    monkeypatch.setattr(topology_module, "meager_ideal", refuse)
+    for _, t in small_spaces():
+        assert category_algebra(t).size >= 1
+        if is_zero_dimensional(t):
+            assert clopen_basis_check(t)["basis"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -504,7 +536,7 @@ def test_clopen_classes_dense_in_zero_dimensional():
         cat = category_algebra(t)
         classes = 0
         for c in clopen_sets(t):
-            classes |= 1 << cat.class_map[c]
+            classes |= 1 << cat.class_of(c)
         assert is_basis(cat.order, classes)
 
 
