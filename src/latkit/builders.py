@@ -126,10 +126,18 @@ class ChainProduct:
 
     @cached_property
     def order(self) -> QuasiOrder:
-        return QuasiOrder(tuple(
-            sum(1 << b for b, w in enumerate(self.vectors)
-                if all(x <= y for x, y in zip(v, w)))
-            for v in self.vectors))
+        """Componentwise order: ``up(v)`` is the AND over coordinates ``i``
+        of ``at_least[i][v[i]]``, the mask of the vectors ``w`` with
+        ``w[i] >= v[i]``."""
+        at_least = [[sum(1 << b for b, w in enumerate(self.vectors) if w[i] >= t)
+                     for t in range(d)] for i, d in enumerate(self.dims)]
+        ups = []
+        for v in self.vectors:
+            up = (1 << self.size) - 1
+            for row, t in zip(at_least, v):
+                up &= row[t]
+            ups.append(up)
+        return QuasiOrder(tuple(ups))
 
 
 def chain_product(dims) -> ChainProduct:

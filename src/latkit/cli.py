@@ -37,10 +37,12 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # size 6 (134,702 pairs) and 17 s at size 7 (5,144,952 pairs); raising the
 # limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
-# the setting is checked once and each census map's extension is one
-# candidate, so the census search is the cost: on 2 CPUs --m 5 takes about
-# 0.4/1.1/2.7 s at --n 4/5/6, but --n 5 --m 6 takes 144 s
-MAX_EXTENSION_CODOMAIN = 5
+# the setting is checked once, the convex-range census of P(n) -> P(m) is a
+# search of the intervals of P(m), and each census map's extension is one
+# candidate, so the per-map check is the cost: on 2 CPUs --m 6 takes about
+# 1.0/2.5/3.4 s at --n 4/5/6 (1,440/1,440/720 maps), and 6 is the largest
+# power set a spec may name
+MAX_EXTENSION_CODOMAIN = 6
 # commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
 MAX_MONOID_SIZE = 4
 # every monoid law acts per coordinate, so more dimensions test nothing new;
@@ -397,10 +399,18 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(dom, cod,
                                             budget_nodes=cfg.budget_nodes)
-    bad = [
-        list(mm.image) for mm in census.maps
-        if not embedding.atom_image_check(mm)
-    ]
+    # embedding.atom_image_check per map, with the atoms of the domain found
+    # once and the relative atoms once per range
+    dom_atoms = order.atoms(dom).mask
+    range_atoms = {}
+    bad = []
+    for mm in census.maps:
+        rmask = mm.range_mask
+        want = range_atoms.get(rmask)
+        if want is None:
+            want = range_atoms[rmask] = embedding.relative_atoms(cod, rmask).mask
+        if mm.image_mask(dom_atoms) != want:
+            bad.append(list(mm.image))
     return {
         "holds": not bad,
         "x": x,

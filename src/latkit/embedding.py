@@ -2,12 +2,14 @@
 
 The census enumerator backtracks over a linear extension of the domain.
 Each variable's candidates are the set bits of an AND of codomain masks
-(strictly above or incomparable), one per assigned variable, so only
-injective, preserving and reflecting choices are visited; the convex and
-lower-set filters prune partial ranges whose hull or down-closure already
-exceeds the domain size.  Each map's range flags are read off the masks at
-its leaf.  The naive census over all maps and :func:`_range_flags`, which
-derive maps and flags from the plain definitions, are the test oracle.
+(strictly above, strictly below or incomparable), one per assigned
+variable, so only injective, preserving and reflecting choices are visited;
+the convex and lower-set filters prune partial ranges whose hull or
+down-closure already exceeds the domain size, and a convex census of a
+domain with a bottom and a top searches only the intervals of the domain's
+size.  Each map's range flags are read off the masks at its leaf.  The
+naive census over all maps and :func:`_range_flags`, which derive maps and
+flags from the plain definitions, are the test oracle.
 
 One engine serves both product-form theorems: the chain-product functions
 decompose, build and list the shifted partial projections ``x -> (x o g) + y``,
@@ -182,27 +184,70 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     hull of ``rng`` and contains it, so the convex prune
     ``h.bit_count() > n`` on the last variable is exactly ``hull != rng``;
     likewise ``downs`` is the down-closure of ``rng`` and the lower-set
-    prune is exactly ``downs != rng``.  Preregularity serves as both filter
-    and flag; it is computed once per distinct range of the census.
+    prune is exactly ``downs != rng``.
+
+    A convex range of a domain with a bottom and a top is an interval.  For
+    every ``p``, ``s(bot) <= s(p) <= s(top)``, so the range lies inside
+    ``I = [s(bot), s(top)]``; being convex and holding both ends, it holds
+    all of ``I``.  So the range is ``I``, ``I`` has ``n`` elements, and ``s``
+    is an isomorphism onto ``I``: each ``p`` goes to an element of ``I``
+    with as many elements of ``I`` below and above it as ``p`` has in the
+    domain.  So with ``convex_range`` on such a domain the bottom is
+    assigned first and the top second, a top candidate counts as a node but
+    is skipped unless ``I`` has ``n`` elements, and every later variable
+    draws only from the elements of ``I`` with its two counts.  Other
+    domains keep the hull and lower-set prunes alone.
+
+    Preregularity serves as both filter and flag.  When the domain is a
+    lattice it is decided from joins and meets.  The range ``A`` is
+    isomorphic to the domain, so for every nonempty ``B`` inside ``A`` the
+    set of upper bounds of ``B`` in ``A`` has a least element.  So ``A`` is
+    upwards preregular iff every such ``B`` has a supremum in ``cod`` and
+    that supremum lies in ``A``; as ``sup(B + {b}) = sup{sup B, b}``, by
+    induction binary joins suffice, and the join of ``s(p)`` and ``s(q)``
+    inside ``A`` is ``s(p v q)``.  So the verdict checks ``s(p v q) =
+    sup{s(p), s(q)}`` and its dual for each incomparable pair, two
+    ``up_index`` lookups; on other domains it is :func:`is_preregular`.
+    Either runs once per distinct range of the census (a census of ``P(6)``
+    into itself has 720 maps and one range).
     """
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
     n, k = dom.size, cod.size
     order = linear_extension(dom)
+    bottom, top = sup(dom, 0), inf(dom, 0)
+    interval = convex_range and bottom is not None and top is not None
+    if interval:
+        ends = (bottom,) if top == bottom else (bottom, top)
+        order = ends + tuple(p for p in order if p not in ends)
+    up_d, down_d = dom.up_masks, dom.down_masks
+    # shape[p]: how many domain elements lie below and above p; allowed[p]:
+    # the candidates of p inside the current interval, else every element
+    shape = [(down_d[p].bit_count(), up_d[p].bit_count()) for p in range(n)]
+    allowed = [cod.full_mask] * n
     image = [-1] * n
     found = []
     nodes = 0
-    preregular = {}  # range mask -> is_preregular(cod, range mask)
     up_c, down_c = cod.up_masks, cod.down_masks
     above = [up_c[c] & ~(1 << c) for c in range(k)]
+    below = [down_c[c] & ~(1 << c) for c in range(k)]
     apart = [cod.full_mask & ~(up_c[c] | down_c[c]) for c in range(k)]
     # per depth: (q, table) for each earlier variable q, where table[image[q]]
-    # is the set of images allowed by how q relates to this depth's variable;
-    # in a linear extension an earlier variable is never above a later one
+    # is the set of images allowed by how q relates to this depth's variable
     constraints = [
-        [(q, above if (dom.up_masks[q] >> p) & 1 else apart) for q in order[:d]]
+        [(q, above if up_d[q] >> p & 1 else below if up_d[p] >> q & 1
+          else apart) for q in order[:d]]
         for d, p in enumerate(order)
     ]
+    preregular = {}  # range mask -> whether that range is preregular
+    lv = lattice_view(dom)
+    lattice_dom = lv.is_lattice
+    if lattice_dom:
+        # (p, q, p v q, p ^ q) for each incomparable pair
+        pairs = [(p, q, lv.join[p][q], lv.meet[p][q])
+                 for p in range(n) for q in range(p)
+                 if not (up_d[p] >> q & 1 or up_d[q] >> p & 1)]
+        join_at, meet_at = cod.up_index, cod.dual.up_index
 
     def rec(depth: int, rng: int, ups: int, downs: int, hull: int):
         # rng, ups, downs, hull: the partial range, its upper and lower
@@ -211,7 +256,11 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
         if depth == n:
             prereg = preregular.get(rng)
             if prereg is None:
-                prereg = preregular[rng] = is_preregular(cod, rng)
+                prereg = preregular[rng] = all(
+                    join_at.get(up_c[image[p]] & up_c[image[q]]) == image[j]
+                    and meet_at.get(down_c[image[p]] & down_c[image[q]]) == image[m]
+                    for p, q, j, m in pairs
+                ) if lattice_dom else is_preregular(cod, rng)
             if prereg or not preregular_range:
                 found.append((tuple(image), {
                     "embedding": True,
@@ -220,12 +269,12 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                     "downward_closed_range": downs == rng,
                 }))
             return
-        cands = cod.full_mask
+        p = order[depth]
+        cands = allowed[p]
         for q, table in constraints[depth]:
             cands &= table[image[q]]
             if not cands:
                 return
-        p = order[depth]
         while cands:
             low = cands & -cands
             cands ^= low
@@ -234,6 +283,17 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             if budget_nodes is not None and nodes > budget_nodes:
                 raise BudgetExceededError(
                     f"node budget {budget_nodes} exceeded")
+            if interval and depth == 1:  # c is the top's image
+                span = ups & down_c[c]
+                if span.bit_count() != n:
+                    continue
+                by_shape = {}
+                for e in bits(span):
+                    key = ((down_c[e] & span).bit_count(),
+                           (up_c[e] & span).bit_count())
+                    by_shape[key] = by_shape.get(key, 0) | 1 << e
+                for v in order[2:]:
+                    allowed[v] = by_shape.get(shape[v], 0)
             u, dn = ups | up_c[c], downs | down_c[c]
             h = hull | (up_c[c] & dn) | (u & down_c[c])
             if convex_range and h.bit_count() > n:
@@ -296,11 +356,19 @@ def naive_embedding_census(dom: QuasiOrder, cod: QuasiOrder, *,
 
 
 def census_to_json_lines(census: EmbeddingCensus) -> list:
-    """One JSON document per map: ``{"image": [...], "flags": {...}}``."""
-    return [
-        json.dumps({"image": list(m.image), "flags": f}, sort_keys=True)
-        for m, f in zip(census.maps, census.flags)
-    ]
+    """One JSON document per map: ``{"image": [...], "flags": {...}}``, keys
+    sorted.  A census has few distinct flags dicts, so each is encoded
+    once; an image is a list of ints, which JSON writes as Python does."""
+    encoded = {}
+    lines = []
+    for m, f in zip(census.maps, census.flags):
+        key = tuple(f.items())
+        flags = encoded.get(key)
+        if flags is None:
+            flags = encoded[key] = json.dumps(f, sort_keys=True)
+        image = ", ".join(map(str, m.image))
+        lines.append(f'{{"flags": {flags}, "image": [{image}]}}')
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +802,12 @@ def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
     bmask = mask_of(L, B)
     emask = mask_of(M, E)
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
-    _hypothesis("L-jid", check_jid(lattice_view(L))["holds"])
+    lv_l = lattice_view(L)
+    _hypothesis("L-lattice", lv_l.is_lattice)
+    _hypothesis("L-jid", check_jid(lv_l)["holds"])
     _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
     lv_m = lattice_view(M)
+    _hypothesis("M-lattice", lv_m.is_lattice)
     _hypothesis("M-jid", check_jid(lv_m)["holds"])
     _hypothesis("M-flat-complete", is_flat_complete(lv_m))
     bottom = sup(L, 0)
@@ -787,12 +858,12 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
                               M: QuasiOrder, sigma: dict) -> dict:
     """Extension of a convex-range embedding off a basis stays convex.
 
-    Hypotheses: ``L`` and ``M`` complete semilattices with the join-infinite
-    distributive law, ``M`` flat-complete, ``B`` a strongly interval
-    predense basis containing the bottom, ``E`` a join-dense preregular
-    sublattice of ``M``, and ``sigma`` an embedding of ``B`` into ``E``
-    whose range is convex inside ``E``.  Verifies existence, uniqueness,
-    and convex range of the extension.
+    Hypotheses: ``L`` and ``M`` lattices and complete semilattices with the
+    join-infinite distributive law, ``M`` flat-complete, ``B`` a strongly
+    interval predense basis containing the bottom, ``E`` a join-dense
+    preregular sublattice of ``M``, and ``sigma`` an embedding of ``B`` into
+    ``E`` whose range is convex inside ``E``.  Verifies existence,
+    uniqueness, and convex range of the extension.
 
     The extension is decided from one candidate.  A basis is join-dense
     (each element is the supremum of a family from ``B``, hence of all of

@@ -386,14 +386,27 @@ def _laws(m, what: str):
     return m.op, _least_upper_bound(q), _least_upper_bound(q.dual)
 
 
-def _table_instances(m: FiniteMonoid, instances, elements) -> tuple:
-    """The caller's ``instances`` on a table, once each instance's
-    ``elements`` are checked to be indices in ``range(m.size)``."""
+def _is_element(m, x) -> bool:
+    """``x`` is an element of ``m``: an index in ``range(m.size)`` of a
+    table, or a tuple or list of ``m.dim`` ints (not bools), each >= 0, of
+    a vector monoid."""
+    if isinstance(m, FiniteMonoid):
+        return _is_index(x, m.size)
+    return (isinstance(x, (tuple, list)) and len(x) == m.dim
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                    for v in x))
+
+
+def _checked_instances(m, instances, elements) -> tuple:
+    """The caller's ``instances``, once each instance's ``elements`` are
+    checked with :func:`_is_element`.  Unchecked, a short vector would be
+    zipped down with the others and the law checked on what is left."""
     instances = tuple(instances)
     for inst in instances:
-        if not all(_is_index(x, m.size) for x in elements(inst)):
-            raise MonoidError(
-                f"instance {inst!r} has an element outside range({m.size})")
+        if not all(_is_element(m, x) for x in elements(inst)):
+            what = (f"outside range({m.size})" if isinstance(m, FiniteMonoid)
+                    else f"that is not a vector of {m.dim} integers >= 0")
+            raise MonoidError(f"instance {inst!r} has an element {what}")
     return instances
 
 
@@ -428,8 +441,8 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     ``plus_join``/``plus_meet`` are the binary laws (over triples);
     ``plus_join_inf``/``plus_meet_inf`` quantify over finite sets ``B``,
     asserting ``a + vB = v(a + B)`` whenever the bound exists.  The
-    instances ``(a, B)`` are the caller's ``instances`` when given (on a
-    table, every element an index of it, else :class:`MonoidError`); else
+    instances ``(a, B)`` are the caller's ``instances`` when given (every
+    element an element of ``m``, else :class:`MonoidError`); else
     every triple of a finite monoid for the binary laws, and every subset,
     the empty one included, for its set laws, decided by
     :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
@@ -446,8 +459,8 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
         if mode not in DISTRIBUTIVITY_MODES:
             raise MonoidError(f"unknown mode {mode!r}")
     add, sup_of, inf_of = _laws(m, "distributivity")
-    if instances is not None and isinstance(m, FiniteMonoid):
-        instances = _table_instances(m, instances, lambda aB: (aB[0], *aB[1]))
+    if instances is not None:
+        instances = _checked_instances(m, instances, lambda aB: (aB[0], *aB[1]))
     reports = {mode: {"mode": mode, "holds": True, "witness": None,
                       "checked": 0, "sampling": None} for mode in modes}
 
@@ -523,21 +536,21 @@ def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
                             seed: int = 0) -> dict:
     """Verify the two disjointness laws on triples ``(a, b, c)``:
     ``a ^ b = 0`` forces ``a v b = a + b``, and ``a ^ c = b ^ c = 0`` forces
-    ``(a + b) ^ c = 0``.  The triples are the caller's ``instances`` (on a
-    table, indices of it, as in :func:`check_distributive_laws`), else
+    ``(a + b) ^ c = 0``.  The triples are the caller's ``instances`` (checked
+    as in :func:`check_distributive_laws`), else
     every triple of a finite monoid, else ``samples`` seeded vector draws."""
     add, sup_of, inf_of = _laws(m, "disjoint-sum")
     # 0 is the identity, which lies below every element of the associated
     # order (0 + y = y), so it is the supremum of the empty set
     zero = sup_of(())
     report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
-    if instances is None and isinstance(m, FiniteMonoid):
+    if instances is not None:
+        instances = _checked_instances(m, instances, tuple)
+    elif isinstance(m, FiniteMonoid):
         instances = itertools.product(range(m.size), repeat=3)
-    elif instances is None:
+    else:
         instances = _sampled_triples(m, samples, seed)
         report["sampling"] = {"seed": seed, "instance_count": samples}
-    elif isinstance(m, FiniteMonoid):
-        instances = _table_instances(m, instances, tuple)
     for a, b, c in instances:
         report["checked"] += 1
         if inf_of((a, b)) == zero and sup_of((a, b)) != add(a, b):

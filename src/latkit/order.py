@@ -101,8 +101,9 @@ def _unchecked(cls, **fields):
     which are correct by construction.  A field may also preset a cached
     property that the caller has proved."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    # a frozen dataclass refuses setattr, but its fields and cached
+    # properties all live in the instance dict
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -1,8 +1,11 @@
 """The mask-filtered census search against its oracles (images, range flags
-and the definition-level embedding check), its node count, and the
-byte-identity of every CLI report pinned by the benchmark."""
+and the definition-level embedding check), the interval search against the
+full census, its node count, the chain-product order and JSON lines it
+reads and writes, and the byte-identity of every CLI report pinned by the
+benchmark."""
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -10,14 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latkit.builders import chain, enumerate_posets, powerset_lattice
+from latkit.builders import (
+    chain,
+    chain_product,
+    enumerate_lattices,
+    enumerate_posets,
+    powerset_lattice,
+)
 from latkit.cli import main
 from latkit.embedding import (
     BudgetExceededError,
     _range_flags,
+    census_to_json_lines,
     enumerate_embeddings,
     naive_embedding_census,
 )
+from latkit.lattice import is_lattice, is_preregular
 from latkit.order import build_quasi_order
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
@@ -106,10 +117,81 @@ def test_chain_census_visits_only_surviving_candidates():
 
 
 def test_powerset_census_node_count_is_pinned():
+    # the interval search: 32 images of the bottom, 211 of the top above
+    # them, and 3,040 inside the 10 intervals with 16 elements
     census = enumerate_embeddings(powerset_lattice(4), powerset_lattice(5),
                                   convex_range=True)
     assert len(census) == 240
-    assert census.nodes == 117_723
+    assert census.nodes == 3_283
+
+
+def test_interval_census_equals_the_convex_maps_of_the_full_census():
+    lattices = [q for n in range(1, 7) for q in enumerate_lattices(n)]
+    pairs = [(d, c) for d in lattices for c in lattices if d.size <= c.size]
+    assert len(pairs) == 441
+    for dom, cod in pairs:
+        full = enumerate_embeddings(dom, cod)
+        convex = [(img, f) for img, f in zip(full.images(), full.flags)
+                  if f["convex_range"]]
+        census = enumerate_embeddings(dom, cod, convex_range=True)
+        assert list(zip(census.images(), census.flags)) == convex
+
+
+def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
+    # 0 < 1, 2 < 3, 4 < 5: the two middle pairs have no join or meet, so the
+    # interval search runs with the per-range preregularity memo
+    dom = build_quasi_order(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
+                                (2, 4), (3, 5), (4, 5)])
+    assert not is_lattice(dom)
+    preregular = set()
+    for cod in (*enumerate_posets(6), *enumerate_posets(7)):
+        full = enumerate_embeddings(dom, cod)
+        census = enumerate_embeddings(dom, cod, convex_range=True)
+        assert list(zip(census.images(), census.flags)) == [
+            (img, f) for img, f in zip(full.images(), full.flags)
+            if f["convex_range"]]
+        preregular |= {f["preregular_range"] for f in census.flags}
+    assert preregular == {True, False}
+
+
+def test_preregular_flag_is_the_definition_on_every_small_domain():
+    # lattice domains decide it from joins and meets, the others per range
+    domains = [q for n in (1, 2, 3, 4) for q in enumerate_posets(n)]
+    codomains = [q for n in (1, 2, 3, 4, 5) for q in enumerate_posets(n)]
+    assert {is_lattice(d) for d in domains} == {True, False}
+    for dom in domains:
+        for cod in codomains:
+            if dom.size <= cod.size:
+                census = enumerate_embeddings(dom, cod)
+                assert [f["preregular_range"] for f in census.flags] == [
+                    is_preregular(cod, m.range_mask) for m in census.maps]
+
+
+@pytest.mark.parametrize("dom,cod,filters", [
+    (chain_product([2, 3]).order, chain_product([3, 3]).order, {}),
+    (powerset_lattice(2), powerset_lattice(4), {"convex_range": True}),
+    (build_quasi_order(3, [(0, 1), (0, 2)]), powerset_lattice(3), {}),
+], ids=["C23-C33", "P2-P4-convex", "V-P3"])
+def test_json_lines_are_the_plain_encoding(dom, cod, filters):
+    census = enumerate_embeddings(dom, cod, **filters)
+    # each census mixes flags dicts, so the lines share encodings
+    assert len({tuple(f.values()) for f in census.flags}) > 1
+    assert census_to_json_lines(census) == [
+        json.dumps({"image": list(m.image), "flags": f}, sort_keys=True)
+        for m, f in zip(census.maps, census.flags)]
+
+
+@pytest.mark.parametrize("dims", [(), (1,), (1, 1), (4,), (2, 3), (1, 3),
+                                  (3, 1, 2), (2, 2, 2), (3, 3, 3)])
+def test_chain_product_order_is_the_componentwise_order(dims):
+    cp = chain_product(dims)
+    vectors = list(itertools.product(*(range(d) for d in reversed(dims))))
+    vectors = [v[::-1] for v in vectors]  # the first coordinate varies fastest
+    assert list(cp.vectors) == vectors
+    assert cp.order.up_masks == tuple(
+        sum(1 << b for b, w in enumerate(vectors)
+            if all(x <= y for x, y in zip(v, w)))
+        for v in vectors)
 
 
 def test_every_pinned_benchmark_output_is_replayed():
@@ -122,3 +204,4 @@ def test_census_reports_match_benchmark_checksums(capsys, name):
     out = capsys.readouterr().out
     assert code == EXPECTED[name]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[name]["sha256"]
+

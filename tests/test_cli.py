@@ -488,11 +488,11 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
     # the default --j 2 would build 4,096 elements
     (("verify", "thm-chainprod-form", "--m", "64"),
      "--j must be at most 1 for --m 64" + ORDER_LIMIT),
-    (("verify", "thm-extension-convexity", "--n", "2", "--m", "6"),
-     "--m must be at most 5 for thm-extension-convexity"),
+    (("verify", "thm-extension-convexity", "--n", "2", "--m", "7"),
+     "--m must be at most 6 for thm-extension-convexity"),
     # the default --m is --n + 1
-    (("verify", "thm-extension-convexity", "--n", "5"),
-     "--m must be at most 5 for thm-extension-convexity"),
+    (("verify", "thm-extension-convexity", "--n", "6"),
+     "--m must be at most 6 for thm-extension-convexity"),
     (("verify", "thm-extension-convexity", "--n", "7"),
      "--n must be at most 6" + ORDER_LIMIT),
     # refused before the census, not by the decomposition of its first map

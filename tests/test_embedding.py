@@ -701,6 +701,17 @@ def test_convexity_transfer_rejects_bad_hypotheses():
     assert err.value.hypothesis == "B-contains-0"
 
 
+@pytest.mark.parametrize("side", ["L", "M"])
+def test_transfer_setting_names_a_poset_that_is_not_a_lattice(side):
+    # V = {0 < 1, 0 < 2} is a complete semilattice, but 1 and 2 have no join
+    vee = build_quasi_order(3, [(0, 1), (0, 2)])
+    p1 = powerset_lattice(1)
+    L, M = (vee, p1) if side == "L" else (p1, vee)
+    with pytest.raises(HypothesisFailed) as err:
+        check_transfer_setting(L, L.full_mask, M.full_mask, M)
+    assert err.value.hypothesis == f"{side}-lattice"
+
+
 def test_convexity_transfer_rejects_e_outside_sublattices():
     # bottom and singletons of P(3): join-dense and preregular (no two
     # singletons have an upper bound inside E), but {0} | {1} is missing

@@ -514,6 +514,39 @@ def test_disjoint_sum_laws_refuse_elements_off_the_table(instances):
         check_disjoint_sum_laws(truncated_addition_monoid(3), instances)
 
 
+@pytest.mark.parametrize("instances", [
+    [((1,), ((1, 2), (3,)))],        # short vectors would zip down to (1,)
+    [((1, 0), ((1, 2, 3),))],
+    [((1, 0), ((1, -2),))],
+    [((1, 0), ((1, 2.0),))],
+    [((True, 0), ((1, 2),))],
+    [(5, ((1, 2),))],
+    [((0, 0), ((0, 0),)), ((0, 0), ((0, "1"),))],
+])
+def test_distributive_laws_refuse_malformed_vectors(instances):
+    with pytest.raises(MonoidError, match="not a vector of 2 integers"):
+        check_distributive_laws(VectorMonoid(2), ("plus_join",), instances)
+
+
+@pytest.mark.parametrize("instances", [
+    [((1,), (-1, 5, 7), (0, 0))],
+    [((1, 0), (1, 5), (0,))],
+    [((1, 0), (-1, 5), (0, 0))],
+    [((1, 0), (1, 5), (0, 0.5))],
+    [((1, 0), (1, 5), None)],
+])
+def test_disjoint_sum_laws_refuse_malformed_vectors(instances):
+    with pytest.raises(MonoidError, match="not a vector of 2 integers"):
+        check_disjoint_sum_laws(VectorMonoid(2), instances)
+
+
+def test_caller_vectors_may_be_lists():
+    nat2 = VectorMonoid(2)
+    assert check_disjoint_sum_laws(nat2, [([1, 0], [2, 0], [0, 1])])["holds"]
+    rep = check_distributivity(nat2, "plus_join_inf", [([1, 1], ([2, 0], [0, 2]))])
+    assert rep["holds"] and rep["checked"] == 1
+
+
 def test_caller_instances_on_a_table_are_checked_as_given():
     m = truncated_addition_monoid(3)
     report = check_distributivity(m, "plus_join", iter([(2, (0, 1)), (1, (1,))]))
