@@ -40,18 +40,22 @@ MAX_CONTINUITY_SIZE = 6
 # the setting is checked once, the convex-range census of P(n) -> P(m) is a
 # search of the intervals of P(m), and each census map's extension is one
 # candidate, so the per-map check is the cost: on 2 CPUs --m 6 takes about
-# 1.0/2.5/3.4 s at --n 4/5/6 (1,440/1,440/720 maps), and 6 is the largest
+# 0.7/1.7/2.2 s at --n 4/5/6 (1,440/1,440/720 maps), and 6 is the largest
 # power set a spec may name
 MAX_EXTENSION_CODOMAIN = 6
-# commutative monoid tables: 4,096 at size 4, 9,765,625 at 5, ~4.7e11 at 6
-MAX_MONOID_SIZE = 4
+# commutative monoid tables, found by a search that drops a partial table at
+# its first failing associativity triple: 94 at size 4, 1,486 at 5 and
+# 38,890 at 6 (8.4 s in-process); lem-group-completion --max-size 5 takes
+# about 0.18 s in a fresh process on 2 CPUs
+MAX_MONOID_SIZE = 5
 # every monoid law acts per coordinate, so more dimensions test nothing new;
-# with 10,000 samples law-monoid-distributivity takes about 0.3 s at
-# --dims 2 and 0.6 s at 8 in a fresh process
+# the laws on N^d are decided once on N^1 over the scalar sample range, so
+# law-monoid-distributivity takes about 0.12 s in a fresh process (2 CPUs)
+# at every --dims and --samples within the limits
 MAX_DIMS = 8
-# the sampled laws take time linear in --samples: law-monoid-distributivity
-# takes about 0.3 s at 10,000 (the benchmark's value), 2-2.5 s at 100,000
-# and 5 s at both limits (--dims 8 --samples 100000)
+# --samples costs time only in the seeded draw-by-draw loop, which runs
+# when a scalar instance of the sample range fails: at both limits (--dims 8
+# --samples 100000) that loop takes about 3.2 s in a fresh process
 MAX_SAMPLES = 100_000
 # the integer options of verify, search and sweep
 INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")

@@ -24,9 +24,11 @@ from .order import (
     inf,
     intersection_closure,
     least_element,
+    lower_closure,
     mask_of,
     positive_part,
     sup,
+    upper_closure,
     upper_sets,
 )
 
@@ -238,7 +240,12 @@ def convexity_witness(q: QuasiOrder, A: SetLike) -> Optional[dict]:
 
 
 def is_convex(q: QuasiOrder, A: SetLike) -> bool:
-    return convexity_witness(q, A) is None
+    """``A`` is convex iff it is the intersection of its up-closure and its
+    down-closure: that intersection is the union of the intervals
+    ``[p, r]`` with ``p, r`` in ``A``, which :func:`convexity_witness`
+    scans pair by pair to name a gap, here one pass over ``A``."""
+    m = mask_of(q, A)
+    return upper_closure(q, m).mask & lower_closure(q, m).mask == m
 
 
 def convex_subsets(q: QuasiOrder) -> list:

@@ -6,10 +6,12 @@ addition, the stand-in for infinite pointed monoids at desk scale).  The
 associated quasi order is ``x <= y`` iff ``x + a = y`` for some ``a``.
 
 Each law sees a carrier only through its addition, suprema and infima,
-and the carriers differ only in where the instances come from (every
-triple of a table, seeded vector draws, or the caller's list).  Laws that
-quantify over the same instances share one pass over them: the join and
-meet forms of a distributive law read one stream per arity.
+and the carriers differ only in where the instances come from: every
+triple of a table, the caller's list, or for ``N^d`` every scalar instance
+of the sample range (decided once on ``N^1``) with the seeded vector draws
+behind it.  Laws that quantify over the same instances share one pass over
+them: the join and meet forms of a distributive law read one stream per
+arity.
 """
 
 from __future__ import annotations
@@ -268,6 +270,11 @@ def _draws(getrandbits, top: int):
     return filter(top.__ge__, map(getrandbits, itertools.repeat(k)))
 
 
+def _is_count(n) -> bool:
+    """``n`` is an int (not a bool) and ``n >= 0``."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def _vectors(getrandbits, dim: int):
     """Successive seeded vectors of ``dim`` coordinates in ``0..SAMPLE_BOUND``,
     lazily: each coordinate is the next value of :func:`_draws`."""
@@ -286,6 +293,10 @@ class VectorMonoid:
     """
 
     dim: int
+
+    def __post_init__(self):
+        if not _is_count(self.dim):
+            raise MonoidError(f"dim must be an integer >= 0, got {self.dim!r}")
 
     def zero(self) -> tuple:
         return (0,) * self.dim
@@ -415,6 +426,36 @@ def _plain(x):
     return list(x) if isinstance(x, tuple) else x
 
 
+def _sampling(samples, seed) -> dict:
+    """The ``sampling`` record of a sampled run.  A count that is not an
+    int >= 0, or a seed that is not an int, is refused before any law is
+    checked: a covered run draws nothing, so neither would be read."""
+    if not _is_count(samples):
+        raise MonoidError(f"samples must be an integer >= 0, got {samples!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise MonoidError(f"seed must be an integer, got {seed!r}")
+    return {"seed": seed, "instance_count": samples}
+
+
+def _scalar_range() -> list:
+    """The values ``0..SAMPLE_BOUND`` that one coordinate of a sampled
+    vector can take, as vectors of ``N^1``."""
+    return [(v,) for v in range(SAMPLE_BOUND + 1)]
+
+
+def _scalar_triples():
+    """Every triple of :func:`_scalar_range` values: 729 of them."""
+    return itertools.product(_scalar_range(), repeat=3)
+
+
+def _scalar_sets() -> list:
+    """Every pair ``(a, B)`` of a :func:`_scalar_range` value and a set of
+    1..MAX_SAMPLED_SET_SIZE distinct ones: 9 * 255 = 2,295 of them."""
+    values = _scalar_range()
+    return [(a, B) for a in values for k in range(1, MAX_SAMPLED_SET_SIZE + 1)
+            for B in itertools.combinations(values, k)]
+
+
 def _sampled_triples(m: VectorMonoid, samples: int, seed: int):
     """``samples`` seeded triples ``(a, b, c)`` of vectors, drawn lazily in
     that order."""
@@ -449,6 +490,19 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     ``checked`` and the witness; else ``samples`` seeded draws of
     vectors, with nonempty ``B`` of at most ``MAX_SAMPLED_SET_SIZE``.
 
+    On ``N^d`` itself (exactly :class:`VectorMonoid`; a subclass may
+    redefine the operations) the draws are first covered by the scalar
+    instances of the sample range: the same loop runs on ``N^1`` over every
+    triple of :func:`_scalar_triples` for the binary laws and every pair of
+    :func:`_scalar_sets` for the set laws.  ``+``, ``v`` and ``^`` act per
+    coordinate, so a vector instance fails only if one of its coordinates
+    is a failing scalar instance; each coordinate of a drawn instance lies
+    in ``0..SAMPLE_BOUND``; and a supremum or infimum of a tuple depends
+    only on the set of its values.  So when no scalar instance fails, no
+    draw can: every mode holds with ``checked = samples`` and nothing is
+    drawn.  Otherwise the seeded loop runs as it would have, and the
+    reports and witnesses are the sampled ones.
+
     The join and meet forms of a law read the same instances, so they share
     one pass per stream and ``a + B`` is computed once per instance.  A mode
     stops at its first witness, which fixes its ``checked``, while the
@@ -458,9 +512,17 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     for mode in modes:
         if mode not in DISTRIBUTIVITY_MODES:
             raise MonoidError(f"unknown mode {mode!r}")
-    add, sup_of, inf_of = _laws(m, "distributivity")
+    sampling = _sampling(samples, seed)
+    laws = _laws(m, "distributivity")
     if instances is not None:
         instances = _checked_instances(m, instances, lambda aB: (aB[0], *aB[1]))
+    return _distributive_reports(m, laws, modes, instances, sampling)
+
+
+def _distributive_reports(m, laws, modes, instances, sampling) -> dict:
+    """The reports of :func:`check_distributive_laws` once its arguments
+    are checked, with ``laws = _laws(m, ...)``."""
+    add, sup_of, inf_of = laws
     reports = {mode: {"mode": mode, "holds": True, "witness": None,
                       "checked": 0, "sampling": None} for mode in modes}
 
@@ -517,7 +579,22 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
                     bound_for(mode), a, B, [add(a, b) for b in B])
         return reports
     for report in reports.values():
-        report["sampling"] = {"seed": seed, "instance_count": samples}
+        report["sampling"] = dict(sampling)
+    samples, seed = sampling["instance_count"], sampling["seed"]
+    if type(m) is VectorMonoid:
+        scalar, cover = VectorMonoid(1), {}
+        scalar_laws = _laws(scalar, "distributivity")
+        if binary:
+            cover.update(_distributive_reports(
+                scalar, scalar_laws, binary,
+                ((a, (b, c)) for a, b, c in _scalar_triples()), None))
+        if sets:
+            cover.update(_distributive_reports(
+                scalar, scalar_laws, sets, _scalar_sets(), None))
+        if all(r["holds"] for r in cover.values()):
+            for report in reports.values():
+                report["checked"] = samples
+            return reports
     if binary:
         run(((a, (b, c)) for a, b, c in _sampled_triples(m, samples, seed)), binary)
     if sets:
@@ -538,19 +615,40 @@ def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
     ``a ^ b = 0`` forces ``a v b = a + b``, and ``a ^ c = b ^ c = 0`` forces
     ``(a + b) ^ c = 0``.  The triples are the caller's ``instances`` (checked
     as in :func:`check_distributive_laws`), else
-    every triple of a finite monoid, else ``samples`` seeded vector draws."""
-    add, sup_of, inf_of = _laws(m, "disjoint-sum")
+    every triple of a finite monoid, else ``samples`` seeded vector draws.
+
+    On ``N^d`` itself the draws are covered as in
+    :func:`check_distributive_laws`, by the 729 triples of
+    :func:`_scalar_triples` on ``N^1``: ``+``, ``v``, ``^`` and ``= 0`` act
+    per coordinate, so each law's hypothesis holds on a vector triple iff
+    it holds on every coordinate, and its conclusion fails iff it fails on
+    some coordinate, which is then a failing scalar triple."""
+    sampling = _sampling(samples, seed)
+    laws = _laws(m, "disjoint-sum")
+    if instances is not None:
+        instances = _checked_instances(m, instances, tuple)
+    return _disjoint_sum_report(m, laws, instances, sampling)
+
+
+def _disjoint_sum_report(m, laws, instances, sampling) -> dict:
+    """The report of :func:`check_disjoint_sum_laws` once its arguments are
+    checked, with ``laws = _laws(m, ...)``."""
+    add, sup_of, inf_of = laws
     # 0 is the identity, which lies below every element of the associated
     # order (0 + y = y), so it is the supremum of the empty set
     zero = sup_of(())
     report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
-    if instances is not None:
-        instances = _checked_instances(m, instances, tuple)
-    elif isinstance(m, FiniteMonoid):
+    if instances is None and isinstance(m, FiniteMonoid):
         instances = itertools.product(range(m.size), repeat=3)
-    else:
-        instances = _sampled_triples(m, samples, seed)
-        report["sampling"] = {"seed": seed, "instance_count": samples}
+    elif instances is None:
+        report["sampling"] = sampling
+        samples = sampling["instance_count"]
+        scalar = VectorMonoid(1)
+        if type(m) is VectorMonoid and _disjoint_sum_report(
+                scalar, _laws(scalar, "disjoint-sum"), _scalar_triples(), None)["holds"]:
+            report["checked"] = samples
+            return report
+        instances = _sampled_triples(m, samples, sampling["seed"])
     for a, b, c in instances:
         report["checked"] += 1
         if inf_of((a, b)) == zero and sup_of((a, b)) != add(a, b):
@@ -618,20 +716,45 @@ def cyclic_group(n: int) -> FiniteMonoid:
 
 
 def enumerate_commutative_monoids(n: int):
-    """All commutative monoid tables on ``range(n)`` with identity 0.
+    """All commutative monoid tables on ``range(n)`` with identity 0, in the
+    order of ``itertools.product`` over the cells ``a <= b`` of rows 1..n-1.
 
     Each candidate is commutative with identity 0 by construction, so only
-    associativity can fail; it is tested on the candidate before the
-    constructor, which re-validates every survivor."""
+    associativity can fail, and only on triples of nonzero elements.  The
+    cells are assigned in that order, each value in ascending order, and a
+    prefix is dropped as soon as a triple whose four cells ``xy``, ``yz``,
+    ``(xy)z`` and ``x(yz)`` are all set fails: every completion of it would
+    fail there too.  So the leaves are the associative candidates in the
+    order the product gives them.  The constructor re-validates each."""
+    if not _is_count(n) or n < 1:
+        raise MonoidError(f"a monoid has at least one element, got n={n!r}")
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+    table = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
+    triples = list(itertools.product(range(1, n), repeat=3))
     out = []
-    for values in itertools.product(range(n), repeat=len(cells)):
-        table = [list(range(n))] + [[a] + [0] * (n - 1) for a in range(1, n)]
-        for (a, b), v in zip(cells, values):
-            table[a][b] = table[b][a] = v
-        table = tuple(map(tuple, table))
-        if _is_associative(table):
+
+    def consistent() -> bool:
+        for x, y, z in triples:
+            xy, yz = table[x][y], table[y][z]
+            if xy is None or yz is None:
+                continue
+            left, right = table[xy][z], table[x][yz]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(k: int) -> None:
+        if k == len(cells):
             out.append(FiniteMonoid(table, 0))
+            return
+        a, b = cells[k]
+        for v in range(n):
+            table[a][b] = table[b][a] = v
+            if consistent():
+                fill(k + 1)
+        table[a][b] = table[b][a] = None
+
+    fill(0)
     return out
 
 

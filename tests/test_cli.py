@@ -149,6 +149,16 @@ def test_verify_monoid_distributivity_truncated_violation(capsys):
     assert modes["plus_join_inf"]["witness"]["B"] == []
 
 
+def test_verify_group_completion_at_its_limit(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "lem-group-completion", "--max-size", "5")
+    assert code == EXIT_OK
+    # 1 + 2 + 9 + 94 + 1,486 tables; the cancellative ones are groups
+    assert json.loads(out)["report"] == {
+        "cancellative_checked": 13, "failures": [], "holds": True,
+        "max_size": 5, "noncancellative_skipped": 1579}
+
+
 def test_verify_group_completion_rejects_max_monoid(capsys, tmp_path):
     path = tmp_path / "max.json"
     path.write_text(json.dumps(
@@ -446,10 +456,10 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify", "lem-group-completion", "--max-size", "5"),
-     "--max-size must be at most 4 for lem-group-completion"),
     (("verify", "lem-group-completion", "--max-size", "6"),
-     "--max-size must be at most 4 for lem-group-completion"),
+     "--max-size must be at most 5 for lem-group-completion"),
+    (("verify", "lem-group-completion", "--max-size", "7"),
+     "--max-size must be at most 5 for lem-group-completion"),
     (("verify", "lem-convex-preregular", "--max-size", "-3"),
      "--max-size must be >= 0, got -3"),
     (("search", "convex-not-preregular", "--max-size", "-2"),

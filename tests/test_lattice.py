@@ -126,6 +126,18 @@ def test_convexity():
     assert is_convex(p3, [5])
 
 
+def test_linear_convexity_is_the_pair_scan():
+    # convexity_witness scans every pair of members for a gap; is_convex
+    # reads the up-closure AND the down-closure
+    subsets = 0
+    for n in range(1, 6):
+        for q in enumerate_posets(n):
+            for amask in range(1 << n):
+                subsets += 1
+                assert is_convex(q, amask) == (convexity_witness(q, amask) is None)
+    assert subsets == 1 * 2 + 2 * 4 + 5 * 8 + 16 * 16 + 63 * 32
+
+
 def test_sup_in_subset_requires_b_inside_a():
     c3 = chain(3)
     with pytest.raises(OrderError):

@@ -21,6 +21,8 @@ from latkit.monoid import (
     _laws,
     _sampled_sets,
     _sampled_triples,
+    _scalar_sets,
+    _scalar_triples,
     check_disjoint_sum_laws,
     check_distributive_laws,
     check_distributivity,
@@ -434,6 +436,130 @@ def test_broken_addition_reports_match_the_per_mode_loops():
         "dbfbcd5ad6f2a28644ae201716d862218ce46a45cbaf2f949869e0666a596cd8")
 
 
+class DrawnVectorMonoid(VectorMonoid):
+    """``N^d`` with its own operations, but not exactly ``VectorMonoid``:
+    the laws on it take the seeded draw-by-draw loop, the oracle of the
+    covered path."""
+
+
+def mode_subsets():
+    return [modes for k in range(len(DISTRIBUTIVITY_MODES) + 1)
+            for modes in itertools.combinations(DISTRIBUTIVITY_MODES, k)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_covered_laws_are_the_sampled_reports(dim):
+    m, drawn = VectorMonoid(dim), DrawnVectorMonoid(dim)
+    for seed, samples in itertools.product(range(5), (1, 50, 3000)):
+        want = check_distributive_laws(drawn, samples=samples, seed=seed)
+        got = check_distributive_laws(m, samples=samples, seed=seed)
+        assert json.dumps(got) == json.dumps(want)
+        assert all(r["holds"] and r["checked"] == samples for r in want.values())
+        want = check_disjoint_sum_laws(drawn, samples=samples, seed=seed)
+        got = check_disjoint_sum_laws(m, samples=samples, seed=seed)
+        assert json.dumps(got) == json.dumps(want)
+        assert want["holds"] and want["checked"] == samples
+    # each subset of modes at one seed per dimension; at 3,000 draws the
+    # oracle is each mode's report in the all-mode run
+    seed = dim % 5
+    full = check_distributive_laws(drawn, samples=3000, seed=seed)
+    for modes in mode_subsets():
+        for samples in (1, 50):
+            want = check_distributive_laws(drawn, modes, samples=samples, seed=seed)
+            got = check_distributive_laws(m, modes, samples=samples, seed=seed)
+            assert json.dumps(got) == json.dumps(want), (modes, samples)
+        got = check_distributive_laws(m, modes, samples=3000, seed=seed)
+        assert json.dumps(got) == json.dumps({mode: full[mode] for mode in modes})
+
+
+def test_covered_laws_draw_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a covered run drew a sample")
+
+    monkeypatch.setattr("latkit.monoid._draws", no_draws)
+    laws = check_distributive_laws(VectorMonoid(3), samples=100000, seed=7)
+    assert all(r["holds"] and r["checked"] == 100000 for r in laws.values())
+    rep = check_disjoint_sum_laws(VectorMonoid(3), samples=100000, seed=7)
+    assert rep == {"holds": True, "witness": None, "checked": 100000,
+                   "sampling": {"seed": 7, "instance_count": 100000}}
+    with pytest.raises(AssertionError, match="drew a sample"):
+        check_disjoint_sum_laws(DrawnVectorMonoid(3), samples=1)
+
+
+def five_drops_per_coordinate(self, x, y):
+    """A wrong addition on every coordinate: a sum of 5 becomes 0."""
+    return tuple(0 if a + b == 5 else a + b for a, b in zip(x, y))
+
+
+def test_a_failing_scalar_instance_gives_the_sampled_reports(monkeypatch):
+    monkeypatch.setattr(VectorMonoid, "add", five_drops_per_coordinate)
+    # the scalar cover finds the fault, so each law runs its seeded loop
+    assert not all(r["holds"] for r in check_distributive_laws(
+        VectorMonoid(1), instances=[((2,), ((3,), (0,)))]).values())
+    failed = 0
+    for dim, seed in itertools.product((1, 2, 3, 8), (0, 5)):
+        m = VectorMonoid(dim)
+        laws = check_distributive_laws(m, samples=3000, seed=seed)
+        want = {mode: ref_sampled_distributivity(m, mode, 3000, seed)
+                for mode in DISTRIBUTIVITY_MODES}
+        assert json.dumps(laws) == json.dumps(want)
+        rep = check_disjoint_sum_laws(m, samples=3000, seed=seed)
+        assert json.dumps(rep) == json.dumps(ref_sampled_disjoint_sum(m, 3000, seed))
+        failed += sum(not r["holds"] for r in (*laws.values(), rep))
+    # at --dims 8 no draw of either seed meets the disjointness hypothesis
+    # where the fault acts, so those two reports hold, as the draws say
+    assert failed == 8 * 5 - 2
+
+
+@pytest.mark.parametrize("samples", [-1, True, 1.0, "10", None])
+def test_sample_counts_are_refused_before_any_law(samples):
+    for m in (VectorMonoid(2), DrawnVectorMonoid(2), truncated_addition_monoid(3)):
+        with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
+            check_distributive_laws(m, samples=samples)
+        with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
+            check_disjoint_sum_laws(m, samples=samples)
+    with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
+        check_distributivity(VectorMonoid(2), "plus_join", [((0, 0), ((0, 0),))],
+                             samples=samples)
+
+
+@pytest.mark.parametrize("seed", [False, 1.5, "1", None])
+def test_seeds_are_refused_before_any_law(seed):
+    for m in (VectorMonoid(2), DrawnVectorMonoid(2)):
+        with pytest.raises(MonoidError, match="seed must be an integer"):
+            check_distributive_laws(m, samples=10, seed=seed)
+        with pytest.raises(MonoidError, match="seed must be an integer"):
+            check_disjoint_sum_laws(m, samples=10, seed=seed)
+
+
+def test_zero_samples_check_nothing_on_either_path():
+    for m in (VectorMonoid(2), DrawnVectorMonoid(2)):
+        rep = check_disjoint_sum_laws(m, samples=0, seed=3)
+        assert rep["holds"] and rep["checked"] == 0
+        laws = check_distributive_laws(m, samples=0, seed=3)
+        assert all(r["holds"] and r["checked"] == 0 for r in laws.values())
+
+
+@pytest.mark.parametrize("dim", [-1, True, 2.0, "2", None])
+def test_vector_monoid_refuses_a_bad_dimension(dim):
+    with pytest.raises(MonoidError, match="dim must be an integer >= 0"):
+        VectorMonoid(dim)
+
+
+def test_scalar_cover_is_every_coordinate_instance():
+    # the triples are every value triple; each set is a set of distinct
+    # values, so a drawn tuple of 1..4 values has its set among them
+    triples = list(_scalar_triples())
+    assert len(triples) == len(set(triples)) == (SAMPLE_BOUND + 1) ** 3
+    sets = _scalar_sets()
+    assert len(sets) == len(set(sets)) == 9 * 255
+    keys = {(a, frozenset(B)) for a, B in sets}
+    assert len(keys) == len(sets)
+    for a, B in _sampled_sets(VectorMonoid(3), 300, 1):
+        for i in range(3):
+            assert ((a[i],), frozenset((b[i],) for b in B)) in keys
+
+
 def test_distributive_laws_are_the_one_mode_reports():
     monoids = [truncated_addition_monoid(3), max_monoid(), cyclic_group(1),
                VectorMonoid(2)]
@@ -488,6 +614,32 @@ def test_commutative_monoid_enumeration_is_the_constructor_filter():
         assert [m.table for m in enumerate_commutative_monoids(n)] == want
     assert [len(enumerate_commutative_monoids(n)) for n in range(1, 5)] == [
         1, 2, 9, 94]
+
+
+def test_commutative_monoids_on_five_elements_are_closed_under_relabelling():
+    # the constructor filter would try 5 ** 10 tables; the pruned search
+    # must still list them in product order, and relabelling 1..4 of a
+    # commutative monoid with identity 0 gives another one
+    tables = [m.table for m in enumerate_commutative_monoids(5)]
+    assert len(tables) == 1486
+    cells = [(a, b) for a in range(1, 5) for b in range(a, 5)]
+    keys = [tuple(t[a][b] for a, b in cells) for t in tables]
+    assert keys == sorted(set(keys))
+    listed = set(tables)
+    for t in tables:
+        for perm in itertools.permutations(range(1, 5)):
+            p = (0, *perm)
+            image = [[0] * 5 for _ in range(5)]
+            for a in range(5):
+                for b in range(5):
+                    image[p[a]][p[b]] = p[t[a][b]]
+            assert tuple(map(tuple, image)) in listed
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+def test_commutative_monoid_enumeration_refuses_an_empty_carrier(n):
+    with pytest.raises(MonoidError, match="at least one element"):
+        enumerate_commutative_monoids(n)
 
 
 @pytest.mark.parametrize("instances", [
