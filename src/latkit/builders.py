@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
-from dataclasses import dataclass
 from functools import cached_property
 
-from .order import OrderError, QuasiOrder, bits, build_quasi_order, upper_sets
+from .order import OrderError, QuasiOrder, _Frozen, bits, build_quasi_order, upper_sets
 from .lattice import is_lattice
 
 __all__ = [
@@ -30,7 +28,6 @@ __all__ = [
     "chain_product",
     "enumerate_posets",
     "enumerate_lattices",
-    "random_lattice",
     "canonical_key",
     "MAX_ENUMERATION_SIZE",
 ]
@@ -84,16 +81,14 @@ def is_powerset_order(q: QuasiOrder) -> bool:
     return q.size > 0 and q.up_masks == powerset_lattice(n).up_masks
 
 
-@dataclass(frozen=True, eq=False)
-class ChainProduct:
+class ChainProduct(_Frozen):
     """Product of finite chains ``C_{dims[0]} x ... x C_{dims[-1]}``."""
 
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 1 for d in self.dims):
+    def __init__(self, dims):
+        dims = tuple(int(d) for d in dims)
+        if any(d < 1 for d in dims):
             raise OrderError("chain heights must be positive")
+        self.__dict__["dims"] = dims
 
     @property
     def size(self) -> int:
@@ -267,23 +262,3 @@ def enumerate_lattices(n: int):
              for q in enumerate_posets(n - 2))
     return sorted(filter(is_lattice, cands), key=canonical_key)
 
-
-def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiOrder:
-    """A random ``n``-element lattice: random mid-layer order glued between a
-    fresh bottom and top, resampled until the result is a lattice."""
-    if n < 2:
-        raise OrderError("need at least bottom and top")
-    mid = n - 2
-    while True:
-        pairs = []
-        for a in range(mid):
-            for b in range(a + 1, mid):
-                if rng.random() < edge_prob:
-                    pairs.append((a, b))
-        for a in range(mid):
-            pairs.append((mid, a))      # bottom below all
-            pairs.append((a, mid + 1))  # all below top
-        pairs.append((mid, mid + 1))
-        q = build_quasi_order(n, pairs)
-        if is_lattice(q):
-            return q

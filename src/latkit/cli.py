@@ -17,8 +17,6 @@ import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import builders, embedding, lattice, monoid, order, topology
@@ -75,15 +73,15 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@dataclass
 class RunConfig:
-    command: str
-    name: Optional[str] = None
-    inputs: tuple = ()
-    output_format: str = "table"
-    options: dict = field(default_factory=dict)  # only the options given
-
-    def __post_init__(self):
+    def __init__(self, command: str, name: Optional[str] = None,
+                 inputs: tuple = (), output_format: str = "table",
+                 options: Optional[dict] = None):
+        self.command = command
+        self.name = name
+        self.inputs = inputs
+        self.output_format = output_format
+        self.options = {} if options is None else options  # only the options given
         if self.budget_nodes is not None and self.budget_nodes <= 0:
             raise InputError("--budget-nodes must be positive")
         if self.samples <= 0:
@@ -245,12 +243,17 @@ def parse_map_fixture(obj) -> order.MonotoneMap:
 # verifier registry
 
 
-@dataclass(frozen=True)
-class Verifier:
-    slug: str
-    description: str
-    run: Callable  # (RunConfig) -> report dict with a "holds" bool
-    reads: tuple = ()  # the options run reads; "input" stands for --input
+class Verifier(order._Value):
+    def __init__(self, slug: str, description: str, run: Callable,
+                 reads: tuple = ()):
+        fields = self.__dict__
+        fields["slug"] = slug
+        fields["description"] = description
+        fields["run"] = run  # (RunConfig) -> report dict with a "holds" bool
+        fields["reads"] = reads  # the options run reads; "input" stands for --input
+
+    def _key(self) -> tuple:
+        return self.slug, self.description, self.run, self.reads
 
 
 def _with_witness(report: dict, failures: list) -> dict:
@@ -815,7 +818,10 @@ def _main(argv) -> int:
     except BrokenPipeError:
         raise  # not a bug: main handles a closed stdout
     except Exception:
-        sys.stderr.write("internal error\n" + traceback.format_exc())
+        sys.stderr.write("internal error\n")
+        # the interpreter's own printer writes the traceback text that
+        # traceback.format_exc() gives, and start-up need not import it
+        sys.__excepthook__(*sys.exc_info())
         return EXIT_INTERNAL
 
     return EXIT_OK if report.get("holds", False) else EXIT_VIOLATION

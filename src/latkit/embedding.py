@@ -8,8 +8,8 @@ the convex and lower-set filters prune partial ranges whose hull or
 down-closure already exceeds the domain size, and a convex census of a
 domain with a bottom and a top searches only the intervals of the domain's
 size.  Each map's range flags are read off the masks at its leaf.  The
-naive census over all maps and :func:`_range_flags`, which derive maps and
-flags from the plain definitions, are the test oracle.
+tests check the census against a naive one over all maps, with maps and
+flags derived from the plain definitions.
 
 One engine serves both product-form theorems: the chain-product functions
 decompose, build and list the shifted partial projections ``x -> (x o g) + y``,
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .builders import (
@@ -37,6 +36,8 @@ from .order import (
     QuasiOrder,
     SetLike,
     Subset,
+    _Frozen,
+    _Value,
     _require_poset,
     _unchecked,
     atoms,
@@ -75,7 +76,6 @@ __all__ = [
     "EmbeddingCensus",
     "enumerate_embeddings",
     "enumerate_monotone_maps",
-    "naive_embedding_census",
     "continuity_checks",
     "range_property_checks",
     "boundedness_preservation",
@@ -133,35 +133,25 @@ class HypothesisFailed(ValueError):
 # censuses
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingCensus:
+class EmbeddingCensus(_Frozen):
     """All order embeddings between two posets passing the selected filters,
     in lexicographic order of image tuples, with per-map range flags."""
 
-    dom: QuasiOrder
-    cod: QuasiOrder
-    maps: tuple
-    flags: tuple
-    filters: dict
-    nodes: int
+    def __init__(self, dom: QuasiOrder, cod: QuasiOrder, maps: tuple,
+                 flags: tuple, filters: dict, nodes: int):
+        fields = self.__dict__
+        fields["dom"] = dom
+        fields["cod"] = cod
+        fields["maps"] = maps
+        fields["flags"] = flags
+        fields["filters"] = filters
+        fields["nodes"] = nodes
 
     def __len__(self):
         return len(self.maps)
 
     def images(self) -> tuple:
         return tuple(m.image for m in self.maps)
-
-
-def _range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
-    rmask = 0
-    for v in image:
-        rmask |= 1 << v
-    return {
-        "embedding": True,
-        "convex_range": is_convex(cod, rmask),
-        "preregular_range": is_preregular(cod, rmask),
-        "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
-    }
 
 
 def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
@@ -328,31 +318,6 @@ def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]
     for img in itertools.product(range(k), repeat=n):
         if all(cod.le(img[p], img[q]) for p, q in strict):
             yield img
-
-
-def naive_embedding_census(dom: QuasiOrder, cod: QuasiOrder, *,
-                           convex_range: bool = False,
-                           preregular_range: bool = False,
-                           downward_closed_range: bool = False,
-                           limit: int = 10 ** 6) -> tuple:
-    """Reference census over all ``|cod| ** |dom|`` maps; the independent
-    completeness oracle for :func:`enumerate_embeddings`."""
-    if cod.size ** dom.size > limit:
-        raise BudgetExceededError("naive census too large")
-    out = []
-    for img in enumerate_monotone_maps(dom, cod):
-        mm = MonotoneMap(dom, cod, img)
-        if not mm.is_embedding:
-            continue
-        f = _range_flags(dom, cod, img)
-        if convex_range and not f["convex_range"]:
-            continue
-        if preregular_range and not f["preregular_range"]:
-            continue
-        if downward_closed_range and not f["downward_closed_range"]:
-            continue
-        out.append(img)
-    return tuple(sorted(out))
 
 
 def census_to_json_lines(census: EmbeddingCensus) -> list:
@@ -571,13 +536,17 @@ def preregular_continuity_sweep(max_size: int, *,
 # chain-product characterization
 
 
-@dataclass(frozen=True)
-class ChainProdDecomposition:
+class ChainProdDecomposition(_Value):
     """Shifted partial projection: on claimed coordinates ``j`` the value is
     ``x(g(j)) + y(j)``, elsewhere the constant ``y(j)``."""
 
-    g: tuple   # pairs (j, i): codomain coordinate j reads domain coordinate i
-    y: tuple
+    def __init__(self, g: tuple, y: tuple):
+        fields = self.__dict__
+        fields["g"] = g  # pairs (j, i): codomain coordinate j reads domain coordinate i
+        fields["y"] = y
+
+    def _key(self) -> tuple:
+        return self.g, self.y
 
 
 def _shift_room(g: tuple, dom_cp: ChainProduct, cod_cp: ChainProduct) -> list:
@@ -687,14 +656,18 @@ def _cube_of(q: QuasiOrder) -> ChainProduct:
     return _cube(q.size.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class PowersetDecomposition:
+class PowersetDecomposition(_Value):
     """``a -> h[a] | b`` with ``h`` injective on ground points and ``b``
     disjoint from the image of ``h``: the chain-product form with
     ``g = h^-1`` and ``y = b``, whose fit forces ``y = 0`` on ``h[X]``."""
 
-    h: tuple   # ground point -> ground point
-    b: int     # bitmask over the codomain ground set
+    def __init__(self, h: tuple, b: int):
+        fields = self.__dict__
+        fields["h"] = h  # ground point -> ground point
+        fields["b"] = b  # bitmask over the codomain ground set
+
+    def _key(self) -> tuple:
+        return self.h, self.b
 
 
 def powerset_embedding(h: Iterable[int], b: int,

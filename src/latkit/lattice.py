@@ -8,7 +8,6 @@ never by restricting a parent's join table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 from typing import Callable, Optional
@@ -18,6 +17,7 @@ from .order import (
     QuasiOrder,
     SetLike,
     Subset,
+    _Frozen,
     _require_poset,
     _upper_bounds,
     bits,
@@ -73,14 +73,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeView:
+class LatticeView(_Frozen):
     """Partial join/meet tables over a poset, as tuples of rows; ``-1``
     marks a missing bound."""
 
-    base: QuasiOrder
-    join: tuple
-    meet: tuple
+    def __init__(self, base: QuasiOrder, join: tuple, meet: tuple):
+        fields = self.__dict__
+        fields["base"] = base
+        fields["join"] = join
+        fields["meet"] = meet
 
     @property
     def size(self) -> int:

@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .order import QuasiOrder, _is_index, bits
+from .order import QuasiOrder, _Frozen, _Value, _is_index, bits
 from .lattice import lattice_view, set_distributivity_failure
 
 __all__ = [
@@ -76,32 +75,30 @@ def _is_associative(t: tuple) -> bool:
                for ta in t for b in range(len(t)))
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMonoid:
+class FiniteMonoid(_Frozen):
     """A monoid on ``range(size)`` given by its Cayley table: ``table[a][b]``
     is ``a + b``, stored as a tuple of rows."""
 
-    table: tuple
-    identity: int
-
-    def __post_init__(self):
-        t = self.table
-        if not (isinstance(t, (list, tuple)) and t and all(
-                isinstance(row, (list, tuple)) and len(row) == len(t) for row in t)):
+    def __init__(self, table, identity: int):
+        if not (isinstance(table, (list, tuple)) and table and all(
+                isinstance(row, (list, tuple)) and len(row) == len(table)
+                for row in table)):
             raise MonoidError("table must be a nonempty square list of rows")
-        n = len(t)
-        if not all(_is_index(v, n) for row in t for v in row):
+        n = len(table)
+        if not all(_is_index(v, n) for row in table for v in row):
             raise MonoidError(f"table entries must be integers in range({n})")
-        e = self.identity
-        if not _is_index(e, n):
-            raise MonoidError(f"identity must be an integer in range({n}), got {e!r}")
-        t = tuple(map(tuple, t))
+        if not _is_index(identity, n):
+            raise MonoidError(f"identity must be an integer in range({n}), "
+                              f"got {identity!r}")
+        t = tuple(map(tuple, table))
         elements = tuple(range(n))
-        if t[e] != elements or tuple(row[e] for row in t) != elements:
+        if t[identity] != elements or tuple(row[identity] for row in t) != elements:
             raise MonoidError("identity law fails")
         if not _is_associative(t):
             raise MonoidError("operation is not associative")
-        object.__setattr__(self, "table", t)
+        fields = self.__dict__
+        fields["table"] = t
+        fields["identity"] = identity
 
     @property
     def size(self) -> int:
@@ -184,8 +181,7 @@ def monoid_class(m) -> dict:
 # group completion
 
 
-@dataclass(frozen=True, eq=False)
-class GroupCompletion:
+class GroupCompletion(_Frozen):
     """Abelian group of pair classes over a cancellative commutative monoid.
 
     Classes of ``M x N`` under ``(a,b) ~ (c,d)`` iff ``a+r = c+s`` and
@@ -193,11 +189,14 @@ class GroupCompletion:
     lexicographically least member.
     """
 
-    source: FiniteMonoid
-    group: FiniteMonoid
-    reps: tuple            # class index -> least (a, b) pair
-    embedding: tuple       # a -> class index of (a, identity)
-    pair_class: dict       # (a, b) -> class index
+    def __init__(self, source: FiniteMonoid, group: FiniteMonoid, reps: tuple,
+                 embedding: tuple, pair_class: dict):
+        fields = self.__dict__
+        fields["source"] = source
+        fields["group"] = group
+        fields["reps"] = reps              # class index -> least (a, b) pair
+        fields["embedding"] = embedding    # a -> class index of (a, identity)
+        fields["pair_class"] = pair_class  # (a, b) -> class index
 
     def class_of(self, a: int, b: int) -> int:
         return self.pair_class[(a, b)]
@@ -283,8 +282,7 @@ def _vectors(getrandbits, dim: int):
     return zip(*[_draws(getrandbits, SAMPLE_BOUND)] * dim)
 
 
-@dataclass(frozen=True)
-class VectorMonoid:
+class VectorMonoid(_Value):
     """Nonnegative integer vectors of a fixed length under addition.
 
     The associated order is the coordinatewise product order; joins and
@@ -292,11 +290,13 @@ class VectorMonoid:
     exist (a complete semilattice in every bounded region).
     """
 
-    dim: int
+    def __init__(self, dim: int):
+        if not _is_count(dim):
+            raise MonoidError(f"dim must be an integer >= 0, got {dim!r}")
+        self.__dict__["dim"] = dim
 
-    def __post_init__(self):
-        if not _is_count(self.dim):
-            raise MonoidError(f"dim must be an integer >= 0, got {self.dim!r}")
+    def _key(self) -> tuple:
+        return (self.dim,)
 
     def zero(self) -> tuple:
         return (0,) * self.dim
@@ -333,8 +333,7 @@ class VectorMonoid:
         return next(_vectors(rng.getrandbits, self.dim))
 
 
-@dataclass(frozen=True)
-class VectorGroupCompletion:
+class VectorGroupCompletion(_Value):
     """Integer-vector group receiving ``VectorMonoid`` by inclusion.
 
     A pair class ``[a, b]`` is the difference vector ``a - b``; the
@@ -342,7 +341,11 @@ class VectorGroupCompletion:
     parts, which have disjoint supports.
     """
 
-    dim: int
+    def __init__(self, dim: int):
+        self.__dict__["dim"] = dim
+
+    def _key(self) -> tuple:
+        return (self.dim,)
 
     def class_of(self, a, b) -> tuple:
         return tuple(x - y for x, y in zip(a, b))

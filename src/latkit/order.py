@@ -13,7 +13,6 @@ the public constructors check every input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -95,14 +94,47 @@ def intersection_closure(masks: Iterable[int]) -> set:
     return closure
 
 
+class _Frozen:
+    """Base of the package's records.  Each ``__init__`` checks its
+    arguments and writes the fields into the instance dict, where cached
+    properties live too; assigning or deleting an attribute raises
+    ``AttributeError``.  Records compare by identity unless they are
+    :class:`_Value` records."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: "
+                             f"{type(self).__name__} is immutable")
+
+
+class _Value(_Frozen):
+    """A record equal to one of its exact class whose ``_key()``, the tuple
+    of its fields, is equal; it hashes by that tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``,
-    without running its checks: only for values derived from checked ones,
-    which are correct by construction.  A field may also preset a cached
-    property that the caller has proved."""
+    """An instance of the record class ``cls`` holding ``fields``, without
+    running its checks: only for values derived from checked ones, which
+    are correct by construction.  A field may also preset a cached property
+    that the caller has proved."""
     obj = object.__new__(cls)
-    # a frozen dataclass refuses setattr, but its fields and cached
-    # properties all live in the instance dict
+    # a record refuses setattr, but its fields and cached properties all
+    # live in the instance dict
     obj.__dict__.update(fields)
     return obj
 
@@ -112,8 +144,7 @@ def _is_index(value, size: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
-@dataclass(frozen=True, eq=False)
-class QuasiOrder:
+class QuasiOrder(_Frozen):
     """A reflexive and transitive relation on ``range(size)``.
 
     ``up_masks[p]`` is the bitmask of ``{q : p <= q}``.  The strict relation
@@ -121,10 +152,8 @@ class QuasiOrder:
     ``<=`` plus ``!=``).
     """
 
-    up_masks: tuple
-
-    def __post_init__(self):
-        up = tuple(self.up_masks)
+    def __init__(self, up_masks):
+        up = tuple(up_masks)
         full = (1 << len(up)) - 1
         for p, row in enumerate(up):
             if not isinstance(row, int) or row & ~full:
@@ -135,7 +164,7 @@ class QuasiOrder:
             for q in bits(row):
                 if up[q] & ~row:
                     raise OrderError("relation is not transitive")
-        object.__setattr__(self, "up_masks", up)
+        self.__dict__["up_masks"] = up
 
     @property
     def size(self) -> int:
@@ -187,16 +216,18 @@ class QuasiOrder:
 SetLike = Union["Subset", int, Iterable[int]]
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Value):
     """A bitmask subset of a quasi order's carrier."""
 
-    order: QuasiOrder
-    mask: int
-
-    def __post_init__(self):
-        if self.mask & ~self.order.full_mask:
+    def __init__(self, order: QuasiOrder, mask: int):
+        if mask & ~order.full_mask:
             raise OrderError("subset mask has bits outside the carrier")
+        fields = self.__dict__
+        fields["order"] = order
+        fields["mask"] = mask
+
+    def _key(self) -> tuple:
+        return self.order, self.mask
 
     @classmethod
     def from_indices(cls, order: QuasiOrder, indices: Iterable[int]) -> "Subset":
@@ -236,8 +267,7 @@ def mask_of(order: QuasiOrder, A: SetLike) -> int:
     return Subset.from_indices(order, A).mask
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneMap:
+class MonotoneMap(_Frozen):
     """A total order preserving map between two quasi orders.
 
     ``image[p]`` is the codomain index of element ``p``.  Construction fails
@@ -245,24 +275,23 @@ class MonotoneMap:
     the range are cached flags.
     """
 
-    dom: QuasiOrder
-    cod: QuasiOrder
-    image: tuple
-
-    def __post_init__(self):
-        img = tuple(self.image)
-        object.__setattr__(self, "image", img)
-        if len(img) != self.dom.size:
+    def __init__(self, dom: QuasiOrder, cod: QuasiOrder, image):
+        img = tuple(image)
+        if len(img) != dom.size:
             raise OrderError("image length does not match domain size")
-        if not all(_is_index(v, self.cod.size) for v in img):
-            raise OrderError(f"image values must be integers in range({self.cod.size})")
-        for p in range(self.dom.size):
-            up = self.cod.up_masks[img[p]]
-            for q in bits(self.dom.up_masks[p]):
+        if not all(_is_index(v, cod.size) for v in img):
+            raise OrderError(f"image values must be integers in range({cod.size})")
+        for p in range(dom.size):
+            up = cod.up_masks[img[p]]
+            for q in bits(dom.up_masks[p]):
                 if not up >> img[q] & 1:
                     raise OrderError(
                         f"map is not order preserving at ({p}, {q})"
                     )
+        fields = self.__dict__
+        fields["dom"] = dom
+        fields["cod"] = cod
+        fields["image"] = img
 
     def __call__(self, p: int) -> int:
         return self.image[p]

@@ -15,11 +15,10 @@ its complement, on which each class is the trace of an open set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .order import QuasiOrder, _is_index, bits, induced_suborder, upper_sets
+from .order import QuasiOrder, _Frozen, _is_index, bits, induced_suborder, upper_sets
 from .lattice import classify, is_basis
 
 __all__ = [
@@ -67,12 +66,12 @@ class NotZeroDimensionalError(TopologyError):
     """Raised when clopen sets fail to form a base."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteTopology:
+class FiniteTopology(_Frozen):
     """A topology on ``range(points)`` given by its specialization preorder:
     the open sets are the up-sets of ``order``."""
 
-    order: QuasiOrder
+    def __init__(self, order: QuasiOrder):
+        self.__dict__["order"] = order
 
     @property
     def points(self) -> int:
@@ -150,15 +149,16 @@ def regular_opens(t: FiniteTopology) -> tuple:
 # the regular open algebra
 
 
-@dataclass(frozen=True, eq=False)
-class ROAlgebra:
+class ROAlgebra(_Frozen):
     """Regular open sets ordered by inclusion; a complete Boolean algebra
     with join ``int(cl(G | H))``, meet intersection, and complement the
     exterior."""
 
-    space: FiniteTopology
-    members: tuple
-    order: QuasiOrder
+    def __init__(self, space: FiniteTopology, members: tuple, order: QuasiOrder):
+        fields = self.__dict__
+        fields["space"] = space
+        fields["members"] = members
+        fields["order"] = order
 
     def join(self, g: int, h: int) -> int:
         return interior(self.space, closure_of(self.space, g | h))
@@ -242,8 +242,7 @@ def baire_property_sets(t: FiniteTopology) -> tuple:
 # the category algebra
 
 
-@dataclass(frozen=True, eq=False)
-class CategoryAlgebra:
+class CategoryAlgebra(_Frozen):
     """Baire-property sets modulo the meager ideal.
 
     Each class is named by its least member, its trace on the comeager set
@@ -253,14 +252,19 @@ class CategoryAlgebra:
     complement of the closure of the largest open meager set.
     """
 
-    space: FiniteTopology
-    order: QuasiOrder
-    reps: tuple
-    classes: dict       # trace on the comeager set -> class index
-    largest_open_meager: int
-    baire: bool
-    ro_members: tuple   # regular opens of the residual subspace, as masks in X
-    ro_iso: dict        # residual regular open mask -> class index
+    def __init__(self, space: FiniteTopology, order: QuasiOrder, reps: tuple,
+                 classes: dict, largest_open_meager: int, baire: bool,
+                 ro_members: tuple, ro_iso: dict):
+        fields = self.__dict__
+        fields["space"] = space
+        fields["order"] = order
+        fields["reps"] = reps
+        fields["classes"] = classes  # trace on the comeager set -> class index
+        fields["largest_open_meager"] = largest_open_meager
+        fields["baire"] = baire
+        # regular opens of the residual subspace, as masks in X
+        fields["ro_members"] = ro_members
+        fields["ro_iso"] = ro_iso    # residual regular open mask -> class index
 
     @property
     def size(self) -> int:

@@ -1,0 +1,74 @@
+"""Definition-level oracles that only the tests use: a naive embedding
+census over every map with flags from the plain definitions, and a seeded
+random lattice generator."""
+
+import random
+
+from latkit.embedding import BudgetExceededError, enumerate_monotone_maps
+from latkit.lattice import is_convex, is_lattice, is_preregular
+from latkit.order import (
+    MonotoneMap,
+    OrderError,
+    QuasiOrder,
+    build_quasi_order,
+    lower_closure,
+)
+
+
+def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
+    """The range flags of one embedding, from the plain definitions."""
+    rmask = 0
+    for v in image:
+        rmask |= 1 << v
+    return {
+        "embedding": True,
+        "convex_range": is_convex(cod, rmask),
+        "preregular_range": is_preregular(cod, rmask),
+        "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
+    }
+
+
+def naive_embedding_census(dom: QuasiOrder, cod: QuasiOrder, *,
+                           convex_range: bool = False,
+                           preregular_range: bool = False,
+                           downward_closed_range: bool = False,
+                           limit: int = 10 ** 6) -> tuple:
+    """Reference census over all ``|cod| ** |dom|`` maps; the independent
+    completeness oracle for ``enumerate_embeddings``."""
+    if cod.size ** dom.size > limit:
+        raise BudgetExceededError("naive census too large")
+    out = []
+    for img in enumerate_monotone_maps(dom, cod):
+        mm = MonotoneMap(dom, cod, img)
+        if not mm.is_embedding:
+            continue
+        f = range_flags(dom, cod, img)
+        if convex_range and not f["convex_range"]:
+            continue
+        if preregular_range and not f["preregular_range"]:
+            continue
+        if downward_closed_range and not f["downward_closed_range"]:
+            continue
+        out.append(img)
+    return tuple(sorted(out))
+
+
+def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiOrder:
+    """A random ``n``-element lattice: random mid-layer order glued between a
+    fresh bottom and top, resampled until the result is a lattice."""
+    if n < 2:
+        raise OrderError("need at least bottom and top")
+    mid = n - 2
+    while True:
+        pairs = []
+        for a in range(mid):
+            for b in range(a + 1, mid):
+                if rng.random() < edge_prob:
+                    pairs.append((a, b))
+        for a in range(mid):
+            pairs.append((mid, a))      # bottom below all
+            pairs.append((a, mid + 1))  # all below top
+        pairs.append((mid, mid + 1))
+        q = build_quasi_order(n, pairs)
+        if is_lattice(q):
+            return q

@@ -15,7 +15,6 @@ from latkit.builders import (
     enumerate_lattices,
     enumerate_posets,
     powerset_lattice,
-    random_lattice,
 )
 from latkit.embedding import (
     atom_image_check,
@@ -23,7 +22,6 @@ from latkit.embedding import (
     chainprod_embedding,
     chainprod_formula_census,
     enumerate_embeddings,
-    naive_embedding_census,
     powerset_decompose,
     powerset_embedding,
     powerset_formula_census,
@@ -45,6 +43,7 @@ from latkit.monoid import (
 )
 from latkit.order import atoms
 from latkit.topology import category_algebra, enumerate_topologies, largest_open_meager
+from oracles import naive_embedding_census, random_lattice
 
 SEED = 20260808
 

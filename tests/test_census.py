@@ -23,13 +23,12 @@ from latkit.builders import (
 from latkit.cli import main
 from latkit.embedding import (
     BudgetExceededError,
-    _range_flags,
     census_to_json_lines,
     enumerate_embeddings,
-    naive_embedding_census,
 )
 from latkit.lattice import is_lattice, is_preregular
 from latkit.order import build_quasi_order
+from oracles import naive_embedding_census, range_flags
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
            {"downward_closed_range": True})
@@ -64,7 +63,7 @@ def assert_census_matches_oracle(dom, cod, filters):
     census = enumerate_embeddings(dom, cod, **filters)
     assert census.images() == naive_embedding_census(dom, cod, **filters)
     assert census.flags == tuple(
-        _range_flags(dom, cod, img) for img in census.images())
+        range_flags(dom, cod, img) for img in census.images())
     assert all(m.is_embedding for m in census.maps)
     assert all(f[name] for f in census.flags for name in filters)
 

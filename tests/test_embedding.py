@@ -13,7 +13,6 @@ from latkit.builders import (
     enumerate_lattices,
     enumerate_posets,
     powerset_lattice,
-    random_lattice,
 )
 from latkit.embedding import (
     BudgetExceededError,
@@ -33,7 +32,6 @@ from latkit.embedding import (
     enumerate_embeddings,
     enumerate_monotone_maps,
     extend_from_join_dense,
-    naive_embedding_census,
     powerset_decompose,
     powerset_embedding,
     powerset_formula_census,
@@ -66,6 +64,7 @@ from latkit.order import (
     positive_part,
     sup,
 )
+from oracles import naive_embedding_census, random_lattice
 
 
 def test_census_chain_into_chain():

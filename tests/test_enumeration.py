@@ -25,11 +25,11 @@ from latkit.builders import (
     enumerate_lattices,
     enumerate_posets,
     powerset_lattice,
-    random_lattice,
 )
 from latkit.lattice import classify, is_lattice
 from latkit.order import OrderError, QuasiOrder, bits, order_from_relation, upper_sets
 from latkit.topology import enumerate_topologies
+from oracles import random_lattice
 
 
 def ref_canonical_key(q: QuasiOrder) -> bytes:

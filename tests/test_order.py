@@ -1,7 +1,5 @@
 """Core order operations against definition-level brute-force oracles."""
 
-import dataclasses
-
 import pytest
 
 from latkit.builders import (
@@ -260,7 +258,7 @@ def test_monotone_map_validation():
 
 def test_immutability():
     q = chain(3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         q.up_masks = (1, 2, 4)
     with pytest.raises(TypeError):
         q.up_masks[0] = 1

@@ -1,0 +1,110 @@
+"""The record classes: construction by position and by keyword, the
+constructor checks, immutability, equality, and fields preset by
+``_unchecked``."""
+
+import pytest
+
+from latkit.builders import ChainProduct, chain
+from latkit.cli import RunConfig, Verifier
+from latkit.embedding import (
+    ChainProdDecomposition,
+    EmbeddingCensus,
+    PowersetDecomposition,
+)
+from latkit.lattice import LatticeView
+from latkit.monoid import (
+    FiniteMonoid,
+    GroupCompletion,
+    MonoidError,
+    VectorGroupCompletion,
+    VectorMonoid,
+)
+from latkit.order import MonotoneMap, OrderError, QuasiOrder, Subset, _unchecked
+from latkit.topology import CategoryAlgebra, FiniteTopology, ROAlgebra
+
+C2, C3 = chain(2), chain(3)
+Z2 = FiniteMonoid(((0, 1), (1, 0)), 0)
+SPACE = FiniteTopology(C2)
+
+# each record class with the fields of one instance, in signature order;
+# the classes whose value compares and hashes by its fields come first
+VALUES = {
+    Subset: {"order": C3, "mask": 5},
+    ChainProdDecomposition: {"g": ((0, 0),), "y": (0, 1)},
+    PowersetDecomposition: {"h": (1,), "b": 1},
+    VectorMonoid: {"dim": 2},
+    VectorGroupCompletion: {"dim": 2},
+    Verifier: {"slug": "s", "description": "d", "run": len, "reads": ("x",)},
+}
+IDENTITIES = {
+    QuasiOrder: {"up_masks": (7, 6, 4)},
+    MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
+    LatticeView: {"base": C2, "join": ((0, 1), (1, 1)), "meet": ((0, 0), (0, 1))},
+    ChainProduct: {"dims": (2, 3)},
+    EmbeddingCensus: {"dom": C2, "cod": C3, "maps": (), "flags": (),
+                      "filters": {}, "nodes": 0},
+    FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
+    GroupCompletion: {"source": Z2, "group": Z2, "reps": ((0, 0), (1, 0)),
+                      "embedding": (0, 1), "pair_class": {(0, 0): 0, (1, 0): 1}},
+    FiniteTopology: {"order": C2},
+    ROAlgebra: {"space": SPACE, "members": (0, 2, 3), "order": C3},
+    CategoryAlgebra: {"space": SPACE, "order": C2, "reps": (0, 3), "classes": {},
+                      "largest_open_meager": 0, "baire": True,
+                      "ro_members": (), "ro_iso": {}},
+}
+FROZEN = {**VALUES, **IDENTITIES}
+RECORDS = {**FROZEN, RunConfig: {"command": "check", "name": "x", "inputs": (),
+                                 "output_format": "json", "options": {"seed": 1}}}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_construction_equality_and_immutability(cls):
+    fields = RECORDS[cls]
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    for obj in (by_position, by_keyword):
+        assert {name: getattr(obj, name) for name in fields} == fields
+    if cls in VALUES:
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert by_position != type("Sub", (cls,), {})(**fields)
+    else:
+        assert by_position == by_position and by_position != by_keyword
+    if cls not in FROZEN:
+        return
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+        with pytest.raises(AttributeError):
+            delattr(by_position, name)
+        assert getattr(by_position, name) == value
+    with pytest.raises(AttributeError):
+        by_position.extra = 1
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: QuasiOrder((0b011, 0b110, 0b100)), OrderError),  # not transitive
+    (lambda: QuasiOrder((0b10, 0b10)), OrderError),  # not reflexive
+    (lambda: MonotoneMap(C2, C3, (2, 0)), OrderError),  # not monotone
+    (lambda: MonotoneMap(C2, C3, (0,)), OrderError),  # wrong length
+    (lambda: Subset(C3, 8), OrderError),  # a bit outside the carrier
+    (lambda: ChainProduct((2, 0)), OrderError),  # a chain of height 0
+    (lambda: FiniteMonoid(((0, 1),), 0), MonoidError),  # not square
+    (lambda: FiniteMonoid(((0, 1), (1, 2)), 0), MonoidError),  # an entry out of range
+    # not associative: (1 + 1) + 2 = 2 but 1 + (1 + 2) = 1
+    (lambda: FiniteMonoid(((0, 1, 2), (1, 0, 0), (2, 0, 0)), 0), MonoidError),
+    (lambda: FiniteMonoid(((0, 1), (1, 0)), 2), MonoidError),  # identity out of range
+    (lambda: VectorMonoid(-1), MonoidError),
+    (lambda: VectorMonoid(True), MonoidError),
+])
+def test_constructor_checks_still_raise(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_unchecked_presets_a_cached_property():
+    q = QuasiOrder((7, 6, 4))
+    d = _unchecked(QuasiOrder, up_masks=q.down_masks, dual=q)
+    assert d.dual is q and d.up_masks == (1, 3, 7)
+    assert q.dual.dual is q
+    mm = _unchecked(MonotoneMap, dom=C2, cod=C3, image=(0, 2), is_embedding=True)
+    assert mm.is_embedding and mm.range_mask == 0b101

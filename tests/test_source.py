@@ -1,7 +1,8 @@
 """Whole-package checks: runtime checks in the library and the demos
-survive ``python -O``, the library runs without numpy, imports sit at
-module level with ``order`` at the bottom of the module graph, and every
-demo script runs to completion."""
+survive ``python -O``, the library runs without numpy, start-up loads no
+``dataclasses``, ``inspect`` or ``traceback``, imports sit at module level
+with ``order`` at the bottom of the module graph, and every demo script
+runs to completion."""
 
 import ast
 import importlib
@@ -45,6 +46,32 @@ def test_cli_import_does_not_load_numpy():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_traceback():
+    """Start-up loads none of them beyond what the interpreter itself
+    loaded: the records are plain classes, and a crash prints its
+    traceback through ``sys.__excepthook__``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import latkit.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'traceback'} "
+         "& (set(sys.modules) - before)))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "dataclasses"]
+    assert not lines, f"{path.name}: dataclasses imported at lines {lines}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
