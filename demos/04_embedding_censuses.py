@@ -25,7 +25,7 @@ print("== the subset-lattice census P(2) -> P(3) ==")
 census = enumerate_embeddings(p2, p3, convex_range=True)
 formula = powerset_formula_census(2, 3)
 print(f"search found {len(census)} convex-range embeddings;",
-      f"formula family has {len(formula)}; equal: {census.images() == formula}")
+      f"formula family has {len(formula)}; equal: {census.images == formula}")
 for mm in census.maps[:4]:
     dec = powerset_decompose(mm)
     print(f"  image {mm.image}  =  ground map {dec.h} with baseline {dec.b:03b}")
@@ -40,7 +40,7 @@ print("\n== chain products ==")
 dom, cod = chain_product([2, 2]), chain_product([2, 2, 2])
 cen = enumerate_embeddings(dom.order, cod.order, convex_range=True)
 print(f"C2^2 -> C2^3 has {len(cen)} convex-range embeddings;",
-      f"the same images as P(2) -> P(3): {cen.images() == census.images()}")
+      f"the same images as P(2) -> P(3): {cen.images == census.images}")
 for mm in cen.maps[:4]:
     dec = chainprod_decompose(mm, dom, cod)
     print(f"  coordinates {dict(dec.g)} shifted by {dec.y}")

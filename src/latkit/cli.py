@@ -279,7 +279,7 @@ def _product_form(cfg: RunConfig, params: dict, dom, cod, formula: Callable,
             decompose(mm)
         except embedding.DecompositionMismatchError as exc:
             failed.append({"image": list(mm.image), "error": str(exc)})
-    return {"holds": census.images() == images and not failed, **params,
+    return {"holds": census.images == images and not failed, **params,
             "census": len(census), "formula_census": len(images)}, failed
 
 
@@ -360,18 +360,18 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
     except embedding.HypothesisFailed as exc:
         setting = exc  # no census map changes the setting, so each fails it
     failures = []
-    for mm in census.maps:
+    for image in census.images:
         try:
             if setting is not None:
                 raise setting
             rep = embedding.verify_transfer_map(
-                L, basis, M.full_mask, M, {b: mm.image[b] for b in basis})
+                L, basis, M.full_mask, M, {b: image[b] for b in basis})
         except embedding.HypothesisFailed as exc:
             # a census map that fails a hypothesis is a counterexample
             rep = {"holds": False, "hypothesis": exc.hypothesis,
                    "error": str(exc)}
-        if not rep["holds"] or tuple(rep["extension"]) != mm.image:
-            failures.append({"image": list(mm.image), "report": rep})
+        if not rep["holds"] or tuple(rep["extension"]) != image:
+            failures.append({"image": list(image), "report": rep})
     report = {
         "holds": not failures,
         "n": n,
@@ -406,18 +406,18 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(dom, cod,
                                             budget_nodes=cfg.budget_nodes)
-    # embedding.atom_image_check per map, with the atoms of the domain found
-    # once and the relative atoms once per range
-    dom_atoms = order.atoms(dom).mask
+    # embedding.atom_image_check per map: domain atoms once, relative atoms
+    # once per range; an embedding is injective, so sums of bits are ORs
+    dom_atoms = tuple(order.bits(order.atoms(dom).mask))
     range_atoms = {}
     bad = []
-    for mm in census.maps:
-        rmask = mm.range_mask
+    for image in census.images:
+        rmask = sum(1 << v for v in image)
         want = range_atoms.get(rmask)
         if want is None:
             want = range_atoms[rmask] = embedding.relative_atoms(cod, rmask).mask
-        if mm.image_mask(dom_atoms) != want:
-            bad.append(list(mm.image))
+        if sum(1 << image[a] for a in dom_atoms) != want:
+            bad.append(list(image))
     return {
         "holds": not bad,
         "x": x,

@@ -19,9 +19,11 @@ and the power-set functions are their views on the cubes ``C_2^n`` (ordered as
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import operator
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .builders import (
@@ -56,14 +58,12 @@ from .lattice import (
     classify,
     is_basis,
     is_convex,
-    is_flat_complete,
     is_join_dense,
     is_meet_closed,
     is_preregular,
     is_strongly_interval_predense,
     is_sublattice,
     lattice_view,
-    order_closed_checks,
 )
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "enumerate_embeddings",
     "enumerate_monotone_maps",
     "continuity_checks",
-    "range_property_checks",
     "boundedness_preservation",
     "atom_image_check",
     "relative_atoms",
@@ -134,24 +133,36 @@ class HypothesisFailed(ValueError):
 
 
 class EmbeddingCensus(_Frozen):
-    """All order embeddings between two posets passing the selected filters,
-    in lexicographic order of image tuples, with per-map range flags."""
+    """All order embeddings between two posets passing the selected filters.
 
-    def __init__(self, dom: QuasiOrder, cod: QuasiOrder, maps: tuple,
+    ``images``, the sorted image tuples, is the one record per map.
+    ``flags[i]`` holds the range flags of ``images[i]``: the maps with the
+    same (convex, preregular, lower set) value share one dict, so there are
+    at most 8 and they are read-only.  ``maps`` builds a
+    :class:`MonotoneMap` per image on first use, for callers that need one.
+    """
+
+    def __init__(self, dom: QuasiOrder, cod: QuasiOrder, images: tuple,
                  flags: tuple, filters: dict, nodes: int):
         fields = self.__dict__
         fields["dom"] = dom
         fields["cod"] = cod
-        fields["maps"] = maps
+        fields["images"] = images
         fields["flags"] = flags
         fields["filters"] = filters
         fields["nodes"] = nodes
 
     def __len__(self):
-        return len(self.maps)
+        return len(self.images)
 
-    def images(self) -> tuple:
-        return tuple(m.image for m in self.maps)
+    @cached_property
+    def maps(self) -> tuple:
+        """Each image as an embedding with the flags the search proved."""
+        return tuple(
+            _unchecked(MonotoneMap, dom=self.dom, cod=self.cod, image=img,
+                       is_order_reflecting=True, is_embedding=True,
+                       has_convex_range=f["convex_range"])
+            for img, f in zip(self.images, self.flags))
 
 
 def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
@@ -216,7 +227,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     shape = [(down_d[p].bit_count(), up_d[p].bit_count()) for p in range(n)]
     allowed = [cod.full_mask] * n
     image = [-1] * n
-    found = []
+    found = {}  # (convex, preregular, lower set) -> the images with those flags
     nodes = 0
     up_c, down_c = cod.up_masks, cod.down_masks
     above = [up_c[c] & ~(1 << c) for c in range(k)]
@@ -252,12 +263,8 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                     for p, q, j, m in pairs
                 ) if lattice_dom else is_preregular(cod, rng)
             if prereg or not preregular_range:
-                found.append((tuple(image), {
-                    "embedding": True,
-                    "convex_range": hull == rng,
-                    "preregular_range": prereg,
-                    "downward_closed_range": downs == rng,
-                }))
+                found.setdefault((hull == rng, prereg, downs == rng),
+                                 []).append(tuple(image))
             return
         p = order[depth]
         cands = allowed[p]
@@ -295,16 +302,19 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
 
     rec(0, 0, 0, 0, 0)
 
-    found.sort(key=operator.itemgetter(0))
-    # every leaf is an embedding, so its map needs no preservation check, and
-    # it carries the flags the search proved
+    # merge the sorted images of each flags value, paired with that value's
+    # one dict, so no list of (image, flags) pairs is held; the images are
+    # distinct, so no comparison reaches a dict
+    images, flags = [], []
+    for img, f in heapq.merge(*(
+            zip(sorted(imgs), itertools.repeat({
+                "embedding": True, "convex_range": convex,
+                "preregular_range": prereg, "downward_closed_range": lower}))
+            for (convex, prereg, lower), imgs in found.items())):
+        images.append(img)
+        flags.append(f)
     return EmbeddingCensus(
-        dom, cod,
-        tuple(_unchecked(MonotoneMap, dom=dom, cod=cod, image=img,
-                         is_order_reflecting=True, is_embedding=True,
-                         has_convex_range=f["convex_range"])
-              for img, f in found),
-        tuple(f for _, f in found),
+        dom, cod, tuple(images), tuple(flags),
         {"convex_range": convex_range, "preregular_range": preregular_range,
          "downward_closed_range": downward_closed_range},
         nodes,
@@ -320,20 +330,16 @@ def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]
             yield img
 
 
-def census_to_json_lines(census: EmbeddingCensus) -> list:
-    """One JSON document per map: ``{"image": [...], "flags": {...}}``, keys
-    sorted.  A census has few distinct flags dicts, so each is encoded
+def census_to_json_lines(census: EmbeddingCensus) -> Iterator[str]:
+    """Yield one JSON document per map: ``{"image": [...], "flags": {...}}``,
+    keys sorted.  The maps share a few flags dicts, so each is encoded
     once; an image is a list of ints, which JSON writes as Python does."""
-    encoded = {}
-    lines = []
-    for m, f in zip(census.maps, census.flags):
-        key = tuple(f.items())
-        flags = encoded.get(key)
+    encoded = {}  # id of a flags dict -> its encoding
+    for image, f in zip(census.images, census.flags):
+        flags = encoded.get(id(f))
         if flags is None:
-            flags = encoded[key] = json.dumps(f, sort_keys=True)
-        image = ", ".join(map(str, m.image))
-        lines.append(f'{{"flags": {flags}, "image": [{image}]}}')
-    return lines
+            flags = encoded[id(f)] = json.dumps(f, sort_keys=True)
+        yield f'{{"flags": {flags}, "image": [{", ".join(map(str, image))}]}}'
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +400,6 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
         "scott_continuous": not any(k in bad for k in keys.values()),
         "co_continuous": not any(k in co_bad for k in co_keys.values()),
     }
-
-
-def range_property_checks(sigma: MonotoneMap) -> dict:
-    """Order-closedness flags of the range, and whether the range is the
-    interval between the images of the extrema (when the domain has them)."""
-    cod = sigma.cod
-    rmask = sigma.range_mask
-    oc = order_closed_checks(cod, rmask)
-    out = {
-        "up_boc_range": oc["up_boc"],
-        "down_oc_range": oc["down_oc"],
-        "order_closed_range": oc["up_oc"] and oc["down_oc"],
-    }
-    bottom = sup(sigma.dom, 0)
-    top = inf(sigma.dom, 0)
-    if bottom is None or top is None:
-        out["interval_range"] = None
-    else:
-        lo, hi = sigma.image[bottom], sigma.image[top]
-        out["interval_range"] = rmask == cod.up_masks[lo] & cod.down_masks[hi]
-    return out
 
 
 def boundedness_preservation(sigma: MonotoneMap) -> dict:
@@ -736,10 +721,16 @@ def _check_sigma_bounds(L: QuasiOrder, dmask: int, sigma: dict, M: QuasiOrder):
 
 def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
                    M: QuasiOrder) -> MonotoneMap:
-    """``p -> sup sigma(D & down(p))``, monotone as that set grows with ``p``."""
+    """``p -> sup sigma(D & down(p))``, monotone as that set grows with ``p``;
+    each bound is one ``up_index`` lookup, as in :func:`order.sup`."""
+    _require_poset(M)
+    up, least = M.up_masks, M.up_index
     image = []
     for p in range(L.size):
-        s = sup(M, [sigma[d] for d in bits(dmask & L.down_masks[p])])
+        ub = M.full_mask
+        for d in bits(dmask & L.down_masks[p]):
+            ub &= up[sigma[d]]
+        s = least.get(ub)
         if s is None:
             raise RuntimeError("bounded image lost its supremum")
         image.append(s)
@@ -771,7 +762,9 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
 def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
                            M: QuasiOrder):
     """The hypotheses of :func:`verify_convexity_transfer` that do not
-    involve ``sigma``, in its order, raising :class:`HypothesisFailed`."""
+    involve ``sigma``, in its order, raising :class:`HypothesisFailed`.
+    ``M`` is flat-complete once ``M-lattice`` holds: in a finite lattice
+    every subset, flat or not, has a supremum."""
     bmask = mask_of(L, B)
     emask = mask_of(M, E)
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
@@ -782,7 +775,6 @@ def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
     lv_m = lattice_view(M)
     _hypothesis("M-lattice", lv_m.is_lattice)
     _hypothesis("M-jid", check_jid(lv_m)["holds"])
-    _hypothesis("M-flat-complete", is_flat_complete(lv_m))
     bottom = sup(L, 0)
     _hypothesis("B-contains-0", bottom is not None and (bmask >> bottom) & 1)
     _hypothesis("B-meet-subsemilattice", is_meet_closed(L, bmask))
@@ -832,11 +824,12 @@ def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
     """Extension of a convex-range embedding off a basis stays convex.
 
     Hypotheses: ``L`` and ``M`` lattices and complete semilattices with the
-    join-infinite distributive law, ``M`` flat-complete, ``B`` a strongly
-    interval predense basis containing the bottom, ``E`` a join-dense
-    preregular sublattice of ``M``, and ``sigma`` an embedding of ``B`` into
-    ``E`` whose range is convex inside ``E``.  Verifies existence,
-    uniqueness, and convex range of the extension.
+    join-infinite distributive law, ``M`` flat-complete (a finite lattice
+    is complete, so it is), ``B`` a strongly interval predense basis
+    containing the bottom, ``E`` a join-dense preregular sublattice of
+    ``M``, and ``sigma`` an embedding of ``B`` into ``E`` whose range is
+    convex inside ``E``.  Verifies existence, uniqueness, and convex range
+    of the extension.
 
     The extension is decided from one candidate.  A basis is join-dense
     (each element is the supremum of a family from ``B``, hence of all of

@@ -1,17 +1,25 @@
 """Definition-level oracles that only the tests use: a naive embedding
-census over every map with flags from the plain definitions, and a seeded
-random lattice generator."""
+census over every map with flags from the plain definitions, the
+order-closedness report of a map's range, and a seeded random lattice
+generator."""
 
 import random
 
 from latkit.embedding import BudgetExceededError, enumerate_monotone_maps
-from latkit.lattice import is_convex, is_lattice, is_preregular
+from latkit.lattice import (
+    is_convex,
+    is_lattice,
+    is_preregular,
+    order_closed_checks,
+)
 from latkit.order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
     build_quasi_order,
+    inf,
     lower_closure,
+    sup,
 )
 
 
@@ -26,6 +34,27 @@ def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
         "preregular_range": is_preregular(cod, rmask),
         "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
     }
+
+
+def range_property_checks(sigma: MonotoneMap) -> dict:
+    """Order-closedness flags of the range, and whether the range is the
+    interval between the images of the extrema (when the domain has them)."""
+    cod = sigma.cod
+    rmask = sigma.range_mask
+    oc = order_closed_checks(cod, rmask)
+    out = {
+        "up_boc_range": oc["up_boc"],
+        "down_oc_range": oc["down_oc"],
+        "order_closed_range": oc["up_oc"] and oc["down_oc"],
+    }
+    bottom = sup(sigma.dom, 0)
+    top = inf(sigma.dom, 0)
+    if bottom is None or top is None:
+        out["interval_range"] = None
+    else:
+        lo, hi = sigma.image[bottom], sigma.image[top]
+        out["interval_range"] = rmask == cod.up_masks[lo] & cod.down_masks[hi]
+    return out
 
 
 def naive_embedding_census(dom: QuasiOrder, cod: QuasiOrder, *,

@@ -1,12 +1,14 @@
 """The mask-filtered census search against its oracles (images, range flags
 and the definition-level embedding check), the interval search against the
-full census, its node count, the chain-product order and JSON lines it
-reads and writes, and the byte-identity of every CLI report pinned by the
-benchmark."""
+full census, its node count, its retained memory per map, the chain-product
+order and JSON lines it reads and writes, and the byte-identity of every CLI
+report pinned by the benchmark."""
 
+import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from latkit.embedding import (
     enumerate_embeddings,
 )
 from latkit.lattice import is_lattice, is_preregular
-from latkit.order import build_quasi_order
+from latkit.order import MonotoneMap, build_quasi_order
 from oracles import naive_embedding_census, range_flags
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
@@ -61,11 +63,18 @@ CENSUS_JOBS = {
 def assert_census_matches_oracle(dom, cod, filters):
     """Images, flags and soundness of the census against the definitions."""
     census = enumerate_embeddings(dom, cod, **filters)
-    assert census.images() == naive_embedding_census(dom, cod, **filters)
+    assert census.images == naive_embedding_census(dom, cod, **filters)
     assert census.flags == tuple(
-        range_flags(dom, cod, img) for img in census.images())
+        range_flags(dom, cod, img) for img in census.images)
     assert all(m.is_embedding for m in census.maps)
     assert all(f[name] for f in census.flags for name in filters)
+    # one shared flags dict per distinct value
+    assert len({id(f) for f in census.flags}) == len(
+        {tuple(f.items()) for f in census.flags})
+    # the derived maps carry each image and its checked convexity
+    assert [m.image for m in census.maps] == list(census.images)
+    assert [m.has_convex_range for m in census.maps] == [
+        MonotoneMap(dom, cod, img).has_convex_range for img in census.images]
 
 
 @pytest.mark.parametrize("filters", FILTERS, ids=lambda f: next(iter(f), "none"))
@@ -130,10 +139,10 @@ def test_interval_census_equals_the_convex_maps_of_the_full_census():
     assert len(pairs) == 441
     for dom, cod in pairs:
         full = enumerate_embeddings(dom, cod)
-        convex = [(img, f) for img, f in zip(full.images(), full.flags)
+        convex = [(img, f) for img, f in zip(full.images, full.flags)
                   if f["convex_range"]]
         census = enumerate_embeddings(dom, cod, convex_range=True)
-        assert list(zip(census.images(), census.flags)) == convex
+        assert list(zip(census.images, census.flags)) == convex
 
 
 def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
@@ -146,8 +155,8 @@ def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
     for cod in (*enumerate_posets(6), *enumerate_posets(7)):
         full = enumerate_embeddings(dom, cod)
         census = enumerate_embeddings(dom, cod, convex_range=True)
-        assert list(zip(census.images(), census.flags)) == [
-            (img, f) for img, f in zip(full.images(), full.flags)
+        assert list(zip(census.images, census.flags)) == [
+            (img, f) for img, f in zip(full.images, full.flags)
             if f["convex_range"]]
         preregular |= {f["preregular_range"] for f in census.flags}
     assert preregular == {True, False}
@@ -166,6 +175,26 @@ def test_preregular_flag_is_the_definition_on_every_small_domain():
                     is_preregular(cod, m.range_mask) for m in census.maps]
 
 
+def test_census_keeps_image_tuples_not_maps():
+    dom, cod = powerset_lattice(2), powerset_lattice(5)
+    enumerate_embeddings(dom, cod)  # warm the caches of both orders
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        census = enumerate_embeddings(dom, cod)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(census) == 2_550
+    # an image tuple and two tuple slots per map, not a map and a dict
+    assert retained / len(census) <= 250
+    assert len(list(census_to_json_lines(census))) == len(census.images)
+    assert "maps" not in census.__dict__
+    assert census.maps is census.maps
+
+
 @pytest.mark.parametrize("dom,cod,filters", [
     (chain_product([2, 3]).order, chain_product([3, 3]).order, {}),
     (powerset_lattice(2), powerset_lattice(4), {"convex_range": True}),
@@ -175,7 +204,7 @@ def test_json_lines_are_the_plain_encoding(dom, cod, filters):
     census = enumerate_embeddings(dom, cod, **filters)
     # each census mixes flags dicts, so the lines share encodings
     assert len({tuple(f.values()) for f in census.flags}) > 1
-    assert census_to_json_lines(census) == [
+    assert list(census_to_json_lines(census)) == [
         json.dumps({"image": list(m.image), "flags": f}, sort_keys=True)
         for m, f in zip(census.maps, census.flags)]
 

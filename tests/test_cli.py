@@ -721,7 +721,7 @@ def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
     assert code == EXIT_OK and "witness" not in json.loads(out)["report"]
     # mutation: the transfer theorem rejects a hypothesis on every census map
     def mutant(*args):
-        raise embedding.HypothesisFailed("M-flat-complete", "mutant")
+        raise embedding.HypothesisFailed("M-jid", "mutant")
 
     monkeypatch.setattr(embedding, "check_transfer_setting", mutant)
     code, out, err = run(capsys, *argv)
@@ -731,8 +731,8 @@ def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
     assert len(report["failures"]) == report["embeddings"] > 0
     assert report["witness"] == report["failures"][0]
     assert report["witness"]["report"] == {
-        "holds": False, "hypothesis": "M-flat-complete",
-        "error": "hypothesis 'M-flat-complete' failed: mutant"}
+        "holds": False, "hypothesis": "M-jid",
+        "error": "hypothesis 'M-jid' failed: mutant"}
 
 
 def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
@@ -749,7 +749,7 @@ def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
         powerset_lattice(2), powerset_lattice(3), convex_range=True)
     assert not report["holds"]
     assert [f["image"] for f in report["failures"]] == [
-        list(img) for img in census.images()]
+        list(img) for img in census.images]
     witness = report["witness"]
     assert witness == report["failures"][0]
     assert witness["report"]["extension"] == witness["image"]
