@@ -12,7 +12,15 @@ import functools
 import itertools
 from functools import cached_property
 
-from .order import OrderError, QuasiOrder, _Frozen, bits, build_quasi_order, upper_sets
+from .order import (
+    OrderError,
+    QuasiOrder,
+    _count,
+    _Frozen,
+    bits,
+    build_quasi_order,
+    upper_sets,
+)
 from .lattice import is_lattice
 
 __all__ = [
@@ -38,11 +46,13 @@ MAX_ENUMERATION_SIZE = 8
 
 def chain(n: int) -> QuasiOrder:
     """The linear order 0 < 1 < ... < n-1."""
+    n = _count(n, "a chain's length")
     full = (1 << n) - 1
     return QuasiOrder(tuple(full ^ ((1 << p) - 1) for p in range(n)))
 
 
 def antichain(n: int) -> QuasiOrder:
+    n = _count(n, "an antichain's size")
     return QuasiOrder(tuple(1 << p for p in range(n)))
 
 
@@ -70,9 +80,7 @@ def powerset_lattice(n: int) -> QuasiOrder:
     """Subset lattice of an ``n``-element ground set; element = bitmask.
     It is the order of the cube ``C_2^n``, and every call for one ``n``
     returns the same object."""
-    if n < 0:
-        raise OrderError(f"a ground set has n >= 0 points, got {n}")
-    return _cube(n).order
+    return _cube(_count(n, "a ground set's size")).order
 
 
 def is_powerset_order(q: QuasiOrder) -> bool:
@@ -85,10 +93,7 @@ class ChainProduct(_Frozen):
     """Product of finite chains ``C_{dims[0]} x ... x C_{dims[-1]}``."""
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise OrderError("chain heights must be positive")
-        self.__dict__["dims"] = dims
+        self.__dict__["dims"] = tuple(_count(d, "a chain height", 1) for d in dims)
 
     @property
     def size(self) -> int:
@@ -136,7 +141,7 @@ class ChainProduct(_Frozen):
 
 
 def chain_product(dims) -> ChainProduct:
-    return ChainProduct(tuple(dims))
+    return ChainProduct(dims)
 
 
 @functools.cache

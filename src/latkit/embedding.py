@@ -77,7 +77,6 @@ __all__ = [
     "enumerate_embeddings",
     "enumerate_monotone_maps",
     "continuity_checks",
-    "boundedness_preservation",
     "atom_image_check",
     "relative_atoms",
     "verify_preregular_continuity",
@@ -143,13 +142,12 @@ class EmbeddingCensus(_Frozen):
     """
 
     def __init__(self, dom: QuasiOrder, cod: QuasiOrder, images: tuple,
-                 flags: tuple, filters: dict, nodes: int):
+                 flags: tuple, nodes: int):
         fields = self.__dict__
         fields["dom"] = dom
         fields["cod"] = cod
         fields["images"] = images
         fields["flags"] = flags
-        fields["filters"] = filters
         fields["nodes"] = nodes
 
     def __len__(self):
@@ -313,12 +311,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             for (convex, prereg, lower), imgs in found.items())):
         images.append(img)
         flags.append(f)
-    return EmbeddingCensus(
-        dom, cod, tuple(images), tuple(flags),
-        {"convex_range": convex_range, "preregular_range": preregular_range,
-         "downward_closed_range": downward_closed_range},
-        nodes,
-    )
+    return EmbeddingCensus(dom, cod, tuple(images), tuple(flags), nodes)
 
 
 def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]:
@@ -346,24 +339,18 @@ def census_to_json_lines(census: EmbeddingCensus) -> Iterator[str]:
 # continuity and range structure
 
 
-def _pair_keys(dom: QuasiOrder, cod: QuasiOrder, image, elems) -> dict:
-    """``{a: key}`` where ANDing the keys of a set ``B`` gives the upper
-    bounds of ``B`` in ``dom`` (low ``dom.size`` bits) next to the upper
-    bounds of its image in ``cod`` (the bits above)."""
-    n = dom.size
-    return {a: dom.up_masks[a] | (cod.up_masks[image[a]] << n) for a in elems}
-
-
 def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
     """The keys of ``elems``, the classes of the nonempty ``B`` among them
     (their :func:`intersection_closure`), and the classes whose supremum
     ``s`` is one of ``elems`` with ``image[s]`` not the supremum of the
-    image of ``B``."""
-    keys = _pair_keys(dom, cod, image, elems)
+    image of ``B``.  ANDing the keys of a set ``B`` gives the upper bounds
+    of ``B`` in ``dom`` (low ``dom.size`` bits) next to the upper bounds of
+    its image in ``cod`` (the bits above)."""
+    n, full = dom.size, dom.full_mask
+    keys = {a: dom.up_masks[a] | (cod.up_masks[image[a]] << n) for a in elems}
     classes = intersection_closure(keys.values())
     bad = set()
     # both halves of a class are up-sets, so both suprema are lookups
-    n, full = dom.size, dom.full_mask
     dom_least, cod_least = dom.up_index, cod.up_index
     for ub in classes:
         s = dom_least.get(ub & full)
@@ -399,22 +386,6 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
         "preserves_nonempty_infs": not co_bad,
         "scott_continuous": not any(k in bad for k in keys.values()),
         "co_continuous": not any(k in co_bad for k in co_keys.values()),
-    }
-
-
-def boundedness_preservation(sigma: MonotoneMap) -> dict:
-    """Whether bounded sets stay bounded and unbounded sets stay unbounded,
-    over every subset of the domain (one class of upper bounds at a time)."""
-    dom, cod = sigma.dom, sigma.cod
-    n = dom.size
-    keys = _pair_keys(dom, cod, sigma.image, range(n))
-    # everything bounds the empty subset, in both orders
-    classes = intersection_closure(keys.values()) | {dom.full_mask | (cod.full_mask << n)}
-    return {
-        "bounded_to_bounded": not any(
-            ub & dom.full_mask and not ub >> n for ub in classes),
-        "unbounded_to_unbounded": not any(
-            not ub & dom.full_mask and ub >> n for ub in classes),
     }
 
 

@@ -49,15 +49,10 @@ __all__ = [
     "is_upwards_preregular",
     "is_downwards_preregular",
     "is_preregular",
-    "is_upwards_regular",
-    "is_downwards_regular",
-    "is_regular",
     "preregularity_witness",
     "order_closed_checks",
     "order_closure_up",
-    "order_closure_down",
     "is_flat",
-    "is_flat_complete",
     "is_dense",
     "is_join_dense",
     "is_interval_predense",
@@ -316,29 +311,6 @@ def is_preregular(q: QuasiOrder, A: SetLike) -> bool:
     return is_upwards_preregular(q, m) and is_downwards_preregular(q, m)
 
 
-def is_upwards_regular(q: QuasiOrder, A: SetLike) -> bool:
-    """Upwards preregular, plus the empty supremum: a least element of ``A``
-    must also be least in the ambient order."""
-    m = mask_of(q, A)
-    if not is_upwards_preregular(q, m):
-        return False
-    a0 = sup_in_subset(q, m, 0)
-    return a0 is None or sup(q, 0) == a0
-
-
-def is_downwards_regular(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    if not is_downwards_preregular(q, m):
-        return False
-    a1 = inf_in_subset(q, m, 0)
-    return a1 is None or inf(q, 0) == a1
-
-
-def is_regular(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    return is_upwards_regular(q, m) and is_downwards_regular(q, m)
-
-
 def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
     """Order-closedness verdicts for ``A``.
 
@@ -380,10 +352,6 @@ def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
     return Subset(q, out)
 
 
-def order_closure_down(q: QuasiOrder, A: SetLike) -> Subset:
-    return Subset(q, order_closure_up(q.dual, mask_of(q, A)).mask)
-
-
 def is_flat(q: QuasiOrder, A: SetLike) -> bool:
     """All pairwise meets of distinct members exist and coincide."""
     m = mask_of(q, A)
@@ -397,13 +365,6 @@ def is_flat(q: QuasiOrder, A: SetLike) -> bool:
             if v is None or (base is not None and v != base):
                 return False
             base = v
-    return True
-
-
-def is_flat_complete(lv: LatticeView) -> bool:
-    """Every flat subset has a supremum.  A finite lattice is complete, so
-    every subset has a supremum, flat or not."""
-    _require_lattice(lv)
     return True
 
 

@@ -308,12 +308,6 @@ class VectorMonoid(_Value):
         out = tuple(a - b for a, b in zip(x, y))
         return out if all(v >= 0 for v in out) else None
 
-    def join(self, x, y) -> tuple:
-        return tuple(map(max, x, y))
-
-    def meet(self, x, y) -> tuple:
-        return tuple(map(min, x, y))
-
     def leq(self, x, y) -> bool:
         return all(a <= b for a, b in zip(x, y))
 
@@ -354,15 +348,6 @@ class VectorGroupCompletion(_Value):
         pos = tuple(max(v, 0) for v in z)
         neg = tuple(max(-v, 0) for v in z)
         return pos, neg
-
-    def add(self, z, w) -> tuple:
-        return tuple(a + b for a, b in zip(z, w))
-
-    def neg(self, z) -> tuple:
-        return tuple(-v for v in z)
-
-    def embed(self, a) -> tuple:
-        return tuple(a)
 
 
 def vector_group_completion(m: VectorMonoid) -> VectorGroupCompletion:

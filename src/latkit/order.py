@@ -13,6 +13,7 @@ the public constructors check every input.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -22,7 +23,6 @@ __all__ = [
     "Subset",
     "MonotoneMap",
     "build_quasi_order",
-    "order_from_relation",
     "is_partial_order",
     "asym_quotient",
     "sup",
@@ -31,16 +31,10 @@ __all__ = [
     "minimal_elements",
     "positive_part",
     "atoms",
-    "is_atomic",
-    "is_atomless",
-    "down_set",
     "interval",
     "upper_closure",
     "lower_closure",
     "upper_sets",
-    "is_directed",
-    "is_bounded_above",
-    "is_bounded_below",
     "induced_suborder",
     "linear_extension",
     "bits",
@@ -49,7 +43,6 @@ __all__ = [
     "mask_of",
     "order_to_json",
     "order_from_json",
-    "subset_to_json",
     "subset_from_json",
 ]
 
@@ -142,6 +135,19 @@ def _unchecked(cls, **fields):
 def _is_index(value, size: int) -> bool:
     """``value`` is an int (not a bool) in ``range(size)``."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
+def _count(value, what: str, least: int = 0, error=OrderError) -> int:
+    """``value`` as an int ``>= least``: whatever ``operator.index`` accepts
+    (numpy integers too) except a bool; anything else raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            n = least - 1
+        if n >= least:
+            return n
+    raise error(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 class QuasiOrder(_Frozen):
@@ -353,21 +359,6 @@ def build_quasi_order(size: int, pairs: Iterable[tuple]) -> QuasiOrder:
     return QuasiOrder(tuple(up))
 
 
-def order_from_relation(rel) -> QuasiOrder:
-    """Read a square boolean relation matrix (nested sequences, or any
-    2-D array) row by row, validating the axioms."""
-    try:
-        rows = [tuple(row) for row in rel]
-        ok = all(len(row) == len(rows) and all(v in (False, True) for v in row)
-                 for row in rows)
-    except (TypeError, ValueError):  # a scalar, or an array where a bool belongs
-        ok = False
-    if not ok:
-        raise OrderError("relation must be a square matrix of booleans")
-    return QuasiOrder(tuple(sum(1 << q for q, v in enumerate(row) if v)
-                            for row in rows))
-
-
 # ---------------------------------------------------------------------------
 # basic interrogation
 
@@ -487,22 +478,8 @@ def atoms(q: QuasiOrder) -> Subset:
     return Subset(q, out)
 
 
-def is_atomic(q: QuasiOrder) -> bool:
-    """Every nonminimal element has an atom below it."""
-    at = atoms(q).mask
-    return all(at & q.down_masks[p] for p in bits(positive_part(q).mask))
-
-
-def is_atomless(q: QuasiOrder) -> bool:
-    return atoms(q).mask == 0
-
-
 # ---------------------------------------------------------------------------
 # subsets derived from the order
-
-
-def down_set(q: QuasiOrder, p: int) -> Subset:
-    return Subset(q, q.down_masks[p])
 
 
 def interval(q: QuasiOrder, p: int, r: int) -> Subset:
@@ -539,27 +516,6 @@ def upper_sets(q: QuasiOrder) -> tuple:
     downs = intersection_closure(full & ~up for up in q.up_masks)
     downs.add(full)
     return tuple(sorted(full & ~d for d in downs))
-
-
-def is_directed(q: QuasiOrder, A: SetLike) -> bool:
-    """Nonempty, and every two members have a common upper bound in ``A``."""
-    m = mask_of(q, A)
-    if not m:
-        return False
-    items = list(bits(m))
-    for i, a in enumerate(items):
-        for b in items[i:]:
-            if q.up_masks[a] & q.up_masks[b] & m == 0:
-                return False
-    return True
-
-
-def is_bounded_above(q: QuasiOrder, A: SetLike) -> bool:
-    return _upper_bounds(q, mask_of(q, A)) != 0
-
-
-def is_bounded_below(q: QuasiOrder, A: SetLike) -> bool:
-    return is_bounded_above(q.dual, mask_of(q, A))
 
 
 def induced_suborder(q: QuasiOrder, A: SetLike):
@@ -611,10 +567,6 @@ def order_from_json(obj: dict) -> QuasiOrder:
         raise OrderError(f"order pairs must be [a, b] lists of integers "
                          f"in range({size})")
     return build_quasi_order(size, pairs)
-
-
-def subset_to_json(s: Subset) -> list:
-    return list(s.indices())
 
 
 def subset_from_json(order: QuasiOrder, arr) -> Subset:

@@ -9,8 +9,9 @@ nowhere dense sets (finite unions of nowhere dense sets are nowhere dense
 and there are only finitely many subsets), which the implementation records
 as an exactness, not an approximation.  So the ideal is the set of subsets
 of one largest meager set, ``FiniteTopology.meager_mask``: smallness tests
-and the Baire-property sets read that mask, and the category algebra reads
-its complement, on which each class is the trace of an open set.
+read that mask, and the category algebra reads its complement, on which each
+class is the trace of an open set.  A set has the Baire property iff its
+trace is one of those classes (``CategoryAlgebra.class_of``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .order import QuasiOrder, _Frozen, _is_index, bits, induced_suborder, upper_sets
+from .order import (
+    QuasiOrder,
+    _count,
+    _Frozen,
+    _is_index,
+    bits,
+    induced_suborder,
+    upper_sets,
+)
 from .lattice import classify, is_basis
 
 __all__ = [
@@ -37,8 +46,6 @@ __all__ = [
     "meager_ideal",
     "largest_open_meager",
     "is_baire",
-    "has_baire_property",
-    "baire_property_sets",
     "CategoryAlgebra",
     "category_algebra",
     "clopen_sets",
@@ -47,12 +54,10 @@ __all__ = [
     "subspace",
     "enumerate_topologies",
     "topology_to_json",
-    "topology_from_json",
     "MAX_TOPOLOGY_POINTS",
 ]
 
 _SCAN_LIMIT = 12  # 2**points subset scans refuse beyond this
-MAX_JSON_POINTS = 64  # points of a topology read from JSON
 # 6,942 labeled topologies on 5 points sweep in about 1.8 s; the 209,527 on 6
 # would take 45 s or more (0.21 ms a space for the category algebra at 5)
 MAX_TOPOLOGY_POINTS = 5
@@ -107,11 +112,14 @@ class FiniteTopology(_Frozen):
 
 def topology(points: int, generators: Iterable[int]) -> FiniteTopology:
     """Topology generated by the given open sets: the least open set
-    containing ``p`` is the intersection of the generators containing it."""
+    containing ``p`` is the intersection of the generators containing it.
+    ``points`` and each generator mask are integers (what ``operator.index``
+    accepts, but not a bool), else :class:`TopologyError`."""
+    points = _count(points, "points", error=TopologyError)
     full = (1 << points) - 1
     up = [full] * points
     for g in generators:
-        g = int(g)
+        g = _count(g, "a generator", error=TopologyError)
         if g & ~full:
             raise TopologyError("generator outside the carrier")
         for p in bits(g):
@@ -150,24 +158,15 @@ def regular_opens(t: FiniteTopology) -> tuple:
 
 
 class ROAlgebra(_Frozen):
-    """Regular open sets ordered by inclusion; a complete Boolean algebra
-    with join ``int(cl(G | H))``, meet intersection, and complement the
-    exterior."""
+    """Regular open sets ordered by inclusion (``order``): a complete Boolean
+    algebra whose join is ``int(cl(G | H))``, whose meet is the intersection
+    and whose complement is the exterior."""
 
     def __init__(self, space: FiniteTopology, members: tuple, order: QuasiOrder):
         fields = self.__dict__
         fields["space"] = space
         fields["members"] = members
         fields["order"] = order
-
-    def join(self, g: int, h: int) -> int:
-        return interior(self.space, closure_of(self.space, g | h))
-
-    def meet(self, g: int, h: int) -> int:
-        return g & h
-
-    def complement(self, g: int) -> int:
-        return self.space.full_mask & ~closure_of(self.space, g)
 
 
 def _boolean_by_inclusion(members: tuple, failure: str) -> QuasiOrder:
@@ -226,18 +225,6 @@ def is_baire(t: FiniteTopology) -> bool:
     return all(not is_meager(t, o) for o in t.opens_sorted if o)
 
 
-def has_baire_property(t: FiniteTopology, s: int) -> bool:
-    """Differs from some open set by a meager set."""
-    return any(is_meager(t, s ^ o) for o in t.opens_sorted)
-
-
-def baire_property_sets(t: FiniteTopology) -> tuple:
-    """The sets ``o ^ m`` with ``o`` open and ``m`` meager, ascending."""
-    _scan_guard(t)
-    meager = meager_ideal(t)
-    return tuple(sorted({o ^ m for o in t.opens_sorted for m in meager}))
-
-
 # ---------------------------------------------------------------------------
 # the category algebra
 
@@ -273,15 +260,6 @@ class CategoryAlgebra(_Frozen):
     def class_of(self, s: int) -> int:
         """The class of ``s``: ``KeyError`` off the Baire-property sets."""
         return self.classes[s & ~self.space.meager_mask]
-
-    def join_class(self, i: int, j: int) -> int:
-        return self.class_of(self.reps[i] | self.reps[j])
-
-    def meet_class(self, i: int, j: int) -> int:
-        return self.class_of(self.reps[i] & self.reps[j])
-
-    def complement_class(self, i: int) -> int:
-        return self.class_of(self.space.full_mask & ~self.reps[i])
 
 
 def subspace(t: FiniteTopology, carrier: int):
@@ -404,19 +382,3 @@ def topology_to_json(t: FiniteTopology) -> dict:
         "opens": [sorted(bits(o)) for o in t.opens_sorted],
     }
 
-
-def topology_from_json(obj: dict) -> FiniteTopology:
-    """Read ``{"points": n, "opens": [[i, ...], ...]}``; the listed opens
-    generate the topology (see :func:`topology`).  ``n`` is an integer in
-    ``0..MAX_JSON_POINTS`` and each ``i`` an integer in ``range(n)``."""
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise TopologyError("malformed topology object: need an object with points")
-    points, opens = obj["points"], obj.get("opens", [])
-    if not _is_index(points, MAX_JSON_POINTS + 1):
-        raise TopologyError(
-            f"points must be an integer in 0..{MAX_JSON_POINTS}, got {points!r}")
-    if not isinstance(opens, list) or not all(
-            isinstance(o, list) and all(_is_index(i, points) for i in o)
-            for o in opens):
-        raise TopologyError(f"opens must be lists of integers in range({points})")
-    return topology(points, (sum(1 << i for i in set(o)) for o in opens))

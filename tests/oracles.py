@@ -1,7 +1,8 @@
 """Definition-level oracles that only the tests use: a naive embedding
 census over every map with flags from the plain definitions, the
-order-closedness report of a map's range, and a seeded random lattice
-generator."""
+order-closedness report of a map's range, a seeded random lattice
+generator, directedness and boundedness of a subset, and an order read
+from a boolean relation matrix."""
 
 import random
 
@@ -16,9 +17,12 @@ from latkit.order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
+    _upper_bounds,
+    bits,
     build_quasi_order,
     inf,
     lower_closure,
+    mask_of,
     sup,
 )
 
@@ -101,3 +105,35 @@ def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiO
         q = build_quasi_order(n, pairs)
         if is_lattice(q):
             return q
+
+
+def is_directed(q: QuasiOrder, A) -> bool:
+    """Nonempty, and every two members have a common upper bound in ``A``."""
+    m = mask_of(q, A)
+    if not m:
+        return False
+    items = list(bits(m))
+    for i, a in enumerate(items):
+        for b in items[i:]:
+            if q.up_masks[a] & q.up_masks[b] & m == 0:
+                return False
+    return True
+
+
+def is_bounded_above(q: QuasiOrder, A) -> bool:
+    return _upper_bounds(q, mask_of(q, A)) != 0
+
+
+def order_from_relation(rel) -> QuasiOrder:
+    """Read a square boolean relation matrix (nested sequences, or any
+    2-D array) row by row, validating the axioms."""
+    try:
+        rows = [tuple(row) for row in rel]
+        ok = all(len(row) == len(rows) and all(v in (False, True) for v in row)
+                 for row in rows)
+    except (TypeError, ValueError):  # a scalar, or an array where a bool belongs
+        ok = False
+    if not ok:
+        raise OrderError("relation must be a square matrix of booleans")
+    return QuasiOrder(tuple(sum(1 << q for q, v in enumerate(row) if v)
+                            for row in rows))

@@ -21,7 +21,6 @@ from latkit.embedding import (
     NotEmbeddingError,
     PreconditionFailedError,
     atom_image_check,
-    boundedness_preservation,
     census_to_json_lines,
     chainprod_decompose,
     chainprod_embedding,
@@ -63,7 +62,12 @@ from latkit.order import (
     positive_part,
     sup,
 )
-from oracles import naive_embedding_census, random_lattice, range_property_checks
+from oracles import (
+    is_bounded_above,
+    naive_embedding_census,
+    random_lattice,
+    range_property_checks,
+)
 
 
 def test_census_chain_into_chain():
@@ -185,17 +189,6 @@ def test_up_boc_range_for_lattice_homomorphisms():
     assert rep["up_boc_range"]
 
 
-def test_boundedness_preservation():
-    d = diamond()
-    incl = MonotoneMap(antichain(2), d, (1, 2))
-    rep = boundedness_preservation(incl)
-    assert rep["bounded_to_bounded"]
-    assert not rep["unbounded_to_unbounded"]
-    ident = MonotoneMap(d, d, (0, 1, 2, 3))
-    rep = boundedness_preservation(ident)
-    assert rep["bounded_to_bounded"] and rep["unbounded_to_unbounded"]
-
-
 def test_preregular_range_from_complete_semilattice_is_boundedly_closed():
     # an embedding off a complete semilattice with preregular range has a
     # boundedly order closed range on both sides
@@ -218,8 +211,10 @@ def test_unboundedness_preserving_embedding_has_order_closed_range():
                 continue
             for q in enumerate_posets(n):
                 for mm in enumerate_embeddings(p, q, preregular_range=True).maps:
-                    bp = boundedness_preservation(mm)
-                    if bp["unbounded_to_unbounded"]:
+                    # no subset unbounded in p has a bounded image in q
+                    if all(is_bounded_above(p, a)
+                           or not is_bounded_above(q, mm.image_mask(a))
+                           for a in range(1 << n)):
                         rp = range_property_checks(mm)
                         assert rp["order_closed_range"]
 

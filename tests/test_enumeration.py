@@ -27,9 +27,9 @@ from latkit.builders import (
     powerset_lattice,
 )
 from latkit.lattice import classify, is_lattice
-from latkit.order import OrderError, QuasiOrder, bits, order_from_relation, upper_sets
+from latkit.order import OrderError, QuasiOrder, bits, upper_sets
 from latkit.topology import enumerate_topologies
-from oracles import random_lattice
+from oracles import order_from_relation, random_lattice
 
 
 def ref_canonical_key(q: QuasiOrder) -> bytes:

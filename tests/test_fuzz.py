@@ -4,8 +4,8 @@ Every value must either load or raise the loader's own ``ValueError``
 subclass; none may escape as ``IndexError``, ``KeyError``, ``TypeError`` or
 ``AttributeError``.  The CLI must end such input with exit 0, 1 or 2 and
 no traceback.  Integers are small apart from a few huge ones that the
-loaders must refuse, so what loads has at most 8 elements or points, or is
-a product of at most four chains of height at most 3.
+loaders must refuse, so what loads has at most 8 elements, or is a product
+of at most four chains of height at most 3.
 """
 
 import contextlib
@@ -21,7 +21,6 @@ from latkit.builders import chain
 from latkit.cli import InputError, main, parse_order_spec
 from latkit.monoid import MonoidError, monoid_from_json
 from latkit.order import OrderError, subset_from_json
-from latkit.topology import TopologyError, topology_from_json
 
 # small and huge integers, non-integers, and values that are not numbers
 HUGE = st.sampled_from([-10 ** 6, 10 ** 6, 2 ** 70])
@@ -57,10 +56,6 @@ MONOIDS = st.one_of(
                                               rows(SCALARS), JSON),
                            "identity": SCALARS}),
     JSON)
-TOPOLOGIES = st.one_of(
-    st.fixed_dictionaries({"points": SIZES},
-                          optional={"opens": st.one_of(rows(SIZES), JSON)}),
-    JSON)
 SUBSETS = st.one_of(st.lists(SIZES, max_size=4), JSON)
 
 
@@ -88,12 +83,6 @@ def test_monoid_from_json(value):
 @given(SUBSETS)
 def test_subset_from_json(value):
     loads_or_raises(lambda v: subset_from_json(chain(4), v), OrderError, value)
-
-
-@settings(max_examples=300, deadline=None)
-@given(TOPOLOGIES)
-def test_topology_from_json(value):
-    loads_or_raises(topology_from_json, TopologyError, value)
 
 
 # (argv before --input, how the generated value becomes the input file)

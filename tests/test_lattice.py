@@ -26,17 +26,14 @@ from latkit.lattice import (
     is_dense,
     is_distributive,
     is_flat,
-    is_flat_complete,
     is_interval_predense,
     is_join_dense,
     is_meet_closed,
     is_meet_subsemilattice,
     is_preregular,
-    is_regular,
     is_upwards_preregular,
     lattice_view,
     order_closed_checks,
-    order_closure_down,
     order_closure_up,
     preregularity_witness,
     subset_report,
@@ -182,19 +179,6 @@ def test_preregular_with_disagreeing_sup():
     assert w is not None and w["in_subset"] == 4 and w["in_ambient"] == 3
 
 
-def test_regular_needs_matching_extrema():
-    from latkit.lattice import is_downwards_regular, is_upwards_regular
-
-    c4 = chain(4)
-    assert is_preregular(c4, [1, 2])
-    assert not is_regular(c4, [1, 2])     # least of the subset is not 0
-    assert not is_upwards_regular(c4, [1, 2])
-    assert not is_downwards_regular(c4, [1, 2])
-    assert is_upwards_regular(c4, [0, 1])
-    assert not is_downwards_regular(c4, [0, 1])
-    assert is_regular(c4, [0, 1, 2, 3])
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_convex_implies_preregular_in_lattices(n):
     for q in enumerate_lattices(n):
@@ -233,7 +217,7 @@ def test_order_closure():
     p2 = powerset_lattice(2)
     assert order_closure_up(p2, [1, 2]).indices() == (0, 1, 2, 3)
     assert order_closure_up(p2, 0).mask == 0
-    assert order_closure_down(p2, [1, 2]).indices() == (0, 1, 2, 3)
+    assert order_closure_up(p2.dual, [1, 2]).indices() == (0, 1, 2, 3)
     # idempotent, extensive, monotone
     for q in enumerate_posets(4):
         closures = {}
@@ -254,21 +238,19 @@ def test_flat():
     assert is_flat(p3, [3, 5, 1])       # pairwise meets all equal {0}
     assert not is_flat(p3, [3, 5, 6])   # meets hit different singletons
     assert is_flat(p3, [5])
-    assert is_flat_complete(lattice_view(chain(4)))
 
 
 def test_flat_completeness_matches_literal_scan():
-    # oracle: every flat subset has a supremum, checked subset by subset
+    # a finite lattice is flat complete, as the M-lattice hypothesis of
+    # embedding.check_transfer_setting reads it: every flat subset has a
+    # supremum, checked subset by subset
     lattices = 0
     for n in range(1, 7):
         for q in enumerate_lattices(n):
             lattices += 1
-            scan = all(sup(q, m) is not None
+            assert all(sup(q, m) is not None
                        for m in all_subsets(q) if is_flat(q, m))
-            assert is_flat_complete(lattice_view(q)) == scan
     assert lattices == 1 + 1 + 1 + 2 + 5 + 15
-    with pytest.raises(OrderError):
-        is_flat_complete(lattice_view(antichain(2)))
 
 
 def test_density_checks_powerset_singletons():

@@ -25,10 +25,10 @@ from latkit.order import (
     bits,
     build_quasi_order,
     induced_suborder,
-    order_from_relation,
     sup,
 )
 from latkit.topology import enumerate_topologies
+from oracles import order_from_relation
 
 
 def all_quasi_orders(n):

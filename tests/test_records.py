@@ -41,8 +41,7 @@ IDENTITIES = {
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
     LatticeView: {"base": C2, "join": ((0, 1), (1, 1)), "meet": ((0, 0), (0, 1))},
     ChainProduct: {"dims": (2, 3)},
-    EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (),
-                      "filters": {}, "nodes": 0},
+    EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (), "nodes": 0},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
     GroupCompletion: {"source": Z2, "group": Z2, "reps": ((0, 0), (1, 0)),
                       "embedding": (0, 1), "pair_class": {(0, 0): 0, (1, 0): 1}},

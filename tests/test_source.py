@@ -1,13 +1,14 @@
 """Whole-package checks: runtime checks in the library and the demos
 survive ``python -O``, the library runs without numpy, start-up loads no
 ``dataclasses``, ``inspect`` or ``traceback``, imports sit at module level
-with ``order`` at the bottom of the module graph, and every demo script
-runs to completion."""
+with ``order`` at the bottom of the module graph, every demo script runs to
+completion, and every public name has a use outside the tests."""
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -113,3 +114,62 @@ def test_all_lists_exactly_the_public_definitions(path):
                and not node.name.startswith("_")]
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
     assert [name for name in defined if name not in module.__all__] == []
+
+
+def _names_used(node) -> set:
+    """The names and attribute names that ``node`` reads or imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+    return out
+
+
+def _defined(stmt) -> set:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _source_uses() -> list:
+    """``(module, names defined, names used)`` per top-level statement of
+    the library: definitions, constants, and the package root's re-exports.
+    A module's imports and its ``__all__`` are not uses."""
+    out = []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Import) or (
+                    isinstance(stmt, ast.ImportFrom) and path.stem != "__init__"):
+                continue
+            if _defined(stmt) != {"__all__"}:
+                out.append((path.stem, _defined(stmt), _names_used(stmt)))
+    return out
+
+
+def _readme_names() -> set:
+    """Identifiers inside the README's inline code spans."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"),
+                  flags=re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(re.findall(r"`([^`\n]+)`", text))))
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_public_name_has_a_use_outside_the_tests(path):
+    """A name in ``__all__`` is read by another definition of the library
+    (the package root's re-export counts), used by a demo, or named in the
+    README as API; code that only tests reach belongs in the tests."""
+    uses = _source_uses()
+    demo_names = set().union(*(_names_used(ast.parse(p.read_text(encoding="utf-8")))
+                               for p in DEMOS))
+    readme = _readme_names()
+    unused = [name for name in importlib.import_module(f"latkit.{path.stem}").__all__
+              if name not in demo_names and name not in readme
+              and not any(name in used and not (module == path.stem and name in names)
+                          for module, names, used in uses)]
+    assert unused == [], f"{path.name}: no use outside the tests for {unused}"

@@ -7,11 +7,10 @@ proper subsets.  They are the oracle for the mask code.
 """
 
 import itertools
-import json
-import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from latkit import topology as topology_module
@@ -21,13 +20,11 @@ from latkit.topology import (
     MAX_TOPOLOGY_POINTS,
     NotZeroDimensionalError,
     TopologyError,
-    baire_property_sets,
     category_algebra,
     clopen_basis_check,
     clopen_sets,
     closure_of,
     enumerate_topologies,
-    has_baire_property,
     interior,
     is_baire,
     is_meager,
@@ -40,12 +37,8 @@ from latkit.topology import (
     ro_algebra,
     subspace,
     topology,
-    topology_from_json,
     topology_to_json,
 )
-
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +194,13 @@ def small_spaces():
 # ---------------------------------------------------------------------------
 
 
+def baire_sets(t):
+    """The sets with the Baire property: those whose trace on the comeager
+    set names a class of the category algebra, ascending."""
+    classes = category_algebra(t).classes
+    return tuple(s for s in range(1 << t.points) if s & ~t.meager_mask in classes)
+
+
 def sierpinski():
     # point 1 open, point 0 not
     return topology(2, [0b10])
@@ -237,7 +237,6 @@ def test_space_operations_match_reference():
             assert closure_of(t, s) == ref_closure(ref, s)
             assert t.is_open(s) == (s in ref.opens)
             assert t.is_closed(s) == (ref.full & ~s in ref.opens)
-            assert has_baire_property(t, s) == ref_has_baire_property(ref, s)
             sub, points = subspace(t, s)
             ref_sub, ref_points = ref_subspace(ref, s)
             assert sub.opens == ref_sub.opens and points == ref_points
@@ -245,7 +244,6 @@ def test_space_operations_match_reference():
         assert meager_ideal(t) == ref_meager_ideal(ref)
         assert largest_open_meager(t) == ref_largest_open_meager(ref)
         assert is_baire(t) == ref_is_baire(ref)
-        assert baire_property_sets(t) == ref_baire_property_sets(ref)
         assert clopen_sets(t) == ref_clopen_sets(ref)
         assert is_zero_dimensional(t) == ref_is_zero_dimensional(ref)
         cat = category_algebra(t)
@@ -306,7 +304,7 @@ def test_meager_mask_and_baire_sets_match_nowhere_dense_scans():
             if nowhere_dense:
                 union |= s
         assert t.meager_mask == union
-        assert baire_property_sets(t) == tuple(
+        assert baire_sets(t) == tuple(
             s for s in range(1 << t.points)
             if any(is_nowhere_dense(t, s ^ o) for o in t.opens_sorted))
 
@@ -333,12 +331,28 @@ def test_enumeration_limit():
 ])
 def test_sixty_four_point_space_loads_at_once(opens):
     start = time.perf_counter()
-    t = topology_from_json({"points": 64, "opens": opens})
+    t = topology(64, (sum(1 << i for i in g) for g in opens))
     assert time.perf_counter() - start < 1.0
     assert t.points == 64 and repr(t) == "FiniteTopology(points=64)"
     for p, g in enumerate(opens):
         assert t.order.up_masks[p] == sum(1 << i for i in g)
     assert interior(t, 1 << 63) == 1 << 63
+
+
+@pytest.mark.parametrize("points, generators", [
+    (3, [2.9]), (3, [True]), (3, ["3"]), (-1, []), (2.0, []), (True, []),
+], ids=["generator-float", "generator-bool", "generator-str", "points-negative",
+        "points-float", "points-bool"])
+def test_topology_refuses_bad_input(points, generators):
+    # refused, not truncated to an int or failing on a shift
+    with pytest.raises(TopologyError, match="must be"):
+        topology(points, generators)
+
+
+def test_topology_takes_index_integers():
+    t = topology(np.int64(3), [np.uint8(0b011)])
+    assert t.opens == topology(3, [0b011]).opens
+    assert type(t.points) is int
 
 
 def test_generated_closure():
@@ -400,14 +414,16 @@ def test_ro_algebra_is_boolean_with_jid_mid():
 
 
 def test_ro_double_complement():
+    # the complement of a regular open set is its exterior, and the join of
+    # two is the interior of the closure of their union
     for t in enumerate_topologies(3):
         alg = ro_algebra(t)
         for g in alg.members:
-            c = alg.complement(g)
+            c = t.full_mask & ~closure_of(t, g)
             assert c in alg.members
-            assert alg.complement(c) == g
-            assert alg.meet(g, c) == 0
-            assert alg.join(g, c) == t.full_mask & ~closure_of(t, 0)
+            assert t.full_mask & ~closure_of(t, c) == g
+            assert g & c == 0
+            assert interior(t, closure_of(t, g | c)) == t.full_mask
 
 
 def test_meager_is_an_ideal():
@@ -444,10 +460,11 @@ def test_largest_open_meager_and_baire():
 
 def test_baire_property():
     sp = sierpinski()
-    assert baire_property_sets(sp) == (0, 1, 2, 3)
+    assert baire_sets(sp) == (0, 1, 2, 3)
     t = indiscrete(2)
-    assert set(baire_property_sets(t)) == {0, 0b11}
-    assert not has_baire_property(t, 0b01)
+    assert baire_sets(t) == (0, 0b11)
+    with pytest.raises(KeyError):
+        category_algebra(t).class_of(0b01)
 
 
 def test_category_algebra_discrete():
@@ -458,44 +475,44 @@ def test_category_algebra_discrete():
 
 
 def test_category_algebra_sierpinski():
-    with open(os.path.join(FIXTURES, "sierpinski.json")) as fh:
-        sp = topology_from_json(json.load(fh))
-    assert sp.opens == sierpinski().opens
+    sp = sierpinski()
     cat = category_algebra(sp)
     assert cat.size == 2
-    bp = baire_property_sets(sp)
+    bp = baire_sets(sp)
     assert bp == (0, 1, 2, 3)
     assert sorted(cat.ro_iso.values()) == sorted({cat.class_of(s) for s in bp})
-    # class operations act setwise
+    # the class of a union is the join of the classes
+    join = lattice_view(cat.order).join
     for a in bp:
         for b in bp:
-            ca, cb = cat.class_of(a), cat.class_of(b)
-            assert cat.join_class(ca, cb) == cat.class_of(cat.reps[ca] | cat.reps[cb])
+            assert join[cat.class_of(a)][cat.class_of(b)] == cat.class_of(a | b)
 
 
 def test_category_algebra_class_operations():
+    # union, intersection and complement of Baire-property sets are the
+    # join, meet and complement of their classes
     for t in enumerate_topologies(3):
         cat = category_algebra(t)
-        bp = baire_property_sets(t)
+        lv = lattice_view(cat.order)
+        bottom, top = cat.class_of(0), cat.class_of(t.full_mask)
+        bp = baire_sets(t)
         for a in bp:
             ca = cat.class_of(a)
-            comp = cat.complement_class(ca)
-            assert comp == cat.class_of(t.full_mask & ~cat.reps[ca])
+            comp = cat.class_of(t.full_mask & ~a)
+            assert lv.meet[ca][comp] == bottom and lv.join[ca][comp] == top
         for a in bp[:6]:
             for b in bp[:6]:
-                assert cat.class_of(a | b) == cat.join_class(
-                    cat.class_of(a), cat.class_of(b))
-                assert cat.class_of(a & b) == cat.meet_class(
-                    cat.class_of(a), cat.class_of(b))
+                ca, cb = cat.class_of(a), cat.class_of(b)
+                assert cat.class_of(a | b) == lv.join[ca][cb]
+                assert cat.class_of(a & b) == lv.meet[ca][cb]
 
 
 def test_category_algebra_reads_no_subset_scan(monkeypatch):
-    # the classes are the traces of the opens: the definition-level scans
-    # of the Baire-property sets and of the meager ideal are never run
+    # the classes are the traces of the opens: the definition-level scan
+    # of the meager ideal is never run
     def refuse(t):
         raise AssertionError("subset scan")
 
-    monkeypatch.setattr(topology_module, "baire_property_sets", refuse)
     monkeypatch.setattr(topology_module, "meager_ideal", refuse)
     for _, t in small_spaces():
         assert category_algebra(t).size >= 1
@@ -551,10 +568,9 @@ def test_scan_guard():
 
 
 def test_json_round_trip():
+    # reports list every open set; those opens generate the space again
     sp = sierpinski()
-    again = topology_from_json(topology_to_json(sp))
+    obj = topology_to_json(sp)
+    assert obj == {"points": 2, "opens": [[], [1], [0, 1]]}
+    again = topology(obj["points"], (sum(1 << i for i in o) for o in obj["opens"]))
     assert again.opens == sp.opens
-    gen = topology_from_json({"points": 3, "opens": [[0, 1], [1, 2]]})
-    assert 0b010 in gen.opens
-    with pytest.raises(TopologyError):
-        topology_from_json({"opens": []})
