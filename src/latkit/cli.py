@@ -31,9 +31,10 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away
 MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
 MAX_POWERSET_POINTS = MAX_SPEC_SIZE.bit_length() - 1  # 2^6 = 64 elements
 _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
-# one continuity check per preregular range of each poset: about 1.5 s at
-# size 6 (134,702 pairs) and 17 s at size 7 (5,144,952 pairs); raising the
-# limit waits for a run-wide budget
+# one walk over the subsets of each poset, and one self-census per distinct
+# preregular range: on 2 CPUs about 0.37 s at size 6 (134,702 pairs) in a
+# fresh process and 2.8 s at size 7 (5,144,952 pairs) in-process; raising
+# the limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
 # the setting is checked once, the convex-range census of P(n) -> P(m) is a
 # search of the intervals of P(m), and each census map's extension is one

@@ -50,6 +50,8 @@ __all__ = [
     "is_downwards_preregular",
     "is_preregular",
     "preregularity_witness",
+    "preregular_masks",
+    "MAX_PREREGULAR_WALK",
     "order_closed_checks",
     "order_closure_up",
     "is_flat",
@@ -66,6 +68,10 @@ __all__ = [
     "covers_of_bottom",
     "subset_report",
 ]
+
+# preregular_masks keeps one closure per subset, and a k-element subset has
+# at most 2**k - 1 classes: at most 3**n members in all, 59,049 at n = 10
+MAX_PREREGULAR_WALK = 10
 
 
 class LatticeView(_Frozen):
@@ -309,6 +315,62 @@ def is_downwards_preregular(q: QuasiOrder, A: SetLike) -> bool:
 def is_preregular(q: QuasiOrder, A: SetLike) -> bool:
     m = mask_of(q, A)
     return is_upwards_preregular(q, m) and is_downwards_preregular(q, m)
+
+
+def _upwards_preregular_flags(o: QuasiOrder) -> list:
+    """``[is_upwards_preregular(o, A) for A in range(2 ** o.size)]`` from
+    one walk.  ``A`` fails iff a class ``T`` of its closure has a least
+    member in ``A`` other than the ambient bound ``up_index[T]`` (when that
+    bound lies in ``A`` it is the least member).  Each closure maps its
+    classes to their ambient bounds (``-1`` for none), and the least member
+    of every subset is a table built on the way: ``A`` has one iff its
+    lowest member is below the rest, or the rest has one that is below the
+    lowest."""
+    up, ambient = o.up_masks, o.up_index
+    least = [-1]  # the least member of each subset, or -1
+    closures = [{}]
+    flags = [True]
+    for m in range(1, 1 << o.size):
+        low = m & -m
+        a, parent = low.bit_length() - 1, m ^ low
+        t = least[parent]
+        least.append(a if not parent & ~up[a] else t if t >= 0 and up[t] & low else -1)
+        key, classes = up[a], closures[parent]
+        closure = classes.copy()
+        closure[key] = a  # the least member of up(a) in a poset
+        for c in classes:
+            if key & c not in closure:
+                closure[key & c] = ambient.get(key & c, -1)
+        closures.append(closure)
+        for ub, p in closure.items():
+            if least[ub & m] not in (-1, p):
+                flags.append(False)
+                break
+        else:
+            flags.append(True)
+    return flags
+
+
+def preregular_masks(q: QuasiOrder) -> list:
+    """Every preregular subset of ``q`` (the empty one too), as ascending
+    masks, from one walk over the subsets per direction.
+
+    :func:`preregularity_witness` sees ``A`` only through the
+    :func:`intersection_closure` of its members' up-sets (down-sets).  The
+    closure of ``A`` is that of its parent, ``A`` minus its lowest member,
+    extended by the lowest member's key, so each closure costs one pass
+    over its parent's, where :func:`is_preregular` builds both from
+    scratch.  The walk keeps every subset's closure, so an order of more
+    than ``MAX_PREREGULAR_WALK`` elements raises :class:`OrderError`.
+    """
+    n = q.size
+    if n > MAX_PREREGULAR_WALK:
+        raise OrderError(f"preregular_masks takes orders of at most "
+                         f"{MAX_PREREGULAR_WALK} elements, got {n}")
+    if n:
+        _require_poset(q)
+    ups, downs = _upwards_preregular_flags(q), _upwards_preregular_flags(q.dual)
+    return [m for m in range(1 << n) if ups[m] and downs[m]]
 
 
 def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:

@@ -22,7 +22,7 @@ import random
 from functools import cached_property
 from typing import Callable, Optional
 
-from .order import QuasiOrder, _Frozen, _Value, _is_index, bits
+from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
 from .lattice import lattice_view, set_distributivity_failure
 
 __all__ = [
@@ -269,11 +269,6 @@ def _draws(getrandbits, top: int):
     return filter(top.__ge__, map(getrandbits, itertools.repeat(k)))
 
 
-def _is_count(n) -> bool:
-    """``n`` is an int (not a bool) and ``n >= 0``."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
 def _vectors(getrandbits, dim: int):
     """Successive seeded vectors of ``dim`` coordinates in ``0..SAMPLE_BOUND``,
     lazily: each coordinate is the next value of :func:`_draws`."""
@@ -291,9 +286,7 @@ class VectorMonoid(_Value):
     """
 
     def __init__(self, dim: int):
-        if not _is_count(dim):
-            raise MonoidError(f"dim must be an integer >= 0, got {dim!r}")
-        self.__dict__["dim"] = dim
+        self.__dict__["dim"] = _count(dim, "dim", error=MonoidError)
 
     def _key(self) -> tuple:
         return (self.dim,)
@@ -418,8 +411,7 @@ def _sampling(samples, seed) -> dict:
     """The ``sampling`` record of a sampled run.  A count that is not an
     int >= 0, or a seed that is not an int, is refused before any law is
     checked: a covered run draws nothing, so neither would be read."""
-    if not _is_count(samples):
-        raise MonoidError(f"samples must be an integer >= 0, got {samples!r}")
+    samples = _count(samples, "samples", error=MonoidError)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise MonoidError(f"seed must be an integer, got {seed!r}")
     return {"seed": seed, "instance_count": samples}
@@ -692,13 +684,20 @@ def closed_under_subtraction(m, S, *, samples: int = 1000,
 # stock examples and sweeps
 
 
+def _size(n) -> int:
+    """``n`` as the size of a monoid's carrier, or :class:`MonoidError`."""
+    return _count(n, "a monoid has at least one element, so n", 1, MonoidError)
+
+
 def truncated_addition_monoid(n: int) -> FiniteMonoid:
     """``{0..n-1}`` with ``a + b`` capped at ``n - 1``."""
+    n = _size(n)
     table = [[min(a + b, n - 1) for b in range(n)] for a in range(n)]
     return FiniteMonoid(table, 0)
 
 
 def cyclic_group(n: int) -> FiniteMonoid:
+    n = _size(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteMonoid(table, 0)
 
@@ -714,8 +713,7 @@ def enumerate_commutative_monoids(n: int):
     ``(xy)z`` and ``x(yz)`` are all set fails: every completion of it would
     fail there too.  So the leaves are the associative candidates in the
     order the product gives them.  The constructor re-validates each."""
-    if not _is_count(n) or n < 1:
-        raise MonoidError(f"a monoid has at least one element, got n={n!r}")
+    n = _size(n)
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     table = [list(range(n))] + [[a] + [None] * (n - 1) for a in range(1, n)]
     triples = list(itertools.product(range(1, n), repeat=3))

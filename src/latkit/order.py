@@ -304,13 +304,19 @@ class MonotoneMap(_Frozen):
 
     @cached_property
     def is_order_reflecting(self) -> bool:
-        img = self.image
-        for p in range(self.dom.size):
-            up = self.cod.up_masks[img[p]]
-            for q in range(self.dom.size):
-                if up >> img[q] & 1 and not self.dom.le(p, q):
-                    return False
-        return True
+        """``image[p] <= image[q]`` implies ``p <= q``.  The map preserves
+        order, so ``up(p)`` lies in the preimage of ``up(image[p])``, and it
+        reflects iff the two have the same size: one count per element,
+        each range value weighted by the size of its fiber."""
+        img, cod_up, rng = self.image, self.cod.up_masks, self.range_mask
+        if len(set(img)) == len(img):  # every fiber has one element
+            return all((cod_up[v] & rng).bit_count() == up.bit_count()
+                       for v, up in zip(img, self.dom.up_masks))
+        fiber = [0] * self.cod.size
+        for v in img:
+            fiber[v] += 1
+        return all(sum(fiber[w] for w in bits(cod_up[v] & rng)) == up.bit_count()
+                   for v, up in zip(img, self.dom.up_masks))
 
     @cached_property
     def is_embedding(self) -> bool:

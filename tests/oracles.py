@@ -1,12 +1,18 @@
 """Definition-level oracles that only the tests use: a naive embedding
-census over every map with flags from the plain definitions, the
-order-closedness report of a map's range, a seeded random lattice
-generator, directedness and boundedness of a subset, and an order read
-from a boolean relation matrix."""
+census over every map with flags from the plain definitions, order
+reflection by its pairwise definition, the per-pair continuity check of
+preregular-range embeddings, the order-closedness report of a map's range,
+a seeded random lattice generator, directedness and boundedness of a
+subset, and an order read from a boolean relation matrix."""
 
 import random
 
-from latkit.embedding import BudgetExceededError, enumerate_monotone_maps
+from latkit.embedding import (
+    BudgetExceededError,
+    continuity_checks,
+    enumerate_embeddings,
+    enumerate_monotone_maps,
+)
 from latkit.lattice import (
     is_convex,
     is_lattice,
@@ -37,6 +43,33 @@ def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
         "convex_range": is_convex(cod, rmask),
         "preregular_range": is_preregular(cod, rmask),
         "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
+    }
+
+
+def is_order_reflecting(sigma: MonotoneMap) -> bool:
+    """``image[p] <= image[q]`` implies ``p <= q``, pair by pair."""
+    img, dom, cod = sigma.image, sigma.dom, sigma.cod
+    return all(dom.le(p, q) for p in range(dom.size) for q in range(dom.size)
+               if cod.le(img[p], img[q]))
+
+
+def verify_preregular_continuity(P: QuasiOrder, Q: QuasiOrder, *,
+                                 budget_nodes=None) -> dict:
+    """The per-pair form of ``preregular_continuity_sweep``: one census of
+    the preregular-range embeddings ``P -> Q`` and one continuity check per
+    map; every map that drops a nonempty supremum or infimum is a
+    violation."""
+    census = enumerate_embeddings(P, Q, preregular_range=True,
+                                  budget_nodes=budget_nodes)
+    violations = []
+    for mm in census.maps:
+        cont = continuity_checks(mm)
+        if not (cont["preserves_nonempty_sups"] and cont["preserves_nonempty_infs"]):
+            violations.append({"image": list(mm.image), "continuity": cont})
+    return {
+        "embeddings": len(census),
+        "violations": violations,
+        "holds": not violations,
     }
 
 

@@ -26,7 +26,6 @@ from latkit.embedding import (
     powerset_embedding,
     powerset_formula_census,
     verify_convexity_transfer,
-    verify_preregular_continuity,
 )
 from latkit.lattice import is_convex, is_preregular
 from latkit.monoid import (
@@ -43,7 +42,11 @@ from latkit.monoid import (
 )
 from latkit.order import atoms
 from latkit.topology import category_algebra, enumerate_topologies, largest_open_meager
-from oracles import naive_embedding_census, random_lattice
+from oracles import (
+    naive_embedding_census,
+    random_lattice,
+    verify_preregular_continuity,
+)
 
 SEED = 20260808
 

@@ -1,15 +1,23 @@
-"""The per-range continuity sweep against the per-pair loop it replaces:
-the same counts and the same witnesses, in the same order."""
+"""The per-range continuity sweep against the per-pair loop it replaces
+(the same counts and no violations), the continuity check of every range
+inclusion against preregularity, and the one-walk preregular listing
+against the per-subset test."""
 
 import pytest
 
 from latkit import embedding
-from latkit.builders import enumerate_posets
-from latkit.embedding import (
-    preregular_continuity_sweep,
-    verify_preregular_continuity,
+from latkit.builders import antichain, enumerate_posets
+from latkit.cli import MAX_CONTINUITY_SIZE
+from latkit.embedding import continuity_checks, preregular_continuity_sweep
+from latkit.lattice import (
+    MAX_PREREGULAR_WALK,
+    is_downwards_preregular,
+    is_preregular,
+    is_upwards_preregular,
+    preregular_masks,
 )
-from latkit.lattice import is_preregular
+from latkit.order import MonotoneMap, OrderError, build_quasi_order, induced_suborder
+from oracles import verify_preregular_continuity
 
 
 def per_pair(max_size):
@@ -36,39 +44,34 @@ def test_sweep_counts_at_size_6_are_pinned():
         "pairs": 134_702, "embeddings": 42_111, "violations": [], "holds": True}
 
 
-def flag_ranges(monkeypatch, flagged):
-    """Make ``continuity_checks`` report a dropped supremum on exactly the
-    maps whose ``(codomain, range)`` is in ``flagged``."""
-    real = embedding.continuity_checks
-
-    def patched(sigma):
-        out = real(sigma)
-        if (sigma.cod, sigma.range_mask) in flagged:
-            out = {**out, "preserves_nonempty_sups": False}
-        return out
-
-    monkeypatch.setattr(embedding, "continuity_checks", patched)
-
-
-def test_violating_ranges_rerun_their_pairs_in_pair_order(monkeypatch):
-    # the 3-element codomain is swept first, but the pairs of its range's
-    # class come after those of the 1- and 2-element ranges of the
-    # 4-element codomain
-    q3, q4 = enumerate_posets(3)[0], enumerate_posets(4)[-1]
-    flagged = {(q3, q3.full_mask), (q4, 0b0001), (q4, 0b0011)}
-    for cod, mask in flagged:
-        assert is_preregular(cod, mask)
-    flag_ranges(monkeypatch, flagged)
-    got = preregular_continuity_sweep(4)
-    assert got == per_pair(4)
-    sizes = [len(v["image"]) for v in got["violations"]]
-    assert sizes[:2] == [1, 2] and set(sizes[2:]) == {3}
-    assert got["holds"] is False
+@pytest.mark.parametrize("n", range(1, MAX_CONTINUITY_SIZE + 1))
+def test_inclusion_continuity_is_preregularity(n):
+    """Every input the command accepts: the inclusion of each nonempty
+    range into its codomain preserves nonempty sups (infs) iff the range is
+    upwards (downwards) preregular, so the sweep needs no continuity check."""
+    for q in enumerate_posets(n):
+        for rmask in range(1, 1 << n):
+            sub, elems = induced_suborder(q, rmask)
+            cont = continuity_checks(MonotoneMap(sub, q, elems))
+            assert cont["preserves_nonempty_sups"] == is_upwards_preregular(q, rmask)
+            assert cont["preserves_nonempty_infs"] == is_downwards_preregular(q, rmask)
 
 
-def test_every_census_run_gets_the_budget(monkeypatch):
-    q4 = enumerate_posets(4)[-1]
-    flag_ranges(monkeypatch, {(q4, 0b0011)})
+@pytest.mark.parametrize("n", range(MAX_CONTINUITY_SIZE + 1))
+def test_preregular_masks_is_the_filter(n):
+    for q in enumerate_posets(n):
+        assert preregular_masks(q) == [m for m in range(1 << n) if is_preregular(q, m)]
+
+
+def test_preregular_masks_refuses_orders_above_its_limit():
+    assert len(preregular_masks(antichain(MAX_PREREGULAR_WALK))) == 1 << MAX_PREREGULAR_WALK
+    with pytest.raises(OrderError, match="at most"):
+        preregular_masks(antichain(MAX_PREREGULAR_WALK + 1))
+    with pytest.raises(OrderError):
+        preregular_masks(build_quasi_order(2, [(0, 1), (1, 0)]))
+
+
+def test_every_self_census_gets_the_budget(monkeypatch):
     real = embedding.enumerate_embeddings
     calls = []
 
@@ -77,9 +80,8 @@ def test_every_census_run_gets_the_budget(monkeypatch):
         return real(dom, cod, **kwargs)
 
     monkeypatch.setattr(embedding, "enumerate_embeddings", recording)
-    assert not preregular_continuity_sweep(4, budget_nodes=10 ** 6)["holds"]
-    assert {self_census for self_census, _ in calls} == {True, False}
-    assert {budget for _, budget in calls} == {10 ** 6}
+    assert preregular_continuity_sweep(4, budget_nodes=10 ** 6)["holds"]
+    assert calls and set(calls) == {(True, 10 ** 6)}
 
 
 def test_budget_caps_the_self_censuses():

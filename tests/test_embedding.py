@@ -36,7 +36,6 @@ from latkit.embedding import (
     powerset_formula_census,
     relative_atoms,
     verify_convexity_transfer,
-    verify_preregular_continuity,
     verify_transfer_map,
 )
 from latkit.lattice import (
@@ -64,9 +63,11 @@ from latkit.order import (
 )
 from oracles import (
     is_bounded_above,
+    is_order_reflecting,
     naive_embedding_census,
     random_lattice,
     range_property_checks,
+    verify_preregular_continuity,
 )
 
 
@@ -177,6 +178,19 @@ def test_range_properties_interval():
         rp = range_property_checks(mm)
         assert rp["interval_range"] is True
         assert rp["up_boc_range"] and rp["down_oc_range"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order_reflection_matches_the_pairwise_definition(n):
+    """Every monotone map between posets of at most ``n`` elements, the
+    non-injective ones too, and a fresh map per census image."""
+    posets = [q for k in range(1, n + 1) for q in enumerate_posets(k)]
+    for p in enumerate_posets(n):
+        for q in posets:
+            census = set(enumerate_embeddings(p, q).images)
+            for img in enumerate_monotone_maps(p, q):
+                mm = MonotoneMap(p, q, img)
+                assert mm.is_order_reflecting == is_order_reflecting(mm) == (img in census)
 
 
 def test_up_boc_range_for_lattice_homomorphisms():

@@ -6,6 +6,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from latkit.monoid import (
@@ -554,6 +555,20 @@ def test_zero_samples_check_nothing_on_either_path():
 def test_vector_monoid_refuses_a_bad_dimension(dim):
     with pytest.raises(MonoidError, match="dim must be an integer >= 0"):
         VectorMonoid(dim)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.7, "3", None])
+@pytest.mark.parametrize("build", [cyclic_group, truncated_addition_monoid])
+def test_stock_monoids_refuse_a_bad_size(build, n):
+    with pytest.raises(MonoidError, match="at least one element"):
+        build(n)
+
+
+def test_monoid_sizes_take_numpy_integers():
+    for build in (cyclic_group, truncated_addition_monoid):
+        assert build(np.int64(3)).table == build(3).table
+    v = VectorMonoid(np.int64(3))
+    assert v == VectorMonoid(3) and type(v.dim) is int
 
 
 def test_scalar_cover_is_every_coordinate_instance():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit.builders import enumerate_posets
-from latkit.embedding import atom_image_check, relative_atoms
+from latkit.embedding import atom_image_check, enumerate_monotone_maps, relative_atoms
 from latkit.lattice import is_preregular, sup_in_subset
 from latkit.monoid import FiniteMonoid, MonoidError, associated_order
 from latkit.order import (
@@ -28,7 +28,7 @@ from latkit.order import (
     sup,
 )
 from latkit.topology import enumerate_topologies
-from oracles import order_from_relation
+from oracles import is_order_reflecting, order_from_relation
 
 
 def all_quasi_orders(n):
@@ -60,6 +60,22 @@ def test_quotient_map_is_an_embedding(n):
         poset, classes = asym_quotient(q)
         mm = MonotoneMap(q, poset, classes)
         assert mm.is_embedding
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_order_reflection_matches_the_pairwise_definition(n):
+    """Every monotone map from an ``n``-point quasi order into one of at
+    most three points; a map that merges equivalent points can reflect."""
+    doms = [order_from_relation(mat) for mat in all_quasi_orders(n)]
+    cods = [order_from_relation(mat) for k in (1, 2, 3) for mat in all_quasi_orders(k)]
+    merged = 0
+    for p in doms:
+        for q in cods:
+            for img in enumerate_monotone_maps(p, q):
+                mm = MonotoneMap(p, q, img)
+                assert mm.is_order_reflecting == is_order_reflecting(mm)
+                merged += mm.is_order_reflecting and len(set(img)) < n
+    assert merged > 0 or n == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
