@@ -17,6 +17,7 @@ from .order import (
     QuasiOrder,
     _count,
     _Frozen,
+    _unchecked,
     bits,
     build_quasi_order,
     upper_sets,
@@ -202,6 +203,23 @@ def canonical_key(q: QuasiOrder) -> bytes:
     return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best)
 
 
+def _extensions(q: QuasiOrder):
+    """Each poset made from the poset ``q`` by adjoining a new maximal
+    element ``k = q.size`` above a lower set ``low``, in ascending order of
+    ``low``, built unchecked.  It is a poset: ``k`` lies below nothing
+    else, and what lies below ``k`` is ``low``, which is closed downwards.
+    So ``down(k) = low | 1 << k``, and every other down-set is the same as
+    in ``q``, since nothing lies above ``k``."""
+    k = q.size
+    downs = q.down_masks
+    for low in upper_sets(q.dual):
+        yield _unchecked(
+            QuasiOrder,
+            up_masks=tuple(up | (low >> p & 1) << k
+                           for p, up in enumerate(q.up_masks)) + (1 << k,),
+            down_masks=downs + (low | 1 << k,), is_poset=True)
+
+
 @functools.cache
 def _level(n: int) -> dict:
     """``{canonical_key: poset}`` for the ``n``-element posets, in the order
@@ -210,21 +228,16 @@ def _level(n: int) -> dict:
         return {canonical_key(chain(1)): chain(1)}
     level = {}
     for q in _level(n - 1).values():
-        k = q.size
-        for low in upper_sets(q.dual):
-            # a new maximal element k above the lower set ``low``
-            cand = QuasiOrder(tuple(up | (low >> p & 1) << k
-                                    for p, up in enumerate(q.up_masks)) + (1 << k,))
+        for cand in _extensions(q):
             key = canonical_key(cand)
             if key not in level:
                 level[key] = cand
     return level
 
 
-def _check_enumeration_size(n: int):
-    if n > MAX_ENUMERATION_SIZE:
-        raise OrderError(
-            f"enumeration is limited to {MAX_ENUMERATION_SIZE} elements, got {n}")
+def _check_enumeration_size(n: int, limit: int = MAX_ENUMERATION_SIZE):
+    if n > limit:
+        raise OrderError(f"enumeration is limited to {limit} elements, got {n}")
 
 
 def enumerate_posets(n: int):
@@ -244,11 +257,26 @@ def enumerate_posets(n: int):
     return [level[key] for key in sorted(level)]
 
 
+def _bounded(q: QuasiOrder) -> QuasiOrder:
+    """``q`` with a new bottom ``0`` and a new top ``q.size + 1``, its own
+    elements moved up by one, built unchecked.  A new least and a new
+    greatest element keep a poset a poset.  The bottom lies below every
+    element and the top above every one, so the down-masks are ``1``, each
+    old one shifted up with the bottom added, and the full mask."""
+    n = q.size + 2
+    full, top = (1 << n) - 1, 1 << n - 1
+    return _unchecked(
+        QuasiOrder, up_masks=(full, *(up << 1 | top for up in q.up_masks), top),
+        down_masks=(1, *(down << 1 | 1 for down in q.down_masks), full),
+        is_poset=True)
+
+
 def enumerate_lattices(n: int):
     """All lattices with exactly ``n`` elements, one per isomorphism class,
     sorted by ``canonical_key`` like the lattices of ``enumerate_posets(n)``,
     but built from level ``n - 2``: for ``n > 2`` each lattice has its
-    bottom at 0 and its top at ``n - 1``.
+    bottom at 0 and its top at ``n - 1``.  So ``n - 2`` is held to
+    ``MAX_ENUMERATION_SIZE``, and ``n`` may pass it by two.
 
     A finite lattice with ``n >= 2`` elements has a bottom and a top, and
     what is left without them is an arbitrary ``(n - 2)``-element poset.
@@ -259,11 +287,8 @@ def enumerate_lattices(n: int):
     ``MAX_ENUMERATION_SIZE`` the list equals that filter for every ``n``,
     ``up_masks`` for ``up_masks``.
     """
-    _check_enumeration_size(n)
+    _check_enumeration_size(n, MAX_ENUMERATION_SIZE + 2)
     if n <= 2:
         return [q for q in enumerate_posets(n) if is_lattice(q)]
-    full, top = (1 << n) - 1, 1 << n - 1
-    cands = (QuasiOrder((full, *(up << 1 | top for up in q.up_masks), top))
-             for q in enumerate_posets(n - 2))
+    cands = map(_bounded, enumerate_posets(n - 2))
     return sorted(filter(is_lattice, cands), key=canonical_key)
-

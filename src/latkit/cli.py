@@ -36,6 +36,12 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # fresh process and 2.8 s at size 7 (5,144,952 pairs) in-process; raising
 # the limit waits for a run-wide budget
 MAX_CONTINUITY_SIZE = 6
+# one preregularity walk over the convex subsets of each lattice; lattices of
+# n elements are built from the posets of n - 2, so size 9 needs only the
+# posets of 7: 1,078 lattices with 144,904 convex subsets, about 1 s in a
+# fresh process on 2 CPUs, while size 10 needs the 16,999 posets of 8, which
+# take about 4 s to enumerate
+MAX_CONVEX_PREREGULAR_SIZE = 9
 # the setting is checked once, the convex-range census of P(n) -> P(m) is a
 # search of the intervals of P(m), and each census map's extension is one
 # candidate, so the per-map check is the cost: on 2 CPUs --m 6 takes about
@@ -323,7 +329,7 @@ def _verify_preregular_continuity(cfg: RunConfig) -> dict:
 
 
 def _verify_convex_preregular(cfg: RunConfig) -> dict:
-    max_size = cfg.enumeration_size(5)
+    max_size = cfg.option("max_size", 5, MAX_CONVEX_PREREGULAR_SIZE)
     violations = []
     lattices = 0
     subsets = 0
@@ -331,12 +337,11 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
         for lq in builders.enumerate_lattices(n):
             lattices += 1
             subsets += 1 << n
-            for amask in lattice.convex_subsets(lq):
-                if not lattice.is_preregular(lq, amask):
-                    violations.append({
-                        "lattice": order.order_to_json(lq),
-                        "subset": list(order.bits(amask)),
-                    })
+            convex = lattice.convex_subsets(lq)
+            good = set(lattice.preregular_masks(lq, convex))
+            violations += [{"lattice": order.order_to_json(lq),
+                            "subset": list(order.bits(amask))}
+                           for amask in convex if amask not in good]
     return {
         "holds": not violations,
         "max_size": max_size,
@@ -496,8 +501,10 @@ def _search_convex_not_preregular(cfg: RunConfig) -> dict:
         for q in builders.enumerate_posets(n):
             if lattice.is_lattice(q):
                 continue
-            for amask in lattice.convex_subsets(q):
-                if not lattice.is_preregular(q, amask):
+            convex = lattice.convex_subsets(q)
+            good = set(lattice.preregular_masks(q, convex))
+            for amask in convex:
+                if amask not in good:
                     return {
                         "holds": True,
                         "found": True,

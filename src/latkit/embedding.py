@@ -668,8 +668,9 @@ def _check_sigma_bounds(L: QuasiOrder, dmask: int, sigma: dict, M: QuasiOrder):
 
 def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
                    M: QuasiOrder) -> MonotoneMap:
-    """``p -> sup sigma(D & down(p))``, monotone as that set grows with ``p``;
-    each bound is one ``up_index`` lookup, as in :func:`order.sup`."""
+    """``p -> sup sigma(D & down(p))``, monotone as that set grows with ``p``,
+    so it is built unchecked; each bound is one ``up_index`` lookup, as in
+    :func:`order.sup`."""
     _require_poset(M)
     up, least = M.up_masks, M.up_index
     image = []
@@ -681,7 +682,7 @@ def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
         if s is None:
             raise RuntimeError("bounded image lost its supremum")
         image.append(s)
-    return MonotoneMap(L, M, tuple(image))
+    return _unchecked(MonotoneMap, dom=L, cod=M, image=tuple(image))
 
 
 def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,

@@ -19,11 +19,13 @@ from .order import (
     Subset,
     _Frozen,
     _require_poset,
+    _unchecked,
     _upper_bounds,
     bits,
     inf,
     intersection_closure,
     least_element,
+    linear_extension,
     lower_closure,
     mask_of,
     positive_part,
@@ -69,8 +71,9 @@ __all__ = [
     "subset_report",
 ]
 
-# preregular_masks keeps one closure per subset, and a k-element subset has
-# at most 2**k - 1 classes: at most 3**n members in all, 59,049 at n = 10
+# preregular_masks keeps one closure per member of its family, and a
+# k-element subset has at most 2**k - 1 classes: at most 3**n members in
+# all, 59,049 at n = 10
 MAX_PREREGULAR_WALK = 10
 
 
@@ -317,60 +320,111 @@ def is_preregular(q: QuasiOrder, A: SetLike) -> bool:
     return is_upwards_preregular(q, m) and is_downwards_preregular(q, m)
 
 
-def _upwards_preregular_flags(o: QuasiOrder) -> list:
-    """``[is_upwards_preregular(o, A) for A in range(2 ** o.size)]`` from
-    one walk.  ``A`` fails iff a class ``T`` of its closure has a least
-    member in ``A`` other than the ambient bound ``up_index[T]`` (when that
-    bound lies in ``A`` it is the least member).  Each closure maps its
-    classes to their ambient bounds (``-1`` for none), and the least member
-    of every subset is a table built on the way: ``A`` has one iff its
-    lowest member is below the rest, or the rest has one that is below the
-    lowest."""
+def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
+    """The upwards preregular members of ``masks``, an ascending family of
+    subsets of ``o``, from one walk.
+
+    ``A`` fails iff a class ``T`` of the :func:`intersection_closure` of
+    its members' up-sets has a least member in ``A`` other than the ambient
+    bound ``up_index[T]`` (when that bound lies in ``A`` it is the least
+    member).  The walk reaches ``A`` from its parent ``A - a``, where ``a``
+    is the member of ``A`` that comes first in a linear extension of ``o``:
+    the lowest bit when the labels are one, or, with ``last``, the highest
+    bit when the reversed labels are one.  So ``a`` is minimal in ``A``, and
+    no class of ``A - a`` contains ``a`` (its members all lie above a member
+    of ``A - a``): each keeps ``T & A = T & (A - a)``, so ``A`` keeps its
+    parent's verdict, and a subset whose parent failed fails at once, with
+    no closure built.  Only the new classes ``up(a) & c`` are checked;
+    ``up(a)`` itself has the least member ``a``, its own bound.  With ``a``
+    minimal, the least member of ``A`` is ``a`` if ``A - a`` lies in
+    ``up(a)``, and there is none otherwise: a table of one entry per member.
+
+    So the walk reads, for each member, its parent and its intersection
+    with every class (an up-set of ``o``), and a family that lacks one
+    raises :class:`OrderError`.  Every subset has them, and so does every
+    convex subset: dropping a minimal (or maximal) member of a convex set
+    leaves a convex set, and so does meeting one with an up-set (or a
+    down-set, which the walk on the dual order meets).
+    """
     up, ambient = o.up_masks, o.up_index
-    least = [-1]  # the least member of each subset, or -1
-    closures = [{}]
-    flags = [True]
-    for m in range(1, 1 << o.size):
-        low = m & -m
-        a, parent = low.bit_length() - 1, m ^ low
-        t = least[parent]
-        least.append(a if not parent & ~up[a] else t if t >= 0 and up[t] & low else -1)
-        key, classes = up[a], closures[parent]
-        closure = classes.copy()
-        closure[key] = a  # the least member of up(a) in a poset
-        for c in classes:
-            if key & c not in closure:
-                closure[key & c] = ambient.get(key & c, -1)
-        closures.append(closure)
-        for ub, p in closure.items():
-            if least[ub & m] not in (-1, p):
-                flags.append(False)
-                break
-        else:
-            flags.append(True)
-    return flags
+    least = {0: -1}  # the least member of each subset, or -1
+    closures = {0: set()}  # None for a subset that failed
+    passed = set()
+    try:
+        for m in masks:
+            if not m:
+                passed.add(m)
+                continue
+            a = m.bit_length() - 1 if last else (m & -m).bit_length() - 1
+            parent, key = m ^ 1 << a, up[a]
+            least[m] = -1 if parent & ~key else a
+            classes = closures[parent]
+            closure = None
+            if classes is not None:
+                closure = classes.copy()
+                closure.add(key)
+                for c in classes:
+                    t = key & c
+                    if t not in closure:
+                        closure.add(t)
+                        b = least[t & m]
+                        if b >= 0 and b != ambient.get(t):
+                            closure = None
+                            break
+            closures[m] = closure
+            if closure is not None:
+                passed.add(m)
+    except KeyError as missing:
+        raise OrderError(f"the mask family lacks {missing.args[0]:#b}, which "
+                         f"the preregularity walk reads") from None
+    return passed
 
 
-def preregular_masks(q: QuasiOrder) -> list:
-    """Every preregular subset of ``q`` (the empty one too), as ascending
-    masks, from one walk over the subsets per direction.
+def preregular_masks(q: QuasiOrder, masks=None) -> list:
+    """The preregular members of the mask family ``masks``, by default
+    every subset of ``q`` (the empty one too), as ascending masks, from one
+    walk over the family per direction.
 
     :func:`preregularity_witness` sees ``A`` only through the
     :func:`intersection_closure` of its members' up-sets (down-sets).  The
-    closure of ``A`` is that of its parent, ``A`` minus its lowest member,
-    extended by the lowest member's key, so each closure costs one pass
-    over its parent's, where :func:`is_preregular` builds both from
-    scratch.  The walk keeps every subset's closure, so an order of more
-    than ``MAX_PREREGULAR_WALK`` elements raises :class:`OrderError`.
+    walk (:func:`_upwards_preregular_flags`) takes the family in ascending
+    order and reaches each ``A`` from ``A`` minus one minimal (maximal)
+    member, so it checks only the classes that member adds, where
+    :func:`is_preregular` builds both closures from scratch.  It needs a
+    family closed under dropping a minimal or a maximal member and under
+    intersection with up-sets and down-sets: every subset, and
+    :func:`convex_subsets`; a family that lacks a member it reads raises
+    :class:`OrderError`.  When the labels of ``q`` are not a linear
+    extension, the walk runs on a relabeled copy whose labels are.  It
+    keeps every member's closure, so an order of more than
+    ``MAX_PREREGULAR_WALK`` elements raises :class:`OrderError`.
     """
     n = q.size
     if n > MAX_PREREGULAR_WALK:
         raise OrderError(f"preregular_masks takes orders of at most "
                          f"{MAX_PREREGULAR_WALK} elements, got {n}")
+    family = range(1 << n) if masks is None else sorted(set(masks))
+    if family and (family[0] < 0 or family[-1] > q.full_mask):
+        raise OrderError("mask has bits outside the carrier")
     if n:
         _require_poset(q)
-    ups, downs = _upwards_preregular_flags(q), _upwards_preregular_flags(q.dual)
-    return [m for m in range(1 << n) if ups[m] and downs[m]]
+    up = q.up_masks
+    if any(up[p] & (1 << p) - 1 for p in range(n)):  # an element below a lower label
+        ext = linear_extension(q)
+        place = [0] * n
+        for i, p in enumerate(ext):
+            place[p] = 1 << i
+
+        def move(m: int) -> int:
+            return sum(place[b] for b in bits(m))
+
+        r = _unchecked(QuasiOrder, up_masks=tuple(move(up[p]) for p in ext),
+                       is_poset=True)
+        return sorted(sum(1 << ext[i] for i in bits(m))
+                      for m in preregular_masks(r, map(move, family)))
+    ups = _upwards_preregular_flags(q, family, False)
+    downs = _upwards_preregular_flags(q.dual, family, True)
+    return [m for m in family if m in ups and m in downs]
 
 
 def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:

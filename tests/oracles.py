@@ -3,7 +3,8 @@ census over every map with flags from the plain definitions, order
 reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
 a seeded random lattice generator, directedness and boundedness of a
-subset, and an order read from a boolean relation matrix."""
+subset, an order read from a boolean relation matrix, and a relabeled copy
+of an order."""
 
 import random
 
@@ -170,3 +171,12 @@ def order_from_relation(rel) -> QuasiOrder:
         raise OrderError("relation must be a square matrix of booleans")
     return QuasiOrder(tuple(sum(1 << q for q, v in enumerate(row) if v)
                             for row in rows))
+
+
+def relabel(q: QuasiOrder, perm) -> QuasiOrder:
+    """The isomorphic copy of ``q`` in which element ``p`` is ``perm[p]``,
+    through the checked constructor."""
+    up = [0] * q.size
+    for p, row in enumerate(q.up_masks):
+        up[perm[p]] = sum(1 << perm[r] for r in bits(row))
+    return QuasiOrder(up)

@@ -33,6 +33,7 @@ from latkit.cli import (
     parse_order_spec,
 )
 from latkit.monoid import monoid_from_json, monoid_to_json, truncated_addition_monoid
+from latkit.order import MonotoneMap
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -429,14 +430,21 @@ ENUMERATING = [
 ]
 
 
-@pytest.mark.parametrize("size", ["9", "50"])
-@pytest.mark.parametrize("command", ENUMERATING)
-def test_oversized_max_size_exits_2_at_once(capsys, command, size):
+# the largest --max-size of each command in ENUMERATING: the lattices of n
+# elements are built from the posets of n - 2, so the lattice sweeps reach 9
+ENUMERATION_LIMITS = (8, 9, 9, 8)
+
+
+@pytest.mark.parametrize("command, limit, size", [
+    pytest.param(command, limit, size, id=f"command{i}-{size}")
+    for i, (command, limit) in enumerate(zip(ENUMERATING, ENUMERATION_LIMITS))
+    for size in (str(limit + 1), "50")])
+def test_oversized_max_size_exits_2_at_once(capsys, command, limit, size):
     start = time.perf_counter()
     code, out, err = run(capsys, *command, "--max-size", size)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: --max-size must be at most 8")
+    assert err.startswith(f"error: --max-size must be at most {limit}\n")
 
 
 @pytest.mark.parametrize("size", ["7", "8"])
@@ -686,6 +694,38 @@ def test_convex_preregular_report_at_max_size_8_is_pinned(capsys):
     assert report["holds"] and report["violations"] == []
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c49df5b429ff5a00ffe79cc9b98e5c25c9aa424ee58c00768c785b7e5ff46099")
+
+
+@pytest.mark.parametrize("command", [("verify", "lem-convex-preregular"),
+                                     ("sweep", "convex-preregular")])
+def test_convex_preregular_report_at_max_size_9_is_pinned(capsys, command):
+    # the 1,078 lattices of 9 elements are built from the posets of 7
+    code, out, _ = run(capsys, "--format", "json", *command, "--max-size", "9")
+    assert code == EXIT_OK
+    assert out == (
+        f'{{"command": "{command[0]}", "name": "{command[1]}", "report": '
+        '{"holds": true, "lattices": 1378, "max_size": 9, "subsets": 616718, '
+        '"violations": []}, "seed": 0}\n')
+
+
+def test_every_transfer_extension_passes_the_checked_constructor(capsys,
+                                                                 monkeypatch):
+    """``_sup_extension`` builds its maps unchecked, as monotone by
+    construction: each one that ``thm-extension-convexity --n 3 --m 4``
+    builds is accepted by the checked ``MonotoneMap``."""
+    real, built = embedding._sup_extension, []
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(embedding, "_sup_extension", recording)
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "thm-extension-convexity", "--n", "3", "--m", "4")
+    assert code == EXIT_OK
+    assert len(built) == json.loads(out)["report"]["embeddings"] > 0
+    for ext in built:
+        assert MonotoneMap(ext.dom, ext.cod, ext.image).image == ext.image
 
 
 @pytest.mark.parametrize("slug, argv, name", [

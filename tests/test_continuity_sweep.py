@@ -3,21 +3,24 @@
 inclusion against preregularity, and the one-walk preregular listing
 against the per-subset test."""
 
+import random
+
 import pytest
 
 from latkit import embedding
-from latkit.builders import antichain, enumerate_posets
+from latkit.builders import antichain, chain, enumerate_lattices, enumerate_posets
 from latkit.cli import MAX_CONTINUITY_SIZE
 from latkit.embedding import continuity_checks, preregular_continuity_sweep
 from latkit.lattice import (
     MAX_PREREGULAR_WALK,
+    convex_subsets,
     is_downwards_preregular,
     is_preregular,
     is_upwards_preregular,
     preregular_masks,
 )
 from latkit.order import MonotoneMap, OrderError, build_quasi_order, induced_suborder
-from oracles import verify_preregular_continuity
+from oracles import relabel, verify_preregular_continuity
 
 
 def per_pair(max_size):
@@ -69,6 +72,50 @@ def test_preregular_masks_refuses_orders_above_its_limit():
         preregular_masks(antichain(MAX_PREREGULAR_WALK + 1))
     with pytest.raises(OrderError):
         preregular_masks(build_quasi_order(2, [(0, 1), (1, 0)]))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_convex_walk_is_the_filter_on_posets(n):
+    for q in enumerate_posets(n):
+        convex = convex_subsets(q)
+        assert preregular_masks(q, convex) == [m for m in convex if is_preregular(q, m)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_convex_walk_is_the_filter_on_lattices(n):
+    for q in enumerate_lattices(n):
+        convex = convex_subsets(q)
+        assert preregular_masks(q, convex) == [m for m in convex if is_preregular(q, m)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_walk_takes_labels_that_are_no_linear_extension(n):
+    """The walk drops the first member of a linear extension; the posets
+    are enumerated with labels that are one, so reverse and shuffle them."""
+    rng = random.Random(n)
+    shuffled = 0
+    for q in enumerate_posets(n):
+        perms = [list(range(n - 1, -1, -1))]
+        for _ in range(2):
+            perms.append(rng.sample(range(n), n))
+        for perm in perms:
+            r = relabel(q, perm)
+            shuffled += any(r.up_masks[p] & (1 << p) - 1 for p in range(n))
+            assert preregular_masks(r) == [m for m in range(1 << n) if is_preregular(r, m)]
+            convex = convex_subsets(r)
+            assert preregular_masks(r, convex) == [m for m in convex if is_preregular(r, m)]
+    assert shuffled or n < 2
+
+
+def test_walk_refuses_a_family_that_lacks_a_member_it_reads():
+    q = chain(3)
+    # {0, 1} comes from {1} in the walk of sups and from {0} in that of infs
+    for family in ([0b011], [0b001, 0b011], [0b010, 0b011]):
+        with pytest.raises(OrderError, match="lacks"):
+            preregular_masks(q, family)
+    assert preregular_masks(q, [0b001, 0b010, 0b011]) == [0b001, 0b010, 0b011]
+    with pytest.raises(OrderError, match="outside the carrier"):
+        preregular_masks(q, [0b1000])
 
 
 def test_every_self_census_gets_the_budget(monkeypatch):

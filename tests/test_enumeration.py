@@ -19,6 +19,9 @@ import pytest
 
 from latkit.builders import (
     MAX_ENUMERATION_SIZE,
+    _bounded,
+    _extensions,
+    _level,
     canonical_key,
     chain,
     chain_product,
@@ -29,7 +32,7 @@ from latkit.builders import (
 from latkit.lattice import classify, is_lattice
 from latkit.order import OrderError, QuasiOrder, bits, upper_sets
 from latkit.topology import enumerate_topologies
-from oracles import order_from_relation, random_lattice
+from oracles import order_from_relation, random_lattice, relabel
 
 
 def ref_canonical_key(q: QuasiOrder) -> bytes:
@@ -102,12 +105,6 @@ def ref_enumerate_posets(n: int):
 @cache
 def ref_posets(n: int) -> tuple:
     return tuple(ref_enumerate_posets(n))
-
-
-def relabel(q: QuasiOrder, perm) -> QuasiOrder:
-    """The isomorphic copy of ``q`` in which element ``p`` is ``perm[p]``."""
-    inv = np.argsort(perm)
-    return order_from_relation(matrix(q)[np.ix_(inv, inv)])
 
 
 def mask_definition(q: QuasiOrder):
@@ -235,12 +232,39 @@ def test_level_cache_is_not_shared_with_callers():
     assert len(enumerate_posets(5)) == 63
 
 
+def assert_checked_poset(cand: QuasiOrder):
+    """The unchecked ``cand`` is the order the checked constructor builds
+    from its up-masks, and a poset; its preset down-masks are the
+    transposition the constructor computes."""
+    checked = QuasiOrder(cand.up_masks)
+    assert checked.is_poset and cand.is_poset
+    assert cand.down_masks == checked.down_masks
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_level_candidate_passes_the_checks(n):
+    candidates = 0
+    for q in _level(n - 1).values():
+        for cand in _extensions(q):
+            assert_checked_poset(cand)
+            candidates += 1
+    assert candidates >= len(enumerate_posets(n))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_lattice_candidate_passes_the_checks(n):
+    for q in enumerate_posets(n - 2):
+        assert_checked_poset(_bounded(q))
+
+
 def test_enumeration_size_limit():
+    # lattices of n elements are built from the posets of n - 2
     assert MAX_ENUMERATION_SIZE == 8
     for n in (MAX_ENUMERATION_SIZE + 1, 50):
         with pytest.raises(ValueError):
             enumerate_posets(n)
-        with pytest.raises(ValueError):
+    for n in (MAX_ENUMERATION_SIZE + 3, 50):
+        with pytest.raises(ValueError, match="limited to 10 elements"):
             enumerate_lattices(n)
 
 
