@@ -7,20 +7,18 @@ associated quasi order is ``x <= y`` iff ``x + a = y`` for some ``a``.
 
 Each law sees a carrier only through its addition, suprema and infima,
 and the carriers differ only in where the instances come from: every
-triple of a table, the caller's list, or for ``N^d`` every scalar instance
-of the sample range (decided once on ``N^1``) with the seeded vector draws
-behind it.  Laws that quantify over the same instances share one pass over
-them: the join and meet forms of a distributive law read one stream per
-arity.
+triple of a table, the caller's list, or for ``N^d`` every instance of the
+scalar grid ``0..SAMPLE_BOUND`` on ``N^1``, which decides the law exactly.
+Laws that quantify over the same instances share one pass over them: the
+join and meet forms of a distributive law read one stream per arity.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import random
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
 from .lattice import lattice_view, set_distributivity_failure
@@ -48,8 +46,8 @@ __all__ = [
 ]
 
 DISTRIBUTIVITY_MODES = ("plus_join", "plus_meet", "plus_join_inf", "plus_meet_inf")
-# a sampled vector has coordinates in 0..SAMPLE_BOUND, and a sampled set B
-# of the set laws has 1..MAX_SAMPLED_SET_SIZE members
+# the scalar grid that decides the laws on N^d: values 0..SAMPLE_BOUND, and
+# sets B of 1..MAX_SAMPLED_SET_SIZE of them for the set laws
 SAMPLE_BOUND = 8
 MAX_SAMPLED_SET_SIZE = 4
 # rows of a table read from JSON; the exhaustive laws take about n^3 steps,
@@ -252,31 +250,6 @@ def group_completion(m: FiniteMonoid) -> GroupCompletion:
 _plus = operator.add
 
 
-def _draws(getrandbits, top: int):
-    """The values of successive ``randint(0, top)`` calls on the generator
-    whose ``getrandbits`` this is, as an endless lazy iterator.
-
-    ``randint(0, top)`` is ``randrange(0, top + 1)``, which CPython (3.2 to
-    3.13) answers with ``_randbelow(top + 1)``: draw ``getrandbits(k)`` with
-    ``k = (top + 1).bit_length()`` and draw again while the value exceeds
-    ``top``.  A redraw only consumes the next raw draw, so successive calls
-    return the raw draws that are at most ``top``, in order, which is this
-    filter.  Both stages pull one item at a time, so taking ``n`` values
-    makes exactly the raw draws that ``n`` ``randint`` calls make, and the
-    generator is left in the same state.
-    """
-    k = (top + 1).bit_length()
-    return filter(top.__ge__, map(getrandbits, itertools.repeat(k)))
-
-
-def _vectors(getrandbits, dim: int):
-    """Successive seeded vectors of ``dim`` coordinates in ``0..SAMPLE_BOUND``,
-    lazily: each coordinate is the next value of :func:`_draws`."""
-    if not dim:
-        return itertools.repeat(())
-    return zip(*[_draws(getrandbits, SAMPLE_BOUND)] * dim)
-
-
 class VectorMonoid(_Value):
     """Nonnegative integer vectors of a fixed length under addition.
 
@@ -315,9 +288,6 @@ class VectorMonoid(_Value):
         if not vectors:
             return None  # no maximum element
         return tuple(map(min, zip(*vectors)))
-
-    def sample(self, rng: random.Random) -> tuple:
-        return next(_vectors(rng.getrandbits, self.dim))
 
 
 class VectorGroupCompletion(_Value):
@@ -408,18 +378,36 @@ def _plain(x):
 
 
 def _sampling(samples, seed) -> dict:
-    """The ``sampling`` record of a sampled run.  A count that is not an
+    """The ``sampling`` record of a run on ``N^d``.  A count that is not an
     int >= 0, or a seed that is not an int, is refused before any law is
-    checked: a covered run draws nothing, so neither would be read."""
+    checked.  Nothing is drawn: the record only keeps the report format
+    that the pinned reports hold."""
     samples = _count(samples, "samples", error=MonoidError)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise MonoidError(f"seed must be an integer, got {seed!r}")
     return {"seed": seed, "instance_count": samples}
 
 
+def _refuse_undecided(m, instances, what: str) -> None:
+    """Refuse a law on a vector carrier other than exactly
+    :class:`VectorMonoid` without caller ``instances``: a subclass may
+    redefine the operations, and the scalar grid decides only the
+    per-coordinate ones."""
+    if (instances is None and not isinstance(m, FiniteMonoid)
+            and type(m) is not VectorMonoid):
+        raise MonoidError(f"{what} checks on {type(m).__name__} need caller "
+                          "instances: the scalar grid decides only "
+                          "VectorMonoid")
+
+
+def _grid_fault(law: str, witness: dict) -> RuntimeError:
+    """The error for a grid instance that fails ``law``, which holds on N."""
+    return RuntimeError(f"{law} fails on N at {witness}, though it holds "
+                        "there: the vector arithmetic is wrong")
+
+
 def _scalar_range() -> list:
-    """The values ``0..SAMPLE_BOUND`` that one coordinate of a sampled
-    vector can take, as vectors of ``N^1``."""
+    """The grid values ``0..SAMPLE_BOUND``, as vectors of ``N^1``."""
     return [(v,) for v in range(SAMPLE_BOUND + 1)]
 
 
@@ -436,24 +424,6 @@ def _scalar_sets() -> list:
             for B in itertools.combinations(values, k)]
 
 
-def _sampled_triples(m: VectorMonoid, samples: int, seed: int):
-    """``samples`` seeded triples ``(a, b, c)`` of vectors, drawn lazily in
-    that order."""
-    vectors = _vectors(random.Random(seed).getrandbits, m.dim)
-    return itertools.islice(zip(vectors, vectors, vectors), samples)
-
-
-def _sampled_sets(m: VectorMonoid, samples: int, seed: int):
-    """``samples`` seeded pairs ``(a, B)``, drawn lazily: a vector ``a``,
-    the size of ``B`` in ``1..MAX_SAMPLED_SET_SIZE``, then the members of
-    ``B``."""
-    getrandbits = random.Random(seed).getrandbits
-    vectors = _vectors(getrandbits, m.dim)
-    sizes = _draws(getrandbits, MAX_SAMPLED_SET_SIZE - 1)
-    for a in itertools.islice(vectors, samples):
-        yield a, tuple(itertools.islice(vectors, 1 + next(sizes)))
-
-
 def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
                             samples: int = 1000, seed: int = 0) -> dict:
     """Verify distributive laws of addition over join or meet:
@@ -467,21 +437,30 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     every triple of a finite monoid for the binary laws, and every subset,
     the empty one included, for its set laws, decided by
     :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
-    ``checked`` and the witness; else ``samples`` seeded draws of
-    vectors, with nonempty ``B`` of at most ``MAX_SAMPLED_SET_SIZE``.
+    ``checked`` and the witness.
 
-    On ``N^d`` itself (exactly :class:`VectorMonoid`; a subclass may
-    redefine the operations) the draws are first covered by the scalar
-    instances of the sample range: the same loop runs on ``N^1`` over every
-    triple of :func:`_scalar_triples` for the binary laws and every pair of
-    :func:`_scalar_sets` for the set laws.  ``+``, ``v`` and ``^`` act per
-    coordinate, so a vector instance fails only if one of its coordinates
-    is a failing scalar instance; each coordinate of a drawn instance lies
-    in ``0..SAMPLE_BOUND``; and a supremum or infimum of a tuple depends
-    only on the set of its values.  So when no scalar instance fails, no
-    draw can: every mode holds with ``checked = samples`` and nothing is
-    drawn.  Otherwise the seeded loop runs as it would have, and the
-    reports and witnesses are the sampled ones.
+    On ``N^d`` (exactly :class:`VectorMonoid`) the scalar grid decides
+    every mode: the same pass runs on ``N^1`` over every triple of
+    :func:`_scalar_triples` for the binary laws and every pair of
+    :func:`_scalar_sets` for the set laws.  That is exact:
+
+    - ``+``, ``v``, ``^`` and ``= 0`` act per coordinate, so a law fails on
+      an instance of ``N^d`` iff it fails on one of its coordinates, an
+      instance of ``N``; padded with zeros, a failing instance of ``N``
+      fails on ``N^d``.
+    - On ``N``, ``a + .`` is monotone, so it commutes with max and min and
+      every law holds; which ``b`` each bound picks, and whether ``a`` is
+      zero, depend only on how ``a`` and the ``b`` compare, and every such
+      case occurs on ``{0..|B|+1}``, inside ``{0..SAMPLE_BOUND}`` since
+      ``|B| <= MAX_SAMPLED_SET_SIZE``.  A bound of a tuple depends only on
+      the set of its values, so sets of distinct values stand for tuples.
+
+    So a failing grid instance means the vector arithmetic is wrong, and
+    raises :class:`RuntimeError`.  A subclass may redefine the operations,
+    so without caller instances it is refused with :class:`MonoidError`.
+    Nothing is drawn: each report keeps ``checked = samples`` and the
+    ``sampling`` record ``{seed, instance_count}``, the format the pinned
+    reports hold, and both arguments are checked first.
 
     The join and meet forms of a law read the same instances, so they share
     one pass per stream and ``a + B`` is computed once per instance.  A mode
@@ -496,6 +475,7 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     laws = _laws(m, "distributivity")
     if instances is not None:
         instances = _checked_instances(m, instances, lambda aB: (aB[0], *aB[1]))
+    _refuse_undecided(m, instances, "distributivity")
     return _distributive_reports(m, laws, modes, instances, sampling)
 
 
@@ -558,27 +538,22 @@ def _distributive_reports(m, laws, modes, instances, sampling) -> dict:
                 report["witness"] = failure(
                     bound_for(mode), a, B, [add(a, b) for b in B])
         return reports
-    for report in reports.values():
-        report["sampling"] = dict(sampling)
-    samples, seed = sampling["instance_count"], sampling["seed"]
-    if type(m) is VectorMonoid:
-        scalar, cover = VectorMonoid(1), {}
-        scalar_laws = _laws(scalar, "distributivity")
-        if binary:
-            cover.update(_distributive_reports(
-                scalar, scalar_laws, binary,
-                ((a, (b, c)) for a, b, c in _scalar_triples()), None))
-        if sets:
-            cover.update(_distributive_reports(
-                scalar, scalar_laws, sets, _scalar_sets(), None))
-        if all(r["holds"] for r in cover.values()):
-            for report in reports.values():
-                report["checked"] = samples
-            return reports
+    # N^d: the scalar grid decides every mode (see check_distributive_laws)
+    scalar, grid = VectorMonoid(1), {}
+    scalar_laws = _laws(scalar, "distributivity")
     if binary:
-        run(((a, (b, c)) for a, b, c in _sampled_triples(m, samples, seed)), binary)
+        grid.update(_distributive_reports(
+            scalar, scalar_laws, binary,
+            ((a, (b, c)) for a, b, c in _scalar_triples()), None))
     if sets:
-        run(_sampled_sets(m, samples, seed), sets)
+        grid.update(_distributive_reports(
+            scalar, scalar_laws, sets, _scalar_sets(), None))
+    for mode, report in grid.items():
+        if not report["holds"]:
+            raise _grid_fault(mode, report["witness"])
+    for report in reports.values():
+        report["checked"] = sampling["instance_count"]
+        report["sampling"] = dict(sampling)
     return reports
 
 
@@ -594,19 +569,25 @@ def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
     """Verify the two disjointness laws on triples ``(a, b, c)``:
     ``a ^ b = 0`` forces ``a v b = a + b``, and ``a ^ c = b ^ c = 0`` forces
     ``(a + b) ^ c = 0``.  The triples are the caller's ``instances`` (checked
-    as in :func:`check_distributive_laws`), else
-    every triple of a finite monoid, else ``samples`` seeded vector draws.
+    as in :func:`check_distributive_laws`), else every triple of a finite
+    monoid.
 
-    On ``N^d`` itself the draws are covered as in
-    :func:`check_distributive_laws`, by the 729 triples of
-    :func:`_scalar_triples` on ``N^1``: ``+``, ``v``, ``^`` and ``= 0`` act
+    On ``N^d`` (exactly :class:`VectorMonoid`) the 729 triples of
+    :func:`_scalar_triples` on ``N^1`` decide both laws, as in
+    :func:`check_distributive_laws`: ``+``, ``v``, ``^`` and ``= 0`` act
     per coordinate, so each law's hypothesis holds on a vector triple iff
     it holds on every coordinate, and its conclusion fails iff it fails on
-    some coordinate, which is then a failing scalar triple."""
+    some coordinate, which is then a failing triple of ``N``.  On ``N``,
+    ``a ^ b = 0`` means ``a`` or ``b`` is 0, so both laws hold and every
+    case occurs on ``{0..2}``.  A failing grid triple raises
+    :class:`RuntimeError`, a subclass without caller instances
+    :class:`MonoidError`, and the report keeps ``checked = samples`` and
+    the ``sampling`` record."""
     sampling = _sampling(samples, seed)
     laws = _laws(m, "disjoint-sum")
     if instances is not None:
         instances = _checked_instances(m, instances, tuple)
+    _refuse_undecided(m, instances, "disjoint-sum")
     return _disjoint_sum_report(m, laws, instances, sampling)
 
 
@@ -621,14 +602,15 @@ def _disjoint_sum_report(m, laws, instances, sampling) -> dict:
     if instances is None and isinstance(m, FiniteMonoid):
         instances = itertools.product(range(m.size), repeat=3)
     elif instances is None:
-        report["sampling"] = sampling
-        samples = sampling["instance_count"]
+        # N^d: the scalar grid decides both laws (see check_disjoint_sum_laws)
         scalar = VectorMonoid(1)
-        if type(m) is VectorMonoid and _disjoint_sum_report(
-                scalar, _laws(scalar, "disjoint-sum"), _scalar_triples(), None)["holds"]:
-            report["checked"] = samples
-            return report
-        instances = _sampled_triples(m, samples, sampling["seed"])
+        grid = _disjoint_sum_report(scalar, _laws(scalar, "disjoint-sum"),
+                                    _scalar_triples(), None)
+        if not grid["holds"]:
+            raise _grid_fault(grid["witness"]["law"], grid["witness"])
+        report["checked"] = sampling["instance_count"]
+        report["sampling"] = sampling
+        return report
     for a, b, c in instances:
         report["checked"] += 1
         if inf_of((a, b)) == zero and sup_of((a, b)) != add(a, b):
@@ -645,38 +627,23 @@ def _disjoint_sum_report(m, laws, instances, sampling) -> dict:
     return report
 
 
-def closed_under_subtraction(m, S, *, samples: int = 1000,
-                             seed: int = 0) -> bool:
-    """Whenever ``a, b`` lie in ``S`` and ``a - b`` exists, it lies in ``S``.
-
-    For a finite monoid ``S`` is a set of elements and the scan is exact;
-    for a vector monoid ``S`` is a membership predicate checked on
-    ``samples`` seeded pairs inside ``S``, found within ``100 * samples``
-    draws or a :class:`MonoidError`.
-    """
-    if isinstance(m, FiniteMonoid):
-        members = set(S)
-        for a in members:
-            for b in members:
-                c, _count = m.right_quotient(a, b)
-                if c is not None and c not in members:
-                    return False
-        return True
-    rng = random.Random(seed)
-    pred: Callable = S
-    hits = draws = 0
-    while hits < samples:
-        if draws == 100 * samples:
-            raise MonoidError(f"only {hits} of {samples} sampled pairs lie "
-                              f"in S after {draws} draws")
-        draws += 1
-        a = m.sample(rng)
-        b = tuple(rng.randint(0, v) for v in a)  # b <= a so a - b exists
-        if not (pred(a) and pred(b)):
-            continue
-        hits += 1
-        if not pred(m.sub(a, b)):
-            return False
+def closed_under_subtraction(m: FiniteMonoid, S) -> bool:
+    """Whenever ``a, b`` lie in ``S`` and ``a - b`` exists (exactly one
+    ``c`` has ``c + b = a``), it lies in ``S``.  ``m`` is a table and ``S``
+    a set, list or tuple of its elements, else :class:`MonoidError`; the
+    scan is exact."""
+    if not isinstance(m, FiniteMonoid):
+        raise MonoidError("closed_under_subtraction takes a FiniteMonoid, "
+                          f"got {type(m).__name__}")
+    if not (isinstance(S, (set, frozenset, list, tuple))
+            and all(_is_index(x, m.size) for x in S)):
+        raise MonoidError(f"S must be a set of elements in range({m.size})")
+    members = set(S)
+    for a in members:
+        for b in members:
+            c, _ = m.right_quotient(a, b)
+            if c is not None and c not in members:
+                return False
     return True
 
 

@@ -3,8 +3,9 @@ census over every map with flags from the plain definitions, order
 reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
 a seeded random lattice generator, directedness and boundedness of a
-subset, an order read from a boolean relation matrix, and a relabeled copy
-of an order."""
+subset, an order read from a boolean relation matrix, a relabeled copy
+of an order, and the seeded per-law loops over drawn vectors of ``N^d``
+that the scalar grid of the monoid laws replaced."""
 
 import random
 
@@ -20,6 +21,7 @@ from latkit.lattice import (
     is_preregular,
     order_closed_checks,
 )
+from latkit.monoid import MAX_SAMPLED_SET_SIZE, SAMPLE_BOUND
 from latkit.order import (
     MonotoneMap,
     OrderError,
@@ -180,3 +182,63 @@ def relabel(q: QuasiOrder, perm) -> QuasiOrder:
     for p, row in enumerate(q.up_masks):
         up[perm[p]] = sum(1 << perm[r] for r in bits(row))
     return QuasiOrder(up)
+
+
+def sampled_vector(rng: random.Random, dim: int) -> tuple:
+    """A seeded vector of ``dim`` coordinates in ``0..SAMPLE_BOUND``."""
+    return tuple(rng.randint(0, SAMPLE_BOUND) for _ in range(dim))
+
+
+def sampled_instances(dim: int, samples: int, seed: int, set_law: bool = False):
+    """``samples`` seeded instances ``(a, B)`` of ``N^dim``: a vector ``a``,
+    then ``B``, two vectors (a triple ``a, b, c`` read as ``(a, (b, c))``)
+    or, for a set law, 1..MAX_SAMPLED_SET_SIZE of them."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a = sampled_vector(rng, dim)
+        k = rng.randint(1, MAX_SAMPLED_SET_SIZE) if set_law else 2
+        yield a, tuple(sampled_vector(rng, dim) for _ in range(k))
+
+
+def ref_sampled_distributivity(m, mode: str, samples: int, seed: int) -> dict:
+    """One distributive law of the vector monoid ``m`` in its own loop over
+    its own draws, with the report the seeded runs gave."""
+    bound_of = m.inf_of if mode.startswith("plus_meet") else m.sup_of
+    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
+              "sampling": {"seed": seed, "instance_count": samples}}
+    for a, B in sampled_instances(m.dim, samples, seed, mode.endswith("_inf")):
+        report["checked"] += 1
+        lhs = m.add(a, bound_of(B))
+        rhs = bound_of([m.add(a, b) for b in B])
+        if lhs != rhs:
+            report["holds"] = False
+            report["witness"] = {"a": list(a), "B": [list(b) for b in B],
+                                 "lhs": list(lhs), "rhs": list(rhs)}
+            break
+    return report
+
+
+def ref_sampled_disjoint_sum(m, samples: int, seed: int) -> dict:
+    """Both disjointness laws of the vector monoid ``m`` over seeded
+    triples, with join and meet taken per coordinate apart from ``m``."""
+    zero = m.zero()
+
+    def meet(x, y):
+        return tuple(map(min, x, y))
+
+    report = {"holds": True, "witness": None, "checked": 0,
+              "sampling": {"seed": seed, "instance_count": samples}}
+    for a, (b, c) in sampled_instances(m.dim, samples, seed):
+        report["checked"] += 1
+        if meet(a, b) == zero and tuple(map(max, a, b)) != m.add(a, b):
+            witness = {"law": "sum_is_join", "a": list(a), "b": list(b)}
+        elif (meet(a, c) == zero and meet(b, c) == zero
+                and meet(m.add(a, b), c) != zero):
+            witness = {"law": "sum_stays_disjoint",
+                       "a": list(a), "b": list(b), "c": list(c)}
+        else:
+            continue
+        report["holds"] = False
+        report["witness"] = witness
+        break
+    return report

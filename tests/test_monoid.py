@@ -1,10 +1,8 @@
 """Monoid orders, group completion, and the distributive laws."""
 
-import hashlib
 import itertools
 import json
 import random
-import time
 
 import numpy as np
 import pytest
@@ -18,10 +16,7 @@ from latkit.monoid import (
     NotCancellativeError,
     VectorMonoid,
     associated_order,
-    _draws,
     _laws,
-    _sampled_sets,
-    _sampled_triples,
     _scalar_sets,
     _scalar_triples,
     check_disjoint_sum_laws,
@@ -37,7 +32,14 @@ from latkit.monoid import (
     truncated_addition_monoid,
     vector_group_completion,
 )
+from latkit.cli import EXIT_INTERNAL, main
 from latkit.order import inf, is_partial_order, sup
+from oracles import (
+    ref_sampled_disjoint_sum,
+    ref_sampled_distributivity,
+    sampled_instances,
+    sampled_vector,
+)
 
 
 def max_monoid():
@@ -93,8 +95,8 @@ def test_monotonicity_of_addition():
                         assert q.le(mon.op(a, b), mon.op(a, c))
     v = VectorMonoid(3)
     for _ in range(200):
-        a, b = v.sample(rng), v.sample(rng)
-        c = v.add(b, v.sample(rng))
+        a, b = sampled_vector(rng, 3), sampled_vector(rng, 3)
+        c = v.add(b, sampled_vector(rng, 3))
         assert v.leq(v.add(a, b), v.add(a, c))
 
 
@@ -191,8 +193,8 @@ def test_vector_group_completion():
     z = vector_group_completion(v)
     rng = random.Random(5)
     for _ in range(300):
-        a, b = v.sample(rng), v.sample(rng)
-        c, d = v.sample(rng), v.sample(rng)
+        a, b = sampled_vector(rng, 2), sampled_vector(rng, 2)
+        c, d = sampled_vector(rng, 2), sampled_vector(rng, 2)
         same = z.class_of(a, b) == z.class_of(c, d)
         # pair equivalence: a + d == c + b coordinatewise
         assert same == (v.add(a, d) == v.add(c, b))
@@ -202,7 +204,7 @@ def test_vector_group_completion():
     # embedding a as the class [a, 0] is additive and injective on samples
     zero = v.zero()
     for _ in range(100):
-        a, b = v.sample(rng), v.sample(rng)
+        a, b = sampled_vector(rng, 2), sampled_vector(rng, 2)
         assert z.class_of(v.add(a, b), b) == z.class_of(a, zero)
         if a != b:
             assert z.class_of(a, zero) != z.class_of(b, zero)
@@ -212,7 +214,7 @@ def test_subtraction_monotonicity_on_vectors():
     v = VectorMonoid(3)
     rng = random.Random(9)
     for _ in range(500):
-        a = v.add(v.sample(rng), (1, 1, 1))
+        a = v.add(sampled_vector(rng, 3), (1, 1, 1))
         c = tuple(rng.randint(0, x) for x in a)       # a - c exists
         b = tuple(rng.randint(0, x) for x in c)       # b <= c
         amb = v.sub(a, b)
@@ -261,16 +263,15 @@ def test_disjoint_sum_laws():
 
 
 def test_closed_under_subtraction():
-    nat2 = VectorMonoid(2)
-    assert closed_under_subtraction(nat2, lambda v: all(x % 2 == 0 for x in v),
-                                    samples=300, seed=2)
-    assert closed_under_subtraction(nat2, lambda v: True, samples=300, seed=2)
-    # multiples of the first axis except the generator: (3,0)-(2,0) escapes
-    assert not closed_under_subtraction(
-        nat2, lambda v: v[1] == 0 and v[0] != 1, samples=300, seed=2)
     mon = cyclic_group(4)
     assert closed_under_subtraction(mon, [0, 2])
     assert not closed_under_subtraction(mon, [0, 2, 3])
+    # on the capped chain min(a + b, 3), 3 - 3 has four solutions, so it
+    # does not exist, while 1 - 1 = 0 does
+    t4 = truncated_addition_monoid(4)
+    assert closed_under_subtraction(t4, {0, 2})
+    assert closed_under_subtraction(t4, (0, 3))
+    assert not closed_under_subtraction(t4, frozenset({1, 2}))
 
 
 def test_right_quotient_multiplicity():
@@ -304,81 +305,12 @@ def test_vector_order_agrees_with_divisibility():
     v = VectorMonoid(3)
     rng = random.Random(17)
     for _ in range(300):
-        x, y = v.sample(rng), v.sample(rng)
+        x, y = sampled_vector(rng, 3), sampled_vector(rng, 3)
         assert v.leq(x, y) == (v.sub(y, x) is not None)
 
 
 # ---------------------------------------------------------------------------
-# the seeded draws and the shared pass against the randint loops they replace
-
-
-def ref_sample(rng, dim):
-    return tuple(rng.randint(0, SAMPLE_BOUND) for _ in range(dim))
-
-
-def ref_triples(dim, samples, seed):
-    rng = random.Random(seed)
-    return [tuple(ref_sample(rng, dim) for _ in range(3)) for _ in range(samples)]
-
-
-def ref_sets(dim, samples, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        a = ref_sample(rng, dim)
-        k = rng.randint(1, MAX_SAMPLED_SET_SIZE)
-        out.append((a, tuple(ref_sample(rng, dim) for _ in range(k))))
-    return out
-
-
-def ref_sampled_distributivity(m, mode, samples, seed):
-    """One mode in its own loop over its own randint draws."""
-    rng = random.Random(seed)
-    bound_of = m.inf_of if mode.startswith("plus_meet") else m.sup_of
-    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
-              "sampling": {"seed": seed, "instance_count": samples}}
-    for _ in range(samples):
-        a = ref_sample(rng, m.dim)
-        k = rng.randint(1, MAX_SAMPLED_SET_SIZE) if mode.endswith("_inf") else 2
-        B = tuple(ref_sample(rng, m.dim) for _ in range(k))
-        report["checked"] += 1
-        lhs = m.add(a, bound_of(B))
-        rhs = bound_of([m.add(a, b) for b in B])
-        if lhs != rhs:
-            report["holds"] = False
-            report["witness"] = {"a": list(a), "B": [list(b) for b in B],
-                                 "lhs": list(lhs), "rhs": list(rhs)}
-            break
-    return report
-
-
-def join(x, y):
-    """The coordinatewise join of two vectors, apart from ``VectorMonoid``."""
-    return tuple(map(max, x, y))
-
-
-def meet(x, y):
-    return tuple(map(min, x, y))
-
-
-def ref_sampled_disjoint_sum(m, samples, seed):
-    zero = m.zero()
-    report = {"holds": True, "witness": None, "checked": 0,
-              "sampling": {"seed": seed, "instance_count": samples}}
-    for a, b, c in ref_triples(m.dim, samples, seed):
-        report["checked"] += 1
-        if meet(a, b) == zero and join(a, b) != m.add(a, b):
-            witness = {"law": "sum_is_join", "a": list(a), "b": list(b)}
-        elif (meet(a, c) == zero and meet(b, c) == zero
-                and meet(m.add(a, b), c) != zero):
-            witness = {"law": "sum_stays_disjoint",
-                       "a": list(a), "b": list(b), "c": list(c)}
-        else:
-            continue
-        report["holds"] = False
-        report["witness"] = witness
-        break
-    return report
+# the scalar grid and the shared pass against the seeded per-law loops
 
 
 class FiveDropsVectorMonoid(VectorMonoid):
@@ -389,44 +321,27 @@ class FiveDropsVectorMonoid(VectorMonoid):
         return (0,) + s[1:] if s[0] == 5 else s
 
 
-@pytest.mark.parametrize("top", [0, 1, 3, 7, 8, 100])
-def test_draws_are_the_randint_values(top):
-    for seed in range(5):
-        rng, ref = random.Random(seed), random.Random(seed)
-        got = list(itertools.islice(_draws(rng.getrandbits, top), 300))
-        assert got == [ref.randint(0, top) for _ in range(300)]
-        # no raw draw past the last value taken
-        assert rng.getstate() == ref.getstate()
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 8])
-def test_sampled_instances_are_the_randint_instances(dim):
-    m = VectorMonoid(dim)
-    for seed in range(5):
-        assert list(_sampled_triples(m, 200, seed)) == ref_triples(dim, 200, seed)
-        assert list(_sampled_sets(m, 200, seed)) == ref_sets(dim, 200, seed)
-        rng, ref = random.Random(seed), random.Random(seed)
-        for _ in range(50):
-            assert m.sample(rng) == ref_sample(ref, dim)
-            assert rng.randint(0, 3) == ref.randint(0, 3)
-        assert rng.getstate() == ref.getstate()
-
-
 def test_broken_addition_reports_match_the_per_mode_loops():
     """Both forms of each law share a pass; each report must still be the
     one its own loop over its own draws gives, including the ``checked``
-    of a mode that fails before or after its partner."""
+    of a mode that fails before or after its partner.  A subclass is not
+    decided by the grid, so the draws come in as caller instances."""
     reports = {}
     for dim, seed in itertools.product((1, 2, 3), (0, 5)):
         m = FiveDropsVectorMonoid(dim)
-        laws = check_distributive_laws(m, samples=3000, seed=seed)
-        assert list(laws) == list(DISTRIBUTIVITY_MODES)
+        triples = list(sampled_instances(dim, 3000, seed))
+        sets = list(sampled_instances(dim, 3000, seed, set_law=True))
+        laws = {**check_distributive_laws(m, ("plus_join", "plus_meet"), triples),
+                **check_distributive_laws(m, ("plus_join_inf", "plus_meet_inf"),
+                                          sets)}
         for mode in DISTRIBUTIVITY_MODES:
-            assert laws[mode] == ref_sampled_distributivity(m, mode, 3000, seed)
-            assert check_distributivity(m, mode, samples=3000, seed=seed) == laws[mode]
+            want = ref_sampled_distributivity(m, mode, 3000, seed)
+            assert laws[mode] == {**want, "sampling": None}
+            stream = sets if mode.endswith("_inf") else triples
+            assert check_distributivity(m, mode, stream) == laws[mode]
             reports[f"{dim}/{seed}/{mode}"] = laws[mode]
-        rep = check_disjoint_sum_laws(m, samples=3000, seed=seed)
-        assert rep == ref_sampled_disjoint_sum(m, 3000, seed)
+        rep = check_disjoint_sum_laws(m, [(a, b, c) for a, (b, c) in triples])
+        assert rep == {**ref_sampled_disjoint_sum(m, 3000, seed), "sampling": None}
         reports[f"{dim}/{seed}/disjoint"] = rep
     assert not any(r["holds"] for r in reports.values())
     row = reports["2/0/plus_join"]
@@ -441,16 +356,6 @@ def test_broken_addition_reports_match_the_per_mode_loops():
     # the set laws part at different instances: meet fails first
     assert reports["1/0/plus_meet_inf"]["checked"] == 4
     assert reports["1/0/plus_join_inf"]["checked"] == 34
-    # all 30 reports as the per-mode loops printed them before the pass
-    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        "dbfbcd5ad6f2a28644ae201716d862218ce46a45cbaf2f949869e0666a596cd8")
-
-
-class DrawnVectorMonoid(VectorMonoid):
-    """``N^d`` with its own operations, but not exactly ``VectorMonoid``:
-    the laws on it take the seeded draw-by-draw loop, the oracle of the
-    covered path."""
 
 
 def mode_subsets():
@@ -460,41 +365,21 @@ def mode_subsets():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_covered_laws_are_the_sampled_reports(dim):
-    m, drawn = VectorMonoid(dim), DrawnVectorMonoid(dim)
-    for seed, samples in itertools.product(range(5), (1, 50, 3000)):
-        want = check_distributive_laws(drawn, samples=samples, seed=seed)
-        got = check_distributive_laws(m, samples=samples, seed=seed)
-        assert json.dumps(got) == json.dumps(want)
+    """On ``N^d`` the grid gives the reports of the seeded per-law loops it
+    replaced: all modes at every seed, and each subset of modes at one seed
+    per dimension (the grid reads no seed)."""
+    m = VectorMonoid(dim)
+    for seed, samples in itertools.product(range(5), (0, 1, 50, 3000)):
+        want = {mode: ref_sampled_distributivity(m, mode, samples, seed)
+                for mode in DISTRIBUTIVITY_MODES}
         assert all(r["holds"] and r["checked"] == samples for r in want.values())
-        want = check_disjoint_sum_laws(drawn, samples=samples, seed=seed)
+        for modes in mode_subsets() if seed == dim % 5 else [DISTRIBUTIVITY_MODES]:
+            got = check_distributive_laws(m, modes, samples=samples, seed=seed)
+            assert json.dumps(got) == json.dumps({mode: want[mode] for mode in modes})
+        want = ref_sampled_disjoint_sum(m, samples, seed)
+        assert want["holds"] and want["checked"] == samples
         got = check_disjoint_sum_laws(m, samples=samples, seed=seed)
         assert json.dumps(got) == json.dumps(want)
-        assert want["holds"] and want["checked"] == samples
-    # each subset of modes at one seed per dimension; at 3,000 draws the
-    # oracle is each mode's report in the all-mode run
-    seed = dim % 5
-    full = check_distributive_laws(drawn, samples=3000, seed=seed)
-    for modes in mode_subsets():
-        for samples in (1, 50):
-            want = check_distributive_laws(drawn, modes, samples=samples, seed=seed)
-            got = check_distributive_laws(m, modes, samples=samples, seed=seed)
-            assert json.dumps(got) == json.dumps(want), (modes, samples)
-        got = check_distributive_laws(m, modes, samples=3000, seed=seed)
-        assert json.dumps(got) == json.dumps({mode: full[mode] for mode in modes})
-
-
-def test_covered_laws_draw_nothing(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("a covered run drew a sample")
-
-    monkeypatch.setattr("latkit.monoid._draws", no_draws)
-    laws = check_distributive_laws(VectorMonoid(3), samples=100000, seed=7)
-    assert all(r["holds"] and r["checked"] == 100000 for r in laws.values())
-    rep = check_disjoint_sum_laws(VectorMonoid(3), samples=100000, seed=7)
-    assert rep == {"holds": True, "witness": None, "checked": 100000,
-                   "sampling": {"seed": 7, "instance_count": 100000}}
-    with pytest.raises(AssertionError, match="drew a sample"):
-        check_disjoint_sum_laws(DrawnVectorMonoid(3), samples=1)
 
 
 def five_drops_per_coordinate(self, x, y):
@@ -502,29 +387,39 @@ def five_drops_per_coordinate(self, x, y):
     return tuple(0 if a + b == 5 else a + b for a, b in zip(x, y))
 
 
-def test_a_failing_scalar_instance_gives_the_sampled_reports(monkeypatch):
+def test_a_failing_grid_instance_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(VectorMonoid, "add", five_drops_per_coordinate)
-    # the scalar cover finds the fault, so each law runs its seeded loop
+    # caller instances are checked as given, the fault included
     assert not all(r["holds"] for r in check_distributive_laws(
         VectorMonoid(1), instances=[((2,), ((3,), (0,)))]).values())
-    failed = 0
-    for dim, seed in itertools.product((1, 2, 3, 8), (0, 5)):
-        m = VectorMonoid(dim)
-        laws = check_distributive_laws(m, samples=3000, seed=seed)
-        want = {mode: ref_sampled_distributivity(m, mode, 3000, seed)
-                for mode in DISTRIBUTIVITY_MODES}
-        assert json.dumps(laws) == json.dumps(want)
-        rep = check_disjoint_sum_laws(m, samples=3000, seed=seed)
-        assert json.dumps(rep) == json.dumps(ref_sampled_disjoint_sum(m, 3000, seed))
-        failed += sum(not r["holds"] for r in (*laws.values(), rep))
-    # at --dims 8 no draw of either seed meets the disjointness hypothesis
-    # where the fault acts, so those two reports hold, as the draws say
-    assert failed == 8 * 5 - 2
+    wrong = "the vector arithmetic is wrong"
+    for dim in (1, 2, 3, 8):
+        for modes in mode_subsets()[1:]:
+            with pytest.raises(RuntimeError, match=wrong):
+                check_distributive_laws(VectorMonoid(dim), modes)
+        with pytest.raises(RuntimeError, match=wrong):
+            check_disjoint_sum_laws(VectorMonoid(dim), samples=3000, seed=5)
+    for name in ("law-monoid-distributivity", "law-disjoint-sum"):
+        code = main(["--format", "json", "verify", name, "--dims", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error\n") and wrong in err
+
+
+def test_a_vector_subclass_needs_caller_instances():
+    m = FiveDropsVectorMonoid(2)
+    with pytest.raises(MonoidError, match="need caller instances"):
+        check_distributive_laws(m)
+    with pytest.raises(MonoidError, match="need caller instances"):
+        check_distributivity(m, "plus_meet_inf", samples=10)
+    with pytest.raises(MonoidError, match="need caller instances"):
+        check_disjoint_sum_laws(m)
+    assert check_disjoint_sum_laws(m, [((1, 0), (2, 0), (0, 1))])["holds"]
 
 
 @pytest.mark.parametrize("samples", [-1, True, 1.0, "10", None])
 def test_sample_counts_are_refused_before_any_law(samples):
-    for m in (VectorMonoid(2), DrawnVectorMonoid(2), truncated_addition_monoid(3)):
+    for m in (VectorMonoid(2), FiveDropsVectorMonoid(2), truncated_addition_monoid(3)):
         with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
             check_distributive_laws(m, samples=samples)
         with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
@@ -536,7 +431,7 @@ def test_sample_counts_are_refused_before_any_law(samples):
 
 @pytest.mark.parametrize("seed", [False, 1.5, "1", None])
 def test_seeds_are_refused_before_any_law(seed):
-    for m in (VectorMonoid(2), DrawnVectorMonoid(2)):
+    for m in (VectorMonoid(2), FiveDropsVectorMonoid(2)):
         with pytest.raises(MonoidError, match="seed must be an integer"):
             check_distributive_laws(m, samples=10, seed=seed)
         with pytest.raises(MonoidError, match="seed must be an integer"):
@@ -544,10 +439,13 @@ def test_seeds_are_refused_before_any_law(seed):
 
 
 def test_zero_samples_check_nothing_on_either_path():
-    for m in (VectorMonoid(2), DrawnVectorMonoid(2)):
-        rep = check_disjoint_sum_laws(m, samples=0, seed=3)
+    # on the grid, and with no caller instances to check
+    m = VectorMonoid(2)
+    for instances, samples in ((None, 0), ([], 1000)):
+        rep = check_disjoint_sum_laws(m, instances, samples=samples, seed=3)
         assert rep["holds"] and rep["checked"] == 0
-        laws = check_distributive_laws(m, samples=0, seed=3)
+        laws = check_distributive_laws(m, instances=instances, samples=samples,
+                                       seed=3)
         assert all(r["holds"] and r["checked"] == 0 for r in laws.values())
 
 
@@ -580,9 +478,31 @@ def test_scalar_cover_is_every_coordinate_instance():
     assert len(sets) == len(set(sets)) == 9 * 255
     keys = {(a, frozenset(B)) for a, B in sets}
     assert len(keys) == len(sets)
-    for a, B in _sampled_sets(VectorMonoid(3), 300, 1):
-        for i in range(3):
-            assert ((a[i],), frozenset((b[i],) for b in B)) in keys
+    assert all(0 < len(B) <= MAX_SAMPLED_SET_SIZE for _, B in sets)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sampled_instances_are_the_randint_instances(dim):
+    """The seeded instances are the randint draws the per-law loops took,
+    and every coordinate of each is an instance of the scalar grid."""
+    triples = set(_scalar_triples())
+    keys = {(a, frozenset(B)) for a, B in _scalar_sets()}
+    for seed in range(5):
+        ref = random.Random(seed)
+        for a, (b, c) in sampled_instances(dim, 200, seed):
+            assert (a, b, c) == tuple(
+                tuple(ref.randint(0, SAMPLE_BOUND) for _ in range(dim))
+                for _ in range(3))
+            assert {((x,), (y,), (z,)) for x, y, z in zip(a, b, c)} <= triples
+        ref = random.Random(seed)
+        for a, B in sampled_instances(dim, 200, seed, set_law=True):
+            assert a == tuple(ref.randint(0, SAMPLE_BOUND) for _ in range(dim))
+            k = ref.randint(1, MAX_SAMPLED_SET_SIZE)
+            assert B == tuple(
+                tuple(ref.randint(0, SAMPLE_BOUND) for _ in range(dim))
+                for _ in range(k))
+            for i in range(dim):
+                assert ((a[i],), frozenset((b[i],) for b in B)) in keys
 
 
 def test_distributive_laws_are_the_one_mode_reports():
@@ -613,13 +533,17 @@ def test_vector_bounds_take_any_iterable():
     assert v.add((1, 5, 0), (4, 2, 2)) == (5, 7, 2)
 
 
-def test_closed_under_subtraction_bounds_its_draws():
-    nat2 = VectorMonoid(2)
-    t0 = time.perf_counter()
-    with pytest.raises(MonoidError, match="only 0 of 5 sampled pairs"):
-        closed_under_subtraction(nat2, lambda v: False, samples=5)
-    assert time.perf_counter() - t0 < 1.0
-    assert closed_under_subtraction(nat2, lambda v: False, samples=0)
+@pytest.mark.parametrize("m, S", [
+    (VectorMonoid(2), lambda v: all(x % 2 == 0 for x in v)),
+    (VectorMonoid(2), [(0, 0), (2, 0)]),
+    (cyclic_group(4), lambda a: a % 2 == 0),
+    (cyclic_group(4), range(2)),
+    (cyclic_group(4), [0, 4]),
+    (cyclic_group(4), {0, True}),
+])
+def test_closed_under_subtraction_refuses_anything_but_a_table_and_a_set(m, S):
+    with pytest.raises(MonoidError):
+        closed_under_subtraction(m, S)
 
 
 def test_commutative_monoid_enumeration_is_the_constructor_filter():

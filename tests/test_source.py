@@ -1,8 +1,9 @@
 """Whole-package checks: runtime checks in the library and the demos
-survive ``python -O``, the library runs without numpy, start-up loads no
-``dataclasses``, ``inspect`` or ``traceback``, imports sit at module level
-with ``order`` at the bottom of the module graph, every demo script runs to
-completion, and every public name has a use outside the tests."""
+survive ``python -O``, the library runs without numpy and imports no
+``random``, start-up loads no ``dataclasses``, ``inspect`` or
+``traceback``, imports sit at module level with ``order`` at the bottom of
+the module graph, every demo script runs to completion, and every public
+name has a use outside the tests."""
 
 import ast
 import importlib
@@ -29,14 +30,26 @@ def test_no_assert_statements_in_library(path):
     assert not lines, f"{path.name}: assert at lines {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_library_does_not_import_numpy(path):
+def imported_modules(path) -> list:
+    """The top-level names of the modules that ``path`` imports."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names]
     imported += [node.module or "" for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    return [name.split(".")[0] for name in imported]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_numpy(path):
+    assert "numpy" not in imported_modules(path)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_random(path):
+    # every verdict is exact: the laws on N^d are decided on a fixed grid,
+    # and only the tests draw seeded instances, as oracles
+    assert "random" not in imported_modules(path)
 
 
 def test_cli_import_does_not_load_numpy():
