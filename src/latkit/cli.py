@@ -53,23 +53,23 @@ MAX_EXTENSION_CODOMAIN = 6
 # 38,890 at 6 (8.4 s in-process); lem-group-completion --max-size 5 takes
 # about 0.18 s in a fresh process on 2 CPUs
 MAX_MONOID_SIZE = 5
-# every monoid law acts per coordinate, so more dimensions test nothing new;
-# the laws on N^d are decided once on N^1 over the scalar grid, so
-# law-monoid-distributivity takes about 0.12 s in a fresh process (2 CPUs)
-# at every --dims and --samples within the limits
-MAX_DIMS = 8
-# nothing is drawn: --samples and --seed only fill the report's "sampling"
-# record ({seed, instance_count}) and "checked", the format the pinned
-# reports hold
+# every monoid law acts per coordinate, so the laws on N^I, for every index
+# set I, are decided once on N over the scalar grid, in about 0.12 s in a
+# fresh process (2 CPUs) whatever --samples says: nothing is drawn, and
+# --samples and --seed only fill the report's "sampling" record ({seed,
+# instance_count}) and "checked", the format the pinned reports hold
 MAX_SAMPLES = 100_000
 # the integer options of verify, search and sweep
-INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size", "dims")
-# the integer flags every command parses; each is stored only when given
+INT_OPTIONS = ("x", "y", "k", "m", "i", "j", "n", "points", "max_size")
+# the integer flags commands of several kinds read; each is stored only
+# when given
 GLOBAL_OPTIONS = ("seed", "samples", "budget_nodes")
 # the keyword filters of embedding.enumerate_embeddings
 CENSUS_FILTERS = ("convex_range", "preregular_range", "downward_closed_range")
 # every option kept in RunConfig.options, in the order a refusal names them
 OPTIONS = (*INT_OPTIONS, *GLOBAL_OPTIONS, "dom", "cod", *CENSUS_FILTERS)
+# the options enumerate reads; "input" stands for --input
+ENUMERATE_READS = ("input", "dom", "cod", *CENSUS_FILTERS, "budget_nodes")
 
 
 class InputError(ValueError):
@@ -423,15 +423,11 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
 
 
 def _monoid(cfg: RunConfig):
-    """The monoid table in ``--input``, else ``N^d`` for ``d = --dims``."""
+    """The monoid table in ``--input``, else ``N``, whose scalar grid
+    decides the laws on ``N^I`` for every index set ``I``."""
     if cfg.inputs:
         return monoid.monoid_from_json(cfg.input_json())
-    dims = cfg.option("dims", 2, MAX_DIMS,
-                      " (every monoid law acts per coordinate)")
-    if dims < 1:
-        raise InputError("--dims must be at least 1 (every law holds "
-                         "vacuously on N^0, the empty vector alone)")
-    return monoid.VectorMonoid(dims)
+    return monoid.VectorMonoid(1)
 
 
 def _verify_monoid_distributivity(cfg: RunConfig) -> dict:
@@ -562,10 +558,10 @@ VERIFIERS = _registry(
     Verifier("law-monoid-distributivity",
              "addition distributes over joins and meets of the associated order",
              _verify_monoid_distributivity,
-             ("input", "dims", "samples", "seed")),
+             ("input", "samples", "seed")),
     Verifier("law-disjoint-sum",
              "disjoint elements add to their join and sums stay disjoint",
-             _verify_disjoint_sum, ("input", "dims", "samples", "seed")),
+             _verify_disjoint_sum, ("input", "samples", "seed")),
     Verifier("lem-group-completion",
              "cancellative commutative monoids embed into their pair-class group",
              _verify_group_completion, ("input", "max_size")),
@@ -683,53 +679,33 @@ def _registry_listing() -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser of every option, in any order around the command
+    and its name; which options a command reads is
+    :meth:`RunConfig.refuse_unread`'s decision alone."""
     parser = argparse.ArgumentParser(
         prog="latkit",
         description="checkers, censuses, and theorem verifiers for finite "
                     "order structures")
+    parser.add_argument("command", nargs="?", choices=(*TABLES, "enumerate"))
+    parser.add_argument("name", nargs="?", help="the verifier (see --list)")
     parser.add_argument("--list", action="store_true",
                         help="list registered verifiers and exit")
-
-    # the global flags; after the subcommand, SUPPRESS keeps the subparser
-    # from clobbering the values parsed before it
-    shared = argparse.ArgumentParser(add_help=False)
-    for p, default in ((parser, None), (shared, argparse.SUPPRESS)):
-        p.add_argument("--format", choices=("table", "json"), default=default)
-        for key in GLOBAL_OPTIONS:
-            p.add_argument(_flag(key), type=int, default=default)
-    sized = argparse.ArgumentParser(add_help=False)
-    for key in INT_OPTIONS:
-        sized.add_argument(_flag(key), type=int)
-    filed = argparse.ArgumentParser(add_help=False)
-    filed.add_argument("--input", action="append", default=[],
-                       help="path to a JSON structure or fixture")
-
-    sub = parser.add_subparsers(dest="command")
-    pv = sub.add_parser("verify", parents=[shared, sized, filed],
-                        help="run a registered theorem verifier")
-    pv.add_argument("name", nargs="?")
-    pv.add_argument("--list", dest="list_local", action="store_true")
-
-    pc = sub.add_parser("check", parents=[shared, filed],
-                        help="check one structure for one property")
-    pc.add_argument("name", choices=sorted(CHECKS))
-
-    pe = sub.add_parser("enumerate", parents=[shared, filed],
-                        help="export an embedding census as JSON lines")
-    pe.add_argument("--dom", help="order spec (inline JSON)")
-    pe.add_argument("--cod", help="order spec (inline JSON)")
+    parser.add_argument("--format", choices=("table", "json"))
+    for key in (*INT_OPTIONS, *GLOBAL_OPTIONS):
+        parser.add_argument(_flag(key), type=int)
+    parser.add_argument("--input", action="append", default=[],
+                        help="path to a JSON structure or fixture")
+    parser.add_argument("--dom", help="order spec (inline JSON)")
+    parser.add_argument("--cod", help="order spec (inline JSON)")
     for name in CENSUS_FILTERS:
-        pe.add_argument(_flag(name), action="store_true", default=None)
-
-    for command, text in (("search", "hunt for a witness structure"),
-                          ("sweep", "exhaustive family sweep")):
-        p = sub.add_parser(command, parents=[shared, sized], help=text)
-        p.add_argument("name", choices=sorted(TABLES[command]))
+        parser.add_argument(_flag(name), action="store_true", default=None)
     return parser
 
 
 def _run_enumerate(cfg: RunConfig) -> int:
-    cfg.refuse_unread(("input", "dom", "cod", *CENSUS_FILTERS, "budget_nodes"))
+    if cfg.name is not None:
+        raise InputError(f"enumerate takes no name, got {cfg.name!r}")
+    cfg.refuse_unread(ENUMERATE_READS)
     if cfg.inputs:
         obj = cfg.input_json()
         dom = parse_order_spec(obj.get("dom"))
@@ -770,11 +746,11 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
-    if args.list or (getattr(args, "list_local", False)):
+    if args.list:
         if args.format == "json":
             sys.stdout.write(json.dumps({"verifiers": _registry_listing()},
                                         sort_keys=True) + "\n")
@@ -791,16 +767,16 @@ def _main(argv) -> int:
     try:
         cfg = RunConfig(
             command=args.command,
-            name=getattr(args, "name", None),
-            inputs=tuple(getattr(args, "input", ())),
+            name=args.name,
+            inputs=tuple(args.input),
             output_format=args.format or "table",
             options={key: value for key in OPTIONS
-                     if (value := getattr(args, key, None)) is not None},
+                     if (value := getattr(args, key)) is not None},
         )
         if args.command == "enumerate":
             return _run_enumerate(cfg)
         if cfg.name is None:
-            raise InputError("verify needs a verifier name (see --list)")
+            raise InputError(f"{cfg.command} needs a verifier name (see --list)")
         runner = TABLES[args.command].get(ALIASES.get(cfg.name, cfg.name))
         if runner is None:
             raise InputError(f"unknown verifier {cfg.name!r}")

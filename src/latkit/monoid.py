@@ -6,11 +6,12 @@ addition, the stand-in for infinite pointed monoids at desk scale).  The
 associated quasi order is ``x <= y`` iff ``x + a = y`` for some ``a``.
 
 Each law sees a carrier only through its addition, suprema and infima,
-and the carriers differ only in where the instances come from: every
-triple of a table, the caller's list, or for ``N^d`` every instance of the
-scalar grid ``0..SAMPLE_BOUND`` on ``N^1``, which decides the law exactly.
-Laws that quantify over the same instances share one pass over them: the
-join and meet forms of a distributive law read one stream per arity.
+and starts with one carrier check that fixes where the instances come
+from: every triple (or subset) of a table, or for ``N^I``, with any index
+set ``I``, every instance of the scalar grid ``0..SAMPLE_BOUND`` on ``N``,
+which decides the law exactly.  Any other carrier is refused.  Laws that
+quantify over the same instances share one pass over them: the join and
+meet forms of a distributive law read one stream per arity.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ __all__ = [
 ]
 
 DISTRIBUTIVITY_MODES = ("plus_join", "plus_meet", "plus_join_inf", "plus_meet_inf")
-# the scalar grid that decides the laws on N^d: values 0..SAMPLE_BOUND, and
-# sets B of 1..MAX_SAMPLED_SET_SIZE of them for the set laws
+# the scalar grid on N that decides the laws on N^I for every index set I:
+# values 0..SAMPLE_BOUND, and sets B of 1..MAX_SAMPLED_SET_SIZE of them for
+# the set laws
 SAMPLE_BOUND = 8
 MAX_SAMPLED_SET_SIZE = 4
 # rows of a table read from JSON; the exhaustive laws take about n^3 steps,
@@ -299,7 +301,7 @@ class VectorGroupCompletion(_Value):
     """
 
     def __init__(self, dim: int):
-        self.__dict__["dim"] = dim
+        self.__dict__["dim"] = _count(dim, "dim", error=MonoidError)
 
     def _key(self) -> tuple:
         return (self.dim,)
@@ -336,40 +338,29 @@ def _least_upper_bound(q: QuasiOrder):
 
 
 def _laws(m, what: str):
-    """``(add, sup_of, inf_of)`` on the carrier of ``m``: coordinatewise on
-    a vector monoid, through the associated order (which must be a poset)
-    on a finite one.  The bounds take a sequence of elements and give
-    ``None`` where the bound does not exist."""
-    if not isinstance(m, FiniteMonoid):
-        return m.add, m.sup_of, m.inf_of
-    q = associated_order(m)
-    if not q.is_poset:
-        raise MonoidError(f"{what} checks need a poset monoid")
-    return m.op, _least_upper_bound(q), _least_upper_bound(q.dual)
+    """The one carrier check of every law, and the carrier's arithmetic:
+    ``(q, add, sup_of, inf_of)``, where the bounds take a sequence of
+    elements and give ``None`` where the bound does not exist.
 
-
-def _is_element(m, x) -> bool:
-    """``x`` is an element of ``m``: an index in ``range(m.size)`` of a
-    table, or a tuple or list of ``m.dim`` ints (not bools), each >= 0, of
-    a vector monoid."""
+    - A :class:`FiniteMonoid` is checked on its own table: ``q`` is its
+      associated order, which must be a poset, and each bound is one
+      lookup in ``q``.
+    - Exactly :class:`VectorMonoid` gives ``q = None`` and the operations
+      of ``VectorMonoid(1)``: the scalar grid on ``N`` decides the laws on
+      ``N^I`` for every index set ``I`` (see :func:`check_distributive_laws`).
+    - Any other carrier is refused with :class:`MonoidError`: a subclass
+      may redefine the operations, and the grid decides only these."""
     if isinstance(m, FiniteMonoid):
-        return _is_index(x, m.size)
-    return (isinstance(x, (tuple, list)) and len(x) == m.dim
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                    for v in x))
-
-
-def _checked_instances(m, instances, elements) -> tuple:
-    """The caller's ``instances``, once each instance's ``elements`` are
-    checked with :func:`_is_element`.  Unchecked, a short vector would be
-    zipped down with the others and the law checked on what is left."""
-    instances = tuple(instances)
-    for inst in instances:
-        if not all(_is_element(m, x) for x in elements(inst)):
-            what = (f"outside range({m.size})" if isinstance(m, FiniteMonoid)
-                    else f"that is not a vector of {m.dim} integers >= 0")
-            raise MonoidError(f"instance {inst!r} has an element {what}")
-    return instances
+        q = associated_order(m)
+        if not q.is_poset:
+            raise MonoidError(f"{what} checks need a poset monoid")
+        return q, m.op, _least_upper_bound(q), _least_upper_bound(q.dual)
+    if type(m) is not VectorMonoid:
+        raise MonoidError(f"{what} checks take a FiniteMonoid or exactly a "
+                          f"VectorMonoid, got {type(m).__name__}: the scalar "
+                          "grid decides only VectorMonoid")
+    scalar = VectorMonoid(1)
+    return None, scalar.add, scalar.sup_of, scalar.inf_of
 
 
 def _plain(x):
@@ -378,7 +369,7 @@ def _plain(x):
 
 
 def _sampling(samples, seed) -> dict:
-    """The ``sampling`` record of a run on ``N^d``.  A count that is not an
+    """The ``sampling`` record of a run on ``N^I``.  A count that is not an
     int >= 0, or a seed that is not an int, is refused before any law is
     checked.  Nothing is drawn: the record only keeps the report format
     that the pinned reports hold."""
@@ -388,32 +379,24 @@ def _sampling(samples, seed) -> dict:
     return {"seed": seed, "instance_count": samples}
 
 
-def _refuse_undecided(m, instances, what: str) -> None:
-    """Refuse a law on a vector carrier other than exactly
-    :class:`VectorMonoid` without caller ``instances``: a subclass may
-    redefine the operations, and the scalar grid decides only the
-    per-coordinate ones."""
-    if (instances is None and not isinstance(m, FiniteMonoid)
-            and type(m) is not VectorMonoid):
-        raise MonoidError(f"{what} checks on {type(m).__name__} need caller "
-                          "instances: the scalar grid decides only "
-                          "VectorMonoid")
-
-
-def _grid_fault(law: str, witness: dict) -> RuntimeError:
-    """The error for a grid instance that fails ``law``, which holds on N."""
-    return RuntimeError(f"{law} fails on N at {witness}, though it holds "
-                        "there: the vector arithmetic is wrong")
+def _on_grid(reports, sampling: dict) -> None:
+    """Close the grid ``reports`` of a run on ``N^I``: a failing instance
+    means the vector arithmetic is wrong, since every law holds on ``N``;
+    else each report keeps ``checked = samples`` and the ``sampling``
+    record, the format the pinned reports hold."""
+    for report in reports:
+        if not report["holds"]:
+            law = report.get("mode") or report["witness"]["law"]
+            raise RuntimeError(f"{law} fails on N at {report['witness']}, "
+                               "though it holds there: the vector "
+                               "arithmetic is wrong")
+        report["checked"] = sampling["instance_count"]
+        report["sampling"] = dict(sampling)
 
 
 def _scalar_range() -> list:
     """The grid values ``0..SAMPLE_BOUND``, as vectors of ``N^1``."""
     return [(v,) for v in range(SAMPLE_BOUND + 1)]
-
-
-def _scalar_triples():
-    """Every triple of :func:`_scalar_range` values: 729 of them."""
-    return itertools.product(_scalar_range(), repeat=3)
 
 
 def _scalar_sets() -> list:
@@ -424,30 +407,35 @@ def _scalar_sets() -> list:
             for B in itertools.combinations(values, k)]
 
 
-def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
+def _triples(m, q) -> itertools.product:
+    """Every triple of the table ``m``, or with ``q = None`` of the scalar
+    grid: 729 of them."""
+    return itertools.product(_scalar_range() if q is None else range(m.size),
+                             repeat=3)
+
+
+def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, *,
                             samples: int = 1000, seed: int = 0) -> dict:
     """Verify distributive laws of addition over join or meet:
     ``{mode: report}`` in the order of ``modes``.
 
     ``plus_join``/``plus_meet`` are the binary laws (over triples);
     ``plus_join_inf``/``plus_meet_inf`` quantify over finite sets ``B``,
-    asserting ``a + vB = v(a + B)`` whenever the bound exists.  The
-    instances ``(a, B)`` are the caller's ``instances`` when given (every
-    element an element of ``m``, else :class:`MonoidError`); else
-    every triple of a finite monoid for the binary laws, and every subset,
-    the empty one included, for its set laws, decided by
+    asserting ``a + vB = v(a + B)`` whenever the bound exists.  On a
+    finite monoid the instances are every triple for the binary laws, and
+    for the set laws every subset, the empty one included, decided by
     :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
     ``checked`` and the witness.
 
-    On ``N^d`` (exactly :class:`VectorMonoid`) the scalar grid decides
-    every mode: the same pass runs on ``N^1`` over every triple of
-    :func:`_scalar_triples` for the binary laws and every pair of
-    :func:`_scalar_sets` for the set laws.  That is exact:
+    On ``N^I`` (exactly :class:`VectorMonoid`) the scalar grid decides
+    every mode for every index set ``I``, finite or not: the same pass
+    runs on ``N`` over every triple of the grid for the binary laws and
+    every pair of :func:`_scalar_sets` for the set laws.  That is exact:
 
     - ``+``, ``v``, ``^`` and ``= 0`` act per coordinate, so a law fails on
-      an instance of ``N^d`` iff it fails on one of its coordinates, an
+      an instance of ``N^I`` iff it fails on one of its coordinates, an
       instance of ``N``; padded with zeros, a failing instance of ``N``
-      fails on ``N^d``.
+      fails on ``N^I``.
     - On ``N``, ``a + .`` is monotone, so it commutes with max and min and
       every law holds; which ``b`` each bound picks, and whether ``a`` is
       zero, depend only on how ``a`` and the ``b`` compare, and every such
@@ -456,11 +444,10 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
       the set of its values, so sets of distinct values stand for tuples.
 
     So a failing grid instance means the vector arithmetic is wrong, and
-    raises :class:`RuntimeError`.  A subclass may redefine the operations,
-    so without caller instances it is refused with :class:`MonoidError`.
-    Nothing is drawn: each report keeps ``checked = samples`` and the
-    ``sampling`` record ``{seed, instance_count}``, the format the pinned
-    reports hold, and both arguments are checked first.
+    raises :class:`RuntimeError`.  Nothing is drawn: each report keeps
+    ``checked = samples`` and the ``sampling`` record
+    ``{seed, instance_count}``, the format the pinned reports hold, and
+    both arguments are checked before any law is.
 
     The join and meet forms of a law read the same instances, so they share
     one pass per stream and ``a + B`` is computed once per instance.  A mode
@@ -468,21 +455,11 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES, instances=None, *,
     other carries on; the pass ends when every mode has failed or the
     instances run out.
     """
+    q, add, sup_of, inf_of = _laws(m, "distributivity")
     for mode in modes:
         if mode not in DISTRIBUTIVITY_MODES:
             raise MonoidError(f"unknown mode {mode!r}")
     sampling = _sampling(samples, seed)
-    laws = _laws(m, "distributivity")
-    if instances is not None:
-        instances = _checked_instances(m, instances, lambda aB: (aB[0], *aB[1]))
-    _refuse_undecided(m, instances, "distributivity")
-    return _distributive_reports(m, laws, modes, instances, sampling)
-
-
-def _distributive_reports(m, laws, modes, instances, sampling) -> dict:
-    """The reports of :func:`check_distributive_laws` once its arguments
-    are checked, with ``laws = _laws(m, ...)``."""
-    add, sup_of, inf_of = laws
     reports = {mode: {"mode": mode, "holds": True, "witness": None,
                       "checked": 0, "sampling": None} for mode in modes}
 
@@ -517,101 +494,56 @@ def _distributive_reports(m, laws, modes, instances, sampling) -> dict:
                 if not live:
                     break
 
-    if instances is not None:
-        run(instances, reports)
-        return reports
     binary = [mode for mode in reports if not mode.endswith("_inf")]
     sets = [mode for mode in reports if mode.endswith("_inf")]
-    if isinstance(m, FiniteMonoid):
-        if binary:
-            elements = range(m.size)
-            run(((a, (b, c)) for a in elements for b in elements for c in elements),
-                binary)
-        q = associated_order(m)
-        for mode in sets:
-            report = reports[mode]
-            report["checked"], hit = set_distributivity_failure(
-                q.dual if mode.startswith("plus_meet") else q, m.op)
-            if hit is not None:
-                a, B = hit[0], tuple(bits(hit[1]))
-                report["holds"] = False
-                report["witness"] = failure(
-                    bound_for(mode), a, B, [add(a, b) for b in B])
-        return reports
-    # N^d: the scalar grid decides every mode (see check_distributive_laws)
-    scalar, grid = VectorMonoid(1), {}
-    scalar_laws = _laws(scalar, "distributivity")
     if binary:
-        grid.update(_distributive_reports(
-            scalar, scalar_laws, binary,
-            ((a, (b, c)) for a, b, c in _scalar_triples()), None))
-    if sets:
-        grid.update(_distributive_reports(
-            scalar, scalar_laws, sets, _scalar_sets(), None))
-    for mode, report in grid.items():
-        if not report["holds"]:
-            raise _grid_fault(mode, report["witness"])
-    for report in reports.values():
-        report["checked"] = sampling["instance_count"]
-        report["sampling"] = dict(sampling)
+        run(((a, (b, c)) for a, b, c in _triples(m, q)), binary)
+    if q is None:
+        if sets:
+            run(_scalar_sets(), sets)
+        _on_grid([reports[mode] for mode in binary + sets], sampling)
+        return reports
+    for mode in sets:
+        report = reports[mode]
+        report["checked"], hit = set_distributivity_failure(
+            q.dual if mode.startswith("plus_meet") else q, m.op)
+        if hit is not None:
+            a, B = hit[0], tuple(bits(hit[1]))
+            report["holds"] = False
+            report["witness"] = failure(
+                bound_for(mode), a, B, [add(a, b) for b in B])
     return reports
 
 
-def check_distributivity(m, mode: str, instances=None, *, samples: int = 1000,
+def check_distributivity(m, mode: str, *, samples: int = 1000,
                          seed: int = 0) -> dict:
     """The report of one mode of :func:`check_distributive_laws`."""
-    return check_distributive_laws(m, (mode,), instances, samples=samples,
+    return check_distributive_laws(m, (mode,), samples=samples,
                                    seed=seed)[mode]
 
 
-def check_disjoint_sum_laws(m, instances=None, *, samples: int = 1000,
-                            seed: int = 0) -> dict:
+def check_disjoint_sum_laws(m, *, samples: int = 1000, seed: int = 0) -> dict:
     """Verify the two disjointness laws on triples ``(a, b, c)``:
     ``a ^ b = 0`` forces ``a v b = a + b``, and ``a ^ c = b ^ c = 0`` forces
-    ``(a + b) ^ c = 0``.  The triples are the caller's ``instances`` (checked
-    as in :func:`check_distributive_laws`), else every triple of a finite
-    monoid.
+    ``(a + b) ^ c = 0``, over every triple of a finite monoid.
 
-    On ``N^d`` (exactly :class:`VectorMonoid`) the 729 triples of
-    :func:`_scalar_triples` on ``N^1`` decide both laws, as in
+    On ``N^I`` (exactly :class:`VectorMonoid`) the 729 triples of the
+    scalar grid on ``N`` decide both laws, as in
     :func:`check_distributive_laws`: ``+``, ``v``, ``^`` and ``= 0`` act
     per coordinate, so each law's hypothesis holds on a vector triple iff
     it holds on every coordinate, and its conclusion fails iff it fails on
     some coordinate, which is then a failing triple of ``N``.  On ``N``,
     ``a ^ b = 0`` means ``a`` or ``b`` is 0, so both laws hold and every
     case occurs on ``{0..2}``.  A failing grid triple raises
-    :class:`RuntimeError`, a subclass without caller instances
-    :class:`MonoidError`, and the report keeps ``checked = samples`` and
+    :class:`RuntimeError`, and the report keeps ``checked = samples`` and
     the ``sampling`` record."""
+    q, add, sup_of, inf_of = _laws(m, "disjoint-sum")
     sampling = _sampling(samples, seed)
-    laws = _laws(m, "disjoint-sum")
-    if instances is not None:
-        instances = _checked_instances(m, instances, tuple)
-    _refuse_undecided(m, instances, "disjoint-sum")
-    return _disjoint_sum_report(m, laws, instances, sampling)
-
-
-def _disjoint_sum_report(m, laws, instances, sampling) -> dict:
-    """The report of :func:`check_disjoint_sum_laws` once its arguments are
-    checked, with ``laws = _laws(m, ...)``."""
-    add, sup_of, inf_of = laws
     # 0 is the identity, which lies below every element of the associated
     # order (0 + y = y), so it is the supremum of the empty set
     zero = sup_of(())
     report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
-    if instances is None and isinstance(m, FiniteMonoid):
-        instances = itertools.product(range(m.size), repeat=3)
-    elif instances is None:
-        # N^d: the scalar grid decides both laws (see check_disjoint_sum_laws)
-        scalar = VectorMonoid(1)
-        grid = _disjoint_sum_report(scalar, _laws(scalar, "disjoint-sum"),
-                                    _scalar_triples(), None)
-        if not grid["holds"]:
-            raise _grid_fault(grid["witness"]["law"], grid["witness"])
-        report["checked"] = sampling["instance_count"]
-        report["sampling"] = sampling
-        return report
-    for a, b, c in instances:
+    for a, b, c in _triples(m, q):
         report["checked"] += 1
         if inf_of((a, b)) == zero and sup_of((a, b)) != add(a, b):
             witness = {"law": "sum_is_join", "a": _plain(a), "b": _plain(b)}
@@ -624,6 +556,8 @@ def _disjoint_sum_report(m, laws, instances, sampling) -> dict:
         report["holds"] = False
         report["witness"] = witness
         break
+    if q is None:
+        _on_grid([report], sampling)
     return report
 
 

@@ -4,9 +4,11 @@ reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
 a seeded random lattice generator, directedness and boundedness of a
 subset, an order read from a boolean relation matrix, a relabeled copy
-of an order, and the seeded per-law loops over drawn vectors of ``N^d``
-that the scalar grid of the monoid laws replaced."""
+of an order, the seeded per-law loops over drawn vectors of ``N^d`` that
+the scalar grid of the monoid laws replaced, and the monoid laws of a
+finite table, each in its own loop over every instance."""
 
+import itertools
 import random
 
 from latkit.embedding import (
@@ -21,7 +23,12 @@ from latkit.lattice import (
     is_preregular,
     order_closed_checks,
 )
-from latkit.monoid import MAX_SAMPLED_SET_SIZE, SAMPLE_BOUND
+from latkit.monoid import (
+    MAX_SAMPLED_SET_SIZE,
+    SAMPLE_BOUND,
+    MonoidError,
+    associated_order,
+)
 from latkit.order import (
     MonotoneMap,
     OrderError,
@@ -240,5 +247,82 @@ def ref_sampled_disjoint_sum(m, samples: int, seed: int) -> dict:
             continue
         report["holds"] = False
         report["witness"] = witness
+        break
+    return report
+
+
+def ref_poset_order(m, what):
+    q = associated_order(m)
+    if not q.is_poset:
+        raise MonoidError(f"{what} checks need a poset monoid")
+    return q
+
+
+def ref_finite_monoid_binary(m, mode):
+    """The report of a binary distributive law over every triple, by
+    definition: ``a + (b v c) = (a + b) v (a + c)`` whenever ``b v c``
+    exists (``^`` for ``plus_meet``)."""
+    q = ref_poset_order(m, "distributivity")
+    bound = inf if mode == "plus_meet" else sup
+    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
+              "sampling": None}
+    for a, b, c in itertools.product(range(m.size), repeat=3):
+        report["checked"] += 1
+        s = bound(q, 1 << b | 1 << c)
+        if s is None:
+            continue
+        lhs, rhs = m.op(a, s), bound(q, 1 << m.op(a, b) | 1 << m.op(a, c))
+        if lhs != rhs:
+            report["holds"] = False
+            report["witness"] = {"a": a, "B": [b, c], "lhs": lhs, "rhs": rhs}
+            break
+    return report
+
+
+def ref_finite_monoid_set_law(m, mode):
+    """The report of a set distributive law over every ``(a, B)``, by
+    definition: ``a + vB = v(a + B)`` whenever ``vB`` exists (``^`` for
+    ``plus_meet_inf``), visiting ``a``, then the mask of ``B``, ascending,
+    the empty ``B`` included."""
+    q = ref_poset_order(m, "distributivity")
+    bound = inf if mode == "plus_meet_inf" else sup
+    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
+              "sampling": None}
+    for a, bmask in itertools.product(range(m.size), range(1 << m.size)):
+        report["checked"] += 1
+        s = bound(q, bmask)
+        if s is None:
+            continue
+        B = list(bits(bmask))
+        sums = 0
+        for b in B:
+            sums |= 1 << m.op(a, b)
+        lhs, rhs = m.op(a, s), bound(q, sums)
+        if lhs != rhs:
+            report["holds"] = False
+            report["witness"] = {"a": a, "B": B, "lhs": lhs, "rhs": rhs}
+            break
+    return report
+
+
+def ref_finite_disjoint_sum(m):
+    """The report of both disjointness laws over every triple, by
+    definition, with the identity as the least element."""
+    q = ref_poset_order(m, "disjoint-sum")
+
+    def disjoint(x, y):
+        return inf(q, 1 << x | 1 << y) == m.identity
+
+    report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
+    for a, b, c in itertools.product(range(m.size), repeat=3):
+        report["checked"] += 1
+        if disjoint(a, b) and sup(q, 1 << a | 1 << b) != m.op(a, b):
+            report["witness"] = {"law": "sum_is_join", "a": a, "b": b}
+        elif disjoint(a, c) and disjoint(b, c) and not disjoint(m.op(a, b), c):
+            report["witness"] = {"law": "sum_stays_disjoint",
+                                 "a": a, "b": b, "c": c}
+        else:
+            continue
+        report["holds"] = False
         break
     return report

@@ -20,6 +20,7 @@ from latkit.cli import (
     EXIT_VIOLATION,
     ALIASES,
     CHECKS,
+    ENUMERATE_READS,
     GLOBAL_OPTIONS,
     INT_OPTIONS,
     SEARCHES,
@@ -200,12 +201,12 @@ def test_exit_codes_for_errors(capsys):
 
 def test_json_reports_are_byte_identical(capsys):
     args = ("--format", "json", "verify", "law-monoid-distributivity",
-            "--dims", "2", "--samples", "50", "--seed", "42")
+            "--samples", "50", "--seed", "42")
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     _, out3, _ = run(capsys, "--format", "json", "verify",
-                     "law-monoid-distributivity", "--dims", "2",
+                     "law-monoid-distributivity",
                      "--samples", "50", "--seed", "43")
     assert out3 != out1
 
@@ -359,8 +360,8 @@ def test_crash_is_not_reported_as_violation(capsys, monkeypatch, exc, code):
     ("verify", "thm-extension-convexity", "--n", "2"),
     ("verify", "prop-cat-ro-iso", "--points", "2"),
     ("verify", "cor-atom-image", "--x", "1", "--y", "2"),
-    ("verify", "law-monoid-distributivity", "--dims", "1", "--samples", "50"),
-    ("verify", "law-disjoint-sum", "--dims", "2", "--samples", "50"),
+    ("verify", "law-monoid-distributivity", "--samples", "50"),
+    ("verify", "law-disjoint-sum", "--samples", "50"),
     ("verify", "lem-group-completion", "--max-size", "3"),
     ("sweep", "convex-preregular", "--max-size", "4"),
     # order options at their limits
@@ -465,8 +466,6 @@ def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
 
 
 ORDER_LIMIT = " (orders have at most 64 elements)"
-DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
-          "the empty vector alone)")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -478,8 +477,7 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
      "--max-size must be >= 0, got -3"),
     (("search", "convex-not-preregular", "--max-size", "-2"),
      "--max-size must be >= 0, got -2"),
-    (("verify", "law-monoid-distributivity", "--dims", "-1"),
-     "--dims must be >= 0, got -1"),
+    (("verify", "thm-powerset-form", "--y", "-1"), "--y must be >= 0, got -1"),
     (("verify", "thm-powerset-form", "--x", "-1"), "--x must be >= 0, got -1"),
     (("verify", "thm-extension-convexity", "--n", "-1"), "--n must be >= 0, got -1"),
     (("sweep", "cat-ro-iso", "--points", "-1"), "--points must be >= 0, got -1"),
@@ -524,16 +522,17 @@ DIMS_0 = ("--dims must be at least 1 (every law holds vacuously on N^0, "
       "--j", "2"),
      "--k must be at least 2 when --i is at least 1 "
      "(the theorem takes chains of height 2 or more)"),
-    (("verify", "law-monoid-distributivity", "--dims", "9"),
-     "--dims must be at most 8 (every monoid law acts per coordinate)"),
-    (("verify", "law-disjoint-sum", "--dims", str(10 ** 12)),
-     "--dims must be at most 8 (every monoid law acts per coordinate)"),
+    (("verify", "law-monoid-distributivity", "--samples", "0"),
+     "--samples must be positive"),
+    (("verify", "thm-powerset-form", "--budget-nodes", "0"),
+     "--budget-nodes must be positive"),
     (("verify", "law-monoid-distributivity", "--samples", "100001"),
      "--samples must be at most 100000"),
     (("verify", "law-disjoint-sum", "--samples", str(10 ** 9)),
      "--samples must be at most 100000"),
-    (("verify", "law-disjoint-sum", "--dims", "0"), DIMS_0),
-    (("verify", "law-monoid-distributivity", "--dims", "0"), DIMS_0),
+    (("verify", "thm-chainprod-form", "--m", "-2"), "--m must be >= 0, got -2"),
+    (("verify", "thm-extension-convexity", "--m", "-1"),
+     "--m must be >= 0, got -1"),
     # every integer option is a size, a count or a seed, none of them negative
     (("verify", "law-monoid-distributivity", "--seed", "-5"),
      "--seed must be >= 0, got -5"),
@@ -548,7 +547,7 @@ def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (("sweep", "baire", "--points", "2", "--input", "/nonexistent/junk.json"),
-     "error: unrecognized arguments: --input /nonexistent/junk.json\n"),
+     "error: sweep baire does not read --input\n"),
     (("verify", "thm-powerset-form", "--x", "1", "--y", "2",
       "--input", "junk.json"),
      "error: verify thm-powerset-form does not read --input\n"),
@@ -558,9 +557,9 @@ def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     (("verify", "law-disjoint-sum", "--input", fixture("truncated_add_3.json"),
       "--input", "/nonexistent.json"),
      "error: --input may be given only once\n"),
-    (("verify", "law-disjoint-sum", "--dims", "2",
-      "--input", fixture("truncated_add_3.json")),
-     "error: verify law-disjoint-sum does not read --dims next to --input\n"),
+    # the laws on N^I are decided once on N: no option sets a dimension
+    (("verify", "law-monoid-distributivity", "--dims", "2"),
+     "error: unrecognized arguments: --dims 2\n"),
     (("verify", "lem-group-completion", "--max-size", "2",
       "--input", fixture("truncated_add_3.json")),
      "error: verify lem-group-completion does not read --max-size "
@@ -604,10 +603,8 @@ SMALL_RUNS = {
     ("verify", "thm-extension-convexity"): [(("--n", "1"), BUDGET)],
     ("verify", "prop-cat-ro-iso"): [(("--points", "2"), set())],
     ("verify", "cor-atom-image"): [(("--x", "1", "--y", "2"), BUDGET)],
-    ("verify", "law-monoid-distributivity"): [(("--dims", "1"), SAMPLED),
-                                              (TRUNCATED, set())],
-    ("verify", "law-disjoint-sum"): [(("--dims", "1"), SAMPLED),
-                                     (TRUNCATED, set())],
+    ("verify", "law-monoid-distributivity"): [((), SAMPLED), (TRUNCATED, set())],
+    ("verify", "law-disjoint-sum"): [((), SAMPLED), (TRUNCATED, set())],
     ("verify", "lem-group-completion"): [(("--max-size", "2"), set()),
                                          (TRUNCATED, set())],
     ("search", "convex-not-preregular"): [(("--max-size", "3"), set())],
@@ -658,6 +655,29 @@ def test_every_read_option_is_parsed():
                      else ["--" + key.replace("_", "-"), "1"])
             args = parser.parse_args([command, slug, *given])
             assert getattr(args, key) in (["file.json"], 1), (slug, key)
+
+
+def test_every_parsed_option_is_read():
+    # the converse: an option that no command reads changes nothing, and
+    # every command refuses it; --list and --format are read by main
+    parsed = {action.dest for action in build_parser()._actions
+              if action.option_strings} - {"help", "list", "format"}
+    read = {key for table in TABLES.values() for row in table.values()
+            for key in row.reads}
+    assert parsed == read | set(ENUMERATE_READS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "census", "--dom", '{"powerset": 1}', "--cod", '{"powerset": 2}'),
+    ("check", "classify", "extra", "--input", fixture("m3.json")),
+    ("check", "--input", fixture("m3.json")),
+    ("sweep", "no-such-sweep"),
+])
+def test_a_misplaced_or_missing_name_exits_2(capsys, argv):
+    # one parser reads every command line: names are checked by main
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "error: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Poset classification and subset-property verdicts."""
 
+import itertools
+
 import pytest
 
 from latkit.builders import (
@@ -27,10 +29,12 @@ from latkit.lattice import (
     is_distributive,
     is_flat,
     is_interval_predense,
+    is_join_closed,
     is_join_dense,
     is_meet_closed,
     is_meet_subsemilattice,
     is_preregular,
+    is_sublattice,
     is_upwards_preregular,
     lattice_view,
     order_closed_checks,
@@ -40,6 +44,7 @@ from latkit.lattice import (
     sup_in_subset,
 )
 from latkit.order import atoms, build_quasi_order, inf, sup
+from oracles import relabel
 
 
 def all_subsets(q):
@@ -324,6 +329,42 @@ def test_meet_subsemilattice_vs_meet_closed():
     assert not is_meet_subsemilattice(p3, [0, 3, 6])  # {0,1} ^ {1,2} = {1}, inner gives 0
     # wait: inner lower bounds of {3, 6} inside {0,3,6} = {0}: inner meet 0, ambient 2
     assert inf_in_subset(p3, 0b1001001, 0b1001000) == 0
+
+
+def closed_by_definition(q, amask, dual):
+    """Oracle: every pair of members of ``A`` has a meet (a join with
+    ``dual``) in ``q``, the greatest (least) of its common lower (upper)
+    bounds, and that bound lies in ``A``."""
+    def below(x, y):
+        return q.le(y, x) if dual else q.le(x, y)
+    members = [p for p in range(q.size) if (amask >> p) & 1]
+    for a in members:
+        for b in members:
+            bounds = [c for c in range(q.size) if below(c, a) and below(c, b)]
+            best = [g for g in bounds if all(below(c, g) for c in bounds)]
+            if len(best) != 1 or not (amask >> best[0]) & 1:
+                return False
+    return True
+
+
+def test_meet_join_and_sublattice_closure_match_their_definitions():
+    # every labeling of every poset of at most 4 elements and every lattice
+    # of at most 5, so no verdict leans on a linear-extension labeling
+    shapes = [q for n in range(5) for q in enumerate_posets(n)]
+    shapes += [q for n in range(6) for q in enumerate_lattices(n)]
+    orders = {relabel(q, perm) for q in shapes
+              for perm in itertools.permutations(range(q.size))}
+    verdicts = set()
+    for q in orders:
+        for amask in all_subsets(q):
+            meet = closed_by_definition(q, amask, dual=False)
+            join = closed_by_definition(q, amask, dual=True)
+            assert is_meet_closed(q, amask) == meet, (q, amask)
+            assert is_join_closed(q, amask) == join, (q, amask)
+            assert is_sublattice(q, amask) == (meet and join), (q, amask)
+            verdicts.add((meet, join))
+    # every combination of the two verdicts occurs
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_covers_of_bottom_equals_atoms_in_boolean_algebras():

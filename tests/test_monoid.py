@@ -14,11 +14,12 @@ from latkit.monoid import (
     FiniteMonoid,
     MonoidError,
     NotCancellativeError,
+    VectorGroupCompletion,
     VectorMonoid,
     associated_order,
     _laws,
     _scalar_sets,
-    _scalar_triples,
+    _triples,
     check_disjoint_sum_laws,
     check_distributive_laws,
     check_distributivity,
@@ -35,6 +36,9 @@ from latkit.monoid import (
 from latkit.cli import EXIT_INTERNAL, main
 from latkit.order import inf, is_partial_order, sup
 from oracles import (
+    ref_finite_disjoint_sum,
+    ref_finite_monoid_binary,
+    ref_finite_monoid_set_law,
     ref_sampled_disjoint_sum,
     ref_sampled_distributivity,
     sampled_instances,
@@ -244,17 +248,22 @@ def test_distributivity_exhaustive_on_truncated_monoid():
 
 
 def test_distributivity_explicit_instances():
+    # an explicit instance of N^2 is decided on the grid: each of its
+    # coordinates is a grid instance, and both set laws hold on it
     nat2 = VectorMonoid(2)
-    inst = [((1, 1), ((2, 0), (0, 2), (1, 1)))]
-    assert check_distributivity(nat2, "plus_join_inf", inst)["holds"]
-    assert check_distributivity(nat2, "plus_meet_inf", inst)["holds"]
+    a, B = (1, 1), ((2, 0), (0, 2), (1, 1))
+    keys = {(x, frozenset(S)) for x, S in _scalar_sets()}
+    assert all(((a[i],), frozenset((b[i],) for b in B)) in keys for i in range(2))
+    for bound in (nat2.sup_of, nat2.inf_of):
+        assert nat2.add(a, bound(B)) == bound([nat2.add(a, b) for b in B])
+    assert check_distributivity(nat2, "plus_join_inf")["holds"]
+    assert check_distributivity(nat2, "plus_meet_inf")["holds"]
 
 
 def test_disjoint_sum_laws():
     nat2 = VectorMonoid(2)
     assert nat2.sup_of(((1, 0), (0, 2))) == nat2.add((1, 0), (0, 2)) == (1, 2)
-    rep = check_disjoint_sum_laws(nat2, [((1, 0), (2, 0), (0, 1))])
-    assert rep["holds"]
+    assert check_disjoint_sum_laws(nat2)["holds"]
     nat3 = VectorMonoid(3)
     rep = check_disjoint_sum_laws(nat3, samples=1000, seed=21)
     assert rep["holds"] and rep["sampling"]["instance_count"] == 1000
@@ -321,41 +330,46 @@ class FiveDropsVectorMonoid(VectorMonoid):
         return (0,) + s[1:] if s[0] == 5 else s
 
 
+def capped_square(k: int) -> FiniteMonoid:
+    """``{0..k-1}^2`` under addition capped at ``k - 1`` per coordinate,
+    ``(i, j)`` numbered ``i * k + j``: a lattice monoid that is no chain."""
+    def sum_of(a, b):
+        return min(a // k + b // k, k - 1) * k + min(a % k + b % k, k - 1)
+    return FiniteMonoid([[sum_of(a, b) for b in range(k * k)]
+                         for a in range(k * k)], 0)
+
+
+def wrong_sum(m: FiniteMonoid, to: int) -> FiniteMonoid:
+    """``m`` with a wrong addition: a sum of two nonzero elements that the
+    table gives as 4 is ``to``.  The order stays the table's."""
+    class WrongSum(FiniteMonoid):
+        def op(self, a, b):
+            s = self.table[a][b]
+            return to if a and b and s == 4 else s
+    return WrongSum(m.table, m.identity)
+
+
 def test_broken_addition_reports_match_the_per_mode_loops():
-    """Both forms of each law share a pass; each report must still be the
-    one its own loop over its own draws gives, including the ``checked``
-    of a mode that fails before or after its partner.  A subclass is not
-    decided by the grid, so the draws come in as caller instances."""
+    """Both forms of each binary law share a pass; each report must still
+    be the one its own loop gives, including the ``checked`` of a mode that
+    fails before or after its partner.  The set laws and the disjointness
+    laws are checked against their own loops on the same wrong sums."""
     reports = {}
-    for dim, seed in itertools.product((1, 2, 3), (0, 5)):
-        m = FiveDropsVectorMonoid(dim)
-        triples = list(sampled_instances(dim, 3000, seed))
-        sets = list(sampled_instances(dim, 3000, seed, set_law=True))
-        laws = {**check_distributive_laws(m, ("plus_join", "plus_meet"), triples),
-                **check_distributive_laws(m, ("plus_join_inf", "plus_meet_inf"),
-                                          sets)}
-        for mode in DISTRIBUTIVITY_MODES:
-            want = ref_sampled_distributivity(m, mode, 3000, seed)
-            assert laws[mode] == {**want, "sampling": None}
-            stream = sets if mode.endswith("_inf") else triples
-            assert check_distributivity(m, mode, stream) == laws[mode]
-            reports[f"{dim}/{seed}/{mode}"] = laws[mode]
-        rep = check_disjoint_sum_laws(m, [(a, b, c) for a, (b, c) in triples])
-        assert rep == {**ref_sampled_disjoint_sum(m, 3000, seed), "sampling": None}
-        reports[f"{dim}/{seed}/disjoint"] = rep
-    assert not any(r["holds"] for r in reports.values())
-    row = reports["2/0/plus_join"]
-    assert row["checked"] == 41
-    assert row["witness"] == {"B": [[1, 3], [4, 4]], "a": [1, 3],
-                              "lhs": [0, 7], "rhs": [2, 7]}
-    assert reports["2/0/plus_meet_inf"]["checked"] == 46
-    assert reports["2/0/disjoint"]["checked"] == 22
-    assert reports["2/0/disjoint"]["witness"] == {
-        "a": [5, 1], "b": [0, 0], "law": "sum_is_join"}
-    assert reports["3/5/disjoint"]["checked"] == 1111
-    # the set laws part at different instances: meet fails first
-    assert reports["1/0/plus_meet_inf"]["checked"] == 4
-    assert reports["1/0/plus_join_inf"]["checked"] == 34
+    for to in (1, 5):
+        m = wrong_sum(capped_square(3), to)
+        laws = check_distributive_laws(m)
+        for mode in ("plus_join", "plus_meet"):
+            assert laws[mode] == ref_finite_monoid_binary(m, mode)
+            assert check_distributivity(m, mode) == laws[mode]
+        for mode in ("plus_join_inf", "plus_meet_inf"):
+            assert laws[mode] == ref_finite_monoid_set_law(m, mode)
+        rep = check_disjoint_sum_laws(m)
+        assert rep == ref_finite_disjoint_sum(m)
+        assert not rep["holds"] and not any(r["holds"] for r in laws.values())
+        reports[to] = [*(r["checked"] for r in laws.values()), rep["checked"]]
+    # (1, 1) + (1, 1) wrong: the join law fails first at to = 1, the meet
+    # law at to = 5, and the other carries on in the same pass
+    assert reports == {1: [94, 124, 513, 593, 109], 5: [115, 94, 513, 523, 109]}
 
 
 def mode_subsets():
@@ -389,9 +403,6 @@ def five_drops_per_coordinate(self, x, y):
 
 def test_a_failing_grid_instance_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(VectorMonoid, "add", five_drops_per_coordinate)
-    # caller instances are checked as given, the fault included
-    assert not all(r["holds"] for r in check_distributive_laws(
-        VectorMonoid(1), instances=[((2,), ((3,), (0,)))]).values())
     wrong = "the vector arithmetic is wrong"
     for dim in (1, 2, 3, 8):
         for modes in mode_subsets()[1:]:
@@ -400,38 +411,41 @@ def test_a_failing_grid_instance_is_an_internal_error(monkeypatch, capsys):
         with pytest.raises(RuntimeError, match=wrong):
             check_disjoint_sum_laws(VectorMonoid(dim), samples=3000, seed=5)
     for name in ("law-monoid-distributivity", "law-disjoint-sum"):
-        code = main(["--format", "json", "verify", name, "--dims", "2"])
+        code = main(["--format", "json", "verify", name])
         out, err = capsys.readouterr()
         assert code == EXIT_INTERNAL and out == ""
         assert err.startswith("internal error\n") and wrong in err
 
 
-def test_a_vector_subclass_needs_caller_instances():
-    m = FiveDropsVectorMonoid(2)
-    with pytest.raises(MonoidError, match="need caller instances"):
-        check_distributive_laws(m)
-    with pytest.raises(MonoidError, match="need caller instances"):
-        check_distributivity(m, "plus_meet_inf", samples=10)
-    with pytest.raises(MonoidError, match="need caller instances"):
-        check_disjoint_sum_laws(m)
-    assert check_disjoint_sum_laws(m, [((1, 0), (2, 0), (0, 1))])["holds"]
+@pytest.mark.parametrize("m", [FiveDropsVectorMonoid(2), VectorGroupCompletion(2),
+                               (0, 0), None])
+def test_a_carrier_other_than_a_table_or_vector_monoid_is_refused(m):
+    # a subclass may redefine the operations, which the grid does not decide
+    name = type(m).__name__
+    for law, what in ((check_distributive_laws, "distributivity"),
+                      (check_disjoint_sum_laws, "disjoint-sum"),
+                      (lambda m: check_distributivity(m, "plus_meet_inf"),
+                       "distributivity")):
+        with pytest.raises(MonoidError, match=(
+                f"^{what} checks take a FiniteMonoid or exactly a VectorMonoid, "
+                f"got {name}: the scalar grid decides only VectorMonoid$")):
+            law(m)
 
 
 @pytest.mark.parametrize("samples", [-1, True, 1.0, "10", None])
 def test_sample_counts_are_refused_before_any_law(samples):
-    for m in (VectorMonoid(2), FiveDropsVectorMonoid(2), truncated_addition_monoid(3)):
+    for m in (VectorMonoid(2), truncated_addition_monoid(3)):
         with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
             check_distributive_laws(m, samples=samples)
         with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
             check_disjoint_sum_laws(m, samples=samples)
     with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
-        check_distributivity(VectorMonoid(2), "plus_join", [((0, 0), ((0, 0),))],
-                             samples=samples)
+        check_distributivity(VectorMonoid(2), "plus_join", samples=samples)
 
 
 @pytest.mark.parametrize("seed", [False, 1.5, "1", None])
 def test_seeds_are_refused_before_any_law(seed):
-    for m in (VectorMonoid(2), FiveDropsVectorMonoid(2)):
+    for m in (VectorMonoid(2), truncated_addition_monoid(3)):
         with pytest.raises(MonoidError, match="seed must be an integer"):
             check_distributive_laws(m, samples=10, seed=seed)
         with pytest.raises(MonoidError, match="seed must be an integer"):
@@ -439,20 +453,24 @@ def test_seeds_are_refused_before_any_law(seed):
 
 
 def test_zero_samples_check_nothing_on_either_path():
-    # on the grid, and with no caller instances to check
+    # on the grid, for the disjointness laws and the distributive laws
     m = VectorMonoid(2)
-    for instances, samples in ((None, 0), ([], 1000)):
-        rep = check_disjoint_sum_laws(m, instances, samples=samples, seed=3)
-        assert rep["holds"] and rep["checked"] == 0
-        laws = check_distributive_laws(m, instances=instances, samples=samples,
-                                       seed=3)
-        assert all(r["holds"] and r["checked"] == 0 for r in laws.values())
+    rep = check_disjoint_sum_laws(m, samples=0, seed=3)
+    assert rep["holds"] and rep["checked"] == 0
+    laws = check_distributive_laws(m, samples=0, seed=3)
+    assert all(r["holds"] and r["checked"] == 0 for r in laws.values())
 
 
 @pytest.mark.parametrize("dim", [-1, True, 2.0, "2", None])
 def test_vector_monoid_refuses_a_bad_dimension(dim):
     with pytest.raises(MonoidError, match="dim must be an integer >= 0"):
         VectorMonoid(dim)
+
+
+@pytest.mark.parametrize("dim", [-1, "x", True, 1.5])
+def test_vector_group_completion_refuses_a_bad_dimension(dim):
+    with pytest.raises(MonoidError, match="dim must be an integer >= 0"):
+        VectorGroupCompletion(dim)
 
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.7, "3", None])
@@ -472,7 +490,7 @@ def test_monoid_sizes_take_numpy_integers():
 def test_scalar_cover_is_every_coordinate_instance():
     # the triples are every value triple; each set is a set of distinct
     # values, so a drawn tuple of 1..4 values has its set among them
-    triples = list(_scalar_triples())
+    triples = list(_triples(VectorMonoid(1), None))
     assert len(triples) == len(set(triples)) == (SAMPLE_BOUND + 1) ** 3
     sets = _scalar_sets()
     assert len(sets) == len(set(sets)) == 9 * 255
@@ -485,7 +503,7 @@ def test_scalar_cover_is_every_coordinate_instance():
 def test_sampled_instances_are_the_randint_instances(dim):
     """The seeded instances are the randint draws the per-law loops took,
     and every coordinate of each is an instance of the scalar grid."""
-    triples = set(_scalar_triples())
+    triples = set(_triples(VectorMonoid(1), None))
     keys = {(a, frozenset(B)) for a, B in _scalar_sets()}
     for seed in range(5):
         ref = random.Random(seed)
@@ -512,9 +530,8 @@ def test_distributive_laws_are_the_one_mode_reports():
         laws = check_distributive_laws(m, samples=300, seed=4)
         assert laws == {mode: check_distributivity(m, mode, samples=300, seed=4)
                         for mode in DISTRIBUTIVITY_MODES}
-    inst = [((1, 1), ((2, 0), (0, 2), (1, 1))), ((0, 3), ((1, 1),))]
     laws = check_distributive_laws(VectorMonoid(2), ("plus_meet_inf", "plus_join"),
-                                   iter(inst))
+                                   samples=2)
     assert list(laws) == ["plus_meet_inf", "plus_join"]
     assert all(r["holds"] and r["checked"] == 2 for r in laws.values())
     with pytest.raises(MonoidError, match="unknown mode"):
@@ -589,70 +606,6 @@ def test_commutative_monoid_enumeration_refuses_an_empty_carrier(n):
         enumerate_commutative_monoids(n)
 
 
-@pytest.mark.parametrize("instances", [
-    [(-1, (0, 1))],          # read as the last row before the check
-    [(0, (1, -1))],
-    [(0, (1, 3))],
-    [(True, (0, 1))],
-    [(0, (0, 1)), (0, ("1",))],
-])
-def test_distributive_laws_refuse_elements_off_the_table(instances):
-    m = truncated_addition_monoid(3)
-    with pytest.raises(MonoidError, match=r"outside range\(3\)"):
-        check_distributive_laws(m, ("plus_join",), instances)
-
-
-@pytest.mark.parametrize("instances", [
-    [(-1, 0, 0)],
-    [(0, 3, 0)],
-    [(0, 0, 1.0)],
-    [(0, 0, 0), (0, 0, -2)],
-])
-def test_disjoint_sum_laws_refuse_elements_off_the_table(instances):
-    with pytest.raises(MonoidError, match=r"outside range\(3\)"):
-        check_disjoint_sum_laws(truncated_addition_monoid(3), instances)
-
-
-@pytest.mark.parametrize("instances", [
-    [((1,), ((1, 2), (3,)))],        # short vectors would zip down to (1,)
-    [((1, 0), ((1, 2, 3),))],
-    [((1, 0), ((1, -2),))],
-    [((1, 0), ((1, 2.0),))],
-    [((True, 0), ((1, 2),))],
-    [(5, ((1, 2),))],
-    [((0, 0), ((0, 0),)), ((0, 0), ((0, "1"),))],
-])
-def test_distributive_laws_refuse_malformed_vectors(instances):
-    with pytest.raises(MonoidError, match="not a vector of 2 integers"):
-        check_distributive_laws(VectorMonoid(2), ("plus_join",), instances)
-
-
-@pytest.mark.parametrize("instances", [
-    [((1,), (-1, 5, 7), (0, 0))],
-    [((1, 0), (1, 5), (0,))],
-    [((1, 0), (-1, 5), (0, 0))],
-    [((1, 0), (1, 5), (0, 0.5))],
-    [((1, 0), (1, 5), None)],
-])
-def test_disjoint_sum_laws_refuse_malformed_vectors(instances):
-    with pytest.raises(MonoidError, match="not a vector of 2 integers"):
-        check_disjoint_sum_laws(VectorMonoid(2), instances)
-
-
-def test_caller_vectors_may_be_lists():
-    nat2 = VectorMonoid(2)
-    assert check_disjoint_sum_laws(nat2, [([1, 0], [2, 0], [0, 1])])["holds"]
-    rep = check_distributivity(nat2, "plus_join_inf", [([1, 1], ([2, 0], [0, 2]))])
-    assert rep["holds"] and rep["checked"] == 1
-
-
-def test_caller_instances_on_a_table_are_checked_as_given():
-    m = truncated_addition_monoid(3)
-    report = check_distributivity(m, "plus_join", iter([(2, (0, 1)), (1, (1,))]))
-    assert report["holds"] is True and report["checked"] == 2
-    assert check_disjoint_sum_laws(m, iter([(0, 1, 2)]))["checked"] == 1
-
-
 def test_table_bounds_match_order_sup_and_inf():
     # the laws read each bound of a table off the AND of up-masks;
     # order.sup and order.inf are the oracle, on every sequence of up to
@@ -664,7 +617,7 @@ def test_table_bounds_match_order_sup_and_inf():
             if not q.is_poset:
                 continue
             posets += 1
-            _, sup_of, inf_of = _laws(m, "bound")
+            _, _, sup_of, inf_of = _laws(m, "bound")
             for r in range(4):
                 for B in itertools.product(range(n), repeat=r):
                     assert sup_of(B) == sup(q, B) and inf_of(B) == inf(q, B), (m, B)

@@ -34,7 +34,6 @@ from latkit.lattice import (
 )
 from latkit.monoid import (
     MonoidError,
-    associated_order,
     check_disjoint_sum_laws,
     check_distributivity,
     cyclic_group,
@@ -53,7 +52,14 @@ from latkit.order import (
     mask_of,
     sup,
 )
-from oracles import is_bounded_above, is_directed, order_from_relation
+from oracles import (
+    is_bounded_above,
+    is_directed,
+    order_from_relation,
+    ref_finite_disjoint_sum,
+    ref_finite_monoid_binary,
+    ref_finite_monoid_set_law,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -204,65 +210,6 @@ def ref_infinite_distributive(lv, dual):
                 return {"holds": False, "mode": "exhaustive", "checked": checked,
                         "witness": {"a": a, "B": list(bits(bmask))}}
     return {"holds": True, "mode": "exhaustive", "checked": checked, "witness": None}
-
-
-def ref_finite_monoid_sets(m):
-    """Every ``(a, B)`` in scan order, as explicit distributivity instances."""
-    n = m.size
-    for a in range(n):
-        for bmask in range(1 << n):
-            yield a, tuple(bits(bmask))
-
-
-def ref_poset_order(m, what):
-    q = associated_order(m)
-    if not q.is_poset:
-        raise MonoidError(f"{what} checks need a poset monoid")
-    return q
-
-
-def ref_finite_monoid_binary(m, mode):
-    """The report of a binary distributive law over every triple, by
-    definition: ``a + (b v c) = (a + b) v (a + c)`` whenever ``b v c``
-    exists (``^`` for ``plus_meet``)."""
-    q = ref_poset_order(m, "distributivity")
-    bound = inf if mode == "plus_meet" else sup
-    report = {"mode": mode, "holds": True, "witness": None, "checked": 0,
-              "sampling": None}
-    for a, b, c in itertools.product(range(m.size), repeat=3):
-        report["checked"] += 1
-        s = bound(q, 1 << b | 1 << c)
-        if s is None:
-            continue
-        lhs, rhs = m.op(a, s), bound(q, 1 << m.op(a, b) | 1 << m.op(a, c))
-        if lhs != rhs:
-            report["holds"] = False
-            report["witness"] = {"a": a, "B": [b, c], "lhs": lhs, "rhs": rhs}
-            break
-    return report
-
-
-def ref_finite_disjoint_sum(m):
-    """The report of both disjointness laws over every triple, by
-    definition, with the identity as the least element."""
-    q = ref_poset_order(m, "disjoint-sum")
-
-    def disjoint(x, y):
-        return inf(q, 1 << x | 1 << y) == m.identity
-
-    report = {"holds": True, "witness": None, "checked": 0, "sampling": None}
-    for a, b, c in itertools.product(range(m.size), repeat=3):
-        report["checked"] += 1
-        if disjoint(a, b) and sup(q, 1 << a | 1 << b) != m.op(a, b):
-            report["witness"] = {"law": "sum_is_join", "a": a, "b": b}
-        elif disjoint(a, c) and disjoint(b, c) and not disjoint(m.op(a, b), c):
-            report["witness"] = {"law": "sum_stays_disjoint",
-                                 "a": a, "b": b, "c": c}
-        else:
-            continue
-        report["holds"] = False
-        break
-    return report
 
 
 def outcome(fn, *args):
@@ -446,12 +393,10 @@ def test_finite_monoid_set_laws_match_reference():
     failing = dict(checks)
     for m in monoids:
         runs = {
-            # the set laws against the same laws over every explicit (a, B)
+            # each law against its definition, over every instance
             **{mode: (outcome(check_distributivity, m, mode),
-                      outcome(check_distributivity, m, mode,
-                              ref_finite_monoid_sets(m)))
+                      outcome(ref_finite_monoid_set_law, m, mode))
                for mode in ("plus_join_inf", "plus_meet_inf")},
-            # the binary and disjointness laws against their definitions
             **{mode: (outcome(check_distributivity, m, mode),
                       outcome(ref_finite_monoid_binary, m, mode))
                for mode in ("plus_join", "plus_meet")},
