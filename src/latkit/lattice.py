@@ -40,6 +40,7 @@ __all__ = [
     "classify",
     "is_lattice",
     "is_distributive",
+    "distributivity_witness",
     "check_jid",
     "check_mid",
     "set_distributivity_failure",
@@ -141,9 +142,17 @@ def classify(q: QuasiOrder) -> dict:
     lattice = lv.is_lattice
     csl = pointed and all(lv.join[a][b] >= 0 for a in range(n) for b in range(a)
                           if q.up_masks[a] & q.up_masks[b])
-    boolean = bounded and lattice and all(
-        any(lv.meet[p][c] == bottom and lv.join[p][c] == top for c in range(n))
-        for p in range(n))
+    # Boolean iff each element is the least upper bound of the atoms below
+    # it and there are 2^#atoms elements: then "the atoms below x" is an
+    # order isomorphism onto the subsets of the atoms
+    boolean = False
+    if pointed:
+        up, down = q.up_masks, q.down_masks
+        atoms = sum(1 << a for a in range(n)
+                    if a != bottom and down[a] == 1 << a | 1 << bottom)
+        boolean = n == 1 << atoms.bit_count() and all(
+            reduce(and_, (up[a] for a in bits(down[x] & atoms)), q.full_mask)
+            == up[x] for x in range(n))
     return {
         "lattice": lattice,
         "complete_semilattice": csl,
@@ -159,19 +168,25 @@ def _require_lattice(lv: LatticeView):
         raise OrderError("operation requires a lattice")
 
 
-def is_distributive(lv: LatticeView) -> bool:
-    """Both distributive identities over all triples."""
+def distributivity_witness(lv: LatticeView) -> Optional[dict]:
+    """The first triple ``{"a", "b", "c"}``, with ``a``, then ``b``, then
+    ``c`` ascending, at which either distributive identity fails, or
+    ``None``."""
     _require_lattice(lv)
     n = lv.size
     J, M = lv.join, lv.meet
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                if M[a][J[b][c]] != J[M[a][b]][M[a][c]]:
-                    return False
-                if J[a][M[b][c]] != M[J[a][b]][J[a][c]]:
-                    return False
-    return True
+                if (M[a][J[b][c]] != J[M[a][b]][M[a][c]]
+                        or J[a][M[b][c]] != M[J[a][b]][J[a][c]]):
+                    return {"a": a, "b": b, "c": c}
+    return None
+
+
+def is_distributive(lv: LatticeView) -> bool:
+    """Both distributive identities over all triples."""
+    return distributivity_witness(lv) is None
 
 
 def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):

@@ -88,7 +88,31 @@ def test_check_embedding(capsys):
     code, out, _ = run(capsys, "--format", "json", "check", "embedding",
                        "--input", fixture("powerset_counterexample.json"))
     assert code == EXIT_OK
-    assert json.loads(out)["report"]["holds"] is True
+    assert json.loads(out)["report"] == {"holds": True, "witness": None}
+
+
+@pytest.mark.parametrize("fixture_map, pair", [
+    # both points of a 2-antichain go to one point
+    ({"dom": {"size": 2}, "cod": {"size": 1}, "image": [0, 0]}, [0, 1]),
+    # a 2-antichain onto a 2-chain: 0 <= 1 in the image, not in the domain
+    ({"dom": {"size": 2}, "cod": {"chains": [2]}, "image": [0, 1]}, [0, 1]),
+    ({"dom": {"size": 2}, "cod": {"chains": [2]}, "image": [1, 0]}, [1, 0]),
+    # two 2-chains into P(2): the bottom of one below the bottom of the other
+    ({"dom": {"size": 4, "pairs": [[0, 1], [2, 3]]}, "cod": {"powerset": 2},
+      "image": [0, 1, 1, 3]}, [0, 2]),
+])
+def test_check_embedding_names_a_pair_it_does_not_reflect(
+        capsys, tmp_path, fixture_map, pair):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(fixture_map))
+    code, out, _ = run(capsys, "--format", "json", "check", "embedding",
+                       "--input", str(path))
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["report"] == {"holds": False, "witness": pair}
+    mm = MonotoneMap(parse_order_spec(fixture_map["dom"]),
+                     parse_order_spec(fixture_map["cod"]), fixture_map["image"])
+    p, q = pair
+    assert mm.cod.le(mm(p), mm(q)) and not mm.dom.le(p, q)
 
 
 def test_check_preregular_bowtie_bottom(capsys):
@@ -100,11 +124,38 @@ def test_check_preregular_bowtie_bottom(capsys):
 
 
 def test_check_distributive_fixtures(capsys):
+    # M3 and N5 are numbered bottom 0, top 4; at the triple (1, 2, 3),
+    # 1 ^ (2 v 3) = 1 ^ 4 = 1 but (1 ^ 2) v (1 ^ 3) = 0
     for name in ("m3.json", "n5.json"):
         code, out, _ = run(capsys, "--format", "json", "check", "distributive",
                            "--input", fixture(name))
         assert code == EXIT_VIOLATION
-        assert json.loads(out)["report"]["holds"] is False
+        assert json.loads(out)["report"] == {
+            "holds": False, "witness": {"a": 1, "b": 2, "c": 3}}
+
+
+def test_check_classify_boolean_needs_distributivity(capsys, tmp_path):
+    # M3 and N5 are complemented lattices, but not Boolean
+    for name, boolean in (("m3.json", False), ("n5.json", False)):
+        code, out, _ = run(capsys, "--format", "json", "check", "classify",
+                           "--input", fixture(name))
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["classification"]["boolean"] is boolean
+    path = tmp_path / "p3.json"
+    path.write_text('{"powerset": 3}')
+    code, out, _ = run(capsys, "--format", "json", "check", "classify",
+                       "--input", str(path))
+    assert json.loads(out)["report"]["classification"]["boolean"] is True
+
+
+def test_passing_checks_keep_their_bytes(capsys, tmp_path):
+    path = tmp_path / "p2.json"
+    path.write_text('{"powerset": 2}')
+    code, out, _ = run(capsys, "--format", "json", "check", "distributive",
+                       "--input", str(path))
+    assert code == EXIT_OK
+    assert out == ('{"command": "check", "name": "distributive", "report": '
+                   '{"holds": true, "witness": null}, "seed": 0}\n')
 
 
 def test_sweep_cat_ro_iso(capsys):
@@ -578,6 +629,13 @@ def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
      "error: verify law-disjoint-sum does not read --samples next to --input\n"),
     (("check", "classify", "--input", fixture("m3.json"), "--budget-nodes", "1"),
      "error: check classify does not read --budget-nodes next to --input\n"),
+    # a value is range-checked only where it is read
+    (("sweep", "baire", "--points", "2", "--samples", "0"),
+     "error: sweep baire does not read --samples\n"),
+    (("sweep", "baire", "--points", "2", "--seed", "-1"),
+     "error: sweep baire does not read --seed\n"),
+    (("sweep", "baire", "--points", "2", "--budget-nodes", "0"),
+     "error: sweep baire does not read --budget-nodes\n"),
 ])
 def test_unread_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()

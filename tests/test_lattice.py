@@ -22,6 +22,7 @@ from latkit.lattice import (
     convexity_witness,
     covers_of_bottom,
     density_checks,
+    distributivity_witness,
     inf_in_subset,
     is_basis,
     is_convex,
@@ -44,7 +45,7 @@ from latkit.lattice import (
     sup_in_subset,
 )
 from latkit.order import atoms, build_quasi_order, inf, sup
-from oracles import relabel
+from oracles import ref_is_boolean, relabel
 
 
 def all_subsets(q):
@@ -94,6 +95,42 @@ def test_distributivity():
     assert not is_distributive(lattice_view(n5()))
     with pytest.raises(OrderError):
         is_distributive(lattice_view(bowtie()))
+    # the first failing triple: the atoms (M3), or 1 < 3 against 2 (N5)
+    for q in (m3(), n5()):
+        assert distributivity_witness(lattice_view(q)) == {"a": 1, "b": 2, "c": 3}
+    assert distributivity_witness(lattice_view(powerset_lattice(3))) is None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_distributivity_witness_is_the_first_failing_triple(n):
+    for q in enumerate_lattices(n):
+        lv = lattice_view(q)
+        join = [[sup(q, 1 << a | 1 << b) for b in range(n)] for a in range(n)]
+        meet = [[inf(q, 1 << a | 1 << b) for b in range(n)] for a in range(n)]
+        first = next(({"a": a, "b": b, "c": c}
+                      for a, b, c in itertools.product(range(n), repeat=3)
+                      if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
+                      or join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]),
+                     None)
+        assert distributivity_witness(lv) == first
+
+
+def test_boolean_needs_distributivity():
+    # M3 and N5 are complemented, and no Boolean algebra
+    for q in (m3(), n5()):
+        assert classify(q)["complete_lattice"] and not classify(q)["boolean"]
+    for n in range(7):
+        assert classify(powerset_lattice(n))["boolean"]
+        assert classify(relabel(powerset_lattice(n),
+                                list(reversed(range(1 << n)))))["boolean"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boolean_flag_is_the_definition(n):
+    orders = enumerate_posets(n) if n <= 5 else enumerate_lattices(n)
+    for q in orders:
+        for o in (q, q.dual):
+            assert classify(o)["boolean"] == ref_is_boolean(o), o.up_masks
 
 
 def test_jid_mid():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ from oracles import (
     sampled_instances,
     sampled_vector,
 )
+
+
+# the instances each law's report counts on N^I: the 9^3 triples of the
+# scalar grid, or its 9 * 255 pairs (a, B) for the set laws
+GRID_CHECKED = {"plus_join": 729, "plus_meet": 729,
+                "plus_join_inf": 2295, "plus_meet_inf": 2295}
 
 
 def max_monoid():
@@ -229,9 +236,9 @@ def test_subtraction_monotonicity_on_vectors():
 def test_distributivity_modes_on_vectors():
     nat2 = VectorMonoid(2)
     for mode in DISTRIBUTIVITY_MODES:
-        rep = check_distributivity(nat2, mode, samples=600, seed=13)
-        assert rep["holds"], rep
-        assert rep["sampling"] == {"seed": 13, "instance_count": 600}
+        rep = check_distributivity(nat2, mode)
+        assert rep == {"mode": mode, "holds": True, "witness": None,
+                       "checked": GRID_CHECKED[mode]}
 
 
 def test_distributivity_exhaustive_on_truncated_monoid():
@@ -265,8 +272,8 @@ def test_disjoint_sum_laws():
     assert nat2.sup_of(((1, 0), (0, 2))) == nat2.add((1, 0), (0, 2)) == (1, 2)
     assert check_disjoint_sum_laws(nat2)["holds"]
     nat3 = VectorMonoid(3)
-    rep = check_disjoint_sum_laws(nat3, samples=1000, seed=21)
-    assert rep["holds"] and rep["sampling"]["instance_count"] == 1000
+    rep = check_disjoint_sum_laws(nat3)
+    assert rep == {"holds": True, "witness": None, "checked": 729}
     # exhaustive over the truncated chain: both laws hold there
     assert check_disjoint_sum_laws(truncated_addition_monoid(3))["holds"]
 
@@ -377,23 +384,41 @@ def mode_subsets():
             for modes in itertools.combinations(DISTRIBUTIVITY_MODES, k)]
 
 
+def cli_law_report(capsys, name: str, *argv) -> dict:
+    """The ``report`` of ``verify name`` run in-process with ``--format json``."""
+    code = main(["--format", "json", "verify", name, *argv])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return json.loads(out)["report"]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
-def test_covered_laws_are_the_sampled_reports(dim):
-    """On ``N^d`` the grid gives the reports of the seeded per-law loops it
-    replaced: all modes at every seed, and each subset of modes at one seed
-    per dimension (the grid reads no seed)."""
+def test_covered_laws_are_the_sampled_reports(dim, capsys):
+    """On ``N^d`` the grid passes where the seeded per-law loops it replaced
+    pass, and the CLI prints their reports: all modes at every seed, and
+    each subset of modes, and the CLI, at one seed per dimension (the grid
+    reads no seed)."""
     m = VectorMonoid(dim)
-    for seed, samples in itertools.product(range(5), (0, 1, 50, 3000)):
+    for seed, samples in itertools.product(range(5), (1, 50, 3000)):
         want = {mode: ref_sampled_distributivity(m, mode, samples, seed)
                 for mode in DISTRIBUTIVITY_MODES}
-        assert all(r["holds"] and r["checked"] == samples for r in want.values())
+        want_sum = ref_sampled_disjoint_sum(m, samples, seed)
+        assert all(r["holds"] and r["checked"] == samples
+                   for r in (*want.values(), want_sum))
         for modes in mode_subsets() if seed == dim % 5 else [DISTRIBUTIVITY_MODES]:
-            got = check_distributive_laws(m, modes, samples=samples, seed=seed)
-            assert json.dumps(got) == json.dumps({mode: want[mode] for mode in modes})
-        want = ref_sampled_disjoint_sum(m, samples, seed)
-        assert want["holds"] and want["checked"] == samples
-        got = check_disjoint_sum_laws(m, samples=samples, seed=seed)
-        assert json.dumps(got) == json.dumps(want)
+            got = check_distributive_laws(m, modes)
+            assert got == {mode: {"mode": mode, "holds": True, "witness": None,
+                                  "checked": GRID_CHECKED[mode]}
+                           for mode in modes}
+        assert check_disjoint_sum_laws(m) == {"holds": True, "witness": None,
+                                              "checked": 729}
+        if seed != dim % 5:
+            continue
+        argv = ("--samples", str(samples), "--seed", str(seed))
+        got = cli_law_report(capsys, "law-monoid-distributivity", *argv)
+        assert got["modes"] == want
+        got = cli_law_report(capsys, "law-disjoint-sum", *argv)
+        assert got["report"] == want_sum
 
 
 def five_drops_per_coordinate(self, x, y):
@@ -409,7 +434,7 @@ def test_a_failing_grid_instance_is_an_internal_error(monkeypatch, capsys):
             with pytest.raises(RuntimeError, match=wrong):
                 check_distributive_laws(VectorMonoid(dim), modes)
         with pytest.raises(RuntimeError, match=wrong):
-            check_disjoint_sum_laws(VectorMonoid(dim), samples=3000, seed=5)
+            check_disjoint_sum_laws(VectorMonoid(dim))
     for name in ("law-monoid-distributivity", "law-disjoint-sum"):
         code = main(["--format", "json", "verify", name])
         out, err = capsys.readouterr()
@@ -432,33 +457,47 @@ def test_a_carrier_other_than_a_table_or_vector_monoid_is_refused(m):
             law(m)
 
 
+# the laws take no count and no seed: the grid or the table fixes the
+# instances, and only the CLI reads --samples and --seed, for the report
+# format it pins
+
 @pytest.mark.parametrize("samples", [-1, True, 1.0, "10", None])
 def test_sample_counts_are_refused_before_any_law(samples):
     for m in (VectorMonoid(2), truncated_addition_monoid(3)):
-        with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
-            check_distributive_laws(m, samples=samples)
-        with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
-            check_disjoint_sum_laws(m, samples=samples)
-    with pytest.raises(MonoidError, match="samples must be an integer >= 0"):
-        check_distributivity(VectorMonoid(2), "plus_join", samples=samples)
+        for law in (check_distributive_laws, check_disjoint_sum_laws,
+                    lambda m, **kw: check_distributivity(m, "plus_join", **kw)):
+            with pytest.raises(TypeError, match="keyword argument 'samples'"):
+                law(m, samples=samples)
 
 
 @pytest.mark.parametrize("seed", [False, 1.5, "1", None])
 def test_seeds_are_refused_before_any_law(seed):
     for m in (VectorMonoid(2), truncated_addition_monoid(3)):
-        with pytest.raises(MonoidError, match="seed must be an integer"):
-            check_distributive_laws(m, samples=10, seed=seed)
-        with pytest.raises(MonoidError, match="seed must be an integer"):
-            check_disjoint_sum_laws(m, samples=10, seed=seed)
+        for law in (check_distributive_laws, check_disjoint_sum_laws):
+            with pytest.raises(TypeError, match="keyword argument 'seed'"):
+                law(m, seed=seed)
 
 
-def test_zero_samples_check_nothing_on_either_path():
-    # on the grid, for the disjointness laws and the distributive laws
-    m = VectorMonoid(2)
-    rep = check_disjoint_sum_laws(m, samples=0, seed=3)
-    assert rep["holds"] and rep["checked"] == 0
-    laws = check_distributive_laws(m, samples=0, seed=3)
-    assert all(r["holds"] and r["checked"] == 0 for r in laws.values())
+def test_zero_samples_check_nothing_on_either_path(capsys):
+    # the CLI refuses --samples 0 on the grid and any --samples next to a
+    # table, before any law is checked
+    table = ("--input", str(Path(__file__).resolve().parents[1] / "fixtures"
+                            / "truncated_add_3.json"))
+    for name in ("law-monoid-distributivity", "law-disjoint-sum"):
+        for argv, message in (
+                ((), "--samples must be positive"),
+                (table, f"verify {name} does not read --samples next to --input")):
+            code = main(["verify", name, *argv, "--samples", "0"])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_grid_reports_count_the_instances_they_visit(dim):
+    m = VectorMonoid(dim)
+    laws = check_distributive_laws(m)
+    assert {mode: r["checked"] for mode, r in laws.items()} == GRID_CHECKED
+    assert check_disjoint_sum_laws(m)["checked"] == 729
 
 
 @pytest.mark.parametrize("dim", [-1, True, 2.0, "2", None])
@@ -527,13 +566,12 @@ def test_distributive_laws_are_the_one_mode_reports():
     monoids = [truncated_addition_monoid(3), max_monoid(), cyclic_group(1),
                VectorMonoid(2)]
     for m in monoids:
-        laws = check_distributive_laws(m, samples=300, seed=4)
-        assert laws == {mode: check_distributivity(m, mode, samples=300, seed=4)
+        laws = check_distributive_laws(m)
+        assert laws == {mode: check_distributivity(m, mode)
                         for mode in DISTRIBUTIVITY_MODES}
-    laws = check_distributive_laws(VectorMonoid(2), ("plus_meet_inf", "plus_join"),
-                                   samples=2)
+    laws = check_distributive_laws(VectorMonoid(2), ("plus_meet_inf", "plus_join"))
     assert list(laws) == ["plus_meet_inf", "plus_join"]
-    assert all(r["holds"] and r["checked"] == 2 for r in laws.values())
+    assert [r["checked"] for r in laws.values() if r["holds"]] == [2295, 729]
     with pytest.raises(MonoidError, match="unknown mode"):
         check_distributive_laws(VectorMonoid(2), ("plus_join", "times_join"))
 

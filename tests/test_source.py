@@ -52,6 +52,15 @@ def test_library_does_not_import_random(path):
     assert "random" not in imported_modules(path)
 
 
+def test_no_library_function_takes_a_sample_count_or_a_seed():
+    # nothing in the library draws, so nothing takes a count or a seed:
+    # only the CLI reads --samples and --seed, for the report format it pins
+    found = [f"{path.name}:{node.lineno} {node.arg}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.arg) and node.arg in ("samples", "seed")]
+    assert found == []
+
+
 def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

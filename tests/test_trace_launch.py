@@ -47,6 +47,6 @@ def test_distributivity_counter_reads_one_report():
     count = COUNTERS["monoid.check_distributivity"]
     for m in (VectorMonoid(2), truncated_addition_monoid(3)):
         for mode in DISTRIBUTIVITY_MODES:
-            report = check_distributivity(m, mode, samples=50, seed=1)
-            assert count((m, mode), {"samples": 50}, report) == {
+            report = check_distributivity(m, mode)
+            assert count((m, mode), {}, report) == {
                 "checked": report["checked"]}
