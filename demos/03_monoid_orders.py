@@ -1,7 +1,8 @@
 """Monoids and the order they induce: x <= y iff x + a = y for some a.
 
 Covers classification, the pair-class group completion, and the
-distributive laws, including the one literal failure on a capped chain.
+distributive laws: they hold on a capped chain and fail on a saturating
+square.
 """
 
 from latkit.monoid import (
@@ -53,8 +54,17 @@ for mode in DISTRIBUTIVITY_MODES:
     rep = check_distributivity(t3, mode)
     tail = f" witness={rep['witness']}" if not rep["holds"] else ""
     print(f"  {mode:14s} holds={rep['holds']}{tail}")
-print("(both binary laws survive the cap; only the literal empty-join",
-      "instance fails, since 1 + sup({}) = 1 but sup(1 + {}) = 0)")
+print("(every law survives the cap; the set laws range over nonempty B,",
+      "as on N, where 1 + sup({}) = 1 but sup(1 + {}) = 0)")
+
+print("\n== the saturating square: x + y = 3 for nonzero x, y ==")
+square = FiniteMonoid([[0, 1, 2, 3], [1, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]], 0)
+for mode in DISTRIBUTIVITY_MODES:
+    rep = check_distributivity(square, mode)
+    tail = f" witness={rep['witness']}" if not rep["holds"] else ""
+    print(f"  {mode:14s} holds={rep['holds']}{tail}")
+print("(the order is the square 0 < 1, 2 < 3: 1 + inf{1, 2} = 1,",
+      "but inf{1 + 1, 1 + 2} = 3)")
 
 print("\n== closed under subtraction, on the capped chain min(a+b, 3) ==")
 t4 = truncated_addition_monoid(4)

@@ -37,7 +37,7 @@ print("discrete 3-point space:", len(alg.members), "regular opens,",
 print("\n== category algebra = Baire-property sets / meager ==")
 cat = category_algebra(sp)
 print("classes:", cat.size, " class reps:", [f"{r:02b}" for r in cat.reps])
-print("isomorphism with the residual regular open algebra:",
+print("isomorphism with the regular open algebra (the space is its own residual):",
       { f"{g:02b}": c for g, c in cat.ro_iso.items() })
 
 print("\n== clopen classes form a basis in zero-dimensional spaces ==")
@@ -49,6 +49,8 @@ for n in (1, 2, 3, 4):
     tops = enumerate_topologies(n)
     if any(largest_open_meager(t) != 0 for t in tops):
         raise SystemExit(f"points={n}: found a nonempty open meager set")
+    for t in tops:
+        category_algebra(t)  # raises unless its trace map is an isomorphism
     print(f"points={n}: {len(tops):3d} topologies, all Baire, "
           "largest open meager set always empty")
 print("so at finite scale the category algebra is just the regular open",

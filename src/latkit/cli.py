@@ -48,6 +48,12 @@ MAX_CONVEX_PREREGULAR_SIZE = 9
 # 0.7/1.7/2.2 s at --n 4/5/6 (1,440/1,440/720 maps), and 6 is the largest
 # power set a spec may name
 MAX_EXTENSION_CODOMAIN = 6
+# cor-atom-image runs the unfiltered census P(x) -> P(y): on 2 CPUs every
+# pair with y <= 5 ends within about 2 s in a fresh process, and --x 3 --y 6
+# (761,460 maps, 1,991,291 census nodes) within about 17 s, but the censuses
+# P(4), P(5) and P(6) -> P(6) each pass 3,000,000 nodes and keep going, so
+# --y 6 takes --x of at most 3
+MAX_ATOM_IMAGE_DOMAIN = 3
 # commutative monoid tables, found by a search that drops a partial table at
 # its first failing associativity triple: 94 at size 4, 1,486 at 5 and
 # 38,890 at 6 (8.4 s in-process); lem-group-completion --max-size 5 takes
@@ -384,6 +390,9 @@ def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
 def _verify_atom_image(cfg: RunConfig) -> dict:
     x = cfg.option("x", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
+    if y == MAX_POWERSET_POINTS and x > MAX_ATOM_IMAGE_DOMAIN:
+        raise InputError(f"--x must be at most {MAX_ATOM_IMAGE_DOMAIN} "
+                         f"for cor-atom-image --y {y}")
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
     census = embedding.enumerate_embeddings(dom, cod,
@@ -565,11 +574,6 @@ VERIFIERS = _registry(
              "cancellative commutative monoids embed into their pair-class group",
              _verify_group_completion, ("input", "max_size")),
 )
-
-ALIASES = {
-    "powerset-characterization": "thm-powerset-form",
-    "chainprod-characterization": "thm-chainprod-form",
-}
 
 SEARCHES = _registry(
     Verifier("convex-not-preregular",
@@ -782,7 +786,7 @@ def _main(argv) -> int:
             return _run_enumerate(cfg)
         if cfg.name is None:
             raise InputError(f"{cfg.command} needs a verifier name (see --list)")
-        runner = TABLES[args.command].get(ALIASES.get(cfg.name, cfg.name))
+        runner = TABLES[args.command].get(cfg.name)
         if runner is None:
             raise InputError(f"unknown verifier {cfg.name!r}")
         cfg.refuse_unread(runner.reads)

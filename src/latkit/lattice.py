@@ -191,22 +191,24 @@ def is_distributive(lv: LatticeView) -> bool:
 
 def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
     """``(checked, hit)`` for the law ``op(a, sup B) = sup(op(a, B))``
-    over every ``a`` and every ``B`` whose supremum exists (pass ``q.dual``
-    for infima).  ``hit`` is the first failing ``(a, B mask)`` of the scan
-    with ``a``, then ``B``, ascending, or ``None``; ``checked`` counts the
-    pairs that scan visits.  Both sides see ``B`` only through the AND of
-    ``up(b) | up(op(a, b)) << n`` over ``b`` in ``B``, so one visit per
-    :func:`intersection_closure` member decides every ``B``.  The least
-    ``B`` of a failing class drops extent members from the top down while
-    the AND stays the class.  Both halves of a class are up-sets, so both
-    suprema are ``up_index`` lookups."""
+    over every ``a`` and every nonempty ``B`` whose supremum exists (pass
+    ``q.dual`` for infima).  ``hit`` is the first failing ``(a, B mask)``
+    of the scan with ``a``, then ``B``, ascending, or ``None``; ``checked``
+    counts the pairs that scan visits.  Both sides see ``B`` only through
+    the AND of ``up(b) | up(op(a, b)) << n`` over ``b`` in ``B``, so one
+    visit per :func:`intersection_closure` member decides every ``B``.  The
+    least ``B`` of a failing class drops extent members from the top down
+    while the AND stays the class.  It stays nonempty: the AND of no keys
+    is ``full``, and a key is ``full`` only when ``b`` and ``op(a, b)`` are
+    both the least element, where the law holds.  Both halves of a class
+    are up-sets, so both suprema are ``up_index`` lookups."""
     n = q.size
     up, least = q.up_masks, q.up_index
-    full = (1 << 2 * n) - 1  # the class of the empty B
+    full = (1 << 2 * n) - 1
     for a in range(n):
         keys = [up[b] | up[op(a, b)] << n for b in range(n)]
         failing = []
-        for t in intersection_closure(keys) | {full}:
+        for t in intersection_closure(keys):
             s = least.get(t & q.full_mask)
             if s is not None and op(a, s) != least.get(t >> n):
                 kept = {b for b in range(n) if keys[b] & t == t}
@@ -215,8 +217,8 @@ def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
                         kept.remove(b)
                 failing.append(sum(1 << b for b in kept))
         if failing:
-            return (a << n) + min(failing) + 1, (a, min(failing))
-    return n << n, None
+            return a * ((1 << n) - 1) + min(failing), (a, min(failing))
+    return n * ((1 << n) - 1), None
 
 
 def _infinite_distributive(lv: LatticeView, dual: bool) -> dict:
@@ -230,8 +232,8 @@ def _infinite_distributive(lv: LatticeView, dual: bool) -> dict:
 
 
 def check_jid(lv: LatticeView) -> dict:
-    """Join-infinite distributivity: a ^ vB = v(a ^ B) for every B whose
-    supremum exists.  Exact at every size; the witness is the first
+    """Join-infinite distributivity: a ^ vB = v(a ^ B) for every nonempty
+    B whose supremum exists.  Exact at every size; the witness is the first
     violating ``(a, B)`` with ``a`` ascending, then the mask ``B``
     ascending, and ``checked`` counts the pairs that order reaches."""
     return _infinite_distributive(lv, False)

@@ -405,9 +405,9 @@ def check_distributive_laws(m, modes=DISTRIBUTIVITY_MODES) -> dict:
 
     ``plus_join``/``plus_meet`` are the binary laws (over triples);
     ``plus_join_inf``/``plus_meet_inf`` quantify over finite sets ``B``,
-    asserting ``a + vB = v(a + B)`` whenever the bound exists.  On a
-    finite monoid the instances are every triple for the binary laws, and
-    for the set laws every subset, the empty one included, decided by
+    asserting ``a + vB = v(a + B)`` for every nonempty ``B`` whose bound
+    exists.  On a finite monoid the instances are every triple for the
+    binary laws, and for the set laws every nonempty subset, decided by
     :func:`~latkit.lattice.set_distributivity_failure`, which also fixes
     ``checked`` and the witness.
 

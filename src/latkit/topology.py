@@ -12,6 +12,14 @@ of one largest meager set, ``FiniteTopology.meager_mask``: smallness tests
 read that mask, and the category algebra reads its complement, on which each
 class is the trace of an open set.  A set has the Baire property iff its
 trace is one of those classes (``CategoryAlgebra.class_of``).
+
+The largest meager set is nowhere dense, so it contains no nonempty open
+set: every finite space is a Baire space, and the residual subspace of the
+general theory, ``X`` minus the closure of the largest open meager set, is
+``X`` itself.  So :func:`category_algebra` is checked against the regular
+open algebra of the whole space.  ``sweep baire`` cross-checks the fact
+(``is_baire`` against an empty :func:`largest_open_meager`) on every space
+of up to ``MAX_TOPOLOGY_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .order import (
     _Frozen,
     _is_index,
     bits,
-    induced_suborder,
     upper_sets,
 )
 from .lattice import classify, is_basis
@@ -51,7 +58,6 @@ __all__ = [
     "clopen_sets",
     "is_zero_dimensional",
     "clopen_basis_check",
-    "subspace",
     "enumerate_topologies",
     "topology_to_json",
     "MAX_TOPOLOGY_POINTS",
@@ -236,22 +242,18 @@ class CategoryAlgebra(_Frozen):
     (see :func:`category_algebra`), and ``classes`` sends each trace to its
     index; the quotient order is ``[A] <= [B]`` iff ``A \\ B`` is meager.
     ``ro_iso`` exhibits the isomorphism with the regular open algebra of the
-    complement of the closure of the largest open meager set.
+    space, which is its own residual (see the module docstring).
     """
 
     def __init__(self, space: FiniteTopology, order: QuasiOrder, reps: tuple,
-                 classes: dict, largest_open_meager: int, baire: bool,
-                 ro_members: tuple, ro_iso: dict):
+                 classes: dict, ro_members: tuple, ro_iso: dict):
         fields = self.__dict__
         fields["space"] = space
         fields["order"] = order
         fields["reps"] = reps
         fields["classes"] = classes  # trace on the comeager set -> class index
-        fields["largest_open_meager"] = largest_open_meager
-        fields["baire"] = baire
-        # regular opens of the residual subspace, as masks in X
-        fields["ro_members"] = ro_members
-        fields["ro_iso"] = ro_iso    # residual regular open mask -> class index
+        fields["ro_members"] = ro_members  # regular_opens(space)
+        fields["ro_iso"] = ro_iso    # regular open mask -> class index
 
     @property
     def size(self) -> int:
@@ -262,20 +264,9 @@ class CategoryAlgebra(_Frozen):
         return self.classes[s & ~self.space.meager_mask]
 
 
-def subspace(t: FiniteTopology, carrier: int):
-    """Subspace topology on the points of ``carrier``: its preorder is the
-    induced suborder.
-
-    Returns ``(topology, points)`` with ``points[i]`` the original index of
-    the subspace point ``i``.
-    """
-    sub, points = induced_suborder(t.order, carrier)
-    return FiniteTopology(sub), points
-
-
 def category_algebra(t: FiniteTopology) -> CategoryAlgebra:
     """Quotient of the Baire-property sets by the meager ideal, with the
-    isomorphism onto the residual regular open algebra exhibited.
+    isomorphism onto the regular open algebra exhibited.
 
     With ``M`` the largest meager set and ``N`` its complement, a set
     ``s = o ^ m`` (``o`` open, ``m`` meager) has the trace ``s & N = o & N``,
@@ -285,6 +276,10 @@ def category_algebra(t: FiniteTopology) -> CategoryAlgebra:
     So the classes are the distinct traces of the opens, ascending as when
     numbered by least member, and ordered by inclusion (on traces,
     ``A \\ B`` is meager iff it is empty).
+
+    Each regular open of the space, its own residual (module docstring),
+    goes to the class of its trace; that map is checked to be a bijection
+    and an order isomorphism.
     """
     _scan_guard(t)
     comeager = t.full_mask & ~t.meager_mask
@@ -292,24 +287,18 @@ def category_algebra(t: FiniteTopology) -> CategoryAlgebra:
     classes = {r: i for i, r in enumerate(reps)}
     order = _boolean_by_inclusion(reps, "category algebra failed to be Boolean")
 
-    u = largest_open_meager(t)
-    residual = t.full_mask & ~closure_of(t, u)
-    sub, points = subspace(t, residual)
-
-    ro_members = tuple(sum(1 << points[i] for i in bits(g))
-                       for g in regular_opens(sub))
-    iso = {g: classes.get(g & comeager) for g in ro_members}
-    if None in iso.values():
-        raise TopologyError("residual regular open lost the Baire property")
+    ro_members = regular_opens(t)
+    # each g is open, so its trace g & comeager names a class
+    iso = {g: classes[g & comeager] for g in ro_members}
     if len(set(iso.values())) != len(reps) or len(iso) != len(reps):
         raise TopologyError("category algebra is not isomorphic to the "
-                            "residual regular open algebra")
+                            "regular open algebra")
     # order isomorphism both ways
     for g in ro_members:
         for h in ro_members:
             if (g & ~h == 0) != order.le(iso[g], iso[h]):
-                raise TopologyError("residual map is not an order isomorphism")
-    return CategoryAlgebra(t, order, reps, classes, u, is_baire(t), ro_members, iso)
+                raise TopologyError("trace map is not an order isomorphism")
+    return CategoryAlgebra(t, order, reps, classes, ro_members, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -303,14 +303,14 @@ def ref_finite_monoid_binary(m, mode):
 
 
 def ref_finite_monoid_set_law(m, mode):
-    """The report of a set distributive law over every ``(a, B)``, by
-    definition: ``a + vB = v(a + B)`` whenever ``vB`` exists (``^`` for
-    ``plus_meet_inf``), visiting ``a``, then the mask of ``B``, ascending,
-    the empty ``B`` included."""
+    """The report of a set distributive law over every ``(a, B)`` with
+    ``B`` nonempty, by definition: ``a + vB = v(a + B)`` whenever ``vB``
+    exists (``^`` for ``plus_meet_inf``), visiting ``a``, then the mask of
+    ``B``, ascending."""
     q = ref_poset_order(m, "distributivity")
     bound = inf if mode == "plus_meet_inf" else sup
     report = {"mode": mode, "holds": True, "witness": None, "checked": 0}
-    for a, bmask in itertools.product(range(m.size), range(1 << m.size)):
+    for a, bmask in itertools.product(range(m.size), range(1, 1 << m.size)):
         report["checked"] += 1
         s = bound(q, bmask)
         if s is None:

@@ -6,8 +6,10 @@ report pinned by the benchmark."""
 
 import gc
 import hashlib
+import importlib.util
 import itertools
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -35,29 +37,23 @@ from oracles import naive_embedding_census, range_flags
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
            {"downward_closed_range": True})
 
-EXPECTED = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+EXPECTED = json.loads((ROOT / "bench" / "expected.json").read_text())
 
-CENSUS_JOBS = {
-    "enumerate-P3-P6-convex": ("enumerate", "--dom", '{"powerset":3}',
-                               "--cod", '{"powerset":6}', "--convex-range"),
-    "thm-powerset-form-3-5": ("verify", "thm-powerset-form", "--x", "3", "--y", "5"),
-    "enumerate-C23-C333": ("enumerate", "--dom", '{"chains":[2,3]}',
-                           "--cod", '{"chains":[3,3,3]}'),
-    "cor-atom-image-3-4": ("verify", "cor-atom-image", "--x", "3", "--y", "4"),
-    "thm-preregular-continuity-5": ("verify", "thm-preregular-continuity",
-                                    "--max-size", "5"),
-    "lem-convex-preregular-7": ("verify", "lem-convex-preregular", "--max-size", "7"),
-    "sweep-cat-ro-iso-4": ("sweep", "cat-ro-iso", "--points", "4"),
-    "sweep-baire-4": ("sweep", "baire", "--points", "4"),
-    "list": ("--list",),
-    "law-monoid-distributivity": ("verify", "law-monoid-distributivity",
-                                  "--samples", "10000", "--seed", "0"),
-    "law-disjoint-sum": ("verify", "law-disjoint-sum",
-                         "--samples", "10000", "--seed", "0"),
-    "lem-group-completion-4": ("verify", "lem-group-completion", "--max-size", "4"),
-    "thm-extension-convexity-2": ("verify", "thm-extension-convexity", "--n", "2"),
-}
+
+def _bench_jobs() -> dict:
+    """Every job ``bench/run.py`` pins, name -> its argv at seed 0, read from
+    its ``WORKLOADS`` and ``PROBE`` so that the two cannot drift apart."""
+    path = ROOT / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    jobs = [*itertools.chain(*module.WORKLOADS.values()), module.PROBE]
+    return {job.name: tuple(job.argv(0)) for job in jobs}
+
+
+CENSUS_JOBS = _bench_jobs()
 
 
 def assert_census_matches_oracle(dom, cod, filters):
@@ -228,7 +224,7 @@ def test_every_pinned_benchmark_output_is_replayed():
 
 @pytest.mark.parametrize("name", sorted(CENSUS_JOBS))
 def test_census_reports_match_benchmark_checksums(capsys, name):
-    code = main([*CENSUS_JOBS[name], "--format", "json"])
+    code = main(list(CENSUS_JOBS[name]))
     out = capsys.readouterr().out
     assert code == EXPECTED[name]["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[name]["sha256"]

@@ -48,7 +48,6 @@ IDENTITIES = {
     FiniteTopology: {"order": C2},
     ROAlgebra: {"space": SPACE, "members": (0, 2, 3), "order": C3},
     CategoryAlgebra: {"space": SPACE, "order": C2, "reps": (0, 3), "classes": {},
-                      "largest_open_meager": 0, "baire": True,
                       "ro_members": (), "ro_iso": {}},
 }
 FROZEN = {**VALUES, **IDENTITIES}

@@ -35,7 +35,6 @@ from latkit.topology import (
     meager_ideal,
     regular_opens,
     ro_algebra,
-    subspace,
     topology,
     topology_to_json,
 )
@@ -163,8 +162,10 @@ def ref_subspace(t, carrier):
 
 
 def ref_category_algebra(t):
-    """``(order up_masks, reps, class_map, largest open meager, baire,
-    ro_members, ro_iso)`` with the pairwise class loop."""
+    """``(order up_masks, reps, class_map, ro_members, ro_iso)`` with the
+    pairwise class loop, and the regular opens of the residual subspace
+    (the space minus the closure of its largest open meager set) mapped
+    back into the space."""
     bp = ref_baire_property_sets(t)
     class_map, reps = {}, []
     for s in bp:
@@ -181,7 +182,7 @@ def ref_category_algebra(t):
     sub, points = ref_subspace(t, t.full & ~ref_closure(t, u))
     ro_members = tuple(sum(1 << points[i] for i in bits(g))
                        for g in ref_regular_opens(sub))
-    return (up, tuple(reps), class_map, u, ref_is_baire(t), ro_members,
+    return (up, tuple(reps), class_map, ro_members,
             {g: class_map[g] for g in ro_members})
 
 
@@ -237,9 +238,6 @@ def test_space_operations_match_reference():
             assert closure_of(t, s) == ref_closure(ref, s)
             assert t.is_open(s) == (s in ref.opens)
             assert t.is_closed(s) == (ref.full & ~s in ref.opens)
-            sub, points = subspace(t, s)
-            ref_sub, ref_points = ref_subspace(ref, s)
-            assert sub.opens == ref_sub.opens and points == ref_points
         assert regular_opens(t) == ref_regular_opens(ref)
         assert meager_ideal(t) == ref_meager_ideal(ref)
         assert largest_open_meager(t) == ref_largest_open_meager(ref)
@@ -248,8 +246,8 @@ def test_space_operations_match_reference():
         assert is_zero_dimensional(t) == ref_is_zero_dimensional(ref)
         cat = category_algebra(t)
         up, reps, class_map, *rest = ref_category_algebra(ref)
-        assert (cat.order.up_masks, cat.reps, cat.largest_open_meager, cat.baire,
-                cat.ro_members, cat.ro_iso) == (up, reps, *rest)
+        assert (cat.order.up_masks, cat.reps, cat.ro_members,
+                cat.ro_iso) == (up, reps, *rest)
         for s in range(1 << n):
             if s in class_map:
                 assert cat.class_of(s) == class_map[s]
@@ -438,6 +436,24 @@ def test_meager_is_an_ideal():
                 assert (s | r) in meager
 
 
+@pytest.mark.parametrize("n", range(MAX_TOPOLOGY_POINTS + 1))
+def test_every_space_is_its_own_residual(n):
+    # the definition-level largest open meager set is empty on every labeled
+    # space, so the residual subspace is the whole carrier, and the category
+    # algebra built through it is the one category_algebra builds on X
+    spaces = enumerate_topologies(n)
+    assert len(spaces) == (1, 1, 4, 29, 355, 6942)[n]  # A000798
+    for t in spaces:
+        ref = Ref(t.points, t.opens)
+        assert ref_largest_open_meager(ref) == 0
+        cat = category_algebra(t)
+        up, reps, class_map, *rest = ref_category_algebra(ref)
+        assert (cat.order.up_masks, cat.reps, cat.ro_members,
+                cat.ro_iso) == (up, reps, *rest)
+        assert cat.classes == {s: i for s, i in class_map.items()
+                               if s & t.meager_mask == 0}
+
+
 def test_meager_examples():
     assert meager_ideal(discrete(3)) == (0,)
     sp = sierpinski()
@@ -471,7 +487,7 @@ def test_category_algebra_discrete():
     cat = category_algebra(discrete(3))
     assert cat.size == 8
     assert classify(cat.order)["boolean"]
-    assert cat.baire and cat.largest_open_meager == 0
+    assert cat.ro_members == regular_opens(discrete(3))
 
 
 def test_category_algebra_sierpinski():
@@ -525,15 +541,6 @@ def test_category_algebra_iso_with_residual_ro(n):
     for t in enumerate_topologies(n):
         cat = category_algebra(t)     # raises if the isomorphism breaks
         assert len(cat.ro_iso) == cat.size
-
-
-def test_subspace():
-    sp = sierpinski()
-    sub, points = subspace(sp, 0b10)
-    assert sub.points == 1 and points == (1,)
-    t = topology(3, [0b011, 0b100])
-    sub, points = subspace(t, 0b101)
-    assert sub.points == 2
 
 
 def test_clopen_basis_checks():
