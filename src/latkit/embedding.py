@@ -36,7 +36,6 @@ from .order import (
     OrderError,
     QuasiOrder,
     SetLike,
-    Subset,
     _Frozen,
     _Value,
     _require_poset,
@@ -78,7 +77,6 @@ __all__ = [
     "enumerate_monotone_maps",
     "continuity_checks",
     "atom_image_check",
-    "relative_atoms",
     "preregular_continuity_sweep",
     "PowersetDecomposition",
     "powerset_embedding",
@@ -388,24 +386,15 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
     }
 
 
-def relative_atoms(q: QuasiOrder, A: SetLike) -> Subset:
-    """Atoms of the induced suborder on ``A``, as carrier indices."""
-    sub, elems = induced_suborder(q, A)
-    out = 0
-    for i in atoms(sub):
-        out |= 1 << elems[i]
-    return Subset(q, out)
-
-
 def atom_image_check(sigma: MonotoneMap) -> bool:
-    """Image of the atoms equals the relative atoms of the range.
+    """Image of the atoms equals the atoms of the range's suborder.
 
     Requires an order preserving and reflecting map.
     """
     if not sigma.is_embedding:
         raise PreconditionFailedError("map is not order reflecting")
     img_atoms = sigma.image_mask(atoms(sigma.dom).mask)
-    return img_atoms == relative_atoms(sigma.cod, sigma.range_mask).mask
+    return img_atoms == atoms(sigma.cod, sigma.range_mask).mask
 
 
 def preregular_continuity_sweep(max_size: int, *,

@@ -2,8 +2,8 @@
 
 Subset properties (convexity, preregularity, order closedness, density
 variants) are all evaluated against an explicitly given ambient order;
-suprema *inside* a subset are always computed on the induced suborder,
-never by restricting a parent's join table.
+suprema and atoms *inside* a subset use the ambient relation restricted to
+the subset, never a parent's join table.
 """
 
 from __future__ import annotations
@@ -134,20 +134,20 @@ def classify(q: QuasiOrder) -> dict:
     if not q.is_poset:
         raise OrderError("classification requires a partial order")
     n = q.size
-    lv = lattice_view(q)
+    up, down = q.up_masks, q.down_masks
     bottom = sup(q, 0)
     top = inf(q, 0)
     pointed = bottom is not None
     bounded = pointed and top is not None
-    lattice = lv.is_lattice
-    csl = pointed and all(lv.join[a][b] >= 0 for a in range(n) for b in range(a)
-                          if q.up_masks[a] & q.up_masks[b])
+    lattice = is_lattice(q)
+    # a and b have a join iff the up-set up[a] & up[b] is some up[c]
+    csl = pointed and all(up[a] & up[b] in q.up_index for a in range(n)
+                          for b in range(a) if up[a] & up[b])
     # Boolean iff each element is the least upper bound of the atoms below
     # it and there are 2^#atoms elements: then "the atoms below x" is an
     # order isomorphism onto the subsets of the atoms
     boolean = False
     if pointed:
-        up, down = q.up_masks, q.down_masks
         atoms = sum(1 << a for a in range(n)
                     if a != bottom and down[a] == 1 << a | 1 << bottom)
         boolean = n == 1 << atoms.bit_count() and all(

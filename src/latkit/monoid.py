@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
-from .lattice import lattice_view, set_distributivity_failure
+from .lattice import is_lattice, set_distributivity_failure
 
 __all__ = [
     "MonoidError",
@@ -42,7 +42,6 @@ __all__ = [
     "truncated_addition_monoid",
     "cyclic_group",
     "enumerate_commutative_monoids",
-    "monoid_to_json",
     "monoid_from_json",
 ]
 
@@ -165,9 +164,10 @@ def monoid_class(m) -> dict:
     poset = q.is_poset
     semilattice = lattice = False
     if poset:
-        lv = lattice_view(q)
-        semilattice = all(v >= 0 for row in lv.join for v in row)
-        lattice = semilattice and lv.is_lattice
+        # a and b have a join iff the up-set up[a] & up[b] is some up[c]
+        up, joins = q.up_masks, q.up_index
+        semilattice = all(a & b in joins for a in up for b in up)
+        lattice = semilattice and is_lattice(q)
     return {
         "poset_monoid": poset,
         "semilattice_monoid": semilattice,
@@ -182,11 +182,12 @@ def monoid_class(m) -> dict:
 
 
 class GroupCompletion(_Frozen):
-    """Abelian group of pair classes over a cancellative commutative monoid.
+    """An abelian group receiving a cancellative commutative monoid.
 
-    Classes of ``M x N`` under ``(a,b) ~ (c,d)`` iff ``a+r = c+s`` and
-    ``b+r = d+s`` for some ``r, s`` in ``N``; each class is named by its
-    lexicographically least member.
+    The class of a pair ``(a, b)`` stands for ``a - b``.  A finite
+    cancellative monoid is already a group (see :func:`group_completion`),
+    so ``group`` is the monoid itself, each class is named by ``(a, e)``
+    with ``e`` the identity, and ``embedding`` is the identity map.
     """
 
     def __init__(self, source: FiniteMonoid, group: FiniteMonoid, reps: tuple,
@@ -194,7 +195,7 @@ class GroupCompletion(_Frozen):
         fields = self.__dict__
         fields["source"] = source
         fields["group"] = group
-        fields["reps"] = reps              # class index -> least (a, b) pair
+        fields["reps"] = reps              # class index -> naming (a, b) pair
         fields["embedding"] = embedding    # a -> class index of (a, identity)
         fields["pair_class"] = pair_class  # (a, b) -> class index
 
@@ -203,47 +204,22 @@ class GroupCompletion(_Frozen):
 
 
 def group_completion(m: FiniteMonoid) -> GroupCompletion:
-    """Embed a cancellative commutative monoid into an abelian group."""
+    """Embed a cancellative commutative monoid into an abelian group.
+
+    A finite cancellative monoid is a group: each translation
+    ``x -> a + x`` is injective on a finite set, hence onto, so some ``x``
+    has ``a + x = e``.  So the completion is ``m`` itself; a table that is
+    cancellative but not a group raises :class:`RuntimeError`.
+    """
     if not m.is_commutative:
         raise MonoidError("group completion requires commutativity")
     if not m.is_cancellative:
         raise NotCancellativeError("monoid is not cancellative")
-    n = m.size
-    e = m.identity
-    inv = set(m.invertibles)
-    carrier_n = sorted((set(range(n)) - inv) | {e})
-    pairs = [(a, b) for a in range(n) for b in carrier_n]
-
-    def related(p, q):
-        a, b = p
-        c, d = q
-        return any(
-            m.table[a][r] == m.table[c][s] and m.table[b][r] == m.table[d][s]
-            for r in carrier_n for s in carrier_n
-        )
-
-    pair_class: dict = {}
-    reps = []
-    for p in pairs:
-        if p in pair_class:
-            continue
-        idx = len(reps)
-        reps.append(p)
-        for q in pairs:
-            if q not in pair_class and related(p, q):
-                pair_class[q] = idx
-    k = len(reps)
-    table = [[pair_class[(m.table[a][c], m.table[b][d])] for c, d in reps]
-             for a, b in reps]
-    identity = pair_class[(e, e)]
-    group = FiniteMonoid(table, identity)
-    # the construction guarantees an abelian group and a monomorphism
-    if not (group.is_commutative and len(group.invertibles) == k):
-        raise RuntimeError("pair classes failed to form an abelian group")
-    embedding = tuple(pair_class[(a, e)] for a in range(n))
-    if len(set(embedding)) != n:
-        raise RuntimeError("embedding failed to be injective")
-    return GroupCompletion(m, group, tuple(reps), embedding, pair_class)
+    n, e = m.size, m.identity
+    if len(m.invertibles) != n:
+        raise RuntimeError("a finite cancellative monoid failed to be a group")
+    return GroupCompletion(m, m, tuple((a, e) for a in range(n)),
+                           tuple(range(n)), {(a, e): a for a in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +596,6 @@ def enumerate_commutative_monoids(n: int):
 
     fill(0)
     return out
-
-
-def monoid_to_json(m: FiniteMonoid) -> dict:
-    return {"size": m.size, "table": [list(row) for row in m.table],
-            "identity": m.identity}
 
 
 def monoid_from_json(obj: dict) -> FiniteMonoid:

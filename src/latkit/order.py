@@ -445,41 +445,40 @@ def inf(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
     return sup(q.dual, mask_of(q, A))
 
 
-def minimal_elements(q: QuasiOrder) -> Subset:
-    """Elements with nothing strictly below them."""
-    mask = 0
-    for p in range(q.size):
-        if not any(q.lt(r, p) for r in bits(q.down_masks[p])):
-            mask |= 1 << p
-    return Subset(q, mask)
+def minimal_elements(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+    """Members of ``A`` (default: the carrier) with no member of ``A``
+    strictly below them: ``down(p) & A`` lies inside ``up(p)``."""
+    m = q.full_mask if A is None else mask_of(q, A)
+    up, down = q.up_masks, q.down_masks
+    out = 0
+    for p in bits(m):
+        if not down[p] & m & ~up[p]:
+            out |= 1 << p
+    return Subset(q, out)
 
 
-def positive_part(q: QuasiOrder) -> Subset:
-    """Complement of the minimal elements."""
-    return Subset(q, q.full_mask & ~minimal_elements(q).mask)
+def positive_part(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+    """The members of ``A`` (default: the carrier) that are not minimal in
+    ``A``."""
+    m = q.full_mask if A is None else mask_of(q, A)
+    return Subset(q, m & ~minimal_elements(q, m).mask)
 
 
-def atoms(q: QuasiOrder) -> Subset:
-    """Nonminimal elements that cannot be split into an incompatible pair.
+def atoms(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+    """Atoms of the suborder on ``A`` (default: the carrier): its
+    nonminimal elements that cannot be split into an incompatible pair.
 
     ``p`` splits when two nonminimal ``a, b <= p`` have no common nonminimal
     lower bound.  On a chain nothing is incompatible, so every nonminimal
-    element of a chain is an atom.
+    element of a chain is an atom.  The suborder's relation is ``q``'s
+    restricted to ``A``, so its masks are ``q``'s ANDed with ``A``.
     """
-    pos = positive_part(q).mask
+    pos = positive_part(q, A).mask
+    down = q.down_masks
     out = 0
     for p in bits(pos):
-        below = q.down_masks[p] & pos
-        split = False
-        items = list(bits(below))
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if q.down_masks[a] & q.down_masks[b] & pos == 0:
-                    split = True
-                    break
-            if split:
-                break
-        if not split:
+        below = [down[a] & pos for a in bits(down[p] & pos)]
+        if all(a & b for i, a in enumerate(below) for b in below[i + 1:]):
             out |= 1 << p
     return Subset(q, out)
 

@@ -6,8 +6,11 @@ a seeded random lattice generator, the Boolean algebras by their
 definition, directedness and boundedness of a subset, an order read from
 a boolean relation matrix, a relabeled copy of an order, the seeded
 per-law loops over drawn vectors of ``N^d`` that the scalar grid of the
-monoid laws replaced, and the monoid laws of a finite table, each in its
-own loop over every instance."""
+monoid laws replaced, the monoid laws of a finite table, each in its
+own loop over every instance, and the derived structures that the library
+no longer builds: the atoms of a subset through its induced suborder, the
+pair-class search of a group completion, and the order flags read off the
+join and meet tables."""
 
 import itertools
 import random
@@ -22,12 +25,16 @@ from latkit.lattice import (
     is_convex,
     is_lattice,
     is_preregular,
+    lattice_view,
     order_closed_checks,
 )
 from latkit.monoid import (
     MAX_SAMPLED_SET_SIZE,
     SAMPLE_BOUND,
+    FiniteMonoid,
+    GroupCompletion,
     MonoidError,
+    NotCancellativeError,
     associated_order,
 )
 from latkit.order import (
@@ -37,6 +44,7 @@ from latkit.order import (
     _upper_bounds,
     bits,
     build_quasi_order,
+    induced_suborder,
     inf,
     lower_closure,
     mask_of,
@@ -348,3 +356,92 @@ def ref_finite_disjoint_sum(m):
         report["holds"] = False
         break
     return report
+
+
+def ref_relative_atoms(q: QuasiOrder, A) -> int:
+    """The atoms of the induced suborder on ``A``, mapped back to ``q``'s
+    indices, as a mask: on the suborder, the nonminimal elements ``p`` with
+    no two nonminimal ``a, b <= p`` lacking a common nonminimal lower
+    bound, pair by pair."""
+    sub, elems = induced_suborder(q, A)
+    down = sub.down_masks
+    pos = sum(1 << p for p in range(sub.size)
+              if any(sub.lt(r, p) for r in bits(down[p])))
+    out = 0
+    for p in bits(pos):
+        below = list(bits(down[p] & pos))
+        if all(down[a] & down[b] & pos for i, a in enumerate(below)
+               for b in below[i + 1:]):
+            out |= 1 << elems[p]
+    return out
+
+
+def ref_group_completion(m: FiniteMonoid) -> GroupCompletion:
+    """The group completion by its pair-class search: the classes of
+    ``M x N``, with ``N`` the noninvertible elements and the identity,
+    under ``(a,b) ~ (c,d)`` iff ``a+r = c+s`` and ``b+r = d+s`` for some
+    ``r, s`` in ``N``, each named by its lexicographically least member."""
+    if not m.is_commutative:
+        raise MonoidError("group completion requires commutativity")
+    if not m.is_cancellative:
+        raise NotCancellativeError("monoid is not cancellative")
+    n = m.size
+    e = m.identity
+    inv = set(m.invertibles)
+    carrier_n = sorted((set(range(n)) - inv) | {e})
+    pairs = [(a, b) for a in range(n) for b in carrier_n]
+
+    def related(p, q):
+        a, b = p
+        c, d = q
+        return any(
+            m.table[a][r] == m.table[c][s] and m.table[b][r] == m.table[d][s]
+            for r in carrier_n for s in carrier_n
+        )
+
+    pair_class: dict = {}
+    reps = []
+    for p in pairs:
+        if p in pair_class:
+            continue
+        idx = len(reps)
+        reps.append(p)
+        for q in pairs:
+            if q not in pair_class and related(p, q):
+                pair_class[q] = idx
+    k = len(reps)
+    table = [[pair_class[(m.table[a][c], m.table[b][d])] for c, d in reps]
+             for a, b in reps]
+    identity = pair_class[(e, e)]
+    group = FiniteMonoid(table, identity)
+    # the construction guarantees an abelian group and a monomorphism
+    if not (group.is_commutative and len(group.invertibles) == k):
+        raise RuntimeError("pair classes failed to form an abelian group")
+    embedding = tuple(pair_class[(a, e)] for a in range(n))
+    if len(set(embedding)) != n:
+        raise RuntimeError("embedding failed to be injective")
+    return GroupCompletion(m, group, tuple(reps), embedding, pair_class)
+
+
+def ref_order_flags(q: QuasiOrder) -> dict:
+    """The four join and meet flags of a poset, read off its
+    ``LatticeView`` tables: ``lattice`` and ``complete_semilattice`` as
+    ``classify`` gives them, ``semilattice_monoid`` and ``lattice_monoid``
+    as ``monoid_class`` does."""
+    n = q.size
+    lv = lattice_view(q)
+    semilattice = all(v >= 0 for row in lv.join for v in row)
+    return {
+        "lattice": lv.is_lattice,
+        "complete_semilattice": sup(q, 0) is not None and all(
+            lv.join[a][b] >= 0 for a in range(n) for b in range(a)
+            if q.up_masks[a] & q.up_masks[b]),
+        "semilattice_monoid": semilattice,
+        "lattice_monoid": semilattice and lv.is_lattice,
+    }
+
+
+def monoid_to_json(m: FiniteMonoid) -> dict:
+    """The JSON form of a table that ``monoid_from_json`` reads."""
+    return {"size": m.size, "table": [list(row) for row in m.table],
+            "identity": m.identity}

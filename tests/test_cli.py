@@ -32,8 +32,9 @@ from latkit.cli import (
     main,
     parse_order_spec,
 )
-from latkit.monoid import monoid_from_json, monoid_to_json, truncated_addition_monoid
+from latkit.monoid import FiniteMonoid, monoid_from_json, truncated_addition_monoid
 from latkit.order import MonotoneMap
+from oracles import monoid_to_json
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -200,6 +201,19 @@ def test_verify_group_completion_at_its_limit(capsys):
     assert json.loads(out)["report"] == {
         "cancellative_checked": 13, "failures": [], "holds": True,
         "max_size": 5, "noncancellative_skipped": 1579}
+
+
+def test_a_cancellative_table_that_is_no_group_is_an_internal_error(
+        capsys, monkeypatch):
+    # a finite cancellative monoid is a group, so a table that seems to
+    # lack an inverse means the table code is wrong, not the lemma
+    monkeypatch.setattr(FiniteMonoid, "invertibles",
+                        property(lambda m: tuple(range(1, m.size))))
+    code, out, err = run(capsys, "--format", "json", "verify",
+                         "lem-group-completion", "--max-size", "3")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error\n")
+    assert "failed to be a group" in err
 
 
 def test_verify_group_completion_rejects_max_monoid(capsys, tmp_path):

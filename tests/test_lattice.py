@@ -45,7 +45,7 @@ from latkit.lattice import (
     sup_in_subset,
 )
 from latkit.order import atoms, build_quasi_order, inf, sup
-from oracles import ref_is_boolean, relabel
+from oracles import ref_is_boolean, ref_order_flags, relabel
 
 
 def all_subsets(q):
@@ -59,6 +59,17 @@ def brute_sup_in(q, amask, bmask):
     ubs = [u for u in a_items if all(q.le(b, u) for b in b_items)]
     least = [u for u in ubs if all(q.le(u, v) for v in ubs)]
     return least[0] if least else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_classify_flags_are_the_lattice_view_flags(n):
+    # every poset of at most 6 elements and every lattice of 7 or 8, with
+    # their duals
+    for q in enumerate_posets(n) if n <= 6 else enumerate_lattices(n):
+        for o in (q, q.dual):
+            got, want = classify(o), ref_order_flags(o)
+            assert (got["lattice"], got["complete_semilattice"]) == \
+                (want["lattice"], want["complete_semilattice"])
 
 
 def test_classify_stock_posets():

@@ -30,14 +30,16 @@ from latkit.monoid import (
     group_completion,
     monoid_class,
     monoid_from_json,
-    monoid_to_json,
     truncated_addition_monoid,
     vector_group_completion,
 )
 from latkit.cli import EXIT_INTERNAL, main
 from latkit.order import inf, is_partial_order, sup
 from oracles import (
+    monoid_to_json,
     ref_finite_disjoint_sum,
+    ref_group_completion,
+    ref_order_flags,
     ref_finite_monoid_binary,
     ref_finite_monoid_set_law,
     ref_sampled_disjoint_sum,
@@ -179,6 +181,54 @@ def test_group_completion_sweep(n):
             for b in range(mon.size):
                 assert g.op(gc.embedding[a], gc.embedding[b]) == \
                     gc.embedding[mon.op(a, b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_completion_is_the_pair_class_search(n):
+    # a finite cancellative monoid is a group, so the search finds the
+    # monoid itself; every other table is refused by both
+    for mon in enumerate_commutative_monoids(n):
+        if not mon.is_cancellative:
+            for completion in (group_completion, ref_group_completion):
+                with pytest.raises(NotCancellativeError):
+                    completion(mon)
+            continue
+        got, want = group_completion(mon), ref_group_completion(mon)
+        assert got.source is want.source is mon
+        assert (got.group.table, got.group.identity) == \
+            (want.group.table, want.group.identity)
+        assert (got.reps, got.embedding, got.pair_class) == \
+            (want.reps, want.embedding, want.pair_class)
+
+
+def two_joins_monoid():
+    """``0, a, b, 2a = 2b, a + b`` and an absorbing sum for every longer
+    one: ``a`` and ``b`` have the two minimal upper bounds ``2a`` and
+    ``a + b``, where every poset monoid of at most 5 elements is a lattice."""
+    length = (0, 1, 1, 2, 2, 3)
+
+    def add(x, y):
+        if 0 in (x, y):
+            return x + y
+        if length[x] + length[y] >= 3:
+            return 5
+        return 3 if x == y else 4
+    return FiniteMonoid([[add(x, y) for y in range(6)] for x in range(6)], 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_monoid_class_flags_are_the_lattice_view_flags(n):
+    tables = enumerate_commutative_monoids(n) if n <= 4 else [two_joins_monoid()]
+    for mon in tables:
+        got = monoid_class(mon)
+        q = associated_order(mon)
+        want = ref_order_flags(q) if q.is_poset else {
+            "semilattice_monoid": False, "lattice_monoid": False}
+        assert got["poset_monoid"] == q.is_poset
+        assert {k: got[k] for k in ("semilattice_monoid", "lattice_monoid")} \
+            == {k: want[k] for k in ("semilattice_monoid", "lattice_monoid")}
+    if n == 6:
+        assert got["poset_monoid"] and not got["semilattice_monoid"]
 
 
 def test_group_completion_embeds_the_order():

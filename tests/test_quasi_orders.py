@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit.builders import enumerate_posets
-from latkit.embedding import atom_image_check, enumerate_monotone_maps, relative_atoms
+from latkit.embedding import atom_image_check, enumerate_monotone_maps
 from latkit.lattice import is_preregular, sup_in_subset
 from latkit.monoid import FiniteMonoid, MonoidError, associated_order
 from latkit.order import (
@@ -28,7 +28,7 @@ from latkit.order import (
     sup,
 )
 from latkit.topology import enumerate_topologies
-from oracles import is_order_reflecting, order_from_relation
+from oracles import is_order_reflecting, order_from_relation, ref_relative_atoms
 
 
 def all_quasi_orders(n):
@@ -125,7 +125,20 @@ def test_inner_sup_agrees_when_ambient_sup_lands_inside(n):
 
 def test_relative_atoms_of_full_carrier():
     for q in enumerate_posets(4):
-        assert relative_atoms(q, q.full_mask).mask == atoms(q).mask
+        assert atoms(q, q.full_mask).mask == atoms(q).mask
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_atoms_of_a_subset_are_those_of_its_induced_suborder(n):
+    # every subset of every poset of n elements, and of every labeled quasi
+    # order on n <= 4 points
+    orders = enumerate_posets(n)
+    if n <= 4:
+        orders += [order_from_relation(mat) for mat in all_quasi_orders(n)]
+    for q in orders:
+        for amask in range(1 << n):
+            assert atoms(q, amask).mask == ref_relative_atoms(q, amask), \
+                (q.up_masks, amask)
 
 
 # ---------------------------------------------------------------------------
