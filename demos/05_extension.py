@@ -15,15 +15,15 @@ from latkit.embedding import (
     extend_from_join_dense,
     verify_convexity_transfer,
 )
-from latkit.order import MonotoneMap
+from latkit.order import MonotoneMap, bits
 
 p2, p3 = powerset_lattice(2), powerset_lattice(3)
-basis = [0b00, 0b01, 0b10]  # bottom plus singletons of P(2)
+basis = 0b111  # elements 0b00, 0b01, 0b10: bottom plus singletons of P(2)
 
 print("== reconstruction from the basis ==")
 census = enumerate_embeddings(p2, p3, convex_range=True)
 mm = census.maps[7]
-partial = {b: mm.image[b] for b in basis}
+partial = {b: mm.image[b] for b in bits(basis)}
 print("full map:      ", mm.image)
 print("basis fragment:", partial)
 ext = extend_from_join_dense(p2, basis, partial, p3)
@@ -42,7 +42,7 @@ for key in ("holds", "convex_range", "embedding"):
     print(f"  {key}: {report[key]}")
 
 print("\n== hypothesis violations are named ==")
-thin_target = [0, 1, 2, 4, 7]  # bottom, singletons, top: not preregular
+thin_target = 0b10010111  # bottom, singletons, top: not preregular
 try:
     verify_convexity_transfer(p2, basis, thin_target, p3, {0: 0, 1: 1, 2: 2})
 except HypothesisFailed as exc:

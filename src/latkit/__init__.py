@@ -9,7 +9,6 @@ from .order import (  # noqa: F401
     MonotoneMap,
     OrderError,
     QuasiOrder,
-    Subset,
     asym_quotient,
     atoms,
     build_quasi_order,

@@ -78,7 +78,7 @@ def bowtie() -> QuasiOrder:
 
 
 def powerset_lattice(n: int) -> QuasiOrder:
-    """Subset lattice of an ``n``-element ground set; element = bitmask.
+    """Power-set lattice of an ``n``-element ground set; element = bitmask.
     It is the order of the cube ``C_2^n``, and every call for one ``n``
     returns the same object."""
     return _cube(_count(n, "a ground set's size")).order

@@ -339,11 +339,12 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
                    " for thm-extension-convexity")
     L = builders.powerset_lattice(n)
     M = builders.powerset_lattice(m)
-    basis = [0] + [1 << i for i in range(n)]
+    basis = [0] + [1 << i for i in range(n)]  # the bottom and the singletons
+    bmask = sum(1 << b for b in basis)
     census = embedding.enumerate_embeddings(
         L, M, convex_range=True, budget_nodes=cfg.budget_nodes)
     try:
-        embedding.check_transfer_setting(L, basis, M.full_mask, M)
+        embedding.check_transfer_setting(L, bmask, M.full_mask, M)
         setting = None
     except embedding.HypothesisFailed as exc:
         setting = exc  # no census map changes the setting, so each fails it
@@ -353,7 +354,7 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
             if setting is not None:
                 raise setting
             rep = embedding.verify_transfer_map(
-                L, basis, M.full_mask, M, {b: image[b] for b in basis})
+                L, bmask, M.full_mask, M, {b: image[b] for b in basis})
         except embedding.HypothesisFailed as exc:
             # a census map that fails a hypothesis is a counterexample
             rep = {"holds": False, "hypothesis": exc.hypothesis,
@@ -400,14 +401,14 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
     # embedding.atom_image_check per map: domain atoms once, the atoms of
     # the range once per range; an embedding is injective, so sums of bits
     # are ORs
-    dom_atoms = tuple(order.bits(order.atoms(dom).mask))
+    dom_atoms = tuple(order.bits(order.atoms(dom)))
     range_atoms = {}
     bad = []
     for image in census.images:
         rmask = sum(1 << v for v in image)
         want = range_atoms.get(rmask)
         if want is None:
-            want = range_atoms[rmask] = order.atoms(cod, rmask).mask
+            want = range_atoms[rmask] = order.atoms(cod, rmask)
         if sum(1 << image[a] for a in dom_atoms) != want:
             bad.append(list(image))
     return {
@@ -635,7 +636,7 @@ def _check_preregular(cfg: RunConfig) -> dict:
     obj = cfg.input_json()
     q = parse_order_spec(obj.get("order"))
     subset = order.subset_from_json(q, obj.get("subset", []))
-    report = lattice.subset_report(q, subset.mask)
+    report = lattice.subset_report(q, subset)
     holds = report["preregular_up"]["holds"] and report["preregular_down"]["holds"]
     return {"holds": holds, "report": report}
 
@@ -647,7 +648,7 @@ def _check_classify(cfg: RunConfig) -> dict:
 
 def _check_distributive(cfg: RunConfig) -> dict:
     q = parse_order_spec(cfg.input_json())
-    witness = lattice.distributivity_witness(lattice.lattice_view(q))
+    witness = lattice.distributivity_witness(q)
     return {"holds": witness is None, "witness": witness}
 
 

@@ -35,9 +35,9 @@ from .order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
-    SetLike,
     _Frozen,
     _Value,
+    _check_mask,
     _require_poset,
     _unchecked,
     atoms,
@@ -47,7 +47,6 @@ from .order import (
     intersection_closure,
     linear_extension,
     lower_closure,
-    mask_of,
     sup,
     upper_closure,
 )
@@ -57,11 +56,11 @@ from .lattice import (
     is_basis,
     is_convex,
     is_join_dense,
+    is_lattice,
     is_meet_closed,
     is_preregular,
     is_strongly_interval_predense,
     is_sublattice,
-    lattice_view,
     preregular_masks,
 )
 
@@ -236,11 +235,11 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
         for d, p in enumerate(order)
     ]
     preregular = {}  # range mask -> whether that range is preregular
-    lv = lattice_view(dom)
-    lattice_dom = lv.is_lattice
+    lattice_dom = is_lattice(dom)
     if lattice_dom:
         # (p, q, p v q, p ^ q) for each incomparable pair
-        pairs = [(p, q, lv.join[p][q], lv.meet[p][q])
+        join_d, meet_d = dom.up_index, dom.dual.up_index
+        pairs = [(p, q, join_d[up_d[p] & up_d[q]], meet_d[down_d[p] & down_d[q]])
                  for p in range(n) for q in range(p)
                  if not (up_d[p] >> q & 1 or up_d[q] >> p & 1)]
         join_at, meet_at = cod.up_index, cod.dual.up_index
@@ -393,8 +392,8 @@ def atom_image_check(sigma: MonotoneMap) -> bool:
     """
     if not sigma.is_embedding:
         raise PreconditionFailedError("map is not order reflecting")
-    img_atoms = sigma.image_mask(atoms(sigma.dom).mask)
-    return img_atoms == atoms(sigma.cod, sigma.range_mask).mask
+    img_atoms = sigma.image_mask(atoms(sigma.dom))
+    return img_atoms == atoms(sigma.cod, sigma.range_mask)
 
 
 def preregular_continuity_sweep(max_size: int, *,
@@ -674,7 +673,7 @@ def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
     return _unchecked(MonotoneMap, dom=L, cod=M, image=tuple(image))
 
 
-def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
+def extend_from_join_dense(L: QuasiOrder, D: int, sigma: dict,
                            M: QuasiOrder) -> MonotoneMap:
     """Extend a map off a join-dense meet subsemilattice to all of ``L``.
 
@@ -685,7 +684,7 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
     members of ``D`` below ``p``, which pins it down uniquely wherever that
     set is nonempty.
     """
-    dmask = mask_of(L, D)
+    dmask = _check_mask(L, D)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     _check_sigma_hypotheses(L, dmask, sigma, M)
     out = _sup_extension(L, dmask, sigma, M)
@@ -696,22 +695,20 @@ def extend_from_join_dense(L: QuasiOrder, D: SetLike, sigma: dict,
     return out
 
 
-def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
+def check_transfer_setting(L: QuasiOrder, B: int, E: int,
                            M: QuasiOrder):
     """The hypotheses of :func:`verify_convexity_transfer` that do not
     involve ``sigma``, in its order, raising :class:`HypothesisFailed`.
     ``M`` is flat-complete once ``M-lattice`` holds: in a finite lattice
     every subset, flat or not, has a supremum."""
-    bmask = mask_of(L, B)
-    emask = mask_of(M, E)
+    bmask = _check_mask(L, B)
+    emask = _check_mask(M, E)
     _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
-    lv_l = lattice_view(L)
-    _hypothesis("L-lattice", lv_l.is_lattice)
-    _hypothesis("L-jid", check_jid(lv_l)["holds"])
+    _hypothesis("L-lattice", is_lattice(L))
+    _hypothesis("L-jid", check_jid(L)["holds"])
     _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
-    lv_m = lattice_view(M)
-    _hypothesis("M-lattice", lv_m.is_lattice)
-    _hypothesis("M-jid", check_jid(lv_m)["holds"])
+    _hypothesis("M-lattice", is_lattice(M))
+    _hypothesis("M-jid", check_jid(M)["holds"])
     bottom = sup(L, 0)
     _hypothesis("B-contains-0", bottom is not None and (bmask >> bottom) & 1)
     _hypothesis("B-meet-subsemilattice", is_meet_closed(L, bmask))
@@ -723,12 +720,12 @@ def check_transfer_setting(L: QuasiOrder, B: SetLike, E: SetLike,
     _hypothesis("E-sublattice", is_sublattice(M, emask))
 
 
-def verify_transfer_map(L: QuasiOrder, B: SetLike, E: SetLike,
+def verify_transfer_map(L: QuasiOrder, B: int, E: int,
                         M: QuasiOrder, sigma: dict) -> dict:
     """The ``sigma-*`` hypotheses of :func:`verify_convexity_transfer` and
     its report, in a setting that :func:`check_transfer_setting` passed."""
-    bmask = mask_of(L, B)
-    emask = mask_of(M, E)
+    bmask = _check_mask(L, B)
+    emask = _check_mask(M, E)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     _hypothesis("sigma-defined-on-B", set(sigma) == set(bits(bmask)))
     rng_mask = 0
@@ -738,7 +735,7 @@ def verify_transfer_map(L: QuasiOrder, B: SetLike, E: SetLike,
     _hypothesis("sigma-embedding", all(
         M.le(sigma[a], sigma[b]) == L.le(a, b)
         for a in bits(bmask) for b in bits(bmask)))
-    hull = upper_closure(M, rng_mask).mask & lower_closure(M, rng_mask).mask
+    hull = upper_closure(M, rng_mask) & lower_closure(M, rng_mask)
     _hypothesis("sigma-convex-in-E", hull & emask & ~rng_mask == 0)
     _check_sigma_bounds(L, bmask, sigma, M)
 
@@ -756,7 +753,7 @@ def verify_transfer_map(L: QuasiOrder, B: SetLike, E: SetLike,
     }
 
 
-def verify_convexity_transfer(L: QuasiOrder, B: SetLike, E: SetLike,
+def verify_convexity_transfer(L: QuasiOrder, B: int, E: int,
                               M: QuasiOrder, sigma: dict) -> dict:
     """Extension of a convex-range embedding off a basis stays convex.
 

@@ -1,23 +1,23 @@
 """Classification of finite posets and of their subsets.
 
-Subset properties (convexity, preregularity, order closedness, density
-variants) are all evaluated against an explicitly given ambient order;
-suprema and atoms *inside* a subset use the ambient relation restricted to
-the subset, never a parent's join table.
+A subset is an int bitmask.  Its properties (convexity, preregularity,
+order closedness, density variants) are all evaluated against an explicitly
+given ambient order; suprema and atoms *inside* a subset use the ambient
+relation restricted to the subset.  No join or meet table is kept: the join
+of ``a`` and ``b`` is ``up_index.get(up[a] & up[b])``, the least element of
+their common upper bounds, and meets read the dual.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_
 from typing import Callable, Optional
 
 from .order import (
     OrderError,
     QuasiOrder,
-    SetLike,
-    Subset,
-    _Frozen,
+    _check_mask,
     _require_poset,
     _unchecked,
     _upper_bounds,
@@ -27,7 +27,6 @@ from .order import (
     least_element,
     linear_extension,
     lower_closure,
-    mask_of,
     positive_part,
     sup,
     upper_closure,
@@ -35,8 +34,6 @@ from .order import (
 )
 
 __all__ = [
-    "LatticeView",
-    "lattice_view",
     "classify",
     "is_lattice",
     "is_distributive",
@@ -78,44 +75,10 @@ __all__ = [
 MAX_PREREGULAR_WALK = 10
 
 
-class LatticeView(_Frozen):
-    """Partial join/meet tables over a poset, as tuples of rows; ``-1``
-    marks a missing bound."""
-
-    def __init__(self, base: QuasiOrder, join: tuple, meet: tuple):
-        fields = self.__dict__
-        fields["base"] = base
-        fields["join"] = join
-        fields["meet"] = meet
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @cached_property
-    def is_lattice(self) -> bool:
-        return all(v >= 0 for table in (self.join, self.meet)
-                   for row in table for v in row)
-
-
-def lattice_view(q: QuasiOrder) -> LatticeView:
-    """Build the join and meet tables, which the order does not keep: ``c``
-    is the join of ``a`` and ``b`` iff ``up[a] & up[b] == up[c]`` (as in
-    :func:`is_lattice`), so each entry is one ``up_index`` lookup; meets
-    read the dual."""
-    if not q.is_poset:
-        raise OrderError("lattice view requires a partial order")
-    tables = []
-    for o in (q, q.dual):
-        masks, at = o.up_masks, o.up_index
-        tables.append(tuple([tuple([at.get(a & b, -1) for b in masks])
-                             for a in masks]))
-    return LatticeView(q, *tables)
-
-
 def is_lattice(q: QuasiOrder) -> bool:
-    """Whether a finite poset is a lattice, without a ``LatticeView``: the
-    up-set ``up[a] & up[b]`` has a least element ``c`` iff it is ``up[c]``."""
+    """Whether a finite poset is a lattice: the up-set ``up[a] & up[b]``
+    has a least element ``c`` iff it is ``up[c]``, one ``up_index`` lookup
+    per pair, and dually for meets."""
     if not q.is_poset:
         raise OrderError("lattice test requires a partial order")
     ups, downs = q.up_masks, q.down_masks
@@ -163,18 +126,29 @@ def classify(q: QuasiOrder) -> dict:
     }
 
 
-def _require_lattice(lv: LatticeView):
-    if not lv.is_lattice:
+def _require_lattice(q: QuasiOrder):
+    if not is_lattice(q):
         raise OrderError("operation requires a lattice")
 
 
-def distributivity_witness(lv: LatticeView) -> Optional[dict]:
+def _join(q: QuasiOrder):
+    """The join of two elements of the lattice ``q`` as a function: the
+    least element of ``up[a] & up[b]``, one lookup.  ``_join(q.dual)`` is
+    the meet."""
+    up, at = q.up_masks, q.up_index
+    return lambda a, b: at[up[a] & up[b]]
+
+
+def distributivity_witness(q: QuasiOrder) -> Optional[dict]:
     """The first triple ``{"a", "b", "c"}``, with ``a``, then ``b``, then
     ``c`` ascending, at which either distributive identity fails, or
-    ``None``."""
-    _require_lattice(lv)
-    n = lv.size
-    J, M = lv.join, lv.meet
+    ``None``.  The scan reads ``n**3`` triples, so it builds the join and
+    meet tables first."""
+    _require_lattice(q)
+    join, meet = _join(q), _join(q.dual)
+    n = q.size
+    J = [[join(a, b) for b in range(n)] for a in range(n)]
+    M = [[meet(a, b) for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -184,9 +158,9 @@ def distributivity_witness(lv: LatticeView) -> Optional[dict]:
     return None
 
 
-def is_distributive(lv: LatticeView) -> bool:
+def is_distributive(q: QuasiOrder) -> bool:
     """Both distributive identities over all triples."""
-    return distributivity_witness(lv) is None
+    return distributivity_witness(q) is None
 
 
 def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
@@ -221,37 +195,36 @@ def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
     return n * ((1 << n) - 1), None
 
 
-def _infinite_distributive(lv: LatticeView, dual: bool) -> dict:
-    _require_lattice(lv)
-    table = lv.join if dual else lv.meet
-    checked, hit = set_distributivity_failure(lv.base.dual if dual else lv.base,
-                                              lambda a, b: table[a][b])
+def _infinite_distributive(q: QuasiOrder, dual: bool) -> dict:
+    _require_lattice(q)
+    o = q.dual if dual else q
+    checked, hit = set_distributivity_failure(o, _join(o.dual))
     witness = None if hit is None else {"a": hit[0], "B": list(bits(hit[1]))}
     return {"holds": hit is None, "mode": "exhaustive", "checked": checked,
             "witness": witness}
 
 
-def check_jid(lv: LatticeView) -> dict:
+def check_jid(q: QuasiOrder) -> dict:
     """Join-infinite distributivity: a ^ vB = v(a ^ B) for every nonempty
     B whose supremum exists.  Exact at every size; the witness is the first
     violating ``(a, B)`` with ``a`` ascending, then the mask ``B``
     ascending, and ``checked`` counts the pairs that order reaches."""
-    return _infinite_distributive(lv, False)
+    return _infinite_distributive(q, False)
 
 
-def check_mid(lv: LatticeView) -> dict:
+def check_mid(q: QuasiOrder) -> dict:
     """Meet-infinite distributivity, the dual of :func:`check_jid`."""
-    return _infinite_distributive(lv, True)
+    return _infinite_distributive(q, True)
 
 
 # ---------------------------------------------------------------------------
 # subset properties
 
 
-def convexity_witness(q: QuasiOrder, A: SetLike) -> Optional[dict]:
+def convexity_witness(q: QuasiOrder, A: int) -> Optional[dict]:
     """A triple ``p <= r <= q`` with endpoints in ``A`` and ``r`` outside,
     or ``None`` when ``A`` is convex."""
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     for p in bits(m):
         for r in bits(m):
             gap = (q.up_masks[p] & q.down_masks[r]) & ~m
@@ -261,13 +234,13 @@ def convexity_witness(q: QuasiOrder, A: SetLike) -> Optional[dict]:
     return None
 
 
-def is_convex(q: QuasiOrder, A: SetLike) -> bool:
+def is_convex(q: QuasiOrder, A: int) -> bool:
     """``A`` is convex iff it is the intersection of its up-closure and its
     down-closure: that intersection is the union of the intervals
     ``[p, r]`` with ``p, r`` in ``A``, which :func:`convexity_witness`
     scans pair by pair to name a gap, here one pass over ``A``."""
-    m = mask_of(q, A)
-    return upper_closure(q, m).mask & lower_closure(q, m).mask == m
+    m = _check_mask(q, A)
+    return upper_closure(q, m) & lower_closure(q, m) == m
 
 
 def convex_subsets(q: QuasiOrder) -> list:
@@ -282,20 +255,20 @@ def convex_subsets(q: QuasiOrder) -> list:
     return sorted({u & d for u in upper_sets(q) for d in downs})
 
 
-def sup_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
+def sup_in_subset(q: QuasiOrder, A: int, B: int) -> Optional[int]:
     """Supremum of ``B`` computed inside the induced suborder on ``A``."""
-    amask = mask_of(q, A)
-    bmask = mask_of(q, B)
+    amask = _check_mask(q, A)
+    bmask = _check_mask(q, B)
     if bmask & ~amask:
         raise OrderError("B must be a subset of A")
     return least_element(q, amask & _upper_bounds(q, bmask))
 
 
-def inf_in_subset(q: QuasiOrder, A: SetLike, B: SetLike) -> Optional[int]:
-    return sup_in_subset(q.dual, mask_of(q, A), mask_of(q, B))
+def inf_in_subset(q: QuasiOrder, A: int, B: int) -> Optional[int]:
+    return sup_in_subset(q.dual, A, B)
 
 
-def preregularity_witness(q: QuasiOrder, A: SetLike, upwards: bool) -> Optional[dict]:
+def preregularity_witness(q: QuasiOrder, A: int, upwards: bool) -> Optional[dict]:
     """A nonempty ``B`` whose bound inside ``A`` disagrees with the ambient
     one (including the case where the ambient bound does not exist).
 
@@ -305,7 +278,7 @@ def preregularity_witness(q: QuasiOrder, A: SetLike, upwards: bool) -> Optional[
     lookup, and when it lies in ``A`` it is also the bound inside ``A``.
     The witness is the numerically largest violating ``B``.
     """
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     if m:
         _require_poset(q)
     o = q if upwards else q.dual
@@ -324,17 +297,16 @@ def preregularity_witness(q: QuasiOrder, A: SetLike, upwards: bool) -> Optional[
     return {"B": list(bits(b)), "in_subset": a, "in_ambient": p}
 
 
-def is_upwards_preregular(q: QuasiOrder, A: SetLike) -> bool:
+def is_upwards_preregular(q: QuasiOrder, A: int) -> bool:
     return preregularity_witness(q, A, upwards=True) is None
 
 
-def is_downwards_preregular(q: QuasiOrder, A: SetLike) -> bool:
+def is_downwards_preregular(q: QuasiOrder, A: int) -> bool:
     return preregularity_witness(q, A, upwards=False) is None
 
 
-def is_preregular(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    return is_upwards_preregular(q, m) and is_downwards_preregular(q, m)
+def is_preregular(q: QuasiOrder, A: int) -> bool:
+    return is_upwards_preregular(q, A) and is_downwards_preregular(q, A)
 
 
 def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
@@ -444,7 +416,7 @@ def preregular_masks(q: QuasiOrder, masks=None) -> list:
     return [m for m in family if m in ups and m in downs]
 
 
-def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
+def order_closed_checks(q: QuasiOrder, A: int) -> dict:
     """Order-closedness verdicts for ``A``.
 
     ``up_boc``: ambient sups of nonempty subsets that are bounded inside
@@ -453,7 +425,7 @@ def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
     bounds, one per member of :func:`intersection_closure`, whose ambient
     bound is an ``up_index`` lookup.
     """
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     if m:
         _require_poset(q)
     boc, oc = {}, {}
@@ -469,12 +441,12 @@ def order_closed_checks(q: QuasiOrder, A: SetLike) -> dict:
             "up_oc": oc["up"], "down_oc": oc["down"]}
 
 
-def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
+def order_closure_up(q: QuasiOrder, A: int) -> int:
     """All ambient suprema of subsets of ``A`` (the empty supremum, i.e. the
-    minimum, included when it exists).  ``order_closure_up(q, ()) = ()``."""
-    m = mask_of(q, A)
+    minimum, included when it exists).  ``order_closure_up(q, 0) = 0``."""
+    m = _check_mask(q, A)
     if not m:
-        return Subset(q, 0)
+        return 0
     _require_poset(q)
     out = 0
     # every element bounds the empty subset, whose supremum is the minimum
@@ -482,12 +454,12 @@ def order_closure_up(q: QuasiOrder, A: SetLike) -> Subset:
         s = q.up_index.get(ub)
         if s is not None:
             out |= 1 << s
-    return Subset(q, out)
+    return out
 
 
-def is_flat(q: QuasiOrder, A: SetLike) -> bool:
+def is_flat(q: QuasiOrder, A: int) -> bool:
     """All pairwise meets of distinct members exist and coincide."""
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     items = list(bits(m))
     if len(items) <= 1:
         return q.size > 0
@@ -505,22 +477,22 @@ def is_flat(q: QuasiOrder, A: SetLike) -> bool:
 # density notions
 
 
-def is_dense(q: QuasiOrder, D: SetLike) -> bool:
+def is_dense(q: QuasiOrder, D: int) -> bool:
     """Every nonminimal element has a nonminimal member of ``D`` below it."""
-    dmask = mask_of(q, D) & positive_part(q).mask
-    return all(dmask & q.down_masks[p] for p in bits(positive_part(q).mask))
+    dmask = _check_mask(q, D) & positive_part(q)
+    return all(dmask & q.down_masks[p] for p in bits(positive_part(q)))
 
 
-def is_join_dense(q: QuasiOrder, D: SetLike) -> bool:
+def is_join_dense(q: QuasiOrder, D: int) -> bool:
     """Every element is the supremum of the members of ``D`` below it."""
-    dmask = mask_of(q, D)
+    dmask = _check_mask(q, D)
     return all(sup(q, dmask & q.down_masks[p]) == p for p in range(q.size))
 
 
-def is_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
+def is_interval_predense(q: QuasiOrder, D: int) -> bool:
     """Every strict pair ``p < q`` is separated: some ``d`` in ``D`` has
     ``d <= q`` but not ``d <= p``."""
-    dmask = mask_of(q, D)
+    dmask = _check_mask(q, D)
     for p in range(q.size):
         for r in range(q.size):
             if q.lt(p, r) and dmask & q.down_masks[r] & ~q.down_masks[p] == 0:
@@ -528,19 +500,19 @@ def is_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
     return True
 
 
-def is_strongly_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
+def is_strongly_interval_predense(q: QuasiOrder, D: int) -> bool:
     """Interval predensity with the separating element's meet against ``p``
     required to fall back into ``D``."""
-    lv = lattice_view(q)
-    _require_lattice(lv)
-    dmask = mask_of(q, D)
+    _require_lattice(q)
+    dmask = _check_mask(q, D)
+    meet = _join(q.dual)
     for p in range(q.size):
         for r in range(q.size):
             if not q.lt(p, r):
                 continue
             ok = False
             for d in bits(dmask & q.down_masks[r]):
-                dp = lv.meet[d][p]
+                dp = meet(d, p)
                 if dp != d and (dmask >> dp) & 1:
                     ok = True
                     break
@@ -549,9 +521,9 @@ def is_strongly_interval_predense(q: QuasiOrder, D: SetLike) -> bool:
     return True
 
 
-def is_meet_closed(q: QuasiOrder, A: SetLike) -> bool:
+def is_meet_closed(q: QuasiOrder, A: int) -> bool:
     """Pairwise ambient meets of members exist and stay in ``A``."""
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     items = list(bits(m))
     for i, a in enumerate(items):
         for b in items[i:]:
@@ -561,20 +533,19 @@ def is_meet_closed(q: QuasiOrder, A: SetLike) -> bool:
     return True
 
 
-def is_join_closed(q: QuasiOrder, A: SetLike) -> bool:
-    return is_meet_closed(q.dual, mask_of(q, A))
+def is_join_closed(q: QuasiOrder, A: int) -> bool:
+    return is_meet_closed(q.dual, A)
 
 
-def is_sublattice(q: QuasiOrder, A: SetLike) -> bool:
-    m = mask_of(q, A)
-    return is_meet_closed(q, m) and is_join_closed(q, m)
+def is_sublattice(q: QuasiOrder, A: int) -> bool:
+    return is_meet_closed(q, A) and is_join_closed(q, A)
 
 
-def is_meet_subsemilattice(q: QuasiOrder, A: SetLike) -> bool:
+def is_meet_subsemilattice(q: QuasiOrder, A: int) -> bool:
     """Meets computed inside ``A`` agree with ambient meets whenever both
     exist.  (Weaker than meet-closedness: pairs with no meet inside ``A``
     pass vacuously, so e.g. an antichain qualifies.)"""
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     items = list(bits(m))
     for i, a in enumerate(items):
         for b in items[i:]:
@@ -587,24 +558,24 @@ def is_meet_subsemilattice(q: QuasiOrder, A: SetLike) -> bool:
     return True
 
 
-def _antichain_decomposition(lv: LatticeView, dmask: int, target: int,
+def _antichain_decomposition(q: QuasiOrder, dmask: int, target: int,
                              bottom: int) -> bool:
     """Search a pairwise-incompatible family inside ``D`` below ``target``
     with supremum ``target``; the empty family covers the bottom."""
-    q = lv.base
     if target == bottom:
         return True
     cands = [d for d in bits(dmask & q.down_masks[target])]
+    join, meet = _join(q), _join(q.dual)
 
     def extend(start: int, chosen: tuple, current: Optional[int]) -> bool:
         if current == target:
             return True
         for k in range(start, len(cands)):
             d = cands[k]
-            if any(lv.meet[d][c] != bottom for c in chosen):
+            if any(meet(d, c) != bottom for c in chosen):
                 continue
-            nxt = d if current is None else lv.join[current][d]
-            if nxt < 0 or not q.le(nxt, target):
+            nxt = d if current is None else join(current, d)
+            if not q.le(nxt, target):
                 continue
             if extend(k + 1, chosen + (d,), nxt):
                 return True
@@ -613,25 +584,24 @@ def _antichain_decomposition(lv: LatticeView, dmask: int, target: int,
     return extend(0, (), None)
 
 
-def is_basis(q: QuasiOrder, D: SetLike) -> bool:
+def is_basis(q: QuasiOrder, D: int) -> bool:
     """``D`` is a meet subsemilattice and every element is the supremum of a
     pairwise-incompatible family from ``D``.  Requires a pointed lattice."""
-    lv = lattice_view(q)
-    _require_lattice(lv)
+    _require_lattice(q)
     bottom = sup(q, 0)
     if bottom is None:
         raise OrderError("basis check requires a pointed lattice")
-    dmask = mask_of(q, D)
+    dmask = _check_mask(q, D)
     if not is_meet_subsemilattice(q, dmask):
         return False
     return all(
-        _antichain_decomposition(lv, dmask, a, bottom) for a in range(q.size)
+        _antichain_decomposition(q, dmask, a, bottom) for a in range(q.size)
     )
 
 
-def density_checks(q: QuasiOrder, D: SetLike) -> dict:
+def density_checks(q: QuasiOrder, D: int) -> dict:
     """All five density verdicts for ``D`` inside a pointed lattice."""
-    dmask = mask_of(q, D)
+    dmask = _check_mask(q, D)
     return {
         "dense": is_dense(q, dmask),
         "join_dense": is_join_dense(q, dmask),
@@ -641,7 +611,7 @@ def density_checks(q: QuasiOrder, D: SetLike) -> dict:
     }
 
 
-def covers_of_bottom(q: QuasiOrder) -> Subset:
+def covers_of_bottom(q: QuasiOrder) -> int:
     """Elements directly above the minimum (the classical atom notion for
     Boolean algebras: nonzero with nothing strictly between 0 and them)."""
     bottom = sup(q, 0)
@@ -653,12 +623,12 @@ def covers_of_bottom(q: QuasiOrder) -> Subset:
             not q.lt(bottom, r) for r in bits(q.down_masks[p] & ~(1 << p))
         ):
             out |= 1 << p
-    return Subset(q, out)
+    return out
 
 
-def subset_report(q: QuasiOrder, A: SetLike) -> dict:
+def subset_report(q: QuasiOrder, A: int) -> dict:
     """JSON-ready verdicts ``{property: {holds, witness}}`` for a subset."""
-    m = mask_of(q, A)
+    m = _check_mask(q, A)
     report = {}
     w = convexity_witness(q, m)
     report["convex"] = {"holds": w is None, "witness": w}

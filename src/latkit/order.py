@@ -1,26 +1,26 @@
 """Finite quasi orders and posets on integer carriers.
 
 The carrier of an order is always ``range(size)``, and the relation is
-stored once, as the tuple of up-set bitmasks.  Subsets of the carrier
-travel as int bitmasks, wrapped in :class:`Subset` at the public surface.
-The relation cannot be changed after construction, and an order keeps only
-values derived from it alone (``down_masks``, ``dual``, ``is_poset``,
-``full_mask``, ``up_index``); this module imports no other module of the
-package.  Orders and maps derived from checked ones (the dual, an induced
-suborder, an embedding a census proved) are built by :func:`_unchecked`;
-the public constructors check every input.
+stored once, as the tuple of up-set bitmasks.  Subsets of the carrier are
+int bitmasks, in and out; index lists become masks only at the JSON
+boundary (:func:`subset_from_json`).  The relation cannot be changed after
+construction, and an order keeps only values derived from it alone
+(``down_masks``, ``dual``, ``is_poset``, ``full_mask``, ``up_index``); this
+module imports no other module of the package.  Orders and maps derived
+from checked ones (the dual, an induced suborder, an embedding a census
+proved) are built by :func:`_unchecked`; the public constructors check
+every input.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "OrderError",
     "QuasiOrder",
-    "Subset",
     "MonotoneMap",
     "build_quasi_order",
     "is_partial_order",
@@ -40,7 +40,6 @@ __all__ = [
     "bits",
     "intersection_closure",
     "MAX_CLOSURE_SIZE",
-    "mask_of",
     "order_to_json",
     "order_from_json",
     "subset_from_json",
@@ -219,58 +218,11 @@ class QuasiOrder(_Frozen):
         return f"QuasiOrder(size={self.size})"
 
 
-SetLike = Union["Subset", int, Iterable[int]]
-
-
-class Subset(_Value):
-    """A bitmask subset of a quasi order's carrier."""
-
-    def __init__(self, order: QuasiOrder, mask: int):
-        if mask & ~order.full_mask:
-            raise OrderError("subset mask has bits outside the carrier")
-        fields = self.__dict__
-        fields["order"] = order
-        fields["mask"] = mask
-
-    def _key(self) -> tuple:
-        return self.order, self.mask
-
-    @classmethod
-    def from_indices(cls, order: QuasiOrder, indices: Iterable[int]) -> "Subset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < order.size:
-                raise IndexError(f"element {i} out of range")
-            mask |= 1 << i
-        return cls(order, mask)
-
-    def indices(self) -> tuple:
-        return tuple(bits(self.mask))
-
-    def __iter__(self) -> Iterator[int]:
-        return bits(self.mask)
-
-    def __contains__(self, p: int) -> bool:
-        return bool((self.mask >> p) & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self):
-        return f"Subset{self.indices()}"
-
-
-def mask_of(order: QuasiOrder, A: SetLike) -> int:
-    """Coerce a :class:`Subset`, bitmask int, or index iterable to a bitmask."""
-    if isinstance(A, Subset):
-        if A.order is not order:
-            raise OrderError("subset belongs to a different order")
-        return A.mask
-    if isinstance(A, int):
-        if A & ~order.full_mask:
-            raise OrderError("mask has bits outside the carrier")
-        return A
-    return Subset.from_indices(order, A).mask
+def _check_mask(q: QuasiOrder, mask: int) -> int:
+    """``mask``, after checking that it has no bits outside ``q``'s carrier."""
+    if mask & ~q.full_mask:
+        raise OrderError("mask has bits outside the carrier")
+    return mask
 
 
 class MonotoneMap(_Frozen):
@@ -334,11 +286,11 @@ class MonotoneMap(_Frozen):
         """The range is convex: it is the intersection of its up-closure and
         its down-closure."""
         r = self.range_mask
-        return upper_closure(self.cod, r).mask & lower_closure(self.cod, r).mask == r
+        return upper_closure(self.cod, r) & lower_closure(self.cod, r) == r
 
-    def image_mask(self, A: SetLike) -> int:
+    def image_mask(self, A: int) -> int:
         m = 0
-        for p in bits(mask_of(self.dom, A)):
+        for p in bits(_check_mask(self.dom, A)):
             m |= 1 << self.image[p]
         return m
 
@@ -412,14 +364,14 @@ def _upper_bounds(q: QuasiOrder, mask: int) -> int:
     return ub
 
 
-def sup(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
+def sup(q: QuasiOrder, A: int = 0) -> Optional[int]:
     """Least upper bound of ``A``, or ``None`` when it does not exist.
 
-    ``sup(q, ())`` is the minimum element of the whole order, if any.  The
+    ``sup(q, 0)`` is the minimum element of the whole order, if any.  The
     upper bounds form an up-set, so the bound is one ``up_index`` lookup.
     """
     _require_poset(q)
-    return q.up_index.get(_upper_bounds(q, mask_of(q, A)))
+    return q.up_index.get(_upper_bounds(q, _check_mask(q, A)))
 
 
 def least_element(q: QuasiOrder, mask: int) -> Optional[int]:
@@ -440,31 +392,31 @@ def least_element(q: QuasiOrder, mask: int) -> Optional[int]:
     return None
 
 
-def inf(q: QuasiOrder, A: SetLike = 0) -> Optional[int]:
-    """Greatest lower bound of ``A``; ``inf(q, ())`` is the maximum, if any."""
-    return sup(q.dual, mask_of(q, A))
+def inf(q: QuasiOrder, A: int = 0) -> Optional[int]:
+    """Greatest lower bound of ``A``; ``inf(q, 0)`` is the maximum, if any."""
+    return sup(q.dual, A)
 
 
-def minimal_elements(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+def minimal_elements(q: QuasiOrder, A: Optional[int] = None) -> int:
     """Members of ``A`` (default: the carrier) with no member of ``A``
     strictly below them: ``down(p) & A`` lies inside ``up(p)``."""
-    m = q.full_mask if A is None else mask_of(q, A)
+    m = q.full_mask if A is None else _check_mask(q, A)
     up, down = q.up_masks, q.down_masks
     out = 0
     for p in bits(m):
         if not down[p] & m & ~up[p]:
             out |= 1 << p
-    return Subset(q, out)
+    return out
 
 
-def positive_part(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+def positive_part(q: QuasiOrder, A: Optional[int] = None) -> int:
     """The members of ``A`` (default: the carrier) that are not minimal in
     ``A``."""
-    m = q.full_mask if A is None else mask_of(q, A)
-    return Subset(q, m & ~minimal_elements(q, m).mask)
+    m = q.full_mask if A is None else _check_mask(q, A)
+    return m & ~minimal_elements(q, m)
 
 
-def atoms(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
+def atoms(q: QuasiOrder, A: Optional[int] = None) -> int:
     """Atoms of the suborder on ``A`` (default: the carrier): its
     nonminimal elements that cannot be split into an incompatible pair.
 
@@ -473,38 +425,38 @@ def atoms(q: QuasiOrder, A: Optional[SetLike] = None) -> Subset:
     element of a chain is an atom.  The suborder's relation is ``q``'s
     restricted to ``A``, so its masks are ``q``'s ANDed with ``A``.
     """
-    pos = positive_part(q, A).mask
+    pos = positive_part(q, A)
     down = q.down_masks
     out = 0
     for p in bits(pos):
         below = [down[a] & pos for a in bits(down[p] & pos)]
         if all(a & b for i, a in enumerate(below) for b in below[i + 1:]):
             out |= 1 << p
-    return Subset(q, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # subsets derived from the order
 
 
-def interval(q: QuasiOrder, p: int, r: int) -> Subset:
+def interval(q: QuasiOrder, p: int, r: int) -> int:
     """The interval ``[p, r] = {s : p <= s <= r}``."""
-    return Subset(q, q.up_masks[p] & q.down_masks[r])
+    return q.up_masks[p] & q.down_masks[r]
 
 
-def upper_closure(q: QuasiOrder, A: SetLike) -> Subset:
+def upper_closure(q: QuasiOrder, A: int) -> int:
     """Upper set generated by ``A``: everything above some member."""
     m = 0
-    for a in bits(mask_of(q, A)):
+    for a in bits(_check_mask(q, A)):
         m |= q.up_masks[a]
-    return Subset(q, m)
+    return m
 
 
-def lower_closure(q: QuasiOrder, A: SetLike) -> Subset:
+def lower_closure(q: QuasiOrder, A: int) -> int:
     m = 0
-    for a in bits(mask_of(q, A)):
+    for a in bits(_check_mask(q, A)):
         m |= q.down_masks[a]
-    return Subset(q, m)
+    return m
 
 
 def upper_sets(q: QuasiOrder) -> tuple:
@@ -523,13 +475,13 @@ def upper_sets(q: QuasiOrder) -> tuple:
     return tuple(sorted(full & ~d for d in downs))
 
 
-def induced_suborder(q: QuasiOrder, A: SetLike):
+def induced_suborder(q: QuasiOrder, A: int):
     """Restrict the order to ``A``.
 
     Returns ``(suborder, elements)`` where ``elements[i]`` is the carrier
     index represented by ``i`` in the suborder.
     """
-    elems = tuple(bits(mask_of(q, A)))
+    elems = tuple(bits(_check_mask(q, A)))
     up = tuple(sum(1 << j for j, b in enumerate(elems) if q.up_masks[a] >> b & 1)
                for a in elems)
     # the restriction of a reflexive and transitive relation is one, and
@@ -574,8 +526,9 @@ def order_from_json(obj: dict) -> QuasiOrder:
     return build_quasi_order(size, pairs)
 
 
-def subset_from_json(order: QuasiOrder, arr) -> Subset:
-    """Read a list of element indices, each an integer in the carrier."""
+def subset_from_json(order: QuasiOrder, arr) -> int:
+    """Read a list of element indices, each an integer in the carrier, as
+    the mask of those elements."""
     if not isinstance(arr, list) or not all(_is_index(i, order.size) for i in arr):
         raise OrderError(f"subset must be a list of integers in range({order.size})")
-    return Subset.from_indices(order, arr)
+    return sum(1 << i for i in set(arr))

@@ -9,11 +9,13 @@ per-law loops over drawn vectors of ``N^d`` that the scalar grid of the
 monoid laws replaced, the monoid laws of a finite table, each in its
 own loop over every instance, and the derived structures that the library
 no longer builds: the atoms of a subset through its induced suborder, the
-pair-class search of a group completion, and the order flags read off the
-join and meet tables."""
+pair-class search of a group completion, the join and meet tables of a
+poset, and the order flags, distributivity, strong interval predensity and
+basis checks read off those tables."""
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from latkit.embedding import (
     BudgetExceededError,
@@ -24,9 +26,10 @@ from latkit.embedding import (
 from latkit.lattice import (
     is_convex,
     is_lattice,
+    is_meet_subsemilattice,
     is_preregular,
-    lattice_view,
     order_closed_checks,
+    set_distributivity_failure,
 )
 from latkit.monoid import (
     MAX_SAMPLED_SET_SIZE,
@@ -47,7 +50,6 @@ from latkit.order import (
     induced_suborder,
     inf,
     lower_closure,
-    mask_of,
     sup,
 )
 
@@ -61,7 +63,7 @@ def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
         "embedding": True,
         "convex_range": is_convex(cod, rmask),
         "preregular_range": is_preregular(cod, rmask),
-        "downward_closed_range": lower_closure(cod, rmask).mask == rmask,
+        "downward_closed_range": lower_closure(cod, rmask) == rmask,
     }
 
 
@@ -159,9 +161,8 @@ def random_lattice(n: int, rng: random.Random, edge_prob: float = 0.4) -> QuasiO
             return q
 
 
-def is_directed(q: QuasiOrder, A) -> bool:
-    """Nonempty, and every two members have a common upper bound in ``A``."""
-    m = mask_of(q, A)
+def is_directed(q: QuasiOrder, m: int) -> bool:
+    """Nonempty, and every two members have a common upper bound in ``m``."""
     if not m:
         return False
     items = list(bits(m))
@@ -172,8 +173,8 @@ def is_directed(q: QuasiOrder, A) -> bool:
     return True
 
 
-def is_bounded_above(q: QuasiOrder, A) -> bool:
-    return _upper_bounds(q, mask_of(q, A)) != 0
+def is_bounded_above(q: QuasiOrder, m: int) -> bool:
+    return _upper_bounds(q, m) != 0
 
 
 def order_from_relation(rel) -> QuasiOrder:
@@ -423,13 +424,101 @@ def ref_group_completion(m: FiniteMonoid) -> GroupCompletion:
     return GroupCompletion(m, group, tuple(reps), embedding, pair_class)
 
 
+def ref_lattice_view(q: QuasiOrder) -> SimpleNamespace:
+    """The join and meet tables of a poset, as tuples of rows with ``-1``
+    for a missing bound (``c`` is the join of ``a`` and ``b`` iff
+    ``up[a] & up[b] == up[c]``; meets read the dual), and whether every
+    entry exists."""
+    if not q.is_poset:
+        raise OrderError("lattice view requires a partial order")
+    tables = []
+    for o in (q, q.dual):
+        masks, at = o.up_masks, o.up_index
+        tables.append(tuple(tuple(at.get(a & b, -1) for b in masks) for a in masks))
+    return SimpleNamespace(
+        base=q, join=tables[0], meet=tables[1],
+        is_lattice=all(v >= 0 for table in tables for row in table for v in row))
+
+
+def _ref_require_lattice(lv: SimpleNamespace):
+    if not lv.is_lattice:
+        raise OrderError("operation requires a lattice")
+
+
+def ref_distributivity_witness(lv: SimpleNamespace):
+    """The first triple, ``a``, then ``b``, then ``c`` ascending, at which
+    either distributive identity fails on the tables, or ``None``."""
+    _ref_require_lattice(lv)
+    n = lv.base.size
+    J, M = lv.join, lv.meet
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if (M[a][J[b][c]] != J[M[a][b]][M[a][c]]
+                or J[a][M[b][c]] != M[J[a][b]][J[a][c]]):
+            return {"a": a, "b": b, "c": c}
+    return None
+
+
+def ref_table_infinite_distributive(lv: SimpleNamespace, dual: bool) -> dict:
+    """``check_jid`` (``check_mid`` with ``dual``) with the meet (join)
+    read off the tables."""
+    _ref_require_lattice(lv)
+    table = lv.join if dual else lv.meet
+    checked, hit = set_distributivity_failure(lv.base.dual if dual else lv.base,
+                                              lambda a, b: table[a][b])
+    witness = None if hit is None else {"a": hit[0], "B": list(bits(hit[1]))}
+    return {"holds": hit is None, "mode": "exhaustive", "checked": checked,
+            "witness": witness}
+
+
+def ref_is_strongly_interval_predense(lv: SimpleNamespace, dmask: int) -> bool:
+    """Every strict pair ``p < r`` has a ``d <= r`` in ``D`` whose table
+    meet with ``p`` is another member of ``D``."""
+    _ref_require_lattice(lv)
+    q = lv.base
+    return all(
+        any(lv.meet[d][p] != d and dmask >> lv.meet[d][p] & 1
+            for d in bits(dmask & q.down_masks[r]))
+        for p in range(q.size) for r in range(q.size) if q.lt(p, r))
+
+
+def ref_is_basis(lv: SimpleNamespace, dmask: int) -> bool:
+    """``D`` is a meet subsemilattice and every element is the join of a
+    pairwise-incompatible family from ``D``, searched on the tables."""
+    _ref_require_lattice(lv)
+    q = lv.base
+    bottom = sup(q, 0)
+    if bottom is None:
+        raise OrderError("basis check requires a pointed lattice")
+    if not is_meet_subsemilattice(q, dmask):
+        return False
+
+    def covers(target: int) -> bool:
+        cands = list(bits(dmask & q.down_masks[target]))
+
+        def extend(start, chosen, current):
+            if current == target:
+                return True
+            for k in range(start, len(cands)):
+                d = cands[k]
+                if any(lv.meet[d][c] != bottom for c in chosen):
+                    continue
+                nxt = d if current is None else lv.join[current][d]
+                if q.le(nxt, target) and extend(k + 1, chosen + (d,), nxt):
+                    return True
+            return False
+
+        return target == bottom or extend(0, (), None)
+
+    return all(covers(a) for a in range(q.size))
+
+
 def ref_order_flags(q: QuasiOrder) -> dict:
-    """The four join and meet flags of a poset, read off its
-    ``LatticeView`` tables: ``lattice`` and ``complete_semilattice`` as
+    """The four join and meet flags of a poset, read off its tables from
+    :func:`ref_lattice_view`: ``lattice`` and ``complete_semilattice`` as
     ``classify`` gives them, ``semilattice_monoid`` and ``lattice_monoid``
     as ``monoid_class`` does."""
     n = q.size
-    lv = lattice_view(q)
+    lv = ref_lattice_view(q)
     semilattice = all(v >= 0 for row in lv.join for v in row)
     return {
         "lattice": lv.is_lattice,

@@ -39,7 +39,7 @@ from latkit.monoid import (
     group_completion,
     vector_group_completion,
 )
-from latkit.order import atoms
+from latkit.order import atoms, bits
 from latkit.topology import category_algebra, enumerate_topologies, largest_open_meager
 from oracles import (
     naive_embedding_census,
@@ -159,7 +159,8 @@ def test_criterion_5_extension_suite():
         basis = [0] + [1 << i for i in range(x)]
         for mm in enumerate_embeddings(dom, cod, convex_range=True).maps:
             sig = {b: mm.image[b] for b in basis}
-            rep = verify_convexity_transfer(dom, basis, cod.full_mask, cod, sig)
+            rep = verify_convexity_transfer(dom, sum(1 << b for b in basis),
+                                            cod.full_mask, cod, sig)
             assert rep["holds"], (x, y, mm.image, rep)
             assert tuple(rep["extension"]) == mm.image
             assert rep["unique"] and rep["convex_range"] and rep["embedding"]
@@ -175,7 +176,7 @@ def test_criterion_5_extension_suite():
         for mm in enumerate_embeddings(dom.order, cod.order,
                                        convex_range=True).maps:
             sig = {b: mm.image[b] for b in basis}
-            rep = verify_convexity_transfer(dom.order, basis,
+            rep = verify_convexity_transfer(dom.order, sum(1 << b for b in basis),
                                             cod.order.full_mask, cod.order, sig)
             assert rep["holds"], (dom_dims, cod_dims, mm.image, rep)
             assert tuple(rep["extension"]) == mm.image
@@ -270,7 +271,7 @@ def test_criterion_9_atom_laws():
     """Atoms of the subset lattices are the singletons, and every census
     embedding maps atoms onto the relative atoms of its range."""
     for n in range(1, 5):
-        assert atoms(powerset_lattice(n)).indices() == \
+        assert tuple(bits(atoms(powerset_lattice(n)))) == \
             tuple(1 << i for i in range(n))
     checked = 0
     for x in (1, 2, 3):

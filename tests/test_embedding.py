@@ -44,7 +44,6 @@ from latkit.lattice import (
     is_convex,
     is_join_dense,
     is_preregular,
-    lattice_view,
 )
 from latkit.order import (
     MonotoneMap,
@@ -55,7 +54,6 @@ from latkit.order import (
     build_quasi_order,
     induced_suborder,
     linear_extension,
-    mask_of,
     minimal_elements,
     positive_part,
     sup,
@@ -66,6 +64,7 @@ from oracles import (
     naive_embedding_census,
     random_lattice,
     range_property_checks,
+    ref_lattice_view,
     verify_preregular_continuity,
 )
 
@@ -252,8 +251,8 @@ def test_monotone_map_can_break_atom_law():
     add = MonotoneMap(cp.order, chain(3),
                       tuple(sum(cp.vector(i)) for i in range(4)))
     assert not add.is_order_reflecting
-    img_atoms = add.image_mask(atoms(cp.order).mask)
-    assert img_atoms != atoms(chain(3), add.range_mask).mask
+    img_atoms = add.image_mask(atoms(cp.order))
+    assert img_atoms != atoms(chain(3), add.range_mask)
 
 
 def test_minimal_and_positive_images():
@@ -264,16 +263,16 @@ def test_minimal_and_positive_images():
         for p in bits(rng):
             if not any(mm.cod.lt(r, p) for r in bits(mm.cod.down_masks[p] & rng)):
                 sub_min |= 1 << p
-        assert mm.image_mask(minimal_elements(p2).mask) == sub_min
-        assert mm.image_mask(positive_part(p2).mask) == rng & ~sub_min
+        assert mm.image_mask(minimal_elements(p2)) == sub_min
+        assert mm.image_mask(positive_part(p2)) == rng & ~sub_min
 
 
 def test_embedding_iff_strictly_order_preserving_lattice_hom():
     lattices = [q for n in (1, 2, 3, 4, 5) for q in enumerate_lattices(n)]
     for dom in lattices:
-        lv_dom = lattice_view(dom)
+        lv_dom = ref_lattice_view(dom)
         for cod in lattices:
-            lv_cod = lattice_view(cod)
+            lv_cod = ref_lattice_view(cod)
             for img in itertools.product(range(cod.size), repeat=dom.size):
                 hom = all(
                     img[lv_dom.join[a][b]] == lv_cod.join[img[a]][img[b]]
@@ -347,7 +346,7 @@ def test_an_order_keeps_only_what_its_relation_determines():
     dom, cod = chain(3), QuasiOrder(powerset_lattice(3).up_masks)
     assert len(enumerate_embeddings(dom, cod, preregular_range=True)) > 0
     assert classify(cod)["boolean"]
-    assert check_jid(lattice_view(cod))["holds"]
+    assert check_jid(cod)["holds"]
     assert set(vars(cod)) <= {"up_masks", "down_masks", "dual", "is_poset",
                               "full_mask", "up_index"}
 
@@ -357,7 +356,7 @@ def test_an_order_keeps_only_what_its_relation_determines():
     (lambda: chain_product([2, 3]).index((1, 3)), OrderError),
     (lambda: enumerate_posets(9), OrderError),
     (lambda: random_lattice(1, random.Random(0)), OrderError),
-    (lambda: extend_from_join_dense(chain(2), [0, 1], {0: 0, 1: 1, 2: 1},
+    (lambda: extend_from_join_dense(chain(2), 0b11, {0: 0, 1: 1, 2: 1},
                                     chain(2)), PreconditionFailedError),
 ], ids=["chain-height", "chain-coordinate", "enumeration-size",
         "random-lattice-size", "sigma-domain"])
@@ -456,14 +455,14 @@ def test_chainprod_embedding_feasibility():
 
 
 def powerset_basis(n):
-    return [0] + [1 << i for i in range(n)]
+    """The bottom and the singletons of ``P(n)``, as a mask."""
+    return sum(1 << b for b in [0] + [1 << i for i in range(n)])
 
 
-def enumerate_continuous_extensions(L, D, sigma, M):
+def enumerate_continuous_extensions(L, dmask, sigma, M):
     """All maps ``L -> M`` agreeing with ``sigma`` on ``D`` that preserve
     nonempty suprema, by constrained backtracking over monotone maps: the
     oracle for the one candidate that ``verify_convexity_transfer`` decides."""
-    dmask = mask_of(L, D)
     sigma = {int(k): int(v) for k, v in sigma.items()}
     order = linear_extension(L)
     image = [-1] * L.size
@@ -542,7 +541,7 @@ def extension_census_maps():
             for mm in enumerate_embeddings(L, M, convex_range=True).maps:
                 yield L, powerset_basis(n), M, mm
     cp, cod = chain_product([2, 2]), chain_product([2, 2, 2])
-    B = [cp.index(v) for v in ((0, 0), (1, 0), (0, 1))]
+    B = sum(1 << cp.index(v) for v in ((0, 0), (1, 0), (0, 1)))
     for mm in enumerate_embeddings(cp.order, cod.order, convex_range=True).maps:
         yield cp.order, B, cod.order, mm
 
@@ -550,7 +549,7 @@ def extension_census_maps():
 def test_convexity_transfer_matches_the_extension_oracle():
     cases = 0
     for L, B, M, mm in extension_census_maps():
-        sig = {b: mm.image[b] for b in B}
+        sig = {b: mm.image[b] for b in bits(B)}
         rep = verify_convexity_transfer(L, B, M.full_mask, M, sig)
         exts = enumerate_continuous_extensions(L, B, sig, M)
         assert rep["extensions_found"] == len(exts) == 1
@@ -563,7 +562,7 @@ def test_convexity_transfer_matches_the_extension_oracle():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     sig = {0: 0, 1: 1, 2: 2, 3: 7}
     with pytest.raises(HypothesisFailed) as err:
-        verify_transfer_map(p2, p2.full_mask, [0, 1, 2, 7], p3, sig)
+        verify_transfer_map(p2, p2.full_mask, 0b10000111, p3, sig)
     assert err.value.hypothesis == "sigma-preserves-sups-in-L"
     assert enumerate_continuous_extensions(p2, p2.full_mask, sig, p3) == ()
 
@@ -610,7 +609,7 @@ def test_extension_recovers_map_from_basis():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     B = powerset_basis(2)
     for mm in enumerate_embeddings(p2, p3, convex_range=True).maps:
-        sig = {b: mm.image[b] for b in B}
+        sig = {b: mm.image[b] for b in bits(B)}
         ext = extend_from_join_dense(p2, B, sig, p3)
         assert ext.image == mm.image
         exts = enumerate_continuous_extensions(p2, B, sig, p3)
@@ -622,8 +621,8 @@ def test_extension_is_embedding_from_strongly_predense_basis():
     # embedding of the whole lattice
     cp = chain_product([2, 2])
     p3 = powerset_lattice(3)
-    B = [cp.index((0, 0)), cp.index((1, 0)), cp.index((0, 1))]
-    sig = {B[0]: 0, B[1]: 1, B[2]: 2}
+    sig = {cp.index((0, 0)): 0, cp.index((1, 0)): 1, cp.index((0, 1)): 2}
+    B = sum(1 << b for b in sig)
     ext = extend_from_join_dense(cp.order, B, sig, p3)
     assert ext.is_embedding
     assert ext.image[cp.index((1, 1))] == 3
@@ -633,9 +632,9 @@ def test_extension_lattice_hom_when_meet_preserving_and_jid():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     B = powerset_basis(2)
     mm = enumerate_embeddings(p2, p3, convex_range=True).maps[0]
-    sig = {b: mm.image[b] for b in B}
+    sig = {b: mm.image[b] for b in bits(B)}
     ext = extend_from_join_dense(p2, B, sig, p3)
-    lv2, lv3 = lattice_view(p2), lattice_view(p3)
+    lv2, lv3 = ref_lattice_view(p2), ref_lattice_view(p3)
     for a in range(4):
         for b in range(4):
             assert ext.image[lv2.meet[a][b]] == lv3.meet[ext.image[a]][ext.image[b]]
@@ -645,14 +644,14 @@ def test_extension_lattice_hom_when_meet_preserving_and_jid():
 def test_extension_hypothesis_failures_are_named():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     with pytest.raises(HypothesisFailed) as err:
-        extend_from_join_dense(p2, [1, 2], {1: 1, 2: 2}, p3)  # no meet closure
+        extend_from_join_dense(p2, 0b110, {1: 1, 2: 2}, p3)  # no meet closure
     assert err.value.hypothesis == "D-meet-subsemilattice"
     with pytest.raises(HypothesisFailed) as err:
-        extend_from_join_dense(p2, [0, 1], {0: 0, 1: 1}, p3)  # not join dense
+        extend_from_join_dense(p2, 0b11, {0: 0, 1: 1}, p3)  # not join dense
     assert err.value.hypothesis == "D-join-dense"
     with pytest.raises(HypothesisFailed) as err:
         # order reversal on the basis
-        extend_from_join_dense(p2, [0, 1], {0: 1, 1: 0}, p3)
+        extend_from_join_dense(p2, 0b11, {0: 1, 1: 0}, p3)
     assert err.value.hypothesis in ("D-join-dense", "sigma-order-preserving")
     with pytest.raises(HypothesisFailed) as err:
         extend_from_join_dense(p2, powerset_basis(2),
@@ -665,7 +664,7 @@ def test_extension_uniqueness_needs_bottom():
     c2 = chain(2)
     c3 = chain(3)
     sig = {1: 2}
-    exts = enumerate_continuous_extensions(c2, [1], sig, c3)
+    exts = enumerate_continuous_extensions(c2, 0b10, sig, c3)
     images = {e.image for e in exts}
     assert len(images) > 1                      # 0 may go to 0, 1, or 2
     assert len({img[1] for img in images}) == 1  # but the positive part is pinned
@@ -675,7 +674,7 @@ def test_convexity_transfer_powerset():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     B = powerset_basis(2)
     for mm in enumerate_embeddings(p2, p3, convex_range=True).maps[:6]:
-        sig = {b: mm.image[b] for b in B}
+        sig = {b: mm.image[b] for b in bits(B)}
         rep = verify_convexity_transfer(p2, B, p3.full_mask, p3, sig)
         assert rep["holds"] and rep["unique"] and rep["convex_range"]
         assert tuple(rep["extension"]) == mm.image
@@ -683,11 +682,11 @@ def test_convexity_transfer_powerset():
 
 def test_convexity_transfer_chain_product():
     cp = chain_product([2, 2])
-    B = [cp.index(v) for v in ((0, 0), (1, 0), (0, 1))]
+    B = sum(1 << cp.index(v) for v in ((0, 0), (1, 0), (0, 1)))
     cod = chain_product([2, 2, 2])
     census = enumerate_embeddings(cp.order, cod.order, convex_range=True)
     for mm in census.maps[:4]:
-        sig = {b: mm.image[b] for b in B}
+        sig = {b: mm.image[b] for b in bits(B)}
         rep = verify_convexity_transfer(cp.order, B, cod.order.full_mask,
                                         cod.order, sig)
         assert rep["holds"]
@@ -699,12 +698,26 @@ def test_convexity_transfer_rejects_bad_hypotheses():
     B = powerset_basis(2)
     # E not preregular: bottom, singletons, top of P(3)
     with pytest.raises(HypothesisFailed) as err:
-        verify_convexity_transfer(p2, B, [0, 1, 2, 4, 7], p3,
+        verify_convexity_transfer(p2, B, 0b10010111, p3,
                                   {0: 0, 1: 1, 2: 2})
     assert err.value.hypothesis == "E-preregular"
     with pytest.raises(HypothesisFailed) as err:
-        verify_convexity_transfer(p2, [1, 2], p3.full_mask, p3, {1: 1, 2: 2})
+        verify_convexity_transfer(p2, 0b110, p3.full_mask, p3, {1: 1, 2: 2})
     assert err.value.hypothesis == "B-contains-0"
+
+
+@pytest.mark.parametrize("call", [
+    lambda p2, p3, m: extend_from_join_dense(p2, m, {}, p3),
+    lambda p2, p3, m: check_transfer_setting(p2, m, p3.full_mask, p3),
+    lambda p2, p3, m: check_transfer_setting(p2, p2.full_mask, m << 4, p3),
+    lambda p2, p3, m: verify_transfer_map(p2, m, p3.full_mask, p3, {}),
+    lambda p2, p3, m: verify_transfer_map(p2, p2.full_mask, m << 4, p3, {}),
+    lambda p2, p3, m: verify_convexity_transfer(p2, m, p3.full_mask, p3, {}),
+])
+def test_transfer_functions_check_their_masks_against_the_carrier(call):
+    p2, p3 = powerset_lattice(2), powerset_lattice(3)
+    with pytest.raises(OrderError, match="mask has bits outside the carrier"):
+        call(p2, p3, 0b10001)
 
 
 @pytest.mark.parametrize("side", ["L", "M"])
@@ -723,7 +736,7 @@ def test_convexity_transfer_rejects_e_outside_sublattices():
     # singletons have an upper bound inside E), but {0} | {1} is missing
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     with pytest.raises(HypothesisFailed) as err:
-        verify_convexity_transfer(p2, powerset_basis(2), [0, 1, 2, 4], p3,
+        verify_convexity_transfer(p2, powerset_basis(2), 0b10111, p3,
                                   {0: 0, 1: 1, 2: 2})
     assert err.value.hypothesis == "E-sublattice"
 
@@ -752,7 +765,7 @@ def test_extension_uniqueness_sweep():
     for L in lats:
         dense_sets = [d for d in range(1 << L.size)
                       if is_join_dense(L, d) and is_meet_closed(L, d)]
-        pos = positive_part(L).mask
+        pos = positive_part(L)
         for dmask in dense_sets:
             delems = list(bits(dmask))
             for M in targets:

@@ -35,17 +35,38 @@ from latkit.lattice import (
     is_meet_closed,
     is_meet_subsemilattice,
     is_preregular,
+    is_strongly_interval_predense,
     is_sublattice,
     is_upwards_preregular,
-    lattice_view,
     order_closed_checks,
     order_closure_up,
     preregularity_witness,
     subset_report,
     sup_in_subset,
 )
-from latkit.order import atoms, build_quasi_order, inf, sup
-from oracles import ref_is_boolean, ref_order_flags, relabel
+from latkit.order import (
+    MonotoneMap,
+    atoms,
+    bits,
+    build_quasi_order,
+    induced_suborder,
+    inf,
+    lower_closure,
+    minimal_elements,
+    positive_part,
+    sup,
+    upper_closure,
+)
+from oracles import (
+    ref_distributivity_witness,
+    ref_is_basis,
+    ref_is_boolean,
+    ref_is_strongly_interval_predense,
+    ref_lattice_view,
+    ref_order_flags,
+    ref_table_infinite_distributive,
+    relabel,
+)
 
 
 def all_subsets(q):
@@ -91,7 +112,7 @@ def test_lattice_view_tables_are_pairwise_sup_and_inf(n):
     # the pairwise sup/inf loop that the lookup tables replaced is the oracle
     for p in enumerate_posets(n):
         for q in (p, p.dual):
-            lv = lattice_view(q)
+            lv = ref_lattice_view(q)
             for a in range(n):
                 for b in range(n):
                     pair = (1 << a) | (1 << b)
@@ -101,21 +122,20 @@ def test_lattice_view_tables_are_pairwise_sup_and_inf(n):
 
 
 def test_distributivity():
-    assert is_distributive(lattice_view(powerset_lattice(3)))
-    assert not is_distributive(lattice_view(m3()))
-    assert not is_distributive(lattice_view(n5()))
+    assert is_distributive(powerset_lattice(3))
+    assert not is_distributive(m3())
+    assert not is_distributive(n5())
     with pytest.raises(OrderError):
-        is_distributive(lattice_view(bowtie()))
+        is_distributive(bowtie())
     # the first failing triple: the atoms (M3), or 1 < 3 against 2 (N5)
     for q in (m3(), n5()):
-        assert distributivity_witness(lattice_view(q)) == {"a": 1, "b": 2, "c": 3}
-    assert distributivity_witness(lattice_view(powerset_lattice(3))) is None
+        assert distributivity_witness(q) == {"a": 1, "b": 2, "c": 3}
+    assert distributivity_witness(powerset_lattice(3)) is None
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_distributivity_witness_is_the_first_failing_triple(n):
     for q in enumerate_lattices(n):
-        lv = lattice_view(q)
         join = [[sup(q, 1 << a | 1 << b) for b in range(n)] for a in range(n)]
         meet = [[inf(q, 1 << a | 1 << b) for b in range(n)] for a in range(n)]
         first = next(({"a": a, "b": b, "c": c}
@@ -123,7 +143,7 @@ def test_distributivity_witness_is_the_first_failing_triple(n):
                       if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
                       or join[a][meet[b][c]] != meet[join[a][b]][join[a][c]]),
                      None)
-        assert distributivity_witness(lv) == first
+        assert distributivity_witness(q) == first
 
 
 def test_boolean_needs_distributivity():
@@ -144,36 +164,76 @@ def test_boolean_flag_is_the_definition(n):
             assert classify(o)["boolean"] == ref_is_boolean(o), o.up_masks
 
 
+def lookup_against_tables(q, dmasks) -> int:
+    """Compare the lookup-based checks on ``q`` with the same checks read
+    off ``ref_lattice_view``'s tables, verdict for verdict and witness for
+    witness, over ``dmasks``; return how many subsets reached the basis
+    search."""
+    lv = ref_lattice_view(q)
+    assert distributivity_witness(q) == ref_distributivity_witness(lv)
+    assert check_jid(q) == ref_table_infinite_distributive(lv, False)
+    assert check_mid(q) == ref_table_infinite_distributive(lv, True)
+    searched = 0
+    for dmask in dmasks:
+        assert is_strongly_interval_predense(q, dmask) == \
+            ref_is_strongly_interval_predense(lv, dmask), (q.up_masks, dmask)
+        basis = is_basis(q, dmask)
+        assert basis == ref_is_basis(lv, dmask), (q.up_masks, dmask)
+        searched += basis
+    return searched
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lookups_match_the_tables_on_every_small_lattice(n):
+    # every lattice of n elements and its dual, with every subset D up to
+    # 6 elements and, above that, the subsets holding the bottom
+    bases = 0
+    for q in enumerate_lattices(n):
+        for o in (q, q.dual):
+            bottom = sup(o, 0)
+            bases += lookup_against_tables(o, (
+                d for d in range(1 << n) if n <= 6 or d >> bottom & 1))
+    assert bases > 0
+
+
+def test_lookups_match_the_tables_on_the_fixtures():
+    for q in (m3(), n5(), powerset_lattice(3)):
+        lookup_against_tables(q, range(1 << q.size))
+    p4 = powerset_lattice(4)
+    lookup_against_tables(p4, range(1, 1 << 16, 97))
+    for q in (m3(), n5()):
+        assert distributivity_witness(q) == {"a": 1, "b": 2, "c": 3}
+
+
 def test_jid_mid():
-    assert check_jid(lattice_view(powerset_lattice(3)))["holds"]
-    assert check_mid(lattice_view(powerset_lattice(3)))["holds"]
-    bad = check_jid(lattice_view(m3()))
+    assert check_jid(powerset_lattice(3))["holds"]
+    assert check_mid(powerset_lattice(3))["holds"]
+    bad = check_jid(m3())
     assert not bad["holds"]
     w = bad["witness"]
     # an atom against the other two: a ^ vB = a but v(a ^ B) = 0
     assert w is not None and len(w["B"]) >= 2
-    assert check_jid(lattice_view(chain(5)))["holds"]
-    assert check_mid(lattice_view(chain(5)))["holds"]
+    assert check_jid(chain(5))["holds"]
+    assert check_mid(chain(5))["holds"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_jid_implies_distributive(n):
     for q in enumerate_lattices(n):
-        lv = lattice_view(q)
-        if check_jid(lv)["holds"]:
-            assert is_distributive(lv)
-        if check_mid(lv)["holds"]:
-            assert is_distributive(lv)
+        if check_jid(q)["holds"]:
+            assert is_distributive(q)
+        if check_mid(q)["holds"]:
+            assert is_distributive(q)
 
 
 def test_convexity():
     p3 = powerset_lattice(3)
-    assert is_convex(p3, [1, 3, 5, 7])       # the interval [{0}, X]
-    assert not is_convex(p3, [0, 1, 2, 7])   # {0,1} missing
-    w = convexity_witness(p3, [0, 1, 2, 7])
+    assert is_convex(p3, 0b10101010)      # the interval [{0}, X]
+    assert not is_convex(p3, 0b10000111)  # {0,1} missing
+    w = convexity_witness(p3, 0b10000111)
     assert w["missing"] == 3
     assert is_convex(p3, 0)
-    assert is_convex(p3, [5])
+    assert is_convex(p3, 0b100000)
 
 
 def test_linear_convexity_is_the_pair_scan():
@@ -211,14 +271,14 @@ def test_sup_in_subset_matches_oracle():
 def test_preregular_examples():
     p3 = powerset_lattice(3)
     # convex subsets of a lattice are preregular
-    assert is_preregular(p3, [1, 3, 5, 7])
+    assert is_preregular(p3, 0b10101010)
     assert is_preregular(p3, p3.full_mask)
     # bowtie over a bottom: {a, b, c} is convex but its inner sup has no
     # ambient counterpart
     bw = build_quasi_order(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    assert is_convex(bw, [1, 2, 3])
-    assert not is_upwards_preregular(bw, [1, 2, 3])
-    w = preregularity_witness(bw, [1, 2, 3], upwards=True)
+    assert is_convex(bw, 0b1110)
+    assert not is_upwards_preregular(bw, 0b1110)
+    w = preregularity_witness(bw, 0b1110, upwards=True)
     assert sorted(w["B"]) == [1, 2] and w["in_subset"] == 3 and w["in_ambient"] is None
 
 
@@ -252,7 +312,7 @@ def test_order_closed_checks():
     assert not checks["up_boc"] and not checks["up_oc"]
     # intervals of a complete lattice are closed every way
     p3 = powerset_lattice(3)
-    assert all(order_closed_checks(p3, [1, 3, 5, 7]).values())
+    assert all(order_closed_checks(p3, 0b10101010).values())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -268,17 +328,17 @@ def test_boundedly_closed_in_complete_semilattice_is_preregular(n):
 
 def test_order_closure():
     p2 = powerset_lattice(2)
-    assert order_closure_up(p2, [1, 2]).indices() == (0, 1, 2, 3)
-    assert order_closure_up(p2, 0).mask == 0
-    assert order_closure_up(p2.dual, [1, 2]).indices() == (0, 1, 2, 3)
+    assert tuple(bits(order_closure_up(p2, 0b110))) == (0, 1, 2, 3)
+    assert order_closure_up(p2, 0) == 0
+    assert tuple(bits(order_closure_up(p2.dual, 0b110))) == (0, 1, 2, 3)
     # idempotent, extensive, monotone
     for q in enumerate_posets(4):
         closures = {}
         for amask in all_subsets(q):
-            c = order_closure_up(q, amask).mask
+            c = order_closure_up(q, amask)
             closures[amask] = c
             assert amask & ~c == 0
-            assert order_closure_up(q, c).mask == c
+            assert order_closure_up(q, c) == c
         for amask in all_subsets(q):
             for bmask in all_subsets(q):
                 if amask & ~bmask == 0:
@@ -287,10 +347,10 @@ def test_order_closure():
 
 def test_flat():
     p3 = powerset_lattice(3)
-    assert is_flat(p3, [1, 2, 4])       # singletons meet at the bottom
-    assert is_flat(p3, [3, 5, 1])       # pairwise meets all equal {0}
-    assert not is_flat(p3, [3, 5, 6])   # meets hit different singletons
-    assert is_flat(p3, [5])
+    assert is_flat(p3, 0b10110)        # singletons meet at the bottom
+    assert is_flat(p3, 0b101010)       # pairwise meets all equal {0}
+    assert not is_flat(p3, 0b1101000)  # meets hit different singletons
+    assert is_flat(p3, 0b100000)
 
 
 def test_flat_completeness_matches_literal_scan():
@@ -308,7 +368,7 @@ def test_flat_completeness_matches_literal_scan():
 
 def test_density_checks_powerset_singletons():
     p3 = powerset_lattice(3)
-    flags = density_checks(p3, [1, 2, 4])
+    flags = density_checks(p3, 0b10110)
     assert flags == {
         "dense": True,
         "join_dense": True,
@@ -316,16 +376,41 @@ def test_density_checks_powerset_singletons():
         "strongly_interval_predense": False,  # meets with p fall to 0, not in D
         "basis": True,
     }
-    with_zero = density_checks(p3, [0, 1, 2, 4])
+    with_zero = density_checks(p3, 0b10111)
     assert with_zero["strongly_interval_predense"] and with_zero["basis"]
 
 
 def test_density_chain_successors():
     c4 = chain(4)
-    flags = density_checks(c4, [1, 2, 3])
+    flags = density_checks(c4, 0b1110)
     assert flags["dense"] and flags["join_dense"] and flags["interval_predense"]
     assert not flags["strongly_interval_predense"]
-    assert density_checks(c4, [0, 1, 2, 3])["strongly_interval_predense"]
+    assert density_checks(c4, 0b1111)["strongly_interval_predense"]
+
+
+SUBSET_ARGUMENTS = [
+    sup, inf, minimal_elements, positive_part, atoms, upper_closure,
+    lower_closure, induced_suborder, is_convex, convexity_witness,
+    is_preregular, is_upwards_preregular, order_closed_checks,
+    order_closure_up, is_flat, is_dense, is_join_dense, is_interval_predense,
+    is_strongly_interval_predense, is_meet_closed, is_join_closed,
+    is_sublattice, is_meet_subsemilattice, is_basis, density_checks,
+    subset_report,
+    lambda q, m: preregularity_witness(q, m, upwards=False),
+    lambda q, m: sup_in_subset(q, m, 0),
+    lambda q, m: inf_in_subset(q, q.full_mask, m),
+    lambda q, m: MonotoneMap(q, q, range(q.size)).image_mask(m),
+]
+
+
+@pytest.mark.parametrize("call", SUBSET_ARGUMENTS)
+def test_every_subset_argument_is_checked_against_the_carrier(call):
+    # a subset is an int mask, and a bit outside the carrier (a negative
+    # mask has infinitely many) is refused wherever a mask comes in
+    p3 = powerset_lattice(3)
+    for mask in (1 << 8, 0b1 | 1 << 9, -1):
+        with pytest.raises(OrderError, match="mask has bits outside the carrier"):
+            call(p3, mask)
 
 
 def test_basis_requires_pointed_lattice():
@@ -352,7 +437,7 @@ def test_join_dense_implies_interval_predense_implies_dense(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_join_dense_equals_interval_predense_on_meet_semilattices(n):
     for q in enumerate_posets(n):
-        lv = lattice_view(q)
+        lv = ref_lattice_view(q)
         if not all(v >= 0 for row in lv.meet for v in row):
             continue
         for dmask in all_subsets(q):
@@ -370,11 +455,11 @@ def test_dense_meet_subsemilattice_of_boolean_algebra_is_basis(n):
 def test_meet_subsemilattice_vs_meet_closed():
     p3 = powerset_lattice(3)
     # an antichain has no inner meets, so the weak notion holds vacuously
-    assert is_meet_subsemilattice(p3, [1, 2, 4])
-    assert not is_meet_closed(p3, [1, 2, 4])
-    assert is_meet_closed(p3, [0, 1, 2, 4])
+    assert is_meet_subsemilattice(p3, 0b10110)
+    assert not is_meet_closed(p3, 0b10110)
+    assert is_meet_closed(p3, 0b10111)
     # inner meet exists but disagrees with the ambient one
-    assert not is_meet_subsemilattice(p3, [0, 3, 6])  # {0,1} ^ {1,2} = {1}, inner gives 0
+    assert not is_meet_subsemilattice(p3, 0b1001001)  # {0,1} ^ {1,2} = {1}, inner gives 0
     # wait: inner lower bounds of {3, 6} inside {0,3,6} = {0}: inner meet 0, ambient 2
     assert inf_in_subset(p3, 0b1001001, 0b1001000) == 0
 
@@ -418,16 +503,16 @@ def test_meet_join_and_sublattice_closure_match_their_definitions():
 def test_covers_of_bottom_equals_atoms_in_boolean_algebras():
     for n in range(1, 5):
         q = powerset_lattice(n)
-        assert covers_of_bottom(q).mask == atoms(q).mask
+        assert covers_of_bottom(q) == atoms(q)
     # in a chain the two notions differ
     c3 = chain(3)
-    assert covers_of_bottom(c3).indices() == (1,)
-    assert atoms(c3).indices() == (1, 2)
+    assert tuple(bits(covers_of_bottom(c3))) == (1,)
+    assert tuple(bits(atoms(c3))) == (1, 2)
 
 
 def test_subset_report_shape():
     p3 = powerset_lattice(3)
-    rep = subset_report(p3, [0, 1, 2, 7])
+    rep = subset_report(p3, 0b10000111)
     assert rep["convex"] == {"holds": False,
                              "witness": {"p": 0, "q": 7, "missing": 3}}
     # the inner join of the two singletons is the top, the ambient one is not

@@ -11,7 +11,6 @@ from latkit.embedding import (
     EmbeddingCensus,
     PowersetDecomposition,
 )
-from latkit.lattice import LatticeView
 from latkit.monoid import (
     FiniteMonoid,
     GroupCompletion,
@@ -19,7 +18,7 @@ from latkit.monoid import (
     VectorGroupCompletion,
     VectorMonoid,
 )
-from latkit.order import MonotoneMap, OrderError, QuasiOrder, Subset, _unchecked
+from latkit.order import MonotoneMap, OrderError, QuasiOrder, _unchecked
 from latkit.topology import CategoryAlgebra, FiniteTopology, ROAlgebra
 
 C2, C3 = chain(2), chain(3)
@@ -29,7 +28,6 @@ SPACE = FiniteTopology(C2)
 # each record class with the fields of one instance, in signature order;
 # the classes whose value compares and hashes by its fields come first
 VALUES = {
-    Subset: {"order": C3, "mask": 5},
     ChainProdDecomposition: {"g": ((0, 0),), "y": (0, 1)},
     PowersetDecomposition: {"h": (1,), "b": 1},
     VectorMonoid: {"dim": 2},
@@ -39,7 +37,6 @@ VALUES = {
 IDENTITIES = {
     QuasiOrder: {"up_masks": (7, 6, 4)},
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
-    LatticeView: {"base": C2, "join": ((0, 1), (1, 1)), "meet": ((0, 0), (0, 1))},
     ChainProduct: {"dims": (2, 3)},
     EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (), "nodes": 0},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
@@ -84,7 +81,7 @@ def test_record_construction_equality_and_immutability(cls):
     (lambda: QuasiOrder((0b10, 0b10)), OrderError),  # not reflexive
     (lambda: MonotoneMap(C2, C3, (2, 0)), OrderError),  # not monotone
     (lambda: MonotoneMap(C2, C3, (0,)), OrderError),  # wrong length
-    (lambda: Subset(C3, 8), OrderError),  # a bit outside the carrier
+    (lambda: QuasiOrder((0b01, 0b110)), OrderError),  # a bit outside the carrier
     (lambda: ChainProduct((2, 0)), OrderError),  # a chain of height 0
     (lambda: FiniteMonoid(((0, 1),), 0), MonoidError),  # not square
     (lambda: FiniteMonoid(((0, 1), (1, 2)), 0), MonoidError),  # an entry out of range

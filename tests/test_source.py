@@ -2,10 +2,11 @@
 survive ``python -O``, the library runs without numpy and imports no
 ``random``, start-up loads no ``dataclasses``, ``inspect`` or
 ``traceback``, imports sit at module level with ``order`` at the bottom of
-the module graph, every demo script runs to completion, and every public
-name has a use outside the tests."""
+the module graph, every demo script runs to completion and prints its
+pinned output, and every public name has a use outside the tests."""
 
 import ast
+import hashlib
 import importlib
 import os
 import pathlib
@@ -119,12 +120,31 @@ def test_order_is_the_bottom_of_the_module_graph():
     assert not imported, f"order.py imports latkit at lines {imported}"
 
 
+# the SHA-256 of each demo's stdout: a change to the library that moves a
+# printed verdict, witness or subset shows here
+DEMO_STDOUT_SHA256 = {
+    "01_orders_and_lattices.py":
+        "03193285ee55d383d8db5d5853a04721ca074f014263356d009b1120eb365e44",
+    "02_subset_regularity.py":
+        "7a893e6c9fda3c4c1f791aa03a216faa33ba2d5e1c0847577ec32b6baf949428",
+    "03_monoid_orders.py":
+        "d28fd0a34a6ea10ea14fb59a8294e196f1addee46f1c642ef30d52958325585b",
+    "04_embedding_censuses.py":
+        "dd436d32865b596a09956f17d502f661c6b204c900a12a9dd0b481cd914a4724",
+    "05_extension.py":
+        "3e2d33a9c902a425d323d2f849239ed148e88ec593c356ad9583468f9877b8e4",
+    "06_finite_spaces.py":
+        "3edef6ef751b7d225cc13710d584ad373acdc900d0a99f715e77406f078dc82e",
+}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[path.name]
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)

@@ -26,7 +26,6 @@ from latkit.lattice import (
     inf_in_subset,
     is_join_dense,
     is_meet_closed,
-    lattice_view,
     order_closed_checks,
     order_closure_up,
     preregularity_witness,
@@ -44,12 +43,10 @@ from latkit.order import (
     MAX_CLOSURE_SIZE,
     MonotoneMap,
     OrderError,
-    Subset,
     bits,
     build_quasi_order,
     inf,
     intersection_closure,
-    mask_of,
     sup,
 )
 from oracles import (
@@ -59,6 +56,7 @@ from oracles import (
     ref_finite_disjoint_sum,
     ref_finite_monoid_binary,
     ref_finite_monoid_set_law,
+    ref_lattice_view,
 )
 
 
@@ -66,8 +64,7 @@ from oracles import (
 # reference scans
 
 
-def ref_preregularity_witness(q, A, upwards):
-    m = mask_of(q, A)
+def ref_preregularity_witness(q, m, upwards):
     if upwards:
         inner, outer = sup_in_subset, sup
     else:
@@ -85,8 +82,7 @@ def ref_preregularity_witness(q, A, upwards):
         sub = (sub - 1) & m
 
 
-def ref_order_closed_checks(q, A):
-    m = mask_of(q, A)
+def ref_order_closed_checks(q, m):
     up_boc = up_oc = down_boc = down_oc = True
     sub = m
     while sub:
@@ -110,10 +106,9 @@ def ref_order_closed_checks(q, A):
     return {"up_boc": up_boc, "down_boc": down_boc, "up_oc": up_oc, "down_oc": down_oc}
 
 
-def ref_order_closure_up(q, A):
-    m = mask_of(q, A)
+def ref_order_closure_up(q, m):
     if not m:
-        return Subset(q, 0)
+        return 0
     out = 0
     sub = m
     while True:
@@ -123,7 +118,7 @@ def ref_order_closure_up(q, A):
         if sub == 0:
             break
         sub = (sub - 1) & m
-    return Subset(q, out)
+    return out
 
 
 def ref_continuity_checks(sigma):
@@ -191,11 +186,11 @@ def ref_check_sigma_hypotheses(L, dmask, sigma, M):
         sub = (sub - 1) & dmask
 
 
-def ref_infinite_distributive(lv, dual):
-    q = lv.base
+def ref_infinite_distributive(q, dual):
+    lv = ref_lattice_view(q)
     op = lv.join if dual else lv.meet
     bound = inf if dual else sup
-    n = lv.size
+    n = q.size
     checked = 0
     for a in range(n):
         for bmask in range(1, 1 << n):
@@ -274,8 +269,8 @@ def subset_scans(q, m):
         preregularity_witness(q, m, upwards=True),
         preregularity_witness(q, m, upwards=False),
         order_closed_checks(q, m),
-        order_closure_up(q, m).mask,
-        order_closure_up(q.dual, m).mask,
+        order_closure_up(q, m),
+        order_closure_up(q.dual, m),
     )
 
 
@@ -284,8 +279,8 @@ def ref_subset_scans(q, m):
         ref_preregularity_witness(q, m, upwards=True),
         ref_preregularity_witness(q, m, upwards=False),
         ref_order_closed_checks(q, m),
-        ref_order_closure_up(q, m).mask,
-        ref_order_closure_up(q.dual, m).mask,
+        ref_order_closure_up(q, m),
+        ref_order_closure_up(q.dual, m),
     )
 
 
@@ -359,10 +354,9 @@ def test_hypothesis_failures_match_reference():
 def test_infinite_distributivity_matches_reference_on_every_lattice(n):
     failing = 0
     for q in enumerate_lattices(n):
-        lv = lattice_view(q)
         for check, dual in ((check_jid, False), (check_mid, True)):
-            rep = check(lv)
-            assert rep == ref_infinite_distributive(lv, dual), (q.up_masks, dual)
+            rep = check(q)
+            assert rep == ref_infinite_distributive(q, dual), (q.up_masks, dual)
             failing += not rep["holds"]
     # finite lattices satisfy either law iff they are distributive
     assert (failing > 0) == (n >= 5)
@@ -373,13 +367,13 @@ def test_infinite_distributivity_beyond_fourteen_elements():
     # 17 elements, and both laws first fail at a = 0, B = {2, 3}
     pairs = [(1, 0), (1, 2), (1, 3), (0, 4), (2, 4), (3, 4)]
     pairs += [(k, k + 1) for k in range(4, 16)]
-    lv = lattice_view(build_quasi_order(17, pairs))
+    q = build_quasi_order(17, pairs)
     for check, dual in ((check_jid, False), (check_mid, True)):
-        rep = check(lv)
-        assert rep == ref_infinite_distributive(lv, dual)
+        rep = check(q)
+        assert rep == ref_infinite_distributive(q, dual)
         # a = 0 visits the nonempty masks 1..12
         assert rep["witness"] == {"a": 0, "B": [2, 3]} and rep["checked"] == 12
-    rep = check_jid(lattice_view(powerset_lattice(4)))
+    rep = check_jid(powerset_lattice(4))
     assert rep == {"holds": True, "mode": "exhaustive",
                    "checked": 16 * ((1 << 16) - 1), "witness": None}
 
