@@ -3,18 +3,19 @@
 Every convex-range embedding between products of chains is a shifted
 partial projection.  A subset lattice is the product of 2-element chains,
 so there the same form reads as a ground map plus a constant baseline.
-The censuses here are enumerated by backtracking search and compared
+Both are read off one Birkhoff decomposition ``(phi, b)`` on the
+join-irreducibles: ``phi`` is the ground map, or the coordinate pairing,
+and ``b`` the baseline, or the shift.  The censuses here are enumerated by backtracking search and compared
 against the closed families, member by member.
 """
 
 from latkit.builders import chain_product, powerset_lattice
 from latkit.embedding import (
     atom_image_check,
-    chainprod_decompose,
+    birkhoff_decompose,
+    birkhoff_formula_census,
     continuity_checks,
     enumerate_embeddings,
-    powerset_decompose,
-    powerset_formula_census,
 )
 from latkit.lattice import is_convex
 from latkit.order import MonotoneMap
@@ -23,12 +24,12 @@ p2, p3 = powerset_lattice(2), powerset_lattice(3)
 
 print("== the subset-lattice census P(2) -> P(3) ==")
 census = enumerate_embeddings(p2, p3, convex_range=True)
-formula = powerset_formula_census(2, 3)
+formula = birkhoff_formula_census(p2, p3)
 print(f"search found {len(census)} convex-range embeddings;",
       f"formula family has {len(formula)}; equal: {census.images == formula}")
 for mm in census.maps[:4]:
-    dec = powerset_decompose(mm)
-    print(f"  image {mm.image}  =  ground map {dec.h} with baseline {dec.b:03b}")
+    h, b = birkhoff_decompose(mm)
+    print(f"  image {mm.image}  =  ground map {h} with baseline {b:03b}")
 
 print("\n== the map that fits no ground function ==")
 cex = MonotoneMap(p2, p3, (0, 1, 2, 7))
@@ -38,12 +39,13 @@ print("convex range:", is_convex(p3, cex.range_mask),
 
 print("\n== chain products ==")
 dom, cod = chain_product([2, 2]), chain_product([2, 2, 2])
-cen = enumerate_embeddings(dom.order, cod.order, convex_range=True)
+cen = enumerate_embeddings(dom, cod, convex_range=True)
 print(f"C2^2 -> C2^3 has {len(cen)} convex-range embeddings;",
       f"the same images as P(2) -> P(3): {cen.images == census.images}")
 for mm in cen.maps[:4]:
-    dec = chainprod_decompose(mm, dom, cod)
-    print(f"  coordinates {dict(dec.g)} shifted by {dec.y}")
+    phi, b = birkhoff_decompose(mm)
+    g = dict(sorted((j, i) for i, j in enumerate(phi)))
+    print(f"  coordinates {g} shifted by {tuple(b >> j & 1 for j in range(3))}")
 
 print("\n== continuity comes for free with a preregular range ==")
 for mm in census.maps[:3]:

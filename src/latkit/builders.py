@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from functools import cached_property
+import math
 
 from .order import (
     OrderError,
     QuasiOrder,
     _count,
-    _Frozen,
     _unchecked,
     bits,
     build_quasi_order,
@@ -33,7 +32,6 @@ __all__ = [
     "bowtie",
     "powerset_lattice",
     "is_powerset_order",
-    "ChainProduct",
     "chain_product",
     "enumerate_posets",
     "enumerate_lattices",
@@ -81,7 +79,7 @@ def powerset_lattice(n: int) -> QuasiOrder:
     """Power-set lattice of an ``n``-element ground set; element = bitmask.
     It is the order of the cube ``C_2^n``, and every call for one ``n``
     returns the same object."""
-    return _cube(_count(n, "a ground set's size")).order
+    return _cube(_count(n, "a ground set's size"))
 
 
 def is_powerset_order(q: QuasiOrder) -> bool:
@@ -90,68 +88,32 @@ def is_powerset_order(q: QuasiOrder) -> bool:
     return q.size > 0 and q.up_masks == powerset_lattice(n).up_masks
 
 
-class ChainProduct(_Frozen):
-    """Product of finite chains ``C_{dims[0]} x ... x C_{dims[-1]}``."""
-
-    def __init__(self, dims):
-        self.__dict__["dims"] = tuple(_count(d, "a chain height", 1) for d in dims)
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    def index(self, vec) -> int:
-        idx = 0
-        stride = 1
-        for v, d in zip(vec, self.dims):
-            if not 0 <= v < d:
-                raise OrderError(f"coordinate {v} out of range for height {d}")
-            idx += v * stride
-            stride *= d
-        return idx
-
-    def vector(self, idx: int) -> tuple:
-        out = []
-        for d in self.dims:
-            out.append(idx % d)
-            idx //= d
-        return tuple(out)
-
-    @cached_property
-    def vectors(self) -> tuple:
-        """``vector(i)`` for every index ``i``."""
-        return tuple(self.vector(i) for i in range(self.size))
-
-    @cached_property
-    def order(self) -> QuasiOrder:
-        """Componentwise order: ``up(v)`` is the AND over coordinates ``i``
-        of ``at_least[i][v[i]]``, the mask of the vectors ``w`` with
-        ``w[i] >= v[i]``."""
-        at_least = [[sum(1 << b for b, w in enumerate(self.vectors) if w[i] >= t)
-                     for t in range(d)] for i, d in enumerate(self.dims)]
-        ups = []
-        for v in self.vectors:
-            up = (1 << self.size) - 1
-            for row, t in zip(at_least, v):
-                up &= row[t]
-            ups.append(up)
-        return QuasiOrder(tuple(ups))
-
-
-def chain_product(dims) -> ChainProduct:
-    return ChainProduct(dims)
+def chain_product(dims) -> QuasiOrder:
+    """Product of finite chains ``C_{dims[0]} x ... x C_{dims[-1]}`` with
+    the componentwise order, its elements in mixed radix, least significant
+    coordinate first: coordinate ``i`` of ``x`` is ``x // stride % dims[i]``
+    with ``stride`` the product of the heights before ``i``.  ``up(x)`` is
+    the AND over coordinates ``i`` of the mask of the elements at least as
+    high as ``x`` on ``i``."""
+    dims = tuple(_count(d, "a chain height", 1) for d in dims)
+    size = math.prod(dims)
+    ups = [(1 << size) - 1] * size
+    stride = 1
+    for d in dims:
+        coord = [x // stride % d for x in range(size)]
+        at_least = [sum(1 << y for y in range(size) if coord[y] >= t)
+                    for t in range(d)]
+        ups = [up & at_least[t] for up, t in zip(ups, coord)]
+        stride *= d
+    return QuasiOrder(tuple(ups))
 
 
 @functools.cache
-def _cube(n: int) -> ChainProduct:
-    """``C_2^n``, built once per ``n``: every call for one ``n`` returns the
-    same object.  Its order is the subset lattice of ``range(n)`` label for
-    label, since in base 2 the index of a 0/1 vector is the bitmask of its
-    support."""
-    return ChainProduct((2,) * n)
+def _cube(n: int) -> QuasiOrder:
+    """``C_2^n``, built once per ``n``.  In base 2 the index of a 0/1
+    vector is the bitmask of its support, so its order is the subset
+    lattice of ``range(n)`` label for label."""
+    return chain_product((2,) * n)
 
 
 # ---------------------------------------------------------------------------

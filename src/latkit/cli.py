@@ -206,7 +206,7 @@ def parse_order_spec(obj):
             raise InputError("chains must be a list of chain heights")
         dims = [_spec_int(d, "chain height", 1) for d in obj["chains"]]
         _check_spec_size(math.prod(min(d, MAX_SPEC_SIZE + 1) for d in dims))
-        return builders.chain_product(dims).order
+        return builders.chain_product(dims)
     if isinstance(obj.get("size"), int):
         _check_spec_size(obj["size"])
     try:
@@ -252,19 +252,20 @@ def _with_witness(report: dict, failures: list) -> dict:
     return report
 
 
-def _product_form(cfg: RunConfig, params: dict, dom, cod, formula: Callable,
-                  decompose: Callable) -> tuple:
-    """The convex-range census ``dom -> cod`` against ``formula()``, and the
-    census maps that ``decompose`` finds not of the theorem's form
-    (``decompose`` checks its own reconstruction): a report that starts
-    with ``params``, and the failures."""
+def _product_form(cfg: RunConfig, params: dict, dom, cod) -> tuple:
+    """The convex-range census ``dom -> cod`` against the Birkhoff formula
+    census, and the census maps that ``birkhoff_decompose`` finds not of
+    the theorem's form (it checks its own reconstruction): a report that
+    starts with ``params``, and the failures.  Both censuses get the node
+    budget."""
     census = embedding.enumerate_embeddings(
         dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes)
-    images = formula()
+    images = embedding.birkhoff_formula_census(
+        dom, cod, budget_nodes=cfg.budget_nodes)
     failed = []
     for mm in census.maps:
         try:
-            decompose(mm)
+            embedding.birkhoff_decompose(mm)
         except embedding.DecompositionMismatchError as exc:
             failed.append({"image": list(mm.image), "error": str(exc)})
     return {"holds": census.images == images and not failed, **params,
@@ -276,9 +277,7 @@ def _verify_powerset_form(cfg: RunConfig) -> dict:
     y = cfg.option("y", 3, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     report, failed = _product_form(
         cfg, {"x": x, "y": y},
-        builders.powerset_lattice(x), builders.powerset_lattice(y),
-        lambda: embedding.powerset_formula_census(x, y),
-        embedding.powerset_decompose)
+        builders.powerset_lattice(x), builders.powerset_lattice(y))
     report["decompositions_ok"] = not failed
     return _with_witness(report, failed)
 
@@ -288,16 +287,12 @@ def _verify_chainprod_form(cfg: RunConfig) -> dict:
     m = cfg.option("m", 2, MAX_SPEC_SIZE, _SPEC_LIMIT)
     i = cfg.option("i", 1, _max_factors(k), f" for --k {k}{_SPEC_LIMIT}")
     j = cfg.option("j", 2, _max_factors(m), f" for --m {m}{_SPEC_LIMIT}")
-    if k < 2 and i >= 1:
-        raise InputError("--k must be at least 2 when --i is at least 1 "
-                         "(the theorem takes chains of height 2 or more)")
-    dom_cp = builders.chain_product([k] * i)
-    cod_cp = builders.chain_product([m] * j)
+    for height, count, h, c in ((k, i, "k", "i"), (m, j, "m", "j")):
+        if height == 0 < count:
+            raise InputError(f"--{h} must be at least 1 when --{c} is at least 1")
     report, failed = _product_form(
         cfg, {"shape": {"k": k, "m": m, "i": i, "j": j}},
-        dom_cp.order, cod_cp.order,
-        lambda: embedding.chainprod_formula_census(dom_cp, cod_cp),
-        lambda mm: embedding.chainprod_decompose(mm, dom_cp, cod_cp))
+        builders.chain_product([k] * i), builders.chain_product([m] * j))
     report["mismatches"] = len(failed)
     return _with_witness(report, failed)
 

@@ -11,10 +11,10 @@ size.  Each map's range flags are read off the masks at its leaf.  The
 tests check the census against a naive one over all maps, with maps and
 flags derived from the plain definitions.
 
-One engine serves both product-form theorems: the chain-product functions
-decompose, build and list the shifted partial projections ``x -> (x o g) + y``,
-and the power-set functions are their views on the cubes ``C_2^n`` (ordered as
-``powerset_lattice(n)``), reading ``(g, y)`` as ``a -> h[a] | b``, ``h = g^-1``.
+One engine serves both product-form theorems: a convex-range embedding of
+finite distributive lattices is ``D -> b | phi[D]`` on the down-sets of their
+join-irreducibles (Birkhoff), which reads as ``a -> h[a] | b`` on power sets
+and as the shifted partial projection ``x -> (x o g) + y`` on chain products.
 """
 
 from __future__ import annotations
@@ -24,19 +24,14 @@ import itertools
 import json
 import operator
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .builders import (
-    ChainProduct,
-    _cube,
-    enumerate_posets,
-)
+from .builders import enumerate_posets
 from .order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
     _Frozen,
-    _Value,
     _check_mask,
     _require_poset,
     _unchecked,
@@ -49,6 +44,7 @@ from .order import (
     lower_closure,
     sup,
     upper_closure,
+    upper_sets,
 )
 from .lattice import (
     check_jid,
@@ -77,14 +73,8 @@ __all__ = [
     "continuity_checks",
     "atom_image_check",
     "preregular_continuity_sweep",
-    "PowersetDecomposition",
-    "powerset_embedding",
-    "powerset_decompose",
-    "powerset_formula_census",
-    "ChainProdDecomposition",
-    "chainprod_embedding",
-    "chainprod_decompose",
-    "chainprod_formula_census",
+    "birkhoff_formula_census",
+    "birkhoff_decompose",
     "extend_from_join_dense",
     "check_transfer_setting",
     "verify_transfer_map",
@@ -453,171 +443,109 @@ def preregular_continuity_sweep(max_size: int, *,
 
 
 # ---------------------------------------------------------------------------
-# chain-product characterization
+# Birkhoff form: both product theorems
 
 
-class ChainProdDecomposition(_Value):
-    """Shifted partial projection: on claimed coordinates ``j`` the value is
-    ``x(g(j)) + y(j)``, elsewhere the constant ``y(j)``."""
+@cache
+def _birkhoff_labels(L: QuasiOrder) -> tuple:
+    """``(J, steps, jset, index)`` for a finite distributive lattice ``L``,
+    computed once per order object.
 
-    def __init__(self, g: tuple, y: tuple):
-        fields = self.__dict__
-        fields["g"] = g  # pairs (j, i): codomain coordinate j reads domain coordinate i
-        fields["y"] = y
+    ``J`` is the suborder of the join-irreducibles: the elements whose
+    strict down-set has a greatest element, one ``L.dual.up_index`` lookup
+    each (the bottom's is empty, so it has none).  ``steps[i]`` is ``(p,
+    p_)`` for the element ``p`` that label ``i`` of ``J`` stands for and its
+    one lower cover ``p_``.  ``jset[x]`` is the mask of the labels below
+    ``x``, and ``index`` maps it back to ``x``.
 
-    def _key(self) -> tuple:
-        return self.g, self.y
-
-
-def _shift_room(g: tuple, dom_cp: ChainProduct, cod_cp: ChainProduct) -> list:
-    """The largest shift that fits each codomain coordinate: ``m_j - k_i``
-    where coordinate ``j`` reads domain coordinate ``i``, else ``m_j - 1``."""
-    room = [m - 1 for m in cod_cp.dims]
-    for j, i in g:
-        room[j] -= dom_cp.dims[i] - 1
-    return room
-
-
-def _projection_image(g: tuple, y: tuple, dom_cp: ChainProduct,
-                      cod_cp: ChainProduct) -> tuple:
-    """The image tuple of ``(g, y)``, checked as :func:`chainprod_embedding`
-    states.  An index is linear in its vector, so each image is
-    ``cod_cp.index(y)`` plus the index of the unshifted projection."""
-    seen_j = {j for j, _ in g}
-    if (len(seen_j) != len(g) or not seen_j <= set(range(len(cod_cp.dims)))
-            or sorted(i for _, i in g) != list(range(len(dom_cp.dims)))):
-        raise PreconditionFailedError(
-            "g must be a bijection from codomain coordinates onto all "
-            "domain coordinates")
-    room = _shift_room(g, dom_cp, cod_cp)
-    if len(y) != len(room) or not all(0 <= s <= r for s, r in zip(y, room)):
-        raise PreconditionFailedError(
-            f"shift {y} does not fit the codomain chains {cod_cp.dims}")
-    strides = tuple(itertools.accumulate(cod_cp.dims[:-1], operator.mul,
-                                         initial=1))
-    base = cod_cp.index(y)
-    return tuple(base + sum(vec[i] * strides[j] for j, i in g)
-                 for vec in dom_cp.vectors)
-
-
-def chainprod_embedding(g, y, dom_cp: ChainProduct,
-                        cod_cp: ChainProduct) -> MonotoneMap:
-    """The shifted partial projection ``(g, y)`` as a map of chain products.
-    ``g`` must be a bijection from codomain coordinates onto all domain
-    coordinates, and ``y`` a shift per codomain coordinate that keeps every
-    image inside its chain; otherwise :class:`PreconditionFailedError`."""
-    image = _projection_image(tuple(map(tuple, g)), tuple(y), dom_cp, cod_cp)
-    return MonotoneMap(dom_cp.order, cod_cp.order, image)
-
-
-def chainprod_decompose(sigma: MonotoneMap, dom_cp: ChainProduct,
-                        cod_cp: ChainProduct) -> ChainProdDecomposition:
-    """Recover the shifted-projection form of a convex-range embedding
-    between products of finite chains.
-
-    ``y`` is the image of the bottom, and ``g`` pairs each domain coordinate
-    ``i`` with the codomain coordinate that the image of the ``i``-th unit
-    vector moves up by one.  Any failure after the convexity check is a
-    :class:`DecompositionMismatchError` (it would contradict the theorem).
+    In a finite lattice each ``x`` is the join of the join-irreducibles
+    below it, so ``x -> jset[x]`` is injective into the down-sets of ``J``;
+    it is onto them iff ``L`` is distributive (Birkhoff, "Rings of sets",
+    1937).  So counting the down-sets decides distributivity, and anything
+    else raises :class:`PreconditionFailedError`.
     """
-    if (sigma.dom.up_masks != dom_cp.order.up_masks
-            or sigma.cod.up_masks != cod_cp.order.up_masks):
-        raise PreconditionFailedError(
-            "map does not connect the given chain products")
-    if any(d < 2 for d in dom_cp.dims):
-        raise PreconditionFailedError(
-            "domain chains must have height at least 2")
+    if not (L.size and L.is_poset and is_lattice(L)):
+        raise PreconditionFailedError("the Birkhoff form needs a lattice")
+    down, greatest = L.down_masks, L.dual.up_index
+    steps = tuple((p, greatest[down[p] & ~(1 << p)]) for p in range(L.size)
+                  if down[p] & ~(1 << p) in greatest)
+    J, elems = induced_suborder(L, sum(1 << p for p, _ in steps))
+    jset = tuple(sum(1 << i for i, p in enumerate(elems) if down[x] >> p & 1)
+                 for x in range(L.size))
+    try:
+        distributive = len(upper_sets(J.dual)) == L.size
+    except OrderError:  # more down-sets than MAX_CLOSURE_SIZE, so than L.size
+        distributive = False
+    if not distributive:
+        raise PreconditionFailedError("lattice is not distributive")
+    return J, steps, jset, {m: x for x, m in enumerate(jset)}
+
+
+def _moved(phi: tuple, jset: tuple) -> list:
+    """``phi[jset[x]]`` for each ``x``, as masks of codomain labels."""
+    return [sum(1 << phi[i] for i in bits(m)) for m in jset]
+
+
+def birkhoff_formula_census(L: QuasiOrder, M: QuasiOrder, *,
+                            budget_nodes: Optional[int] = None) -> tuple:
+    """Image tuples of every map ``x -> b | phi[jset(x)]`` of finite
+    distributive lattices, read on the join-irreducible labels of
+    :func:`birkhoff_decompose`; sorted.
+
+    ``phi`` runs over the convex-range census ``J(L) -> J(M)``, capped by
+    ``budget_nodes``, and ``b`` over the down-sets of ``J(M)`` disjoint
+    from ``C = phi[J(L)]`` whose union with ``C`` is a down-set.
+    """
+    J_L, _, jset_l, _ = _birkhoff_labels(L)
+    J_M, _, _, index_m = _birkhoff_labels(M)
+    out = []
+    for phi in enumerate_embeddings(J_L, J_M, convex_range=True,
+                                    budget_nodes=budget_nodes).images:
+        moved = _moved(phi, jset_l)
+        c = sum(1 << j for j in phi)
+        # the down-sets of J(M) are the keys of index_m
+        out.extend(tuple(index_m[b | m] for m in moved)
+                   for b in index_m if not b & c and b | c in index_m)
+    return tuple(sorted(out))
+
+
+def birkhoff_decompose(sigma: MonotoneMap) -> tuple:
+    """``(phi, b)`` with ``sigma(x) = b | phi[jset(x)]`` on the
+    join-irreducible labels, for a convex-range embedding of finite
+    distributive lattices.
+
+    ``b`` is the labels below the image of the bottom, and ``phi(p)`` the
+    one label below ``sigma(p)`` and not below ``sigma(p_)``, for ``p_`` the
+    lower cover of ``p``.  Any failure after the precondition checks is a
+    :class:`DecompositionMismatchError` (it would contradict the theorem).
+
+    The abstract's two forms are readings of ``(phi, b)``.  On
+    ``powerset_lattice(n)`` label ``i`` is the singleton ``{i}`` and
+    ``jset(a) = a``, so ``phi`` *is* ``h`` in ``a -> h[a] | b`` and ``b`` is
+    the baseline mask.  On ``chain_product(dims)`` the labels of chain ``i``
+    are its points above 0, in order and chain by chain; ``phi`` sends
+    domain chain ``i`` onto a segment of one codomain chain ``j``, the pair
+    ``(j, i)`` of ``g`` in ``x -> (x o g) + y``, and ``y_j`` is the number
+    of chain-``j`` labels in ``b``.
+    """
     if not sigma.is_embedding:
         raise NotEmbeddingError("map is not an order embedding")
     if not sigma.has_convex_range:
         raise NotConvexRangeError("range is not convex")
-    dims = len(dom_cp.dims)
-    y = cod_cp.vector(sigma.image[0])
-    pairs = []
-    for i in range(dims):
-        unit = dom_cp.index([int(t == i) for t in range(dims)])
-        img = cod_cp.vector(sigma.image[unit])
-        moved = [j for j in range(len(y)) if img[j] != y[j]]
-        if len(moved) != 1:  # a step other than +1 fails the reconstruction
+    _, steps, jset_l, index_l = _birkhoff_labels(sigma.dom)
+    _, _, jset_m, index_m = _birkhoff_labels(sigma.cod)
+    image = sigma.image
+    b = jset_m[image[index_l[0]]]
+    phi = []
+    for p, lower in steps:
+        new = jset_m[image[p]] & ~jset_m[image[lower]]
+        if new.bit_count() != 1:
             raise DecompositionMismatchError(
-                f"image of unit vector {i} is not a unit shift")
-        pairs.append((moved[0], i))
-    dec = ChainProdDecomposition(tuple(sorted(pairs)), y)
-    try:
-        image = _projection_image(dec.g, y, dom_cp, cod_cp)
-    except PreconditionFailedError as exc:
-        raise DecompositionMismatchError(str(exc)) from exc
-    if image != sigma.image:
+                f"join-irreducible {p} does not add one label")
+        phi.append(new.bit_length() - 1)
+    if image != tuple(index_m.get(b | m) for m in _moved(phi, jset_l)):
         raise DecompositionMismatchError("reconstruction differs from the map")
-    return dec
-
-
-def chainprod_formula_census(dom_cp: ChainProduct,
-                             cod_cp: ChainProduct) -> tuple:
-    """Image tuples of every feasible shifted partial projection; sorted."""
-    I = len(dom_cp.dims)
-    out = set()
-    for K in itertools.combinations(range(len(cod_cp.dims)), I):
-        for perm in itertools.permutations(range(I)):
-            g = tuple(zip(K, perm))
-            # a shift range is empty where a domain chain does not fit
-            for y in itertools.product(
-                    *(range(r + 1) for r in _shift_room(g, dom_cp, cod_cp))):
-                out.add(_projection_image(g, y, dom_cp, cod_cp))
-    return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# power-set characterization: the chain-product form on 2-element chains
-
-
-def _cube_of(q: QuasiOrder) -> ChainProduct:
-    """The 2-chain cube ``C_2^n`` of a ``2^n``-element order."""
-    return _cube(q.size.bit_length() - 1)
-
-
-class PowersetDecomposition(_Value):
-    """``a -> h[a] | b`` with ``h`` injective on ground points and ``b``
-    disjoint from the image of ``h``: the chain-product form with
-    ``g = h^-1`` and ``y = b``, whose fit forces ``y = 0`` on ``h[X]``."""
-
-    def __init__(self, h: tuple, b: int):
-        fields = self.__dict__
-        fields["h"] = h  # ground point -> ground point
-        fields["b"] = b  # bitmask over the codomain ground set
-
-    def _key(self) -> tuple:
-        return self.h, self.b
-
-
-def powerset_embedding(h: Iterable[int], b: int,
-                       dom: QuasiOrder, cod: QuasiOrder) -> MonotoneMap:
-    """Build ``a -> h[a] | b`` between the 2-chain cubes of ``dom``'s and
-    ``cod``'s sizes.  :func:`chainprod_embedding` refuses an ``h`` that is
-    not an injection into the codomain ground set and a ``b`` that meets
-    its image."""
-    cod_cp = _cube_of(cod)
-    if not 0 <= b < cod_cp.size:
-        raise PreconditionFailedError("b must be a mask over the codomain "
-                                      "ground set")
-    return chainprod_embedding(((j, i) for i, j in enumerate(h)),
-                               cod_cp.vector(b), _cube_of(dom), cod_cp)
-
-
-def powerset_decompose(sigma: MonotoneMap) -> PowersetDecomposition:
-    """Recover ``(h, b)`` from a convex-range embedding of power sets by
-    :func:`chainprod_decompose` on the 2-chain cubes: ``h(i)`` is the
-    codomain point that reads ground point ``i`` and ``b`` the shift."""
-    cod_cp = _cube_of(sigma.cod)
-    dec = chainprod_decompose(sigma, _cube_of(sigma.dom), cod_cp)
-    h = tuple(j for j, _ in sorted(dec.g, key=operator.itemgetter(1)))
-    return PowersetDecomposition(h, cod_cp.index(dec.y))
-
-
-def powerset_formula_census(x: int, y: int) -> tuple:
-    """Image tuples of every map ``a -> h[a] | b`` with ``h`` injective and
-    ``b`` in the complement of ``h``'s image; sorted."""
-    return chainprod_formula_census(_cube(x), _cube(y))
+    return tuple(phi), b
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
 a seeded random lattice generator, the Boolean algebras by their
 definition, directedness and boundedness of a subset, an order read from
-a boolean relation matrix, a relabeled copy of an order, the seeded
-per-law loops over drawn vectors of ``N^d`` that the scalar grid of the
-monoid laws replaced, the monoid laws of a finite table, each in its
+a boolean relation matrix, a relabeled copy of an order, the coordinates
+of a chain product and the shifted-projection census of chain products,
+the seeded per-law loops over drawn vectors of ``N^d`` that the scalar
+grid of the monoid laws replaced, the monoid laws of a finite table, each in its
 own loop over every instance, and the derived structures that the library
 no longer builds: the atoms of a subset through its induced suborder, the
 pair-class search of a group completion, the join and meet tables of a
@@ -14,6 +15,7 @@ poset, and the order flags, distributivity, strong interval predensity and
 basis checks read off those tables."""
 
 import itertools
+import operator
 import random
 from types import SimpleNamespace
 
@@ -222,6 +224,66 @@ def relabel(q: QuasiOrder, perm) -> QuasiOrder:
     for p, row in enumerate(q.up_masks):
         up[perm[p]] = sum(1 << perm[r] for r in bits(row))
     return QuasiOrder(up)
+
+
+def chain_vectors(dims) -> list:
+    """The coordinate vector of each element of ``chain_product(dims)``:
+    mixed radix, least significant coordinate first."""
+    return [v[::-1] for v in itertools.product(*(range(d) for d in reversed(dims)))]
+
+
+def _shift_room(g: tuple, dom_dims: tuple, cod_dims: tuple) -> list:
+    """The largest shift that fits each codomain coordinate: ``m_j - k_i``
+    where coordinate ``j`` reads domain coordinate ``i``, else ``m_j - 1``."""
+    room = [m - 1 for m in cod_dims]
+    for j, i in g:
+        room[j] -= dom_dims[i] - 1
+    return room
+
+
+def projection_image(g: tuple, y: tuple, dom_dims: tuple,
+                     cod_dims: tuple) -> tuple:
+    """The image tuple of ``x -> (x o g) + y``.  An index is linear in its
+    vector, so each image is the index of ``y`` plus the index of the
+    unshifted projection."""
+    strides = tuple(itertools.accumulate(cod_dims[:-1], operator.mul, initial=1))
+    base = sum(map(operator.mul, y, strides))
+    return tuple(base + sum(vec[i] * strides[j] for j, i in g)
+                 for vec in chain_vectors(dom_dims))
+
+
+def chainprod_reading(phi: tuple, b: int, dom_dims, cod_dims) -> tuple:
+    """``(g, y)`` of ``x -> (x o g) + y`` read off a Birkhoff decomposition
+    ``(phi, b)`` of a map between chain products.  The join-irreducible
+    labels are the points above 0 of each chain, chain by chain, so domain
+    chain ``i`` reads the codomain chain ``j`` that its labels go to, and
+    ``y_j`` is the number of chain-``j`` labels in ``b``."""
+    dom_chain, cod_chain = ([c for c, d in enumerate(dims) for _ in range(d - 1)]
+                            for dims in (dom_dims, cod_dims))
+    g = tuple(sorted({(cod_chain[j], dom_chain[i]) for i, j in enumerate(phi)}))
+    y = tuple(sum(b >> t & 1 for t, c in enumerate(cod_chain) if c == j)
+              for j in range(len(cod_dims)))
+    return g, y
+
+
+def ref_chainprod_formula_census(dom_dims, cod_dims) -> tuple:
+    """Image tuples of every shifted partial projection ``x -> (x o g) + y``
+    of ``chain_product(dom_dims)`` into ``chain_product(cod_dims)`` that
+    fits, sorted: ``g`` pairs each domain coordinate ``i`` with its own
+    codomain coordinate ``j``, as ``(j, i)``, and ``y`` shifts every
+    codomain coordinate.  The power-set form is its ``(2,) * n`` case.
+    Every domain chain must have height 2 or more."""
+    dom_dims, cod_dims = tuple(dom_dims), tuple(cod_dims)
+    n = len(dom_dims)
+    out = set()
+    for K in itertools.combinations(range(len(cod_dims)), n):
+        for perm in itertools.permutations(range(n)):
+            g = tuple(zip(K, perm))
+            # a shift range is empty where a domain chain does not fit
+            for y in itertools.product(
+                    *(range(r + 1) for r in _shift_room(g, dom_dims, cod_dims))):
+                out.add(projection_image(g, y, dom_dims, cod_dims))
+    return tuple(sorted(out))
 
 
 def sampled_vector(rng: random.Random, dim: int) -> tuple:

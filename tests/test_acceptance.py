@@ -18,13 +18,9 @@ from latkit.builders import (
 )
 from latkit.embedding import (
     atom_image_check,
-    chainprod_decompose,
-    chainprod_embedding,
-    chainprod_formula_census,
+    birkhoff_decompose,
+    birkhoff_formula_census,
     enumerate_embeddings,
-    powerset_decompose,
-    powerset_embedding,
-    powerset_formula_census,
     verify_convexity_transfer,
 )
 from latkit.lattice import is_convex, is_preregular
@@ -42,8 +38,12 @@ from latkit.monoid import (
 from latkit.order import atoms, bits
 from latkit.topology import category_algebra, enumerate_topologies, largest_open_meager
 from oracles import (
+    chain_vectors,
+    chainprod_reading,
     naive_embedding_census,
+    projection_image,
     random_lattice,
+    ref_chainprod_formula_census,
     sampled_vector,
     verify_preregular_continuity,
 )
@@ -67,11 +67,13 @@ def test_criterion_1_powerset_characterization():
         for y in range(x, 5):
             dom, cod = powerset_lattice(x), powerset_lattice(y)
             census = enumerate_embeddings(dom, cod, convex_range=True)
-            formula = powerset_formula_census(x, y)
-            assert census.images == formula, (x, y)
+            assert census.images == birkhoff_formula_census(dom, cod), (x, y)
+            assert census.images == ref_chainprod_formula_census((2,) * x,
+                                                                 (2,) * y)
             for mm in census.maps:
-                dec = powerset_decompose(mm)
-                assert powerset_embedding(dec.h, dec.b, dom, cod).image == mm.image
+                h, b = birkhoff_decompose(mm)
+                assert mm.image == tuple(b | sum(1 << h[i] for i in bits(a))
+                                         for a in range(1 << x))
             total += len(census)
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -84,15 +86,16 @@ def test_criterion_2_chainprod_characterization():
     start = time.monotonic()
     total = 0
     for k, m, i, j in CHAINPROD_SHAPES:
-        dom, cod = chain_product([k] * i), chain_product([m] * j)
-        census = enumerate_embeddings(dom.order, cod.order, convex_range=True)
-        naive = naive_embedding_census(dom.order, cod.order, convex_range=True)
+        dom_dims, cod_dims = [k] * i, [m] * j
+        dom, cod = chain_product(dom_dims), chain_product(cod_dims)
+        census = enumerate_embeddings(dom, cod, convex_range=True)
+        naive = naive_embedding_census(dom, cod, convex_range=True)
         assert census.images == naive, (k, m, i, j)
-        assert census.images == chainprod_formula_census(dom, cod)
+        assert census.images == birkhoff_formula_census(dom, cod)
+        assert census.images == ref_chainprod_formula_census(dom_dims, cod_dims)
         for mm in census.maps:
-            dec = chainprod_decompose(mm, dom, cod)
-            again = chainprod_embedding(dec.g, dec.y, dom, cod)
-            assert again.image == mm.image
+            g, y = chainprod_reading(*birkhoff_decompose(mm), dom_dims, cod_dims)
+            assert projection_image(g, y, dom_dims, cod_dims) == mm.image
         total += len(census)
     elapsed = time.monotonic() - start
     assert elapsed < 300
@@ -168,16 +171,13 @@ def test_criterion_5_extension_suite():
     # chain-product instances
     for dom_dims, cod_dims in (([3], [5]), ([2, 2], [2, 2]), ([2, 2], [2, 2, 2])):
         dom, cod = chain_product(dom_dims), chain_product(cod_dims)
-        basis = sorted({dom.index(tuple(0 for _ in dom_dims))} | {
-            dom.index(tuple(v if t == i else 0 for t in range(len(dom_dims))))
-            for i in range(len(dom_dims))
-            for v in range(1, dom_dims[i])
-        })
-        for mm in enumerate_embeddings(dom.order, cod.order,
-                                       convex_range=True).maps:
+        # the vectors with at most one nonzero coordinate
+        basis = [b for b, v in enumerate(chain_vectors(dom_dims))
+                 if sum(map(bool, v)) <= 1]
+        for mm in enumerate_embeddings(dom, cod, convex_range=True).maps:
             sig = {b: mm.image[b] for b in basis}
-            rep = verify_convexity_transfer(dom.order, sum(1 << b for b in basis),
-                                            cod.order.full_mask, cod.order, sig)
+            rep = verify_convexity_transfer(dom, sum(1 << b for b in basis),
+                                            cod.full_mask, cod, sig)
             assert rep["holds"], (dom_dims, cod_dims, mm.image, rep)
             assert tuple(rep["extension"]) == mm.image
             cases += 1
@@ -282,8 +282,7 @@ def test_criterion_9_atom_laws():
                 checked += 1
     for k, m, i, j in CHAINPROD_SHAPES:
         dom, cod = chain_product([k] * i), chain_product([m] * j)
-        for mm in enumerate_embeddings(dom.order, cod.order,
-                                       convex_range=True).maps:
+        for mm in enumerate_embeddings(dom, cod, convex_range=True).maps:
             assert atom_image_check(mm)
             checked += 1
     verdict(9, True, f"singleton atoms confirmed; {checked} census maps "

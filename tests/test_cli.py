@@ -67,6 +67,61 @@ def test_verify_powerset_characterization(capsys):
     assert doc["report"]["holds"] is True
 
 
+# the --format json stdout SHA-256 and exit code of both product-form
+# verifiers, the limit rows included
+PRODUCT_FORM_PINS = [
+    (("thm-powerset-form",), 0,
+     "b879d681455c6c5a2538cc60cb7de97f4f7f50ea452ae856582bda591da0bdcf"),
+    (("thm-powerset-form", "--x", "6", "--y", "6"), 0,
+     "c5c367d63b55cc1d6501ab49f5d4b09a40e1c58761102b50d9f744d47e7c1a05"),
+    (("thm-powerset-form", "--x", "3", "--y", "6"), 0,
+     "b6af69fbebb3a6f3d8b107f01e95c993b2c4c0399b30810d4cb7a68ce9a9e677"),
+    (("thm-powerset-form", "--x", "0", "--y", "0"), 0,
+     "7677ed98a0cd3b209a6fbba0a5fdba7895d3984101c3792f1c1df778fc9e72b4"),
+    (("thm-powerset-form", "--x", "1", "--y", "5"), 0,
+     "87d3f0479571304acb5750db9ed4e2f4d8709d46a43dca3ca8209df334e5c87b"),
+    (("thm-powerset-form", "--x", "4", "--y", "4"), 0,
+     "9fd07583f1ea2f9bfbe7cd40074686d4a6e4af86da97583a402ee9fd2668569e"),
+    (("thm-chainprod-form",), 0,
+     "057719ba6acf221d0decccd60ab2700b059049b91396590cedb0fc8b96ec9eb2"),
+    (("thm-chainprod-form", "--k", "2", "--i", "6", "--m", "2", "--j", "6"), 0,
+     "a276dbbe46921b02007a04bbc88f791dcc1cf12289cbab790c91fbb8460fcc79"),
+    (("thm-chainprod-form", "--k", "64", "--i", "1", "--m", "64", "--j", "1"),
+     0, "45bfe232ed78d93ddcc0862ef941c7bd982fc6444f9b43663394bd9e9bd3c673"),
+    (("thm-chainprod-form", "--k", "2", "--i", "0", "--m", "3", "--j", "2"), 0,
+     "84f8d806c0c943aa0a44fb387530ccbb4e867826cc15602fc41efbf8ac1b8213"),
+    (("thm-chainprod-form", "--k", "4", "--i", "1", "--m", "4", "--j", "3"), 0,
+     "9302a307ab85630b9a17b05a48b60366bbc7d2539fa1ae06f4fd246364232c1b"),
+    (("thm-chainprod-form", "--k", "3", "--i", "2", "--m", "3", "--j", "3"), 0,
+     "f15da737f4c9770d346b0c4c0007288091a74a6f9bce4890a075a5c5ec27a3c2"),
+    (("thm-chainprod-form", "--k", "8", "--i", "2", "--m", "8", "--j", "2"), 0,
+     "d7418ac6fe066159f0f492420a5987ef217bde5900009868c5ea03bed78c7477"),
+    (("thm-chainprod-form", "--k", "2", "--i", "2", "--m", "4", "--j", "3"), 0,
+     "f5f907b24efa0c6b64367ea218491c785f70566fdf9f3bc3636313a50f1707b3"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PRODUCT_FORM_PINS,
+                         ids=[" ".join(row[0]) for row in PRODUCT_FORM_PINS])
+def test_product_form_reports_keep_their_bytes(capsys, argv, code, digest):
+    got, out, err = run(capsys, "--format", "json", "verify", *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, cod_size", [
+    (("--k", "1", "--i", "3"), 4),
+    (("--k", "1", "--i", "6", "--m", "3", "--j", "3"), 27),
+])
+def test_chains_of_height_1_are_the_one_element_lattice(capsys, argv, cod_size):
+    # each element of the codomain is the image of one map
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "thm-chainprod-form", *argv)
+    report = json.loads(out)["report"]
+    assert code == EXIT_OK and report["holds"]
+    assert report["census"] == report["formula_census"] == cod_size
+
+
 def test_check_convexity_counterexample(capsys):
     code, out, _ = run(capsys, "--format", "json", "check", "convexity",
                        "--input", fixture("powerset_counterexample.json"))
@@ -571,11 +626,9 @@ ORDER_LIMIT = " (orders have at most 64 elements)"
      "--m must be at most 6 for thm-extension-convexity"),
     (("verify", "thm-extension-convexity", "--n", "7"),
      "--n must be at most 6" + ORDER_LIMIT),
-    # refused before the census, not by the decomposition of its first map
-    (("verify", "thm-chainprod-form", "--k", "1", "--m", "2", "--i", "1",
-      "--j", "2"),
-     "--k must be at least 2 when --i is at least 1 "
-     "(the theorem takes chains of height 2 or more)"),
+    # a chain of height 0 is empty, refused by option name before any work
+    (("verify", "thm-chainprod-form", "--k", "0", "--i", "1"),
+     "--k must be at least 1 when --i is at least 1"),
     (("verify", "law-monoid-distributivity", "--samples", "0"),
      "--samples must be positive"),
     (("verify", "thm-powerset-form", "--budget-nodes", "0"),
@@ -593,6 +646,8 @@ ORDER_LIMIT = " (orders have at most 64 elements)"
     # P(4) -> P(6) has 9,920,280 embeddings: refused before the census
     (("verify", "cor-atom-image", "--x", "4", "--y", "6"),
      "--x must be at most 3 for cor-atom-image --y 6"),
+    (("verify", "thm-chainprod-form", "--m", "0", "--j", "1"),
+     "--m must be at least 1 when --j is at least 1"),
 ])
 def test_out_of_range_option_exits_2_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -819,26 +874,24 @@ def test_every_transfer_extension_passes_the_checked_constructor(capsys,
         assert MonotoneMap(ext.dom, ext.cod, ext.image).image == ext.image
 
 
-@pytest.mark.parametrize("slug, argv, name", [
-    ("thm-powerset-form", ("--x", "1", "--y", "2"), "powerset_decompose"),
-    ("thm-chainprod-form", ("--k", "2", "--m", "2", "--i", "1", "--j", "2"),
-     "chainprod_decompose"),
+@pytest.mark.parametrize("slug, argv", [
+    ("thm-powerset-form", ("--x", "1", "--y", "2")),
+    ("thm-chainprod-form", ("--k", "2", "--m", "2", "--i", "1", "--j", "2")),
 ])
-def test_decomposition_failure_is_a_violation(capsys, monkeypatch, slug, argv,
-                                              name):
+def test_decomposition_failure_is_a_violation(capsys, monkeypatch, slug, argv):
     code, out, _ = run(capsys, "--format", "json", "verify", slug, *argv)
     assert code == EXIT_OK and "witness" not in json.loads(out)["report"]
     # mutation: the second census map is not of the theorem's form
-    real = getattr(embedding, name)
+    real = embedding.birkhoff_decompose
     seen = []
 
-    def mutant(mm, *rest):
+    def mutant(mm):
         seen.append(list(mm.image))
         if len(seen) == 2:
             raise embedding.DecompositionMismatchError("mutant")
-        return real(mm, *rest)
+        return real(mm)
 
-    monkeypatch.setattr(embedding, name, mutant)
+    monkeypatch.setattr(embedding, "birkhoff_decompose", mutant)
     code, out, err = run(capsys, "--format", "json", "verify", slug, *argv)
     assert code == EXIT_VIOLATION and err == ""
     report = json.loads(out)["report"]

@@ -1,17 +1,21 @@
 """Censuses, decompositions, continuity, and the extension machinery."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from latkit.builders import (
     antichain,
+    bowtie,
     chain,
     chain_product,
     diamond,
     enumerate_lattices,
     enumerate_posets,
+    m3,
+    n5,
     powerset_lattice,
 )
 from latkit.embedding import (
@@ -21,19 +25,15 @@ from latkit.embedding import (
     NotEmbeddingError,
     PreconditionFailedError,
     atom_image_check,
+    birkhoff_decompose,
+    birkhoff_formula_census,
     census_to_json_lines,
-    chainprod_decompose,
-    chainprod_embedding,
-    chainprod_formula_census,
     _check_sigma_hypotheses,
     check_transfer_setting,
     continuity_checks,
     enumerate_embeddings,
     enumerate_monotone_maps,
     extend_from_join_dense,
-    powerset_decompose,
-    powerset_embedding,
-    powerset_formula_census,
     verify_convexity_transfer,
     verify_transfer_map,
 )
@@ -42,6 +42,7 @@ from latkit.lattice import (
     classify,
     is_basis,
     is_convex,
+    is_distributive,
     is_join_dense,
     is_preregular,
 )
@@ -59,11 +60,15 @@ from latkit.order import (
     sup,
 )
 from oracles import (
+    chain_vectors,
+    chainprod_reading,
     is_bounded_above,
     is_order_reflecting,
     naive_embedding_census,
+    projection_image,
     random_lattice,
     range_property_checks,
+    ref_chainprod_formula_census,
     ref_lattice_view,
     verify_preregular_continuity,
 )
@@ -81,9 +86,9 @@ def test_census_powerset_automorphisms():
     # each is the mask action of a ground permutation
     perms = set()
     for mm in auto.maps:
-        dec = powerset_decompose(mm)
-        assert dec.b == 0
-        perms.add(dec.h)
+        h, b = birkhoff_decompose(mm)
+        assert b == 0
+        perms.add(h)
     assert perms == set(itertools.permutations(range(3)))
 
 
@@ -93,7 +98,7 @@ def test_counterexample_map_flags():
     assert mm.is_embedding
     assert not is_convex(p3, mm.range_mask)
     with pytest.raises(NotConvexRangeError):
-        powerset_decompose(mm)
+        birkhoff_decompose(mm)
     census = enumerate_embeddings(p2, p3)
     assert mm.image in census.images
     flag = census.flags[census.images.index(mm.image)]
@@ -194,8 +199,8 @@ def test_order_reflection_matches_the_pairwise_definition(n):
 def test_up_boc_range_for_lattice_homomorphisms():
     # continuous lattice homomorphism that is not an embedding: first
     # projection of a square onto its chain
-    cp = chain_product([2, 2])
-    proj = MonotoneMap(cp.order, chain(2), tuple(cp.vector(i)[0] for i in range(4)))
+    proj = MonotoneMap(chain_product([2, 2]), chain(2),
+                       tuple(v[0] for v in chain_vectors([2, 2])))
     assert not proj.is_order_reflecting
     rep = range_property_checks(proj)
     assert rep["up_boc_range"]
@@ -247,11 +252,10 @@ def test_atom_image_requires_embedding():
 
 def test_monotone_map_can_break_atom_law():
     # merely monotone: add the coordinates of the square, into a chain
-    cp = chain_product([2, 2])
-    add = MonotoneMap(cp.order, chain(3),
-                      tuple(sum(cp.vector(i)) for i in range(4)))
+    square = chain_product([2, 2])
+    add = MonotoneMap(square, chain(3), tuple(map(sum, chain_vectors([2, 2]))))
     assert not add.is_order_reflecting
-    img_atoms = add.image_mask(atoms(cp.order))
+    img_atoms = add.image_mask(atoms(square))
     assert img_atoms != atoms(chain(3), add.range_mask)
 
 
@@ -291,47 +295,52 @@ def test_embedding_iff_strictly_order_preserving_lattice_hom():
 
 
 # ---------------------------------------------------------------------------
-# decompositions
+# decompositions: the Birkhoff form and its power-set and chain-product
+# readings
+
+
+def powerset_image(h, b, x):
+    """The image tuple of ``a -> h[a] | b`` on ``P(x)``."""
+    return tuple(b | sum(1 << h[i] for i in bits(a)) for a in range(1 << x))
 
 
 def test_powerset_decompose_identity():
     p2 = powerset_lattice(2)
     ident = MonotoneMap(p2, p2, tuple(range(4)))
-    dec = powerset_decompose(ident)
-    assert dec.h == (0, 1) and dec.b == 0
+    assert birkhoff_decompose(ident) == ((0, 1), 0)
 
 
 def test_powerset_census_formula_counts():
     # injections times free baseline subsets
     expected = {(1, 1): 1, (1, 2): 4, (1, 3): 12, (2, 2): 2, (2, 3): 12}
     for (x, y), count in expected.items():
-        assert len(powerset_formula_census(x, y)) == count
+        census = birkhoff_formula_census(powerset_lattice(x), powerset_lattice(y))
+        assert len(census) == count
 
 
 def test_powerset_round_trip():
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
     census = enumerate_embeddings(p2, p3, convex_range=True)
     for mm in census.maps:
-        dec = powerset_decompose(mm)
-        assert dec.b & mm.cod.full_mask == dec.b
-        again = powerset_embedding(dec.h, dec.b, p2, p3)
-        assert again.image == mm.image
+        h, b = birkhoff_decompose(mm)
+        assert b & mm.cod.full_mask == b
+        assert powerset_image(h, b, 2) == mm.image
 
 
 def test_powerset_embedding_validation():
+    # each decomposition is an injection h and a baseline b off its image
     p2, p3 = powerset_lattice(2), powerset_lattice(3)
-    with pytest.raises(ValueError):
-        powerset_embedding((0, 0), 0, p2, p3)
-    with pytest.raises(ValueError):
-        powerset_embedding((0, 1), 0b001, p2, p3)
+    for mm in enumerate_embeddings(p2, p3, convex_range=True).maps:
+        h, b = birkhoff_decompose(mm)
+        assert len(set(h)) == 2 and not b & sum(1 << j for j in h)
     with pytest.raises(NotEmbeddingError):
-        powerset_decompose(MonotoneMap(p2, p2, (0, 3, 3, 3)))
+        birkhoff_decompose(MonotoneMap(p2, p2, (0, 3, 3, 3)))
 
 
 def test_powerset_lattice_is_the_two_chain_cube():
-    # the power-set views run the chain-product engine on these cubes
+    # both readings of the Birkhoff form label P(n) as the cube C_2^n
     for n in range(7):
-        assert powerset_lattice(n).up_masks == chain_product([2] * n).order.up_masks
+        assert powerset_lattice(n).up_masks == chain_product([2] * n).up_masks
 
 
 def test_powerset_lattice_is_one_order_per_size():
@@ -347,19 +356,19 @@ def test_an_order_keeps_only_what_its_relation_determines():
     assert len(enumerate_embeddings(dom, cod, preregular_range=True)) > 0
     assert classify(cod)["boolean"]
     assert check_jid(cod)["holds"]
+    assert len(birkhoff_formula_census(cod, cod)) == 6
     assert set(vars(cod)) <= {"up_masks", "down_masks", "dual", "is_poset",
                               "full_mask", "up_index"}
 
 
 @pytest.mark.parametrize("call, error", [
     (lambda: chain_product([2, 0]), OrderError),
-    (lambda: chain_product([2, 3]).index((1, 3)), OrderError),
     (lambda: enumerate_posets(9), OrderError),
     (lambda: random_lattice(1, random.Random(0)), OrderError),
     (lambda: extend_from_join_dense(chain(2), 0b11, {0: 0, 1: 1, 2: 1},
                                     chain(2)), PreconditionFailedError),
-], ids=["chain-height", "chain-coordinate", "enumeration-size",
-        "random-lattice-size", "sigma-domain"])
+], ids=["chain-height", "enumeration-size", "random-lattice-size",
+        "sigma-domain"])
 def test_input_errors_raise_their_module_class(call, error):
     # both classes are ValueErrors, so the command line still exits 2
     with pytest.raises(error) as info:
@@ -372,11 +381,10 @@ def test_powerset_census_matches_formula_from_the_empty_ground_set():
         for y in range(x, 5):
             dom, cod = powerset_lattice(x), powerset_lattice(y)
             census = enumerate_embeddings(dom, cod, convex_range=True)
-            assert census.images == powerset_formula_census(x, y), (x, y)
+            assert census.images == birkhoff_formula_census(dom, cod), (x, y)
             for mm in census.maps:
-                dec = powerset_decompose(mm)
-                again = powerset_embedding(dec.h, dec.b, dom, cod)
-                assert again.image == mm.image, (x, y, mm.image)
+                h, b = birkhoff_decompose(mm)
+                assert powerset_image(h, b, x) == mm.image, (x, y, mm.image)
 
 
 @pytest.mark.parametrize("h, b", [
@@ -386,68 +394,139 @@ def test_powerset_census_matches_formula_from_the_empty_ground_set():
     ((0, 1), -1),
 ])
 def test_powerset_embedding_refuses_points_outside_the_codomain(h, b):
-    with pytest.raises(PreconditionFailedError):
-        powerset_embedding(h, b, powerset_lattice(2), powerset_lattice(3))
+    # no decomposition of a P(2) -> P(3) census map reaches outside P(3)
+    p2, p3 = powerset_lattice(2), powerset_lattice(3)
+    found = {birkhoff_decompose(mm)
+             for mm in enumerate_embeddings(p2, p3, convex_range=True).maps}
+    assert len(found) == 12 and (h, b) not in found
+    assert all(0 <= j < 3 for h2, _ in found for j in h2)
+    assert all(0 <= b2 < 8 for _, b2 in found)
 
 
 def test_chainprod_preconditions_are_precondition_errors():
     c2, c3 = chain_product([2]), chain_product([3])
+    with pytest.raises(NotEmbeddingError):
+        birkhoff_decompose(MonotoneMap(c3, c2, (0, 1, 1)))
+    with pytest.raises(NotConvexRangeError):
+        birkhoff_decompose(MonotoneMap(c2, c3, (0, 2)))
     with pytest.raises(PreconditionFailedError):
-        chainprod_embedding(((0, 0),), (0,), c3, c2)  # 3-chain cannot fit
-    with pytest.raises(PreconditionFailedError):
-        chainprod_embedding(((1, 0),), (0,), c2, c3)  # no coordinate 1
-    with pytest.raises(PreconditionFailedError):
-        chainprod_embedding(((0, 0),), (0, 0), c2, c3)  # one shift too many
+        birkhoff_decompose(MonotoneMap(c2, n5(), (0, 4)))
+    # a chain of height 1 is the one-element lattice, which the form covers
     c1 = chain_product([1])
-    with pytest.raises(PreconditionFailedError):
-        chainprod_decompose(MonotoneMap(c1.order, c3.order, (0,)), c1, c3)
-    with pytest.raises(PreconditionFailedError):
-        chainprod_decompose(MonotoneMap(c2.order, c3.order, (0, 1)), c2, c2)
+    assert birkhoff_decompose(MonotoneMap(c1, c3, (2,))) == ((), 0b11)
 
 
 def test_chainprod_decompose_compares_orders_not_objects():
-    # a map built on one copy of C2 x C2 decomposes against another copy
-    mm = MonotoneMap(chain_product([2, 2]).order, powerset_lattice(2), (0, 1, 2, 3))
-    dec = chainprod_decompose(mm, chain_product([2, 2]), chain_product([2, 2]))
-    assert dec.g == ((0, 0), (1, 1)) and dec.y == (0, 0)
+    # labels are per order object, so a map between copies decomposes too
+    mm = MonotoneMap(chain_product([2, 2]), powerset_lattice(2), (0, 1, 2, 3))
+    assert birkhoff_decompose(mm) == ((0, 1), 0)
+    assert chain_product([2, 2]) is not chain_product([2, 2])
 
 
 def test_chainprod_decompose_identity():
     cp = chain_product([2, 2])
-    ident = MonotoneMap(cp.order, cp.order, tuple(range(4)))
-    dec = chainprod_decompose(ident, cp, cp)
-    assert dec.g == ((0, 0), (1, 1)) and dec.y == (0, 0)
+    ident = MonotoneMap(cp, cp, tuple(range(4)))
+    phi, b = birkhoff_decompose(ident)
+    assert chainprod_reading(phi, b, (2, 2), (2, 2)) == (((0, 0), (1, 1)), (0, 0))
 
 
 def test_chainprod_shifts_on_chains():
     c3, c5 = chain_product([3]), chain_product([5])
-    census = enumerate_embeddings(c3.order, c5.order, convex_range=True)
+    census = enumerate_embeddings(c3, c5, convex_range=True)
     assert len(census) == 3
     shifts = set()
     for mm in census.maps:
-        dec = chainprod_decompose(mm, c3, c5)
-        assert dec.g == ((0, 0),)
-        shifts.add(dec.y[0])
+        g, y = chainprod_reading(*birkhoff_decompose(mm), (3,), (5,))
+        assert g == ((0, 0),)
+        shifts.add(y[0])
     assert shifts == {0, 1, 2}
 
 
 def test_chainprod_census_matches_formula():
-    shapes = [([2], [2, 2]), ([2, 2], [2, 2]), ([2, 2], [2, 2, 2])]
+    shapes = [([2], [2, 2]), ([2, 2], [2, 2]), ([2, 2], [2, 2, 2]),
+              ([3, 2], [2, 4, 3])]
     for dom_dims, cod_dims in shapes:
-        dom_cp, cod_cp = chain_product(dom_dims), chain_product(cod_dims)
-        census = enumerate_embeddings(dom_cp.order, cod_cp.order,
-                                      convex_range=True)
-        assert census.images == chainprod_formula_census(dom_cp, cod_cp)
+        dom, cod = chain_product(dom_dims), chain_product(cod_dims)
+        census = enumerate_embeddings(dom, cod, convex_range=True)
+        assert census.images == birkhoff_formula_census(dom, cod)
+        assert census.images == ref_chainprod_formula_census(dom_dims, cod_dims)
         for mm in census.maps:
-            dec = chainprod_decompose(mm, dom_cp, cod_cp)
-            again = chainprod_embedding(dec.g, dec.y, dom_cp, cod_cp)
-            assert again.image == mm.image
+            g, y = chainprod_reading(*birkhoff_decompose(mm), dom_dims, cod_dims)
+            assert projection_image(g, y, dom_dims, cod_dims) == mm.image
 
 
 def test_chainprod_embedding_feasibility():
     c3, c2 = chain_product([3]), chain_product([2])
-    with pytest.raises(ValueError):
-        chainprod_embedding(((0, 0),), (0,), c3, c2)  # 3-chain cannot fit
+    assert birkhoff_formula_census(c3, c2) == ()  # 3-chain cannot fit
+    assert len(enumerate_embeddings(c3, c2, convex_range=True)) == 0
+
+
+def sorted_shapes(limit):
+    """Every nondecreasing tuple of chain heights of at least 2 whose
+    product is at most ``limit``, the empty tuple included."""
+    shapes = [()]
+    for shape in shapes:
+        low, size = (shape[-1] if shape else 2), math.prod(shape)
+        shapes += [shape + (d,) for d in range(low, limit // size + 1)]
+    return shapes
+
+
+def test_birkhoff_census_matches_the_chain_product_oracle():
+    # every pair of mixed shapes of at most 32 elements, the uniform shapes
+    # [k] * i the command line takes among them
+    shapes = sorted_shapes(32)
+    pairs = [(a, b) for a in shapes for b in shapes
+             if math.prod(a) <= math.prod(b)]
+    uniform = [(a, b) for a, b in pairs if len(set(a)) <= 1 >= len(set(b))]
+    assert (len(shapes), len(pairs), len(uniform)) == (78, 3183, 829)
+    maps = 0
+    for a, b in pairs:
+        census = birkhoff_formula_census(chain_product(a), chain_product(b))
+        assert census == ref_chainprod_formula_census(a, b), (a, b)
+        maps += len(census)
+    assert maps == 16_667
+
+
+def test_birkhoff_census_matches_the_powerset_oracle():
+    for x in range(5):
+        for y in range(7):
+            assert birkhoff_formula_census(
+                powerset_lattice(x), powerset_lattice(y)
+            ) == ref_chainprod_formula_census((2,) * x, (2,) * y), (x, y)
+
+
+def test_birkhoff_census_is_the_convex_census_on_small_distributive_lattices():
+    lattices = [q for n in range(1, 8) for q in enumerate_lattices(n)
+                if is_distributive(q)]
+    pairs = maps = 0
+    for L in lattices:
+        for M in lattices:
+            if L.size > M.size:
+                continue
+            census = enumerate_embeddings(L, M, convex_range=True)
+            assert birkhoff_formula_census(L, M) == census.images
+            for mm in census.maps:
+                birkhoff_decompose(mm)  # checks its own reconstruction
+            pairs += 1
+            maps += len(census)
+    assert (len(lattices), pairs, maps) == (21, 273, 435)
+
+
+@pytest.mark.parametrize("q", [m3(), n5(), bowtie()], ids=["m3", "n5", "bowtie"])
+def test_birkhoff_form_refuses_non_distributive_orders(q):
+    with pytest.raises(PreconditionFailedError):
+        birkhoff_formula_census(q, powerset_lattice(2))
+    with pytest.raises(PreconditionFailedError):
+        birkhoff_formula_census(chain(1), q)
+    ident = MonotoneMap(q, q, tuple(range(q.size)))
+    with pytest.raises(PreconditionFailedError):
+        birkhoff_decompose(ident)
+
+
+def test_birkhoff_census_takes_the_node_budget():
+    c8 = chain_product([8, 8])
+    with pytest.raises(BudgetExceededError):
+        birkhoff_formula_census(c8, c8, budget_nodes=1_000)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +619,10 @@ def extension_census_maps():
             L, M = powerset_lattice(n), powerset_lattice(m)
             for mm in enumerate_embeddings(L, M, convex_range=True).maps:
                 yield L, powerset_basis(n), M, mm
-    cp, cod = chain_product([2, 2]), chain_product([2, 2, 2])
-    B = sum(1 << cp.index(v) for v in ((0, 0), (1, 0), (0, 1)))
-    for mm in enumerate_embeddings(cp.order, cod.order, convex_range=True).maps:
-        yield cp.order, B, cod.order, mm
+    square, cod = chain_product([2, 2]), chain_product([2, 2, 2])
+    B = 0b0111  # (0, 0), (1, 0) and (0, 1)
+    for mm in enumerate_embeddings(square, cod, convex_range=True).maps:
+        yield square, B, cod, mm
 
 
 def test_convexity_transfer_matches_the_extension_oracle():
@@ -619,13 +698,14 @@ def test_extension_recovers_map_from_basis():
 def test_extension_is_embedding_from_strongly_predense_basis():
     # meet-embedding off a strongly interval predense basis extends to an
     # embedding of the whole lattice
-    cp = chain_product([2, 2])
+    vectors = chain_vectors([2, 2])
     p3 = powerset_lattice(3)
-    sig = {cp.index((0, 0)): 0, cp.index((1, 0)): 1, cp.index((0, 1)): 2}
+    sig = {vectors.index((0, 0)): 0, vectors.index((1, 0)): 1,
+           vectors.index((0, 1)): 2}
     B = sum(1 << b for b in sig)
-    ext = extend_from_join_dense(cp.order, B, sig, p3)
+    ext = extend_from_join_dense(chain_product([2, 2]), B, sig, p3)
     assert ext.is_embedding
-    assert ext.image[cp.index((1, 1))] == 3
+    assert ext.image[vectors.index((1, 1))] == 3
 
 
 def test_extension_lattice_hom_when_meet_preserving_and_jid():
@@ -681,14 +761,13 @@ def test_convexity_transfer_powerset():
 
 
 def test_convexity_transfer_chain_product():
-    cp = chain_product([2, 2])
-    B = sum(1 << cp.index(v) for v in ((0, 0), (1, 0), (0, 1)))
-    cod = chain_product([2, 2, 2])
-    census = enumerate_embeddings(cp.order, cod.order, convex_range=True)
+    square, cod = chain_product([2, 2]), chain_product([2, 2, 2])
+    vectors = chain_vectors([2, 2])
+    B = sum(1 << vectors.index(v) for v in ((0, 0), (1, 0), (0, 1)))
+    census = enumerate_embeddings(square, cod, convex_range=True)
     for mm in census.maps[:4]:
         sig = {b: mm.image[b] for b in bits(B)}
-        rep = verify_convexity_transfer(cp.order, B, cod.order.full_mask,
-                                        cod.order, sig)
+        rep = verify_convexity_transfer(square, B, cod.full_mask, cod, sig)
         assert rep["holds"]
         assert tuple(rep["extension"]) == mm.image
 

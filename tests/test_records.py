@@ -4,13 +4,9 @@ constructor checks, immutability, equality, and fields preset by
 
 import pytest
 
-from latkit.builders import ChainProduct, chain
+from latkit.builders import chain, chain_product
 from latkit.cli import RunConfig, Verifier
-from latkit.embedding import (
-    ChainProdDecomposition,
-    EmbeddingCensus,
-    PowersetDecomposition,
-)
+from latkit.embedding import EmbeddingCensus
 from latkit.monoid import (
     FiniteMonoid,
     GroupCompletion,
@@ -28,8 +24,6 @@ SPACE = FiniteTopology(C2)
 # each record class with the fields of one instance, in signature order;
 # the classes whose value compares and hashes by its fields come first
 VALUES = {
-    ChainProdDecomposition: {"g": ((0, 0),), "y": (0, 1)},
-    PowersetDecomposition: {"h": (1,), "b": 1},
     VectorMonoid: {"dim": 2},
     VectorGroupCompletion: {"dim": 2},
     Verifier: {"slug": "s", "description": "d", "run": len, "reads": ("x",)},
@@ -37,7 +31,6 @@ VALUES = {
 IDENTITIES = {
     QuasiOrder: {"up_masks": (7, 6, 4)},
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
-    ChainProduct: {"dims": (2, 3)},
     EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (), "nodes": 0},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
     GroupCompletion: {"source": Z2, "group": Z2, "reps": ((0, 0), (1, 0)),
@@ -82,7 +75,7 @@ def test_record_construction_equality_and_immutability(cls):
     (lambda: MonotoneMap(C2, C3, (2, 0)), OrderError),  # not monotone
     (lambda: MonotoneMap(C2, C3, (0,)), OrderError),  # wrong length
     (lambda: QuasiOrder((0b01, 0b110)), OrderError),  # a bit outside the carrier
-    (lambda: ChainProduct((2, 0)), OrderError),  # a chain of height 0
+    (lambda: chain_product((2, 0)), OrderError),  # a chain of height 0
     (lambda: FiniteMonoid(((0, 1),), 0), MonoidError),  # not square
     (lambda: FiniteMonoid(((0, 1), (1, 2)), 0), MonoidError),  # an entry out of range
     # not associative: (1 + 1) + 2 = 2 but 1 + (1 + 2) = 1
