@@ -33,8 +33,7 @@ print("(1,0) <= (2,3):", nat2.leq((1, 0), (2, 3)),
       "  (1,2) <= (2,1):", nat2.leq((1, 2), (2, 1)))
 
 print("\n== group completion ==")
-gc = group_completion(cyclic_group(3))
-print("a group completes to itself:", gc.group.size, "classes")
+print("a group completes to itself:", group_completion(cyclic_group(3)).size, "classes")
 z2 = vector_group_completion(nat2)
 print("N^2 completes to Z^2: class of ((1,0),(0,2)) =", z2.class_of((1, 0), (0, 2)))
 print("canonical disjoint pair:", z2.canonical_pair((-1, 2)))

@@ -6,6 +6,7 @@ a Baire space and its category algebra is its regular open algebra.
 """
 
 from latkit.lattice import classify
+from latkit.order import upper_sets
 from latkit.topology import (
     category_algebra,
     clopen_basis_check,
@@ -22,7 +23,7 @@ from latkit.topology import (
 
 print("== the two-point space with one open point ==")
 sp = topology(2, [0b10])
-print("opens:", sorted(f"{o:02b}" for o in sp.opens))
+print("opens:", sorted(f"{o:02b}" for o in upper_sets(sp)))
 print("closure of the open point:", f"{closure_of(sp, 0b10):02b}",
       "-> not regular open:", f"{interior(sp, closure_of(sp, 0b10)):02b}")
 print("regular opens:", [f"{g:02b}" for g in regular_opens(sp)])

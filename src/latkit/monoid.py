@@ -29,7 +29,6 @@ __all__ = [
     "NotCancellativeError",
     "FiniteMonoid",
     "VectorMonoid",
-    "GroupCompletion",
     "VectorGroupCompletion",
     "associated_order",
     "monoid_class",
@@ -180,45 +179,22 @@ def monoid_class(m) -> dict:
 # group completion
 
 
-class GroupCompletion(_Frozen):
-    """An abelian group receiving a cancellative commutative monoid.
-
-    The class of a pair ``(a, b)`` stands for ``a - b``.  A finite
-    cancellative monoid is already a group (see :func:`group_completion`),
-    so ``group`` is the monoid itself, each class is named by ``(a, e)``
-    with ``e`` the identity, and ``embedding`` is the identity map.
-    """
-
-    def __init__(self, source: FiniteMonoid, group: FiniteMonoid, reps: tuple,
-                 embedding: tuple, pair_class: dict):
-        fields = self.__dict__
-        fields["source"] = source
-        fields["group"] = group
-        fields["reps"] = reps              # class index -> naming (a, b) pair
-        fields["embedding"] = embedding    # a -> class index of (a, identity)
-        fields["pair_class"] = pair_class  # (a, b) -> class index
-
-    def class_of(self, a: int, b: int) -> int:
-        return self.pair_class[(a, b)]
-
-
-def group_completion(m: FiniteMonoid) -> GroupCompletion:
+def group_completion(m: FiniteMonoid) -> FiniteMonoid:
     """Embed a cancellative commutative monoid into an abelian group.
 
     A finite cancellative monoid is a group: each translation
     ``x -> a + x`` is injective on a finite set, hence onto, so some ``x``
-    has ``a + x = e``.  So the completion is ``m`` itself; a table that is
+    has ``a + x = e``.  So ``m`` is returned as its own completion, embedded
+    by the identity (the class of ``(a, e)`` is ``a``); a table that is
     cancellative but not a group raises :class:`RuntimeError`.
     """
     if not m.is_commutative:
         raise MonoidError("group completion requires commutativity")
     if not m.is_cancellative:
         raise NotCancellativeError("monoid is not cancellative")
-    n, e = m.size, m.identity
-    if len(m.invertibles) != n:
+    if len(m.invertibles) != m.size:
         raise RuntimeError("a finite cancellative monoid failed to be a group")
-    return GroupCompletion(m, m, tuple((a, e) for a in range(n)),
-                           tuple(range(n)), {(a, e): a for a in range(n)})
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "minimal_elements",
     "positive_part",
     "atoms",
-    "interval",
     "upper_closure",
     "lower_closure",
     "upper_sets",
@@ -437,11 +436,6 @@ def atoms(q: QuasiOrder, A: Optional[int] = None) -> int:
 
 # ---------------------------------------------------------------------------
 # subsets derived from the order
-
-
-def interval(q: QuasiOrder, p: int, r: int) -> int:
-    """The interval ``[p, r] = {s : p <= s <= r}``."""
-    return q.up_masks[p] & q.down_masks[r]
 
 
 def upper_closure(q: QuasiOrder, A: int) -> int:

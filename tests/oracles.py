@@ -37,7 +37,6 @@ from latkit.monoid import (
     MAX_SAMPLED_SET_SIZE,
     SAMPLE_BOUND,
     FiniteMonoid,
-    GroupCompletion,
     MonoidError,
     NotCancellativeError,
     associated_order,
@@ -439,11 +438,13 @@ def ref_relative_atoms(q: QuasiOrder, A) -> int:
     return out
 
 
-def ref_group_completion(m: FiniteMonoid) -> GroupCompletion:
+def ref_group_completion(m: FiniteMonoid) -> SimpleNamespace:
     """The group completion by its pair-class search: the classes of
     ``M x N``, with ``N`` the noninvertible elements and the identity,
     under ``(a,b) ~ (c,d)`` iff ``a+r = c+s`` and ``b+r = d+s`` for some
-    ``r, s`` in ``N``, each named by its lexicographically least member."""
+    ``r, s`` in ``N``, each named by its lexicographically least member:
+    ``source``, ``group`` (the class table), ``reps``, ``embedding``
+    (``a`` to the class of ``(a, e)``) and ``pair_class``."""
     if not m.is_commutative:
         raise MonoidError("group completion requires commutativity")
     if not m.is_cancellative:
@@ -483,7 +484,8 @@ def ref_group_completion(m: FiniteMonoid) -> GroupCompletion:
     embedding = tuple(pair_class[(a, e)] for a in range(n))
     if len(set(embedding)) != n:
         raise RuntimeError("embedding failed to be injective")
-    return GroupCompletion(m, group, tuple(reps), embedding, pair_class)
+    return SimpleNamespace(source=m, group=group, reps=tuple(reps),
+                           embedding=embedding, pair_class=pair_class)
 
 
 def ref_lattice_view(q: QuasiOrder) -> SimpleNamespace:

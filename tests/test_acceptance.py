@@ -237,9 +237,8 @@ def test_criterion_7_group_completion():
             if not mon.is_cancellative:
                 rejected += 1
                 continue
-            gc = group_completion(mon)
-            assert len(gc.group.invertibles) == gc.group.size
-            assert len(set(gc.embedding)) == mon.size
+            g = group_completion(mon)  # embedded by the identity
+            assert g is mon and len(g.invertibles) == g.size
             completed += 1
     with pytest.raises(NotCancellativeError):
         group_completion(FiniteMonoid([[0, 1], [1, 1]], 0))

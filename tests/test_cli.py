@@ -814,6 +814,36 @@ def test_topology_commands_reach_five_points(capsys, argv):
         assert report["found"] is False
 
 
+# exit code and stdout SHA-256 of the topology and group-completion
+# reports that the benchmark's pins do not cover
+SPACE_AND_GROUP_PINS = [
+    (("sweep", "cat-ro-iso", "--points", "5"), 0,
+     "c54bdee158734b0b59350f8c1cd54f3ba7c7bc31a66a4c4fb7c26e897467d621"),
+    (("sweep", "baire", "--points", "5"), 0,
+     "07f83905cc2b64e12344bc5c27639c4b779f13ab5ec5bd47dcfa75bbf5848ddf"),
+    (("verify", "prop-cat-ro-iso", "--points", "3"), 0,
+     "7e997f237db54d1df482cd0f850227b92b1313ff97df1050475045d6496d03c8"),
+    (("search", "open-meager", "--points", "5"), 0,
+     "92781caf44acd78765cb4a7e8e707d3aaa7f220dd61622b7153f7d164d639f8a"),
+    (("verify", "lem-group-completion", "--input", "z3.json"), 0,
+     "89bb106f8735cb7eaea374fdc0a4425287404d893c9863a614b6612e83293a15"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", SPACE_AND_GROUP_PINS,
+                         ids=[" ".join(row[0]) for row in SPACE_AND_GROUP_PINS])
+def test_space_and_group_reports_keep_their_bytes(capsys, tmp_path, argv, code,
+                                                  digest):
+    # z3.json is the cyclic group of order 3
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(
+        {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0}))
+    argv = tuple(str(path) if a == "z3.json" else a for a in argv)
+    got, out, err = run(capsys, "--format", "json", *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ENUMERATING)
 def test_enumerating_commands_accept_explicit_zero(capsys, command):
     code, out, _ = run(capsys, "--format", "json", *command, "--max-size", "0")

@@ -162,7 +162,7 @@ def test_upper_sets_match_scan():
     # every poset of at most 6 elements (so every parent of level 7) and
     # every labeled quasi order on at most 4 points, both directions
     orders = [q for n in range(7) for q in enumerate_posets(n)]
-    orders += [t.order for n in range(5) for t in enumerate_topologies(n)]
+    orders += [q for n in range(5) for q in enumerate_topologies(n)]
     orders += NON_POSETS
     for q in orders:
         assert list(upper_sets(q.dual)) == ref_lower_sets(q)

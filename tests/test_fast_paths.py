@@ -25,7 +25,7 @@ from latkit.order import (
 from latkit.topology import enumerate_topologies
 
 POSETS = [q for n in range(1, 6) for q in enumerate_posets(n)]
-QUASI_ORDERS = [t.order for n in range(1, 5) for t in enumerate_topologies(n)]
+QUASI_ORDERS = [q for n in range(1, 5) for q in enumerate_topologies(n)]
 SMALL_LATTICES = [q for n in range(1, 6) for q in enumerate_lattices(n)]
 
 

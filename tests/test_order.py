@@ -21,7 +21,6 @@ from latkit.order import (
     bits,
     build_quasi_order,
     inf,
-    interval,
     is_partial_order,
     lower_closure,
     minimal_elements,
@@ -182,8 +181,6 @@ def test_down_set_and_closures():
     assert tuple(bits(upper_closure(d, 0b10))) == (1, 3)
     assert upper_closure(d, 0) == 0
     assert tuple(bits(lower_closure(d, 0b1000))) == (0, 1, 2, 3)
-    assert tuple(bits(interval(d, 0, 3))) == (0, 1, 2, 3)
-    assert interval(d, 1, 2) == 0
 
 
 def test_upper_closure_idempotent_extensive():

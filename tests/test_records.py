@@ -9,17 +9,14 @@ from latkit.cli import RunConfig, Verifier
 from latkit.embedding import EmbeddingCensus
 from latkit.monoid import (
     FiniteMonoid,
-    GroupCompletion,
     MonoidError,
     VectorGroupCompletion,
     VectorMonoid,
 )
 from latkit.order import MonotoneMap, OrderError, QuasiOrder, _unchecked
-from latkit.topology import CategoryAlgebra, FiniteTopology, ROAlgebra
+from latkit.topology import CategoryAlgebra, ROAlgebra
 
 C2, C3 = chain(2), chain(3)
-Z2 = FiniteMonoid(((0, 1), (1, 0)), 0)
-SPACE = FiniteTopology(C2)
 
 # each record class with the fields of one instance, in signature order;
 # the classes whose value compares and hashes by its fields come first
@@ -33,12 +30,9 @@ IDENTITIES = {
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
     EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (), "nodes": 0},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
-    GroupCompletion: {"source": Z2, "group": Z2, "reps": ((0, 0), (1, 0)),
-                      "embedding": (0, 1), "pair_class": {(0, 0): 0, (1, 0): 1}},
-    FiniteTopology: {"order": C2},
-    ROAlgebra: {"space": SPACE, "members": (0, 2, 3), "order": C3},
-    CategoryAlgebra: {"space": SPACE, "order": C2, "reps": (0, 3), "classes": {},
-                      "ro_members": (), "ro_iso": {}},
+    ROAlgebra: {"space": C2, "members": (0, 2, 3), "order": C3},
+    CategoryAlgebra: {"space": C2, "order": C2, "reps": (0, 3), "classes": {},
+                      "ro_iso": {}},
 }
 FROZEN = {**VALUES, **IDENTITIES}
 RECORDS = {**FROZEN, RunConfig: {"command": "check", "name": "x", "inputs": (),

@@ -158,16 +158,22 @@ def test_all_lists_exactly_the_public_definitions(path):
     assert [name for name in defined if name not in module.__all__] == []
 
 
-def _names_used(node) -> set:
-    """The names and attribute names that ``node`` reads or imports."""
+def _imported_or_attribute(tree) -> set:
+    """The names that ``tree`` imports or reads as an attribute."""
+    return {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _reads_from(tree, module: str) -> set:
+    """The names that ``tree`` imports from ``module`` or reads as
+    ``module.name``."""
     out = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == module:
+            out |= {a.name for a in n.names}
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id == module):
             out.add(n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.asname or n.name)
     return out
 
 
@@ -179,19 +185,14 @@ def _defined(stmt) -> set:
     return set()
 
 
-def _source_uses() -> list:
-    """``(module, names defined, names used)`` per top-level statement of
-    the library: definitions, constants, and the package root's re-exports.
-    A module's imports and its ``__all__`` are not uses."""
-    out = []
-    for path in SOURCES:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, ast.Import) or (
-                    isinstance(stmt, ast.ImportFrom) and path.stem != "__init__"):
-                continue
-            if _defined(stmt) != {"__all__"}:
-                out.append((path.stem, _defined(stmt), _names_used(stmt)))
-    return out
+def _read_by_another_definition(tree, name: str) -> bool:
+    """A top-level statement of ``tree`` other than the one defining
+    ``name``, and other than an import or ``__all__``, reads ``name``."""
+    return any(
+        name not in _defined(stmt) and _defined(stmt) != {"__all__"}
+        and not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(stmt))
+        for stmt in tree.body)
 
 
 def _readme_names() -> set:
@@ -203,15 +204,20 @@ def _readme_names() -> set:
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_every_public_name_has_a_use_outside_the_tests(path):
-    """A name in ``__all__`` is read by another definition of the library
-    (the package root's re-export counts), used by a demo, or named in the
-    README as API; code that only tests reach belongs in the tests."""
-    uses = _source_uses()
-    demo_names = set().union(*(_names_used(ast.parse(p.read_text(encoding="utf-8")))
-                               for p in DEMOS))
-    readme = _readme_names()
+    """A name in ``__all__`` is used by another definition of its own
+    module, imported from it or read as ``module.name`` by another library
+    module (the package root's re-export counts), imported or read as an
+    attribute by a demo, or named in the README as API; code that only
+    tests reach belongs in the tests.  A local variable of the same name
+    elsewhere is not a use."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    own = trees[path.stem]
+    used = set().union(
+        *(_imported_or_attribute(ast.parse(p.read_text(encoding="utf-8")))
+          for p in DEMOS),
+        *(_reads_from(tree, path.stem) for stem, tree in trees.items()
+          if stem != path.stem),
+        _readme_names())
     unused = [name for name in importlib.import_module(f"latkit.{path.stem}").__all__
-              if name not in demo_names and name not in readme
-              and not any(name in used and not (module == path.stem and name in names)
-                          for module, names, used in uses)]
+              if name not in used and not _read_by_another_definition(own, name)]
     assert unused == [], f"{path.name}: no use outside the tests for {unused}"
