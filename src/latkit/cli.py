@@ -13,6 +13,7 @@ Given the same configuration and seed, JSON reports are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -806,4 +807,6 @@ def _main(argv) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # main flushed stdout; the collection at exit skips it all
+    raise SystemExit(code)

@@ -35,11 +35,11 @@ from .order import (
     _check_mask,
     _require_poset,
     _unchecked,
+    _upper_bounds,
     atoms,
     bits,
     induced_suborder,
     inf,
-    intersection_closure,
     linear_extension,
     lower_closure,
     sup,
@@ -47,6 +47,8 @@ from .order import (
     upper_sets,
 )
 from .lattice import (
+    _largest_failing,
+    _sup_failures,
     check_jid,
     classify,
     is_basis,
@@ -325,32 +327,6 @@ def census_to_json_lines(census: EmbeddingCensus) -> Iterator[str]:
 # continuity and range structure
 
 
-def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
-    """The keys of ``elems``, the classes of the nonempty ``B`` among them
-    (their :func:`intersection_closure`), and the classes whose supremum
-    ``s`` is one of ``elems`` with ``image[s]`` not the supremum of the
-    image of ``B``.  ANDing the keys of a set ``B`` gives the upper bounds
-    of ``B`` in ``dom`` (low ``dom.size`` bits) next to the upper bounds of
-    its image in ``cod`` (the bits above)."""
-    n, full = dom.size, dom.full_mask
-    keys = {a: dom.up_masks[a] | (cod.up_masks[image[a]] << n) for a in elems}
-    classes = intersection_closure(keys.values())
-    bad = set()
-    # both halves of a class are up-sets, so both suprema are lookups
-    dom_least, cod_least = dom.up_index, cod.up_index
-    for ub in classes:
-        s = dom_least.get(ub & full)
-        if s in keys and cod_least.get(ub >> n) != image[s]:
-            bad.add(ub)
-    return keys, classes, bad
-
-
-def _largest_failing(keys: dict, bad: set) -> list:
-    """The numerically largest ``B`` whose class is in ``bad``."""
-    return list(bits(max(
-        sum(1 << a for a, k in keys.items() if k & ub == ub) for ub in bad)))
-
-
 def continuity_checks(sigma: MonotoneMap) -> dict:
     """Preservation of nonempty suprema/infima and of directed bounds.
 
@@ -396,14 +372,14 @@ def preregular_continuity_sweep(max_size: int, *,
     An embedding ``P -> Q`` is an isomorphism of ``P`` onto its range ``R``
     that sends the supremum of ``B`` in ``P`` to that of its image in ``R``,
     so it preserves nonempty suprema and infima iff the inclusion ``R -> Q``
-    does.  The inclusion does iff ``R`` is preregular: for one class of
-    upper bounds of a nonempty ``B`` in ``R``, :func:`continuity_checks`
-    compares the least member of the class inside ``R`` with its least
-    member in ``Q``, which is exactly the comparison
-    :func:`preregularity_witness` makes (and dually for infima).  So no
-    embedding this sweep counts can fail, ``violations`` is always empty,
-    and the tests compare that claim with a continuity check of every
-    inclusion and every census map.
+    does.  The inclusion does iff ``R`` is preregular: both checks are one
+    function, ``lattice._sup_failures``, which compares, per class of upper
+    bounds of a nonempty ``B`` in ``R``, its least member inside ``R`` with
+    its least member in ``Q``; :func:`preregularity_witness` runs it on the
+    inclusion (and on the duals for infima).  So no embedding this sweep
+    counts can fail, ``violations`` is always empty, and the tests compare
+    that claim with a continuity check of every inclusion and every census
+    map.
 
     The embeddings with range ``R`` number ``|Aut(P)|`` for the one class
     ``P`` of the induced suborder on ``R`` and none for any other, so each
@@ -575,11 +551,11 @@ def _check_sigma_bounds(L: QuasiOrder, dmask: int, sigma: dict, M: QuasiOrder):
     keys, classes, bad = _sup_failures(L, M, sigma, bits(dmask))
     if bad:
         raise HypothesisFailed("sigma-preserves-sups-in-L",
-                               f"B={_largest_failing(keys, bad)}")
+                               f"B={list(bits(_largest_failing(keys, bad)[0]))}")
     bad = {ub for ub in classes if ub & L.full_mask and not ub >> L.size}
     if bad:
         raise HypothesisFailed("sigma-preserves-boundedness-in-L",
-                               f"A={_largest_failing(keys, bad)}")
+                               f"A={list(bits(_largest_failing(keys, bad)[0]))}")
 
 
 def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
@@ -588,13 +564,10 @@ def _sup_extension(L: QuasiOrder, dmask: int, sigma: dict,
     so it is built unchecked; each bound is one ``up_index`` lookup, as in
     :func:`order.sup`."""
     _require_poset(M)
-    up, least = M.up_masks, M.up_index
     image = []
     for p in range(L.size):
-        ub = M.full_mask
-        for d in bits(dmask & L.down_masks[p]):
-            ub &= up[sigma[d]]
-        s = least.get(ub)
+        below = sum({1 << sigma[d] for d in bits(dmask & L.down_masks[p])})
+        s = M.up_index.get(_upper_bounds(M, below))
         if s is None:
             raise RuntimeError("bounded image lost its supremum")
         image.append(s)

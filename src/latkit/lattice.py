@@ -6,6 +6,11 @@ given ambient order; suprema and atoms *inside* a subset use the ambient
 relation restricted to the subset.  No join or meet table is kept: the join
 of ``a`` and ``b`` is ``up_index.get(up[a] & up[b])``, the least element of
 their common upper bounds, and meets read the dual.
+
+One scan, :func:`_sup_failures`, decides whether a map preserves the
+suprema of nonempty sets, for :func:`preregularity_witness` (the inclusion
+of ``A``), :func:`set_distributivity_failure` (``b -> op(a, b)``) and, in
+:mod:`latkit.embedding`, ``continuity_checks`` and the extension hypotheses.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .order import (
     _unchecked,
     _upper_bounds,
     bits,
+    induced_suborder,
     inf,
     intersection_closure,
     least_element,
@@ -163,33 +169,56 @@ def is_distributive(q: QuasiOrder) -> bool:
     return distributivity_witness(q) is None
 
 
+def _sup_failures(dom: QuasiOrder, cod: QuasiOrder, image, elems):
+    """The keys of ``elems``, the classes of the nonempty ``B`` among them
+    (their :func:`intersection_closure`), and the classes whose supremum
+    ``s`` is one of ``elems`` with ``image[s]`` not the supremum of the
+    image of ``B``.  ANDing the keys of a set ``B`` gives the upper bounds
+    of ``B`` in ``dom`` (low ``dom.size`` bits) next to the upper bounds of
+    its image in ``cod`` (the bits above)."""
+    n, full = dom.size, dom.full_mask
+    keys = {a: dom.up_masks[a] | (cod.up_masks[image[a]] << n) for a in elems}
+    classes = intersection_closure(keys.values())
+    bad = set()
+    # both halves of a class are up-sets, so both suprema are lookups
+    dom_least, cod_least = dom.up_index, cod.up_index
+    for ub in classes:
+        s = dom_least.get(ub & full)
+        if s in keys and cod_least.get(ub >> n) != image[s]:
+            bad.add(ub)
+    return keys, classes, bad
+
+
+def _largest_failing(keys: dict, bad: set) -> tuple:
+    """``(B, class)`` for the numerically largest ``B`` whose class is in
+    ``bad``, the extent of its class (distinct classes, distinct extents)."""
+    return max((sum(1 << a for a, k in keys.items() if k & ub == ub), ub)
+               for ub in bad)
+
+
 def set_distributivity_failure(q: QuasiOrder, op: Callable[[int, int], int]):
     """``(checked, hit)`` for the law ``op(a, sup B) = sup(op(a, B))``
     over every ``a`` and every nonempty ``B`` whose supremum exists (pass
     ``q.dual`` for infima).  ``hit`` is the first failing ``(a, B mask)``
     of the scan with ``a``, then ``B``, ascending, or ``None``; ``checked``
-    counts the pairs that scan visits.  Both sides see ``B`` only through
-    the AND of ``up(b) | up(op(a, b)) << n`` over ``b`` in ``B``, so one
-    visit per :func:`intersection_closure` member decides every ``B``.  The
-    least ``B`` of a failing class drops extent members from the top down
-    while the AND stays the class.  It stays nonempty: the AND of no keys
-    is ``full``, and a key is ``full`` only when ``b`` and ``op(a, b)`` are
-    both the least element, where the law holds.  Both halves of a class
-    are up-sets, so both suprema are ``up_index`` lookups."""
+    counts the pairs that scan visits.  For each ``a`` the law says that
+    ``b -> op(a, b)`` preserves nonempty suprema, which
+    :func:`_sup_failures` decides with one visit per class.  The least
+    ``B`` of a failing class drops extent members from the top down while
+    the AND of their keys stays the class.  It stays nonempty: the AND of
+    no keys is ``full``, and a key is ``full`` only when ``b`` and
+    ``op(a, b)`` are both the least element, where the law holds."""
     n = q.size
-    up, least = q.up_masks, q.up_index
     full = (1 << 2 * n) - 1
     for a in range(n):
-        keys = [up[b] | up[op(a, b)] << n for b in range(n)]
+        keys, _, bad = _sup_failures(q, q, [op(a, b) for b in range(n)], range(n))
         failing = []
-        for t in intersection_closure(keys):
-            s = least.get(t & q.full_mask)
-            if s is not None and op(a, s) != least.get(t >> n):
-                kept = {b for b in range(n) if keys[b] & t == t}
-                for b in sorted(kept, reverse=True):
-                    if reduce(and_, (keys[c] for c in kept - {b}), full) == t:
-                        kept.remove(b)
-                failing.append(sum(1 << b for b in kept))
+        for t in bad:
+            kept = {b for b in range(n) if keys[b] & t == t}
+            for b in sorted(kept, reverse=True):
+                if reduce(and_, (keys[c] for c in kept - {b}), full) == t:
+                    kept.remove(b)
+            failing.append(sum(1 << b for b in kept))
         if failing:
             return a * ((1 << n) - 1) + min(failing), (a, min(failing))
     return n * ((1 << n) - 1), None
@@ -272,29 +301,25 @@ def preregularity_witness(q: QuasiOrder, A: int, upwards: bool) -> Optional[dict
     """A nonempty ``B`` whose bound inside ``A`` disagrees with the ambient
     one (including the case where the ambient bound does not exist).
 
-    Both bounds depend on ``B`` only through its ambient upper (lower)
-    bounds, so the scan runs over :func:`intersection_closure` of the
-    members' up-sets (down-sets).  The ambient bound is an ``up_index``
-    lookup, and when it lies in ``A`` it is also the bound inside ``A``.
-    The witness is the numerically largest violating ``B``.
+    That is a failure of the inclusion of ``A`` to preserve the suprema
+    (infima) of nonempty subsets, so :func:`_sup_failures` decides it on
+    the induced suborder, the order (or its dual) and the members of ``A``.
+    A class holds the upper bounds of ``B`` inside ``A`` next to its
+    ambient ones, and both bounds are ``up_index`` lookups.  The witness is
+    the numerically largest violating ``B``.
     """
     m = _check_mask(q, A)
     if m:
         _require_poset(q)
     o = q if upwards else q.dual
-    up, least = o.up_masks, o.up_index
-    witnesses = []
-    for ub in intersection_closure(up[a] for a in bits(m)):
-        p = least.get(ub)
-        if p is not None and m >> p & 1:
-            continue
-        a = least_element(o, ub & m)
-        if a is not None:
-            witnesses.append((sum(1 << x for x in bits(m) if up[x] & ub == ub), a, p))
-    if not witnesses:
+    sub, elems = induced_suborder(o, m)
+    keys, _, bad = _sup_failures(sub, o, elems, range(sub.size))
+    if not bad:
         return None
-    b, a, p = max(witnesses)
-    return {"B": list(bits(b)), "in_subset": a, "in_ambient": p}
+    b, ub = _largest_failing(keys, bad)
+    return {"B": [elems[i] for i in bits(b)],
+            "in_subset": elems[sub.up_index[ub & sub.full_mask]],
+            "in_ambient": o.up_index.get(ub >> sub.size)}
 
 
 def is_upwards_preregular(q: QuasiOrder, A: int) -> bool:

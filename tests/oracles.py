@@ -11,11 +11,13 @@ grid of the monoid laws replaced, the monoid laws of a finite table, each in its
 own loop over every instance, and the derived structures that the library
 no longer builds: the atoms of a subset through its induced suborder, the
 pair-class search of a group completion, the join and meet tables of a
-poset, and the order flags, distributivity, strong interval predensity and
-basis checks read off those tables."""
+poset, the order flags, distributivity, strong interval predensity and
+basis checks read off those tables, and the set-distributivity scan with
+its own loop over the intersection closure of each element's keys."""
 
 import itertools
 import operator
+from functools import reduce
 import random
 from types import SimpleNamespace
 
@@ -50,6 +52,7 @@ from latkit.order import (
     build_quasi_order,
     induced_suborder,
     inf,
+    intersection_closure,
     lower_closure,
     sup,
 )
@@ -532,6 +535,31 @@ def ref_table_infinite_distributive(lv: SimpleNamespace, dual: bool) -> dict:
     witness = None if hit is None else {"a": hit[0], "B": list(bits(hit[1]))}
     return {"holds": hit is None, "mode": "exhaustive", "checked": checked,
             "witness": witness}
+
+
+def ref_set_distributivity_failure(q: QuasiOrder, op) -> tuple:
+    """``set_distributivity_failure`` as it was before it ran the shared
+    sup-preservation scan: its own visit per member of the intersection
+    closure of the keys ``up(b) | up(op(a, b)) << n``, with the same least
+    ``B`` per failing class and the same ``checked`` count."""
+    n = q.size
+    up, least = q.up_masks, q.up_index
+    full = (1 << 2 * n) - 1
+    for a in range(n):
+        keys = [up[b] | up[op(a, b)] << n for b in range(n)]
+        failing = []
+        for t in intersection_closure(keys):
+            s = least.get(t & q.full_mask)
+            if s is not None and op(a, s) != least.get(t >> n):
+                kept = {b for b in range(n) if keys[b] & t == t}
+                for b in sorted(kept, reverse=True):
+                    if reduce(operator.and_, (keys[c] for c in kept - {b}),
+                              full) == t:
+                        kept.remove(b)
+                failing.append(sum(1 << b for b in kept))
+        if failing:
+            return a * ((1 << n) - 1) + min(failing), (a, min(failing))
+    return n * ((1 << n) - 1), None
 
 
 def ref_is_strongly_interval_predense(lv: SimpleNamespace, dmask: int) -> bool:

@@ -1003,6 +1003,26 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["--format", "json", "check", "classify", "--input", fixture("n5.json")],
+     EXIT_OK),
+    (["--format", "json", "check", "distributive", "--input", fixture("m3.json")],
+     EXIT_VIOLATION),
+    (["verify", "no-such-verifier"], EXIT_USAGE),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_module_entry_point_matches_main(capsys, argv, expected):
+    # the __main__ block freezes the heap before exit: the process must
+    # still write main's bytes and return main's code
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "latkit.cli", *argv],
+                          cwd=root, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == expected
+    assert proc.stdout == out.encode()
+
+
 def test_crown_closure_past_the_cap_exits_2(capsys, tmp_path):
     # a crown: minimal elements a_i below every maximal m_j with j != i, so
     # the sets of upper bounds of the nonempty subsets of the minimal

@@ -20,6 +20,7 @@ from latkit.embedding import (
     continuity_checks,
 )
 from latkit.lattice import (
+    _join,
     check_jid,
     check_mid,
     classify,
@@ -29,10 +30,12 @@ from latkit.lattice import (
     order_closed_checks,
     order_closure_up,
     preregularity_witness,
+    set_distributivity_failure,
     sup_in_subset,
 )
 from latkit.monoid import (
     MonoidError,
+    associated_order,
     check_disjoint_sum_laws,
     check_distributivity,
     cyclic_group,
@@ -57,6 +60,7 @@ from oracles import (
     ref_finite_monoid_binary,
     ref_finite_monoid_set_law,
     ref_lattice_view,
+    ref_set_distributivity_failure,
 )
 
 
@@ -376,6 +380,37 @@ def test_infinite_distributivity_beyond_fourteen_elements():
     rep = check_jid(powerset_lattice(4))
     assert rep == {"holds": True, "mode": "exhaustive",
                    "checked": 16 * ((1 << 16) - 1), "witness": None}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_set_distributivity_scan_matches_its_own_loop_on_every_lattice(n):
+    # the shared sup-preservation scan against the loop it replaced:
+    # checked count and first failing (a, B) both ways
+    failing = 0
+    for q in enumerate_lattices(n):
+        for o in (q, q.dual):
+            got = set_distributivity_failure(o, _join(o.dual))
+            assert got == ref_set_distributivity_failure(o, _join(o.dual)), (
+                q.up_masks, o is q)
+            failing += got[1] is not None
+    assert (failing > 0) == (n >= 5)
+
+
+def test_set_distributivity_scan_matches_its_own_loop_on_monoid_tables():
+    tables = 0
+    failing = 0
+    for n in range(1, 6):
+        for mon in enumerate_commutative_monoids(n):
+            q = associated_order(mon)
+            if not q.is_poset:
+                continue
+            tables += 1
+            for o in (q, q.dual):
+                got = set_distributivity_failure(o, mon.op)
+                assert got == ref_set_distributivity_failure(o, mon.op), (
+                    mon.table, o is q)
+                failing += got[1] is not None
+    assert tables == 1 + 1 + 4 + 36 + 596 and failing > 0
 
 
 def test_finite_monoid_set_laws_match_reference():

@@ -3,7 +3,9 @@
 The ``ref_*`` functions are the family-of-opens implementation that the
 preorder model replaced: a space is its frozenset of open masks, every
 operation scans it, and topologies are found by testing every family of
-proper subsets.  They are the oracle for the mask code.
+proper subsets.  They are the oracle for the mask code.  The ``loop_*``
+functions are the per-point loops that interior and closure ran before
+they read the down-closure.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from latkit import topology as topology_module
 from latkit.lattice import check_jid, check_mid, classify, is_basis
 from latkit.builders import chain
-from latkit.order import bits, upper_sets
+from latkit.order import QuasiOrder, bits, upper_sets
 from latkit.topology import (
     MAX_TOPOLOGY_POINTS,
     NotZeroDimensionalError,
@@ -189,6 +191,29 @@ def ref_category_algebra(t):
             {g: class_map[g] for g in ro_members})
 
 
+def loop_interior(q, s):
+    """The points whose least open neighbourhood lies inside ``s``."""
+    out = 0
+    for p, up in enumerate(q.up_masks):
+        if up & ~s == 0:
+            out |= 1 << p
+    return out
+
+
+def loop_closure(q, s):
+    """The union of the down-sets of the points of ``s``."""
+    out = 0
+    for p in bits(s & q.full_mask):
+        out |= q.down_masks[p]
+    return out
+
+
+def checked_inclusion_order(members):
+    """``members`` by inclusion, through the checked constructor."""
+    return QuasiOrder(tuple(sum(1 << j for j, b in enumerate(members) if a & ~b == 0)
+                            for a in members))
+
+
 def small_spaces():
     """Every topology on at most 4 points, as ``(Ref, QuasiOrder)``."""
     return [(Ref(n, fam), topology(n, fam))
@@ -256,6 +281,35 @@ def test_space_operations_match_reference():
             else:
                 with pytest.raises(KeyError):
                     cat.class_of(s)
+
+
+def test_interior_and_closure_match_their_point_loops():
+    for _, t in small_spaces():
+        for s in range(1 << t.size + 1):  # bits outside the carrier too
+            assert interior(t, s) == loop_interior(t, s)
+            assert closure_of(t, s) == loop_closure(t, s)
+
+
+def test_category_algebra_order_and_complement_test_match_the_checked_path():
+    # on every space of at most 5 points, the unchecked class order is the
+    # checked inclusion order of the traces, and the complement test agrees
+    # with classify; the opens themselves are a ring of sets too, Boolean
+    # iff every open is clopen, so the test meets failing families there
+    spaces = boolean_opens = 0
+    for n in range(MAX_TOPOLOGY_POINTS + 1):
+        for t in enumerate_topologies(n):
+            spaces += 1
+            cat = category_algebra(t)
+            order = checked_inclusion_order(cat.reps)
+            assert cat.order.up_masks == order.up_masks
+            comeager = t.full_mask & ~meager_mask(t)
+            assert classify(order)["boolean"] == all(
+                comeager & ~r in cat.classes for r in cat.reps)
+            opens = upper_sets(t)
+            boolean = all(t.full_mask & ~o in opens for o in opens)
+            assert classify(checked_inclusion_order(opens))["boolean"] == boolean
+            boolean_opens += boolean
+    assert spaces == 7332 and 0 < boolean_opens < spaces
 
 
 def test_generated_topology_matches_reference():
@@ -567,8 +621,13 @@ def test_clopen_classes_dense_in_zero_dimensional():
 
 
 def test_enumerate_topologies_counts():
-    # OEIS A000798
-    assert [len(enumerate_topologies(n)) for n in range(6)] == [1, 1, 4, 29, 355, 6942]
+    # OEIS A000798; each order is built unchecked, and each passes the
+    # checked constructor
+    levels = [enumerate_topologies(n) for n in range(6)]
+    assert [len(level) for level in levels] == [1, 1, 4, 29, 355, 6942]
+    for level in levels:
+        for t in level:
+            assert QuasiOrder(t.up_masks).up_masks == t.up_masks
 
 
 def test_scan_guard():
