@@ -39,15 +39,15 @@ _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 MAX_CONTINUITY_SIZE = 6
 # one preregularity walk over the convex subsets of each lattice; lattices of
 # n elements are built from the posets of n - 2, so size 9 needs only the
-# posets of 7: 1,078 lattices with 144,904 convex subsets, about 1 s in a
-# fresh process on 2 CPUs, while size 10 needs the 16,999 posets of 8, which
-# take about 4 s to enumerate
+# posets of 7: 1,078 lattices with 144,904 convex subsets, about 1.0 s in a
+# fresh process (median of 11; 2-vCPU Intel Xeon VM, Python 3.11), while
+# size 10 needs the 16,999 posets of 8, which take about 4 s to enumerate
 MAX_CONVEX_PREREGULAR_SIZE = 9
 # the setting is checked once, the convex-range census of P(n) -> P(m) is a
 # search of the intervals of P(m), and each census map's extension is one
-# candidate, so the per-map check is the cost: on 2 CPUs --m 6 takes about
-# 0.3/0.6/0.7 s at --n 4/5/6 (1,440/1,440/720 maps; fresh process, median
-# of 3, Python 3.11), and 6 is the largest power set a spec may name
+# candidate, so the per-map check is the cost: --m 6 takes about 0.3/0.5/0.5 s
+# at --n 4/5/6 (1,440/1,440/720 maps; fresh process, median of 5, 2-vCPU
+# Intel Xeon VM, Python 3.11), and 6 is the largest power set a spec may name
 MAX_EXTENSION_CODOMAIN = 6
 # cor-atom-image runs the unfiltered census P(x) -> P(y): on 2 CPUs every
 # pair with y <= 5 ends within about 2 s in a fresh process, and --x 3 --y 6
@@ -80,6 +80,11 @@ ENUMERATE_READS = ("input", "dom", "cod", *CENSUS_FILTERS, "budget_nodes")
 
 class InputError(ValueError):
     pass
+
+
+# refused input, exit 2; any other exception, a builtin ValueError too, is a bug
+_INPUT_ERRORS = (InputError, order.OrderError, monoid.MonoidError,
+                 topology.TopologyError)
 
 
 def _flag(key: str) -> str:
@@ -157,7 +162,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
@@ -306,6 +311,13 @@ def _verify_preregular_continuity(cfg: RunConfig) -> dict:
     return {"max_size": max_size, **report}
 
 
+def _convex_not_preregular(q: order.QuasiOrder) -> list:
+    """The convex subsets of ``q`` that are not preregular, ascending."""
+    convex = lattice.convex_subsets(q)
+    good = set(lattice.preregular_masks(q, convex))
+    return [amask for amask in convex if amask not in good]
+
+
 def _verify_convex_preregular(cfg: RunConfig) -> dict:
     max_size = cfg.option("max_size", 5, MAX_CONVEX_PREREGULAR_SIZE)
     violations = []
@@ -315,11 +327,9 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
         for lq in builders.enumerate_lattices(n):
             lattices += 1
             subsets += 1 << n
-            convex = lattice.convex_subsets(lq)
-            good = set(lattice.preregular_masks(lq, convex))
             violations += [{"lattice": order.order_to_json(lq),
                             "subset": list(order.bits(amask))}
-                           for amask in convex if amask not in good]
+                           for amask in _convex_not_preregular(lq)]
     return {
         "holds": not violations,
         "max_size": max_size,
@@ -491,16 +501,10 @@ def _search_convex_not_preregular(cfg: RunConfig) -> dict:
         for q in builders.enumerate_posets(n):
             if lattice.is_lattice(q):
                 continue
-            convex = lattice.convex_subsets(q)
-            good = set(lattice.preregular_masks(q, convex))
-            for amask in convex:
-                if amask not in good:
-                    return {
-                        "holds": True,
-                        "found": True,
-                        "poset": order.order_to_json(q),
-                        "subset": list(order.bits(amask)),
-                    }
+            bad = _convex_not_preregular(q)
+            if bad:
+                return {"holds": True, "found": True, "poset": order.order_to_json(q),
+                        "subset": list(order.bits(bad[0]))}
     return {"holds": True, "found": False, "max_size": max_size}
 
 
@@ -665,16 +669,15 @@ TABLES = {"verify": VERIFIERS, "search": SEARCHES, "sweep": SWEEPS,
 # output and dispatch
 
 
-def emit_report(cfg: RunConfig, report: dict, stream=None):
-    stream = stream or sys.stdout
+def emit_report(cfg: RunConfig, report: dict):
     if cfg.output_format == "json":
         doc = {"command": cfg.command, "name": cfg.name,
                "seed": cfg.options.get("seed", 0), "report": report}
-        stream.write(json.dumps(doc, sort_keys=True) + "\n")
+        print(json.dumps(doc, sort_keys=True))
         return
-    stream.write(cfg.label + "\n")
+    print(cfg.label)
     for key, value in report.items():
-        stream.write(f"  {key}: {value}\n")
+        print(f"  {key}: {value}")
 
 
 def _registry_listing() -> list:
@@ -791,7 +794,7 @@ def _main(argv) -> int:
     except embedding.BudgetExceededError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except ValueError as exc:  # the base of every input and order error
+    except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except BrokenPipeError:

@@ -194,9 +194,10 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     induction binary joins suffice, and the join of ``s(p)`` and ``s(q)``
     inside ``A`` is ``s(p v q)``.  So the verdict checks ``s(p v q) =
     sup{s(p), s(q)}`` and its dual for each incomparable pair, two
-    ``up_index`` lookups; on other domains it is :func:`is_preregular`.
-    Either runs once per distinct range of the census (a census of ``P(6)``
-    into itself has 720 maps and one range).
+    ``up_index`` lookups.  On other domains it is :func:`_preserves_sups`
+    on ``s`` and on the duals, as ``s`` preserves suprema iff the inclusion
+    of ``A`` does.  Either runs once per distinct range of the census (a
+    census of ``P(6)`` into itself has 720 maps and one range).
     """
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
@@ -247,7 +248,8 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                     join_at.get(up_c[image[p]] & up_c[image[q]]) == image[j]
                     and meet_at.get(down_c[image[p]] & down_c[image[q]]) == image[m]
                     for p, q, j, m in pairs
-                ) if lattice_dom else is_preregular(cod, rng)
+                ) if lattice_dom else (_preserves_sups(dom, cod, image) and
+                                       _preserves_sups(dom.dual, cod.dual, image))
             if prereg or not preregular_range:
                 found.setdefault((hull == rng, prereg, downs == rng),
                                  []).append(tuple(image))
@@ -349,6 +351,11 @@ def continuity_checks(sigma: MonotoneMap) -> dict:
         "scott_continuous": not any(k in bad for k in keys.values()),
         "co_continuous": not any(k in co_bad for k in co_keys.values()),
     }
+
+
+def _preserves_sups(dom: QuasiOrder, cod: QuasiOrder, image) -> bool:
+    """The ``preserves_nonempty_sups`` flag of :func:`continuity_checks`."""
+    return not _sup_failures(dom, cod, image, range(dom.size))[2]
 
 
 def atom_image_check(sigma: MonotoneMap) -> bool:
@@ -591,7 +598,7 @@ def extend_from_join_dense(L: QuasiOrder, D: int, sigma: dict,
     out = _sup_extension(L, dmask, sigma, M)
     if any(out.image[d] != sigma[d] for d in bits(dmask)):
         raise RuntimeError("extension failed to extend")
-    if not continuity_checks(out)["preserves_nonempty_sups"]:
+    if not _preserves_sups(L, M, out.image):
         raise RuntimeError("extension lost continuity")
     return out
 
@@ -604,12 +611,11 @@ def check_transfer_setting(L: QuasiOrder, B: int, E: int,
     every subset, flat or not, has a supremum."""
     bmask = _check_mask(L, B)
     emask = _check_mask(M, E)
-    _hypothesis("L-complete-semilattice", classify(L)["complete_semilattice"])
-    _hypothesis("L-lattice", is_lattice(L))
-    _hypothesis("L-jid", check_jid(L)["holds"])
-    _hypothesis("M-complete-semilattice", classify(M)["complete_semilattice"])
-    _hypothesis("M-lattice", is_lattice(M))
-    _hypothesis("M-jid", check_jid(M)["holds"])
+    for name, q in (("L", L), ("M", M)):
+        flags = classify(q)
+        _hypothesis(f"{name}-complete-semilattice", flags["complete_semilattice"])
+        _hypothesis(f"{name}-lattice", flags["lattice"])
+        _hypothesis(f"{name}-jid", check_jid(q)["holds"])
     bottom = sup(L, 0)
     _hypothesis("B-contains-0", bottom is not None and (bmask >> bottom) & 1)
     _hypothesis("B-meet-subsemilattice", is_meet_closed(L, bmask))
@@ -641,7 +647,7 @@ def verify_transfer_map(L: QuasiOrder, B: int, E: int,
     _check_sigma_bounds(L, bmask, sigma, M)
 
     ext = _sup_extension(L, bmask, sigma, M)
-    found = continuity_checks(ext)["preserves_nonempty_sups"]
+    found = _preserves_sups(L, M, ext.image)
     convex = is_convex(M, ext.range_mask)
     embedding = ext.is_embedding
     return {

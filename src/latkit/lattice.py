@@ -10,7 +10,8 @@ their common upper bounds, and meets read the dual.
 One scan, :func:`_sup_failures`, decides whether a map preserves the
 suprema of nonempty sets, for :func:`preregularity_witness` (the inclusion
 of ``A``), :func:`set_distributivity_failure` (``b -> op(a, b)``) and, in
-:mod:`latkit.embedding`, ``continuity_checks`` and the extension hypotheses.
+:mod:`latkit.embedding`, ``continuity_checks``, ``_preserves_sups`` (the
+extensions and the census's preregular flag) and the extension hypotheses.
 """
 
 from __future__ import annotations
@@ -117,8 +118,7 @@ def classify(q: QuasiOrder) -> dict:
     # order isomorphism onto the subsets of the atoms
     boolean = False
     if pointed:
-        atoms = sum(1 << a for a in range(n)
-                    if a != bottom and down[a] == 1 << a | 1 << bottom)
+        atoms = covers_of_bottom(q)
         boolean = n == 1 << atoms.bit_count() and all(
             reduce(and_, (up[a] for a in bits(down[x] & atoms)), q.full_mask)
             == up[x] for x in range(n))
@@ -418,8 +418,8 @@ def preregular_masks(q: QuasiOrder, masks=None) -> list:
         raise OrderError(f"preregular_masks takes orders of at most "
                          f"{MAX_PREREGULAR_WALK} elements, got {n}")
     family = range(1 << n) if masks is None else sorted(set(masks))
-    if family and (family[0] < 0 or family[-1] > q.full_mask):
-        raise OrderError("mask has bits outside the carrier")
+    if family:
+        _check_mask(q, family[0] | family[-1])
     if n:
         _require_poset(q)
     up = q.up_masks
@@ -642,13 +642,10 @@ def covers_of_bottom(q: QuasiOrder) -> int:
     bottom = sup(q, 0)
     if bottom is None:
         raise OrderError("order has no minimum element")
-    out = 0
-    for p in range(q.size):
-        if q.lt(bottom, p) and all(
-            not q.lt(bottom, r) for r in bits(q.down_masks[p] & ~(1 << p))
-        ):
-            out |= 1 << p
-    return out
+    down = q.down_masks
+    # a is a cover iff nothing but a and the bottom lies below it
+    return sum(1 << a for a in range(q.size)
+               if a != bottom and down[a] == 1 << a | 1 << bottom)
 
 
 def subset_report(q: QuasiOrder, A: int) -> dict:

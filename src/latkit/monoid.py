@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Optional
 
 from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
-from .lattice import set_distributivity_failure
+from .lattice import is_lattice, set_distributivity_failure
 
 __all__ = [
     "MonoidError",
@@ -160,16 +160,14 @@ def monoid_class(m) -> dict:
             "invertibles": (m.zero(),),
         }
     q = associated_order(m)
-    up, joins = q.up_masks, q.up_index
-    # a and b have a join iff the up-set up[a] & up[b] is some up[c]
-    semilattice = q.is_poset and all(a & b in joins for a in up for b in up)
+    # the identity is the least element, and a finite join-semilattice with
+    # a least element is a lattice: the meet of a and b is the join of their
+    # lower bounds, a nonempty set; so both flags are the lattice test
+    lattice = q.is_poset and is_lattice(q)
     return {
         "poset_monoid": q.is_poset,
-        "semilattice_monoid": semilattice,
-        # the identity is the least element, and a finite join-semilattice
-        # with a least element is a lattice: the meet of a and b is the join
-        # of their lower bounds, a nonempty set
-        "lattice_monoid": semilattice,
+        "semilattice_monoid": lattice,
+        "lattice_monoid": lattice,
         "cancellative": m.is_cancellative,
         "invertibles": m.invertibles,
     }

@@ -35,6 +35,7 @@ from .order import (
     _Frozen,
     _is_index,
     _unchecked,
+    _upper_bounds,
     bits,
     lower_closure,
     upper_sets,
@@ -53,7 +54,6 @@ __all__ = [
     "ro_algebra",
     "is_nowhere_dense",
     "meager_mask",
-    "is_meager",
     "meager_ideal",
     "largest_open_meager",
     "is_baire",
@@ -161,13 +161,6 @@ def is_nowhere_dense(q: QuasiOrder, s: int) -> bool:
 def meager_mask(q: QuasiOrder) -> int:
     """The largest meager set: the union of the nowhere dense points."""
     return sum(1 << p for p in range(q.size) if is_nowhere_dense(q, 1 << p))
-
-
-def is_meager(q: QuasiOrder, s: int) -> bool:
-    """On a finite carrier, meager and nowhere dense coincide: countable
-    unions degenerate to finite ones, and those stay nowhere dense.  So
-    ``s`` is meager iff it lies inside the largest meager set."""
-    return s & ~meager_mask(q) == 0
 
 
 def meager_ideal(q: QuasiOrder) -> tuple:
@@ -323,9 +316,7 @@ def enumerate_topologies(points: int) -> list:
         for q in orders:
             ups = upper_sets(q)
             for low in upper_sets(q.dual):
-                above_low = q.full_mask
-                for d in bits(low):
-                    above_low &= q.up_masks[d]
+                above_low = _upper_bounds(q, low)
                 rows = tuple(up | (low >> p & 1) << k
                              for p, up in enumerate(q.up_masks))
                 for high in ups:

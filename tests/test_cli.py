@@ -292,9 +292,14 @@ def test_enumerate_census_lines(capsys):
     assert all(line["flags"]["convex_range"] for line in lines)
 
 
-def test_exit_codes_for_errors(capsys):
+def test_exit_codes_for_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check", "convexity", "--input", "/nope.json")
     assert code == EXIT_USAGE and "cannot read" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"size": 1, "pairs": [], "name": "\xe9"}')
+    code, out, err = run(capsys, "check", "classify", "--input", str(latin1))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot read {latin1}: ")
     code, _, err = run(capsys, "verify", "no-such-verifier")
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "verify")
@@ -446,6 +451,8 @@ def test_monoid_table_above_64_rows_exits_2_at_once(capsys, tmp_path, verifier):
     (RuntimeError("broken invariant"), EXIT_INTERNAL),
     (KeyError("missing"), EXIT_INTERNAL),
     (embedding.BudgetExceededError("too many nodes"), EXIT_BUDGET),
+    # a builtin ValueError is a bug, not refused input
+    (ValueError("max() arg is an empty sequence"), EXIT_INTERNAL),
 ])
 def test_crash_is_not_reported_as_violation(capsys, monkeypatch, exc, code):
     def broken(cfg):
@@ -952,9 +959,8 @@ def test_failed_extension_hypothesis_is_a_violation(capsys, monkeypatch):
 def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
     # mutation: the one candidate extension fails its existence check, which
     # is a counterexample with its census map as the witness, not a crash
-    real = embedding.continuity_checks
-    monkeypatch.setattr(embedding, "continuity_checks", lambda mm: {
-        **real(mm), "preserves_nonempty_sups": False})
+    monkeypatch.setattr(embedding, "_preserves_sups",
+                        lambda dom, cod, image: False)
     code, out, err = run(capsys, "--format", "json", "verify",
                          "thm-extension-convexity", "--n", "2")
     assert code == EXIT_VIOLATION and err == ""

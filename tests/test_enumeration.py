@@ -205,6 +205,13 @@ def test_enumerate_lattices_matches_poset_filter(n):
     assert [q.up_masks for q in got] == [q.up_masks for q in want]
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_enumerate_lattices_come_in_canonical_key_order(n):
+    # the order of the middles, which is canonical_key order up to 9 elements
+    keys = [canonical_key(q) for q in enumerate_lattices(n)]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 def test_enumerate_lattices_at_the_size_limit():
     # OEIS A006966: 222 lattices on 8 elements
     lattices = enumerate_lattices(MAX_ENUMERATION_SIZE)

@@ -510,6 +510,23 @@ def test_covers_of_bottom_equals_atoms_in_boolean_algebras():
     assert tuple(bits(atoms(c3))) == (1, 2)
 
 
+def loop_covers_of_bottom(q):
+    """The elements above the bottom with no element strictly between,
+    read off ``lt``."""
+    bottom = sup(q, 0)
+    return sum(1 << p for p in range(q.size) if q.lt(bottom, p) and not any(
+        q.lt(bottom, r) for r in bits(q.down_masks[p] & ~(1 << p))))
+
+
+def test_covers_of_bottom_matches_the_loop_on_every_small_poset():
+    pointed = [q for n in range(1, 7) for q in enumerate_posets(n)
+               if sup(q, 0) is not None]
+    # one per poset of at most 5 elements, under a new bottom
+    assert len(pointed) == 88
+    for q in pointed:
+        assert covers_of_bottom(q) == loop_covers_of_bottom(q), q.up_masks
+
+
 def test_subset_report_shape():
     p3 = powerset_lattice(3)
     rep = subset_report(p3, 0b10000111)

@@ -214,6 +214,10 @@ def test_monoid_class_flags_are_the_lattice_view_flags(n):
         assert got["poset_monoid"] == q.is_poset
         assert {k: got[k] for k in ("semilattice_monoid", "lattice_monoid")} \
             == {k: want[k] for k in ("semilattice_monoid", "lattice_monoid")}
+        # the join scan monoid_class ran before it read the lattice test
+        up = q.up_masks
+        joins = q.is_poset and all(a & b in q.up_index for a in up for b in up)
+        assert got["semilattice_monoid"] == got["lattice_monoid"] == joins
     if n == 6:
         assert got["poset_monoid"] and not got["semilattice_monoid"]
 

@@ -1,5 +1,6 @@
 """Whole-package checks: runtime checks in the library and the demos
-survive ``python -O``, the library runs without numpy and imports no
+survive ``python -O``, no ``except`` clause catches the builtin
+``ValueError``, the library runs without numpy and imports no
 ``random``, start-up loads no ``dataclasses``, ``inspect`` or
 ``traceback``, imports sit at module level with ``order`` at the bottom of
 the module graph, every demo script runs to completion and prints its
@@ -29,6 +30,18 @@ def test_no_assert_statements_in_library(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_except_clause_catches_the_builtin_value_error(path):
+    # a builtin ValueError is a bug: the CLI catches only its own input
+    # errors as refused input (exit 2), so every other one exits 4
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and any(isinstance(name, ast.Name) and name.id == "ValueError"
+                     for name in ast.walk(node.type))]
+    assert not lines, f"{path.name}: except ValueError at lines {lines}"
 
 
 def imported_modules(path) -> list:

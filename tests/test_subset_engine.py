@@ -17,7 +17,9 @@ from latkit.builders import enumerate_lattices, enumerate_posets, powerset_latti
 from latkit.embedding import (
     HypothesisFailed,
     _check_sigma_hypotheses,
+    _preserves_sups,
     continuity_checks,
+    enumerate_embeddings,
 )
 from latkit.lattice import (
     _join,
@@ -317,8 +319,24 @@ def test_map_scans_match_reference():
                 maps += 1
                 cont = continuity_checks(mm)
                 assert cont == ref_continuity_checks(mm), mm
+                assert (_preserves_sups(dom, cod, mm.image)
+                        == cont["preserves_nonempty_sups"]), mm
                 failing += not all(cont.values())
     assert maps == 2436 and failing == 329
+
+
+def test_sup_scan_is_the_continuity_flag_on_convex_censuses():
+    # the extensions read _preserves_sups where they read this flag
+    maps = 0
+    for n in range(5):
+        for m in range(n, 5):
+            census = enumerate_embeddings(powerset_lattice(n), powerset_lattice(m),
+                                          convex_range=True)
+            for mm in census.maps:
+                maps += 1
+                assert (_preserves_sups(mm.dom, mm.cod, mm.image)
+                        == continuity_checks(mm)["preserves_nonempty_sups"]), mm
+    assert maps == 220
 
 
 def test_map_scans_match_reference_on_quasi_orders():
