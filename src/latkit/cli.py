@@ -157,22 +157,26 @@ class RunConfig:
 # structure loading
 
 
+def _decode(text: str, why: str):
+    """The JSON value in ``text``.  Text that is not JSON, or nests deeper
+    than the decoder's recursion allows, is refused with ``why`` first."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{why}: {exc}") from exc
+
+
 def load_json(path: str) -> dict:
     """The JSON object in ``path``; every input file holds one object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    obj = _decode(text, f"cannot read {path}")
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object")
     return obj
-
-
-def _spec_int(value, what: str, least: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 def _max_factors(height: int) -> int:
@@ -193,25 +197,26 @@ def _check_spec_size(size: int):
 
 
 def parse_order_spec(obj):
-    """An order given as ``{"powerset": n}``, ``{"chains": [...]}`` or the
-    generator-pair format ``{"size": n, "pairs": [...]}``.  Specs of more
-    than ``MAX_SPEC_SIZE`` elements are refused before anything is built."""
+    """An order given as exactly one of ``{"powerset": n}``, ``{"chains":
+    [...]}`` or the generator-pair format ``{"size": n, "pairs": [...]}``;
+    a key the spec does not read is refused.  Specs of more than
+    ``MAX_SPEC_SIZE`` elements are refused before anything is built."""
     if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"order spec is not JSON: {exc}") from exc
+        obj = _decode(obj, "order spec is not JSON")
     if not isinstance(obj, dict):
         raise InputError("order spec must be an object")
     if "powerset" in obj:
-        n = _spec_int(obj["powerset"], "powerset")
+        n = order._count(obj["powerset"], "powerset", error=InputError)
         _check_spec_size(1 << min(n, MAX_SPEC_SIZE))
+        order._refuse_unread_keys(obj, ("powerset",), "order spec", InputError)
         return builders.powerset_lattice(n)
     if "chains" in obj:
         if not isinstance(obj["chains"], list):
             raise InputError("chains must be a list of chain heights")
-        dims = [_spec_int(d, "chain height", 1) for d in obj["chains"]]
+        dims = [order._count(d, "chain height", 1, InputError)
+                for d in obj["chains"]]
         _check_spec_size(math.prod(min(d, MAX_SPEC_SIZE + 1) for d in dims))
+        order._refuse_unread_keys(obj, ("chains",), "order spec", InputError)
         return builders.chain_product(dims)
     if isinstance(obj.get("size"), int):
         _check_spec_size(obj["size"])
@@ -228,9 +233,11 @@ def parse_map_fixture(obj) -> order.MonotoneMap:
     if not isinstance(image, list):
         raise InputError("malformed map fixture: image must be a list")
     try:
-        return order.MonotoneMap(dom, cod, image)
+        mm = order.MonotoneMap(dom, cod, image)
     except order.OrderError as exc:
         raise InputError(f"malformed map fixture: {exc}") from exc
+    order._refuse_unread_keys(obj, ("dom", "cod", "image"), "map fixture", InputError)
+    return mm
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +644,7 @@ def _check_preregular(cfg: RunConfig) -> dict:
     obj = cfg.input_json()
     q = parse_order_spec(obj.get("order"))
     subset = order.subset_from_json(q, obj.get("subset", []))
+    order._refuse_unread_keys(obj, ("order", "subset"), "check preregular", InputError)
     report = lattice.subset_report(q, subset)
     holds = report["preregular_up"]["holds"] and report["preregular_down"]["holds"]
     return {"holds": holds, "report": report}
@@ -724,6 +732,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
                 for name, on in filters.items()):
             raise InputError("census filters must be an object mapping "
                              f"{', '.join(CENSUS_FILTERS)} to true or false")
+        order._refuse_unread_keys(obj, ("dom", "cod", "filters"), "enumerate", InputError)
     else:
         if not cfg.options.get("dom") or not cfg.options.get("cod"):
             raise InputError("enumerate needs --dom and --cod or --input")

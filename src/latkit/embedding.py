@@ -146,8 +146,7 @@ class EmbeddingCensus(_Frozen):
         """Each image as an embedding with the flags the search proved."""
         return tuple(
             _unchecked(MonotoneMap, dom=self.dom, cod=self.cod, image=img,
-                       is_order_reflecting=True, is_embedding=True,
-                       has_convex_range=f["convex_range"])
+                       is_embedding=True, has_convex_range=f["convex_range"])
             for img, f in zip(self.images, self.flags))
 
 

@@ -25,14 +25,12 @@ from .order import (
     QuasiOrder,
     _check_mask,
     _require_poset,
-    _unchecked,
     _upper_bounds,
     bits,
     induced_suborder,
     inf,
     intersection_closure,
     least_element,
-    linear_extension,
     lower_closure,
     positive_part,
     sup,
@@ -53,8 +51,6 @@ __all__ = [
     "convexity_witness",
     "sup_in_subset",
     "inf_in_subset",
-    "is_upwards_preregular",
-    "is_downwards_preregular",
     "is_preregular",
     "preregularity_witness",
     "preregular_masks",
@@ -322,16 +318,9 @@ def preregularity_witness(q: QuasiOrder, A: int, upwards: bool) -> Optional[dict
             "in_ambient": o.up_index.get(ub >> sub.size)}
 
 
-def is_upwards_preregular(q: QuasiOrder, A: int) -> bool:
-    return preregularity_witness(q, A, upwards=True) is None
-
-
-def is_downwards_preregular(q: QuasiOrder, A: int) -> bool:
-    return preregularity_witness(q, A, upwards=False) is None
-
-
 def is_preregular(q: QuasiOrder, A: int) -> bool:
-    return is_upwards_preregular(q, A) and is_downwards_preregular(q, A)
+    return (preregularity_witness(q, A, upwards=True) is None
+            and preregularity_witness(q, A, upwards=False) is None)
 
 
 def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
@@ -341,17 +330,18 @@ def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
     ``A`` fails iff a class ``T`` of the :func:`intersection_closure` of
     its members' up-sets has a least member in ``A`` other than the ambient
     bound ``up_index[T]`` (when that bound lies in ``A`` it is the least
-    member).  The walk reaches ``A`` from its parent ``A - a``, where ``a``
-    is the member of ``A`` that comes first in a linear extension of ``o``:
-    the lowest bit when the labels are one, or, with ``last``, the highest
-    bit when the reversed labels are one.  So ``a`` is minimal in ``A``, and
-    no class of ``A - a`` contains ``a`` (its members all lie above a member
-    of ``A - a``): each keeps ``T & A = T & (A - a)``, so ``A`` keeps its
-    parent's verdict, and a subset whose parent failed fails at once, with
-    no closure built.  Only the new classes ``up(a) & c`` are checked;
-    ``up(a)`` itself has the least member ``a``, its own bound.  With ``a``
-    minimal, the least member of ``A`` is ``a`` if ``A - a`` lies in
-    ``up(a)``, and there is none otherwise: a table of one entry per member.
+    member).  The walk reaches ``A`` from its parent ``A - a``, and drops a
+    minimal member, whatever the labels: ``a`` is the lowest member of
+    ``A`` that is minimal in ``A`` (with ``last``, the highest), the first
+    member tested when the labels (reversed, with ``last``) are a linear
+    extension.  No class of ``A - a`` contains ``a`` (its members all lie
+    above a member of ``A - a``): each keeps ``T & A = T & (A - a)``, so
+    ``A`` keeps its parent's verdict, and a subset whose parent failed
+    fails at once, with no closure built.  Only the new classes are
+    checked, each ``up(a) & c``; ``up(a)`` itself has the least member
+    ``a``, its own bound.  As ``a`` is minimal, the least member of ``A``
+    is ``a`` if ``A - a`` lies in ``up(a)``, and there is none otherwise:
+    a table of one entry per member.
 
     So the walk reads, for each member, its parent and its intersection
     with every class (an up-set of ``o``), and a family that lacks one
@@ -360,7 +350,7 @@ def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
     leaves a convex set, and so does meeting one with an up-set (or a
     down-set, which the walk on the dual order meets).
     """
-    up, ambient = o.up_masks, o.up_index
+    up, down, ambient = o.up_masks, o.down_masks, o.up_index
     least = {0: -1}  # the least member of each subset, or -1
     closures = {0: set()}  # None for a subset that failed
     passed = set()
@@ -369,7 +359,11 @@ def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
             if not m:
                 passed.add(m)
                 continue
+            rest = m
             a = m.bit_length() - 1 if last else (m & -m).bit_length() - 1
+            while down[a] & m != 1 << a:  # a is not minimal in m
+                rest ^= 1 << a
+                a = rest.bit_length() - 1 if last else (rest & -rest).bit_length() - 1
             parent, key = m ^ 1 << a, up[a]
             least[m] = -1 if parent & ~key else a
             classes = closures[parent]
@@ -403,15 +397,13 @@ def preregular_masks(q: QuasiOrder, masks=None) -> list:
     :func:`intersection_closure` of its members' up-sets (down-sets).  The
     walk (:func:`_upwards_preregular_flags`) takes the family in ascending
     order and reaches each ``A`` from ``A`` minus one minimal (maximal)
-    member, so it checks only the classes that member adds, where
-    :func:`is_preregular` builds both closures from scratch.  It needs a
-    family closed under dropping a minimal or a maximal member and under
-    intersection with up-sets and down-sets: every subset, and
+    member, whatever the labels, so it checks only the classes that member
+    adds, where :func:`is_preregular` builds both closures from scratch.
+    It needs a family closed under dropping a minimal or a maximal member
+    and under intersection with up-sets and down-sets: every subset, and
     :func:`convex_subsets`; a family that lacks a member it reads raises
-    :class:`OrderError`.  When the labels of ``q`` are not a linear
-    extension, the walk runs on a relabeled copy whose labels are.  It
-    keeps every member's closure, so an order of more than
-    ``MAX_PREREGULAR_WALK`` elements raises :class:`OrderError`.
+    :class:`OrderError`.  It keeps every member's closure, so an order of
+    more than ``MAX_PREREGULAR_WALK`` elements raises :class:`OrderError`.
     """
     n = q.size
     if n > MAX_PREREGULAR_WALK:
@@ -422,20 +414,6 @@ def preregular_masks(q: QuasiOrder, masks=None) -> list:
         _check_mask(q, family[0] | family[-1])
     if n:
         _require_poset(q)
-    up = q.up_masks
-    if any(up[p] & (1 << p) - 1 for p in range(n)):  # an element below a lower label
-        ext = linear_extension(q)
-        place = [0] * n
-        for i, p in enumerate(ext):
-            place[p] = 1 << i
-
-        def move(m: int) -> int:
-            return sum(place[b] for b in bits(m))
-
-        r = _unchecked(QuasiOrder, up_masks=tuple(move(up[p]) for p in ext),
-                       is_poset=True)
-        return sorted(sum(1 << ext[i] for i in bits(m))
-                      for m in preregular_masks(r, map(move, family)))
     ups = _upwards_preregular_flags(q, family, False)
     downs = _upwards_preregular_flags(q.dual, family, True)
     return [m for m in family if m in ups and m in downs]

@@ -21,7 +21,8 @@ import operator
 from functools import cached_property
 from typing import Optional
 
-from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
+from .order import (QuasiOrder, _Frozen, _Value, _count, _is_index,
+                    _refuse_unread_keys, bits)
 from .lattice import is_lattice, set_distributivity_failure
 
 __all__ = [
@@ -574,11 +575,17 @@ def enumerate_commutative_monoids(n: int):
 def monoid_from_json(obj: dict) -> FiniteMonoid:
     """Read ``{"table": [[...], ...], "identity": e}``; the table must be
     a square list of at most ``MAX_JSON_SIZE`` rows of integers in
-    ``range(size)``."""
+    ``range(size)``.  An optional ``size`` must equal the number of rows,
+    and any other key is refused."""
     if not isinstance(obj, dict) or "table" not in obj or "identity" not in obj:
         raise MonoidError("malformed monoid object: need a table and an identity")
     table = obj["table"]
     if isinstance(table, list) and len(table) > MAX_JSON_SIZE:
         raise MonoidError(f"a monoid table has at most {MAX_JSON_SIZE} rows, "
                           f"got {len(table)}")
-    return FiniteMonoid(table, obj["identity"])
+    mon = FiniteMonoid(table, obj["identity"])
+    size = _count(obj.get("size", mon.size), "monoid size", error=MonoidError)
+    if size != mon.size:
+        raise MonoidError(f"monoid size {size} is not the table's {mon.size} rows")
+    _refuse_unread_keys(obj, ("size", "table", "identity"), "monoid", MonoidError)
+    return mon

@@ -148,6 +148,14 @@ def _count(value, what: str, least: int = 0, error=OrderError) -> int:
     raise error(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+def _refuse_unread_keys(obj: dict, reads: tuple, what: str, error=OrderError):
+    """Refuse, naming them, the keys of the JSON object ``obj`` that its
+    reader ``what`` does not read; readers call it after their own checks."""
+    unread = [key for key in obj if key not in reads]
+    if unread:
+        raise error(f"{what} does not read " + ", ".join(map(repr, unread)))
+
+
 class QuasiOrder(_Frozen):
     """A reflexive and transitive relation on ``range(size)``.
 
@@ -228,8 +236,8 @@ class MonotoneMap(_Frozen):
     """A total order preserving map between two quasi orders.
 
     ``image[p]`` is the codomain index of element ``p``.  Construction fails
-    unless the map is order preserving; order reflection and convexity of
-    the range are cached flags.
+    unless the map is order preserving; being an embedding (reflecting
+    order) and convexity of the range are cached flags.
     """
 
     def __init__(self, dom: QuasiOrder, cod: QuasiOrder, image):
@@ -254,11 +262,11 @@ class MonotoneMap(_Frozen):
         return self.image[p]
 
     @cached_property
-    def is_order_reflecting(self) -> bool:
-        """``image[p] <= image[q]`` implies ``p <= q``.  The map preserves
-        order, so ``up(p)`` lies in the preimage of ``up(image[p])``, and it
-        reflects iff the two have the same size: one count per element,
-        each range value weighted by the size of its fiber."""
+    def is_embedding(self) -> bool:
+        """``image[p] <= image[q]`` implies ``p <= q``: a monotone map that
+        reflects order.  ``up(p)`` lies in the preimage of ``up(image[p])``,
+        and the map reflects iff the two have the same size: one count per
+        element, each range value weighted by the size of its fiber."""
         img, cod_up, rng = self.image, self.cod.up_masks, self.range_mask
         if len(set(img)) == len(img):  # every fiber has one element
             return all((cod_up[v] & rng).bit_count() == up.bit_count()
@@ -268,10 +276,6 @@ class MonotoneMap(_Frozen):
             fiber[v] += 1
         return all(sum(fiber[w] for w in bits(cod_up[v] & rng)) == up.bit_count()
                    for v, up in zip(img, self.dom.up_masks))
-
-    @cached_property
-    def is_embedding(self) -> bool:
-        return self.is_order_reflecting
 
     @cached_property
     def range_mask(self) -> int:
@@ -506,17 +510,17 @@ def order_to_json(q: QuasiOrder) -> dict:
 
 def order_from_json(obj: dict) -> QuasiOrder:
     """Read the generator format; the reflexive-transitive closure is taken.
-    The size must be an integer >= 0 and each pair two integers below it."""
+    The size must be an integer >= 0 and each pair two integers below it,
+    and any key but ``size`` and ``pairs`` is refused."""
     if not isinstance(obj, dict) or "size" not in obj:
         raise OrderError("malformed order object: need an object with a size")
-    size, pairs = obj["size"], obj.get("pairs", [])
-    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-        raise OrderError(f"order size must be an integer >= 0, got {size!r}")
+    size, pairs = _count(obj["size"], "order size"), obj.get("pairs", [])
     if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2
             and all(_is_index(v, size) for v in pair) for pair in pairs):
         raise OrderError(f"order pairs must be [a, b] lists of integers "
                          f"in range({size})")
+    _refuse_unread_keys(obj, ("size", "pairs"), "order object")
     return build_quasi_order(size, pairs)
 
 

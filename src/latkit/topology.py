@@ -215,7 +215,8 @@ class CategoryAlgebra(_Frozen):
 
     def class_of(self, s: int) -> int:
         """The class of ``s``: ``KeyError`` off the Baire-property sets."""
-        return self.classes[s & ~meager_mask(self.space)]
+        # the largest trace is the whole space's: the comeager set
+        return self.classes[s & self.reps[-1]]
 
 
 def category_algebra(q: QuasiOrder) -> CategoryAlgebra:

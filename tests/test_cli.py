@@ -404,6 +404,39 @@ def test_malformed_fixture_is_input_error(capsys, tmp_path, argv, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, doc, key", [
+    (("check", "classify"), {"size": 2, "pairs": [], "pair": [[0, 1]]}, "'pair'"),
+    (("check", "classify"), {"powerset": 2, "chains": [3]}, "'chains'"),
+    (("check", "classify"), {"chains": [3], "size": 3}, "'size'"),
+    (("check", "convexity"), {**MAP, "image": [0, 3], "images": []}, "'images'"),
+    (("check", "preregular"), {"order": {"powerset": 2}, "subsets": [1]},
+     "'subsets'"),
+    (("enumerate",), {**MAP, "filter": {"convex_range": True}}, "'filter'"),
+    (("verify", "law-monoid-distributivity"),
+     {"size": 5, "table": [[0, 1], [1, 1]], "identity": 0}, "size 5"),
+    (("verify", "lem-group-completion"),
+     {"table": [[0, 1], [1, 0]], "identity": 0, "inverse": [0, 1]}, "'inverse'"),
+])
+def test_unread_json_key_exits_2_naming_it(capsys, tmp_path, argv, doc, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "check", "classify", "--input", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    code, out, err = run(capsys, "enumerate", "--dom", "[" * 5000,
+                         "--cod", '{"powerset": 1}')
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("doc", [
     {"table": [[0, 1], [1, 1]], "identity": 5},
     {"table": [[1, 0], [0, 1]], "identity": -1},

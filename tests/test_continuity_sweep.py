@@ -7,17 +7,17 @@ import random
 
 import pytest
 
-from latkit import embedding
-from latkit.builders import antichain, chain, enumerate_lattices, enumerate_posets
+from latkit import embedding, lattice
+from latkit.builders import (antichain, chain, chain_product, enumerate_lattices,
+                             enumerate_posets)
 from latkit.cli import MAX_CONTINUITY_SIZE
 from latkit.embedding import continuity_checks, preregular_continuity_sweep
 from latkit.lattice import (
     MAX_PREREGULAR_WALK,
     convex_subsets,
-    is_downwards_preregular,
     is_preregular,
-    is_upwards_preregular,
     preregular_masks,
+    preregularity_witness,
 )
 from latkit.order import MonotoneMap, OrderError, build_quasi_order, induced_suborder
 from oracles import relabel, verify_preregular_continuity
@@ -56,8 +56,10 @@ def test_inclusion_continuity_is_preregularity(n):
         for rmask in range(1, 1 << n):
             sub, elems = induced_suborder(q, rmask)
             cont = continuity_checks(MonotoneMap(sub, q, elems))
-            assert cont["preserves_nonempty_sups"] == is_upwards_preregular(q, rmask)
-            assert cont["preserves_nonempty_infs"] == is_downwards_preregular(q, rmask)
+            assert cont["preserves_nonempty_sups"] == (
+                preregularity_witness(q, rmask, upwards=True) is None)
+            assert cont["preserves_nonempty_infs"] == (
+                preregularity_witness(q, rmask, upwards=False) is None)
 
 
 @pytest.mark.parametrize("n", range(MAX_CONTINUITY_SIZE + 1))
@@ -90,8 +92,9 @@ def test_convex_walk_is_the_filter_on_lattices(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_walk_takes_labels_that_are_no_linear_extension(n):
-    """The walk drops the first member of a linear extension; the posets
-    are enumerated with labels that are one, so reverse and shuffle them."""
+    """The walk drops a minimal member, whatever the labels; the posets
+    are enumerated with labels that are a linear extension, so reverse and
+    shuffle them."""
     rng = random.Random(n)
     shuffled = 0
     for q in enumerate_posets(n):
@@ -105,6 +108,24 @@ def test_walk_takes_labels_that_are_no_linear_extension(n):
             convex = convex_subsets(r)
             assert preregular_masks(r, convex) == [m for m in convex if is_preregular(r, m)]
     assert shuffled or n < 2
+
+
+def test_walk_reads_a_shuffled_poset_as_given(monkeypatch):
+    """No relabeled copy: the walks run on the order and on its dual."""
+    real = lattice._upwards_preregular_flags
+    walked = []
+
+    def recording(o, masks, last):
+        walked.append(o)
+        return real(o, masks, last)
+
+    monkeypatch.setattr(lattice, "_upwards_preregular_flags", recording)
+    q = relabel(chain_product([2, 3]), [4, 0, 5, 2, 1, 3])
+    assert any(q.up_masks[p] & (1 << p) - 1 for p in range(q.size))
+    for family in (None, convex_subsets(q)):
+        walked.clear()
+        preregular_masks(q, family)
+        assert len(walked) == 2 and walked[0] is q and walked[1] is q.dual
 
 
 def test_walk_refuses_a_family_that_lacks_a_member_it_reads():

@@ -193,7 +193,7 @@ def test_order_reflection_matches_the_pairwise_definition(n):
             census = set(enumerate_embeddings(p, q).images)
             for img in enumerate_monotone_maps(p, q):
                 mm = MonotoneMap(p, q, img)
-                assert mm.is_order_reflecting == is_order_reflecting(mm) == (img in census)
+                assert mm.is_embedding == is_order_reflecting(mm) == (img in census)
 
 
 def test_up_boc_range_for_lattice_homomorphisms():
@@ -201,7 +201,7 @@ def test_up_boc_range_for_lattice_homomorphisms():
     # projection of a square onto its chain
     proj = MonotoneMap(chain_product([2, 2]), chain(2),
                        tuple(v[0] for v in chain_vectors([2, 2])))
-    assert not proj.is_order_reflecting
+    assert not proj.is_embedding
     rep = range_property_checks(proj)
     assert rep["up_boc_range"]
 
@@ -254,7 +254,7 @@ def test_monotone_map_can_break_atom_law():
     # merely monotone: add the coordinates of the square, into a chain
     square = chain_product([2, 2])
     add = MonotoneMap(square, chain(3), tuple(map(sum, chain_vectors([2, 2]))))
-    assert not add.is_order_reflecting
+    assert not add.is_embedding
     img_atoms = add.image_mask(atoms(square))
     assert img_atoms != atoms(chain(3), add.range_mask)
 

@@ -244,7 +244,7 @@ def test_monotone_map_validation():
     with pytest.raises(OrderError):
         MonotoneMap(c2, c3, (2, 0))
     collapse = MonotoneMap(diamond(), chain(2), (0, 0, 0, 1))
-    assert not collapse.is_order_reflecting
+    assert not collapse.is_embedding
 
 
 def test_immutability():

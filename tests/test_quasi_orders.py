@@ -73,8 +73,8 @@ def test_order_reflection_matches_the_pairwise_definition(n):
         for q in cods:
             for img in enumerate_monotone_maps(p, q):
                 mm = MonotoneMap(p, q, img)
-                assert mm.is_order_reflecting == is_order_reflecting(mm)
-                merged += mm.is_order_reflecting and len(set(img)) < n
+                assert mm.is_embedding == is_order_reflecting(mm)
+                merged += mm.is_embedding and len(set(img)) < n
     assert merged > 0 or n == 1
 
 

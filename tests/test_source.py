@@ -222,7 +222,9 @@ def test_every_public_name_has_a_use_outside_the_tests(path):
     module (the package root's re-export counts), imported or read as an
     attribute by a demo, or named in the README as API; code that only
     tests reach belongs in the tests.  A local variable of the same name
-    elsewhere is not a use."""
+    elsewhere is not a use.  A public method or property of a public class
+    is used when a library module or a demo reads it as an attribute, or
+    the README names it."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     own = trees[path.stem]
     used = set().union(
@@ -231,6 +233,12 @@ def test_every_public_name_has_a_use_outside_the_tests(path):
         *(_reads_from(tree, path.stem) for stem, tree in trees.items()
           if stem != path.stem),
         _readme_names())
-    unused = [name for name in importlib.import_module(f"latkit.{path.stem}").__all__
+    public = importlib.import_module(f"latkit.{path.stem}").__all__
+    unused = [name for name in public
               if name not in used and not _read_by_another_definition(own, name)]
+    read = used.union(*(_imported_or_attribute(tree) for tree in trees.values()))
+    unused += [f"{cls.name}.{f.name}" for cls in own.body
+               if isinstance(cls, ast.ClassDef) and cls.name in public
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and not f.name.startswith("_") and f.name not in read]
     assert unused == [], f"{path.name}: no use outside the tests for {unused}"
