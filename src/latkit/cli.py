@@ -17,6 +17,7 @@ import gc
 import json
 import math
 import os
+import select
 import sys
 from typing import Callable, Optional
 
@@ -677,15 +678,31 @@ TABLES = {"verify": VERIFIERS, "search": SEARCHES, "sweep": SWEEPS,
 # output and dispatch
 
 
+def _emit(lines):
+    """Write ``lines`` to stdout, each ended by a newline, in blocks of at
+    most ``select.PIPE_BUF`` bytes (a longer line alone): a pipe takes such a
+    write whole or fails it with EPIPE, while a longer one comes back short
+    when the reader leaves, a count that an unbuffered text stream ignores."""
+    block, size = [], 0
+    for line in lines:
+        line += "\n"
+        n = len(line.encode())
+        if block and size + n > select.PIPE_BUF:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+        block.append(line)
+        size += n
+    if block:
+        sys.stdout.write("".join(block))
+
+
 def emit_report(cfg: RunConfig, report: dict):
     if cfg.output_format == "json":
         doc = {"command": cfg.command, "name": cfg.name,
                "seed": cfg.options.get("seed", 0), "report": report}
-        print(json.dumps(doc, sort_keys=True))
-        return
-    print(cfg.label)
-    for key, value in report.items():
-        print(f"  {key}: {value}")
+        _emit([json.dumps(doc, sort_keys=True)])
+    else:
+        _emit([cfg.label, *(f"  {key}: {value}" for key, value in report.items())])
 
 
 def _registry_listing() -> list:
@@ -741,8 +758,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
         filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
     census = embedding.enumerate_embeddings(
         dom, cod, **filters, budget_nodes=cfg.budget_nodes)
-    for line in embedding.census_to_json_lines(census):
-        sys.stdout.write(line + "\n")
+    _emit(embedding.census_to_json_lines(census))
     return EXIT_OK
 
 
@@ -768,13 +784,11 @@ def _main(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     if args.list:
-        if args.format == "json":
-            sys.stdout.write(json.dumps({"verifiers": _registry_listing()},
-                                        sort_keys=True) + "\n")
-        else:
-            for row in _registry_listing():
-                sys.stdout.write(
-                    f"{row['command']:9s} {row['slug']:28s} {row['description']}\n")
+        rows = _registry_listing()
+        _emit([json.dumps({"verifiers": rows}, sort_keys=True)]
+              if args.format == "json" else
+              [f"{row['command']:9s} {row['slug']:28s} {row['description']}"
+               for row in rows])
         return EXIT_OK
 
     if not args.command:

@@ -314,14 +314,15 @@ def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]
 
 def census_to_json_lines(census: EmbeddingCensus) -> Iterator[str]:
     """Yield one JSON document per map: ``{"image": [...], "flags": {...}}``,
-    keys sorted.  The maps share a few flags dicts, so each is encoded
-    once; an image is a list of ints, which JSON writes as Python does."""
-    encoded = {}  # id of a flags dict -> its encoding
+    keys sorted.  The maps share a few flags dicts, so the text up to the
+    image is built once per dict; an image is a list of ints, whose repr is
+    its JSON array."""
+    heads = {}  # id of a flags dict -> the line's text up to the image
     for image, f in zip(census.images, census.flags):
-        flags = encoded.get(id(f))
-        if flags is None:
-            flags = encoded[id(f)] = json.dumps(f, sort_keys=True)
-        yield f'{{"flags": {flags}, "image": [{", ".join(map(str, image))}]}}'
+        head = heads.get(id(f))
+        if head is None:
+            head = heads[id(f)] = f'{{"flags": {json.dumps(f, sort_keys=True)}, "image": '
+        yield f"{head}{list(image)!r}}}"
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import os
+import select
 import subprocess
 import sys
 import time
 
 import pytest
 
-from latkit import embedding
-from latkit.builders import powerset_lattice
+from latkit import cli, embedding
+from latkit.builders import chain_product, powerset_lattice
 from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -1025,11 +1026,24 @@ def test_extension_convexity_report_at_m_4_is_pinned(capsys):
     assert report["embeddings"] == 240 and report["holds"]
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
+def child_env(unbuffered: bool) -> dict:
+    """The caller's environment for ``python -m latkit.cli``, with
+    ``PYTHONUNBUFFERED=1`` set or removed: the two ways stdout is written."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
     # the census writes 3,990 lines, far more than a pipe buffer holds, and
     # the reader goes away after the first, as "| head -1" does
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = child_env(unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-m", "latkit.cli", "enumerate",
          "--dom", '{"chains":[2,3]}', "--cod", '{"chains":[3,3,3]}'],
@@ -1042,24 +1056,67 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert err == b""
 
 
+class RecordedStdout:
+    """A stdout stand-in that keeps the text of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_census_reaches_stdout_in_pipe_sized_writes(monkeypatch):
+    # one write per line would be 3,990 writes, each a system call when
+    # stdout is unbuffered
+    stdout = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["enumerate", "--dom", '{"chains":[2,3]}',
+                 "--cod", '{"chains":[3,3,3]}'])
+    assert code == EXIT_OK
+    census = embedding.enumerate_embeddings(
+        chain_product([2, 3]), chain_product([3, 3, 3]))
+    assert "".join(stdout.writes) == "".join(
+        line + "\n" for line in embedding.census_to_json_lines(census))
+    assert len(census) == 3_990
+    assert len(stdout.writes) <= 150
+    assert max(len(text.encode()) for text in stdout.writes) <= select.PIPE_BUF
+
+
+def test_a_line_longer_than_pipe_buf_is_written_on_its_own(monkeypatch):
+    stdout = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    long = "x" * select.PIPE_BUF
+    cli._emit(["a", "b", long, "c"])
+    assert stdout.writes == ["a\nb\n", long + "\n", "c\n"]
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--format", "json", "check", "classify", "--input", fixture("n5.json")],
      EXIT_OK),
     (["--format", "json", "check", "distributive", "--input", fixture("m3.json")],
      EXIT_VIOLATION),
     (["verify", "no-such-verifier"], EXIT_USAGE),
-], ids=["exit-0", "exit-1", "exit-2"])
+    (["enumerate", "--dom", '{"chains":[2,3]}', "--cod", '{"chains":[3,3,3]}'],
+     EXIT_OK),
+], ids=["exit-0", "exit-1", "exit-2", "enumerate"])
 def test_module_entry_point_matches_main(capsys, argv, expected):
     # the __main__ block freezes the heap before exit: the process must
-    # still write main's bytes and return main's code
+    # still write main's bytes and return main's code, whether or not
+    # stdout is unbuffered
     code, out, _ = run(capsys, *argv)
     assert code == expected
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-m", "latkit.cli", *argv],
-                          cwd=root, env=env, capture_output=True, timeout=60)
-    assert proc.returncode == expected
-    assert proc.stdout == out.encode()
+    for unbuffered in (True, False):
+        proc = subprocess.run([sys.executable, "-m", "latkit.cli", *argv],
+                              cwd=root, env=child_env(unbuffered),
+                              capture_output=True, timeout=60)
+        assert proc.returncode == expected
+        assert proc.stdout == out.encode()
 
 
 def test_crown_closure_past_the_cap_exits_2(capsys, tmp_path):

@@ -3,7 +3,8 @@ survive ``python -O``, no ``except`` clause catches the builtin
 ``ValueError``, the library runs without numpy and imports no
 ``random``, start-up loads no ``dataclasses``, ``inspect`` or
 ``traceback``, imports sit at module level with ``order`` at the bottom of
-the module graph, every demo script runs to completion and prints its
+the module graph, the package root imports nothing, only ``cli._emit``
+writes to stdout, every demo script runs to completion and prints its
 pinned output, and every public name has a use outside the tests."""
 
 import ast
@@ -121,6 +122,36 @@ def test_no_import_inside_a_function(path):
     assert not lines, f"{path.name}: import inside a function at lines {lines}"
 
 
+def test_package_root_imports_nothing_and_defines_only_the_version():
+    # each public name has one import path, the module that defines it, so
+    # the root holds its docstring and __version__ alone
+    path = ROOT / "src" / "latkit" / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [type(stmt) for stmt in tree.body] == [ast.Expr, ast.Assign]
+    assert _defined(tree.body[1]) == {"__version__"}
+
+
+def _stdout_writes(path) -> set:
+    """``(file, function, callee, line)`` for each ``print`` and
+    ``sys.stdout.write`` call in ``path``, with the innermost function
+    around it, or ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    return {(path.name, owner.get(id(node), "<module>"), callee, node.lineno)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (callee := ast.unparse(node.func)) in ("print", "sys.stdout.write")}
+
+
+def test_only_cli_emit_writes_to_stdout():
+    # one writer joins lines into blocks a pipe takes whole, so a reader
+    # that leaves early always ends the run in exit 141
+    sites = set().union(*map(_stdout_writes, SOURCES))
+    assert {site[:3] for site in sites} == {("cli.py", "_emit", "sys.stdout.write")}, sites
+
+
 def test_order_is_the_bottom_of_the_module_graph():
     path = ROOT / "src" / "latkit" / "order.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -219,12 +250,11 @@ def _readme_names() -> set:
 def test_every_public_name_has_a_use_outside_the_tests(path):
     """A name in ``__all__`` is used by another definition of its own
     module, imported from it or read as ``module.name`` by another library
-    module (the package root's re-export counts), imported or read as an
-    attribute by a demo, or named in the README as API; code that only
-    tests reach belongs in the tests.  A local variable of the same name
-    elsewhere is not a use.  A public method or property of a public class
-    is used when a library module or a demo reads it as an attribute, or
-    the README names it."""
+    module, imported or read as an attribute by a demo, or named in the
+    README as API; code that only tests reach belongs in the tests.  A
+    local variable of the same name elsewhere is not a use.  A public
+    method or property of a public class is used when a library module or
+    a demo reads it as an attribute, or the README names it."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     own = trees[path.stem]
     used = set().union(
