@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Loads structures from JSON, runs property checks, censuses, searches, and
-theorem verifiers, and emits deterministic reports.
+theorem verifiers, and emits deterministic reports.  It is the one reader
+and writer of JSON: the library takes and returns values.
 
 Exit codes: 0 all checks passed; 1 a property or theorem violation was
 found (the report carries a witness); 2 malformed input or usage error;
@@ -56,6 +57,12 @@ MAX_EXTENSION_CODOMAIN = 6
 # three runs, Python 3.11), but the censuses P(4), P(5) and P(6) -> P(6)
 # each pass 3,000,000 nodes and keep going, so --y 6 takes --x of at most 3
 MAX_ATOM_IMAGE_DOMAIN = 3
+# rows of a monoid table read from JSON; the exhaustive laws take about n^3
+# steps, each bound one up_index lookup: on the truncated chain (in-process,
+# 2-vCPU VM), law-monoid-distributivity takes 0.13 s at 32 rows, 0.7 s at 64
+# and 7 s at 128, and law-disjoint-sum 0.03, 0.24 and 2.2 s; a fresh `verify`
+# of either at 64 rows takes at most about 1 s
+MAX_TABLE_ROWS = 64
 # commutative monoid tables, found by a search that drops a partial table at
 # its first failing associativity triple: 94 at size 4, 1,486 at 5 and
 # 38,890 at 6 (8.4 s in-process); lem-group-completion --max-size 5 takes
@@ -120,7 +127,16 @@ class RunConfig:
         """The JSON object in the one ``--input`` file."""
         if not self.inputs:
             raise InputError(f"{self.command} needs --input")
-        return load_json(self.inputs[0])
+        path = self.inputs[0]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
+        obj = _decode(text, f"cannot read {path}")
+        if not isinstance(obj, dict):
+            raise InputError(f"{path} must hold a JSON object")
+        return obj
 
     def refuse_unread(self, reads: tuple):
         """Refuse every given option that is not in ``reads``; ``input``
@@ -155,29 +171,34 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# structure loading
+# JSON wire format: the readers of input and the writers of reports
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a repeated key would replace a value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _decode(text: str, why: str):
     """The JSON value in ``text``.  Text that is not JSON, or nests deeper
     than the decoder's recursion allows, is refused with ``why`` first."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{why}: {exc}") from exc
 
 
-def load_json(path: str) -> dict:
-    """The JSON object in ``path``; every input file holds one object."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    obj = _decode(text, f"cannot read {path}")
-    if not isinstance(obj, dict):
-        raise InputError(f"{path} must hold a JSON object")
-    return obj
+def _refuse_unread_keys(obj: dict, reads: tuple, what: str):
+    """Refuse, naming them, the keys of the JSON object ``obj`` that its
+    reader ``what`` does not read; readers call it after their own checks."""
+    unread = [key for key in obj if key not in reads]
+    if unread:
+        raise InputError(f"{what} does not read " + ", ".join(map(repr, unread)))
 
 
 def _max_factors(height: int) -> int:
@@ -209,7 +230,7 @@ def parse_order_spec(obj):
     if "powerset" in obj:
         n = order._count(obj["powerset"], "powerset", error=InputError)
         _check_spec_size(1 << min(n, MAX_SPEC_SIZE))
-        order._refuse_unread_keys(obj, ("powerset",), "order spec", InputError)
+        _refuse_unread_keys(obj, ("powerset",), "order spec")
         return builders.powerset_lattice(n)
     if "chains" in obj:
         if not isinstance(obj["chains"], list):
@@ -217,14 +238,20 @@ def parse_order_spec(obj):
         dims = [order._count(d, "chain height", 1, InputError)
                 for d in obj["chains"]]
         _check_spec_size(math.prod(min(d, MAX_SPEC_SIZE + 1) for d in dims))
-        order._refuse_unread_keys(obj, ("chains",), "order spec", InputError)
+        _refuse_unread_keys(obj, ("chains",), "order spec")
         return builders.chain_product(dims)
-    if isinstance(obj.get("size"), int):
-        _check_spec_size(obj["size"])
-    try:
-        return order.order_from_json(obj)
-    except order.OrderError as exc:
-        raise InputError(str(exc)) from exc
+    if "size" not in obj:
+        raise InputError("malformed order object: need an object with a size")
+    size = order._count(obj["size"], "order size", error=InputError)
+    _check_spec_size(size)
+    pairs = obj.get("pairs", [])
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(order._is_index(v, size) for v in pair) for pair in pairs):
+        raise InputError(f"order pairs must be [a, b] lists of integers "
+                         f"in range({size})")
+    _refuse_unread_keys(obj, ("size", "pairs"), "order object")
+    return order.build_quasi_order(size, pairs)
 
 
 def parse_map_fixture(obj) -> order.MonotoneMap:
@@ -237,8 +264,59 @@ def parse_map_fixture(obj) -> order.MonotoneMap:
         mm = order.MonotoneMap(dom, cod, image)
     except order.OrderError as exc:
         raise InputError(f"malformed map fixture: {exc}") from exc
-    order._refuse_unread_keys(obj, ("dom", "cod", "image"), "map fixture", InputError)
+    _refuse_unread_keys(obj, ("dom", "cod", "image"), "map fixture")
     return mm
+
+
+def _read_subset(q: order.QuasiOrder, arr) -> int:
+    """A list of element indices, each an integer in ``q``'s carrier, as the
+    mask of those elements."""
+    if not isinstance(arr, list) or not all(order._is_index(i, q.size) for i in arr):
+        raise InputError(f"subset must be a list of integers in range({q.size})")
+    return sum(1 << i for i in set(arr))
+
+
+def _read_monoid(obj) -> monoid.FiniteMonoid:
+    """Read ``{"table": [[...], ...], "identity": e}``; the table must be
+    a square list of at most ``MAX_TABLE_ROWS`` rows of integers in
+    ``range(size)``.  An optional ``size`` must equal the number of rows,
+    and any other key is refused."""
+    if not isinstance(obj, dict) or "table" not in obj or "identity" not in obj:
+        raise InputError("malformed monoid object: need a table and an identity")
+    table = obj["table"]
+    if isinstance(table, list) and len(table) > MAX_TABLE_ROWS:
+        raise InputError(f"a monoid table has at most {MAX_TABLE_ROWS} rows, "
+                         f"got {len(table)}")
+    mon = monoid.FiniteMonoid(table, obj["identity"])
+    size = order._count(obj.get("size", mon.size), "monoid size", error=InputError)
+    if size != mon.size:
+        raise InputError(f"monoid size {size} is not the table's {mon.size} rows")
+    _refuse_unread_keys(obj, ("size", "table", "identity"), "monoid")
+    return mon
+
+
+def _order_to_json(q: order.QuasiOrder) -> dict:
+    """``{"size": n, "pairs": [[a, b], ...]}`` with all strict related pairs."""
+    return {"size": q.size, "pairs": [[p, r] for p in range(q.size)
+                                      for r in order.bits(q.up_masks[p]) if p != r]}
+
+
+def _topology_to_json(q: order.QuasiOrder) -> dict:
+    """The space ``q`` with every open set (up-set), in ascending mask order."""
+    return {"points": q.size,
+            "opens": [sorted(order.bits(o)) for o in order.upper_sets(q)]}
+
+
+def _census_lines(census: embedding.EmbeddingCensus):
+    """Yield one JSON document per map, keys sorted.  The maps share a few
+    flags dicts, so the text up to the image is built once per dict; an
+    image is a list of ints, whose repr is its JSON array."""
+    heads = {}  # id of a flags dict -> the line's text up to the image
+    for image, f in zip(census.images, census.flags):
+        head = heads.get(id(f))
+        if head is None:
+            head = heads[id(f)] = f'{{"flags": {json.dumps(f, sort_keys=True)}, "image": '
+        yield f"{head}{list(image)!r}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +413,7 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
         for lq in builders.enumerate_lattices(n):
             lattices += 1
             subsets += 1 << n
-            violations += [{"lattice": order.order_to_json(lq),
+            violations += [{"lattice": _order_to_json(lq),
                             "subset": list(order.bits(amask))}
                            for amask in _convex_not_preregular(lq)]
     return {
@@ -393,7 +471,7 @@ def _verify_cat_ro_iso(cfg: RunConfig) -> dict:
         try:
             topology.category_algebra(t)
         except topology.TopologyError as exc:
-            failures.append({"error": str(exc), "opens": topology.topology_to_json(t)})
+            failures.append({"error": str(exc), "opens": _topology_to_json(t)})
     return {
         "holds": not failures,
         "points": points,
@@ -440,7 +518,7 @@ def _monoid_laws(cfg: RunConfig, law: Callable) -> dict:
     ``bench/expected.json`` pins: ``"sampling": null`` on a table, else
     ``checked = --samples`` and ``"sampling": {seed, instance_count}``."""
     if cfg.inputs:
-        reports = law(monoid.monoid_from_json(cfg.input_json()))
+        reports = law(_read_monoid(cfg.input_json()))
         sampling = None
     else:
         samples = cfg.option("samples", 1000, MAX_SAMPLES)
@@ -471,7 +549,7 @@ def _verify_disjoint_sum(cfg: RunConfig) -> dict:
 
 def _verify_group_completion(cfg: RunConfig) -> dict:
     if cfg.inputs:
-        mon = monoid.monoid_from_json(cfg.input_json())
+        mon = _read_monoid(cfg.input_json())
         try:
             group = monoid.group_completion(mon)
         except monoid.NotCancellativeError:
@@ -511,7 +589,7 @@ def _search_convex_not_preregular(cfg: RunConfig) -> dict:
                 continue
             bad = _convex_not_preregular(q)
             if bad:
-                return {"holds": True, "found": True, "poset": order.order_to_json(q),
+                return {"holds": True, "found": True, "poset": _order_to_json(q),
                         "subset": list(order.bits(bad[0]))}
     return {"holds": True, "found": False, "max_size": max_size}
 
@@ -522,7 +600,7 @@ def _search_open_meager(cfg: RunConfig) -> dict:
         u = topology.largest_open_meager(t)
         if u:
             return {"holds": True, "found": True,
-                    "topology": topology.topology_to_json(t),
+                    "topology": _topology_to_json(t),
                     "largest_open_meager": sorted(order.bits(u))}
     return {"holds": True, "found": False, "points": points,
             "note": "every topology on this many points is a Baire space"}
@@ -533,7 +611,7 @@ def _sweep_baire(cfg: RunConfig) -> dict:
     tops = topology.enumerate_topologies(points)
     baire = [topology.is_baire(t) for t in tops]
     mismatches = [
-        topology.topology_to_json(t) for t, b in zip(tops, baire)
+        _topology_to_json(t) for t, b in zip(tops, baire)
         if b != (topology.largest_open_meager(t) == 0)
     ]
     return {
@@ -644,8 +722,8 @@ def _check_embedding(cfg: RunConfig) -> dict:
 def _check_preregular(cfg: RunConfig) -> dict:
     obj = cfg.input_json()
     q = parse_order_spec(obj.get("order"))
-    subset = order.subset_from_json(q, obj.get("subset", []))
-    order._refuse_unread_keys(obj, ("order", "subset"), "check preregular", InputError)
+    subset = _read_subset(q, obj.get("subset", []))
+    _refuse_unread_keys(obj, ("order", "subset"), "check preregular")
     report = lattice.subset_report(q, subset)
     holds = report["preregular_up"]["holds"] and report["preregular_down"]["holds"]
     return {"holds": holds, "report": report}
@@ -749,7 +827,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
                 for name, on in filters.items()):
             raise InputError("census filters must be an object mapping "
                              f"{', '.join(CENSUS_FILTERS)} to true or false")
-        order._refuse_unread_keys(obj, ("dom", "cod", "filters"), "enumerate", InputError)
+        _refuse_unread_keys(obj, ("dom", "cod", "filters"), "enumerate")
     else:
         if not cfg.options.get("dom") or not cfg.options.get("cod"):
             raise InputError("enumerate needs --dom and --cod or --input")
@@ -758,7 +836,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
         filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
     census = embedding.enumerate_embeddings(
         dom, cod, **filters, budget_nodes=cfg.budget_nodes)
-    _emit(embedding.census_to_json_lines(census))
+    _emit(_census_lines(census))
     return EXIT_OK
 
 

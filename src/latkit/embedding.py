@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import operator
 from functools import cache, cached_property
 from typing import Iterator, Optional
@@ -81,7 +80,6 @@ __all__ = [
     "check_transfer_setting",
     "verify_transfer_map",
     "verify_convexity_transfer",
-    "census_to_json_lines",
 ]
 
 
@@ -310,19 +308,6 @@ def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]
     for img in itertools.product(range(k), repeat=n):
         if all(cod.le(img[p], img[q]) for p, q in strict):
             yield img
-
-
-def census_to_json_lines(census: EmbeddingCensus) -> Iterator[str]:
-    """Yield one JSON document per map: ``{"image": [...], "flags": {...}}``,
-    keys sorted.  The maps share a few flags dicts, so the text up to the
-    image is built once per dict; an image is a list of ints, whose repr is
-    its JSON array."""
-    heads = {}  # id of a flags dict -> the line's text up to the image
-    for image, f in zip(census.images, census.flags):
-        head = heads.get(id(f))
-        if head is None:
-            head = heads[id(f)] = f'{{"flags": {json.dumps(f, sort_keys=True)}, "image": '
-        yield f"{head}{list(image)!r}}}"
 
 
 # ---------------------------------------------------------------------------

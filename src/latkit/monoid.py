@@ -21,8 +21,7 @@ import operator
 from functools import cached_property
 from typing import Optional
 
-from .order import (QuasiOrder, _Frozen, _Value, _count, _is_index,
-                    _refuse_unread_keys, bits)
+from .order import QuasiOrder, _Frozen, _Value, _count, _is_index, bits
 from .lattice import is_lattice, set_distributivity_failure
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "truncated_addition_monoid",
     "cyclic_group",
     "enumerate_commutative_monoids",
-    "monoid_from_json",
 ]
 
 DISTRIBUTIVITY_MODES = ("plus_join", "plus_meet", "plus_join_inf", "plus_meet_inf")
@@ -51,12 +49,6 @@ DISTRIBUTIVITY_MODES = ("plus_join", "plus_meet", "plus_join_inf", "plus_meet_in
 # the set laws
 SAMPLE_BOUND = 8
 MAX_SAMPLED_SET_SIZE = 4
-# rows of a table read from JSON; the exhaustive laws take about n^3 steps,
-# each bound one up_index lookup: on the truncated chain (in-process, 2-vCPU
-# VM), law-monoid-distributivity takes 0.13 s at 32 rows, 0.7 s at 64 and
-# 7 s at 128, and law-disjoint-sum 0.03, 0.24 and 2.2 s; a fresh `verify`
-# of either at 64 rows takes at most about 1 s
-MAX_JSON_SIZE = 64
 
 
 class MonoidError(ValueError):
@@ -570,22 +562,3 @@ def enumerate_commutative_monoids(n: int):
 
     fill(0)
     return out
-
-
-def monoid_from_json(obj: dict) -> FiniteMonoid:
-    """Read ``{"table": [[...], ...], "identity": e}``; the table must be
-    a square list of at most ``MAX_JSON_SIZE`` rows of integers in
-    ``range(size)``.  An optional ``size`` must equal the number of rows,
-    and any other key is refused."""
-    if not isinstance(obj, dict) or "table" not in obj or "identity" not in obj:
-        raise MonoidError("malformed monoid object: need a table and an identity")
-    table = obj["table"]
-    if isinstance(table, list) and len(table) > MAX_JSON_SIZE:
-        raise MonoidError(f"a monoid table has at most {MAX_JSON_SIZE} rows, "
-                          f"got {len(table)}")
-    mon = FiniteMonoid(table, obj["identity"])
-    size = _count(obj.get("size", mon.size), "monoid size", error=MonoidError)
-    if size != mon.size:
-        raise MonoidError(f"monoid size {size} is not the table's {mon.size} rows")
-    _refuse_unread_keys(obj, ("size", "table", "identity"), "monoid", MonoidError)
-    return mon

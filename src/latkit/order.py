@@ -2,8 +2,8 @@
 
 The carrier of an order is always ``range(size)``, and the relation is
 stored once, as the tuple of up-set bitmasks.  Subsets of the carrier are
-int bitmasks, in and out; index lists become masks only at the JSON
-boundary (:func:`subset_from_json`).  The relation cannot be changed after
+int bitmasks, in and out; index lists become masks only in ``latkit.cli``,
+the one reader and writer of JSON.  The relation cannot be changed after
 construction, and an order keeps only values derived from it alone
 (``down_masks``, ``dual``, ``is_poset``, ``full_mask``, ``up_index``); this
 module imports no other module of the package.  Orders and maps derived
@@ -39,9 +39,6 @@ __all__ = [
     "bits",
     "intersection_closure",
     "MAX_CLOSURE_SIZE",
-    "order_to_json",
-    "order_from_json",
-    "subset_from_json",
 ]
 
 
@@ -146,14 +143,6 @@ def _count(value, what: str, least: int = 0, error=OrderError) -> int:
         if n >= least:
             return n
     raise error(f"{what} must be an integer >= {least}, got {value!r}")
-
-
-def _refuse_unread_keys(obj: dict, reads: tuple, what: str, error=OrderError):
-    """Refuse, naming them, the keys of the JSON object ``obj`` that its
-    reader ``what`` does not read; readers call it after their own checks."""
-    unread = [key for key in obj if key not in reads]
-    if unread:
-        raise error(f"{what} does not read " + ", ".join(map(repr, unread)))
 
 
 class QuasiOrder(_Frozen):
@@ -491,42 +480,3 @@ def induced_suborder(q: QuasiOrder, A: int):
 def linear_extension(q: QuasiOrder) -> tuple:
     """Elements ordered compatibly with ``<=`` (smaller down-sets first)."""
     return tuple(sorted(range(q.size), key=lambda p: (q.down_masks[p].bit_count(), p)))
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def order_to_json(q: QuasiOrder) -> dict:
-    """``{"size": n, "pairs": [[a, b], ...]}`` with all strict related pairs."""
-    pairs = [
-        [p, r]
-        for p in range(q.size)
-        for r in bits(q.up_masks[p])
-        if p != r
-    ]
-    return {"size": q.size, "pairs": pairs}
-
-
-def order_from_json(obj: dict) -> QuasiOrder:
-    """Read the generator format; the reflexive-transitive closure is taken.
-    The size must be an integer >= 0 and each pair two integers below it,
-    and any key but ``size`` and ``pairs`` is refused."""
-    if not isinstance(obj, dict) or "size" not in obj:
-        raise OrderError("malformed order object: need an object with a size")
-    size, pairs = _count(obj["size"], "order size"), obj.get("pairs", [])
-    if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(_is_index(v, size) for v in pair) for pair in pairs):
-        raise OrderError(f"order pairs must be [a, b] lists of integers "
-                         f"in range({size})")
-    _refuse_unread_keys(obj, ("size", "pairs"), "order object")
-    return build_quasi_order(size, pairs)
-
-
-def subset_from_json(order: QuasiOrder, arr) -> int:
-    """Read a list of element indices, each an integer in the carrier, as
-    the mask of those elements."""
-    if not isinstance(arr, list) or not all(_is_index(i, order.size) for i in arr):
-        raise OrderError(f"subset must be a list of integers in range({order.size})")
-    return sum(1 << i for i in set(arr))

@@ -63,7 +63,6 @@ __all__ = [
     "is_zero_dimensional",
     "clopen_basis_check",
     "enumerate_topologies",
-    "topology_to_json",
     "MAX_TOPOLOGY_POINTS",
 ]
 
@@ -325,11 +324,3 @@ def enumerate_topologies(points: int) -> list:
                         grown.append(_unchecked(QuasiOrder, up_masks=rows + (high | 1 << k,)))
         orders = grown
     return orders
-
-
-def topology_to_json(q: QuasiOrder) -> dict:
-    return {
-        "points": q.size,
-        "opens": [sorted(bits(o)) for o in upper_sets(q)],
-    }
-

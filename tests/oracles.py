@@ -623,6 +623,6 @@ def ref_order_flags(q: QuasiOrder) -> dict:
 
 
 def monoid_to_json(m: FiniteMonoid) -> dict:
-    """The JSON form of a table that ``monoid_from_json`` reads."""
+    """The JSON form of a table that ``latkit.cli`` reads."""
     return {"size": m.size, "table": [list(row) for row in m.table],
             "identity": m.identity}

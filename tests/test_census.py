@@ -24,10 +24,9 @@ from latkit.builders import (
     enumerate_posets,
     powerset_lattice,
 )
-from latkit.cli import main
+from latkit.cli import _census_lines, main
 from latkit.embedding import (
     BudgetExceededError,
-    census_to_json_lines,
     enumerate_embeddings,
 )
 from latkit.lattice import is_lattice, is_preregular
@@ -186,7 +185,7 @@ def test_census_keeps_image_tuples_not_maps():
     assert len(census) == 2_550
     # an image tuple and two tuple slots per map, not a map and a dict
     assert retained / len(census) <= 250
-    assert len(list(census_to_json_lines(census))) == len(census.images)
+    assert len(list(_census_lines(census))) == len(census.images)
     assert "maps" not in census.__dict__
     assert census.maps is census.maps
 
@@ -202,7 +201,7 @@ def test_json_lines_are_the_plain_encoding(dom, cod, filters):
     # each census but the one empty map mixes flags dicts, so the lines
     # share their text up to the image
     assert len({tuple(f.values()) for f in census.flags}) > 1 or census.images == ((),)
-    assert list(census_to_json_lines(census)) == [
+    assert list(_census_lines(census)) == [
         json.dumps({"image": list(m.image), "flags": f}, sort_keys=True)
         for m, f in zip(census.maps, census.flags)]
 

@@ -33,7 +33,7 @@ from latkit.cli import (
     main,
     parse_order_spec,
 )
-from latkit.monoid import FiniteMonoid, monoid_from_json, truncated_addition_monoid
+from latkit.monoid import FiniteMonoid, truncated_addition_monoid
 from latkit.order import MonotoneMap
 from oracles import monoid_to_json
 
@@ -426,6 +426,109 @@ def test_unread_json_key_exits_2_naming_it(capsys, tmp_path, argv, doc, key):
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
+P2_CHAIN = {"size": 2, "pairs": [[0, 1]]}
+T2 = [[0, 1], [1, 1]]
+CLASSIFY, CONVEXITY = ("check", "classify"), ("check", "convexity")
+PREREGULAR, GROUP = ("check", "preregular"), ("verify", "lem-group-completion")
+
+
+# one malformed --input file per refusal path of each reader, with the
+# whole stderr line; the last rows hold two faults, so the order in which
+# a reader checks is pinned too
+@pytest.mark.parametrize("argv, doc, message", [
+    (PREREGULAR, {"order": [1], "subset": []}, "order spec must be an object"),
+    (CLASSIFY, {"pairs": []},
+     "malformed order object: need an object with a size"),
+    (CLASSIFY, {"size": -1}, "order size must be an integer >= 0, got -1"),
+    (CLASSIFY, {"size": 2.0}, "order size must be an integer >= 0, got 2.0"),
+    (CLASSIFY, {"powerset": "x"}, "powerset must be an integer >= 0, got 'x'"),
+    (CLASSIFY, {"chains": [2, 0]},
+     "chain height must be an integer >= 1, got 0"),
+    (CLASSIFY, {"size": 65}, "order spec has more than 64 elements"),
+    (CLASSIFY, {"powerset": 7}, "order spec has more than 64 elements"),
+    (CLASSIFY, {"chains": [8, 9]}, "order spec has more than 64 elements"),
+    (CLASSIFY, {"chains": 3}, "chains must be a list of chain heights"),
+    (CLASSIFY, {"size": 2, "pairs": [[0, 2]]},
+     "order pairs must be [a, b] lists of integers in range(2)"),
+    (CLASSIFY, {"size": 2, "pairs": [0, 1]},
+     "order pairs must be [a, b] lists of integers in range(2)"),
+    (CLASSIFY, {"size": 2, "pairs": [], "extra": 1},
+     "order object does not read 'extra'"),
+    (CLASSIFY, {"powerset": 1, "size": 2}, "order spec does not read 'size'"),
+    (CLASSIFY, {"chains": [2], "pairs": [], "x": 0},
+     "order spec does not read 'pairs', 'x'"),
+    (CONVEXITY, {**MAP, "image": 0},
+     "malformed map fixture: image must be a list"),
+    (CONVEXITY, {"dom": P2_CHAIN, "cod": P2_CHAIN, "image": [1, 0]},
+     "malformed map fixture: map is not order preserving at (0, 1)"),
+    (CONVEXITY, {**MAP, "image": [0, 4]},
+     "malformed map fixture: image values must be integers in range(4)"),
+    (CONVEXITY, {**MAP, "image": [0, 3], "images": []},
+     "map fixture does not read 'images'"),
+    (PREREGULAR, {"order": P2_CHAIN, "subset": [2]},
+     "subset must be a list of integers in range(2)"),
+    (PREREGULAR, {"order": P2_CHAIN, "subset": [0], "subsets": []},
+     "check preregular does not read 'subsets'"),
+    (("enumerate",), {**MAP, "filters": {"convex": True}},
+     "census filters must be an object mapping convex_range, "
+     "preregular_range, downward_closed_range to true or false"),
+    (("enumerate",), {**MAP, "filter": {}}, "enumerate does not read 'filter'"),
+    (GROUP, {"identity": 0},
+     "malformed monoid object: need a table and an identity"),
+    (GROUP, {"table": [[0]] * 65, "identity": 0},
+     "a monoid table has at most 64 rows, got 65"),
+    (GROUP, {"table": [[0, 1]], "identity": 0},
+     "table must be a nonempty square list of rows"),
+    (GROUP, {"table": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "identity": 0},
+     "operation is not associative"),
+    (GROUP, {"size": 3, "table": T2, "identity": 0},
+     "monoid size 3 is not the table's 2 rows"),
+    (GROUP, {"size": 1.0, "table": [[0]], "identity": 0},
+     "monoid size must be an integer >= 0, got 1.0"),
+    (GROUP, {"table": T2, "identity": 0, "inverse": []},
+     "monoid does not read 'inverse'"),
+    (CLASSIFY, {"size": 100, "pairs": 5}, "order spec has more than 64 elements"),
+    (CLASSIFY, {"size": "x", "extra": 1},
+     "order size must be an integer >= 0, got 'x'"),
+    (CLASSIFY, {"size": 2, "pairs": 5, "extra": 1},
+     "order pairs must be [a, b] lists of integers in range(2)"),
+    (GROUP, {"table": [[0, 1]], "identity": 0, "size": 9, "extra": 1},
+     "table must be a nonempty square list of rows"),
+    (GROUP, {"table": T2, "identity": 0, "size": "x", "extra": 1},
+     "monoid size must be an integer >= 0, got 'x'"),
+    (CONVEXITY, {"dom": {"size": -1}, "cod": {"powerset": 9}, "image": 0, "x": 1},
+     "order size must be an integer >= 0, got -1"),
+])
+def test_every_reader_refusal_keeps_its_message(capsys, tmp_path, argv, doc,
+                                                message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *argv, "--input", str(path)) == (
+        EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (CLASSIFY, '{"size": 2, "pairs": [[0, 1]], "size": 3}', "size"),
+    (("enumerate",), '{"dom": {"powerset": 1}, "cod": {"powerset": 2}, '
+                     '"filters": {"convex_range": true, "convex_range": false}}',
+     "convex_range"),
+    (GROUP, '{"table": [[0]], "identity": 0, "identity": 0}', "identity"),
+])
+def test_a_repeated_key_in_an_input_file_exits_2_naming_it(capsys, tmp_path,
+                                                           argv, text, key):
+    # a later value would silently replace the first
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run(capsys, *argv, "--input", str(path)) == (
+        EXIT_USAGE, "", f"error: JSON object repeats the key '{key}'\n")
+
+
+def test_a_repeated_key_in_an_inline_spec_exits_2_naming_it(capsys):
+    assert run(capsys, "enumerate", "--dom", '{"powerset": 1, "powerset": 2}',
+               "--cod", '{"powerset": 2}') == (
+        EXIT_USAGE, "", "error: JSON object repeats the key 'powerset'\n")
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)
@@ -477,7 +580,7 @@ def test_monoid_table_above_64_rows_exits_2_at_once(capsys, tmp_path, verifier):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
     assert err == "error: a monoid table has at most 64 rows, got 65\n"
-    assert monoid_from_json(json.loads(write(64).read_text())).size == 64
+    assert cli._read_monoid(json.loads(write(64).read_text())).size == 64
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -1081,7 +1184,7 @@ def test_census_reaches_stdout_in_pipe_sized_writes(monkeypatch):
     census = embedding.enumerate_embeddings(
         chain_product([2, 3]), chain_product([3, 3, 3]))
     assert "".join(stdout.writes) == "".join(
-        line + "\n" for line in embedding.census_to_json_lines(census))
+        line + "\n" for line in cli._census_lines(census))
     assert len(census) == 3_990
     assert len(stdout.writes) <= 150
     assert max(len(text.encode()) for text in stdout.writes) <= select.PIPE_BUF

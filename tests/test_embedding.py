@@ -27,7 +27,6 @@ from latkit.embedding import (
     atom_image_check,
     birkhoff_decompose,
     birkhoff_formula_census,
-    census_to_json_lines,
     _check_sigma_hypotheses,
     check_transfer_setting,
     continuity_checks,
@@ -37,6 +36,7 @@ from latkit.embedding import (
     verify_convexity_transfer,
     verify_transfer_map,
 )
+from latkit.cli import _census_lines
 from latkit.lattice import (
     check_jid,
     classify,
@@ -132,7 +132,7 @@ def test_budget():
 
 def test_census_json_lines():
     census = enumerate_embeddings(chain(2), chain(3))
-    lines = list(census_to_json_lines(census))
+    lines = list(_census_lines(census))
     assert len(lines) == 3
     assert lines[0].startswith('{"flags"')
 

@@ -1,11 +1,11 @@
 """Fuzzing of the JSON loaders and of the CLI on generated JSON values.
 
-Every value must either load or raise the loader's own ``ValueError``
-subclass; none may escape as ``IndexError``, ``KeyError``, ``TypeError`` or
-``AttributeError``.  The CLI must end such input with exit 0, 1 or 2 and
-no traceback.  Integers are small apart from a few huge ones that the
-loaders must refuse, so what loads has at most 8 elements, or is a product
-of at most four chains of height at most 3.
+Every value must either load or raise one of the errors that the CLI
+refuses input with (exit 2); none may escape as ``IndexError``,
+``KeyError``, ``TypeError`` or ``AttributeError``.  The CLI must end such
+input with exit 0, 1 or 2 and no traceback.  Integers are small apart from
+a few huge ones that the loaders must refuse, so what loads has at most 8
+elements, or is a product of at most four chains of height at most 3.
 """
 
 import contextlib
@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit.builders import chain
-from latkit.cli import InputError, main, parse_order_spec
-from latkit.monoid import MonoidError, monoid_from_json
-from latkit.order import OrderError, subset_from_json
+from latkit.cli import (_INPUT_ERRORS, InputError, _read_monoid, _read_subset,
+                        main, parse_order_spec)
 
 # small and huge integers, non-integers, and values that are not numbers
 HUGE = st.sampled_from([-10 ** 6, 10 ** 6, 2 ** 70])
@@ -76,13 +75,13 @@ def test_parse_order_spec(value):
 @settings(max_examples=300, deadline=None)
 @given(MONOIDS)
 def test_monoid_from_json(value):
-    loads_or_raises(monoid_from_json, MonoidError, value)
+    loads_or_raises(_read_monoid, _INPUT_ERRORS, value)
 
 
 @settings(max_examples=300, deadline=None)
 @given(SUBSETS)
 def test_subset_from_json(value):
-    loads_or_raises(lambda v: subset_from_json(chain(4), v), OrderError, value)
+    loads_or_raises(lambda v: _read_subset(chain(4), v), _INPUT_ERRORS, value)
 
 
 # (argv before --input, how the generated value becomes the input file)

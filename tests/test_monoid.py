@@ -29,11 +29,10 @@ from latkit.monoid import (
     enumerate_commutative_monoids,
     group_completion,
     monoid_class,
-    monoid_from_json,
     truncated_addition_monoid,
     vector_group_completion,
 )
-from latkit.cli import EXIT_INTERNAL, main
+from latkit.cli import EXIT_INTERNAL, InputError, _read_monoid, main
 from latkit.order import inf, is_partial_order, sup
 from oracles import (
     monoid_to_json,
@@ -345,11 +344,11 @@ def test_commutative_monoid_enumeration_sizes():
 
 def test_json_round_trip():
     mon = truncated_addition_monoid(3)
-    again = monoid_from_json(monoid_to_json(mon))
+    again = _read_monoid(monoid_to_json(mon))
     assert mon.table == again.table
     assert again.identity == mon.identity
-    with pytest.raises(MonoidError):
-        monoid_from_json({"size": 2})
+    with pytest.raises(InputError):
+        _read_monoid({"size": 2})
 
 
 def test_vector_order_agrees_with_divisibility():

@@ -24,13 +24,11 @@ from latkit.order import (
     is_partial_order,
     lower_closure,
     minimal_elements,
-    order_from_json,
-    order_to_json,
     positive_part,
-    subset_from_json,
     sup,
     upper_closure,
 )
+from latkit.cli import _order_to_json, _read_subset, parse_order_spec
 from oracles import chain_vectors, is_bounded_above, is_directed
 
 
@@ -258,10 +256,10 @@ def test_immutability():
 
 def test_json_round_trip():
     for q in [chain(3), diamond(), bowtie(), build_quasi_order(3, [(0, 1), (1, 0)])]:
-        again = order_from_json(order_to_json(q))
+        again = parse_order_spec(_order_to_json(q))
         assert q.up_masks == again.up_masks
     p = powerset_lattice(2)
-    assert subset_from_json(p, [0, 3]) == 0b1001
+    assert _read_subset(p, [0, 3]) == 0b1001
 
 
 @pytest.mark.parametrize("build", [

@@ -4,8 +4,9 @@ survive ``python -O``, no ``except`` clause catches the builtin
 ``random``, start-up loads no ``dataclasses``, ``inspect`` or
 ``traceback``, imports sit at module level with ``order`` at the bottom of
 the module graph, the package root imports nothing, only ``cli._emit``
-writes to stdout, every demo script runs to completion and prints its
-pinned output, and every public name has a use outside the tests."""
+writes to stdout, only ``cli`` reads and writes JSON, every demo script
+runs to completion and prints its pinned output, and every public name has
+a use outside the tests."""
 
 import ast
 import hashlib
@@ -150,6 +151,17 @@ def test_only_cli_emit_writes_to_stdout():
     # that leaves early always ends the run in exit 141
     sites = set().union(*map(_stdout_writes, SOURCES))
     assert {site[:3] for site in sites} == {("cli.py", "_emit", "sys.stdout.write")}, sites
+
+
+def test_only_cli_imports_json():
+    # the wire format has one owner: the library takes and returns values
+    assert [p.name for p in SOURCES if "json" in imported_modules(p)] == ["cli.py"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_library_name_reads_or_writes_json(path):
+    public = importlib.import_module(f"latkit.{path.stem}").__all__
+    assert [name for name in public if "json" in name.lower()] == []
 
 
 def test_order_is_the_bottom_of_the_module_graph():

@@ -18,6 +18,7 @@ import pytest
 from latkit import topology as topology_module
 from latkit.lattice import check_jid, check_mid, classify, is_basis
 from latkit.builders import chain
+from latkit.cli import _topology_to_json
 from latkit.order import QuasiOrder, bits, upper_sets
 from latkit.topology import (
     MAX_TOPOLOGY_POINTS,
@@ -39,7 +40,6 @@ from latkit.topology import (
     regular_opens,
     ro_algebra,
     topology,
-    topology_to_json,
 )
 from oracles import ref_lattice_view
 
@@ -656,7 +656,7 @@ def test_zero_dimensional_is_a_symmetric_preorder(n):
 def test_json_round_trip():
     # reports list every open set; those opens generate the space again
     sp = sierpinski()
-    obj = topology_to_json(sp)
+    obj = _topology_to_json(sp)
     assert obj == {"points": 2, "opens": [[], [1], [0, 1]]}
     again = topology(obj["points"], (sum(1 << i for i in o) for o in obj["opens"]))
     assert upper_sets(again) == upper_sets(sp)
