@@ -6,6 +6,8 @@ embedding with convex range inside a well-behaved target, the extension
 is again an embedding with convex range.
 """
 
+import itertools
+
 from latkit.builders import chain, powerset_lattice
 from latkit.embedding import (
     HypothesisFailed,
@@ -21,8 +23,11 @@ p2, p3 = powerset_lattice(2), powerset_lattice(3)
 basis = 0b111  # elements 0b00, 0b01, 0b10: bottom plus singletons of P(2)
 
 print("== reconstruction from the basis ==")
-census = enumerate_embeddings(p2, p3, convex_range=True)
-mm = census.maps[7]
+# the eighth map of the convex-range census, which yields (image, flags)
+# pairs in ascending image order
+image, _ = next(itertools.islice(
+    enumerate_embeddings(p2, p3, convex_range=True), 7, None))
+mm = MonotoneMap(p2, p3, image)
 partial = {b: mm.image[b] for b in bits(basis)}
 print("full map:      ", mm.image)
 print("basis fragment:", partial)

@@ -51,11 +51,10 @@ MAX_CONVEX_PREREGULAR_SIZE = 9
 # at --n 4/5/6 (1,440/1,440/720 maps; fresh process, median of 5, 2-vCPU
 # Intel Xeon VM, Python 3.11), and 6 is the largest power set a spec may name
 MAX_EXTENSION_CODOMAIN = 6
-# cor-atom-image runs the unfiltered census P(x) -> P(y): on 2 CPUs every
-# pair with y <= 5 ends within about 2 s in a fresh process, and --x 3 --y 6
-# (761,460 maps, 1,991,291 census nodes) within about 8 s (7.4-8.5 s in
-# three runs, Python 3.11), but the censuses P(4), P(5) and P(6) -> P(6)
-# each pass 3,000,000 nodes and keep going, so --y 6 takes --x of at most 3
+# cor-atom-image folds the unfiltered census P(x) -> P(y) in flat memory:
+# --x 3 --y 6 (761,460 maps, 1,881,553 nodes) takes about 6 s and 40 MB in
+# a fresh process on 2 CPUs, but P(4), P(5) and P(6) -> P(6) each pass
+# 3,000,000 nodes and keep going, so --y 6 takes --x of at most 3
 MAX_ATOM_IMAGE_DOMAIN = 3
 # rows of a monoid table read from JSON; the exhaustive laws take about n^3
 # steps, each bound one up_index lookup: on the truncated chain (in-process,
@@ -307,12 +306,12 @@ def _topology_to_json(q: order.QuasiOrder) -> dict:
             "opens": [sorted(order.bits(o)) for o in order.upper_sets(q)]}
 
 
-def _census_lines(census: embedding.EmbeddingCensus):
-    """Yield one JSON document per map, keys sorted.  The maps share a few
-    flags dicts, so the text up to the image is built once per dict; an
-    image is a list of ints, whose repr is its JSON array."""
+def _census_lines(census):
+    """Yield one JSON document per ``(image, flags)`` pair, keys sorted.
+    The maps share a few flags dicts, so the text up to the image is built
+    once per dict; an image is a list of ints, whose repr is its JSON array."""
     heads = {}  # id of a flags dict -> the line's text up to the image
-    for image, f in zip(census.images, census.flags):
+    for image, f in census:
         head = heads.get(id(f))
         if head is None:
             head = heads[id(f)] = f'{{"flags": {json.dumps(f, sort_keys=True)}, "image": '
@@ -349,19 +348,22 @@ def _product_form(cfg: RunConfig, params: dict, dom, cod) -> tuple:
     census, and the census maps that ``birkhoff_decompose`` finds not of
     the theorem's form (it checks its own reconstruction): a report that
     starts with ``params``, and the failures.  Both censuses get the node
-    budget."""
-    census = embedding.enumerate_embeddings(
-        dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes)
+    budget, and both are sorted, so they are compared place by place."""
     images = embedding.birkhoff_formula_census(
         dom, cod, budget_nodes=cfg.budget_nodes)
     failed = []
-    for mm in census.maps:
+    census = matched = 0
+    for census, (image, f) in enumerate(embedding.enumerate_embeddings(
+            dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes), 1):
+        matched += census <= len(images) and images[census - 1] == image
         try:
-            embedding.birkhoff_decompose(mm)
+            embedding.birkhoff_decompose(order._unchecked(
+                order.MonotoneMap, dom=dom, cod=cod, image=image,
+                is_embedding=True, has_convex_range=f["convex_range"]))
         except embedding.DecompositionMismatchError as exc:
-            failed.append({"image": list(mm.image), "error": str(exc)})
-    return {"holds": census.images == images and not failed, **params,
-            "census": len(census), "formula_census": len(images)}, failed
+            failed.append({"image": list(image), "error": str(exc)})
+    return {"holds": matched == census == len(images) and not failed, **params,
+            "census": census, "formula_census": len(images)}, failed
 
 
 def _verify_powerset_form(cfg: RunConfig) -> dict:
@@ -433,15 +435,15 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
     M = builders.powerset_lattice(m)
     basis = [0] + [1 << i for i in range(n)]  # the bottom and the singletons
     bmask = sum(1 << b for b in basis)
-    census = embedding.enumerate_embeddings(
-        L, M, convex_range=True, budget_nodes=cfg.budget_nodes)
     try:
         embedding.check_transfer_setting(L, bmask, M.full_mask, M)
         setting = None
     except embedding.HypothesisFailed as exc:
         setting = exc  # no census map changes the setting, so each fails it
     failures = []
-    for image in census.images:
+    embeddings = 0
+    for embeddings, (image, _) in enumerate(embedding.enumerate_embeddings(
+            L, M, convex_range=True, budget_nodes=cfg.budget_nodes), 1):
         try:
             if setting is not None:
                 raise setting
@@ -457,7 +459,7 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
         "holds": not failures,
         "n": n,
         "m": m,
-        "embeddings": len(census),
+        "embeddings": embeddings,
         "failures": failures,
     }
     return _with_witness(report, failures)
@@ -488,15 +490,15 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
                          f"for cor-atom-image --y {y}")
     dom = builders.powerset_lattice(x)
     cod = builders.powerset_lattice(y)
-    census = embedding.enumerate_embeddings(dom, cod,
-                                            budget_nodes=cfg.budget_nodes)
     # embedding.atom_image_check per map: domain atoms once, the atoms of
     # the range once per range; an embedding is injective, so sums of bits
     # are ORs
     dom_atoms = tuple(order.bits(order.atoms(dom)))
     range_atoms = {}
     bad = []
-    for image in census.images:
+    embeddings = 0
+    for embeddings, (image, _) in enumerate(embedding.enumerate_embeddings(
+            dom, cod, budget_nodes=cfg.budget_nodes), 1):
         rmask = sum(1 << v for v in image)
         want = range_atoms.get(rmask)
         if want is None:
@@ -507,7 +509,7 @@ def _verify_atom_image(cfg: RunConfig) -> dict:
         "holds": not bad,
         "x": x,
         "y": y,
-        "embeddings": len(census),
+        "embeddings": embeddings,
         "violations": bad,
     }
 
@@ -834,9 +836,9 @@ def _run_enumerate(cfg: RunConfig) -> int:
         dom = parse_order_spec(cfg.options["dom"])
         cod = parse_order_spec(cfg.options["cod"])
         filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
-    census = embedding.enumerate_embeddings(
-        dom, cod, **filters, budget_nodes=cfg.budget_nodes)
-    _emit(_census_lines(census))
+    # lines leave as they are found, so a closed stdout stops the search
+    _emit(_census_lines(embedding.enumerate_embeddings(
+        dom, cod, **filters, budget_nodes=cfg.budget_nodes)))
     return EXIT_OK
 
 

@@ -1,15 +1,17 @@
 """Order-embedding censuses, continuity checks, and structure theorems.
 
-The census enumerator backtracks over a linear extension of the domain.
-Each variable's candidates are the set bits of an AND of codomain masks
-(strictly above, strictly below or incomparable), one per assigned
-variable, so only injective, preserving and reflecting choices are visited;
-the convex and lower-set filters prune partial ranges whose hull or
-down-closure already exceeds the domain size, and a convex census of a
-domain with a bottom and a top searches only the intervals of the domain's
-size.  Each map's range flags are read off the masks at its leaf.  The
-tests check the census against a naive one over all maps, with maps and
-flags derived from the plain definitions.
+The census enumerator is a generator: it backtracks over the domain's
+elements in index order and yields each map, in ascending image order, as
+the search reaches it, so no census is held.  Each variable's candidates
+are the set bits of an AND of codomain masks (strictly above, strictly
+below or incomparable), one per assigned variable, so only injective,
+preserving and reflecting choices are visited; the convex and lower-set
+filters prune partial ranges whose hull or down-closure already exceeds
+the domain size, and a convex census of a domain with a bottom and a top
+searches only the intervals of the domain's size.  Each map's range flags
+are read off the masks at its leaf.  The tests check the census against a
+naive one over all maps, with maps and flags derived from the plain
+definitions.
 
 One engine serves both product-form theorems: a convex-range embedding of
 finite distributive lattices is ``D -> b | phi[D]`` on the down-sets of their
@@ -19,10 +21,9 @@ and as the shifted partial projection ``x -> (x o g) + y`` on chain products.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterator, Optional
 
 from .builders import enumerate_posets
@@ -30,7 +31,6 @@ from .order import (
     MonotoneMap,
     OrderError,
     QuasiOrder,
-    _Frozen,
     _check_mask,
     _require_poset,
     _unchecked,
@@ -68,7 +68,6 @@ __all__ = [
     "NotConvexRangeError",
     "DecompositionMismatchError",
     "HypothesisFailed",
-    "EmbeddingCensus",
     "enumerate_embeddings",
     "enumerate_monotone_maps",
     "continuity_checks",
@@ -117,58 +116,38 @@ class HypothesisFailed(ValueError):
 # censuses
 
 
-class EmbeddingCensus(_Frozen):
-    """All order embeddings between two posets passing the selected filters.
-
-    ``images``, the sorted image tuples, is the one record per map.
-    ``flags[i]`` holds the range flags of ``images[i]``: the maps with the
-    same (convex, preregular, lower set) value share one dict, so there are
-    at most 8 and they are read-only.  ``maps`` builds a
-    :class:`MonotoneMap` per image on first use, for callers that need one.
-    """
-
-    def __init__(self, dom: QuasiOrder, cod: QuasiOrder, images: tuple,
-                 flags: tuple, nodes: int):
-        fields = self.__dict__
-        fields["dom"] = dom
-        fields["cod"] = cod
-        fields["images"] = images
-        fields["flags"] = flags
-        fields["nodes"] = nodes
-
-    def __len__(self):
-        return len(self.images)
-
-    @cached_property
-    def maps(self) -> tuple:
-        """Each image as an embedding with the flags the search proved."""
-        return tuple(
-            _unchecked(MonotoneMap, dom=self.dom, cod=self.cod, image=img,
-                       is_embedding=True, has_convex_range=f["convex_range"])
-            for img, f in zip(self.images, self.flags))
+# one shared, read-only flags dict per (convex, preregular, lower set) value
+_RANGE_FLAGS = {key: dict(zip(("embedding", "convex_range", "preregular_range",
+                               "downward_closed_range"), (True, *key)))
+                for key in itertools.product((False, True), repeat=3)}
 
 
 def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                          convex_range: bool = False,
                          preregular_range: bool = False,
                          downward_closed_range: bool = False,
-                         budget_nodes: Optional[int] = None) -> EmbeddingCensus:
-    """Backtracking census of order embeddings ``dom -> cod``.
+                         budget_nodes: Optional[int] = None) -> Iterator[tuple]:
+    """Yield ``(image, flags)`` for each order embedding ``dom -> cod``, in
+    ascending image order, as the backtracking search reaches it.
 
     Keyword filters restrict the census to maps whose range is convex,
-    preregular, or a lower set.  The candidates of each variable are the
-    set bits of an AND of one codomain mask per assigned variable, so every
-    visited candidate is already injective, preserving and reflecting on
-    the assigned part; ``nodes`` counts these visited candidates, and
-    :class:`BudgetExceededError` is raised once it passes ``budget_nodes``.
+    preregular, or a lower set.  ``flags`` is one of the read-only dicts of
+    ``_RANGE_FLAGS``.  The candidates of each variable are the set bits of
+    an AND of one codomain mask per assigned variable, so every visited
+    candidate is already injective, preserving and reflecting on the
+    assigned part; :class:`BudgetExceededError` is raised once the visited
+    candidates pass ``budget_nodes``.  Nothing runs, so nothing is checked,
+    before the first ``next()``.
 
-    Every leaf is an embedding, and its flags are exact without a second
-    pass.  At a leaf the range ``rng`` has ``n`` members.  ``hull``, the
-    union of the intervals ``[a, b]`` over ``a, b`` in ``rng``, is the convex
-    hull of ``rng`` and contains it, so the convex prune
-    ``h.bit_count() > n`` on the last variable is exactly ``hull != rng``;
-    likewise ``downs`` is the down-closure of ``rng`` and the lower-set
-    prune is exactly ``downs != rng``.
+    The variables are assigned in index order and each variable's
+    candidates are tried in ascending order, so the leaves come in
+    ascending image order.  Every leaf is an embedding, and its flags are
+    exact without a second pass.  At a leaf the range ``rng`` has ``n``
+    members.  ``hull``, the union of the intervals ``[a, b]`` over ``a, b``
+    in ``rng``, is the convex hull of ``rng`` and contains it, so the convex
+    prune ``h.bit_count() > n`` on the last variable is exactly ``hull !=
+    rng``; likewise ``downs`` is the down-closure of ``rng`` and the
+    lower-set prune is exactly ``downs != rng``.
 
     A convex range of a domain with a bottom and a top is an interval.  For
     every ``p``, ``s(bot) <= s(p) <= s(top)``, so the range lies inside
@@ -177,10 +156,12 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     is an isomorphism onto ``I``: each ``p`` goes to an element of ``I``
     with as many elements of ``I`` below and above it as ``p`` has in the
     domain.  So with ``convex_range`` on such a domain the bottom is
-    assigned first and the top second, a top candidate counts as a node but
-    is skipped unless ``I`` has ``n`` elements, and every later variable
-    draws only from the elements of ``I`` with its two counts.  Other
-    domains keep the hull and lower-set prunes alone.
+    assigned first, the top second and the rest along a linear extension; a
+    top candidate counts as a node but is skipped unless ``I`` has ``n``
+    elements, and every later variable draws only from the elements of
+    ``I`` with its two counts.  This search keeps its maps, at most
+    ``|Aut(dom)|`` per interval, and sorts them before it yields them.
+    Other domains keep the hull and lower-set prunes alone.
 
     Preregularity serves as both filter and flag.  When the domain is a
     lattice it is decided from joins and meets.  The range ``A`` is
@@ -199,19 +180,18 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
     n, k = dom.size, cod.size
-    order = linear_extension(dom)
+    order = range(n)
     bottom, top = sup(dom, 0), inf(dom, 0)
     interval = convex_range and bottom is not None and top is not None
     if interval:
         ends = (bottom,) if top == bottom else (bottom, top)
-        order = ends + tuple(p for p in order if p not in ends)
+        order = ends + tuple(p for p in linear_extension(dom) if p not in ends)
     up_d, down_d = dom.up_masks, dom.down_masks
     # shape[p]: how many domain elements lie below and above p; allowed[p]:
     # the candidates of p inside the current interval, else every element
     shape = [(down_d[p].bit_count(), up_d[p].bit_count()) for p in range(n)]
     allowed = [cod.full_mask] * n
     image = [-1] * n
-    found = {}  # (convex, preregular, lower set) -> the images with those flags
     nodes = 0
     up_c, down_c = cod.up_masks, cod.down_masks
     above = [up_c[c] & ~(1 << c) for c in range(k)]
@@ -233,12 +213,16 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                  for p in range(n) for q in range(p)
                  if not (up_d[p] >> q & 1 or up_d[q] >> p & 1)]
         join_at, meet_at = cod.up_index, cod.dual.up_index
-
-    def rec(depth: int, rng: int, ups: int, downs: int, hull: int):
-        # rng, ups, downs, hull: the partial range, its upper and lower
-        # closures, and its convex hull (the union of up(a) & down(b))
-        nonlocal nodes
-        if depth == n:
+    kept = []  # the interval search's maps
+    # per depth: the untried candidates (-1 before the first), and the partial
+    # range with its upper and lower closures and its convex hull
+    left = [-1] * (n + 1)
+    state = [(0, 0, 0, 0)] * (n + 1)
+    depth = 0
+    while depth >= 0:
+        rng, ups, downs, hull = state[depth]
+        cands = left[depth]
+        if depth == n:  # a leaf: every variable is assigned
             prereg = preregular.get(rng)
             if prereg is None:
                 prereg = preregular[rng] = all(
@@ -248,15 +232,18 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                 ) if lattice_dom else (_preserves_sups(dom, cod, image) and
                                        _preserves_sups(dom.dual, cod.dual, image))
             if prereg or not preregular_range:
-                found.setdefault((hull == rng, prereg, downs == rng),
-                                 []).append(tuple(image))
-            return
-        p = order[depth]
-        cands = allowed[p]
-        for q, table in constraints[depth]:
-            cands &= table[image[q]]
-            if not cands:
-                return
+                found = tuple(image), _RANGE_FLAGS[hull == rng, prereg, downs == rng]
+                if interval:
+                    kept.append(found)
+                else:
+                    yield found
+            cands = 0  # nothing to try here: back up a level
+        elif cands < 0:
+            cands = allowed[order[depth]]
+            for q, table in constraints[depth]:
+                cands &= table[image[q]]
+                if not cands:
+                    break
         while cands:
             low = cands & -cands
             cands ^= low
@@ -282,23 +269,15 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                 continue
             if downward_closed_range and dn.bit_count() > n:
                 continue
-            image[p] = c
-            rec(depth + 1, rng | 1 << c, u, dn, h)
-
-    rec(0, 0, 0, 0, 0)
-
-    # merge the sorted images of each flags value, paired with that value's
-    # one dict, so no list of (image, flags) pairs is held; the images are
-    # distinct, so no comparison reaches a dict
-    images, flags = [], []
-    for img, f in heapq.merge(*(
-            zip(sorted(imgs), itertools.repeat({
-                "embedding": True, "convex_range": convex,
-                "preregular_range": prereg, "downward_closed_range": lower}))
-            for (convex, prereg, lower), imgs in found.items())):
-        images.append(img)
-        flags.append(f)
-    return EmbeddingCensus(dom, cod, tuple(images), tuple(flags), nodes)
+            image[order[depth]] = c
+            left[depth] = cands
+            depth += 1
+            left[depth] = -1
+            state[depth] = rng | low, u, dn, h
+            break
+        else:
+            depth -= 1
+    yield from sorted(kept)
 
 
 def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]:
@@ -399,8 +378,8 @@ def preregular_continuity_sweep(max_size: int, *,
                 aut = automorphisms.get(key)
                 if aut is None:
                     sub = induced_suborder(cod, rmask)[0]
-                    aut = automorphisms[key] = len(
-                        enumerate_embeddings(sub, sub, budget_nodes=budget_nodes))
+                    aut = automorphisms[key] = sum(1 for _ in enumerate_embeddings(
+                        sub, sub, budget_nodes=budget_nodes))
                 embeddings += aut
     return {
         "pairs": pairs,
@@ -467,8 +446,8 @@ def birkhoff_formula_census(L: QuasiOrder, M: QuasiOrder, *,
     J_L, _, jset_l, _ = _birkhoff_labels(L)
     J_M, _, _, index_m = _birkhoff_labels(M)
     out = []
-    for phi in enumerate_embeddings(J_L, J_M, convex_range=True,
-                                    budget_nodes=budget_nodes).images:
+    for phi, _ in enumerate_embeddings(J_L, J_M, convex_range=True,
+                                       budget_nodes=budget_nodes):
         moved = _moved(phi, jset_l)
         c = sum(1 << j for j in phi)
         # the down-sets of J(M) are the keys of index_m

@@ -1,4 +1,5 @@
-"""Definition-level oracles that only the tests use: a naive embedding
+"""Definition-level oracles that only the tests use: the census stream
+read as a tuple of images or a list of checked maps, a naive embedding
 census over every map with flags from the plain definitions, order
 reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
@@ -71,6 +72,18 @@ def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
     }
 
 
+def census_images(dom: QuasiOrder, cod: QuasiOrder, **options) -> tuple:
+    """The images that ``enumerate_embeddings`` yields, in its order."""
+    return tuple(image for image, _ in enumerate_embeddings(dom, cod, **options))
+
+
+def census_maps(dom: QuasiOrder, cod: QuasiOrder, **options) -> list:
+    """Each map that ``enumerate_embeddings`` yields, as a checked
+    ``MonotoneMap``, in its order."""
+    return [MonotoneMap(dom, cod, image)
+            for image, _ in enumerate_embeddings(dom, cod, **options)]
+
+
 def is_order_reflecting(sigma: MonotoneMap) -> bool:
     """``image[p] <= image[q]`` implies ``p <= q``, pair by pair."""
     img, dom, cod = sigma.image, sigma.dom, sigma.cod
@@ -84,15 +97,14 @@ def verify_preregular_continuity(P: QuasiOrder, Q: QuasiOrder, *,
     the preregular-range embeddings ``P -> Q`` and one continuity check per
     map; every map that drops a nonempty supremum or infimum is a
     violation."""
-    census = enumerate_embeddings(P, Q, preregular_range=True,
-                                  budget_nodes=budget_nodes)
+    maps = census_maps(P, Q, preregular_range=True, budget_nodes=budget_nodes)
     violations = []
-    for mm in census.maps:
+    for mm in maps:
         cont = continuity_checks(mm)
         if not (cont["preserves_nonempty_sups"] and cont["preserves_nonempty_infs"]):
             violations.append({"image": list(mm.image), "continuity": cont})
     return {
-        "embeddings": len(census),
+        "embeddings": len(maps),
         "violations": violations,
         "holds": not violations,
     }

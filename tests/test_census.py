@@ -1,8 +1,9 @@
 """The mask-filtered census search against its oracles (images, range flags
-and the definition-level embedding check), the interval search against the
-full census, its node count, its retained memory per map, the chain-product
-order and JSON lines it reads and writes, and the byte-identity of every CLI
-report pinned by the benchmark."""
+and the definition-level embedding check) on domains labelled along and
+against a linear extension, the interval search against the full census,
+its node counts as budget boundaries, the peak memory of folding its
+stream, the chain-product order and JSON lines it reads and writes, and the
+byte-identity of every CLI report pinned by the benchmark."""
 
 import gc
 import hashlib
@@ -31,7 +32,7 @@ from latkit.embedding import (
 )
 from latkit.lattice import is_lattice, is_preregular
 from latkit.order import MonotoneMap, build_quasi_order
-from oracles import naive_embedding_census, range_flags
+from oracles import naive_embedding_census, range_flags, relabel
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
            {"downward_closed_range": True})
@@ -57,26 +58,26 @@ CENSUS_JOBS = _bench_jobs()
 
 def assert_census_matches_oracle(dom, cod, filters):
     """Images, flags and soundness of the census against the definitions."""
-    census = enumerate_embeddings(dom, cod, **filters)
-    assert census.images == naive_embedding_census(dom, cod, **filters)
-    assert census.flags == tuple(
-        range_flags(dom, cod, img) for img in census.images)
-    assert all(m.is_embedding for m in census.maps)
-    assert all(f[name] for f in census.flags for name in filters)
+    census = list(enumerate_embeddings(dom, cod, **filters))
+    images = tuple(img for img, _ in census)
+    flags = [f for _, f in census]
+    assert images == naive_embedding_census(dom, cod, **filters)
+    assert flags == [range_flags(dom, cod, img) for img in images]
+    assert all(MonotoneMap(dom, cod, img).is_embedding for img in images)
+    assert all(f[name] for f in flags for name in filters)
     # one shared flags dict per distinct value
-    assert len({id(f) for f in census.flags}) == len(
-        {tuple(f.items()) for f in census.flags})
-    # the derived maps carry each image and its checked convexity
-    assert [m.image for m in census.maps] == list(census.images)
-    assert [m.has_convex_range for m in census.maps] == [
-        MonotoneMap(dom, cod, img).has_convex_range for img in census.images]
+    assert len({id(f) for f in flags}) == len({tuple(f.items()) for f in flags})
 
 
 @pytest.mark.parametrize("filters", FILTERS, ids=lambda f: next(iter(f), "none"))
 def test_census_matches_naive_on_every_small_poset_pair(filters):
     posets = [q for n in (1, 2, 3, 4) for q in enumerate_posets(n)]
-    pairs = [(d, c) for d in posets for c in posets if d.size <= c.size]
-    assert len(pairs) == 431
+    # index order is a linear extension of every enumerated poset, and of
+    # none of its reversed copies that has a strict pair
+    reversed_labels = [relabel(q, range(q.size - 1, -1, -1)) for q in posets]
+    pairs = [(d, c) for d in posets + reversed_labels for c in posets
+             if d.size <= c.size]
+    assert len(pairs) == 862
     for dom, cod in pairs:
         assert_census_matches_oracle(dom, cod, filters)
 
@@ -90,10 +91,12 @@ def _random_poset(size, edges):
 
 @st.composite
 def posets(draw, max_size):
+    """A random poset under random labels, so that index order need not be
+    a linear extension."""
     size = draw(st.integers(1, max_size))
     edges = draw(st.lists(st.booleans(), min_size=size * (size - 1) // 2,
                           max_size=size * (size - 1) // 2))
-    return _random_poset(size, edges)
+    return relabel(_random_poset(size, edges), draw(st.permutations(range(size))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,30 +105,33 @@ def test_census_matches_naive_on_random_posets(dom, cod, filters):
     assert_census_matches_oracle(dom, cod, filters)
 
 
-@pytest.mark.parametrize("dom,cod,filters", [
-    (powerset_lattice(2), powerset_lattice(3), {"convex_range": True}),
-    (chain(2), chain(3), {}),
-], ids=["P2-P3-convex", "C2-C3"])
-def test_budget_counts_filtered_candidates(dom, cod, filters):
-    nodes = enumerate_embeddings(dom, cod, **filters).nodes
-    assert nodes > 0
-    enumerate_embeddings(dom, cod, budget_nodes=nodes, **filters)
+def assert_visits(nodes, dom, cod, **filters):
+    """The census visits exactly ``nodes`` candidates: it ends under a
+    budget of ``nodes`` and overruns a budget of one less."""
+    list(enumerate_embeddings(dom, cod, budget_nodes=nodes, **filters))
     with pytest.raises(BudgetExceededError):
-        enumerate_embeddings(dom, cod, budget_nodes=nodes - 1, **filters)
+        list(enumerate_embeddings(dom, cod, budget_nodes=nodes - 1, **filters))
+
+
+@pytest.mark.parametrize("dom,cod,filters,nodes", [
+    (powerset_lattice(2), powerset_lattice(3), {"convex_range": True}, 51),
+    (chain(2), chain(3), {}, 6),
+], ids=["P2-P3-convex", "C2-C3"])
+def test_budget_counts_filtered_candidates(dom, cod, filters, nodes):
+    assert_visits(nodes, dom, cod, **filters)
 
 
 def test_chain_census_visits_only_surviving_candidates():
     # 0 -> {0, 1, 2}, then 1 -> every element strictly above the first image
-    assert enumerate_embeddings(chain(2), chain(3)).nodes == 3 + 2 + 1
+    assert_visits(3 + 2 + 1, chain(2), chain(3))
 
 
 def test_powerset_census_node_count_is_pinned():
     # the interval search: 32 images of the bottom, 211 of the top above
     # them, and 3,040 inside the 10 intervals with 16 elements
-    census = enumerate_embeddings(powerset_lattice(4), powerset_lattice(5),
-                                  convex_range=True)
-    assert len(census) == 240
-    assert census.nodes == 3_283
+    dom, cod = powerset_lattice(4), powerset_lattice(5)
+    assert len(list(enumerate_embeddings(dom, cod, convex_range=True))) == 240
+    assert_visits(3_283, dom, cod, convex_range=True)
 
 
 def test_interval_census_equals_the_convex_maps_of_the_full_census():
@@ -133,11 +139,9 @@ def test_interval_census_equals_the_convex_maps_of_the_full_census():
     pairs = [(d, c) for d in lattices for c in lattices if d.size <= c.size]
     assert len(pairs) == 441
     for dom, cod in pairs:
-        full = enumerate_embeddings(dom, cod)
-        convex = [(img, f) for img, f in zip(full.images, full.flags)
+        convex = [(img, f) for img, f in enumerate_embeddings(dom, cod)
                   if f["convex_range"]]
-        census = enumerate_embeddings(dom, cod, convex_range=True)
-        assert list(zip(census.images, census.flags)) == convex
+        assert list(enumerate_embeddings(dom, cod, convex_range=True)) == convex
 
 
 def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
@@ -148,12 +152,10 @@ def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
     assert not is_lattice(dom)
     preregular = set()
     for cod in (*enumerate_posets(6), *enumerate_posets(7)):
-        full = enumerate_embeddings(dom, cod)
-        census = enumerate_embeddings(dom, cod, convex_range=True)
-        assert list(zip(census.images, census.flags)) == [
-            (img, f) for img, f in zip(full.images, full.flags)
-            if f["convex_range"]]
-        preregular |= {f["preregular_range"] for f in census.flags}
+        census = list(enumerate_embeddings(dom, cod, convex_range=True))
+        assert census == [(img, f) for img, f in enumerate_embeddings(dom, cod)
+                          if f["convex_range"]]
+        preregular |= {f["preregular_range"] for _, f in census}
     assert preregular == {True, False}
 
 
@@ -165,29 +167,25 @@ def test_preregular_flag_is_the_definition_on_every_small_domain():
     for dom in domains:
         for cod in codomains:
             if dom.size <= cod.size:
-                census = enumerate_embeddings(dom, cod)
-                assert [f["preregular_range"] for f in census.flags] == [
-                    is_preregular(cod, m.range_mask) for m in census.maps]
+                for img, f in enumerate_embeddings(dom, cod):
+                    assert f["preregular_range"] == is_preregular(
+                        cod, MonotoneMap(dom, cod, img).range_mask)
 
 
-def test_census_keeps_image_tuples_not_maps():
-    dom, cod = powerset_lattice(2), powerset_lattice(5)
-    enumerate_embeddings(dom, cod)  # warm the caches of both orders
+def test_folding_the_census_holds_no_map():
+    dom, cod = powerset_lattice(3), powerset_lattice(5)
+    # the first fold also warms the caches of both orders
+    assert sum(1 for _ in enumerate_embeddings(dom, cod)) == 20_550
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        census = enumerate_embeddings(dom, cod)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        maps = sum(1 for _ in enumerate_embeddings(dom, cod))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(census) == 2_550
-    # an image tuple and two tuple slots per map, not a map and a dict
-    assert retained / len(census) <= 250
-    assert len(list(_census_lines(census))) == len(census.images)
-    assert "maps" not in census.__dict__
-    assert census.maps is census.maps
+    assert maps == 20_550
+    # the 20,550 image tuples alone would take about 2 MiB
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("dom,cod,filters", [
@@ -197,13 +195,14 @@ def test_census_keeps_image_tuples_not_maps():
     (build_quasi_order(0, []), build_quasi_order(2, []), {}),
 ], ids=["C23-C33", "P2-P4-convex", "V-P3", "empty-domain"])
 def test_json_lines_are_the_plain_encoding(dom, cod, filters):
-    census = enumerate_embeddings(dom, cod, **filters)
+    census = list(enumerate_embeddings(dom, cod, **filters))
     # each census but the one empty map mixes flags dicts, so the lines
     # share their text up to the image
-    assert len({tuple(f.values()) for f in census.flags}) > 1 or census.images == ((),)
+    assert len({tuple(f.values()) for _, f in census}) > 1 or [
+        img for img, _ in census] == [()]
     assert list(_census_lines(census)) == [
-        json.dumps({"image": list(m.image), "flags": f}, sort_keys=True)
-        for m, f in zip(census.maps, census.flags)]
+        json.dumps({"image": list(img), "flags": f}, sort_keys=True)
+        for img, f in census]
 
 
 @pytest.mark.parametrize("dims", [(), (1,), (1, 1), (4,), (2, 3), (1, 3),

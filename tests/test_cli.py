@@ -1106,7 +1106,7 @@ def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
         powerset_lattice(2), powerset_lattice(3), convex_range=True)
     assert not report["holds"]
     assert [f["image"] for f in report["failures"]] == [
-        list(img) for img in census.images]
+        list(img) for img, _ in census]
     witness = report["witness"]
     assert witness == report["failures"][0]
     assert witness["report"]["extension"] == witness["image"]
@@ -1159,6 +1159,41 @@ def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_stops_the_census_search(unbuffered):
+    # the census has 761,460 maps and takes about 1.9 million nodes; its
+    # lines leave as the search finds them, so the reader's first line
+    # comes long before the budget, and closing stdout ends the search
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "latkit.cli", "enumerate",
+         "--dom", '{"powerset":3}', "--cod", '{"powerset":6}',
+         "--budget-nodes", "200000"],
+        cwd=root, env=child_env(unbuffered), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["flags"]["embedding"] is True
+    assert proc.returncode == EXIT_PIPE
+    assert err == b""
+
+
+def test_a_budget_overrun_leaves_a_prefix_of_the_census(capsys):
+    # 200 nodes find 128 of the 302 maps; the lines written are whole
+    # blocks of them, in census order
+    code, out, err = run(capsys, "enumerate", "--dom", '{"powerset":2}',
+                         "--cod", '{"powerset":4}', "--budget-nodes", "200")
+    assert code == EXIT_BUDGET
+    assert err == "budget exceeded: node budget 200 exceeded\n"
+    lines = list(cli._census_lines(embedding.enumerate_embeddings(
+        powerset_lattice(2), powerset_lattice(4))))
+    kept = out.count("\n")
+    assert len(lines) == 302 and 0 < kept < 128
+    assert out == "".join(line + "\n" for line in lines[:kept])
+
+
 class RecordedStdout:
     """A stdout stand-in that keeps the text of each write."""
 
@@ -1181,8 +1216,8 @@ def test_census_reaches_stdout_in_pipe_sized_writes(monkeypatch):
     code = main(["enumerate", "--dom", '{"chains":[2,3]}',
                  "--cod", '{"chains":[3,3,3]}'])
     assert code == EXIT_OK
-    census = embedding.enumerate_embeddings(
-        chain_product([2, 3]), chain_product([3, 3, 3]))
+    census = list(embedding.enumerate_embeddings(
+        chain_product([2, 3]), chain_product([3, 3, 3])))
     assert "".join(stdout.writes) == "".join(
         line + "\n" for line in cli._census_lines(census))
     assert len(census) == 3_990

@@ -6,7 +6,6 @@ import pytest
 
 from latkit.builders import chain, chain_product
 from latkit.cli import RunConfig, Verifier
-from latkit.embedding import EmbeddingCensus
 from latkit.monoid import (
     FiniteMonoid,
     MonoidError,
@@ -28,7 +27,6 @@ VALUES = {
 IDENTITIES = {
     QuasiOrder: {"up_masks": (7, 6, 4)},
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
-    EmbeddingCensus: {"dom": C2, "cod": C3, "images": (), "flags": (), "nodes": 0},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
     ROAlgebra: {"space": C2, "members": (0, 2, 3), "order": C3},
     CategoryAlgebra: {"space": C2, "order": C2, "reps": (0, 3), "classes": {},
