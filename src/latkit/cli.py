@@ -13,11 +13,11 @@ Given the same configuration and seed, JSON reports are byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
+import re
 import select
 import sys
 from typing import Callable, Optional
@@ -791,28 +791,135 @@ def _registry_listing() -> list:
             for command, table in TABLES.items() for slug in sorted(table)]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One flat parser of every option, in any order around the command
-    and its name; which options a command reads is
-    :meth:`RunConfig.refuse_unread`'s decision alone."""
-    parser = argparse.ArgumentParser(
-        prog="latkit",
-        description="checkers, censuses, and theorem verifiers for finite "
-                    "order structures")
-    parser.add_argument("command", nargs="?", choices=(*TABLES, "enumerate"))
-    parser.add_argument("name", nargs="?", help="the verifier (see --list)")
-    parser.add_argument("--list", action="store_true",
-                        help="list registered verifiers and exit")
-    parser.add_argument("--format", choices=("table", "json"))
-    for key in (*INT_OPTIONS, *GLOBAL_OPTIONS):
-        parser.add_argument(_flag(key), type=int)
-    parser.add_argument("--input", action="append", default=[],
-                        help="path to a JSON structure or fixture")
-    parser.add_argument("--dom", help="order spec (inline JSON)")
-    parser.add_argument("--cod", help="order spec (inline JSON)")
-    for name in CENSUS_FILTERS:
-        parser.add_argument(_flag(name), action="store_true", default=None)
-    return parser
+_FORMATS = ("table", "json")
+# the flag table of _parse_argv, in the order an ambiguous prefix names
+# them: each flag's key and what it takes, None for nothing, int or str for
+# one value, list for one value appended to the key's list, and _FORMATS
+# for one of its values
+_FLAGS = {
+    "-h": ("help", None),
+    "--help": ("help", None),
+    "--list": ("list", None),
+    "--format": ("format", _FORMATS),
+    **{_flag(key): (key, int) for key in (*INT_OPTIONS, *GLOBAL_OPTIONS)},
+    "--input": ("input", list),
+    "--dom": ("dom", str),
+    "--cod": ("cod", str),
+    **{_flag(key): (key, None) for key in CENSUS_FILTERS},
+}
+_METAVARS = {None: "", int: " N", str: " SPEC", list: " FILE",
+             _FORMATS: " {table,json}"}
+_COMMANDS = (*TABLES, "enumerate")
+_USAGE = ("usage: latkit [-h] [--list] [--format {table,json}] [OPTION ...] "
+          f"[{{{','.join(_COMMANDS)}}} [NAME]]")
+# the strings int() takes: surrounding whitespace, a sign, and digits with
+# single underscores between them
+_INT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+# a token that starts with "-" but is a value, matched from its start as
+# argparse matches it
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _int_value(flag: str, text: str) -> int:
+    """``int(text)``, refused with an ``InputError`` where ``int`` would
+    raise: not the form of an integer, or more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 is no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if not _INT.fullmatch(text) or 0 < limit < sum(map(str.isdecimal, text)):
+        raise InputError(f"argument {flag}: invalid int value: {text!r}")
+    return int(text)
+
+
+def _option_token(token: str):
+    """``(flag, value)`` for a token that names an option, where ``flag`` is
+    ``None`` for an unknown option and ``value`` is the text after ``=``,
+    or after ``-h``, else ``None``; ``None`` for a value or a positional.
+    A long option may be any prefix that names one flag of ``_FLAGS``."""
+    if token in _FLAGS:
+        return token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in _FLAGS:
+        return name, value
+    if token[1] == "-":
+        hits = [flag for flag in _FLAGS if flag.startswith(name)]
+        if len(hits) > 1:
+            raise InputError(f"ambiguous option: {token} could match "
+                             + ", ".join(hits))
+        if hits:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_argv(argv: list) -> dict:
+    """The command line as ``{key: value}`` of what it gives: the keys that
+    ``_FLAGS`` names, ``input`` as a list, and ``command`` and ``name``,
+    the first two positionals.  Options may come before, after or between
+    them, as ``--opt value`` or ``--opt=value``; a repeated option keeps
+    its last value, and everything after ``--`` is positional.  ``-h``
+    ends the parse at ``{"help": True}``.  A malformed command line raises
+    :class:`InputError`."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [_option_token(token) for token in argv[:end]]
+    args = {}
+    positionals = []  # (place in argv, token)
+    unknown = []
+    i = 0
+    while i < end:
+        token, hit = argv[i], options[i]
+        i += 1
+        if hit is None:
+            positionals.append((i, token))
+            continue
+        flag, value = hit
+        if flag is None:
+            unknown.append((i, token))
+            continue
+        key, kind = _FLAGS[flag]
+        if kind is None:
+            if value is not None:
+                raise InputError(f"argument {flag}: ignored explicit "
+                                 f"argument {value!r}")
+            if key == "help":
+                return {"help": True}
+            args[key] = True
+            continue
+        if value is None:
+            if i == end or options[i] is not None:
+                raise InputError(f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if kind is list:
+            args.setdefault(key, []).append(value)
+            continue
+        if kind is int:
+            value = _int_value(flag, value)
+        elif kind is _FORMATS and value not in kind:
+            raise InputError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        args[key] = value
+    positionals += enumerate(argv[end + 1:], end + 1)
+    if positionals and positionals[0][1] not in _COMMANDS:
+        raise InputError(f"argument command: invalid choice: "
+                         f"{positionals[0][1]!r} (choose from "
+                         f"{', '.join(map(repr, _COMMANDS))})")
+    args.update(zip(("command", "name"), (token for _, token in positionals)))
+    extra = sorted(unknown + positionals[2:])
+    if extra:
+        raise InputError("unrecognized arguments: "
+                         + " ".join(token for _, token in extra))
+    return args
+
+
+def _help_lines() -> list:
+    """The usage line and every flag of ``_FLAGS``, with what it takes."""
+    return [_USAGE, "", "options:",
+            *(f"  {flag}{_METAVARS[kind]}" for flag, (_, kind) in _FLAGS.items())]
 
 
 def _run_enumerate(cfg: RunConfig) -> int:
@@ -857,38 +964,33 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_intermixed_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-
-    if args.list:
-        rows = _registry_listing()
-        _emit([json.dumps({"verifiers": rows}, sort_keys=True)]
-              if args.format == "json" else
-              [f"{row['command']:9s} {row['slug']:28s} {row['description']}"
-               for row in rows])
-        return EXIT_OK
-
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-
-    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if "help" in args:
+            _emit(_help_lines())
+            return EXIT_OK
+        if "list" in args:
+            rows = _registry_listing()
+            _emit([json.dumps({"verifiers": rows}, sort_keys=True)]
+                  if args.get("format") == "json" else
+                  [f"{row['command']:9s} {row['slug']:28s} {row['description']}"
+                   for row in rows])
+            return EXIT_OK
+        if "command" not in args:
+            sys.stderr.write(_USAGE + "\n")
+            return EXIT_USAGE
         cfg = RunConfig(
-            command=args.command,
-            name=args.name,
-            inputs=tuple(args.input),
-            output_format=args.format or "table",
-            options={key: value for key in OPTIONS
-                     if (value := getattr(args, key)) is not None},
+            command=args["command"],
+            name=args.get("name"),
+            inputs=tuple(args.get("input", ())),
+            output_format=args.get("format", "table"),
+            options={key: args[key] for key in OPTIONS if key in args},
         )
-        if args.command == "enumerate":
+        if cfg.command == "enumerate":
             return _run_enumerate(cfg)
         if cfg.name is None:
             raise InputError(f"{cfg.command} needs a verifier name (see --list)")
-        runner = TABLES[args.command].get(cfg.name)
+        runner = TABLES[cfg.command].get(cfg.name)
         if runner is None:
             raise InputError(f"unknown verifier {cfg.name!r}")
         cfg.refuse_unread(runner.reads)

@@ -52,7 +52,6 @@ __all__ = [
     "regular_opens",
     "ROAlgebra",
     "ro_algebra",
-    "is_nowhere_dense",
     "meager_mask",
     "meager_ideal",
     "largest_open_meager",
@@ -153,13 +152,17 @@ def ro_algebra(q: QuasiOrder) -> ROAlgebra:
 # smallness
 
 
-def is_nowhere_dense(q: QuasiOrder, s: int) -> bool:
-    return interior(q, closure_of(q, s)) == 0
-
-
 def meager_mask(q: QuasiOrder) -> int:
-    """The largest meager set: the union of the nowhere dense points."""
-    return sum(1 << p for p in range(q.size) if is_nowhere_dense(q, 1 << p))
+    """The largest meager set: the union of the nowhere dense points, which
+    are the points that are not maximal, those with ``up(p)`` not inside
+    ``down(p)``.  The closure of ``{p}`` is ``down(p)``, and its interior
+    holds ``x`` iff ``up(x)`` lies inside ``down(p)``.  Such an ``x`` is in
+    ``up(x)``, so ``x <= p`` and ``up(p)`` lies inside ``up(x)``, hence
+    inside ``down(p)``; conversely, if ``up(p)`` lies inside ``down(p)``,
+    then ``x = p`` is one.  So ``{p}`` is nowhere dense iff ``up(p)`` is not
+    inside ``down(p)``."""
+    return sum(1 << p for p, (up, down)
+               in enumerate(zip(q.up_masks, q.down_masks)) if up & ~down)
 
 
 def meager_ideal(q: QuasiOrder) -> tuple:

@@ -13,15 +13,19 @@ own loop over every instance, and the derived structures that the library
 no longer builds: the atoms of a subset through its induced suborder, the
 pair-class search of a group completion, the join and meet tables of a
 poset, the order flags, distributivity, strong interval predensity and
-basis checks read off those tables, and the set-distributivity scan with
-its own loop over the intersection closure of each element's keys."""
+basis checks read off those tables, the set-distributivity scan with
+its own loop over the intersection closure of each element's keys, the
+nowhere dense test by its definition, and the argparse parser that read
+the command line before ``cli._parse_argv``."""
 
+import argparse
 import itertools
 import operator
 from functools import reduce
 import random
 from types import SimpleNamespace
 
+from latkit.cli import CENSUS_FILTERS, GLOBAL_OPTIONS, INT_OPTIONS, TABLES, _flag
 from latkit.embedding import (
     BudgetExceededError,
     continuity_checks,
@@ -57,6 +61,7 @@ from latkit.order import (
     lower_closure,
     sup,
 )
+from latkit.topology import closure_of, interior
 
 
 def range_flags(dom: QuasiOrder, cod: QuasiOrder, image: tuple) -> dict:
@@ -638,3 +643,32 @@ def monoid_to_json(m: FiniteMonoid) -> dict:
     """The JSON form of a table that ``latkit.cli`` reads."""
     return {"size": m.size, "table": [list(row) for row in m.table],
             "identity": m.identity}
+
+
+def is_nowhere_dense(q: QuasiOrder, s: int) -> bool:
+    """The interior of the closure of ``s`` is empty."""
+    return interior(q, closure_of(q, s)) == 0
+
+
+def ref_parser() -> argparse.ArgumentParser:
+    """One flat parser of every option, in any order around the command
+    and its name; which options a command reads is
+    :meth:`RunConfig.refuse_unread`'s decision alone."""
+    parser = argparse.ArgumentParser(
+        prog="latkit",
+        description="checkers, censuses, and theorem verifiers for finite "
+                    "order structures")
+    parser.add_argument("command", nargs="?", choices=(*TABLES, "enumerate"))
+    parser.add_argument("name", nargs="?", help="the verifier (see --list)")
+    parser.add_argument("--list", action="store_true",
+                        help="list registered verifiers and exit")
+    parser.add_argument("--format", choices=("table", "json"))
+    for key in (*INT_OPTIONS, *GLOBAL_OPTIONS):
+        parser.add_argument(_flag(key), type=int)
+    parser.add_argument("--input", action="append", default=[],
+                        help="path to a JSON structure or fixture")
+    parser.add_argument("--dom", help="order spec (inline JSON)")
+    parser.add_argument("--cod", help="order spec (inline JSON)")
+    for name in CENSUS_FILTERS:
+        parser.add_argument(_flag(name), action="store_true", default=None)
+    return parser

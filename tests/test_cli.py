@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import select
@@ -29,13 +31,12 @@ from latkit.cli import (
     VERIFIERS,
     InputError,
     Verifier,
-    build_parser,
     main,
     parse_order_spec,
 )
 from latkit.monoid import FiniteMonoid, truncated_addition_monoid
 from latkit.order import MonotoneMap
-from oracles import monoid_to_json
+from oracles import monoid_to_json, ref_parser
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -909,25 +910,156 @@ def test_every_row_refuses_the_global_flags_it_does_not_read(
 
 def test_every_read_option_is_parsed():
     # a misspelt name in reads would refuse an option the row really reads
-    parser = build_parser()
     for command, slug in ROWS:
         reads = TABLES[command][slug].reads
         assert set(reads) <= {*INT_OPTIONS, *GLOBAL_OPTIONS, "input"}, slug
         for key in reads:
             given = (["--input", "file.json"] if key == "input"
                      else ["--" + key.replace("_", "-"), "1"])
-            args = parser.parse_args([command, slug, *given])
-            assert getattr(args, key) in (["file.json"], 1), (slug, key)
+            args = cli._parse_argv([command, slug, *given])
+            assert args[key] in (["file.json"], 1), (slug, key)
 
 
 def test_every_parsed_option_is_read():
     # the converse: an option that no command reads changes nothing, and
-    # every command refuses it; --list and --format are read by main
-    parsed = {action.dest for action in build_parser()._actions
-              if action.option_strings} - {"help", "list", "format"}
+    # every command refuses it; --help, --list and --format are read by main
+    parsed = {key for key, _ in cli._FLAGS.values()} - {"help", "list", "format"}
     read = {key for table in TABLES.values() for row in table.values()
             for key in row.reads}
     assert parsed == read | set(ENUMERATE_READS)
+
+
+def ref_parse(argv):
+    """What the argparse reference makes of ``argv``: the values it was
+    given, or the exit code it ends the parse with."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = ref_parser().parse_intermixed_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    # the defaults: None, and False for --list and [] for --input
+    return {key: value for key, value in vars(args).items()
+            if value is not None and value is not False and value != []}
+
+
+# command lines of the grammar that README "Command line" states
+PARSER_CASES = [
+    # options before, after or between the command and the name
+    ("--x", "2", "verify", "thm-powerset-form", "--y", "3"),
+    ("verify", "--x", "2", "thm-powerset-form"),
+    ("--format", "json", "--list"),
+    ("--list", "verify"),
+    ("enumerate", "--dom", '{"powerset": 1}', "--cod", '{"powerset": 2}',
+     "--convex-range", "--budget-nodes", "9"),
+    # --opt value and --opt=value
+    ("verify", "thm-powerset-form", "--x=2", "--y", "3"),
+    ("--format=json", "--dom=-x", "--input=a.json"),
+    ("--x=",),
+    # unique prefixes; an ambiguous one is refused
+    ("sweep", "baire", "--po", "3"),
+    ("verify", "lem-convex-preregular", "--max", "3"),
+    ("--se=4", "--sa", "5", "--budg", "6", "--fo", "json", "--l"),
+    ("--in", "a.json"),
+    ("--s", "1"),
+    ("--co", "x"),
+    ("--=1",),
+    # a negative number is a value
+    ("verify", "law-disjoint-sum", "--seed", "-1"),
+    ("--dom", "-1.5"),
+    ("--dom", "-x"),
+    ("--dom", "-x y"),
+    # the last value of a repeated option wins, and --input appends
+    ("--x", "3", "--x=4", "--format", "json", "--format", "table"),
+    ("--input", "a", "--input=b", "--inp", "c"),
+    # everything after -- is positional
+    ("check", "--", "--input"),
+    ("verify", "thm-powerset-form", "--"),
+    ("verify", "--", "thm-powerset-form", "--x"),
+    ("verify", "--x", "2", "--", "thm-powerset-form"),
+    # unrecognized tokens, named in argv order
+    ("verify", "law-monoid-distributivity", "--dims", "2"),
+    ("--dims", "verify", "thm-powerset-form", "extra"),
+    ("---x",),
+    # malformed values and missing ones
+    ("--x", "a"),
+    ("--x", "1.5"),
+    ("--x", " +4 "),
+    ("--x", "1_0"),
+    ("--x", "-0", "--n", "0"),
+    ("--x", "1__0"),
+    ("--x", "\u0663"),
+    ("--x", "\u00b2"),
+    ("--seed", "1" * (sys.get_int_max_str_digits() + 1)),
+    ("verify", "thm-powerset-form", "--x"),
+    ("--dom", "--cod", "x"),
+    ("--x", "--", "3"),
+    ("--format", "xml"),
+    ("--list=",),
+    ("--convex-range=1",),
+    ("-hx",),
+    # a third positional and an unknown command
+    ("verify", "thm-powerset-form", "third"),
+    ("bogus",),
+    ("",),
+    # help is read where it stands: an error before it comes first
+    ("-h",),
+    ("--help", "--x", "a"),
+    ("bogus", "--he"),
+    ("--x", "a", "-h"),
+    (),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: repr(argv)[:60])
+def test_parser_agrees_with_the_argparse_reference(capsys, argv):
+    ref = ref_parse(list(argv))
+    if ref == 0:
+        assert cli._parse_argv(list(argv)) == {"help": True}
+    elif ref == EXIT_USAGE:
+        with pytest.raises(InputError):
+            cli._parse_argv(list(argv))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+    else:
+        assert cli._parse_argv(list(argv)) == ref
+
+
+@pytest.mark.parametrize("argv, args", [
+    # argparse's intermixed parse drops a -- that comes before every
+    # positional and reads what follows as options
+    (("--", "verify", "--x"), {"command": "verify", "name": "--x"}),
+    (("--x", "2", "--", "--list"), 2),
+    # and drops a second -- that its first makes a positional
+    (("verify", "--", "--"), {"command": "verify", "name": "--"}),
+    # -hh is -h twice to argparse
+    (("-hh",), 2),
+])
+def test_everything_after_the_first_double_dash_is_positional(argv, args):
+    if args == EXIT_USAGE:
+        with pytest.raises(InputError):
+            cli._parse_argv(list(argv))
+    else:
+        assert cli._parse_argv(list(argv)) == args
+    assert ref_parse(list(argv)) != args
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he", "--x", "a"),
+                                  ("verify", "thm-powerset-form", "-h")])
+def test_help_prints_usage_and_every_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("usage: latkit ")
+    assert [line.split()[0] for line in lines[3:]] == list(cli._FLAGS)
+
+
+@pytest.mark.parametrize("argv", [(), ("--format", "json"), ("--",)])
+def test_no_command_prints_the_usage_line_and_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == cli._USAGE + "\n"
 
 
 @pytest.mark.parametrize("argv", [

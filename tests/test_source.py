@@ -2,8 +2,9 @@
 survive ``python -O``, no ``except`` clause catches the builtin
 ``ValueError``, the library runs without numpy and imports no
 ``random``, start-up loads no ``dataclasses``, ``inspect`` or
-``traceback``, imports sit at module level with ``order`` at the bottom of
-the module graph, the package root imports nothing, only ``cli._emit``
+``traceback`` and a run no ``argparse``, ``gettext`` or ``locale``,
+imports sit at module level with ``order`` at the bottom of the module
+graph, the package root imports nothing, only ``cli._emit``
 writes to stdout, only ``cli`` reads and writes JSON, every demo script
 runs to completion and prints its pinned output, and every public name has
 a use outside the tests."""
@@ -100,6 +101,21 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_traceback():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_run_leaves_out_argparse_gettext_and_locale():
+    """``cli._parse_argv`` reads the command line, so a run loads no
+    argparse, nor the gettext and locale that argparse brings."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import latkit.cli; "
+         "latkit.cli.main(['--list', '--format', 'json']); "
+         "sys.stderr.write(repr(sorted({'argparse', 'gettext', 'locale'} "
+         "& (set(sys.modules) - before))))"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -31,7 +31,6 @@ from latkit.topology import (
     enumerate_topologies,
     interior,
     is_baire,
-    is_nowhere_dense,
     is_regular_open,
     is_zero_dimensional,
     largest_open_meager,
@@ -41,7 +40,7 @@ from latkit.topology import (
     ro_algebra,
     topology,
 )
-from oracles import ref_lattice_view
+from oracles import is_nowhere_dense, ref_lattice_view
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +345,10 @@ def test_closed_forms_of_meager_sets_and_algebra_sizes():
 
 
 def test_meager_mask_and_baire_sets_match_nowhere_dense_scans():
-    # oracle on every 5-point space: the largest meager set is the union of
-    # the nowhere dense subsets, and the Baire-property sets are the ones
-    # that differ from some open set by a nowhere dense set
-    for t in enumerate_topologies(5):
+    # oracle on every space of up to 5 points: the largest meager set is the
+    # union of the nowhere dense subsets, and the Baire-property sets are
+    # the ones that differ from some open set by a nowhere dense set
+    for t in (t for n in range(6) for t in enumerate_topologies(n)):
         union = 0
         meager = meager_mask(t)
         for s in range(1 << t.size):
