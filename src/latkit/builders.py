@@ -130,7 +130,7 @@ def canonical_key(q: QuasiOrder) -> bytes:
     bytes of ``{b : perm[r] <= perm[b]}``, built from ``up_masks`` as an int
     with its bytes reversed, so ints compare as the bytes do; a permutation
     is dropped at its first row above the best so far.  ``enumerate_posets``
-    keys and sorts classes by this, keeping the first candidate generated.
+    keys and sorts classes by this.
     """
     n = q.size
     width = (n + 7) // 8
@@ -183,18 +183,19 @@ def _extensions(q: QuasiOrder):
 
 
 @functools.cache
-def _level(n: int) -> dict:
-    """``{canonical_key: poset}`` for the ``n``-element posets, in the order
-    the classes are first generated; built once per process."""
+def _level(n: int) -> tuple:
+    """The ``n``-element posets, one per class, each its own canonical form,
+    in ``canonical_key`` order; built once per process.  Up to
+    ``MAX_ENUMERATION_SIZE`` = 8 elements a key row is one byte, the up-mask
+    of its element, so a key reads back as a poset.  Its labels come in
+    sorted profile-cell order, so its compatible relabelings are the
+    original's, and the identity already gives the minimum: its key is the
+    one it was read from."""
     if n == 1:
-        return {canonical_key(chain(1)): chain(1)}
-    level = {}
-    for q in _level(n - 1).values():
-        for cand in _extensions(q):
-            key = canonical_key(cand)
-            if key not in level:
-                level[key] = cand
-    return level
+        return (chain(1),)
+    keys = {canonical_key(c) for q in _level(n - 1) for c in _extensions(q)}
+    return tuple(_unchecked(QuasiOrder, up_masks=tuple(key[1:]), is_poset=True)
+                 for key in sorted(keys))
 
 
 def _check_enumeration_size(n: int, limit: int = MAX_ENUMERATION_SIZE):
@@ -207,16 +208,13 @@ def enumerate_posets(n: int):
     sorted by ``canonical_key``; ``n > MAX_ENUMERATION_SIZE`` raises.
 
     Built by repeatedly adjoining a new maximal element above a lower set,
-    which reaches every finite poset.  A class is represented by its first
-    candidate, taking parents in first-generated order and lower sets in
-    ascending mask order.  Levels are cached per process, so the immutable
-    posets are shared between calls; the list is new on every call.
+    which reaches every finite poset; each class is the poset its key reads
+    back as, so the list does not depend on the order of generation.
+    Levels are cached per process, so the immutable posets are shared
+    between calls; the list is new on every call.
     """
     _check_enumeration_size(n)
-    if n < 1:
-        return []
-    level = _level(n)
-    return [level[key] for key in sorted(level)]
+    return list(_level(n)) if n >= 1 else []
 
 
 def _bounded(q: QuasiOrder) -> QuasiOrder:
@@ -235,7 +233,7 @@ def _bounded(q: QuasiOrder) -> QuasiOrder:
 
 def enumerate_lattices(n: int):
     """All lattices with exactly ``n`` elements, one per isomorphism class,
-    in the order of their middles, which is ``canonical_key`` order up to 9
+    each its own canonical form in ``canonical_key`` order up to 9
     elements.  Built from level ``n - 2``: for ``n > 2`` each lattice has
     its bottom at 0 and its top at ``n - 1``.  So ``n - 2`` is held to
     ``MAX_ENUMERATION_SIZE``, and ``n`` may pass it by two.
@@ -249,11 +247,11 @@ def enumerate_lattices(n: int):
     ``MAX_ENUMERATION_SIZE`` the list equals that filter for every ``n``,
     ``up_masks`` for ``up_masks``.
 
-    The order: in a lattice's key the bottom and the top sit alone in the
-    first and last profile cells, and each middle row is the middle's row
-    moved up one bit, plus the top's bit.  Up to 9 elements the moved bits
-    stay in the first byte, so the keys compare as the middles' keys do; at
-    10 the last one moves into the second byte, and the orders part.
+    Each is its own canonical form: the middles are, and in a lattice's key
+    the bottom and the top sit alone in the first and last profile cells,
+    while each middle row moves up one bit within the first byte, up to 9
+    elements.  At 10 the last bit moves into the second byte: only 4,985 of
+    the 5,994 lattices are canonical, and they are not in key order.
     """
     _check_enumeration_size(n, MAX_ENUMERATION_SIZE + 2)
     if n <= 2:

@@ -3,6 +3,8 @@
 ``ref_canonical_key``, ``ref_enumerate_posets`` and ``ref_lower_sets`` are
 the scalar implementations that the mask-based ones replaced; the fast
 versions must return the same bytes and the same list, element by element.
+Each class is represented by the poset its key decodes to, so every
+representative is its own canonical form, whatever order generation takes.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from latkit import builders
 from latkit.builders import (
     MAX_ENUMERATION_SIZE,
     _bounded,
@@ -87,19 +90,24 @@ def _children(q: QuasiOrder):
         yield order_from_relation(rel)
 
 
+def ref_decode(key: bytes) -> QuasiOrder:
+    """The poset a key encodes: bit ``b`` of row ``r`` (little-endian rows
+    of ``(n + 7) // 8`` bytes) says ``r <= b``."""
+    n, width = key[0], (key[0] + 7) // 8
+    rows = [int.from_bytes(key[1 + r * width:1 + (r + 1) * width], "little")
+            for r in range(n)]
+    return order_from_relation([[bool(row >> b & 1) for b in range(n)]
+                                for row in rows])
+
+
 def ref_enumerate_posets(n: int):
     if n < 1:
         return []
-    current = {ref_canonical_key(chain(1)): chain(1)}
+    current = [chain(1)]
     for _ in range(n - 1):
-        nxt = {}
-        for q in current.values():
-            for cand in _children(q):
-                key = ref_canonical_key(cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        current = nxt
-    return sorted(current.values(), key=ref_canonical_key)
+        keys = {ref_canonical_key(cand) for q in current for cand in _children(q)}
+        current = [ref_decode(key) for key in sorted(keys)]
+    return current
 
 
 @cache
@@ -205,11 +213,37 @@ def test_enumerate_lattices_matches_poset_filter(n):
     assert [q.up_masks for q in got] == [q.up_masks for q in want]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_poset_is_its_own_canonical_form(n):
+    for q in enumerate_posets(n):
+        assert canonical_key(q) == bytes([n]) + bytes(q.up_masks)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_enumerate_lattices_come_in_canonical_key_order(n):
-    # the order of the middles, which is canonical_key order up to 9 elements
-    keys = [canonical_key(q) for q in enumerate_lattices(n)]
+    # each lattice is its own canonical form (nine elements take two bytes
+    # a row), so the keys ascend without a sort
+    width = (n + 7) // 8
+    lattices = enumerate_lattices(n)
+    keys = [canonical_key(q) for q in lattices]
+    assert keys == [bytes([n]) + b"".join(up.to_bytes(width, "little")
+                                          for up in q.up_masks)
+                    for q in lattices]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_generation_order_does_not_reach_the_output(monkeypatch):
+    want = [[q.up_masks for q in enumerate_posets(n)] for n in range(7)]
+    extensions = builders._extensions
+    monkeypatch.setattr(builders, "_extensions",
+                        lambda q: reversed(list(extensions(q))))
+    _level.cache_clear()
+    try:
+        got = [[q.up_masks for q in enumerate_posets(n)] for n in range(7)]
+    finally:
+        monkeypatch.undo()
+        _level.cache_clear()
+    assert got == want
 
 
 def test_enumerate_lattices_at_the_size_limit():
@@ -251,7 +285,7 @@ def assert_checked_poset(cand: QuasiOrder):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_every_level_candidate_passes_the_checks(n):
     candidates = 0
-    for q in _level(n - 1).values():
+    for q in _level(n - 1):
         for cand in _extensions(q):
             assert_checked_poset(cand)
             candidates += 1
@@ -266,6 +300,7 @@ def test_every_lattice_candidate_passes_the_checks(n):
 
 def test_enumeration_size_limit():
     # lattices of n elements are built from the posets of n - 2
+    # _level reads each key back one byte a row, which needs at most 8
     assert MAX_ENUMERATION_SIZE == 8
     for n in (MAX_ENUMERATION_SIZE + 1, 50):
         with pytest.raises(ValueError):

@@ -340,22 +340,30 @@ def ref_lower_sets(mat):
     return [m for m in range(1 << n) if all(downs[p] & ~m == 0 for p in bits(m))]
 
 
+def ref_decode(key):
+    """The relation matrix a key encodes: bit ``b`` of row ``r`` says
+    ``r <= b``, rows little-endian in ``(n + 7) // 8`` bytes."""
+    n = key[0]
+    rows = np.frombuffer(key[1:], dtype=np.uint8).reshape(n, (n + 7) // 8)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :n].astype(bool)
+
+
 def ref_enumerate_posets(n):
-    """The old level-by-level generation on matrices, first candidate kept."""
-    level = {ref_canonical_key(np.ones((1, 1), dtype=bool)): np.ones((1, 1), dtype=bool)}
+    """The level-by-level generation on matrices, each class the matrix its
+    key decodes to."""
+    level = [np.ones((1, 1), dtype=bool)]
     for k in range(1, n):
-        nxt = {}
-        for q in level.values():
+        keys = set()
+        for q in level:
             for low in ref_lower_sets(q):
                 rel = np.zeros((k + 1, k + 1), dtype=bool)
                 rel[:k, :k] = q
                 rel[k, k] = True
                 for p in bits(low):
                     rel[p, k] = True
-                key = ref_canonical_key(ref_check(rel))
-                nxt.setdefault(key, rel)
-        level = nxt
-    return [level[key] for key in sorted(level)]
+                keys.add(ref_canonical_key(ref_check(rel)))
+        level = [ref_decode(key) for key in sorted(keys)]
+    return level
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
