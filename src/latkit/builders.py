@@ -128,9 +128,8 @@ def canonical_key(q: QuasiOrder) -> bytes:
     still 8! for the 8-element antichain, so enumeration stops at
     ``MAX_ENUMERATION_SIZE``.  Row ``r`` under ``perm`` is the little-endian
     bytes of ``{b : perm[r] <= perm[b]}``, built from ``up_masks`` as an int
-    with its bytes reversed, so ints compare as the bytes do; a permutation
-    is dropped at its first row above the best so far.  ``enumerate_posets``
-    keys and sorts classes by this.
+    with its bytes reversed, so ints compare as the bytes do.
+    ``enumerate_posets`` keys and sorts classes by this.
     """
     n = q.size
     width = (n + 7) // 8
@@ -143,25 +142,14 @@ def canonical_key(q: QuasiOrder) -> bytes:
     groups = {}
     for p in range(n):
         groups.setdefault(profile[p], []).append(p)
-    keys = sorted(groups)
-    best = None
-    for parts in itertools.product(
-        *(itertools.permutations(groups[k]) for k in keys)
-    ):
+
+    def rows(parts):
         perm = [p for part in parts for p in part]
         at = dict(zip(perm, weight))
-        rows = []
-        less = best is None
-        for r, i in enumerate(perm):
-            row = sum(map(at.__getitem__, ups[i]))
-            if not less:
-                if row > best[r]:
-                    break
-                less = row < best[r]
-            rows.append(row)
-        else:
-            if less:
-                best = rows
+        return [sum(map(at.__getitem__, ups[i])) for i in perm]
+
+    best = min(map(rows, itertools.product(
+        *(itertools.permutations(groups[k]) for k in sorted(groups)))))
     return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best)
 
 
@@ -198,9 +186,11 @@ def _level(n: int) -> tuple:
                  for key in sorted(keys))
 
 
-def _check_enumeration_size(n: int, limit: int = MAX_ENUMERATION_SIZE):
+def _check_enumeration_size(n: int, limit: int = MAX_ENUMERATION_SIZE) -> int:
+    n = _count(n, "an enumeration size")
     if n > limit:
         raise OrderError(f"enumeration is limited to {limit} elements, got {n}")
+    return n
 
 
 def enumerate_posets(n: int):
@@ -213,7 +203,7 @@ def enumerate_posets(n: int):
     Levels are cached per process, so the immutable posets are shared
     between calls; the list is new on every call.
     """
-    _check_enumeration_size(n)
+    n = _check_enumeration_size(n)
     return list(_level(n)) if n >= 1 else []
 
 
@@ -253,7 +243,7 @@ def enumerate_lattices(n: int):
     elements.  At 10 the last bit moves into the second byte: only 4,985 of
     the 5,994 lattices are canonical, and they are not in key order.
     """
-    _check_enumeration_size(n, MAX_ENUMERATION_SIZE + 2)
+    n = _check_enumeration_size(n, MAX_ENUMERATION_SIZE + 2)
     if n <= 2:
         return [q for q in enumerate_posets(n) if is_lattice(q)]
     return list(filter(is_lattice, map(_bounded, enumerate_posets(n - 2))))

@@ -427,6 +427,15 @@ def _verify_convex_preregular(cfg: RunConfig) -> dict:
     }
 
 
+def _hypothesis_report(check, *args):
+    """``check(*args)``, or the report of the hypothesis it fails: a census
+    map that fails a hypothesis is a counterexample."""
+    try:
+        return check(*args)
+    except embedding.HypothesisFailed as exc:
+        return {"holds": False, "hypothesis": exc.hypothesis, "error": str(exc)}
+
+
 def _verify_extension_convexity(cfg: RunConfig) -> dict:
     n = cfg.option("n", 2, MAX_POWERSET_POINTS, _SPEC_LIMIT)
     m = cfg.option("m", n + 1, MAX_EXTENSION_CODOMAIN,
@@ -435,24 +444,16 @@ def _verify_extension_convexity(cfg: RunConfig) -> dict:
     M = builders.powerset_lattice(m)
     basis = [0] + [1 << i for i in range(n)]  # the bottom and the singletons
     bmask = sum(1 << b for b in basis)
-    try:
-        embedding.check_transfer_setting(L, bmask, M.full_mask, M)
-        setting = None
-    except embedding.HypothesisFailed as exc:
-        setting = exc  # no census map changes the setting, so each fails it
+    # None, or one report for every census map: no map changes the setting
+    setting = _hypothesis_report(embedding.check_transfer_setting,
+                                 L, bmask, M.full_mask, M)
     failures = []
     embeddings = 0
     for embeddings, (image, _) in enumerate(embedding.enumerate_embeddings(
             L, M, convex_range=True, budget_nodes=cfg.budget_nodes), 1):
-        try:
-            if setting is not None:
-                raise setting
-            rep = embedding.verify_transfer_map(
-                L, bmask, M.full_mask, M, {b: image[b] for b in basis})
-        except embedding.HypothesisFailed as exc:
-            # a census map that fails a hypothesis is a counterexample
-            rep = {"holds": False, "hypothesis": exc.hypothesis,
-                   "error": str(exc)}
+        rep = setting or _hypothesis_report(
+            embedding.verify_transfer_map, L, bmask, M.full_mask, M,
+            {b: image[b] for b in basis})
         if not rep["holds"] or tuple(rep["extension"]) != image:
             failures.append({"image": list(image), "report": rep})
     report = {
@@ -943,7 +944,9 @@ def _run_enumerate(cfg: RunConfig) -> int:
         dom = parse_order_spec(cfg.options["dom"])
         cod = parse_order_spec(cfg.options["cod"])
         filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
-    # lines leave as they are found, so a closed stdout stops the search
+    # lines leave as the census yields them, so a closed stdout stops the
+    # search; an interval census (convex_range on a domain with a bottom and
+    # a top) yields nothing before its search ends, nor after an overrun
     _emit(_census_lines(embedding.enumerate_embeddings(
         dom, cod, **filters, budget_nodes=cfg.budget_nodes)))
     return EXIT_OK

@@ -2,16 +2,17 @@
 
 The census enumerator is a generator: it backtracks over the domain's
 elements in index order and yields each map, in ascending image order, as
-the search reaches it, so no census is held.  Each variable's candidates
-are the set bits of an AND of codomain masks (strictly above, strictly
-below or incomparable), one per assigned variable, so only injective,
-preserving and reflecting choices are visited; the convex and lower-set
-filters prune partial ranges whose hull or down-closure already exceeds
-the domain size, and a convex census of a domain with a bottom and a top
-searches only the intervals of the domain's size.  Each map's range flags
-are read off the masks at its leaf.  The tests check the census against a
-naive one over all maps, with maps and flags derived from the plain
-definitions.
+the search reaches it, so no census is held (but for the interval search,
+which sorts its maps at the end).  Each variable's candidates are the set
+bits of an AND of codomain masks (strictly above, strictly below or
+incomparable), one per assigned variable, so only injective, preserving and
+reflecting choices are visited; the convex and lower-set filters prune
+partial ranges ``rng`` whose convex hull ``up(rng) & down(rng)`` or
+down-closure ``down(rng)`` already exceeds the domain size, and a convex
+census of a domain with a bottom and a top searches only the intervals of
+the domain's size.  Each map's range flags are read off the masks at its leaf.
+The tests check the census against a naive one over all maps, with maps and
+flags derived from the plain definitions.
 
 One engine serves both product-form theorems: a convex-range embedding of
 finite distributive lattices is ``D -> b | phi[D]`` on the down-sets of their
@@ -32,6 +33,7 @@ from .order import (
     OrderError,
     QuasiOrder,
     _check_mask,
+    _count,
     _require_poset,
     _unchecked,
     _upper_bounds,
@@ -128,7 +130,8 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                          downward_closed_range: bool = False,
                          budget_nodes: Optional[int] = None) -> Iterator[tuple]:
     """Yield ``(image, flags)`` for each order embedding ``dom -> cod``, in
-    ascending image order, as the backtracking search reaches it.
+    ascending image order, as the backtracking search reaches it (an
+    interval search, below, yields its maps only once it ends).
 
     Keyword filters restrict the census to maps whose range is convex,
     preregular, or a lower set.  ``flags`` is one of the read-only dicts of
@@ -143,11 +146,12 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     candidates are tried in ascending order, so the leaves come in
     ascending image order.  Every leaf is an embedding, and its flags are
     exact without a second pass.  At a leaf the range ``rng`` has ``n``
-    members.  ``hull``, the union of the intervals ``[a, b]`` over ``a, b``
-    in ``rng``, is the convex hull of ``rng`` and contains it, so the convex
-    prune ``h.bit_count() > n`` on the last variable is exactly ``hull !=
-    rng``; likewise ``downs`` is the down-closure of ``rng`` and the
-    lower-set prune is exactly ``downs != rng``.
+    members.  The search keeps its up-closure ``ups`` and down-closure
+    ``downs``.  The convex hull of ``rng`` is ``ups & downs``, the elements
+    above one member and below another, and contains ``rng``, so the convex
+    prune ``(ups & downs).bit_count() > n`` on the last variable is exactly
+    ``ups & downs != rng``; likewise the lower-set prune is exactly ``downs
+    != rng``.
 
     A convex range of a domain with a bottom and a top is an interval.  For
     every ``p``, ``s(bot) <= s(p) <= s(top)``, so the range lies inside
@@ -159,9 +163,10 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     assigned first, the top second and the rest along a linear extension; a
     top candidate counts as a node but is skipped unless ``I`` has ``n``
     elements, and every later variable draws only from the elements of
-    ``I`` with its two counts.  This search keeps its maps, at most
-    ``|Aut(dom)|`` per interval, and sorts them before it yields them.
-    Other domains keep the hull and lower-set prunes alone.
+    ``I`` with its two counts.  This search keeps every map it finds until
+    it ends, then sorts them and yields them, so it yields nothing before
+    the search is done and a budget overrun yields no map.  Other domains
+    keep the hull and lower-set prunes alone and yield each map at once.
 
     Preregularity serves as both filter and flag.  When the domain is a
     lattice it is decided from joins and meets.  The range ``A`` is
@@ -215,12 +220,12 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
         join_at, meet_at = cod.up_index, cod.dual.up_index
     kept = []  # the interval search's maps
     # per depth: the untried candidates (-1 before the first), and the partial
-    # range with its upper and lower closures and its convex hull
+    # range with its upper and lower closures, whose AND is its convex hull
     left = [-1] * (n + 1)
-    state = [(0, 0, 0, 0)] * (n + 1)
+    state = [(0, 0, 0)] * (n + 1)
     depth = 0
     while depth >= 0:
-        rng, ups, downs, hull = state[depth]
+        rng, ups, downs = state[depth]
         cands = left[depth]
         if depth == n:  # a leaf: every variable is assigned
             prereg = preregular.get(rng)
@@ -232,7 +237,8 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                 ) if lattice_dom else (_preserves_sups(dom, cod, image) and
                                        _preserves_sups(dom.dual, cod.dual, image))
             if prereg or not preregular_range:
-                found = tuple(image), _RANGE_FLAGS[hull == rng, prereg, downs == rng]
+                found = tuple(image), _RANGE_FLAGS[ups & downs == rng, prereg,
+                                                   downs == rng]
                 if interval:
                     kept.append(found)
                 else:
@@ -242,8 +248,6 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             cands = allowed[order[depth]]
             for q, table in constraints[depth]:
                 cands &= table[image[q]]
-                if not cands:
-                    break
         while cands:
             low = cands & -cands
             cands ^= low
@@ -264,8 +268,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                 for v in order[2:]:
                     allowed[v] = by_shape.get(shape[v], 0)
             u, dn = ups | up_c[c], downs | down_c[c]
-            h = hull | (up_c[c] & dn) | (u & down_c[c])
-            if convex_range and h.bit_count() > n:
+            if convex_range and (u & dn).bit_count() > n:
                 continue
             if downward_closed_range and dn.bit_count() > n:
                 continue
@@ -273,7 +276,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             left[depth] = cands
             depth += 1
             left[depth] = -1
-            state[depth] = rng | low, u, dn, h
+            state[depth] = rng | low, u, dn
             break
         else:
             depth -= 1
@@ -358,6 +361,7 @@ def preregular_continuity_sweep(max_size: int, *,
     memoized on the suborder's up-masks; ``pairs`` comes from the level
     sizes.  ``budget_nodes`` caps every self-census.
     """
+    max_size = _count(max_size, "a sweep's largest size")
     levels = [enumerate_posets(n) for n in range(1, max_size + 1)]
     counts = [len(level) for level in levels]
     # a codomain of size n pairs with every domain of size at most n

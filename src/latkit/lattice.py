@@ -323,9 +323,10 @@ def is_preregular(q: QuasiOrder, A: int) -> bool:
             and preregularity_witness(q, A, upwards=False) is None)
 
 
-def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
-    """The upwards preregular members of ``masks``, an ascending family of
-    subsets of ``o``, from one walk.
+def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> dict:
+    """Each member of ``masks``, an ascending family of subsets of ``o``,
+    mapped to its closure, or to ``None`` if it is not upwards preregular,
+    from one walk.
 
     ``A`` fails iff a class ``T`` of the :func:`intersection_closure` of
     its members' up-sets has a least member in ``A`` other than the ambient
@@ -353,11 +354,9 @@ def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
     up, down, ambient = o.up_masks, o.down_masks, o.up_index
     least = {0: -1}  # the least member of each subset, or -1
     closures = {0: set()}  # None for a subset that failed
-    passed = set()
     try:
         for m in masks:
             if not m:
-                passed.add(m)
                 continue
             rest = m
             a = m.bit_length() - 1 if last else (m & -m).bit_length() - 1
@@ -380,12 +379,10 @@ def _upwards_preregular_flags(o: QuasiOrder, masks, last: bool) -> set:
                             closure = None
                             break
             closures[m] = closure
-            if closure is not None:
-                passed.add(m)
     except KeyError as missing:
         raise OrderError(f"the mask family lacks {missing.args[0]:#b}, which "
                          f"the preregularity walk reads") from None
-    return passed
+    return closures
 
 
 def preregular_masks(q: QuasiOrder, masks=None) -> list:
@@ -416,7 +413,7 @@ def preregular_masks(q: QuasiOrder, masks=None) -> list:
         _require_poset(q)
     ups = _upwards_preregular_flags(q, family, False)
     downs = _upwards_preregular_flags(q.dual, family, True)
-    return [m for m in family if m in ups and m in downs]
+    return [m for m in family if ups[m] is not None and downs[m] is not None]
 
 
 def order_closed_checks(q: QuasiOrder, A: int) -> dict:

@@ -1326,6 +1326,18 @@ def test_a_budget_overrun_leaves_a_prefix_of_the_census(capsys):
     assert out == "".join(line + "\n" for line in lines[:kept])
 
 
+def test_a_budget_overrun_of_an_interval_census_leaves_no_line(capsys):
+    # the interval search keeps its 48 maps until its 177 nodes are done,
+    # then sorts them, so an overrun at 100 nodes has written nothing
+    argv = ("enumerate", "--dom", '{"powerset":2}', "--cod", '{"powerset":4}',
+            "--convex-range", "--budget-nodes")
+    code, out, err = run(capsys, *argv, "100")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: node budget 100 exceeded\n"
+    code, out, _ = run(capsys, *argv, "177")
+    assert code == EXIT_OK and out.count("\n") == 48
+
+
 class RecordedStdout:
     """A stdout stand-in that keeps the text of each write."""
 

@@ -45,6 +45,10 @@ def test_sweep_matches_per_pair_loop(max_size):
 def test_sweep_counts_at_size_6_are_pinned():
     assert preregular_continuity_sweep(6) == {
         "pairs": 134_702, "embeddings": 42_111, "violations": [], "holds": True}
+    # a size that is no count is refused, not truncated or recursed on
+    for size in (2.5, True, -1, "3"):
+        with pytest.raises(OrderError, match="sweep's largest size"):
+            preregular_continuity_sweep(size)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_CONTINUITY_SIZE + 1))

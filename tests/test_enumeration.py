@@ -308,6 +308,11 @@ def test_enumeration_size_limit():
     for n in (MAX_ENUMERATION_SIZE + 3, 50):
         with pytest.raises(ValueError, match="limited to 10 elements"):
             enumerate_lattices(n)
+    # a size that is no count is refused, not truncated or recursed on
+    for n in (2.5, True, -1, "3"):
+        for enumerate_orders in (enumerate_posets, enumerate_lattices):
+            with pytest.raises(OrderError, match="enumeration size"):
+                enumerate_orders(n)
 
 
 def test_random_lattice_output_is_pinned():
