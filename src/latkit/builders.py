@@ -120,37 +120,41 @@ def _cube(n: int) -> QuasiOrder:
 # enumeration of small posets up to isomorphism
 
 
-def canonical_key(q: QuasiOrder) -> bytes:
-    """Isomorphism-invariant canonical encoding of a poset.
-
-    Minimizes the relation bytes over relabelings, restricted to permutations
-    compatible with the (indegree, outdegree) profile to stay cheap; that is
-    still 8! for the 8-element antichain, so enumeration stops at
-    ``MAX_ENUMERATION_SIZE``.  Row ``r`` under ``perm`` is the little-endian
-    bytes of ``{b : perm[r] <= perm[b]}``, built from ``up_masks`` as an int
-    with its bytes reversed, so ints compare as the bytes do.
-    ``enumerate_posets`` keys and sorts classes by this.
-    """
-    n = q.size
-    width = (n + 7) // 8
+def _relabeled_rows(q: QuasiOrder):
+    """The rows of the poset ``q`` under each relabeling that keeps the
+    (indegree, outdegree) profile: row ``r`` under ``perm`` is the set
+    ``{b : perm[r] <= perm[b]}``, its little-endian bytes read big-endian."""
+    width = (q.size + 7) // 8
     # encoding bit b = 8 * k + t: byte k is read first, so it is most significant
-    weight = [1 << (8 * (width - 1 - b // 8) + b % 8) for b in range(n)]
+    weight = [1 << (8 * (width - 1 - b // 8) + b % 8) for b in range(q.size)]
     ups = [tuple(bits(m)) for m in q.up_masks]
-    profile = [
-        (q.down_masks[p].bit_count(), q.up_masks[p].bit_count()) for p in range(n)
-    ]
     groups = {}
-    for p in range(n):
-        groups.setdefault(profile[p], []).append(p)
+    for p, (down, up) in enumerate(zip(q.down_masks, q.up_masks)):
+        groups.setdefault((down.bit_count(), up.bit_count()), []).append(p)
 
     def rows(parts):
         perm = [p for part in parts for p in part]
         at = dict(zip(perm, weight))
         return [sum(map(at.__getitem__, ups[i])) for i in perm]
 
-    best = min(map(rows, itertools.product(
-        *(itertools.permutations(groups[k]) for k in sorted(groups)))))
-    return bytes([n]) + b"".join(row.to_bytes(width, "big") for row in best)
+    return map(rows, itertools.product(
+        *(itertools.permutations(groups[k]) for k in sorted(groups))))
+
+
+def canonical_key(q: QuasiOrder) -> bytes:
+    """Isomorphism-invariant canonical encoding of a poset: its size, then
+    the least rows of :func:`_relabeled_rows`; ``enumerate_posets`` keys and
+    sorts classes by this.  The 8-element antichain still has 8! relabelings,
+    so enumeration stops at ``MAX_ENUMERATION_SIZE``.
+
+    An automorphism keeps each element's profile, so it permutes within the
+    profile cells: a relabeling composed with one gives the same rows, and
+    two relabelings with equal rows differ by one.  So each rows value, the
+    least one too, occurs exactly ``|Aut(q)|`` times.
+    """
+    width = (q.size + 7) // 8
+    return bytes([q.size]) + b"".join(
+        row.to_bytes(width, "big") for row in min(_relabeled_rows(q)))
 
 
 def _extensions(q: QuasiOrder):

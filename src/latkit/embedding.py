@@ -27,7 +27,7 @@ import operator
 from functools import cache
 from typing import Iterator, Optional
 
-from .builders import enumerate_posets
+from .builders import _relabeled_rows, enumerate_posets
 from .order import (
     MonotoneMap,
     OrderError,
@@ -336,8 +336,7 @@ def atom_image_check(sigma: MonotoneMap) -> bool:
     return img_atoms == atoms(sigma.cod, sigma.range_mask)
 
 
-def preregular_continuity_sweep(max_size: int, *,
-                                budget_nodes: Optional[int] = None) -> dict:
+def preregular_continuity_sweep(max_size: int) -> dict:
     """Every embedding ``P -> Q`` with preregular range preserves nonempty
     suprema and infima, over every pair of posets with
     ``1 <= |P| <= |Q| <= max_size``, decided once per codomain ``Q`` and
@@ -357,9 +356,9 @@ def preregular_continuity_sweep(max_size: int, *,
 
     The embeddings with range ``R`` number ``|Aut(P)|`` for the one class
     ``P`` of the induced suborder on ``R`` and none for any other, so each
-    range from :func:`preregular_masks` adds ``|Aut|``, from a self-census
-    memoized on the suborder's up-masks; ``pairs`` comes from the level
-    sizes.  ``budget_nodes`` caps every self-census.
+    range from :func:`preregular_masks` adds ``|Aut|``, the count of the
+    least rows among the suborder's relabeled rows (:func:`canonical_key`),
+    memoized on its up-masks; ``pairs`` comes from the level sizes.
     """
     max_size = _count(max_size, "a sweep's largest size")
     levels = [enumerate_posets(n) for n in range(1, max_size + 1)]
@@ -381,9 +380,9 @@ def preregular_continuity_sweep(max_size: int, *,
                 key = tuple([renumber(rmask, up[a] & rmask) for a in bits(rmask)])
                 aut = automorphisms.get(key)
                 if aut is None:
-                    sub = induced_suborder(cod, rmask)[0]
-                    aut = automorphisms[key] = sum(1 for _ in enumerate_embeddings(
-                        sub, sub, budget_nodes=budget_nodes))
+                    rows = list(_relabeled_rows(
+                        _unchecked(QuasiOrder, up_masks=key, is_poset=True)))
+                    aut = automorphisms[key] = rows.count(min(rows))
                 embeddings += aut
     return {
         "pairs": pairs,

@@ -561,7 +561,8 @@ def is_meet_subsemilattice(q: QuasiOrder, A: int) -> bool:
 def _antichain_decomposition(q: QuasiOrder, dmask: int, target: int,
                              bottom: int) -> bool:
     """Search a pairwise-incompatible family inside ``D`` below ``target``
-    with supremum ``target``; the empty family covers the bottom."""
+    with supremum ``target``; the empty family covers the bottom.  Every
+    candidate lies below ``target``, so every join of them does too."""
     if target == bottom:
         return True
     cands = [d for d in bits(dmask & q.down_masks[target])]
@@ -575,8 +576,6 @@ def _antichain_decomposition(q: QuasiOrder, dmask: int, target: int,
             if any(meet(d, c) != bottom for c in chosen):
                 continue
             nxt = d if current is None else join(current, d)
-            if not q.le(nxt, target):
-                continue
             if extend(k + 1, chosen + (d,), nxt):
                 return True
         return False

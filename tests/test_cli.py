@@ -67,6 +67,12 @@ def test_verify_powerset_characterization(capsys):
     doc = json.loads(out)
     assert doc["report"]["census"] == 12
     assert doc["report"]["holds"] is True
+    # the default format prints the report one key a line
+    code, out, _ = run(capsys, "verify", "thm-powerset-form", "--x", "1", "--y", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "verify thm-powerset-form", "  holds: True", "  x: 1", "  y: 2",
+        "  census: 4", "  formula_census: 4", "  decompositions_ok: True"]
 
 
 # the --format json stdout SHA-256 and exit code of both product-form
@@ -124,12 +130,22 @@ def test_chains_of_height_1_are_the_one_element_lattice(capsys, argv, cod_size):
     assert report["census"] == report["formula_census"] == cod_size
 
 
-def test_check_convexity_counterexample(capsys):
+def test_check_convexity_counterexample(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "check", "convexity",
                        "--input", fixture("powerset_counterexample.json"))
     assert code == EXIT_VIOLATION
     doc = json.loads(out)
     assert doc["report"]["witness"] == [0, 1]
+    # C2 -> C3 onto the ends of the chain: outside a power set the missing
+    # element and the pair it lies between are indices
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"dom": {"chains": [2]}, "cod": {"chains": [3]}, "image": [0, 2]}))
+    code, out, _ = run(capsys, "--format", "json", "check", "convexity",
+                       "--input", str(path))
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["report"] == {
+        "between": [0, 2], "holds": False, "witness": 1}
 
 
 def test_check_embedding(capsys):
@@ -309,11 +325,13 @@ def test_exit_codes_for_errors(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "thm-powerset-form",
                        "--x", "3", "--y", "4", "--budget-nodes", "10")
     assert code == EXIT_BUDGET
-    # the continuity sweep's self-censuses run under the budget too
-    code, out, err = run(capsys, "verify", "thm-preregular-continuity",
-                         "--max-size", "3", "--budget-nodes", "1")
-    assert code == EXIT_BUDGET and out == ""
-    assert err == "budget exceeded: node budget 1 exceeded\n"
+    # a missing input is refused under the command's full name
+    code, out, err = run(capsys, "check", "classify")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: check classify needs --input\n"
+    code, out, err = run(capsys, "enumerate")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: enumerate needs --dom and --cod or --input\n"
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -862,7 +880,7 @@ SMALL_RUNS = {
     ("verify", "thm-powerset-form"): [(("--x", "1", "--y", "2"), BUDGET)],
     ("verify", "thm-chainprod-form"): [
         (("--k", "2", "--m", "2", "--i", "1", "--j", "1"), BUDGET)],
-    ("verify", "thm-preregular-continuity"): [(("--max-size", "3"), BUDGET)],
+    ("verify", "thm-preregular-continuity"): [(("--max-size", "3"), set())],
     ("verify", "lem-convex-preregular"): [(("--max-size", "3"), set())],
     ("verify", "thm-extension-convexity"): [(("--n", "1"), BUDGET)],
     ("verify", "prop-cat-ro-iso"): [(("--points", "2"), set())],

@@ -8,8 +8,8 @@ import random
 import pytest
 
 from latkit import embedding, lattice
-from latkit.builders import (antichain, chain, chain_product, enumerate_lattices,
-                             enumerate_posets)
+from latkit.builders import (_relabeled_rows, antichain, chain, chain_product,
+                             enumerate_lattices, enumerate_posets)
 from latkit.cli import MAX_CONTINUITY_SIZE
 from latkit.embedding import continuity_checks, preregular_continuity_sweep
 from latkit.lattice import (
@@ -143,20 +143,24 @@ def test_walk_refuses_a_family_that_lacks_a_member_it_reads():
         preregular_masks(q, [0b1000])
 
 
-def test_every_self_census_gets_the_budget(monkeypatch):
-    real = embedding.enumerate_embeddings
-    calls = []
+def test_sweep_runs_no_census(monkeypatch):
+    # each range's |Aut| is a count of relabelings, not a self-census
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran a census")
 
-    def recording(dom, cod, **kwargs):
-        calls.append((dom is cod, kwargs.get("budget_nodes")))
-        return real(dom, cod, **kwargs)
-
-    monkeypatch.setattr(embedding, "enumerate_embeddings", recording)
-    assert preregular_continuity_sweep(4, budget_nodes=10 ** 6)["holds"]
-    assert calls and set(calls) == {(True, 10 ** 6)}
+    monkeypatch.setattr(embedding, "enumerate_embeddings", refuse)
+    report = preregular_continuity_sweep(5)
+    assert (report["pairs"], report["embeddings"]) == (5_912, 3_973)
 
 
-def test_budget_caps_the_self_censuses():
-    # a 2-element self-census visits 2 candidates for its first element
-    with pytest.raises(embedding.BudgetExceededError):
-        preregular_continuity_sweep(2, budget_nodes=1)
+def test_relabeling_count_is_the_self_census():
+    """The least rows of ``_relabeled_rows`` occur ``|Aut|`` times, the
+    number of embeddings of an order into itself, on every poset of 1-6
+    elements and every lattice of 1-8."""
+    orders = [*(q for n in range(1, 7) for q in enumerate_posets(n)),
+              *(q for n in range(1, 9) for q in enumerate_lattices(n))]
+    assert len(orders) == 705
+    for q in orders:
+        rows = list(_relabeled_rows(q))
+        census = sum(1 for _ in embedding.enumerate_embeddings(q, q))
+        assert rows.count(min(rows)) == census

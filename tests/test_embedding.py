@@ -365,8 +365,11 @@ def test_an_order_keeps_only_what_its_relation_determines():
     (lambda: random_lattice(1, random.Random(0)), OrderError),
     (lambda: extend_from_join_dense(chain(2), 0b11, {0: 0, 1: 1, 2: 1},
                                     chain(2)), PreconditionFailedError),
+    # the census is a generator: it checks its orders at the first next()
+    (lambda: next(enumerate_embeddings(QuasiOrder((3, 3)), chain(2))),
+     OrderError),
 ], ids=["chain-height", "enumeration-size", "random-lattice-size",
-        "sigma-domain"])
+        "sigma-domain", "census-quasi-order"])
 def test_input_errors_raise_their_module_class(call, error):
     # both classes are ValueErrors, so the command line still exits 2
     with pytest.raises(error) as info:
@@ -736,6 +739,10 @@ def test_extension_hypothesis_failures_are_named():
         # order reversal on the basis
         extend_from_join_dense(p2, 0b11, {0: 1, 1: 0}, p3)
     assert err.value.hypothesis in ("D-join-dense", "sigma-order-preserving")
+    with pytest.raises(HypothesisFailed) as err:
+        # D is join dense, but sigma sends 0 <= 1 to the top and the bottom
+        extend_from_join_dense(p2, 0b111, {0: 3, 1: 0, 2: 0}, p2)
+    assert err.value.hypothesis == "sigma-order-preserving"
     with pytest.raises(HypothesisFailed) as err:
         extend_from_join_dense(p2, powerset_basis(2),
                                {0: 0, 1: 1, 2: 2}, antichain(2))

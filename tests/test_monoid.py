@@ -158,6 +158,12 @@ def test_group_completion_rejects_noncancellative():
         group_completion(max_monoid())
 
 
+def test_group_completion_rejects_noncommutative():
+    # x + y = x for x != 0: associative with identity 0, but 1 + 2 != 2 + 1
+    with pytest.raises(MonoidError, match="requires commutativity"):
+        group_completion(FiniteMonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_group_completion_sweep(n):
     for mon in enumerate_commutative_monoids(n):
@@ -599,11 +605,16 @@ def test_sampled_instances_are_the_randint_instances(dim):
 
 def test_distributive_laws_are_the_one_mode_reports():
     monoids = [truncated_addition_monoid(3), max_monoid(), cyclic_group(1),
-               VectorMonoid(2)]
+               VectorMonoid(2), two_joins_monoid()]
     for m in monoids:
         laws = check_distributive_laws(m)
         assert laws == {mode: check_distributivity(m, mode)
                         for mode in DISTRIBUTIVITY_MODES}
+    # a and b have no join, so the binary laws skip that pair: the join law
+    # holds, and the meet law fails on a + inf{a, b}
+    for mode, holds, checked in (("plus_join", True, 216), ("plus_meet", False, 45)):
+        assert laws[mode] == ref_finite_monoid_binary(m, mode)
+        assert (laws[mode]["holds"], laws[mode]["checked"]) == (holds, checked)
     laws = check_distributive_laws(VectorMonoid(2), ("plus_meet_inf", "plus_join"))
     assert list(laws) == ["plus_meet_inf", "plus_join"]
     assert [r["checked"] for r in laws.values() if r["holds"]] == [2295, 729]
