@@ -36,6 +36,7 @@ __all__ = [
     "enumerate_posets",
     "enumerate_lattices",
     "canonical_key",
+    "automorphisms",
     "MAX_ENUMERATION_SIZE",
 ]
 
@@ -155,6 +156,13 @@ def canonical_key(q: QuasiOrder) -> bytes:
     width = (q.size + 7) // 8
     return bytes([q.size]) + b"".join(
         row.to_bytes(width, "big") for row in min(_relabeled_rows(q)))
+
+
+def automorphisms(q: QuasiOrder) -> int:
+    """``|Aut(q)|``: how often the least rows occur among the relabeled
+    rows of :func:`canonical_key`, whose docstring proves the count."""
+    rows = list(_relabeled_rows(q))
+    return rows.count(min(rows))
 
 
 def _extensions(q: QuasiOrder):

@@ -35,10 +35,10 @@ MAX_SPEC_SIZE = 64  # elements; {"powerset": 6} is the largest spec in use
 MAX_POWERSET_POINTS = MAX_SPEC_SIZE.bit_length() - 1  # 2^6 = 64 elements
 _SPEC_LIMIT = f" (orders have at most {MAX_SPEC_SIZE} elements)"
 # one walk over the subsets of each poset, and one count of relabelings per
-# distinct preregular range: on 2 CPUs about 0.28 s at size 6 (134,702 pairs)
-# in a fresh process and 0.8 s at size 7 (5,144,952 pairs) in-process;
-# raising the limit waits for a run-wide budget
-MAX_CONTINUITY_SIZE = 6
+# distinct preregular range: on 2 CPUs 1.2-2.1 s and 19 MB at size 7
+# (5,144,952 pairs) in a fresh process; size 8 walks the 16,999 posets of 8,
+# whose enumeration alone takes about 3 s, so it waits for a run-wide budget
+MAX_CONTINUITY_SIZE = 7
 # one preregularity walk over the convex subsets of each lattice; lattices of
 # n elements are built from the posets of n - 2, so size 9 needs only the
 # posets of 7: 1,078 lattices with 144,904 convex subsets, about 1.0 s in a
@@ -345,21 +345,19 @@ def _with_witness(report: dict, failures: list) -> dict:
 
 def _product_form(cfg: RunConfig, params: dict, dom, cod) -> tuple:
     """The convex-range census ``dom -> cod`` against the Birkhoff formula
-    census, and the census maps that ``birkhoff_decompose`` finds not of
-    the theorem's form (it checks its own reconstruction): a report that
+    census, and the census maps that ``embedding._birkhoff_form`` finds not
+    of the theorem's form (it checks its own reconstruction): a report that
     starts with ``params``, and the failures.  Both censuses get the node
     budget, and both are sorted, so they are compared place by place."""
     images = embedding.birkhoff_formula_census(
         dom, cod, budget_nodes=cfg.budget_nodes)
     failed = []
     census = matched = 0
-    for census, (image, f) in enumerate(embedding.enumerate_embeddings(
+    for census, (image, _) in enumerate(embedding.enumerate_embeddings(
             dom, cod, convex_range=True, budget_nodes=cfg.budget_nodes), 1):
         matched += census <= len(images) and images[census - 1] == image
         try:
-            embedding.birkhoff_decompose(order._unchecked(
-                order.MonotoneMap, dom=dom, cod=cod, image=image,
-                is_embedding=True, has_convex_range=f["convex_range"]))
+            embedding._birkhoff_form(dom, cod, image)
         except embedding.DecompositionMismatchError as exc:
             failed.append({"image": list(image), "error": str(exc)})
     return {"holds": matched == census == len(images) and not failed, **params,
@@ -711,13 +709,11 @@ def _check_convexity(cfg: RunConfig) -> dict:
 
 def _check_embedding(cfg: RunConfig) -> dict:
     mm = parse_map_fixture(cfg.input_json())
-    if mm.is_embedding:
-        return {"holds": True, "witness": None}
     # the first pair [p, q], p then q ascending, that the map does not reflect
     up, img = mm.cod.up_masks, mm.image
-    witness = next([p, q] for p in range(len(img)) for q in range(len(img))
-                   if up[img[p]] >> img[q] & 1 and not mm.dom.le(p, q))
-    return {"holds": False, "witness": witness}
+    witness = next(([p, q] for p in range(len(img)) for q in range(len(img))
+                    if up[img[p]] >> img[q] & 1 and not mm.dom.le(p, q)), None)
+    return {"holds": witness is None, "witness": witness}
 
 
 def _check_preregular(cfg: RunConfig) -> dict:

@@ -27,7 +27,7 @@ import operator
 from functools import cache
 from typing import Iterator, Optional
 
-from .builders import _relabeled_rows, enumerate_posets
+from .builders import automorphisms, enumerate_posets
 from .order import (
     MonotoneMap,
     OrderError,
@@ -356,16 +356,16 @@ def preregular_continuity_sweep(max_size: int) -> dict:
 
     The embeddings with range ``R`` number ``|Aut(P)|`` for the one class
     ``P`` of the induced suborder on ``R`` and none for any other, so each
-    range from :func:`preregular_masks` adds ``|Aut|``, the count of the
-    least rows among the suborder's relabeled rows (:func:`canonical_key`),
-    memoized on its up-masks; ``pairs`` comes from the level sizes.
+    range from :func:`preregular_masks` adds the suborder's
+    :func:`~latkit.builders.automorphisms`, memoized on its up-masks;
+    ``pairs`` comes from the level sizes.
     """
     max_size = _count(max_size, "a sweep's largest size")
     levels = [enumerate_posets(n) for n in range(1, max_size + 1)]
     counts = [len(level) for level in levels]
     # a codomain of size n pairs with every domain of size at most n
     pairs = sum(map(operator.mul, counts, itertools.accumulate(counts)))
-    automorphisms = {}
+    aut_of = {}
     embeddings = 0
 
     @cache
@@ -378,11 +378,10 @@ def preregular_continuity_sweep(max_size: int) -> dict:
             up = cod.up_masks
             for rmask in preregular_masks(cod)[1:]:  # the empty set is first
                 key = tuple([renumber(rmask, up[a] & rmask) for a in bits(rmask)])
-                aut = automorphisms.get(key)
+                aut = aut_of.get(key)
                 if aut is None:
-                    rows = list(_relabeled_rows(
-                        _unchecked(QuasiOrder, up_masks=key, is_poset=True)))
-                    aut = automorphisms[key] = rows.count(min(rows))
+                    aut = aut_of[key] = automorphisms(
+                        _unchecked(QuasiOrder, up_masks=key, is_poset=True))
                 embeddings += aut
     return {
         "pairs": pairs,
@@ -480,11 +479,16 @@ def birkhoff_decompose(sigma: MonotoneMap) -> tuple:
     """
     if not sigma.is_embedding:
         raise NotEmbeddingError("map is not an order embedding")
-    if not sigma.has_convex_range:
+    if not is_convex(sigma.cod, sigma.range_mask):
         raise NotConvexRangeError("range is not convex")
-    _, steps, jset_l, index_l = _birkhoff_labels(sigma.dom)
-    _, _, jset_m, index_m = _birkhoff_labels(sigma.cod)
-    image = sigma.image
+    return _birkhoff_form(sigma.dom, sigma.cod, sigma.image)
+
+
+def _birkhoff_form(L: QuasiOrder, M: QuasiOrder, image: tuple) -> tuple:
+    """:func:`birkhoff_decompose` on the map ``image`` from ``L`` to ``M``,
+    which the caller knows to be an embedding with convex range."""
+    _, steps, jset_l, index_l = _birkhoff_labels(L)
+    _, _, jset_m, index_m = _birkhoff_labels(M)
     b = jset_m[image[index_l[0]]]
     phi = []
     for p, lower in steps:

@@ -104,17 +104,19 @@ class FiniteMonoid(_Frozen):
 
     @cached_property
     def is_cancellative(self) -> bool:
-        n = self.size
-        return all(len(set(row)) == n for row in self.table) and all(
-            len(set(col)) == n for col in zip(*self.table))
+        """Two-sided cancellation, read off the rows: if each ``x -> a + x``
+        is injective, it is onto, so each ``a`` has a right inverse, and a
+        monoid where each element has one is a group, so ``x -> x + a`` is
+        injective too."""
+        return all(len(set(row)) == self.size for row in self.table)
 
     @cached_property
     def invertibles(self) -> tuple:
-        e, t = self.identity, self.table
-        return tuple(
-            a for a in range(self.size)
-            if any(t[a][b] == e and t[b][a] == e for b in range(self.size))
-        )
+        """The ``a`` with ``a + b = b + a = e`` for some ``b``: those whose row
+        holds ``e``.  ``a + b = e`` makes ``x -> b + x`` injective, so onto:
+        ``b + c = e`` for some ``c``, and ``c = (a + b) + c = a``."""
+        e = self.identity
+        return tuple(a for a, row in enumerate(self.table) if e in row)
 
     def right_quotient(self, a: int, b: int):
         """The ``c`` with ``c + b = a``: ``(solution, multiplicity)`` where the

@@ -7,9 +7,9 @@ the one reader and writer of JSON.  The relation cannot be changed after
 construction, and an order keeps only values derived from it alone
 (``down_masks``, ``dual``, ``is_poset``, ``full_mask``, ``up_index``); this
 module imports no other module of the package.  Orders and maps derived
-from checked ones (the dual, an induced suborder, an embedding a census
-proved) are built by :func:`_unchecked`; the public constructors check
-every input.
+from checked ones (the dual, an induced suborder, a map built monotone)
+are built by :func:`_unchecked`; the public constructors check every
+input.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ class MonotoneMap(_Frozen):
 
     ``image[p]`` is the codomain index of element ``p``.  Construction fails
     unless the map is order preserving; being an embedding (reflecting
-    order) and convexity of the range are cached flags.
+    order) is a cached flag, and ``lattice.is_convex(cod, range_mask)``
+    decides whether the range is convex.
     """
 
     def __init__(self, dom: QuasiOrder, cod: QuasiOrder, image):
@@ -273,13 +274,6 @@ class MonotoneMap(_Frozen):
             m |= 1 << v
         return m
 
-    @cached_property
-    def has_convex_range(self) -> bool:
-        """The range is convex: it is the intersection of its up-closure and
-        its down-closure."""
-        r = self.range_mask
-        return upper_closure(self.cod, r) & lower_closure(self.cod, r) == r
-
     def image_mask(self, A: int) -> int:
         m = 0
         for p in bits(_check_mask(self.dom, A)):
@@ -296,12 +290,15 @@ class MonotoneMap(_Frozen):
 
 def build_quasi_order(size: int, pairs: Iterable[tuple]) -> QuasiOrder:
     """Smallest reflexive-transitive relation on ``range(size)`` containing
-    the generator ``pairs`` (Warshall's closure on the up-set masks)."""
+    the generator ``pairs`` (Warshall's closure on the up-set masks).
+    A size or a pair that is not an index raises :class:`OrderError`."""
+    size = _count(size, "an order's size")
     up = [1 << p for p in range(size)]
-    for a, b in pairs:
-        if not (0 <= a < size and 0 <= b < size):
-            raise IndexError(f"pair ({a}, {b}) out of range for size {size}")
-        up[a] |= 1 << b
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and _is_index(pair[0], size) and _is_index(pair[1], size)):
+            raise OrderError(f"pair {pair!r} is not two integers in range({size})")
+        up[pair[0]] |= 1 << pair[1]
     for k in range(size):
         for p in range(size):
             if up[p] >> k & 1:

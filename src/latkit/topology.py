@@ -126,9 +126,8 @@ class ROAlgebra(_Frozen):
     algebra whose join is ``int(cl(G | H))``, whose meet is the intersection
     and whose complement is the exterior."""
 
-    def __init__(self, space: QuasiOrder, members: tuple, order: QuasiOrder):
+    def __init__(self, members: tuple, order: QuasiOrder):
         fields = self.__dict__
-        fields["space"] = space
         fields["members"] = members
         fields["order"] = order
 
@@ -145,7 +144,7 @@ def ro_algebra(q: QuasiOrder) -> ROAlgebra:
     order = _inclusion_order(members)
     if not classify(order)["boolean"]:
         raise TopologyError("regular opens failed to form a Boolean algebra")
-    return ROAlgebra(q, members, order)
+    return ROAlgebra(members, order)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +201,9 @@ class CategoryAlgebra(_Frozen):
     are the regular opens in ascending order.
     """
 
-    def __init__(self, space: QuasiOrder, order: QuasiOrder, reps: tuple,
-                 classes: dict, ro_iso: dict):
+    def __init__(self, order: QuasiOrder, reps: tuple, classes: dict,
+                 ro_iso: dict):
         fields = self.__dict__
-        fields["space"] = space
         fields["order"] = order
         fields["reps"] = reps
         fields["classes"] = classes  # trace on the comeager set -> class index
@@ -259,7 +257,7 @@ def category_algebra(q: QuasiOrder) -> CategoryAlgebra:
         for h in iso:
             if (g & ~h == 0) != (g & ~h & comeager == 0):
                 raise TopologyError("trace map is not an order isomorphism")
-    return CategoryAlgebra(q, _inclusion_order(reps), reps, classes, iso)
+    return CategoryAlgebra(_inclusion_order(reps), reps, classes, iso)
 
 
 # ---------------------------------------------------------------------------

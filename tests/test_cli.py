@@ -13,7 +13,7 @@ import time
 import pytest
 
 from latkit import cli, embedding
-from latkit.builders import chain_product, powerset_lattice
+from latkit.builders import bowtie, chain_product, powerset_lattice
 from latkit.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -706,7 +706,7 @@ ENUMERATING = [
 
 # the largest --max-size of each command in ENUMERATING: the lattices of n
 # elements are built from the posets of n - 2, so the lattice sweeps reach 9
-ENUMERATION_LIMITS = (6, 9, 9, 8, 5)
+ENUMERATION_LIMITS = (7, 9, 9, 8, 5)
 # what each refusal adds after the limit
 LIMIT_WHY = {("verify", "thm-preregular-continuity"): " for thm-preregular-continuity",
              ("verify", "lem-group-completion"): " for lem-group-completion"}
@@ -725,15 +725,15 @@ def test_oversized_max_size_exits_2_at_once(capsys, command, limit, size):
     assert err == f"error: --max-size must be at most {limit}{why}\n"
 
 
-@pytest.mark.parametrize("size", ["7", "8"])
+@pytest.mark.parametrize("size", ["8", "9"])
 def test_continuity_sweep_above_its_limit_exits_2_at_once(capsys, size):
-    # one census per pair of posets: millions of pairs at size 7
+    # size 8 would enumerate the 16,999 posets of 8 and walk their subsets
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "thm-preregular-continuity",
                          "--max-size", size)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE and out == ""
-    assert err == ("error: --max-size must be at most 6 "
+    assert err == ("error: --max-size must be at most 7 "
                    "for thm-preregular-continuity\n")
 
 
@@ -1206,16 +1206,16 @@ def test_decomposition_failure_is_a_violation(capsys, monkeypatch, slug, argv):
     code, out, _ = run(capsys, "--format", "json", "verify", slug, *argv)
     assert code == EXIT_OK and "witness" not in json.loads(out)["report"]
     # mutation: the second census map is not of the theorem's form
-    real = embedding.birkhoff_decompose
+    real = embedding._birkhoff_form
     seen = []
 
-    def mutant(mm):
-        seen.append(list(mm.image))
+    def mutant(dom, cod, image):
+        seen.append(list(image))
         if len(seen) == 2:
             raise embedding.DecompositionMismatchError("mutant")
-        return real(mm)
+        return real(dom, cod, image)
 
-    monkeypatch.setattr(embedding, "birkhoff_decompose", mutant)
+    monkeypatch.setattr(embedding, "_birkhoff_form", mutant)
     code, out, err = run(capsys, "--format", "json", "verify", slug, *argv)
     assert code == EXIT_VIOLATION and err == ""
     report = json.loads(out)["report"]
@@ -1262,6 +1262,46 @@ def test_extension_that_loses_continuity_is_a_violation(capsys, monkeypatch):
     assert witness["report"]["extension"] == witness["image"]
     assert witness["report"]["extensions_found"] == 0
     assert not witness["report"]["holds"] and not witness["report"]["unique"]
+
+
+def drop_convex_range(monkeypatch):
+    """Run every census without its convex-range filter.  The formula
+    census of P(2) -> P(3) keeps its 12 maps: its inner census is between
+    antichains, whose subsets are all convex."""
+    real = embedding.enumerate_embeddings
+
+    def unfiltered(dom, cod, *, convex_range=False, **filters):
+        return real(dom, cod, **filters)
+
+    monkeypatch.setattr(embedding, "enumerate_embeddings", unfiltered)
+
+
+def test_product_forms_can_fail_without_convex_range(capsys, monkeypatch):
+    # of the 30 embeddings P(2) -> P(3), 18 are not of the Birkhoff form
+    drop_convex_range(monkeypatch)
+    for argv, key in ((("thm-powerset-form", "--x", "2", "--y", "3"),
+                       "decompositions_ok"),
+                      (("thm-chainprod-form", "--k", "2", "--m", "2",
+                        "--i", "2", "--j", "3"), "mismatches")):
+        code, out, err = run(capsys, "--format", "json", "verify", *argv)
+        assert code == EXIT_VIOLATION and err == ""
+        report = json.loads(out)["report"]
+        assert (report["census"], report["formula_census"]) == (30, 12)
+        assert report[key] == {"decompositions_ok": False, "mismatches": 18}[key]
+
+
+def test_extension_check_can_fail_without_convex_range(capsys, monkeypatch):
+    drop_convex_range(monkeypatch)
+    code, out, err = run(capsys, "--format", "json", "verify",
+                         "thm-extension-convexity", "--n", "2", "--m", "3")
+    assert code == EXIT_VIOLATION and err == ""
+    report = json.loads(out)["report"]
+    assert (report["embeddings"], len(report["failures"])) == (30, 18)
+
+
+def test_convex_preregular_can_fail_off_lattices():
+    # lem-convex-preregular's predicate on the bowtie, which is no lattice
+    assert cli._convex_not_preregular(bowtie()) == [0b0111, 0b1011, 0b1101, 0b1110]
 
 
 def test_extension_convexity_report_at_m_4_is_pinned(capsys):

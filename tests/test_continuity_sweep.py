@@ -8,9 +8,8 @@ import random
 import pytest
 
 from latkit import embedding, lattice
-from latkit.builders import (_relabeled_rows, antichain, chain, chain_product,
+from latkit.builders import (antichain, automorphisms, chain, chain_product,
                              enumerate_lattices, enumerate_posets)
-from latkit.cli import MAX_CONTINUITY_SIZE
 from latkit.embedding import continuity_checks, preregular_continuity_sweep
 from latkit.lattice import (
     MAX_PREREGULAR_WALK,
@@ -45,17 +44,22 @@ def test_sweep_matches_per_pair_loop(max_size):
 def test_sweep_counts_at_size_6_are_pinned():
     assert preregular_continuity_sweep(6) == {
         "pairs": 134_702, "embeddings": 42_111, "violations": [], "holds": True}
+    # the command's limit, MAX_CONTINUITY_SIZE
+    assert preregular_continuity_sweep(7) == {
+        "pairs": 5_144_952, "embeddings": 536_998, "violations": [], "holds": True}
     # a size that is no count is refused, not truncated or recursed on
     for size in (2.5, True, -1, "3"):
         with pytest.raises(OrderError, match="sweep's largest size"):
             preregular_continuity_sweep(size)
 
 
-@pytest.mark.parametrize("n", range(1, MAX_CONTINUITY_SIZE + 1))
+# sizes up to 6: at the command's limit of 7 the definition-level checks
+# would run on the 127 subsets of each of the 2,045 posets of 7
+@pytest.mark.parametrize("n", range(1, 7))
 def test_inclusion_continuity_is_preregularity(n):
-    """Every input the command accepts: the inclusion of each nonempty
-    range into its codomain preserves nonempty sups (infs) iff the range is
-    upwards (downwards) preregular, so the sweep needs no continuity check."""
+    """The inclusion of each nonempty range into its codomain preserves
+    nonempty sups (infs) iff the range is upwards (downwards) preregular,
+    so the sweep needs no continuity check."""
     for q in enumerate_posets(n):
         for rmask in range(1, 1 << n):
             sub, elems = induced_suborder(q, rmask)
@@ -66,7 +70,7 @@ def test_inclusion_continuity_is_preregularity(n):
                 preregularity_witness(q, rmask, upwards=False) is None)
 
 
-@pytest.mark.parametrize("n", range(MAX_CONTINUITY_SIZE + 1))
+@pytest.mark.parametrize("n", range(7))
 def test_preregular_masks_is_the_filter(n):
     for q in enumerate_posets(n):
         assert preregular_masks(q) == [m for m in range(1 << n) if is_preregular(q, m)]
@@ -141,6 +145,10 @@ def test_walk_refuses_a_family_that_lacks_a_member_it_reads():
     assert preregular_masks(q, [0b001, 0b010, 0b011]) == [0b001, 0b010, 0b011]
     with pytest.raises(OrderError, match="outside the carrier"):
         preregular_masks(q, [0b1000])
+    # a family's bad member may be its greatest or, negative, its least
+    for family in ([0, 1, 0b100], [-1, 0, 1]):
+        with pytest.raises(OrderError, match="outside the carrier"):
+            preregular_masks(chain(2), family)
 
 
 def test_sweep_runs_no_census(monkeypatch):
@@ -154,13 +162,12 @@ def test_sweep_runs_no_census(monkeypatch):
 
 
 def test_relabeling_count_is_the_self_census():
-    """The least rows of ``_relabeled_rows`` occur ``|Aut|`` times, the
-    number of embeddings of an order into itself, on every poset of 1-6
+    """``automorphisms`` counts the least relabeled rows; that is ``|Aut|``,
+    the number of embeddings of an order into itself, on every poset of 1-6
     elements and every lattice of 1-8."""
     orders = [*(q for n in range(1, 7) for q in enumerate_posets(n)),
               *(q for n in range(1, 9) for q in enumerate_lattices(n))]
     assert len(orders) == 705
     for q in orders:
-        rows = list(_relabeled_rows(q))
         census = sum(1 for _ in embedding.enumerate_embeddings(q, q))
-        assert rows.count(min(rows)) == census
+        assert automorphisms(q) == census

@@ -51,8 +51,13 @@ def test_build_chain_and_antichain():
 
 
 def test_build_rejects_bad_index():
-    with pytest.raises(IndexError):
-        build_quasi_order(2, [(0, 5)])
+    # a size that is no count, and pairs that are not two indices
+    for size, pairs in ((True, []), (-1, []), (2.0, []), (2, [(0, 5)]),
+                        (2, [(-1, 0)]), (2, [(0, 1, 2)]), (2, [(0.0, 1)]),
+                        (2, [(True, 1)]), (2, [0]), (2, ["01"])):
+        with pytest.raises(OrderError):
+            build_quasi_order(size, pairs)
+    assert build_quasi_order(2, [[0, 1]]).up_masks == (0b11, 0b10)
 
 
 def test_is_partial_order():

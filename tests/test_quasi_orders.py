@@ -166,7 +166,7 @@ def ref_build_quasi_order(size, pairs):
     rel = np.eye(size, dtype=bool)
     for a, b in pairs:
         if not (0 <= a < size and 0 <= b < size):
-            raise IndexError(f"pair ({a}, {b}) out of range for size {size}")
+            raise OrderError(f"pair {(a, b)!r} is not two integers in range({size})")
         rel[a, b] = True
     while True:
         closed = rel | np.matmul(rel, rel)

@@ -28,9 +28,8 @@ IDENTITIES = {
     QuasiOrder: {"up_masks": (7, 6, 4)},
     MonotoneMap: {"dom": C2, "cod": C3, "image": (0, 2)},
     FiniteMonoid: {"table": ((0, 1), (1, 0)), "identity": 0},
-    ROAlgebra: {"space": C2, "members": (0, 2, 3), "order": C3},
-    CategoryAlgebra: {"space": C2, "order": C2, "reps": (0, 3), "classes": {},
-                      "ro_iso": {}},
+    ROAlgebra: {"members": (0, 2, 3), "order": C3},
+    CategoryAlgebra: {"order": C2, "reps": (0, 3), "classes": {}, "ro_iso": {}},
 }
 FROZEN = {**VALUES, **IDENTITIES}
 RECORDS = {**FROZEN, RunConfig: {"command": "check", "name": "x", "inputs": (),
