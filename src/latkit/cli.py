@@ -939,8 +939,7 @@ def _run_enumerate(cfg: RunConfig) -> int:
         cod = parse_order_spec(cfg.options["cod"])
         filters = {name: True for name in CENSUS_FILTERS if name in cfg.options}
     # lines leave as the census yields them, so a closed stdout stops the
-    # search; an interval census (convex_range on a domain with a bottom and
-    # a top) yields nothing before its search ends, nor after an overrun
+    # search and a budget overrun leaves a prefix of the census
     _emit(_census_lines(embedding.enumerate_embeddings(
         dom, cod, **filters, budget_nodes=cfg.budget_nodes)))
     return EXIT_OK

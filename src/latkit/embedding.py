@@ -2,15 +2,14 @@
 
 The census enumerator is a generator: it backtracks over the domain's
 elements in index order and yields each map, in ascending image order, as
-the search reaches it, so no census is held (but for the interval search,
-which sorts its maps at the end).  Each variable's candidates are the set
-bits of an AND of codomain masks (strictly above, strictly below or
-incomparable), one per assigned variable, so only injective, preserving and
-reflecting choices are visited; the convex and lower-set filters prune
-partial ranges ``rng`` whose convex hull ``up(rng) & down(rng)`` or
-down-closure ``down(rng)`` already exceeds the domain size, and a convex
-census of a domain with a bottom and a top searches only the intervals of
-the domain's size.  Each map's range flags are read off the masks at its leaf.
+the search reaches it, so no census is held.  Each variable's candidates
+are the set bits of an AND of codomain masks (strictly above, strictly
+below or incomparable), one per assigned variable, so only injective,
+preserving and reflecting choices are visited; the convex and lower-set
+filters prune partial ranges ``rng`` whose convex hull ``up(rng) &
+down(rng)`` or down-closure ``down(rng)`` already exceeds the domain size,
+and a convex census sizes the intervals from the images of the domain's
+bottom and top.  Each map's range flags are read off the masks at its leaf.
 The tests check the census against a naive one over all maps, with maps and
 flags derived from the plain definitions.
 
@@ -41,7 +40,6 @@ from .order import (
     bits,
     induced_suborder,
     inf,
-    linear_extension,
     lower_closure,
     sup,
     upper_closure,
@@ -130,8 +128,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                          downward_closed_range: bool = False,
                          budget_nodes: Optional[int] = None) -> Iterator[tuple]:
     """Yield ``(image, flags)`` for each order embedding ``dom -> cod``, in
-    ascending image order, as the backtracking search reaches it (an
-    interval search, below, yields its maps only once it ends).
+    ascending image order, as the backtracking search reaches it.
 
     Keyword filters restrict the census to maps whose range is convex,
     preregular, or a lower set.  ``flags`` is one of the read-only dicts of
@@ -153,20 +150,21 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     ``ups & downs != rng``; likewise the lower-set prune is exactly ``downs
     != rng``.
 
-    A convex range of a domain with a bottom and a top is an interval.  For
-    every ``p``, ``s(bot) <= s(p) <= s(top)``, so the range lies inside
-    ``I = [s(bot), s(top)]``; being convex and holding both ends, it holds
-    all of ``I``.  So the range is ``I``, ``I`` has ``n`` elements, and ``s``
-    is an isomorphism onto ``I``: each ``p`` goes to an element of ``I``
-    with as many elements of ``I`` below and above it as ``p`` has in the
-    domain.  So with ``convex_range`` on such a domain the bottom is
-    assigned first, the top second and the rest along a linear extension; a
-    top candidate counts as a node but is skipped unless ``I`` has ``n``
-    elements, and every later variable draws only from the elements of
-    ``I`` with its two counts.  This search keeps every map it finds until
-    it ends, then sorts them and yields them, so it yields nothing before
-    the search is done and a budget overrun yields no map.  Other domains
-    keep the hull and lower-set prunes alone and yield each map at once.
+    A convex census also prunes by interval sizes when the domain has a
+    bottom.  Let ``s`` have convex range and let ``b = s(bot)``.  For every
+    ``v``, the interval ``[b, s(v)]`` lies in the range, as the range holds
+    both ends, and ``s`` reflects the order, so the preimage of ``[b,
+    s(v)]`` is ``down(v)``.  As ``s`` is injective, ``|[b, s(v)]| =
+    |down(v)|``.  So once the bottom's variable takes ``b``, every later
+    variable ``v`` draws only from the elements ``e >= b`` with ``|[b, e]| =
+    |down(v)|``.  And ``s`` maps the domain elements with ``|down(v)| = m``
+    one to one onto such elements, so ``b`` is skipped, after it counts as
+    a node, when some ``m`` has fewer elements ``e`` than the domain has
+    elements ``v``.  A top ``t`` is the same rule on the duals: ``|[s(v),
+    s(t)]| = |up(v)|``.  Each restriction is one more table indexed by the
+    end's image, so it binds only the variables after the end; the earlier
+    ones are assigned before the end's image is known.  The rule drops no
+    convex map, and the hull prune alone makes the census exact.
 
     Preregularity serves as both filter and flag.  When the domain is a
     lattice it is decided from joins and meets.  The range ``A`` is
@@ -185,17 +183,7 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     if not dom.is_poset or not cod.is_poset:
         raise OrderError("census requires partial orders")
     n, k = dom.size, cod.size
-    order = range(n)
-    bottom, top = sup(dom, 0), inf(dom, 0)
-    interval = convex_range and bottom is not None and top is not None
-    if interval:
-        ends = (bottom,) if top == bottom else (bottom, top)
-        order = ends + tuple(p for p in linear_extension(dom) if p not in ends)
     up_d, down_d = dom.up_masks, dom.down_masks
-    # shape[p]: how many domain elements lie below and above p; allowed[p]:
-    # the candidates of p inside the current interval, else every element
-    shape = [(down_d[p].bit_count(), up_d[p].bit_count()) for p in range(n)]
-    allowed = [cod.full_mask] * n
     image = [-1] * n
     nodes = 0
     up_c, down_c = cod.up_masks, cod.down_masks
@@ -206,9 +194,21 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
     # is the set of images allowed by how q relates to this depth's variable
     constraints = [
         [(q, above if up_d[q] >> p & 1 else below if up_d[p] >> q & 1
-          else apart) for q in order[:d]]
-        for d, p in enumerate(order)
+          else apart) for q in range(p)]
+        for p in range(n)
     ]
+    # a convex census: each later variable v may only take the elements e
+    # with |[s(bot), e]| = |down(v)|, or |[e, s(top)]| = |up(v)|, a table
+    # indexed by the end's image; misfit[p] holds the images skipped at p
+    misfit = [0] * n
+    if convex_range:
+        for p, up, down, span in ((sup(dom, 0), up_c, down_c, down_d),
+                                  (inf(dom, 0), down_c, up_c, up_d)):
+            if p is not None:
+                sizes = [span[v].bit_count() for v in range(n)]
+                tables, misfit[p] = _by_interval_size(up, down, sizes)
+                for v in range(p + 1, n):
+                    constraints[v].append((p, tables[sizes[v]]))
     preregular = {}  # range mask -> whether that range is preregular
     lattice_dom = is_lattice(dom)
     if lattice_dom:
@@ -218,7 +218,6 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                  for p in range(n) for q in range(p)
                  if not (up_d[p] >> q & 1 or up_d[q] >> p & 1)]
         join_at, meet_at = cod.up_index, cod.dual.up_index
-    kept = []  # the interval search's maps
     # per depth: the untried candidates (-1 before the first), and the partial
     # range with its upper and lower closures, whose AND is its convex hull
     left = [-1] * (n + 1)
@@ -237,15 +236,11 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
                 ) if lattice_dom else (_preserves_sups(dom, cod, image) and
                                        _preserves_sups(dom.dual, cod.dual, image))
             if prereg or not preregular_range:
-                found = tuple(image), _RANGE_FLAGS[ups & downs == rng, prereg,
-                                                   downs == rng]
-                if interval:
-                    kept.append(found)
-                else:
-                    yield found
+                yield tuple(image), _RANGE_FLAGS[ups & downs == rng, prereg,
+                                                 downs == rng]
             cands = 0  # nothing to try here: back up a level
         elif cands < 0:
-            cands = allowed[order[depth]]
+            cands = cod.full_mask
             for q, table in constraints[depth]:
                 cands &= table[image[q]]
         while cands:
@@ -256,23 +251,14 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             if budget_nodes is not None and nodes > budget_nodes:
                 raise BudgetExceededError(
                     f"node budget {budget_nodes} exceeded")
-            if interval and depth == 1:  # c is the top's image
-                span = ups & down_c[c]
-                if span.bit_count() != n:
-                    continue
-                by_shape = {}
-                for e in bits(span):
-                    key = ((down_c[e] & span).bit_count(),
-                           (up_c[e] & span).bit_count())
-                    by_shape[key] = by_shape.get(key, 0) | 1 << e
-                for v in order[2:]:
-                    allowed[v] = by_shape.get(shape[v], 0)
             u, dn = ups | up_c[c], downs | down_c[c]
             if convex_range and (u & dn).bit_count() > n:
                 continue
             if downward_closed_range and dn.bit_count() > n:
                 continue
-            image[order[depth]] = c
+            if misfit[depth] & low:
+                continue
+            image[depth] = c
             left[depth] = cands
             depth += 1
             left[depth] = -1
@@ -280,7 +266,24 @@ def enumerate_embeddings(dom: QuasiOrder, cod: QuasiOrder, *,
             break
         else:
             depth -= 1
-    yield from sorted(kept)
+
+
+def _by_interval_size(up: list, down: list, sizes: list) -> tuple:
+    """``(tables, misfit)`` for the sizes ``m`` in ``sizes``: ``tables[m][c]``
+    is the mask of the ``e >= c`` with ``|[c, e]| = m``, where ``up`` and
+    ``down`` give ``>=`` and ``<=``, and ``misfit`` has the ``c`` at which
+    some ``m`` has fewer such ``e`` than ``sizes`` has copies of ``m``."""
+    tables = {m: [0] * len(up) for m in sizes}
+    need = [(tables[m], sizes.count(m)) for m in tables]
+    misfit = 0
+    for c, row in enumerate(up):
+        for e in bits(row):
+            table = tables.get((row & down[e]).bit_count())
+            if table is not None:
+                table[c] |= 1 << e
+        if any(table[c].bit_count() < count for table, count in need):
+            misfit |= 1 << c
+    return tables, misfit
 
 
 def enumerate_monotone_maps(dom: QuasiOrder, cod: QuasiOrder) -> Iterator[tuple]:

@@ -35,7 +35,6 @@ __all__ = [
     "lower_closure",
     "upper_sets",
     "induced_suborder",
-    "linear_extension",
     "bits",
     "intersection_closure",
     "MAX_CLOSURE_SIZE",
@@ -473,7 +472,3 @@ def induced_suborder(q: QuasiOrder, A: int):
     proved = {"is_poset": True} if q.is_poset else {}
     return _unchecked(QuasiOrder, up_masks=up, **proved), elems
 
-
-def linear_extension(q: QuasiOrder) -> tuple:
-    """Elements ordered compatibly with ``<=`` (smaller down-sets first)."""
-    return tuple(sorted(range(q.size), key=lambda p: (q.down_masks[p].bit_count(), p)))

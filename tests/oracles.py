@@ -5,8 +5,9 @@ reflection by its pairwise definition, the per-pair continuity check of
 preregular-range embeddings, the order-closedness report of a map's range,
 a seeded random lattice generator, the Boolean algebras by their
 definition, directedness and boundedness of a subset, an order read from
-a boolean relation matrix, a relabeled copy of an order, the coordinates
-of a chain product and the shifted-projection census of chain products,
+a boolean relation matrix, a relabeled copy of an order, a linear
+extension, the coordinates of a chain product and the shifted-projection
+census of chain products,
 the seeded per-law loops over drawn vectors of ``N^d`` that the scalar
 grid of the monoid laws replaced, the monoid laws of a finite table, each in its
 own loop over every instance, and the derived structures that the library
@@ -243,6 +244,11 @@ def relabel(q: QuasiOrder, perm) -> QuasiOrder:
     for p, row in enumerate(q.up_masks):
         up[perm[p]] = sum(1 << perm[r] for r in bits(row))
     return QuasiOrder(up)
+
+
+def linear_extension(q: QuasiOrder) -> tuple:
+    """Elements ordered compatibly with ``<=`` (smaller down-sets first)."""
+    return tuple(sorted(range(q.size), key=lambda p: (q.down_masks[p].bit_count(), p)))
 
 
 def chain_vectors(dims) -> list:

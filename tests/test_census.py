@@ -1,6 +1,6 @@
 """The mask-filtered census search against its oracles (images, range flags
 and the definition-level embedding check) on domains labelled along and
-against a linear extension, the interval search against the full census,
+against a linear extension, the convex census against the full census,
 its node counts as budget boundaries, the peak memory of folding its
 stream, the chain-product order and JSON lines it reads and writes, and the
 byte-identity of every CLI report pinned by the benchmark."""
@@ -32,7 +32,7 @@ from latkit.embedding import (
 )
 from latkit.lattice import is_lattice, is_preregular
 from latkit.order import MonotoneMap, build_quasi_order
-from oracles import naive_embedding_census, range_flags, relabel
+from oracles import naive_embedding_census, range_flags, ref_lattice_view, relabel
 
 FILTERS = ({}, {"convex_range": True}, {"preregular_range": True},
            {"downward_closed_range": True})
@@ -114,7 +114,7 @@ def assert_visits(nodes, dom, cod, **filters):
 
 
 @pytest.mark.parametrize("dom,cod,filters,nodes", [
-    (powerset_lattice(2), powerset_lattice(3), {"convex_range": True}, 51),
+    (powerset_lattice(2), powerset_lattice(3), {"convex_range": True}, 41),
     (chain(2), chain(3), {}, 6),
 ], ids=["P2-P3-convex", "C2-C3"])
 def test_budget_counts_filtered_candidates(dom, cod, filters, nodes):
@@ -127,26 +127,63 @@ def test_chain_census_visits_only_surviving_candidates():
 
 
 def test_powerset_census_node_count_is_pinned():
-    # the interval search: 32 images of the bottom, 211 of the top above
-    # them, and 3,040 inside the 10 intervals with 16 elements
+    # 32 images of the bottom, 26 of them skipped as fewer than 4 elements
+    # lie 2 steps above them; 25 images of the first atom, 2 steps above the
+    # 6 kept ones; and 2,800 for the 14 later variables
     dom, cod = powerset_lattice(4), powerset_lattice(5)
     assert len(list(enumerate_embeddings(dom, cod, convex_range=True))) == 240
-    assert_visits(3_283, dom, cod, convex_range=True)
+    assert_visits(2_857, dom, cod, convex_range=True)
 
 
 def test_interval_census_equals_the_convex_maps_of_the_full_census():
     lattices = [q for n in range(1, 7) for q in enumerate_lattices(n)]
     pairs = [(d, c) for d in lattices for c in lattices if d.size <= c.size]
     assert len(pairs) == 441
+    # relabeled domains put the bottom last and the top first, or both inside
+    relabeled = [relabel(d, perm) for d in lattices if d.size > 1
+                 for perm in (range(d.size - 1, -1, -1),
+                              [(p + d.size // 2) % d.size for p in range(d.size)])]
+    pairs += [(d, c) for d in relabeled for c in lattices if d.size <= c.size]
     for dom, cod in pairs:
         convex = [(img, f) for img, f in enumerate_embeddings(dom, cod)
                   if f["convex_range"]]
         assert list(enumerate_embeddings(dom, cod, convex_range=True)) == convex
 
 
+def test_every_convex_range_embedding_of_small_lattices_is_a_homomorphism():
+    # the abstract's headline, and a check that can fail: 82 embeddings
+    # whose range is not convex break a join or a meet
+    lattices = [q for n in range(1, 7) for q in enumerate_lattices(n)]
+    assert len(lattices) == 25
+    views = {id(q): ref_lattice_view(q) for q in lattices}
+    tally = {}
+    for dom in lattices:
+        for cod in lattices:
+            if dom.size <= cod.size:
+                d, c = views[id(dom)], views[id(cod)]
+                for img, f in enumerate_embeddings(dom, cod):
+                    homomorphism = all(
+                        c.join[img[p]][img[q]] == img[d.join[p][q]]
+                        and c.meet[img[p]][img[q]] == img[d.meet[p][q]]
+                        for p in range(dom.size) for q in range(p))
+                    key = f["convex_range"], homomorphism
+                    tally[key] = tally.get(key, 0) + 1
+    assert tally == {(True, True): 441, (False, True): 590 - 82, (False, False): 82}
+
+
+def test_a_convex_census_yields_each_map_as_it_finds_it():
+    # the first of the 720 maps of P(6) into itself comes within 100 of the
+    # 38,050 nodes
+    p6 = powerset_lattice(6)
+    image, flags = next(enumerate_embeddings(p6, p6, convex_range=True,
+                                             budget_nodes=100))
+    assert image == tuple(range(64)) and flags["convex_range"]
+
+
 def test_interval_census_of_a_bounded_poset_that_is_not_a_lattice():
     # 0 < 1, 2 < 3, 4 < 5: the two middle pairs have no join or meet, so the
-    # interval search runs with the per-range preregularity memo
+    # convex census of a domain with a bottom and a top runs with the
+    # per-range preregularity memo
     dom = build_quasi_order(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
                                 (2, 4), (3, 5), (4, 5)])
     assert not is_lattice(dom)

@@ -34,7 +34,7 @@ from latkit.cli import (
     main,
     parse_order_spec,
 )
-from latkit.monoid import FiniteMonoid, truncated_addition_monoid
+from latkit.monoid import FiniteMonoid, associated_order, truncated_addition_monoid
 from latkit.order import MonotoneMap
 from oracles import monoid_to_json, ref_parser
 
@@ -582,6 +582,28 @@ def test_malformed_monoid_is_input_error(capsys, tmp_path, doc, verifier):
     code, out, err = run(capsys, "verify", verifier, "--input", str(path))
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_both_monoid_laws_fail_on_an_absorbing_table(capsys):
+    # 0 is the identity and every other sum is 1, so 2 <= 1 and 3 <= 1 in
+    # the associated order, a poset; 2 + inf{2, 3} = 2 but inf{2 + 2, 2 + 3}
+    # = 1; and 2 ^ 3 = 0, yet 2 + 2 = 1 lies above 3
+    path = fixture("absorbing_4.json")
+    with open(path, encoding="utf-8") as fh:
+        assert associated_order(cli._read_monoid(json.load(fh))).is_poset
+    code, out, _ = run(capsys, "--format", "json", "verify",
+                       "law-monoid-distributivity", "--input", path)
+    modes = json.loads(out)["report"]["modes"]
+    assert code == EXIT_VIOLATION
+    assert {name: (mode["holds"], mode["checked"]) for name, mode in modes.items()
+            } == {"plus_join": (True, 64), "plus_join_inf": (True, 60),
+                  "plus_meet": (False, 44), "plus_meet_inf": (False, 42)}
+    assert modes["plus_meet"]["witness"] == {"a": 2, "B": [2, 3], "lhs": 2, "rhs": 1}
+    code, out, _ = run(capsys, "--format", "json", "verify", "law-disjoint-sum",
+                       "--input", path)
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["report"]["report"]["witness"] == {
+        "a": 2, "b": 2, "c": 3, "law": "sum_stays_disjoint"}
 
 
 @pytest.mark.parametrize("verifier", ["law-monoid-distributivity",
@@ -1384,16 +1406,21 @@ def test_a_budget_overrun_leaves_a_prefix_of_the_census(capsys):
     assert out == "".join(line + "\n" for line in lines[:kept])
 
 
-def test_a_budget_overrun_of_an_interval_census_leaves_no_line(capsys):
-    # the interval search keeps its 48 maps until its 177 nodes are done,
-    # then sorts them, so an overrun at 100 nodes has written nothing
+def test_a_budget_overrun_of_a_convex_census_leaves_a_prefix(capsys):
+    # the convex census of P(2) into P(4) finds its 48 maps in 140 nodes and
+    # writes each one as it finds it, so an overrun at 100 nodes leaves the
+    # first lines of the census
     argv = ("enumerate", "--dom", '{"powerset":2}', "--cod", '{"powerset":4}',
             "--convex-range", "--budget-nodes")
+    code, full, _ = run(capsys, *argv, "140")
+    assert code == EXIT_OK and full.count("\n") == 48
     code, out, err = run(capsys, *argv, "100")
-    assert code == EXIT_BUDGET and out == ""
+    assert code == EXIT_BUDGET
     assert err == "budget exceeded: node budget 100 exceeded\n"
-    code, out, _ = run(capsys, *argv, "177")
-    assert code == EXIT_OK and out.count("\n") == 48
+    kept = out.count("\n")
+    assert 0 < kept < 48 and full.startswith(out)
+    code, _, _ = run(capsys, *argv, "139")
+    assert code == EXIT_BUDGET
 
 
 class RecordedStdout:

@@ -54,7 +54,6 @@ from latkit.order import (
     bits,
     build_quasi_order,
     induced_suborder,
-    linear_extension,
     minimal_elements,
     positive_part,
     sup,
@@ -66,6 +65,7 @@ from oracles import (
     chainprod_reading,
     is_bounded_above,
     is_order_reflecting,
+    linear_extension,
     naive_embedding_census,
     projection_image,
     random_lattice,
